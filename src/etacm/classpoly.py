@@ -120,7 +120,7 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     """
     try:
         disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
-    except Exception:
+    except ValueError:
         return False
     if p1 == p2 or p1 == 2 or p2 == 2:
         return False

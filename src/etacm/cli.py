@@ -29,7 +29,7 @@ PRECISION_ENV = "ETACM_PRECISION"
 @dataclass(frozen=True)
 class RunConfig:
     precision_start: int = 256
-    precision_max: int = 65536
+    precision_max: int = classpoly.MAX_PRECISION
     seed: int = 0
     output_path: str | None = None
     verbosity: int = 0
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="etacm", description=__doc__)
     parser.add_argument("--precision-start", type=int,
                         default=int(os.environ.get(PRECISION_ENV, 256)))
-    parser.add_argument("--precision-max", type=int, default=65536)
+    parser.add_argument("--precision-max", type=int, default=classpoly.MAX_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write output to a file")
     parser.add_argument("-v", "--verbose", action="count", default=0)

@@ -20,7 +20,7 @@ from importlib import resources
 
 from .apcomplex import ApComplex, UpperHalfPoint
 from .arith import crt_pair, is_probable_prime
-from .classpoly import CPoly, product_tree, round_to_integers
+from .classpoly import MAX_PRECISION, CPoly, product_tree, round_to_integers
 from .errors import (
     CoefficientParseFailure,
     InterpolationSingular,
@@ -33,9 +33,8 @@ from .etafunc import apply_moebius, j_invariant, s_exponent, w_pow_s_with_err
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, _xgcd
+from .qforms import Matrix, _split_n, _xgcd
 
-MAX_PRECISION = 65536
 VERIFY_SAMPLES = 3
 ROUND_LIMIT = 0.25
 
@@ -64,21 +63,9 @@ class ModularPolynomial:
 
 
 def psi(N: int) -> int:
-    out = N
-    seen = set()
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            seen.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        seen.add(n)
-    for p in seen:
-        out = out // p * (p + 1)
-    return out
+    """Index of Gamma^0(N) in SL_2(Z) for N = p1 * p2: (p1 + 1)(p2 + 1)."""
+    p1, p2 = _split_n(N)
+    return (p1 + 1) * (p2 + 1)
 
 
 def _p1_line(p: int) -> list[tuple[int, int]]:
@@ -88,21 +75,7 @@ def _p1_line(p: int) -> list[tuple[int, int]]:
 def coset_representatives(N: int) -> list[Matrix]:
     """psi(N) unimodular matrices, one per coset of Gamma^0(N), indexed by
     the projective line over Z/N on the top row."""
-    ps = []
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            n //= d
-            if n % d == 0:
-                raise PreconditionError(f"N = {N} is not squarefree")
-        d += 1
-    if n > 1:
-        ps.append(n)
-    if len(ps) != 2 or 2 in ps:
-        raise PreconditionError(f"N = {N} is not a product of two odd primes")
-    p1, p2 = ps
+    p1, p2 = _split_n(N)
     reps = []
     for u1, v1 in _p1_line(p1):
         for u2, v2 in _p1_line(p2):

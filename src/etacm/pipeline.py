@@ -2,9 +2,13 @@
 
 Steps: pick the trace (4q = t^2 - D v^2), build the N-system and class
 polynomial, take a root of H mod q, solve the modular equation in J, select
-the J-invariant (skipping point counting entirely when the J-polynomial has
-a multiple root), construct the curve, and certify its order with random
-points.  Everything is deterministic for a fixed seed.
+the J-invariant and twist, and certify the curve order.  The order is
+already known to be q + 1 -+ t, so no points are counted: random points are
+checked against both orders, and the first candidate that passes is taken
+(a multiple J-root, when there is one, is tried first).  Only for
+q <= EXHAUSTIVE_LIMIT (10^6), where both orders can pass, is the order
+counted exactly by a character-sum sweep.  Everything is deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -213,8 +217,16 @@ def random_point(curve: EllipticCurve, rng: random.Random) -> Point:
             return (x, root.value)
 
 
-def _count_exhaustive(curve: EllipticCurve) -> int:
+def point_count(curve: EllipticCurve) -> int:
+    """Exact group order by a quadratic-character sweep over every x.
+
+    Only for q <= EXHAUSTIVE_LIMIT: larger CM curves are certified by
+    random-point order checks against q + 1 -+ t instead (see
+    `construct_cm_curve`).
+    """
     q = curve.q
+    if q > EXHAUSTIVE_LIMIT:
+        raise PreconditionError(f"point count by sweep needs q <= {EXHAUSTIVE_LIMIT}")
     a, b = curve.a4.value, curve.a6.value
     is_sq = bytearray(q)
     for x in range(q // 2 + 1):
@@ -227,64 +239,6 @@ def _count_exhaustive(curve: EllipticCurve) -> int:
     return n
 
 
-def _annihilators(P: Point, curve: EllipticCurve) -> list[int]:
-    """All m in the Hasse interval with m*P = infinity (baby-step giant-step).
-
-    The set must be complete - the group order is recovered by intersecting
-    these sets over random points - so every baby index j with jP = G is
-    kept, not just one per giant step (points of small order hit many).
-    """
-    q = curve.q
-    a = curve.a4.value
-    w = 2 * isqrt(q)
-    lo, width = q + 1 - w, 2 * w
-    target = ec_neg(ec_mul(lo, P, a, q), q)
-    s = isqrt(width) + 1
-    baby: dict[Point, list[int]] = {}
-    R: Point = None
-    for j in range(s):
-        baby.setdefault(R, []).append(j)
-        R = ec_add(R, P, a, q)
-    stride = ec_neg(ec_mul(s, P, a, q), q)  # giant steps walk target + k*(-sP)
-    hits = []
-    G = target
-    for k in range(width // s + 2):
-        for j in baby.get(G, ()):
-            i = k * s + j
-            if 0 <= i <= width:
-                hits.append(lo + i)
-        G = ec_add(G, stride, a, q)
-    return sorted(hits)
-
-
-def point_count(curve: EllipticCurve, rng: random.Random | None = None) -> int:
-    """Exact group order: quadratic-character sweep for small q, baby-step
-    giant-step with twist disambiguation above.
-
-    The true order lies in every annihilator set of a point on the curve
-    (and maps to one on the twist through n + n' = 2(q+1)), so intersecting
-    those sets over fresh random points pins it down.
-    """
-    q = curve.q
-    if q <= EXHAUSTIVE_LIMIT:
-        return _count_exhaustive(curve)
-    rng = rng if rng is not None else random.Random(0)
-    twist = curve.quadratic_twist()
-    cands: set[int] | None = None
-    for _ in range(64):
-        for cur in (curve, twist):
-            P = random_point(cur, rng)
-            hits = _annihilators(P, cur)
-            if cur is twist:
-                hits = [2 * (q + 1) - m for m in hits]
-            cands = set(hits) if cands is None else cands & set(hits)
-            if len(cands) == 1:
-                return cands.pop()
-            if not cands:
-                raise PreconditionError("inconsistent annihilator sets")
-    raise PreconditionError(f"point count did not converge for q = {q}")
-
-
 def order_check(curve: EllipticCurve, n: int, rng: random.Random,
                 trials: int = ORDER_CHECKS) -> bool:
     """n * P = infinity for `trials` random points."""
@@ -294,6 +248,19 @@ def order_check(curve: EllipticCurve, n: int, rng: random.Random,
         if ec_mul(n, P, a, curve.q) is not None:
             return False
     return True
+
+
+def _certify(curve: EllipticCurve, n1: int, n2: int, t: int,
+             rng: random.Random) -> OrderCertificate | None:
+    """Certificate for order n1 if n1 passes `order_check`, else for n2;
+    ambiguous when both pass, None when neither does."""
+    ok1 = order_check(curve, n1, rng)
+    ok2 = order_check(curve, n2, rng)
+    if not (ok1 or ok2):
+        return None
+    both = ok1 and ok2
+    return OrderCertificate(curve, n1 if ok1 else n2, t, ambiguous=both,
+                            alt_order=n2 if both else None)
 
 
 @lru_cache(maxsize=16)
@@ -336,32 +303,29 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
 
     # a multiple J-root is the CM invariant: take it without any counting
     # (several can coincide mod q for J-degree > 2; the failing ones are
-    # weeded out by the random-point certificate and we fall back to exact
-    # counting only if none survives)
+    # weeded out by the random-point certificate and we fall back to trying
+    # every candidate only if none survives)
     for jbar in sorted(r for r, m in jroots.items() if m >= 2):
         for cand in curves_with_j(jbar, q):
-            ok1 = order_check(cand, n1, rng)
-            ok2 = order_check(cand, n2, rng)
-            if ok1 or ok2:
-                order = n1 if ok1 else n2
-                cert = OrderCertificate(cand, order, trace.t,
-                                        ambiguous=ok1 and ok2,
-                                        alt_order=(n2 if ok1 else n1) if (ok1 and ok2) else None)
+            cert = _certify(cand, n1, n2, trace.t, rng)
+            if cert is not None:
                 return cand, cert, True
 
-    passing = []
+    # otherwise the first candidate in (jbar, a4, a6) order with order n1 or
+    # n2; at q <= EXHAUSTIVE_LIMIT both orders can pass the random-point
+    # check, so the order is counted exactly there and only re-checked
     for jbar in sorted(jroots):
-        for cand in curves_with_j(jbar, q):
-            n = point_count(cand, rng)
-            if n in (n1, n2):
-                passing.append((jbar, cand.a4.value, cand.a6.value, cand, n))
-    if not passing:
-        raise NoRationalJRoot("no candidate curve has a CM-compatible order")
-    passing.sort(key=lambda t: t[:3])
-    jbar, _, _, curve, order = passing[0]
-    if not order_check(curve, order, rng):
-        raise PreconditionError("exact count failed the random-point re-check")
-    ambiguous = order_check(curve, 2 * (q + 1) - order, rng) and order != q + 1
-    cert = OrderCertificate(curve, order, trace.t, ambiguous=ambiguous,
-                            alt_order=2 * (q + 1) - order if ambiguous else None)
-    return curve, cert, False
+        for cand in sorted(curves_with_j(jbar, q), key=lambda e: (e.a4.value, e.a6.value)):
+            if q > EXHAUSTIVE_LIMIT:
+                cert = _certify(cand, n1, n2, trace.t, rng)
+                if cert is None:
+                    continue
+            else:
+                n = point_count(cand)
+                if n not in (n1, n2):
+                    continue
+                cert = _certify(cand, n, n1 + n2 - n, trace.t, rng)
+                if cert is None or cert.order != n:
+                    raise PreconditionError("exact count failed the random-point re-check")
+            return cand, cert, False
+    raise NoRationalJRoot("no candidate curve has a CM-compatible order")

@@ -33,6 +33,11 @@ class TestIntegralityConditions:
         # D = -175 = 5^2 * (-7): p1 = 5 divides the conductor
         assert check_integrality_conditions(-175, 5, 3) is False
 
+    def test_non_integer_input_is_an_error(self):
+        # only a rejected discriminant means "unsupported"; a wrong type is a bug
+        with pytest.raises(TypeError):
+            check_integrality_conditions(None, 3, 13)
+
 
 class TestComputeClassPolynomial:
     def test_worked_example_polynomial(self):

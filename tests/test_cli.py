@@ -97,6 +97,18 @@ class TestCmCurve:
         assert fields[4] == "6"
         assert fields[5] == "shortcut=yes"
 
+    def test_trace_at_hasse_bound(self, capsys):
+        # t = 34903 = isqrt(4q) lies just outside q + 1 +- 2*isqrt(q)
+        q = 304554967
+        code, out, _ = run_cli(
+            ["cm-curve", "--disc", "-51", "--p1", "3", "--p2", "13",
+             "--prime", str(q)], capsys)
+        assert code == EXIT_OK
+        fields = out.split()
+        assert fields[4] == "34903"
+        assert fields[5] == "shortcut=no"
+        assert int(fields[3]) in (q + 1 - 34903, q + 1 + 34903)
+
     def test_no_trace_exits_2(self, capsys):
         code, _, err = run_cli(
             ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13", "--prime", "11"], capsys)
