@@ -2,11 +2,16 @@
 
 H_{B,N}(X) is the monic degree-h(D) product of (X - w^s(alpha_i)) over an
 N-system; by construction it has exact integer coefficients whenever the
-integrality conditions hold.  The complex product is expanded through a
-balanced tree with one worst-case error bound carried per polynomial, and
-the rounding to integers is accepted only when both the rounding residual
-and the certified evaluation error are small; otherwise the working
-precision is doubled (at most six times).
+integrality conditions hold.  The 4h eta arguments alpha_i/d of one
+precision attempt reduce to the h forms of discriminant D, so an attempt
+sums one eta series per reduced form (an `EtaTable`), not one per argument.  The complex product is expanded
+through a balanced tree with one worst-case error bound carried per
+polynomial, and the rounding to integers is accepted only when both the
+rounding residual and the certified evaluation error are small; otherwise
+the working precision is doubled (at most six times).  The first attempt
+starts from the measured height of H: a 64-bit pass gives the roots' norms
+and error bounds, hence the precision at which the tree's bound falls below
+the rounding limit.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from mpmath.libmp import from_int, mpf_sub, to_float, to_int
 from .apcomplex import RND, ApComplex
 from .arith import crt_pair, is_probable_prime, legendre
 from .errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
-from .etafunc import s_exponent, w_pow_s_with_err
+from .etafunc import EtaTable, s_exponent, w_pow_s_with_err
 from .qforms import Discriminant, NSystem, b_candidates, build_nsystem
 
 MAX_PRECISION = 65536
 MAX_DOUBLINGS = 6
 RESIDUAL_LIMIT = 1e-3
+HEIGHT_PREC = 64  # precision of the pass that measures the height
+TREE_BITS = 32  # extra bits of the product tree over the roots' precision
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,14 @@ def _log2add(*vals: float) -> float:
     return top + math.log2(sum(2.0 ** (v - top) for v in vals))
 
 
+def _mul_err(norm1: float, err1: float, norm2: float, err2: float,
+             size: int, wp: int) -> float:
+    """Error bound of a product of two polynomials with these norm and error
+    bounds, the shorter of length `size`, expanded at precision wp."""
+    return _log2add(norm1 + err2, norm2 + err1, err1 + err2,
+                    norm1 + norm2 - wp + math.log2(size) + 2)
+
+
 class CPoly:
     """Complex polynomial with an L1-norm bound and a per-coefficient
     absolute-error bound, both as log2 exponents."""
@@ -77,27 +92,39 @@ class CPoly:
         for i, ci in enumerate(self.coeffs):
             for j, cj in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + ci * cj
-        err = _log2add(self.norm + other.err, other.norm + self.err,
-                       self.err + other.err,
-                       self.norm + other.norm - wp + math.log2(min(n, m)) + 2)
+        err = _mul_err(self.norm, self.err, other.norm, other.err, min(n, m), wp)
         return CPoly(out, err, self.norm + other.norm)
+
+
+def _root_norm(r: ApComplex) -> float:
+    """log2 of an upper bound on the L1 norm of X - r."""
+    return _log2add(0.0, float(r.mag()))
+
+
+def _balanced(items: list, mul):
+    """Fold items pairwise, level by level, as the product tree does."""
+    while len(items) > 1:
+        nxt = [mul(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
 
 
 def product_tree(roots: list[tuple[ApComplex, float]], wp: int) -> CPoly:
     """Expand prod (X - r_i) for (value, log2 error) pairs."""
     one = ApComplex.make(1, 0, wp)
-    leaves = [
-        CPoly([-r, one], err, _log2add(0.0, r.mag() + 0.0))
-        for r, err in roots
-    ]
-    while len(leaves) > 1:
-        nxt = []
-        for i in range(0, len(leaves) - 1, 2):
-            nxt.append(leaves[i].mul(leaves[i + 1], wp))
-        if len(leaves) % 2:
-            nxt.append(leaves[-1])
-        leaves = nxt
-    return leaves[0]
+    leaves = [CPoly([-r, one], err, _root_norm(r)) for r, err in roots]
+    return _balanced(leaves, lambda f, g: f.mul(g, wp))
+
+
+def _tree_err(roots: list[tuple[ApComplex, float]], wp: int) -> float:
+    """The error bound `product_tree` would certify, without expanding:
+    the same fold over (norm, error, length) triples."""
+    def mul(f, g):
+        return (f[0] + g[0], _mul_err(*f[:2], *g[:2], min(f[2], g[2]), wp), f[2] + g[2] - 1)
+
+    return _balanced([(_root_norm(r), err, 2) for r, err in roots], mul)[1]
 
 
 def round_to_integers(poly: CPoly) -> tuple[list[int], float]:
@@ -133,21 +160,31 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     return True
 
 
-def initial_precision(system: NSystem, p1: int, p2: int, s: int) -> int:
-    """Height heuristic: the singular values have log |w^s| of about
-    s(p1-1)(p2-1) pi sqrt|D| / (24 N A_i)."""
-    d = system.D.D
-    h = len(system.forms)
-    inv_a = sum(1.0 / f.a for f in system.forms)
-    scale = 24.0 * system.N / ((p1 - 1) * (p2 - 1))
-    est = s * math.pi * math.sqrt(-d) * inv_a / math.log(2.0) / scale
-    return 64 + math.ceil(est) + 16 * h
+def _roots(system: NSystem, p1: int, p2: int, prec: int) -> list[tuple[ApComplex, float]]:
+    """w^s at every form of the system, with one eta series per reduced form."""
+    # alpha gets extra bits so its own rounding stays below the certified bounds
+    table = EtaTable()
+    return [w_pow_s_with_err(f.alpha(prec + 128), p1, p2, prec, table.for_form(f))
+            for f in system.forms]
+
+
+def initial_precision(system: NSystem, p1: int, p2: int) -> int:
+    """Starting precision from the measured height of H.
+
+    A pass at HEIGHT_PREC bits measures every root's norm and error bound,
+    and from them the bound the product tree would certify.  Each extra bit
+    of precision lowers every term of that bound by one bit, so the start is
+    where it falls below RESIDUAL_LIMIT, plus two guard bits per tree level
+    and eight more.
+    """
+    roots = _roots(system, p1, p2, HEIGHT_PREC)
+    err = _tree_err(roots, HEIGHT_PREC + TREE_BITS)
+    depth = (len(roots) - 1).bit_length()
+    return HEIGHT_PREC + math.ceil(err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
 
 
 def _expand(system: NSystem, p1: int, p2: int, prec: int) -> tuple[list[int], float, float]:
-    # alpha gets extra bits so its own rounding stays below the certified bounds
-    values = [w_pow_s_with_err(f.alpha(prec + 128), p1, p2, prec) for f in system.forms]
-    tree = product_tree(values, prec + 32)
+    tree = product_tree(_roots(system, p1, p2, prec), prec + TREE_BITS)
     ints, residual = round_to_integers(tree)
     return ints, residual, 2.0 ** min(tree.err, 1023.0)
 
@@ -164,7 +201,9 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
         raise InvalidB(f"B = {B} is not a square root of D mod 4N")
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
-    prec = max(initial_precision(system, p1, p2, s), min_prec, 64)
+    prec = max(initial_precision(system, p1, p2), min_prec, 64)
+    if prec > max_prec:
+        raise PrecisionExhausted(f"starting precision {prec} exceeds max_prec = {max_prec}")
     for _ in range(MAX_DOUBLINGS + 1):
         ints, residual, cert = _expand(system, p1, p2, prec)
         if residual < RESIDUAL_LIMIT and cert < RESIDUAL_LIMIT:

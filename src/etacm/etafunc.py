@@ -15,11 +15,22 @@ for all; q itself is its 24th power.
 Each evaluator tracks one accumulated absolute-error bound (as a log2
 exponent) per value and raises PrecisionExhausted if the requested bound
 cannot be certified.
+
+Many arguments share one reduced point: the 4h arguments alpha_i/d of a class
+polynomial (d in {1, p1, p2, N}) fall into the h form classes of
+discriminant D, and the 4 psi(N) arguments g z/d of one modular-polynomial
+sample point into 1 + (p1+1) + (p2+1) + psi(N) SL2(Z)-classes.  An
+`EtaTable` names each reduced point by exact integers (a reduced form, or the
+integer matrix taking the sample point to it), sums one series per name
+([a, -b, c] reuses the conjugate series of [a, b, c]), and recovers every
+argument's value through the same transformation formula.  A table serves
+one precision attempt of one computation and is then dropped.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
@@ -47,11 +58,10 @@ from mpmath.libmp import (
 from .apcomplex import RND, ApComplex, UpperHalfPoint
 from .arith import jacobi
 from .errors import PreconditionError, PrecisionExhausted
+from .qforms import Matrix, QuadraticForm, _mat_mul, reduce_form
 
 # log2 of the worst-case |q| on the fundamental domain: 2*pi*(sqrt(3)/2)/ln 2
 _BITS_PER_Q_POWER = 2.0 * math.pi * (math.sqrt(3.0) / 2.0) / math.log(2.0)
-
-Matrix = tuple[int, int, int, int]
 
 IDENTITY: Matrix = (1, 0, 0, 1)
 
@@ -203,12 +213,16 @@ def _eta_series(zred: ApComplex, wp: int) -> tuple[ApComplex, float]:
 def _eta_at(z: ApComplex, wp: int) -> tuple[ApComplex, float]:
     """eta at an arbitrary point via reduction; (value, log2 error bound)."""
     zred, m = _reduce(z, wp)
-    series, err = _eta_series(zred, wp)
+    return _eta_transform(*_eta_series(zred, wp), z, m, wp)
+
+
+def _eta_transform(series: ApComplex, err: float, z: ApComplex, m: Matrix,
+                   wp: int) -> tuple[ApComplex, float]:
+    """eta(z) from the series value at the reduced point m z."""
     if m == IDENTITY:
         return series, err
     mult = eta_multiplier(m)
-    a, b, c, d = mult.a, mult.b, mult.c, mult.d
-    root = (z.at_prec(wp) * c + d).sqrt()
+    root = (z.at_prec(wp) * mult.c + mult.d).sqrt()
     denom = mult.value(wp) * root
     value = series / denom
     # |eps| = 1 so |denom| = |sqrt(cz+d)|; the division keeps the relative
@@ -216,6 +230,74 @@ def _eta_at(z: ApComplex, wp: int) -> tuple[ApComplex, float]:
     rel = max(err - series.mag() + 2.0, -wp + 3.0)
     err_out = value.mag() + rel + 2.0
     return value, err_out
+
+
+# eta_at(z / den, den, wp): eta(z / den) and its log2 error bound, for the
+# point z that the callable was made for
+EtaAt = Callable[[ApComplex, int, int], tuple[ApComplex, float]]
+
+
+def _eta_direct(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
+    return _eta_at(zd, wp)
+
+
+class EtaTable:
+    """The eta series of one precision attempt, one per (reduced point, wp).
+
+    Every argument still gets its own transformation factor, so each value
+    carries the bound the per-argument path (`_eta_at`) would give it.
+    """
+
+    def __init__(self):
+        self._series: dict = {}
+
+    def __len__(self) -> int:
+        """Number of series summed so far."""
+        return len(self._series)
+
+    def _eta(self, key, zred: Callable[[], ApComplex], z: ApComplex, m: Matrix,
+             wp: int, conj: bool = False) -> tuple[ApComplex, float]:
+        hit = self._series.get((key, wp))
+        if hit is None:
+            hit = self._series[(key, wp)] = _eta_series(zred(), wp)
+        series, err = hit
+        return _eta_transform(series.conjugate() if conj else series, err, z, m, wp)
+
+    def for_form(self, f: QuadraticForm) -> EtaAt:
+        """eta(alpha_f / den) for the basis quotient alpha_f of f (den | c).
+
+        alpha_f / den is the basis quotient of F = [a*den, b, c/den].  Its
+        reduced form G = [A, B, C] = F.M names the point: M^-1 takes the
+        argument to alpha_G, and [A, -B, C] shares the series, since its
+        basis quotient is -conj(alpha_G) and eta(-conj z) = conj(eta(z)).
+        """
+        d = f.discriminant
+
+        def eta_at(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
+            if f.c % den:
+                raise PreconditionError(f"{den} does not divide c of {f}")
+            g, (p, q, r, s) = reduce_form(QuadraticForm(f.a * den, f.b, f.c // den))
+            a, b, c = g.a, abs(g.b), g.c
+            return self._eta((a, b, c), lambda: UpperHalfPoint.from_form(a, b, d, wp).value,
+                             zd, (s, -q, -r, p), wp, conj=g.b < 0)
+
+        return eta_at
+
+    def for_coset(self, g: Matrix) -> EtaAt:
+        """eta(z / den) for a point z = g z0 of one sample point z0.
+
+        The name is the integer matrix K = R diag(1, den) g that takes z0 to
+        the reduced point (R reduces z / den), up to sign.
+        """
+        a, b, c, d = g
+
+        def eta_at(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
+            zred, m = _reduce(zd, wp)
+            k = _mat_mul(m, (a, b, c * den, d * den))
+            key = max(k, tuple(-x for x in k))
+            return self._eta(key, lambda: zred, zd, m, wp)
+
+        return eta_at
 
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
@@ -300,12 +382,13 @@ def _check_quotient_primes(p1: int, p2: int):
         raise PreconditionError(f"{p1}, {p2} must both be prime")
 
 
-def _w_at(z: ApComplex, p1: int, p2: int, wp: int) -> tuple[ApComplex, float]:
+def _w_at(z: ApComplex, p1: int, p2: int, wp: int,
+          eta_at: EtaAt = _eta_direct) -> tuple[ApComplex, float]:
     """Double eta quotient eta(z/p1)eta(z/p2)/(eta(z)eta(z/(p1 p2)))."""
     vals = []
     rel = -float(wp)
     for den in (p1, p2, 1, p1 * p2):
-        v, e = _eta_at(z / den if den != 1 else z, wp)
+        v, e = eta_at(z / den if den != 1 else z, den, wp)
         vals.append(v)
         rel = max(rel, e - v.mag() + 2.0)
     value = (vals[0] * vals[1]) / (vals[2] * vals[3])
@@ -313,18 +396,27 @@ def _w_at(z: ApComplex, p1: int, p2: int, wp: int) -> tuple[ApComplex, float]:
     return value, value.mag() + rel_out
 
 
-def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
-    _check_quotient_primes(p1, p2)
+def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
+               what: str) -> tuple[ApComplex, float]:
+    """evaluate(prec + guard + boost) until its bound is below 2^(guard - prec).
+
+    A large value pushes its absolute bound up, so each retry buys that many
+    extra bits.
+    """
     guard = eta_guard_bits(prec)
     boost = 0
     for _ in range(3):
-        wp = prec + guard + 16 + boost
-        value, err = _w_at(z.value, p1, p2, wp)
+        value, err = evaluate(prec + guard + boost)
         if err <= guard - prec:
-            return value
-        # magnitude pushes the absolute bound up; buy that many extra bits
+            return value, err
         boost = max(boost + 32, int(value.mag()) + 32)
-    raise PrecisionExhausted(f"quotient error bound 2^{err:.0f} exceeds target")
+    raise PrecisionExhausted(f"{what} error bound 2^{err:.0f} exceeds target")
+
+
+def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
+    _check_quotient_primes(p1, p2)
+    value, _ = _certified(prec, lambda wp: _w_at(z.value, p1, p2, wp + 16), "quotient")
+    return value
 
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
@@ -332,19 +424,19 @@ def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     return value
 
 
-def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> tuple[ApComplex, float]:
-    """(w^s, log2 absolute error bound); the workhorse for class polynomials."""
+def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,
+                     eta_at: EtaAt = _eta_direct) -> tuple[ApComplex, float]:
+    """(w^s, log2 absolute error bound); the workhorse for class polynomials.
+
+    eta_at supplies eta(z/den): by default each argument sums its own series;
+    an `EtaTable` view shares them between the arguments of one attempt.
+    """
     _check_quotient_primes(p1, p2)
     s = s_exponent(p1, p2)
-    guard = eta_guard_bits(prec)
-    boost = 0
-    for _ in range(3):
-        wp = prec + guard + 16 + 4 * s + boost
-        w, err = _w_at(z.value, p1, p2, wp)
-        rel = err - w.mag()
+
+    def evaluate(wp: int) -> tuple[ApComplex, float]:
+        w, err = _w_at(z.value, p1, p2, wp + 16 + 4 * s, eta_at)
         value = w ** s
-        err_out = value.mag() + rel + math.log2(float(s)) + 2
-        if err_out <= guard - prec:
-            return value, err_out
-        boost = max(boost + 32, int(value.mag()) + 32)
-    raise PrecisionExhausted(f"w^s error bound 2^{err_out:.0f} exceeds target")
+        return value, value.mag() + err - w.mag() + math.log2(float(s)) + 2
+
+    return _certified(prec, evaluate, "w^s")

@@ -203,13 +203,20 @@ def sqrt_mod_l(a, modulus: int | None = None) -> FpElement | None:
         l, v = modulus, a % modulus
     if l == 2 or not is_probable_prime(l):
         raise PreconditionError("odd prime modulus required")
+    r = _sqrt_mod(v, l)
+    return None if r is None else FpElement(r, l)
+
+
+def _sqrt_mod(v: int, l: int) -> int | None:
+    """sqrt_mod_l for 0 <= v < l and an odd prime l that the caller has
+    already checked: the smaller root as an int, or None."""
     if v == 0:
-        return FpElement(0, l)
+        return 0
     if pow(v, (l - 1) // 2, l) != 1:
         return None
     if l % 4 == 3:
         r = pow(v, (l + 1) // 4, l)
-        return FpElement(min(r, l - r), l)
+        return min(r, l - r)
     # write l - 1 = q * 2^s with q odd
     q, s = l - 1, 0
     while q % 2 == 0:
@@ -229,4 +236,4 @@ def sqrt_mod_l(a, modulus: int | None = None) -> FpElement | None:
         m, c = i, b * b % l
         t = t * c % l
         r = r * b % l
-    return FpElement(min(r, l - r), l)
+    return min(r, l - r)

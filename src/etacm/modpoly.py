@@ -6,7 +6,8 @@ z_m the monic product over the psi(N) conjugates w^s(gamma z_m) is expanded,
 then every X-coefficient is interpolated as a polynomial in J(z_m) through a
 small Vandermonde solve, rounded to integers, and re-verified on extra
 samples.  Conjugates are evaluated by direct eta evaluation at the
-transformed points; no symbolic q-expansions are involved.
+transformed points, one series per SL2(Z)-class of eta argument at each
+sample point (an `EtaTable`); no symbolic q-expansions are involved.
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -29,7 +30,7 @@ from .errors import (
     PrecisionExhausted,
     WrongDegree,
 )
-from .etafunc import apply_moebius, j_invariant, s_exponent, w_pow_s_with_err
+from .etafunc import EtaTable, apply_moebius, j_invariant, s_exponent, w_pow_s_with_err
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
@@ -167,8 +168,10 @@ def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride):
     for m in range(n_samples):
         z = _sample_point(m, stride, wp + 64)
         j_vals.append(j_invariant(z, prec))
+        table = EtaTable()
         values = [
-            w_pow_s_with_err(UpperHalfPoint(apply_moebius(g, z.value, wp + 64)), p1, p2, prec)
+            w_pow_s_with_err(UpperHalfPoint(apply_moebius(g, z.value, wp + 64)), p1, p2, prec,
+                             table.for_coset(g))
             for g in cosets
         ]
         slices.append(product_tree(values, wp))

@@ -21,7 +21,7 @@ from math import isqrt
 from .arith import is_probable_prime, is_square
 from .classpoly import check_integrality_conditions, compute_class_polynomial
 from .errors import NoRationalJRoot, NoTrace, PreconditionError
-from .ffield import FpElement, FpPolynomial, roots_mod_l, sqrt_mod_l
+from .ffield import FpElement, FpPolynomial, _sqrt_mod, roots_mod_l, sqrt_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
 from .qforms import Discriminant, b_candidates
 from .atkin import multiple_root_condition
@@ -210,11 +210,9 @@ def random_point(curve: EllipticCurve, rng: random.Random) -> Point:
     while True:
         x = rng.randrange(q)
         rhs = (x * x * x + a * x + b) % q
-        if rhs == 0:
-            return (x, 0)
-        root = sqrt_mod_l(rhs, q)
+        root = _sqrt_mod(rhs, q)  # the FpElement coefficients checked that q is prime
         if root is not None:
-            return (x, root.value)
+            return (x, root)
 
 
 def point_count(curve: EllipticCurve) -> int:

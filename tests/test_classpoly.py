@@ -10,9 +10,9 @@ from etacm.classpoly import (
     count_distinct_class_polynomials,
     involution_transform,
 )
-from etacm.errors import ConditionsViolated, InvalidB, ZeroConstantTerm
+from etacm.errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
 from etacm.ffield import FpPolynomial, roots_mod_l
-from etacm.qforms import Discriminant, class_number
+from etacm.qforms import Discriminant, b_candidates, class_number
 from support import pick_b, split_prime, valid_triples
 
 
@@ -83,14 +83,68 @@ class TestComputeClassPolynomial:
         # must reject the rounding and the doubling loop must still converge
         # to the same integers
         import etacm.classpoly as cp
-        from etacm.qforms import b_candidates
 
-        b = b_candidates(-3996, 35)[0]
-        want = compute_class_polynomial(-3996, 5, 7, b).coeffs
+        b = b_candidates(-9899, 15)[0]
+        want = compute_class_polynomial(-9899, 3, 5, b).coeffs
+        calls = []
+        real = cp._expand
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
-        got = compute_class_polynomial(-3996, 5, 7, b)
+        got = compute_class_polynomial(-9899, 3, 5, b)
         assert got.coeffs == want
-        assert max(abs(c) for c in want) > 2**25  # genuinely needed more bits
+        assert calls[0] == 64 and len(calls) > 1  # the gate rejected 64 bits
+        assert max(abs(c) for c in want) > 2**100  # genuinely needed more bits
+
+    def test_max_prec_bounds_the_first_attempt(self, monkeypatch):
+        import etacm.classpoly as cp
+
+        calls = []
+        real = cp._expand
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
+        with pytest.raises(PrecisionExhausted):
+            compute_class_polynomial(-56, 3, 13, 10, min_prec=512, max_prec=256)
+        assert calls == []  # refused before any evaluation at 512 bits
+
+    @pytest.mark.parametrize("D, p1, p2", [(-3996, 5, 7), (-9899, 3, 5)])
+    def test_start_is_measured_from_the_height(self, monkeypatch, D, p1, p2):
+        # one attempt suffices, and it starts at most twice as high as the
+        # smallest precision whose rounding the gate accepts
+        import etacm.classpoly as cp
+        from etacm.qforms import build_nsystem
+
+        b = b_candidates(D, p1 * p2)[0]
+        calls = []
+        real = cp._expand
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
+        compute_class_polynomial(D, p1, p2, b)
+        assert len(calls) == 1
+        system = build_nsystem(D, p1 * p2, b)
+
+        def passes(prec):
+            _, residual, cert = real(system, p1, p2, prec)
+            return residual < cp.RESIDUAL_LIMIT and cert < cp.RESIDUAL_LIMIT
+
+        smallest = next(p for p in range(64, calls[0] + 1, 8) if passes(p))
+        assert calls[0] <= 2 * smallest
+
+    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13)])
+    def test_attempt_sums_at_most_h_series(self, monkeypatch, D, p1, p2):
+        # the 4h eta arguments of an attempt share h reduced forms
+        import etacm.classpoly as cp
+        from etacm.etafunc import EtaTable
+
+        tables = []
+
+        class Recording(EtaTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        monkeypatch.setattr(cp, "EtaTable", Recording)
+        h = class_number(D)
+        b = b_candidates(D, p1 * p2)[0]
+        compute_class_polynomial(D, p1, p2, b)
+        assert tables and all(0 < len(t) <= h for t in tables)
 
     def test_negation_symmetry_random(self):
         rng = random.Random(61)

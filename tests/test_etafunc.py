@@ -7,6 +7,8 @@ import pytest
 from etacm.apcomplex import ApComplex, UpperHalfPoint, abs_diff
 from etacm.errors import PreconditionError
 from etacm.etafunc import (
+    EtaTable,
+    _eta_at,
     apply_moebius,
     double_eta_quotient,
     eta,
@@ -291,3 +293,46 @@ class TestDoubleEtaQuotient:
         for (p1, p2) in [(3, 3), (2, 13), (9, 5)]:
             with pytest.raises(PreconditionError):
                 double_eta_quotient(z, p1, p2, 128)
+
+
+class TestEtaTable:
+    """Table-built eta values against the per-argument path, within the sum
+    of both certified bounds."""
+
+    @staticmethod
+    def assert_agree(got, want):
+        (v1, e1), (v2, e2) = got, want
+        with mpmath.workdps(60):
+            assert abs(to_mp(v1, 60) - to_mp(v2, 60)) <= 2.0 ** e1 + 2.0 ** e2
+        assert e1 <= max(e2, -300.0) + 4  # a bound as tight as the direct one
+
+    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13), (-3996, 5, 7)])
+    def test_forms_agree_with_direct_evaluation(self, D, p1, p2):
+        from etacm.qforms import b_candidates, build_nsystem
+
+        N = p1 * p2
+        wp = 192
+        table = EtaTable()
+        system = build_nsystem(D, N, b_candidates(D, N)[0])
+        for f in system.forms:
+            z = f.alpha(wp + 128).value
+            eta_at = table.for_form(f)
+            for den in (p1, p2, 1, N):
+                zd = z / den if den > 1 else z
+                self.assert_agree(eta_at(zd, den, wp), _eta_at(zd, wp))
+        assert len(table) <= len(system.forms)
+
+    def test_cosets_agree_with_direct_evaluation(self):
+        from etacm.modpoly import coset_representatives
+
+        wp = 192
+        table = EtaTable()
+        z0 = UpperHalfPoint.make(0.0625, 1.25, wp + 64).value
+        cosets = coset_representatives(15)
+        for g in cosets:
+            z = apply_moebius(g, z0, wp + 64)
+            eta_at = table.for_coset(g)
+            for den in (3, 5, 1, 15):
+                zd = z / den if den > 1 else z
+                self.assert_agree(eta_at(zd, den, wp), _eta_at(zd, wp))
+        assert len(table) <= 1 + 4 + 6 + len(cosets)

@@ -147,6 +147,24 @@ class TestComputeModularPolynomial:
         monkeypatch.setattr(mp, "_initial_precision", lambda *a: 64)
         assert compute_modular_polynomial(3, 5) == want
 
+    def test_sample_point_sums_one_series_per_class(self, monkeypatch):
+        # the 4 psi(N) eta arguments g z / d at one sample point fall into
+        # 1 + (p1 + 1) + (p2 + 1) + psi(N) SL2(Z)-classes
+        import etacm.modpoly as mp
+        from etacm.etafunc import EtaTable
+
+        tables = []
+
+        class Recording(EtaTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        monkeypatch.setattr(mp, "EtaTable", Recording)
+        phi = compute_modular_polynomial(3, 13)
+        assert phi.degX == psi(39)
+        assert tables and all(0 < len(t) <= 1 + 4 + 14 + psi(39) for t in tables)
+
     def test_singular_samples_trigger_restride(self, monkeypatch):
         # duplicate J-samples at stride 0 must raise internally and be
         # retried with the next stride, transparently to the caller

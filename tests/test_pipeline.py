@@ -159,6 +159,27 @@ class TestConstructCmCurve:
         assert cert.order in (3588, 3600)
         assert point_count(curve) == cert.order
 
+    def test_random_points_skip_primality_tests(self, monkeypatch):
+        # q is tested once per trace search, curve coefficient and root
+        # finding, not once per random point of the order checks
+        import sys
+
+        import etacm.arith as arith
+
+        real = arith.is_probable_prime
+        tested = []
+
+        def counting(n):
+            tested.append(n)
+            return real(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("etacm") and getattr(module, "is_probable_prime", None) is real:
+                monkeypatch.setattr(module, "is_probable_prime", counting)
+        curve, cert, used = construct_cm_curve(-56, 3, 13, 3593, B=10)
+        assert used and cert.order in (3588, 3600)
+        assert tested.count(3593) <= 8
+
     def test_deterministic_replay(self):
         a = construct_cm_curve(-56, 3, 13, 3593, B=10, seed=7)
         b = construct_cm_curve(-56, 3, 13, 3593, B=10, seed=7)
