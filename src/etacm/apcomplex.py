@@ -20,7 +20,6 @@ from mpmath.libmp import (
     from_float,
     from_int,
     from_man_exp,
-    mpc_abs,
     mpc_add,
     mpc_div,
     mpc_mul,
@@ -33,12 +32,10 @@ from mpmath.libmp import (
     mpf_div,
     mpf_mul,
     mpf_neg,
-    mpf_pi,
     mpf_shift,
     mpf_sqrt,
     round_nearest,
     to_float,
-    to_int,
 )
 
 RND = round_nearest
@@ -151,9 +148,6 @@ class ApComplex:
         """Exact multiplication by 2**k."""
         return ApComplex(mpf_shift(self.re, k), mpf_shift(self.im, k), self.prec)
 
-    def abs_mpf(self):
-        return mpc_abs(self.mpc, self.prec, RND)
-
     def abs2_mpf(self):
         p = self.prec
         return mpf_add(mpf_mul(self.re, self.re, p, RND),
@@ -207,10 +201,6 @@ class UpperHalfPoint:
         return self.value.to_complex()
 
 
-def ap_pi(prec: int):
-    return mpf_pi(prec)
-
-
 def abs_diff(x: ApComplex, y: ApComplex) -> float:
     """log2 of |x - y| (rough, for tolerance checks); -inf when equal."""
     p = max(x.prec, y.prec)
@@ -227,5 +217,4 @@ __all__ = [
     "mag",
     "abs_diff",
     "real_from",
-    "ap_pi",
 ]

@@ -4,8 +4,10 @@ from math import gcd, isqrt
 
 from .errors import PreconditionError
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
+# Deterministic Miller-Rabin witness set, valid for all n below PSI13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the smallest strong pseudoprime to every base in _MR_BASES
+PSI13 = 3317044064679887385961981
 
 
 def jacobi(a: int, n: int) -> int:
@@ -40,11 +42,43 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (P = 1, Q = (1 - D)/4,
+    D the first of 5, -7, 9, -11, ... with (D|n) = -1), for odd n > 41."""
+    if is_square(n):
+        return False
+    D = 5
+    while jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k, Q^k mod n, from k = 1 along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3e24."""
+    """Miller-Rabin, deterministic below PSI13; from there Baillie-PSW (a
+    base-2 strong test plus a strong Lucas test), which no known composite
+    passes."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -52,7 +86,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < PSI13 else (2,):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -62,7 +96,17 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < PSI13 or _strong_lucas_probable_prime(n)
+
+
+def check_distinct_odd_primes(p1: int, p2: int) -> None:
+    """Raise PreconditionError unless p1 and p2 are distinct odd primes."""
+    if p1 == p2:
+        raise PreconditionError("equal primes are unsupported")
+    if p1 == 2 or p2 == 2:
+        raise PreconditionError("p = 2 is unsupported")
+    if not (is_probable_prime(p1) and is_probable_prime(p2)):
+        raise PreconditionError(f"{p1}, {p2} must both be prime")
 
 
 def is_square(n: int) -> bool:

@@ -4,34 +4,48 @@ H_{B,N}(X) is the monic degree-h(D) product of (X - w^s(alpha_i)) over an
 N-system; by construction it has exact integer coefficients whenever the
 integrality conditions hold.  The 4h eta arguments alpha_i/d of one
 precision attempt reduce to the h forms of discriminant D, so an attempt
-sums one eta series per reduced form (an `EtaTable`), not one per argument.  The complex product is expanded
-through a balanced tree with one worst-case error bound carried per
-polynomial, and the rounding to integers is accepted only when both the
-rounding residual and the certified evaluation error are small; otherwise
-the working precision is doubled (at most six times).  The first attempt
-starts from the measured height of H: a 64-bit pass gives the roots' norms
-and error bounds, hence the precision at which the tree's bound falls below
-the rounding limit.
+sums one eta series per reduced form (an `EtaTable`), not one per argument.
+The complex product is expanded through a balanced tree with one worst-case
+error bound carried per polynomial, and the rounding to integers is accepted
+only when both the rounding residual and the certified evaluation error are
+small; otherwise the working precision is doubled, up to max_prec (the loop
+`double_until`, which modpoly shares).  The first attempt starts from the
+measured height of H: a pass at MIN_PREC bits gives the roots' norms and
+error bounds, hence the precision at which the tree's bound falls below the
+rounding limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from mpmath.libmp import from_int, mpf_sub, to_float, to_int
 
-from .apcomplex import RND, ApComplex
-from .arith import crt_pair, is_probable_prime, legendre
+from .apcomplex import MIN_PREC, RND, ApComplex
+from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, s_exponent, w_pow_s_with_err
 from .qforms import Discriminant, NSystem, b_candidates, build_nsystem
 
 MAX_PRECISION = 65536
-MAX_DOUBLINGS = 6
 RESIDUAL_LIMIT = 1e-3
-HEIGHT_PREC = 64  # precision of the pass that measures the height
 TREE_BITS = 32  # extra bits of the product tree over the roots' precision
+
+
+def double_until(start: int, max_prec: int, attempt: Callable, what: str):
+    """The first result of attempt(prec) that is not None, for prec = start,
+    2 start, ... (start raised to MIN_PREC) while prec <= max_prec; a start
+    above max_prec raises before any attempt."""
+    start = prec = max(start, MIN_PREC)
+    while prec <= max_prec:
+        result = attempt(prec)
+        if result is not None:
+            return result
+        prec *= 2
+    raise PrecisionExhausted(f"{what} needs more than max_prec = {max_prec} bits "
+                             f"(start {start})")
 
 
 @dataclass(frozen=True)
@@ -147,11 +161,8 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     """
     try:
         disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
+        check_distinct_odd_primes(p1, p2)
     except ValueError:
-        return False
-    if p1 == p2 or p1 == 2 or p2 == 2:
-        return False
-    if not (is_probable_prime(p1) and is_probable_prime(p2)):
         return False
     if legendre(disc.D, p1) == -1 or legendre(disc.D, p2) == -1:
         return False
@@ -171,16 +182,16 @@ def _roots(system: NSystem, p1: int, p2: int, prec: int) -> list[tuple[ApComplex
 def initial_precision(system: NSystem, p1: int, p2: int) -> int:
     """Starting precision from the measured height of H.
 
-    A pass at HEIGHT_PREC bits measures every root's norm and error bound,
+    A pass at MIN_PREC bits measures every root's norm and error bound,
     and from them the bound the product tree would certify.  Each extra bit
     of precision lowers every term of that bound by one bit, so the start is
     where it falls below RESIDUAL_LIMIT, plus two guard bits per tree level
     and eight more.
     """
-    roots = _roots(system, p1, p2, HEIGHT_PREC)
-    err = _tree_err(roots, HEIGHT_PREC + TREE_BITS)
+    roots = _roots(system, p1, p2, MIN_PREC)
+    err = _tree_err(roots, MIN_PREC + TREE_BITS)
     depth = (len(roots) - 1).bit_length()
-    return HEIGHT_PREC + math.ceil(err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
+    return MIN_PREC + math.ceil(err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
 
 
 def _expand(system: NSystem, p1: int, p2: int, prec: int) -> tuple[list[int], float, float]:
@@ -190,7 +201,6 @@ def _expand(system: NSystem, p1: int, p2: int, prec: int) -> tuple[list[int], fl
 
 
 def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
-                             min_prec: int = 64,
                              max_prec: int = MAX_PRECISION) -> ClassPolynomial:
     """H_{B,N} as an exact integer polynomial (adaptive precision)."""
     disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
@@ -201,20 +211,16 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
         raise InvalidB(f"B = {B} is not a square root of D mod 4N")
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
-    prec = max(initial_precision(system, p1, p2), min_prec, 64)
-    if prec > max_prec:
-        raise PrecisionExhausted(f"starting precision {prec} exceeds max_prec = {max_prec}")
-    for _ in range(MAX_DOUBLINGS + 1):
+
+    def attempt(prec: int) -> list[int] | None:
         ints, residual, cert = _expand(system, p1, p2, prec)
-        if residual < RESIDUAL_LIMIT and cert < RESIDUAL_LIMIT:
-            if ints[-1] != 1:
-                raise PrecisionExhausted("product expansion is not monic")
-            return ClassPolynomial(disc, p1, p2, s, B % (2 * N), tuple(ints))
-        prec *= 2
-        if prec > max_prec:
-            break
-    raise PrecisionExhausted(
-        f"class polynomial for D = {disc.D}, B = {B} did not stabilize")
+        return ints if residual < RESIDUAL_LIMIT and cert < RESIDUAL_LIMIT else None
+
+    ints = double_until(initial_precision(system, p1, p2), max_prec, attempt,
+                        f"class polynomial for D = {disc.D}, B = {B}")
+    if ints[-1] != 1:
+        raise PrecisionExhausted("product expansion is not monic")
+    return ClassPolynomial(disc, p1, p2, s, B % (2 * N), tuple(ints))
 
 
 def involution_transform(H: ClassPolynomial) -> ClassPolynomial:

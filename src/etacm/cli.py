@@ -4,14 +4,15 @@ Subcommands: classpoly, modpoly, nsystem, multiplicity, cm-curve, roots,
 reproduce-example.  Output is one machine-readable record per line, all big
 integers in plain decimal.  Exit codes: 0 success, 2 precondition failure,
 3 precision exhausted, 64 usage error.
+
+--precision-max caps the working precision of classpoly, modpoly, cm-curve
+and reproduce-example, each of which works out its start from its input.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 
 from . import atkin, classpoly, modpoly, pipeline, qforms
 from .errors import EtaCMError, PreconditionError, PrecisionExhausted
@@ -23,22 +24,6 @@ EXIT_PRECONDITION = 2
 EXIT_PRECISION = 3
 EXIT_USAGE = 64
 
-PRECISION_ENV = "ETACM_PRECISION"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    precision_start: int = 256
-    precision_max: int = classpoly.MAX_PRECISION
-    seed: int = 0
-    output_path: str | None = None
-    verbosity: int = 0
-
-    def __post_init__(self):
-        if self.precision_start > self.precision_max:
-            raise PreconditionError("precision-start exceeds precision-max")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -47,8 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="etacm", description=__doc__)
-    parser.add_argument("--precision-start", type=int,
-                        default=int(os.environ.get(PRECISION_ENV, 256)))
     parser.add_argument("--precision-max", type=int, default=classpoly.MAX_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write output to a file")
@@ -100,7 +83,7 @@ def _validated_disc(value: int) -> qforms.Discriminant:
     return qforms.Discriminant(value)
 
 
-def _cmd_classpoly(args, config: RunConfig, out) -> int:
+def _cmd_classpoly(args, out) -> int:
     disc = _validated_disc(args.disc)
     if args.all_b:
         bs = qforms.b_candidates(disc, args.p1 * args.p2)
@@ -109,27 +92,26 @@ def _cmd_classpoly(args, config: RunConfig, out) -> int:
               else qforms.b_candidates(disc, args.p1 * args.p2)[0]]
     for b in bs:
         poly = classpoly.compute_class_polynomial(
-            disc, args.p1, args.p2, b,
-            min_prec=config.precision_start, max_prec=config.precision_max)
+            disc, args.p1, args.p2, b, max_prec=args.precision_max)
         print(" ".join(str(c) for c in poly.descending()), file=out)
     return EXIT_OK
 
 
-def _cmd_modpoly(args, config: RunConfig, out) -> int:
+def _cmd_modpoly(args, out) -> int:
     if args.verify_embedded:
         embedded = modpoly.load_embedded(3, 13)
-        computed = modpoly.compute_modular_polynomial(3, 13)
+        computed = modpoly.compute_modular_polynomial(3, 13, max_prec=args.precision_max)
         ok = embedded == computed
         print("embedded-matches-computed: " + ("yes" if ok else "no"), file=out)
         return EXIT_OK if ok else EXIT_PRECONDITION
     if args.p1 is None or args.p2 is None:
         raise PreconditionError("--p1 and --p2 required (or --verify-embedded)")
-    phi = modpoly.compute_modular_polynomial(args.p1, args.p2)
+    phi = modpoly.compute_modular_polynomial(args.p1, args.p2, max_prec=args.precision_max)
     out.write(modpoly.serialize(phi).decode("ascii"))
     return EXIT_OK
 
 
-def _cmd_nsystem(args, config: RunConfig, out) -> int:
+def _cmd_nsystem(args, out) -> int:
     disc = _validated_disc(args.disc)
     N = args.p1 * args.p2
     b = args.b if args.b is not None else qforms.b_candidates(disc, N)[0]
@@ -139,7 +121,7 @@ def _cmd_nsystem(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_multiplicity(args, config: RunConfig, out) -> int:
+def _cmd_multiplicity(args, out) -> int:
     disc = _validated_disc(args.disc)
     N = args.p1 * args.p2
     bs = [args.b] if args.b is not None else qforms.b_candidates(disc, N)
@@ -152,15 +134,16 @@ def _cmd_multiplicity(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_cm_curve(args, config: RunConfig, out) -> int:
+def _cmd_cm_curve(args, out) -> int:
     curve, cert, shortcut = pipeline.construct_cm_curve(
-        args.disc, args.p1, args.p2, args.prime, B=args.b, seed=config.seed)
+        args.disc, args.p1, args.p2, args.prime, B=args.b, seed=args.seed,
+        max_prec=args.precision_max)
     print(f"{curve.q} {curve.a4.value} {curve.a6.value} {cert.order} "
           f"{cert.trace} shortcut={'yes' if shortcut else 'no'}", file=out)
     return EXIT_OK
 
 
-def _cmd_roots(args, config: RunConfig, out) -> int:
+def _cmd_roots(args, out) -> int:
     try:
         coeffs = [int(tok) for tok in args.coeffs.split()]
     except ValueError:
@@ -170,16 +153,16 @@ def _cmd_roots(args, config: RunConfig, out) -> int:
     poly = FpPolynomial.make(list(reversed(coeffs)), args.modulus)
     import random
 
-    counts = roots_mod_l(poly, random.Random(config.seed))
+    counts = roots_mod_l(poly, random.Random(args.seed))
     for root in sorted(counts):
         print(f"{root} {counts[root]}", file=out)
     return EXIT_OK
 
 
-def _cmd_reproduce_example(args, config: RunConfig, out) -> int:
+def _cmd_reproduce_example(args, out) -> int:
     checks: list[tuple[str, bool]] = []
 
-    poly = classpoly.compute_class_polynomial(-56, 3, 13, 10)
+    poly = classpoly.compute_class_polynomial(-56, 3, 13, 10, max_prec=args.precision_max)
     checks.append(("class-polynomial-coefficients",
                    poly.descending() == [1, -2, -1, 2, -1]))
 
@@ -202,7 +185,7 @@ def _cmd_reproduce_example(args, config: RunConfig, out) -> int:
     checks.append(("discriminant-divisible-by-class-polynomial", rem == []))
 
     curve, cert, shortcut = pipeline.construct_cm_curve(
-        -56, 3, 13, ell, B=10, seed=config.seed)
+        -56, 3, 13, ell, B=10, seed=args.seed, max_prec=args.precision_max)
     checks.append(("curve-order-membership",
                    shortcut and cert.order in (3588, 3600)))
 
@@ -230,19 +213,14 @@ def dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "seed_sub", None) is not None:
+        args.seed = args.seed_sub
     try:
-        seed = args.seed
-        if getattr(args, "seed_sub", None) is not None:
-            seed = args.seed_sub
-        config = RunConfig(precision_start=args.precision_start,
-                           precision_max=args.precision_max,
-                           seed=seed, output_path=args.out,
-                           verbosity=args.verbose)
         handler = _COMMANDS[args.command]
-        if config.output_path:
-            with open(config.output_path, "w", encoding="ascii") as out:
-                return handler(args, config, out)
-        return handler(args, config, sys.stdout)
+        if args.out:
+            with open(args.out, "w", encoding="ascii") as out:
+                return handler(args, out)
+        return handler(args, sys.stdout)
     except PrecisionExhausted as exc:
         print(f"etacm: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION

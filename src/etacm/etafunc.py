@@ -55,8 +55,8 @@ from mpmath.libmp import (
     to_int,
 )
 
-from .apcomplex import RND, ApComplex, UpperHalfPoint
-from .arith import jacobi
+from .apcomplex import MIN_PREC, RND, ApComplex, UpperHalfPoint
+from .arith import check_distinct_odd_primes, jacobi
 from .errors import PreconditionError, PrecisionExhausted
 from .qforms import Matrix, QuadraticForm, _mat_mul, reduce_form
 
@@ -302,8 +302,8 @@ class EtaTable:
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Dedekind eta, absolute error certified below 2^(guard - prec)."""
-    if prec < 64:
-        raise PreconditionError("prec must be at least 64")
+    if prec < MIN_PREC:
+        raise PreconditionError(f"prec must be at least {MIN_PREC}")
     guard = eta_guard_bits(prec)
     wp = prec + guard
     value, err = _eta_at(z.value, wp)
@@ -339,8 +339,8 @@ def _e4_series(q: ApComplex, wp: int, im_bits: float) -> tuple[ApComplex, float]
 
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Klein J (J(i) = 1728), via E4^3 / eta^24 at the reduced point."""
-    if prec < 64:
-        raise PreconditionError("prec must be at least 64")
+    if prec < MIN_PREC:
+        raise PreconditionError(f"prec must be at least {MIN_PREC}")
     guard = eta_guard_bits(prec)
     zred0, _ = _reduce(z.value, z.value.prec)
     im_val = to_float(zred0.im, strict=False)
@@ -369,17 +369,6 @@ def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
 def s_exponent(p1: int, p2: int) -> int:
     """Canonical power s = 24 / gcd(24, (p1-1)(p2-1))."""
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
-
-
-def _check_quotient_primes(p1: int, p2: int):
-    from .arith import is_probable_prime
-
-    if p1 == p2:
-        raise PreconditionError("equal primes are unsupported")
-    if p1 == 2 or p2 == 2:
-        raise PreconditionError("p = 2 is unsupported")
-    if not (is_probable_prime(p1) and is_probable_prime(p2)):
-        raise PreconditionError(f"{p1}, {p2} must both be prime")
 
 
 def _w_at(z: ApComplex, p1: int, p2: int, wp: int,
@@ -414,12 +403,13 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
 
 
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
-    _check_quotient_primes(p1, p2)
+    check_distinct_odd_primes(p1, p2)
     value, _ = _certified(prec, lambda wp: _w_at(z.value, p1, p2, wp + 16), "quotient")
     return value
 
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
+    check_distinct_odd_primes(p1, p2)
     value, err = w_pow_s_with_err(z, p1, p2, prec)
     return value
 
@@ -430,8 +420,9 @@ def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,
 
     eta_at supplies eta(z/den): by default each argument sums its own series;
     an `EtaTable` view shares them between the arguments of one attempt.
+    p1 and p2 are not checked here; callers check them once
+    (`arith.check_distinct_odd_primes`).
     """
-    _check_quotient_primes(p1, p2)
     s = s_exponent(p1, p2)
 
     def evaluate(wp: int) -> tuple[ApComplex, float]:

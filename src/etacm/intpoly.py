@@ -9,16 +9,6 @@ def trim(p: list[int]) -> list[int]:
     return p
 
 
-def add(p: list[int], q: list[int]) -> list[int]:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
 def sub(p: list[int], q: list[int]) -> list[int]:
     n = max(len(p), len(q))
     out = [0] * n
@@ -40,10 +30,6 @@ def mul(p: list[int], q: list[int]) -> list[int]:
     return trim(out)
 
 
-def scale(p: list[int], k: int) -> list[int]:
-    return trim([c * k for c in p])
-
-
 def divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """Euclidean division by a monic divisor; exact over the integers."""
     if not d or d[-1] != 1:
@@ -60,10 +46,3 @@ def divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
             for j, c in enumerate(d):
                 rem[i + j] -= q * c
     return trim(quo), trim(rem[:dn])
-
-
-def evaluate(p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc

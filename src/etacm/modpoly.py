@@ -5,7 +5,9 @@ s(p1-1)(p2-1)/12 in J.  It is computed numerically: at each sample point
 z_m the monic product over the psi(N) conjugates w^s(gamma z_m) is expanded,
 then every X-coefficient is interpolated as a polynomial in J(z_m) through a
 small Vandermonde solve, rounded to integers, and re-verified on extra
-samples.  Conjugates are evaluated by direct eta evaluation at the
+samples; a failed check doubles the precision (`classpoly.double_until`, up
+to max_prec), and J-values too close to interpolate move the samples at the
+same precision.  Conjugates are evaluated by direct eta evaluation at the
 transformed points, one series per SL2(Z)-class of eta argument at each
 sample point (an `EtaTable`); no symbolic q-expansions are involved.
 
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .apcomplex import ApComplex, UpperHalfPoint
-from .arith import crt_pair, is_probable_prime
-from .classpoly import MAX_PRECISION, CPoly, product_tree, round_to_integers
+from .arith import check_distinct_odd_primes, crt_pair
+from .classpoly import MAX_PRECISION, CPoly, double_until, product_tree, round_to_integers
 from .errors import (
     CoefficientParseFailure,
     InterpolationSingular,
     MalformedHeader,
     PreconditionError,
-    PrecisionExhausted,
     WrongDegree,
 )
 from .etafunc import EtaTable, apply_moebius, j_invariant, s_exponent, w_pow_s_with_err
@@ -126,17 +127,14 @@ def _solve_vandermonde(js: list[ApComplex], ys: list[ApComplex], wp: int) -> lis
     return [rows[i][n] for i in range(n)]
 
 
-def _initial_precision(p1: int, p2: int, degx: int, degj: int) -> int:
+def _initial_precision(degx: int, degj: int) -> int:
     return 256 + 24 * degj * degj + 4 * degx
 
 
 def compute_modular_polynomial(p1: int, p2: int, *,
-                               min_prec: int = 0) -> ModularPolynomial:
+                               max_prec: int = MAX_PRECISION) -> ModularPolynomial:
     """Phi_{p1,p2} with exact integer coefficients (adaptive precision)."""
-    if p1 == p2 or p1 == 2 or p2 == 2:
-        raise PreconditionError("distinct odd primes required")
-    if not (is_probable_prime(p1) and is_probable_prime(p2)):
-        raise PreconditionError(f"{p1}, {p2} must both be prime")
+    check_distinct_odd_primes(p1, p2)
     s = s_exponent(p1, p2)
     N = p1 * p2
     degx = psi(N)
@@ -145,20 +143,20 @@ def compute_modular_polynomial(p1: int, p2: int, *,
         raise PreconditionError(f"J-degree {degj} beyond desk scale")
     cosets = coset_representatives(N)
     n_samples = degj + 1 + VERIFY_SAMPLES
-    prec = max(_initial_precision(p1, p2, degx, degj), min_prec, 64)
-    stride = 0
-    while prec <= MAX_PRECISION:
-        try:
-            result = _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride)
-        except InterpolationSingular:
-            stride += 1
-            if stride > 8:
-                raise
-            continue
-        if result is not None:
-            return result
-        prec *= 2
-    raise PrecisionExhausted(f"Phi_{{{p1},{p2}}} did not stabilize")
+    stride = 0  # kept from one precision to the next
+
+    def attempt(prec: int) -> ModularPolynomial | None:
+        nonlocal stride
+        while True:
+            try:
+                return _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride)
+            except InterpolationSingular:
+                stride += 1
+                if stride > 8:
+                    raise
+
+    return double_until(_initial_precision(degx, degj), max_prec, attempt,
+                        f"Phi_{{{p1},{p2}}}")
 
 
 def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_probable_prime, is_square
-from .classpoly import check_integrality_conditions, compute_class_polynomial
+from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_class_polynomial
 from .errors import NoRationalJRoot, NoTrace, PreconditionError
 from .ffield import FpElement, FpPolynomial, _sqrt_mod, roots_mod_l, sqrt_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
@@ -262,15 +262,20 @@ def _certify(curve: EllipticCurve, n1: int, n2: int, t: int,
 
 
 @lru_cache(maxsize=16)
-def _modular_polynomial(p1: int, p2: int) -> ModularPolynomial:
+def _modular_polynomial(p1: int, p2: int, max_prec: int = MAX_PRECISION) -> ModularPolynomial:
     if (p1, p2) == (3, 13):
         return load_embedded(3, 13)
-    return compute_modular_polynomial(p1, p2)
+    return compute_modular_polynomial(p1, p2, max_prec=max_prec)
 
 
 def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
-                       seed: int = 0) -> tuple[EllipticCurve, OrderCertificate, bool]:
-    """Full CM construction; returns (curve, certificate, used_shortcut)."""
+                       seed: int = 0, *, max_prec: int = MAX_PRECISION
+                       ) -> tuple[EllipticCurve, OrderCertificate, bool]:
+    """Full CM construction; returns (curve, certificate, used_shortcut).
+
+    max_prec caps the precision of H and, unless it is the embedded
+    Phi_{3,13}, of Phi.
+    """
     disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
     if not check_integrality_conditions(disc, p1, p2):
         raise PreconditionError(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
@@ -283,14 +288,14 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
     if B is None:
         B = next((b for b in cands if multiple_root_condition(disc.D, N, b)), cands[0])
 
-    H = compute_class_polynomial(disc, p1, p2, B)
+    H = compute_class_polynomial(disc, p1, p2, B, max_prec=max_prec)
     hq = FpPolynomial.make(H.coeffs, q)
     hroots = roots_mod_l(hq, rng)
     if not hroots:
         raise NoRationalJRoot(f"H has no root mod {q}")
     wbar = min(hroots)
 
-    phi = _modular_polynomial(p1, p2)
+    phi = _modular_polynomial(p1, p2, max_prec)
     jpoly = evaluate_in_j_mod_l(phi, wbar, q)
     if jpoly.degree < 1:
         raise NoRationalJRoot(f"modular equation degenerates mod {q}")

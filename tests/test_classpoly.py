@@ -73,9 +73,12 @@ class TestComputeClassPolynomial:
             assert poly.degree == class_number(D), (D, p1, p2, b)
             assert poly.coeffs[-1] == 1
 
-    def test_higher_precision_reproduces_integers(self):
+    def test_higher_precision_reproduces_integers(self, monkeypatch):
+        import etacm.classpoly as cp
+
         base = compute_class_polynomial(-260, 3, 13, 26)
-        again = compute_class_polynomial(-260, 3, 13, 26, min_prec=2048)
+        monkeypatch.setattr(cp, "initial_precision", lambda *a: 2048)
+        again = compute_class_polynomial(-260, 3, 13, 26)
         assert base.coeffs == again.coeffs
 
     def test_doubling_recovers_from_starved_start(self, monkeypatch):
@@ -101,8 +104,9 @@ class TestComputeClassPolynomial:
         calls = []
         real = cp._expand
         monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
+        monkeypatch.setattr(cp, "initial_precision", lambda *a: 512)
         with pytest.raises(PrecisionExhausted):
-            compute_class_polynomial(-56, 3, 13, 10, min_prec=512, max_prec=256)
+            compute_class_polynomial(-56, 3, 13, 10, max_prec=256)
         assert calls == []  # refused before any evaluation at 512 bits
 
     @pytest.mark.parametrize("D, p1, p2", [(-3996, 5, 7), (-9899, 3, 5)])

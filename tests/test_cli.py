@@ -1,3 +1,5 @@
+import pytest
+
 from etacm.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, dispatch
 
 
@@ -84,6 +86,14 @@ class TestRoots:
         assert code == EXIT_OK
         assert out == "229 2\n"
 
+    def test_strong_pseudoprime_modulus_exits_2(self, capsys):
+        # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to the
+        # first 13 prime bases
+        code, out, _ = run_cli(
+            ["roots", "--modulus", "3317044064679887385961981", "--coeffs", "1 0 -4"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+
 
 class TestCmCurve:
     def test_record_line(self, capsys):
@@ -154,17 +164,18 @@ class TestUsageAndPlumbing:
         assert code == EXIT_OK
         assert out == "embedded-matches-computed: yes\n"
 
-    def test_precision_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ETACM_PRECISION", "512")
-        code, out, _ = run_cli(
-            ["classpoly", "--disc", "-56", "--p1", "3", "--p2", "13", "--b", "10"], capsys)
-        assert code == EXIT_OK and out == "1 -2 -1 2 -1\n"
-
-    def test_bad_precision_config(self, capsys):
-        code, _, _ = run_cli(
-            ["--precision-start", "1024", "--precision-max", "512",
-             "classpoly", "--disc", "-56", "--p1", "3", "--p2", "13"], capsys)
-        assert code == EXIT_PRECONDITION
+    @pytest.mark.parametrize("cap, argv", [
+        (32, ["classpoly", "--disc", "-56", "--p1", "3", "--p2", "13", "--b", "10"]),
+        (256, ["modpoly", "--p1", "3", "--p2", "5"]),
+        (32, ["modpoly", "--verify-embedded"]),
+        (32, ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13", "--prime", "3593"]),
+        (32, ["reproduce-example"]),
+    ])
+    def test_precision_max_below_start_exits_3(self, capsys, cap, argv):
+        # the starts are 64 bits for H of D = -56 and 448 for Phi_{3,5}
+        code, out, err = run_cli(["--precision-max", str(cap)] + argv, capsys)
+        assert code == 3
+        assert f"max_prec = {cap} " in err
 
     def test_precision_exhausted_exits_3(self, capsys, monkeypatch):
         from etacm import cli

@@ -293,6 +293,8 @@ class TestDoubleEtaQuotient:
         for (p1, p2) in [(3, 3), (2, 13), (9, 5)]:
             with pytest.raises(PreconditionError):
                 double_eta_quotient(z, p1, p2, 128)
+            with pytest.raises(PreconditionError):
+                w_pow_s(z, p1, p2, 128)
 
 
 class TestEtaTable:

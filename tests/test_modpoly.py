@@ -133,9 +133,12 @@ class TestComputeModularPolynomial:
                 val, scale = eval_phi(phi, w, J)
                 assert abs(val) / scale < mpmath.mpf(2) ** -380
 
-    def test_small_pair_and_recompute_stability(self):
+    def test_small_pair_and_recompute_stability(self, monkeypatch):
+        import etacm.modpoly as mp
+
         a = compute_modular_polynomial(3, 5)
-        b = compute_modular_polynomial(3, 5, min_prec=1200)
+        monkeypatch.setattr(mp, "_initial_precision", lambda *a: 1200)
+        b = compute_modular_polynomial(3, 5)
         assert a == b
         assert a.degX == 24 and a.degJ == 2 and a.s == 3
         assert a.coeffs[24] == (1, 0, 0)
