@@ -32,7 +32,6 @@ from .errors import (
     ZeroConstantTerm,
 )
 from .etafunc import (
-    EtaMultiplierData,
     double_eta_quotient,
     eta,
     eta_multiplier,

@@ -7,7 +7,9 @@ to share between threads.
 
 Internally a real number is a raw mpf tuple ``(sign, man, exp, bc)``; the
 magnitude bound ``|x| <= 2**mag(x)`` used for error bookkeeping falls straight
-out of that representation.
+out of that representation.  The MIN_PREC floor is checked where a precision
+enters (`ApComplex.make`, `UpperHalfPoint.from_form`); arithmetic results
+take their operands' precision.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_mul,
     mpf_neg,
-    mpf_shift,
     mpf_sqrt,
     round_nearest,
     to_float,
@@ -49,6 +50,11 @@ def mag(x) -> int:
     if not man and not exp:
         return -(10**9)
     return exp + bc
+
+
+def _check_prec(prec: int) -> None:
+    if prec < MIN_PREC:
+        raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
 
 
 def real_from(value, prec: int):
@@ -71,12 +77,9 @@ class ApComplex:
     im: tuple
     prec: int
 
-    def __post_init__(self):
-        if self.prec < MIN_PREC:
-            raise ValueError(f"precision {self.prec} below minimum {MIN_PREC}")
-
     @classmethod
     def make(cls, re, im=0, prec: int = MIN_PREC) -> "ApComplex":
+        _check_prec(prec)
         return cls(real_from(re, prec), real_from(im, prec), prec)
 
     @property
@@ -144,10 +147,6 @@ class ApComplex:
         """Principal branch square root (real part >= 0)."""
         return ApComplex(*mpc_sqrt(self.mpc, self.prec, RND), self.prec)
 
-    def scale2(self, k: int) -> "ApComplex":
-        """Exact multiplication by 2**k."""
-        return ApComplex(mpf_shift(self.re, k), mpf_shift(self.im, k), self.prec)
-
     def abs2_mpf(self):
         p = self.prec
         return mpf_add(mpf_mul(self.re, self.re, p, RND),
@@ -187,6 +186,7 @@ class UpperHalfPoint:
         """Basis quotient (-b + sqrt(D)) / (2a) of the form [a, b, *] of discriminant D < 0."""
         if D >= 0 or a <= 0:
             raise ValueError("need D < 0 and a > 0")
+        _check_prec(prec)
         sq = mpf_sqrt(from_int(-D, prec, RND), prec, RND)
         re = from_man_exp(MPZ(-b), 0)
         re = mpf_div(re, from_int(2 * a), prec, RND)

@@ -99,6 +99,12 @@ def is_probable_prime(n: int) -> bool:
     return n < PSI13 or _strong_lucas_probable_prime(n)
 
 
+def check_odd_prime(n: int) -> None:
+    """Raise PreconditionError unless n is an odd prime."""
+    if n == 2 or not is_probable_prime(n):
+        raise PreconditionError(f"{n} is not an odd prime")
+
+
 def check_distinct_odd_primes(p1: int, p2: int) -> None:
     """Raise PreconditionError unless p1 and p2 are distinct odd primes."""
     if p1 == p2:

@@ -12,7 +12,8 @@ small; otherwise the working precision is doubled, up to max_prec (the loop
 `double_until`, which modpoly shares).  The first attempt starts from the
 measured height of H: a pass at MIN_PREC bits gives the roots' norms and
 error bounds, hence the precision at which the tree's bound falls below the
-rounding limit.
+rounding limit.  When that bound is already below the limit at MIN_PREC
+bits, the pass's own roots are expanded as the first attempt.
 """
 
 from __future__ import annotations
@@ -141,11 +142,11 @@ def _tree_err(roots: list[tuple[ApComplex, float]], wp: int) -> float:
     return _balanced([(_root_norm(r), err, 2) for r, err in roots], mul)[1]
 
 
-def round_to_integers(poly: CPoly) -> tuple[list[int], float]:
-    """Nearest-integer coefficients and the worst rounding residual."""
+def round_to_integers(coeffs: list[ApComplex]) -> tuple[list[int], float]:
+    """Nearest integers to the coefficients and the worst rounding residual."""
     out = []
     residual = 0.0
-    for c in poly.coeffs:
+    for c in coeffs:
         n = int(to_int(c.re, RND))
         diff = abs(to_float(mpf_sub(c.re, from_int(n), c.prec, RND), strict=False))
         residual = max(residual, diff, abs(to_float(c.im, strict=False)))
@@ -179,24 +180,22 @@ def _roots(system: NSystem, p1: int, p2: int, prec: int) -> list[tuple[ApComplex
             for f in system.forms]
 
 
-def initial_precision(system: NSystem, p1: int, p2: int) -> int:
+def initial_precision(tree_err: float, h: int) -> int:
     """Starting precision from the measured height of H.
 
-    A pass at MIN_PREC bits measures every root's norm and error bound,
-    and from them the bound the product tree would certify.  Each extra bit
-    of precision lowers every term of that bound by one bit, so the start is
-    where it falls below RESIDUAL_LIMIT, plus two guard bits per tree level
-    and eight more.
+    tree_err is the bound the product tree would certify for the roots of
+    a pass at MIN_PREC bits (`_tree_err`).  Each extra bit of precision
+    lowers every term of that bound by one bit, so the start is where it
+    falls below RESIDUAL_LIMIT, plus two guard bits per tree level and
+    eight more.
     """
-    roots = _roots(system, p1, p2, MIN_PREC)
-    err = _tree_err(roots, MIN_PREC + TREE_BITS)
-    depth = (len(roots) - 1).bit_length()
-    return MIN_PREC + math.ceil(err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
+    depth = (h - 1).bit_length()
+    return MIN_PREC + math.ceil(tree_err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
 
 
-def _expand(system: NSystem, p1: int, p2: int, prec: int) -> tuple[list[int], float, float]:
-    tree = product_tree(_roots(system, p1, p2, prec), prec + TREE_BITS)
-    ints, residual = round_to_integers(tree)
+def _expand(roots: list[tuple[ApComplex, float]], prec: int) -> tuple[list[int], float, float]:
+    tree = product_tree(roots, prec + TREE_BITS)
+    ints, residual = round_to_integers(tree.coeffs)
     return ints, residual, 2.0 ** min(tree.err, 1023.0)
 
 
@@ -212,12 +211,23 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
 
-    def attempt(prec: int) -> list[int] | None:
-        ints, residual, cert = _expand(system, p1, p2, prec)
+    def attempt(roots: list[tuple[ApComplex, float]], prec: int) -> list[int] | None:
+        ints, residual, cert = _expand(roots, prec)
         return ints if residual < RESIDUAL_LIMIT and cert < RESIDUAL_LIMIT else None
 
-    ints = double_until(initial_precision(system, p1, p2), max_prec, attempt,
-                        f"class polynomial for D = {disc.D}, B = {B}")
+    roots = _roots(system, p1, p2, MIN_PREC)
+    err = _tree_err(roots, MIN_PREC + TREE_BITS)
+    start = initial_precision(err, len(roots))
+    ints = None
+    if err < math.log2(RESIDUAL_LIMIT) and max(start, MIN_PREC) <= max_prec:
+        # the height pass's roots are predicted to round: try them first,
+        # and never repeat that attempt
+        ints = attempt(roots, MIN_PREC)
+        start = max(start, 2 * MIN_PREC)
+    if ints is None:
+        ints = double_until(start, max_prec,
+                            lambda prec: attempt(_roots(system, p1, p2, prec), prec),
+                            f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:
         raise PrecisionExhausted("product expansion is not monic")
     return ClassPolynomial(disc, p1, p2, s, B % (2 * N), tuple(ints))

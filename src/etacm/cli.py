@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from . import atkin, classpoly, modpoly, pipeline, qforms
+from .arith import check_distinct_odd_primes, check_odd_prime
 from .errors import EtaCMError, PreconditionError, PrecisionExhausted
 from .ffield import FpPolynomial, roots_mod_l
 from .intpoly import divmod_monic
@@ -83,13 +84,18 @@ def _validated_disc(value: int) -> qforms.Discriminant:
     return qforms.Discriminant(value)
 
 
+def _validated_n(args) -> int:
+    check_distinct_odd_primes(args.p1, args.p2)
+    return args.p1 * args.p2
+
+
 def _cmd_classpoly(args, out) -> int:
     disc = _validated_disc(args.disc)
+    N = _validated_n(args)
     if args.all_b:
-        bs = qforms.b_candidates(disc, args.p1 * args.p2)
+        bs = qforms.b_candidates(disc, N)
     else:
-        bs = [args.b if args.b is not None
-              else qforms.b_candidates(disc, args.p1 * args.p2)[0]]
+        bs = [args.b if args.b is not None else qforms.b_candidates(disc, N)[0]]
     for b in bs:
         poly = classpoly.compute_class_polynomial(
             disc, args.p1, args.p2, b, max_prec=args.precision_max)
@@ -113,7 +119,7 @@ def _cmd_modpoly(args, out) -> int:
 
 def _cmd_nsystem(args, out) -> int:
     disc = _validated_disc(args.disc)
-    N = args.p1 * args.p2
+    N = _validated_n(args)
     b = args.b if args.b is not None else qforms.b_candidates(disc, N)[0]
     system = qforms.build_nsystem(disc, N, b)
     for f in system.forms:
@@ -123,7 +129,7 @@ def _cmd_nsystem(args, out) -> int:
 
 def _cmd_multiplicity(args, out) -> int:
     disc = _validated_disc(args.disc)
-    N = args.p1 * args.p2
+    N = _validated_n(args)
     bs = [args.b] if args.b is not None else qforms.b_candidates(disc, N)
     for b in bs:
         witness = atkin.multiple_root_condition(disc.D, N, b)
@@ -150,6 +156,7 @@ def _cmd_roots(args, out) -> int:
         raise PreconditionError("--coeffs must be space-separated integers")
     if not coeffs:
         raise PreconditionError("empty coefficient list")
+    check_odd_prime(args.modulus)  # before FpPolynomial.make reduces by it
     poly = FpPolynomial.make(list(reversed(coeffs)), args.modulus)
     import random
 
@@ -217,10 +224,14 @@ def dispatch(argv: list[str] | None = None) -> int:
         args.seed = args.seed_sub
     try:
         handler = _COMMANDS[args.command]
-        if args.out:
-            with open(args.out, "w", encoding="ascii") as out:
-                return handler(args, out)
-        return handler(args, sys.stdout)
+        if not args.out:
+            return handler(args, sys.stdout)
+        try:
+            out = open(args.out, "w", encoding="ascii")
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        with out:
+            return handler(args, out)
     except PrecisionExhausted as exc:
         print(f"etacm: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION

@@ -13,25 +13,27 @@ computed as exp(pi*i*z/12) directly from z, which fixes the branch once and
 for all; q itself is its 24th power.
 
 Each evaluator tracks one accumulated absolute-error bound (as a log2
-exponent) per value and raises PrecisionExhausted if the requested bound
-cannot be certified.
+exponent) per value, and `eta`, `j_invariant`, `double_eta_quotient` and
+`w_pow_s_with_err` all accept it, or retry with more bits and finally raise
+PrecisionExhausted, through one helper (`_certified`).
 
-Many arguments share one reduced point: the 4h arguments alpha_i/d of a class
+Every eta value at an arbitrary point comes from an `EtaTable`.  Many
+arguments share one reduced point: the 4h arguments alpha_i/d of a class
 polynomial (d in {1, p1, p2, N}) fall into the h form classes of
 discriminant D, and the 4 psi(N) arguments g z/d of one modular-polynomial
-sample point into 1 + (p1+1) + (p2+1) + psi(N) SL2(Z)-classes.  An
-`EtaTable` names each reduced point by exact integers (a reduced form, or the
-integer matrix taking the sample point to it), sums one series per name
-([a, -b, c] reuses the conjugate series of [a, b, c]), and recovers every
-argument's value through the same transformation formula.  A table serves
-one precision attempt of one computation and is then dropped.
+sample point into 1 + (p1+1) + (p2+1) + psi(N) SL2(Z)-classes.  A table
+names each reduced point by exact integers (a reduced form, or the integer
+matrix taking the sample point to it), sums one series per name ([a, -b, c]
+reuses the conjugate series of [a, b, c]), and recovers every argument's
+value through the transformation formula, with one 24th root of unity per
+exponent and precision.  A table serves one precision attempt of one
+computation, or one public call, and is then dropped.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import gcd
 
 from mpmath.libmp import (
@@ -119,41 +121,12 @@ def _reduce(z: ApComplex, wp: int) -> tuple[ApComplex, Matrix]:
     return zc, (a, b, c, d)
 
 
-@dataclass(frozen=True, slots=True)
-class EtaMultiplierData:
-    """Decomposition of the eta transformation multiplier for a normalized
-    unimodular matrix: epsilon(M) = sign * zeta_24^exponent24."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    gamma: int
-    lam: int
-    exponent24: int
-    sign: int
-
-    def __post_init__(self):
-        assert self.a * self.d - self.b * self.c == 1
-        assert self.c >= 0 and (self.c > 0 or self.d > 0)
-        if self.c == 0:
-            assert self.gamma == 1 and self.lam == 1
-        else:
-            assert self.gamma % 2 and self.gamma << self.lam == self.c
-        assert 0 <= self.exponent24 < 24 and self.sign in (-1, 1)
-
-    def value(self, prec: int) -> ApComplex:
-        e = from_rational(self.exponent24, 12, prec, RND)
-        cos, sin = mpf_cos_sin_pi(e, prec, RND)
-        root = ApComplex(cos, sin, prec)
-        return root * self.sign
-
-
-def eta_multiplier(m: Matrix) -> EtaMultiplierData:
-    """Multiplier data for eta(Mz) = eps(M) * sqrt(cz+d) * eta(z).
+def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
+    """(c, d, sign, k) with eta(Mz) = sign * zeta_24^k * sqrt(cz+d) * eta(z).
 
     M is normalized (negated if necessary, which leaves the Moebius action
-    unchanged) so that c >= 0, and d > 0 when c = 0.
+    unchanged) so that c >= 0, and d > 0 when c = 0; c and d are the bottom
+    row after that, and 0 <= k < 24.
     """
     a, b, c, d = m
     if a * d - b * c != 1:
@@ -165,19 +138,25 @@ def eta_multiplier(m: Matrix) -> EtaMultiplierData:
     else:
         lam = (c & -c).bit_length() - 1
         gamma = c >> lam
-    half = 3 * lam * (a * a - 1)
-    assert half % 2 == 0
-    e = a * b + c * (d * (1 - a * a) - a) + 3 * gamma * (a - 1) + half // 2
-    return EtaMultiplierData(a, b, c, d, gamma, lam, e % 24, jacobi(a, gamma))
+    # a is odd whenever lam > 0, so 3 lam (a^2 - 1) is even
+    e = a * b + c * (d * (1 - a * a) - a) + 3 * gamma * (a - 1) + 3 * lam * (a * a - 1) // 2
+    return c, d, jacobi(a, gamma), e % 24
 
 
-def _exp_pi_i_frac(z: ApComplex, den: int, wp: int):
-    """exp(pi*i*z/den) as an mpc pair, with |.| = exp(-pi*im/den)."""
+def _zeta24(k: int, wp: int) -> ApComplex:
+    """exp(pi i k / 12) at precision wp."""
+    cos, sin = mpf_cos_sin_pi(from_rational(k, 12, wp, RND), wp, RND)
+    return ApComplex(cos, sin, wp)
+
+
+def _q24(zred: ApComplex, wp: int) -> tuple[ApComplex, ApComplex]:
+    """(exp(pi*i*z/12), q) at a point; |q^{1/24}| = exp(-pi*im/12)."""
     pi = mpf_pi(wp)
-    t = mpf_div(z.re, from_int(den), wp, RND)
+    t = mpf_div(zred.re, from_int(12), wp, RND)
     cos, sin = mpf_cos_sin_pi(t, wp, RND)
-    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(pi, z.im, wp, RND), from_int(den), wp, RND)), wp, RND)
-    return (mpf_mul(r, cos, wp, RND), mpf_mul(r, sin, wp, RND))
+    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(pi, zred.im, wp, RND), from_int(12), wp, RND)), wp, RND)
+    w24 = ApComplex(mpf_mul(r, cos, wp, RND), mpf_mul(r, sin, wp, RND), wp)
+    return w24, ApComplex(*mpc_pow_int(w24.mpc, 24, wp, RND), wp)
 
 
 def _eta_series(zred: ApComplex, wp: int) -> tuple[ApComplex, float]:
@@ -185,8 +164,7 @@ def _eta_series(zred: ApComplex, wp: int) -> tuple[ApComplex, float]:
 
     Returns (value, log2 absolute error bound).
     """
-    w24 = ApComplex(*_exp_pi_i_frac(zred, 12, wp), wp)
-    q = ApComplex(*mpc_pow_int(w24.mpc, 24, wp, RND), wp)
+    w24, q = _q24(zred, wp)
     im_bits = 2.0 * math.pi * to_float(zred.im, strict=False) / math.log(2.0)
     kmax = _series_terms(wp, im_bits)
 
@@ -210,46 +188,22 @@ def _eta_series(zred: ApComplex, wp: int) -> tuple[ApComplex, float]:
     return value, err
 
 
-def _eta_at(z: ApComplex, wp: int) -> tuple[ApComplex, float]:
-    """eta at an arbitrary point via reduction; (value, log2 error bound)."""
-    zred, m = _reduce(z, wp)
-    return _eta_transform(*_eta_series(zred, wp), z, m, wp)
-
-
-def _eta_transform(series: ApComplex, err: float, z: ApComplex, m: Matrix,
-                   wp: int) -> tuple[ApComplex, float]:
-    """eta(z) from the series value at the reduced point m z."""
-    if m == IDENTITY:
-        return series, err
-    mult = eta_multiplier(m)
-    root = (z.at_prec(wp) * mult.c + mult.d).sqrt()
-    denom = mult.value(wp) * root
-    value = series / denom
-    # |eps| = 1 so |denom| = |sqrt(cz+d)|; the division keeps the relative
-    # error, plus ulps from the root, the unit and the division itself
-    rel = max(err - series.mag() + 2.0, -wp + 3.0)
-    err_out = value.mag() + rel + 2.0
-    return value, err_out
-
-
 # eta_at(z / den, den, wp): eta(z / den) and its log2 error bound, for the
-# point z that the callable was made for
+# point z that the table view was made for
 EtaAt = Callable[[ApComplex, int, int], tuple[ApComplex, float]]
 
 
-def _eta_direct(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
-    return _eta_at(zd, wp)
-
-
 class EtaTable:
-    """The eta series of one precision attempt, one per (reduced point, wp).
+    """The eta series of one computation, one per (reduced point, wp), and
+    the 24th roots of unity of the transformation formula, one per (k, wp).
 
-    Every argument still gets its own transformation factor, so each value
-    carries the bound the per-argument path (`_eta_at`) would give it.
+    Every argument still gets its own factor sqrt(cz+d), so each value
+    carries a certified bound of its own.
     """
 
     def __init__(self):
         self._series: dict = {}
+        self._roots: dict = {}
 
     def __len__(self) -> int:
         """Number of series summed so far."""
@@ -261,7 +215,22 @@ class EtaTable:
         if hit is None:
             hit = self._series[(key, wp)] = _eta_series(zred(), wp)
         series, err = hit
-        return _eta_transform(series.conjugate() if conj else series, err, z, m, wp)
+        return self._eta_transform(series.conjugate() if conj else series, err, z, m, wp)
+
+    def _eta_transform(self, series: ApComplex, err: float, z: ApComplex, m: Matrix,
+                       wp: int) -> tuple[ApComplex, float]:
+        """eta(z) from the series value at the reduced point m z."""
+        if m == IDENTITY:
+            return series, err
+        c, d, sign, k = eta_multiplier(m)
+        unit = self._roots.get((k, wp))
+        if unit is None:
+            unit = self._roots[(k, wp)] = _zeta24(k, wp)
+        value = series / (unit * sign * (z.at_prec(wp) * c + d).sqrt())
+        # |eps| = 1 so |denom| = |sqrt(cz+d)|; the division keeps the relative
+        # error, plus ulps from the root, the unit and the division itself
+        rel = max(err - series.mag() + 2.0, -wp + 3.0)
+        return value, value.mag() + rel + 2.0
 
     def for_form(self, f: QuadraticForm) -> EtaAt:
         """eta(alpha_f / den) for the basis quotient alpha_f of f (den | c).
@@ -302,14 +271,8 @@ class EtaTable:
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Dedekind eta, absolute error certified below 2^(guard - prec)."""
-    if prec < MIN_PREC:
-        raise PreconditionError(f"prec must be at least {MIN_PREC}")
-    guard = eta_guard_bits(prec)
-    wp = prec + guard
-    value, err = _eta_at(z.value, wp)
-    if err > guard - prec:
-        raise PrecisionExhausted(f"eta error bound 2^{err:.0f} exceeds target")
-    return value
+    eta_at = EtaTable().for_coset(IDENTITY)
+    return _certified(prec, lambda wp: eta_at(z.value, 1, wp), "eta")[0]
 
 
 def _sigma3_table(n: int) -> list[int]:
@@ -339,31 +302,28 @@ def _e4_series(q: ApComplex, wp: int, im_bits: float) -> tuple[ApComplex, float]
 
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Klein J (J(i) = 1728), via E4^3 / eta^24 at the reduced point."""
-    if prec < MIN_PREC:
-        raise PreconditionError(f"prec must be at least {MIN_PREC}")
-    guard = eta_guard_bits(prec)
     zred0, _ = _reduce(z.value, z.value.prec)
     im_val = to_float(zred0.im, strict=False)
     boost = max(0, math.ceil(2.0 * math.pi * im_val / math.log(2.0))) + 32
-    wp = prec + guard + boost
-    zred, _ = _reduce(z.value, wp)
-    im_bits = 2.0 * math.pi * to_float(zred.im, strict=False) / math.log(2.0)
 
-    eta_val, eta_err = _eta_series(zred, wp)
-    q = ApComplex(*mpc_pow_int(ApComplex(*_exp_pi_i_frac(zred, 12, wp), wp).mpc, 24, wp, RND), wp)
-    e4, e4_err = _e4_series(q, wp, im_bits)
+    def evaluate(wp: int) -> tuple[ApComplex, float]:
+        wp += boost
+        zred, _ = _reduce(z.value, wp)
+        im_bits = 2.0 * math.pi * to_float(zred.im, strict=False) / math.log(2.0)
+        eta_val, eta_err = _eta_series(zred, wp)
+        e4, e4_err = _e4_series(_q24(zred, wp)[1], wp, im_bits)
 
-    num = e4 ** 3
-    den = eta_val ** 24
-    value = num / den
-    # d(num) <= 3(|E4|+eps)^2 eps;  den relative error <= ~24 * eta rel err
-    num_err = math.log2(3.0) + 2 * (e4.mag() + 1) + e4_err
-    eta_rel = eta_err - eta_val.mag() + 2
-    den_rel = math.log2(24.0) + eta_rel
-    err = max(num_err - den.mag() + 1, value.mag() + den_rel, value.mag() - wp + 4) + 2
-    if err > guard - prec:
-        raise PrecisionExhausted(f"J error bound 2^{err:.0f} exceeds target")
-    return value
+        num = e4 ** 3
+        den = eta_val ** 24
+        value = num / den
+        # d(num) <= 3(|E4|+eps)^2 eps;  den relative error <= ~24 * eta rel err
+        num_err = math.log2(3.0) + 2 * (e4.mag() + 1) + e4_err
+        eta_rel = eta_err - eta_val.mag() + 2
+        den_rel = math.log2(24.0) + eta_rel
+        err = max(num_err - den.mag() + 1, value.mag() + den_rel, value.mag() - wp + 4) + 2
+        return value, err
+
+    return _certified(prec, evaluate, "J")[0]
 
 
 def s_exponent(p1: int, p2: int) -> int:
@@ -371,8 +331,7 @@ def s_exponent(p1: int, p2: int) -> int:
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
 
 
-def _w_at(z: ApComplex, p1: int, p2: int, wp: int,
-          eta_at: EtaAt = _eta_direct) -> tuple[ApComplex, float]:
+def _w_at(z: ApComplex, p1: int, p2: int, wp: int, eta_at: EtaAt) -> tuple[ApComplex, float]:
     """Double eta quotient eta(z/p1)eta(z/p2)/(eta(z)eta(z/(p1 p2)))."""
     vals = []
     rel = -float(wp)
@@ -392,6 +351,8 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
     A large value pushes its absolute bound up, so each retry buys that many
     extra bits.
     """
+    if prec < MIN_PREC:
+        raise PreconditionError(f"prec must be at least {MIN_PREC}")
     guard = eta_guard_bits(prec)
     boost = 0
     for _ in range(3):
@@ -404,25 +365,26 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
 
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    value, _ = _certified(prec, lambda wp: _w_at(z.value, p1, p2, wp + 16), "quotient")
-    return value
+    eta_at = EtaTable().for_coset(IDENTITY)
+    return _certified(prec, lambda wp: _w_at(z.value, p1, p2, wp + 16, eta_at), "quotient")[0]
 
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    value, err = w_pow_s_with_err(z, p1, p2, prec)
-    return value
+    return w_pow_s_with_err(z, p1, p2, prec)[0]
 
 
 def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,
-                     eta_at: EtaAt = _eta_direct) -> tuple[ApComplex, float]:
+                     eta_at: EtaAt | None = None) -> tuple[ApComplex, float]:
     """(w^s, log2 absolute error bound); the workhorse for class polynomials.
 
-    eta_at supplies eta(z/den): by default each argument sums its own series;
-    an `EtaTable` view shares them between the arguments of one attempt.
-    p1 and p2 are not checked here; callers check them once
+    eta_at, a view of an `EtaTable`, supplies eta(z/den) and shares its
+    series between the arguments of one attempt; without one the call makes
+    its own table.  p1 and p2 are not checked here; callers check them once
     (`arith.check_distinct_odd_primes`).
     """
+    if eta_at is None:
+        eta_at = EtaTable().for_coset(IDENTITY)
     s = s_exponent(p1, p2)
 
     def evaluate(wp: int) -> tuple[ApComplex, float]:

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .arith import is_probable_prime
+from .arith import check_odd_prime, is_probable_prime
 from .errors import PreconditionError
 
 DEFAULT_SEED = 0
@@ -159,8 +159,7 @@ def _linear_roots(f: FpPolynomial, rng: random.Random) -> list[int]:
 
 def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
     """All roots in F_l with multiplicities, as a Counter {root: mult}."""
-    if f.modulus == 2 or not is_probable_prime(f.modulus):
-        raise PreconditionError("odd prime modulus required")
+    check_odd_prime(f.modulus)
     if f.degree < 1:
         raise PreconditionError("degree must be at least 1")
     rng = rng if rng is not None else random.Random(DEFAULT_SEED)
@@ -196,15 +195,12 @@ def sqrt_mod_l(a, modulus: int | None = None) -> FpElement | None:
     Returns the smaller of the two roots, for reproducibility.
     """
     if isinstance(a, FpElement):
-        l, v = a.modulus, a.value
-    else:
-        if modulus is None:
-            raise PreconditionError("modulus required for plain integers")
-        l, v = modulus, a % modulus
-    if l == 2 or not is_probable_prime(l):
-        raise PreconditionError("odd prime modulus required")
-    r = _sqrt_mod(v, l)
-    return None if r is None else FpElement(r, l)
+        a, modulus = a.value, a.modulus
+    elif modulus is None:
+        raise PreconditionError("modulus required for plain integers")
+    check_odd_prime(modulus)
+    r = _sqrt_mod(a % modulus, modulus)
+    return None if r is None else FpElement(r, modulus)
 
 
 def _sqrt_mod(v: int, l: int) -> int | None:

@@ -23,7 +23,7 @@ from importlib import resources
 
 from .apcomplex import ApComplex, UpperHalfPoint
 from .arith import check_distinct_odd_primes, crt_pair
-from .classpoly import MAX_PRECISION, CPoly, double_until, product_tree, round_to_integers
+from .classpoly import MAX_PRECISION, double_until, product_tree, round_to_integers
 from .errors import (
     CoefficientParseFailure,
     InterpolationSingular,
@@ -162,7 +162,7 @@ def compute_modular_polynomial(p1: int, p2: int, *,
 def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride):
     wp = prec + 32
     j_vals: list[ApComplex] = []
-    slices: list[CPoly] = []
+    slices = []
     for m in range(n_samples):
         z = _sample_point(m, stride, wp + 64)
         j_vals.append(j_invariant(z, prec))
@@ -179,7 +179,7 @@ def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride):
     for k in range(degx):
         ys = [slices[m].coeffs[k] for m in range(degj + 1)]
         coeffs = _solve_vandermonde(j_vals[: degj + 1], ys, wp)
-        ints, resid = round_to_integers(CPoly(coeffs, float("-inf"), 0.0))
+        ints, resid = round_to_integers(coeffs)
         max_resid = max(max_resid, resid)
         if resid >= ROUND_LIMIT:
             return None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import is_probable_prime, is_square
+from .arith import check_odd_prime, is_square
 from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_class_polynomial
 from .errors import NoRationalJRoot, NoTrace, PreconditionError
 from .ffield import FpElement, FpPolynomial, _sqrt_mod, roots_mod_l, sqrt_mod_l
@@ -85,8 +85,7 @@ def find_trace(D: int, q: int) -> TraceSolution | None:
     D = int(D)
     if D >= 0 or D % 4 not in (0, 1):
         raise PreconditionError(f"{D} is not a negative discriminant")
-    if q == 2 or not is_probable_prime(q):
-        raise PreconditionError(f"q = {q} must be an odd prime")
+    check_odd_prime(q)
     if D % q == 0:
         return None  # q | D forces q | t, never ordinary
     if q <= EXHAUSTIVE_LIMIT or -D <= 4:

@@ -12,6 +12,8 @@ from math import gcd, isqrt
 
 import mpmath
 
+from etacm.apcomplex import ApComplex
+
 
 def eta_oracle(z: complex, dps: int = 60) -> mpmath.mpc:
     """q^{1/24} * qp(q) with mpmath's own exp/qp implementations."""
@@ -19,6 +21,13 @@ def eta_oracle(z: complex, dps: int = 60) -> mpmath.mpc:
         zz = mpmath.mpc(z)
         q = mpmath.exp(2j * mpmath.pi * zz)
         return mpmath.exp(2j * mpmath.pi * zz / 24) * mpmath.qp(q)
+
+
+def root_of_unity(k: int, prec: int) -> ApComplex:
+    """exp(pi i k / 12) from mpmath's expjpi, held as an ApComplex."""
+    with mpmath.workprec(prec):
+        z = mpmath.expjpi(mpmath.mpf(k) / 12)
+        return ApComplex(z.real._mpf_, z.imag._mpf_, prec)
 
 
 def j_oracle(z: complex, dps: int = 60) -> mpmath.mpc:

@@ -25,7 +25,7 @@ from etacm.intpoly import divmod_monic
 from etacm.modpoly import discriminant_in_j, evaluate_in_j_mod_l
 from etacm.pipeline import construct_cm_curve, order_check
 from etacm.qforms import b_candidates, class_number
-from oracles import brute_force_class_count, hilbert_class_polynomial
+from oracles import brute_force_class_count, hilbert_class_polynomial, root_of_unity
 from support import pick_b, split_prime, valid_triples
 
 
@@ -149,9 +149,9 @@ def test_criterion_7c_eta_transformation_residuals():
             m = (a, b, c, d)
             z = UpperHalfPoint.make(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 3.0), hp)
             lhs = eta(UpperHalfPoint(apply_moebius(m, z.value, hp)), prec)
-            mult = eta_multiplier(m)
-            root = (z.value * mult.c + mult.d).sqrt()
-            rhs = mult.value(hp) * root * eta(z, prec)
+            c, d, sign, k = eta_multiplier(m)
+            root = (z.value * c + d).sqrt()
+            rhs = root_of_unity(k, hp) * sign * root * eta(z, prec)
             assert abs_diff(lhs, rhs) <= -prec + 12, m
 
 

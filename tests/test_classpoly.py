@@ -73,13 +73,15 @@ class TestComputeClassPolynomial:
             assert poly.degree == class_number(D), (D, p1, p2, b)
             assert poly.coeffs[-1] == 1
 
-    def test_higher_precision_reproduces_integers(self, monkeypatch):
+    def test_higher_precision_reproduces_integers(self):
         import etacm.classpoly as cp
+        from etacm.qforms import build_nsystem
 
         base = compute_class_polynomial(-260, 3, 13, 26)
-        monkeypatch.setattr(cp, "initial_precision", lambda *a: 2048)
-        again = compute_class_polynomial(-260, 3, 13, 26)
-        assert base.coeffs == again.coeffs
+        system = build_nsystem(-260, 39, 26)
+        ints, residual, cert = cp._expand(cp._roots(system, 3, 13, 2048), 2048)
+        assert residual < cp.RESIDUAL_LIMIT and cert < cp.RESIDUAL_LIMIT
+        assert tuple(ints) == base.coeffs
 
     def test_doubling_recovers_from_starved_start(self, monkeypatch):
         # force an absurdly low starting precision; the residual/error gate
@@ -91,7 +93,7 @@ class TestComputeClassPolynomial:
         want = compute_class_polynomial(-9899, 3, 5, b).coeffs
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
         got = compute_class_polynomial(-9899, 3, 5, b)
         assert got.coeffs == want
@@ -103,11 +105,33 @@ class TestComputeClassPolynomial:
 
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 512)
         with pytest.raises(PrecisionExhausted):
             compute_class_polynomial(-56, 3, 13, 10, max_prec=256)
         assert calls == []  # refused before any evaluation at 512 bits
+
+    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7)])
+    def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
+        # when the 64-bit pass already predicts a passing gate (D = -56
+        # measures a start below 64 bits, D = -3996 one of 66), its roots
+        # are expanded as the first attempt instead of being evaluated again
+        import etacm.classpoly as cp
+
+        calls = []
+        real = cp._roots
+        monkeypatch.setattr(cp, "_roots", lambda *a: calls.append(a[3]) or real(*a))
+        want = compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0])
+        assert calls == [64]
+        monkeypatch.setattr(cp, "_roots", real)
+        system = cp.build_nsystem(D, p1 * p2, want.B)
+        assert cp._expand(cp._roots(system, p1, p2, 512), 512)[0] == list(want.coeffs)
+
+    @pytest.mark.parametrize("D, p1, p2, cap", [(-56, 3, 13, 32), (-3996, 5, 7, 64)])
+    def test_max_prec_below_64_or_the_start_raises(self, D, p1, p2, cap):
+        # -3996's 64-bit pass would pass the gate, but its measured start is 66
+        with pytest.raises(PrecisionExhausted):
+            compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0], max_prec=cap)
 
     @pytest.mark.parametrize("D, p1, p2", [(-3996, 5, 7), (-9899, 3, 5)])
     def test_start_is_measured_from_the_height(self, monkeypatch, D, p1, p2):
@@ -119,13 +143,13 @@ class TestComputeClassPolynomial:
         b = b_candidates(D, p1 * p2)[0]
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[3]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
         compute_class_polynomial(D, p1, p2, b)
         assert len(calls) == 1
         system = build_nsystem(D, p1 * p2, b)
 
         def passes(prec):
-            _, residual, cert = real(system, p1, p2, prec)
+            _, residual, cert = real(cp._roots(system, p1, p2, prec), prec)
             return residual < cp.RESIDUAL_LIMIT and cert < cp.RESIDUAL_LIMIT
 
         smallest = next(p for p in range(64, calls[0] + 1, 8) if passes(p))

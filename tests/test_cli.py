@@ -1,6 +1,11 @@
-import pytest
+import contextlib
+import io
 
-from etacm.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, dispatch
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etacm.cli import EXIT_OK, EXIT_PRECISION, EXIT_PRECONDITION, EXIT_USAGE, dispatch
 
 
 def run_cli(argv, capsys):
@@ -94,6 +99,11 @@ class TestRoots:
         assert code == EXIT_PRECONDITION
         assert out == ""
 
+    def test_zero_modulus_exits_2(self, capsys):
+        code, out, err = run_cli(["roots", "--modulus", "0", "--coeffs", "1 2"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "not an odd prime" in err
+
 
 class TestCmCurve:
     def test_record_line(self, capsys):
@@ -150,6 +160,15 @@ class TestUsageAndPlumbing:
         assert out == ""
         assert target.read_text() == "1 -2 -1 2 -1\n"
 
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "h.txt"
+        code, out, err = run_cli(
+            ["--out", str(target), "classpoly", "--disc", "-56",
+             "--p1", "3", "--p2", "13", "--b", "10"], capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "cannot write --out" in err
+        assert not target.parent.exists()
+
     def test_modpoly_out_round_trips(self, tmp_path, capsys, phi313_embedded):
         from etacm.modpoly import deserialize
 
@@ -198,3 +217,43 @@ class TestReproduceExample:
         lines = out.strip().split("\n")
         assert len(lines) == 5
         assert all(ln.startswith("PASS ") for ln in lines)
+
+
+SMALL = st.integers(-60, 60)
+# flags and values of the cheap subcommands; no --out, so nothing is written
+TOKENS = ["roots", "nsystem", "multiplicity", "--modulus", "--coeffs", "--disc",
+          "--p1", "--p2", "--b", "--seed", "--precision-max", "-v", "-h",
+          "0", "7", "-3", "-56", "x", "", "1 2", "--", "-"]
+
+
+@st.composite
+def subcommand_argv(draw):
+    cmd = draw(st.sampled_from(["roots", "nsystem", "multiplicity"]))
+    if cmd == "roots":
+        coeffs = " ".join(str(c) for c in draw(st.lists(SMALL, max_size=5)))
+        return [cmd, "--modulus", str(draw(SMALL)), "--coeffs", coeffs]
+    argv = [cmd, "--disc", str(draw(SMALL)), "--p1", str(draw(SMALL)), "--p2", str(draw(SMALL))]
+    if draw(st.booleans()):
+        argv += ["--b", str(draw(SMALL))]
+    return argv
+
+
+class TestExitCodes:
+    """dispatch returns a documented exit code and never raises."""
+
+    @staticmethod
+    def quiet_dispatch(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return dispatch(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(subcommand_argv())
+    def test_small_integer_inputs(self, argv):
+        assert self.quiet_dispatch(argv) in (EXIT_OK, EXIT_PRECONDITION, EXIT_PRECISION,
+                                             EXIT_USAGE)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=8))
+    def test_malformed_flag_lists(self, argv):
+        assert self.quiet_dispatch(argv) in (EXIT_OK, EXIT_PRECONDITION, EXIT_PRECISION,
+                                             EXIT_USAGE)

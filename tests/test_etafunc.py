@@ -8,7 +8,7 @@ from etacm.apcomplex import ApComplex, UpperHalfPoint, abs_diff
 from etacm.errors import PreconditionError
 from etacm.etafunc import (
     EtaTable,
-    _eta_at,
+    _zeta24,
     apply_moebius,
     double_eta_quotient,
     eta,
@@ -18,7 +18,7 @@ from etacm.etafunc import (
     s_exponent,
     w_pow_s,
 )
-from oracles import eta_oracle, j_oracle
+from oracles import eta_oracle, j_oracle, root_of_unity
 
 # frozen from the independent q-product oracle (and the closed form
 # Gamma(1/4) / (2 pi^{3/4}), which agrees to all shown digits)
@@ -85,21 +85,40 @@ class TestReduction:
 
 
 class TestMultiplier:
+    # eta_multiplier gives (c, d, sign, k): eps(M) = sign * zeta_24^k
     def test_translation(self):
-        m = eta_multiplier((1, 1, 0, 1))
-        assert (m.exponent24, m.sign) == (1, 1)
+        assert eta_multiplier((1, 1, 0, 1)) == (0, 1, 1, 1)
 
     def test_identity(self):
-        m = eta_multiplier((1, 0, 0, 1))
-        assert (m.exponent24, m.sign) == (0, 1)
-        assert m.value(96).to_complex() == 1
+        assert eta_multiplier((1, 0, 0, 1)) == (0, 1, 1, 0)
+        assert _zeta24(0, 96).to_complex() == 1
 
     def test_inversion_matches_classical_formula(self):
-        m = eta_multiplier((0, -1, 1, 0))
-        val = m.value(128).to_complex()
+        c, d, sign, k = eta_multiplier((0, -1, 1, 0))
+        assert (c, d, sign, k) == (1, 0, 1, 21)  # zeta_24^{-3}
+        val = sign * _zeta24(k, 128).to_complex()
         want = complex(math.cos(-math.pi / 4), math.sin(-math.pi / 4))
         assert abs(val - want) < 1e-15
-        assert m.exponent24 == 21  # zeta_24^{-3}
+
+    def test_normalized_bottom_row(self):
+        # c >= 0, and d > 0 when c = 0; the sign is a Jacobi symbol
+        rng = random.Random(11)
+        for _ in range(50):
+            m = rand_sl2(rng)
+            c, d, sign, k = eta_multiplier(m)
+            assert (c, d) in ((m[2], m[3]), (-m[2], -m[3]))
+            assert c > 0 or (c == 0 and d > 0)
+            assert sign in (-1, 1) and 0 <= k < 24
+
+    def test_roots_of_unity_against_cos_sin(self):
+        wp = 192
+        with mpmath.workprec(wp + 64):
+            for k in range(24):
+                got = _zeta24(k, wp)
+                want = mpmath.mpc(mpmath.cospi(mpmath.mpf(k) / 12),
+                                  mpmath.sinpi(mpmath.mpf(k) / 12))
+                diff = mpmath.mpc(mpmath.mpf(got.re), mpmath.mpf(got.im)) - want
+                assert abs(diff) <= mpmath.mpf(2) ** (2 - wp), k  # a few ulps
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(PreconditionError):
@@ -136,8 +155,7 @@ class TestEta:
             z = rand_fundamental(rng, prec + 64)
             z1 = UpperHalfPoint(z.value + 1)
             lhs = eta(z1, prec)
-            zeta24 = eta_multiplier((1, 1, 0, 1)).value(prec + 64)
-            rhs = zeta24 * eta(z, prec)
+            rhs = root_of_unity(1, prec + 64) * eta(z, prec)
             assert abs_diff(lhs, rhs) <= -prec + 8
 
     def test_matches_oracle_at_random_points(self):
@@ -157,10 +175,10 @@ class TestEta:
             m = rand_sl2(rng)
             z = rand_fundamental(rng, hp)
             lhs = eta(UpperHalfPoint(apply_moebius(m, z.value, hp)), prec)
-            mult = eta_multiplier(m)
-            root = (z.value * mult.c + mult.d).sqrt()
+            c, d, sign, k = eta_multiplier(m)
+            root = (z.value * c + d).sqrt()
             assert root.to_complex().real > 0  # principal branch
-            rhs = mult.value(hp) * root * eta(z, prec)
+            rhs = root_of_unity(k, hp) * sign * root * eta(z, prec)
             assert abs_diff(lhs, rhs) <= -prec + 12
 
     def test_rejects_low_precision(self):
@@ -171,12 +189,12 @@ class TestEta:
         # convergence sanity: doubling prec gains at least 2^(prec/2)
         z = UpperHalfPoint.make(0.21, 1.3, 1024)
         m = (3, -1, 7, -2)
-        mult = eta_multiplier(m)
-        root = (z.value * mult.c + mult.d).sqrt()
+        c, d, sign, k = eta_multiplier(m)
+        root = (z.value * c + d).sqrt()
         res = {}
         for prec in (128, 256):
             lhs = eta(UpperHalfPoint(apply_moebius(m, z.value, 1024)), prec)
-            rhs = mult.value(1024) * root * eta(z, prec)
+            rhs = root_of_unity(k, 1024) * sign * root * eta(z, prec)
             res[prec] = abs_diff(lhs, rhs)
         if res[256] != float("-inf"):
             assert res[128] - res[256] >= 64
@@ -298,22 +316,33 @@ class TestDoubleEtaQuotient:
 
 
 class TestEtaTable:
-    """Table-built eta values against the per-argument path, within the sum
-    of both certified bounds."""
+    """Table-built eta values against direct evaluation at the exact point
+    (mpmath's q-product), within the table's own certified bound, which must
+    also be tight."""
+
+    WP = 192
+
+    def assert_certified(self, got, exact):
+        v, e = got
+        with mpmath.workprec(self.WP + 128):
+            assert abs(mpmath.mpc(mpmath.mpf(v.re), mpmath.mpf(v.im)) - exact) <= mpmath.mpf(2) ** e
+        # tightness: on these inputs the bound is at most 2^(20 - WP) relative
+        # (the series' term count, a small series at a high reduced point,
+        # and the transformation's ulps)
+        assert e <= v.mag() - self.WP + 20
 
     @staticmethod
-    def assert_agree(got, want):
-        (v1, e1), (v2, e2) = got, want
-        with mpmath.workdps(60):
-            assert abs(to_mp(v1, 60) - to_mp(v2, 60)) <= 2.0 ** e1 + 2.0 ** e2
-        assert e1 <= max(e2, -300.0) + 4  # a bound as tight as the direct one
+    def mp_eta(tau):
+        # q^(1/24) (q; q)_inf, far above the table's precision
+        with mpmath.workprec(TestEtaTable.WP + 128):
+            return mpmath.eta(tau)
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13), (-3996, 5, 7)])
     def test_forms_agree_with_direct_evaluation(self, D, p1, p2):
         from etacm.qforms import b_candidates, build_nsystem
 
         N = p1 * p2
-        wp = 192
+        wp = self.WP
         table = EtaTable()
         system = build_nsystem(D, N, b_candidates(D, N)[0])
         for f in system.forms:
@@ -321,20 +350,54 @@ class TestEtaTable:
             eta_at = table.for_form(f)
             for den in (p1, p2, 1, N):
                 zd = z / den if den > 1 else z
-                self.assert_agree(eta_at(zd, den, wp), _eta_at(zd, wp))
+                with mpmath.workprec(wp + 128):
+                    tau = mpmath.mpc(-f.b, mpmath.sqrt(-D)) / (2 * f.a * den)
+                self.assert_certified(eta_at(zd, den, wp), self.mp_eta(tau))
         assert len(table) <= len(system.forms)
 
     def test_cosets_agree_with_direct_evaluation(self):
         from etacm.modpoly import coset_representatives
 
-        wp = 192
+        wp = self.WP
         table = EtaTable()
-        z0 = UpperHalfPoint.make(0.0625, 1.25, wp + 64).value
+        z0 = UpperHalfPoint.make(0.0625, 1.25, wp + 64).value  # exact in binary
         cosets = coset_representatives(15)
         for g in cosets:
             z = apply_moebius(g, z0, wp + 64)
             eta_at = table.for_coset(g)
             for den in (3, 5, 1, 15):
                 zd = z / den if den > 1 else z
-                self.assert_agree(eta_at(zd, den, wp), _eta_at(zd, wp))
+                a, b, c, d = g
+                with mpmath.workprec(wp + 128):
+                    t0 = mpmath.mpc(mpmath.mpf(1) / 16, mpmath.mpf(5) / 4)
+                    tau = (a * t0 + b) / (c * t0 + d) / den
+                self.assert_certified(eta_at(zd, den, wp), self.mp_eta(tau))
         assert len(table) <= 1 + 4 + 6 + len(cosets)
+
+    def test_attempt_computes_at_most_24_roots_of_unity_per_precision(self, monkeypatch):
+        # one class-polynomial attempt: each zeta_24^k is computed once per
+        # working precision, however many of its 4h arguments need it
+        import etacm.classpoly as cp
+        import etacm.etafunc as ef
+        from etacm.qforms import b_candidates, build_nsystem
+
+        D, p1, p2 = -1639, 5, 13
+        calls, tables = [], []
+        real_cos_sin = ef.mpf_cos_sin_pi
+
+        def counting(x, prec, rnd):
+            calls.append(prec)
+            return real_cos_sin(x, prec, rnd)
+
+        class Recording(EtaTable):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        monkeypatch.setattr(ef, "mpf_cos_sin_pi", counting)
+        monkeypatch.setattr(cp, "EtaTable", Recording)
+        system = build_nsystem(D, p1 * p2, b_candidates(D, p1 * p2)[0])
+        cp._roots(system, p1, p2, 256)
+        series = sum(len(t) for t in tables)
+        assert len(calls) - series <= 24 * len(set(calls))  # one cos/sin per series
+        assert 4 * len(system.forms) - series > 24  # many more arguments than roots
