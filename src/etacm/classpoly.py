@@ -218,16 +218,13 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     roots = _roots(system, p1, p2, MIN_PREC)
     err = _tree_err(roots, MIN_PREC + TREE_BITS)
     start = initial_precision(err, len(roots))
-    ints = None
     if err < math.log2(RESIDUAL_LIMIT) and max(start, MIN_PREC) <= max_prec:
-        # the height pass's roots are predicted to round: try them first,
-        # and never repeat that attempt
-        ints = attempt(roots, MIN_PREC)
-        start = max(start, 2 * MIN_PREC)
-    if ints is None:
-        ints = double_until(start, max_prec,
-                            lambda prec: attempt(_roots(system, p1, p2, prec), prec),
-                            f"class polynomial for D = {disc.D}, B = {B}")
+        # the height pass's roots are predicted to round: they are the first attempt
+        start = MIN_PREC
+    ints = double_until(start, max_prec,
+                        lambda prec: attempt(roots if prec == MIN_PREC
+                                             else _roots(system, p1, p2, prec), prec),
+                        f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:
         raise PrecisionExhausted("product expansion is not monic")
     return ClassPolynomial(disc, p1, p2, s, B % (2 * N), tuple(ints))

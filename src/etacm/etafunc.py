@@ -371,20 +371,17 @@ def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApCom
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    return w_pow_s_with_err(z, p1, p2, prec)[0]
+    return w_pow_s_with_err(z, p1, p2, prec, EtaTable().for_coset(IDENTITY))[0]
 
 
 def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,
-                     eta_at: EtaAt | None = None) -> tuple[ApComplex, float]:
+                     eta_at: EtaAt) -> tuple[ApComplex, float]:
     """(w^s, log2 absolute error bound); the workhorse for class polynomials.
 
     eta_at, a view of an `EtaTable`, supplies eta(z/den) and shares its
-    series between the arguments of one attempt; without one the call makes
-    its own table.  p1 and p2 are not checked here; callers check them once
-    (`arith.check_distinct_odd_primes`).
+    series between the arguments of one attempt.  p1 and p2 are not checked
+    here; callers check them once (`arith.check_distinct_odd_primes`).
     """
-    if eta_at is None:
-        eta_at = EtaTable().for_coset(IDENTITY)
     s = s_exponent(p1, p2)
 
     def evaluate(wp: int) -> tuple[ApComplex, float]:
