@@ -12,7 +12,7 @@ from math import isqrt
 
 from .arith import is_square
 from .classpoly import check_integrality_conditions
-from .errors import ConditionsViolated, InvalidB
+from .errors import ConditionsViolated, InvalidB, PreconditionError
 from .qforms import b_candidates
 
 
@@ -29,6 +29,8 @@ class Wn2Solution:
 
 
 def _check_b(D: int, N: int, B: int) -> None:
+    if N <= 0:
+        raise PreconditionError(f"N = {N} must be positive")
     if D >= 0:
         raise InvalidB(f"D = {D} must be negative")
     if (B * B - D) % (4 * N):

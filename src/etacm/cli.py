@@ -36,7 +36,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--precision-max", type=int, default=classpoly.MAX_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classpoly", help="class polynomial of the double eta-quotient")
@@ -80,17 +79,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _validated_disc(value: int) -> qforms.Discriminant:
-    return qforms.Discriminant(value)
-
-
 def _validated_n(args) -> int:
     check_distinct_odd_primes(args.p1, args.p2)
     return args.p1 * args.p2
 
 
 def _cmd_classpoly(args, out) -> int:
-    disc = _validated_disc(args.disc)
+    disc = qforms.Discriminant(args.disc)
     N = _validated_n(args)
     if args.all_b:
         bs = qforms.b_candidates(disc, N)
@@ -118,7 +113,7 @@ def _cmd_modpoly(args, out) -> int:
 
 
 def _cmd_nsystem(args, out) -> int:
-    disc = _validated_disc(args.disc)
+    disc = qforms.Discriminant(args.disc)
     N = _validated_n(args)
     b = args.b if args.b is not None else qforms.b_candidates(disc, N)[0]
     system = qforms.build_nsystem(disc, N, b)
@@ -128,7 +123,7 @@ def _cmd_nsystem(args, out) -> int:
 
 
 def _cmd_multiplicity(args, out) -> int:
-    disc = _validated_disc(args.disc)
+    disc = qforms.Discriminant(args.disc)
     N = _validated_n(args)
     bs = [args.b] if args.b is not None else qforms.b_candidates(disc, N)
     for b in bs:

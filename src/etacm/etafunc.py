@@ -1,12 +1,13 @@
 """Evaluation of the Dedekind eta function, the Klein J-invariant, and the
 double eta-quotient at upper half-plane points, with certified error bounds.
 
-Strategy: every evaluation first reduces its argument to the classical
+Strategy: every eta evaluation first reduces its argument to the classical
 fundamental domain (|Re| <= 1/2, |z| >= 1), where the sparse
-pentagonal-number series for eta and the sigma_3 series for E4 converge at
-a guaranteed >= 7.8 bits per exponent unit.  The value at the original point
-is recovered through the eta transformation formula (unimodular matrix,
-Jacobi-symbol sign times a 24th root of unity times sqrt(cz+d)).
+pentagonal-number series converges at a guaranteed >= 7.8 bits per exponent
+unit.  The value at the original point is recovered through the eta
+transformation formula (unimodular matrix, Jacobi-symbol sign times a 24th
+root of unity times sqrt(cz+d)).  Everything else is an eta quotient: the
+double quotient w, and Weber's f1(z) = eta(z/2) / eta(z), which gives J.
 
 Fractional powers of q are never taken through complex roots: q^{1/24} is
 computed as exp(pi*i*z/12) directly from z, which fixes the branch once and
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import reduce
 from math import gcd
+from operator import mul
 
 from mpmath.libmp import (
     fone,
@@ -42,7 +45,6 @@ from mpmath.libmp import (
     from_int,
     from_rational,
     mpc_div,
-    mpc_mul_int,
     mpc_pow_int,
     mpf_cos_sin_pi,
     mpf_div,
@@ -149,22 +151,17 @@ def _zeta24(k: int, wp: int) -> ApComplex:
     return ApComplex(cos, sin, wp)
 
 
-def _q24(zred: ApComplex, wp: int) -> tuple[ApComplex, ApComplex]:
-    """(exp(pi*i*z/12), q) at a point; |q^{1/24}| = exp(-pi*im/12)."""
-    pi = mpf_pi(wp)
-    t = mpf_div(zred.re, from_int(12), wp, RND)
-    cos, sin = mpf_cos_sin_pi(t, wp, RND)
-    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(pi, zred.im, wp, RND), from_int(12), wp, RND)), wp, RND)
-    w24 = ApComplex(mpf_mul(r, cos, wp, RND), mpf_mul(r, sin, wp, RND), wp)
-    return w24, ApComplex(*mpc_pow_int(w24.mpc, 24, wp, RND), wp)
-
-
 def _eta_series(zred: ApComplex, wp: int) -> tuple[ApComplex, float]:
     """eta at a fundamental-domain point by the pentagonal-number series.
 
     Returns (value, log2 absolute error bound).
     """
-    w24, q = _q24(zred, wp)
+    # q^{1/24} = exp(pi*i*z/12) straight from z, and q its 24th power
+    pi = mpf_pi(wp)
+    cos, sin = mpf_cos_sin_pi(mpf_div(zred.re, from_int(12), wp, RND), wp, RND)
+    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(pi, zred.im, wp, RND), from_int(12), wp, RND)), wp, RND)
+    w24 = ApComplex(mpf_mul(r, cos, wp, RND), mpf_mul(r, sin, wp, RND), wp)
+    q = ApComplex(*mpc_pow_int(w24.mpc, 24, wp, RND), wp)
     im_bits = 2.0 * math.pi * to_float(zred.im, strict=False) / math.log(2.0)
     kmax = _series_terms(wp, im_bits)
 
@@ -275,53 +272,32 @@ def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     return _certified(prec, lambda wp: eta_at(z.value, 1, wp), "eta")[0]
 
 
-def _sigma3_table(n: int) -> list[int]:
-    sig = [0] * (n + 1)
-    for d in range(1, n + 1):
-        cube = d * d * d
-        for m in range(d, n + 1, d):
-            sig[m] += cube
-    return sig
-
-
-def _e4_series(q: ApComplex, wp: int, im_bits: float) -> tuple[ApComplex, float]:
-    """Eisenstein E4(q) = 1 + 240 sum sigma_3(n) q^n; (value, log2 error)."""
-    n = max(4, int((wp + 30) / im_bits) + 2)
-    while n * im_bits - math.log2(240.0) - 4 * math.log2(n) < wp + 6:
-        n += 1
-    sig = _sigma3_table(n)
-    total = ApComplex.make(1, 0, wp)
-    qn = q
-    for k in range(1, n + 1):
-        total = total + ApComplex(*mpc_mul_int(qn.mpc, 240 * sig[k], wp, RND), wp)
-        if k < n:
-            qn = qn * q
-    err = -wp - 4.0 + math.log2(3 * n + 8)
-    return total, err
-
-
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
-    """Klein J (J(i) = 1728), via E4^3 / eta^24 at the reduced point."""
-    zred0, _ = _reduce(z.value, z.value.prec)
-    im_val = to_float(zred0.im, strict=False)
-    boost = max(0, math.ceil(2.0 * math.pi * im_val / math.log(2.0))) + 32
+    """Klein J (J(i) = 1728) from Weber's f1(z) = eta(z/2) / eta(z):
+    J = (f + 16)^3 / f with f = f1^24 (Yui and Zagier, Math. Comp. 66, 1997).
+
+    If f1 is within a relative 2^r, then f = f1^24 is within 24 |f| 2^r,
+    and since dJ/df = (f + 16)^2 (2f - 16) / f^2, to first order
+        |dJ| <= |f + 16|^2 |2f - 16| / |f| * 24 * 2^r.
+    As for w^s, each magnitude below a line costs 2 bits (a coarse |x| is
+    only known to be >= 2^(mag - 2)), and rounding adds a few ulps of J.
+    |J| ~ e^{2 pi Im} at the reduced point, so every try gets that many
+    extra bits.
+    """
+    zred, _ = reduce_to_fundamental_domain(z)
+    boost = max(0, math.ceil(2.0 * math.pi * to_float(zred.value.im, strict=False)
+                             / math.log(2.0))) + 32
+    eta_at = EtaTable().for_coset(IDENTITY)
 
     def evaluate(wp: int) -> tuple[ApComplex, float]:
         wp += boost
-        zred, _ = _reduce(z.value, wp)
-        im_bits = 2.0 * math.pi * to_float(zred.im, strict=False) / math.log(2.0)
-        eta_val, eta_err = _eta_series(zred, wp)
-        e4, e4_err = _e4_series(_q24(zred, wp)[1], wp, im_bits)
-
-        num = e4 ** 3
-        den = eta_val ** 24
-        value = num / den
-        # d(num) <= 3(|E4|+eps)^2 eps;  den relative error <= ~24 * eta rel err
-        num_err = math.log2(3.0) + 2 * (e4.mag() + 1) + e4_err
-        eta_rel = eta_err - eta_val.mag() + 2
-        den_rel = math.log2(24.0) + eta_rel
-        err = max(num_err - den.mag() + 1, value.mag() + den_rel, value.mag() - wp + 4) + 2
-        return value, err
+        f1, err = _eta_quotient(z.value, (2,), (1,), wp, eta_at)
+        f = f1 ** 24
+        g = f + 16
+        value = g ** 3 / f
+        rel_f = err - f1.mag() + math.log2(24.0) + 2
+        dj = 2 * g.mag() + (f * 2 - 16).mag() - f.mag() + 2 + rel_f
+        return value, max(dj, value.mag() - wp + 4) + 2
 
     return _certified(prec, evaluate, "J")[0]
 
@@ -331,17 +307,19 @@ def s_exponent(p1: int, p2: int) -> int:
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
 
 
-def _w_at(z: ApComplex, p1: int, p2: int, wp: int, eta_at: EtaAt) -> tuple[ApComplex, float]:
-    """Double eta quotient eta(z/p1)eta(z/p2)/(eta(z)eta(z/(p1 p2)))."""
+def _eta_quotient(z: ApComplex, num: tuple[int, ...], den: tuple[int, ...], wp: int,
+                  eta_at: EtaAt) -> tuple[ApComplex, float]:
+    """prod eta(z/n) for n in num over prod eta(z/d) for d in den, and its
+    log2 absolute error bound: each of the (at most four) factors is within
+    a relative 2^rel, and the quotient within 8 * 2^rel."""
     vals = []
     rel = -float(wp)
-    for den in (p1, p2, 1, p1 * p2):
-        v, e = eta_at(z / den if den != 1 else z, den, wp)
+    for n in num + den:
+        v, e = eta_at(z / n if n != 1 else z, n, wp)
         vals.append(v)
         rel = max(rel, e - v.mag() + 2.0)
-    value = (vals[0] * vals[1]) / (vals[2] * vals[3])
-    rel_out = rel + math.log2(8.0)
-    return value, value.mag() + rel_out
+    value = reduce(mul, vals[:len(num)]) / reduce(mul, vals[len(num):])
+    return value, value.mag() + rel + 3.0
 
 
 def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
@@ -366,7 +344,9 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
     eta_at = EtaTable().for_coset(IDENTITY)
-    return _certified(prec, lambda wp: _w_at(z.value, p1, p2, wp + 16, eta_at), "quotient")[0]
+    return _certified(
+        prec, lambda wp: _eta_quotient(z.value, (p1, p2), (1, p1 * p2), wp + 16, eta_at),
+        "quotient")[0]
 
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
@@ -385,7 +365,7 @@ def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,
     s = s_exponent(p1, p2)
 
     def evaluate(wp: int) -> tuple[ApComplex, float]:
-        w, err = _w_at(z.value, p1, p2, wp + 16 + 4 * s, eta_at)
+        w, err = _eta_quotient(z.value, (p1, p2), (1, p1 * p2), wp + 16 + 4 * s, eta_at)
         value = w ** s
         return value, value.mag() + err - w.mag() + math.log2(float(s)) + 2
 

@@ -6,10 +6,12 @@ z_m the monic product over the psi(N) conjugates w^s(gamma z_m) is expanded,
 then every X-coefficient is interpolated as a polynomial in J(z_m) through a
 small Vandermonde solve, rounded to integers, and re-verified on extra
 samples; a failed check doubles the precision (`classpoly.double_until`, up
-to max_prec), and J-values too close to interpolate move the samples at the
-same precision.  Conjugates are evaluated by direct eta evaluation at the
-transformed points, one series per SL2(Z)-class of eta argument at each
-sample point (an `EtaTable`); no symbolic q-expansions are involved.
+to max_prec).  The samples lie on the imaginary axis above i, where J is
+real and strictly increasing, so their J-values are distinct and far apart
+(the elimination still raises InterpolationSingular if they are not).
+Conjugates are evaluated by direct eta evaluation at the transformed points,
+one series per SL2(Z)-class of eta argument at each sample point (an
+`EtaTable`); no symbolic q-expansions are involved.
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+
+from mpmath.libmp import fzero
 
 from .apcomplex import ApComplex, UpperHalfPoint
 from .arith import check_distinct_odd_primes, crt_pair
@@ -97,10 +101,11 @@ def coset_representatives(N: int) -> list[Matrix]:
     return reps
 
 
-def _sample_point(m: int, stride: int, prec: int) -> UpperHalfPoint:
-    re = ApComplex.make(m, 0, prec) / (17 + 2 * stride)
-    im = ApComplex.make(11, 0, prec) / 10 + ApComplex.make(m, 0, prec) / (7 + stride)
-    return UpperHalfPoint(ApComplex(re.re, im.re, prec))
+def _sample_point(m: int, prec: int) -> UpperHalfPoint:
+    """z_m = i (11/10 + m/7): J is real and strictly increasing on the
+    imaginary axis above i, so the sample J-values are distinct."""
+    im = ApComplex.make(11, 0, prec) / 10 + ApComplex.make(m, 0, prec) / 7
+    return UpperHalfPoint(ApComplex(fzero, im.re, prec))
 
 
 def _solve_vandermonde(js: list[ApComplex], ys: list[ApComplex], wp: int) -> list[ApComplex]:
@@ -143,28 +148,18 @@ def compute_modular_polynomial(p1: int, p2: int, *,
         raise PreconditionError(f"J-degree {degj} beyond desk scale")
     cosets = coset_representatives(N)
     n_samples = degj + 1 + VERIFY_SAMPLES
-    stride = 0  # kept from one precision to the next
-
-    def attempt(prec: int) -> ModularPolynomial | None:
-        nonlocal stride
-        while True:
-            try:
-                return _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride)
-            except InterpolationSingular:
-                stride += 1
-                if stride > 8:
-                    raise
-
-    return double_until(_initial_precision(degx, degj), max_prec, attempt,
-                        f"Phi_{{{p1},{p2}}}")
+    return double_until(
+        _initial_precision(degx, degj), max_prec,
+        lambda prec: _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec),
+        f"Phi_{{{p1},{p2}}}")
 
 
-def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec, stride):
+def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec):
     wp = prec + 32
     j_vals: list[ApComplex] = []
     slices = []
     for m in range(n_samples):
-        z = _sample_point(m, stride, wp + 64)
+        z = _sample_point(m, wp + 64)
         j_vals.append(j_invariant(z, prec))
         table = EtaTable()
         values = [

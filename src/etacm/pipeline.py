@@ -157,6 +157,9 @@ def curves_with_j(jbar: int, q: int) -> list[EllipticCurve]:
     base = curve_from_j(jbar, q)
     c = _non_residue(q)
     if jbar % q == 0 and q % 3 == 1:
+        # the six classes need a c that is neither a square nor a cube
+        while pow(c, (q - 1) // 3, q) == 1 or pow(c, (q - 1) // 2, q) != q - 1:
+            c += 1
         return [EllipticCurve.make(q, 0, pow(c, k, q)) for k in range(6)]
     if jbar % q == 1728 % q and q % 4 == 1:
         return [EllipticCurve.make(q, pow(c, k, q), 0) for k in range(4)]

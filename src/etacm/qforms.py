@@ -165,7 +165,7 @@ class Discriminant:
 
 
 def _split_n(N: int) -> tuple[int, int]:
-    for p in range(3, isqrt(N) + 1, 2):
+    for p in range(3, isqrt(max(N, 0)) + 1, 2):
         if N % p == 0:
             q = N // p
             if p != q and q % 2 and is_probable_prime(p) and is_probable_prime(q):

@@ -9,7 +9,7 @@ from etacm.atkin import (
     multiple_root_condition,
     wn_squared_fixes_class,
 )
-from etacm.errors import ConditionsViolated, InvalidB
+from etacm.errors import ConditionsViolated, InvalidB, PreconditionError
 from etacm.ffield import FpPolynomial, has_multiple_root, roots_mod_l
 from etacm.classpoly import compute_class_polynomial
 from etacm.intpoly import divmod_monic
@@ -32,6 +32,13 @@ class TestMultipleRootCondition:
     def test_invalid_b(self):
         with pytest.raises(InvalidB):
             multiple_root_condition(-56, 39, 11)
+
+    def test_nonpositive_n(self):
+        # 10^2 + 56 = 0 mod -156, so only the sign of N is wrong
+        with pytest.raises(PreconditionError):
+            multiple_root_condition(-56, -39, 10)
+        with pytest.raises(PreconditionError):
+            wn_squared_fixes_class(-56, -39, 10)
 
     def test_witness_satisfies_equations_exactly(self):
         rng = random.Random(55)

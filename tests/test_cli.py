@@ -124,6 +124,13 @@ class TestCmCurve:
         assert fields[5] == "shortcut=no"
         assert int(fields[3]) in (q + 1 - 34903, q + 1 + 34903)
 
+    def test_j_zero_twists(self, capsys):
+        # the CM orders at 43 are 31 and 57; all six twists of j = 0 are tried
+        code, out, _ = run_cli(
+            ["cm-curve", "--disc", "-3", "--p1", "3", "--p2", "13", "--prime", "43"], capsys)
+        assert code == EXIT_OK
+        assert int(out.split()[3]) in (31, 57)
+
     def test_no_trace_exits_2(self, capsys):
         code, _, err = run_cli(
             ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13", "--prime", "11"], capsys)
@@ -142,6 +149,9 @@ class TestCmCurve:
 class TestUsageAndPlumbing:
     def test_usage_error_exits_64(self, capsys):
         assert run_cli(["classpoly", "--disc"], capsys)[0] == EXIT_USAGE
+
+    def test_verbose_flag_is_gone(self, capsys):
+        assert run_cli(["-v", "roots", "--modulus", "7", "--coeffs", "1 0"], capsys)[0] == EXIT_USAGE
 
     def test_unknown_command_exits_64(self, capsys):
         assert run_cli(["frobnicate"], capsys)[0] == EXIT_USAGE

@@ -6,6 +6,7 @@ import pytest
 from etacm.apcomplex import ApComplex, UpperHalfPoint
 from etacm.errors import (
     CoefficientParseFailure,
+    InterpolationSingular,
     MalformedHeader,
     PreconditionError,
     WrongDegree,
@@ -63,6 +64,8 @@ class TestCosetRepresentatives:
     def test_rejects_bad_levels(self):
         with pytest.raises(PreconditionError):
             coset_representatives(9)
+        with pytest.raises(PreconditionError):
+            psi(-39)
         with pytest.raises(PreconditionError):
             coset_representatives(30)
 
@@ -168,21 +171,22 @@ class TestComputeModularPolynomial:
         assert phi.degX == psi(39)
         assert tables and all(0 < len(t) <= 1 + 4 + 14 + psi(39) for t in tables)
 
-    def test_singular_samples_trigger_restride(self, monkeypatch):
-        # duplicate J-samples at stride 0 must raise internally and be
-        # retried with the next stride, transparently to the caller
+    def test_duplicate_samples_raise(self, monkeypatch):
+        # the elimination's pivot check still guards the interpolation
         import etacm.modpoly as mp
 
-        want = compute_modular_polynomial(3, 5)
         real_sample = mp._sample_point
+        monkeypatch.setattr(mp, "_sample_point", lambda m, prec: real_sample(0, prec))
+        with pytest.raises(InterpolationSingular):
+            compute_modular_polynomial(3, 5)
 
-        def rigged(m, stride, prec):
-            if stride == 0:
-                return real_sample(0, 0, prec)  # every sample identical
-            return real_sample(m, stride, prec)
+    def test_sample_j_values_real_and_increasing(self):
+        import etacm.modpoly as mp
 
-        monkeypatch.setattr(mp, "_sample_point", rigged)
-        assert compute_modular_polynomial(3, 5) == want
+        js = [to_mp(j_invariant(mp._sample_point(m, 320), 256)) for m in range(9)]
+        assert all(abs(j.imag) < mpmath.mpf(2) ** -150 for j in js)
+        assert 1728 < js[0].real
+        assert all(a.real < b.real for a, b in zip(js, js[1:]))
 
     def test_rejects_unsupported(self):
         with pytest.raises(PreconditionError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import etacm.pipeline as pipeline
+from etacm.arith import is_probable_prime
 from etacm.atkin import is_multiple_root_case
 from etacm.classpoly import compute_class_polynomial
 from etacm.errors import NoTrace, PreconditionError
@@ -101,6 +102,15 @@ class TestCurveFromJ:
         for j in (5, 229, 1728, 0):
             for cand in curves_with_j(j, 3593):
                 assert cand.j_invariant() == j % 3593
+
+    @pytest.mark.parametrize("j,residue,count", [(0, 3, 6), (1728, 4, 4)])
+    def test_every_twist_class_is_reached(self, j, residue, count):
+        # the twists of j = 0 (q = 1 mod 3) and j = 1728 (q = 1 mod 4) have
+        # pairwise distinct traces, so one curve per class gives distinct orders
+        primes = [q for q in range(5, 1000) if q % residue == 1 and is_probable_prime(q)]
+        for q in primes:
+            orders = {point_count(e) for e in curves_with_j(j, q)}
+            assert len(orders) == count, q
 
 
 class TestPointCount:

@@ -1,0 +1,93 @@
+"""Property tests: form reduction, roots over F_l and the Phi file format."""
+import random
+from math import gcd
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
+from etacm.modpoly import ModularPolynomial, deserialize, serialize  # noqa: E402
+from etacm.qforms import QuadraticForm, reduce_form  # noqa: E402
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def forms(draw):
+    a = draw(st.integers(1, 500))
+    b = draw(st.integers(-2000, 2000))
+    c = b * b // (4 * a) + draw(st.integers(1, 500))  # b^2 - 4ac < 0
+    assume(gcd(a, b, c) == 1)
+    return QuadraticForm(a, b, c)
+
+
+def _brute_force_roots(coeffs: list[int], l: int) -> dict[int, int]:
+    """{x: multiplicity} by repeated synthetic division at every x in F_l."""
+    out = {}
+    for x in range(l):
+        g, m = [c % l for c in coeffs], 0
+        while len(g) > 1:
+            acc, quot = 0, []
+            for c in reversed(g):  # Horner, highest degree first
+                acc = (acc * x + c) % l
+                quot.append(acc)
+            if quot.pop():
+                break
+            g, m = quot[::-1], m + 1
+        if m:
+            out[x] = m
+    return out
+
+
+@st.composite
+def polynomials_mod_l(draw):
+    """(coefficients lowest degree first, l): random roots, some repeated,
+    times a random cofactor, so that multiplicities above 1 are common."""
+    l = draw(st.sampled_from(ODD_PRIMES))
+    coeffs = draw(st.lists(st.integers(0, l - 1), min_size=1, max_size=4))
+    coeffs[-1] = coeffs[-1] or 1
+    for r in draw(st.lists(st.integers(0, l - 1), min_size=1, max_size=5)):
+        coeffs = [((coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)) % l
+                  for i in range(len(coeffs) + 1)]
+    return coeffs, l
+
+
+class TestReduceForm:
+    @PROPERTY
+    @given(forms())
+    def test_reduced_equivalent_and_idempotent(self, f):
+        g, m = reduce_form(f)
+        assert g.is_reduced()
+        assert m[0] * m[3] - m[1] * m[2] == 1
+        assert f.compose(m) == g
+        assert reduce_form(g) == (g, (1, 0, 0, 1))
+
+
+class TestRootsModL:
+    @PROPERTY
+    @given(polynomials_mod_l(), st.integers(0, 2**32))
+    def test_matches_brute_force(self, poly, seed):
+        coeffs, l = poly
+        got = roots_mod_l(FpPolynomial.make(coeffs, l), random.Random(seed))
+        assert dict(got) == _brute_force_roots(coeffs, l)
+
+
+@st.composite
+def modular_polynomials(draw):
+    degx, degj = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    row = st.tuples(*[st.integers(-10**30, 10**30)] * (degj + 1))
+    coeffs = draw(st.tuples(*[row] * (degx + 1)))
+    return ModularPolynomial(draw(st.integers(3, 13)), draw(st.integers(3, 13)),
+                             draw(st.integers(1, 24)), degx, degj, coeffs)
+
+
+class TestSerializeRoundTrip:
+    @PROPERTY
+    @given(modular_polynomials())
+    def test_round_trip(self, phi):
+        assert deserialize(serialize(phi)) == phi

@@ -140,6 +140,11 @@ class TestBCandidates:
         bs = b_candidates(-56, 39)
         assert {(-b) % 78 for b in bs} == set(bs)
 
+    def test_nonpositive_n_raises(self):
+        for n in (-39, 0):
+            with pytest.raises(PreconditionError):
+                b_candidates(-56, n)
+
     def test_no_solution_raises(self):
         with pytest.raises(NoSolution):
             b_candidates(-8, 39)  # (-8|13) = -1

@@ -1,0 +1,92 @@
+"""Print every benchmark job's output as one canonical JSON line, so that two
+trees of etacm can be compared with `diff`.
+
+Usage, from the root of one tree (the etacm that runs is the one on
+PYTHONPATH; the job lists come from this tree's perfbench/inputs.py):
+
+    PYTHONPATH=src python3 tools/same_outputs.py > new.jsonl
+    PYTHONPATH=/path/to/other/src python3 tools/same_outputs.py > old.jsonl
+    diff old.jsonl new.jsonl
+
+Covered: the distinct `classpoly`, `modpoly`, `cm-shortcut` and `cm-count`
+jobs of the seed range (the same calls that perfbench/run.py times), whether
+the computed Phi_{3,13} equals the embedded file, and the stdout and exit code
+of `etacm reproduce-example` and of the worked `cm-curve` line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import inputs  # noqa: E402
+
+import etacm  # noqa: E402
+from etacm.cli import dispatch  # noqa: E402
+
+WORKED_CM_CURVE = ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13",
+                   "--prime", "3593", "--b", "10"]
+
+
+def _emit(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True), flush=True)
+
+
+def _cli(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-9"),
+                        help="inclusive seed range, e.g. 0-9 (default) or 3")
+    args = parser.parse_args(argv)
+    p1, p2 = inputs.CM_PAIR
+    seen: set = set()
+
+    def once(key) -> bool:
+        new = key not in seen
+        seen.add(key)
+        return new
+
+    for seed in args.seeds:
+        for job in inputs.classpoly_jobs(seed):
+            if once(("classpoly", job.D, job.p1, job.p2, job.B)):
+                poly = etacm.compute_class_polynomial(job.D, job.p1, job.p2, job.B)
+                _emit({"job": "classpoly", "D": job.D, "p1": job.p1, "p2": job.p2,
+                       "B": job.B, "out": list(poly.coeffs)})
+        for pair in inputs.modpoly_jobs(seed):
+            if once(("modpoly", pair)):
+                phi = etacm.compute_modular_polynomial(*pair)
+                _emit({"job": "modpoly", "pair": list(pair),
+                       "out": [list(row) for row in phi.coeffs]})
+                if pair == (3, 13):
+                    _emit({"job": "phi-3-13-equals-embedded",
+                           "out": phi == etacm.load_embedded(3, 13)})
+        jobs = inputs.shortcut_jobs(seed) + inputs.count_jobs(seed)[0]
+        for job in jobs:
+            if once(("cm", job.D, job.q, job.B)):
+                curve, cert, shortcut = etacm.construct_cm_curve(job.D, p1, p2, job.q, B=job.B)
+                _emit({"job": "cm", "D": job.D, "q": job.q, "B": job.B,
+                       "out": [curve.a4.value, curve.a6.value, cert.order, shortcut]})
+    _emit({"job": "reproduce-example", "out": _cli(["reproduce-example"])})
+    _emit({"job": "worked-cm-curve", "out": _cli(WORKED_CM_CURVE)})
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
