@@ -7,13 +7,13 @@ precision attempt reduce to the h forms of discriminant D, so an attempt
 sums one eta series per reduced form (an `EtaTable`), not one per argument.
 The complex product is expanded through a balanced tree with one worst-case
 error bound carried per polynomial, and the rounding to integers is accepted
-only when both the rounding residual and the certified evaluation error are
-small; otherwise the working precision is doubled, up to max_prec (the loop
-`double_until`, which modpoly shares).  The first attempt starts from the
-measured height of H: a pass at MIN_PREC bits gives the roots' norms and
-error bounds, hence the precision at which the tree's bound falls below the
-rounding limit.  When that bound is already below the limit at MIN_PREC
-bits, the pass's own roots are expanded as the first attempt.
+only when both the rounding residual and the certified error are small
+(`round_certified`); otherwise the precision is doubled, up to max_prec
+(`double_until`).  modpoly shares both, and `initial_precision`: the first
+attempt starts from the measured height of H, as a pass at MIN_PREC bits
+gives the roots' norms and error bounds, hence the precision at which the
+tree's bound falls below the rounding limit.  When that bound is already
+below the limit at MIN_PREC bits, the pass's roots are the first attempt.
 """
 
 from __future__ import annotations
@@ -193,10 +193,15 @@ def initial_precision(tree_err: float, h: int) -> int:
     return MIN_PREC + math.ceil(tree_err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
 
 
-def _expand(roots: list[tuple[ApComplex, float]], prec: int) -> tuple[list[int], float, float]:
-    tree = product_tree(roots, prec + TREE_BITS)
-    ints, residual = round_to_integers(tree.coeffs)
-    return ints, residual, 2.0 ** min(tree.err, 1023.0)
+def round_certified(f: CPoly) -> list[int] | None:
+    """The gate of H and Phi: the nearest integers to f's coefficients if the
+    rounding residual and the certified bound 2^f.err are below RESIDUAL_LIMIT."""
+    ints, residual = round_to_integers(f.coeffs)
+    return ints if residual < RESIDUAL_LIMIT and f.err < math.log2(RESIDUAL_LIMIT) else None
+
+
+def _expand(roots: list[tuple[ApComplex, float]], prec: int) -> list[int] | None:
+    return round_certified(product_tree(roots, prec + TREE_BITS))
 
 
 def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
@@ -211,10 +216,6 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
 
-    def attempt(roots: list[tuple[ApComplex, float]], prec: int) -> list[int] | None:
-        ints, residual, cert = _expand(roots, prec)
-        return ints if residual < RESIDUAL_LIMIT and cert < RESIDUAL_LIMIT else None
-
     roots = _roots(system, p1, p2, MIN_PREC)
     err = _tree_err(roots, MIN_PREC + TREE_BITS)
     start = initial_precision(err, len(roots))
@@ -222,7 +223,7 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
         # the height pass's roots are predicted to round: they are the first attempt
         start = MIN_PREC
     ints = double_until(start, max_prec,
-                        lambda prec: attempt(roots if prec == MIN_PREC
+                        lambda prec: _expand(roots if prec == MIN_PREC
                                              else _roots(system, p1, p2, prec), prec),
                         f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:

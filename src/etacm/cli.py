@@ -42,8 +42,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--p1", type=int, required=True)
     p.add_argument("--p2", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--all-b", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--b", type=int, default=None)
+    which.add_argument("--all-b", action="store_true")
 
     p = sub.add_parser("modpoly", help="modular polynomial Phi_{p1,p2}(X, J)")
     p.add_argument("--p1", type=int)
@@ -99,15 +100,17 @@ def _cmd_classpoly(args, out) -> int:
 
 
 def _cmd_modpoly(args, out) -> int:
-    if args.verify_embedded:
-        embedded = modpoly.load_embedded(3, 13)
-        computed = modpoly.compute_modular_polynomial(3, 13, max_prec=args.precision_max)
-        ok = embedded == computed
+    pair = (args.p1, args.p2)
+    if args.verify_embedded and pair == (None, None):
+        pair = (3, 13)
+    if None in pair:
+        raise PreconditionError("--p1 and --p2 required (or --verify-embedded)")
+    embedded = modpoly.load_embedded(*pair) if args.verify_embedded else None
+    phi = modpoly.compute_modular_polynomial(*pair, max_prec=args.precision_max)
+    if embedded is not None:
+        ok = embedded == phi
         print("embedded-matches-computed: " + ("yes" if ok else "no"), file=out)
         return EXIT_OK if ok else EXIT_PRECONDITION
-    if args.p1 is None or args.p2 is None:
-        raise PreconditionError("--p1 and --p2 required (or --verify-embedded)")
-    phi = modpoly.compute_modular_polynomial(args.p1, args.p2, max_prec=args.precision_max)
     out.write(modpoly.serialize(phi).decode("ascii"))
     return EXIT_OK
 

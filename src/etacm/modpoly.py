@@ -1,17 +1,16 @@
 """The modular polynomial Phi_{p1,p2}(X, J) linking w^s to the J-invariant.
 
 Phi is monic of degree psi(N) = (p1+1)(p2+1) in X and of degree
-s(p1-1)(p2-1)/12 in J.  It is computed numerically: at each sample point
-z_m the monic product over the psi(N) conjugates w^s(gamma z_m) is expanded,
-then every X-coefficient is interpolated as a polynomial in J(z_m) through a
-small Vandermonde solve, rounded to integers, and re-verified on extra
-samples; a failed check doubles the precision (`classpoly.double_until`, up
-to max_prec).  The samples lie on the imaginary axis above i, where J is
-real and strictly increasing, so their J-values are distinct and far apart
-(the elimination still raises InterpolationSingular if they are not).
-Conjugates are evaluated by direct eta evaluation at the transformed points,
-one series per SL2(Z)-class of eta argument at each sample point (an
-`EtaTable`); no symbolic q-expansions are involved.
+s(p1-1)(p2-1)/12 in J.  It is computed numerically: at each of degJ + 1
+sample points z_m the monic product over the psi(N) conjugates w^s(gamma z_m)
+is expanded, then every X-coefficient is interpolated in J on the Lagrange
+basis at the nodes J(z_m), with a certified bound, and accepted through H's
+gate (`classpoly.round_certified`).  A rejected first attempt at MIN_PREC
+bits gives the start of the doubling (`classpoly.initial_precision`).  The
+samples lie on the imaginary axis above i, where J is real and strictly
+increasing, so the nodes are distinct and far apart.  Conjugates are
+evaluated by direct eta evaluation at the transformed points, one series per
+SL2(Z)-class of eta argument at each sample point (an `EtaTable`).
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -21,13 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 
 from mpmath.libmp import fzero
 
-from .apcomplex import ApComplex, UpperHalfPoint
+from .apcomplex import MIN_PREC, ApComplex, UpperHalfPoint
 from .arith import check_distinct_odd_primes, crt_pair
-from .classpoly import MAX_PRECISION, double_until, product_tree, round_to_integers
+from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _log2add, double_until,
+                        initial_precision, product_tree, round_certified)
 from .errors import (
     CoefficientParseFailure,
     InterpolationSingular,
@@ -35,14 +36,12 @@ from .errors import (
     PreconditionError,
     WrongDegree,
 )
-from .etafunc import EtaTable, apply_moebius, j_invariant, s_exponent, w_pow_s_with_err
+from .etafunc import (EtaTable, apply_moebius, eta_guard_bits, j_invariant, s_exponent,
+                      w_pow_s_with_err)
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
 from .qforms import Matrix, _split_n, _xgcd
-
-VERIFY_SAMPLES = 3
-ROUND_LIMIT = 0.25
 
 
 @dataclass(frozen=True)
@@ -108,32 +107,65 @@ def _sample_point(m: int, prec: int) -> UpperHalfPoint:
     return UpperHalfPoint(ApComplex(fzero, im.re, prec))
 
 
-def _solve_vandermonde(js: list[ApComplex], ys: list[ApComplex], wp: int) -> list[ApComplex]:
-    """Coefficients of the polynomial through (js[i], ys[i]) by elimination."""
-    n = len(js)
-    rows = []
-    for i in range(n):
-        row = [ApComplex.make(1, 0, wp)]
-        for _ in range(n - 1):
-            row.append(row[-1] * js[i])
-        row.append(ys[i])
-        rows.append(row)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: rows[r][col].mag())
-        if rows[pivot][col].mag() < -(wp // 2):
+def _lagrange(nodes: list[ApComplex], node_err: float, samples: list[CPoly],
+             wp: int) -> list[CPoly]:
+    """For every k, the polynomial P_k of degree < len(nodes) through the
+    points (nodes[m], samples[m].coeffs[k]), with a certified error bound.
+
+    P_k = sum_m y_{m,k} N_m / d_m, with N_m(J) = prod_{j != m} (J - x_j) and
+    d_m = prod_{j != m} (x_m - x_j).  Nodes are within 2^node_err, y_{m,k}
+    within 2^samples[m].err.  N_m is a `product_tree` with node_err at the
+    leaves, d_m the same `CPoly.mul` fold over x_m - x_j (each within
+    2^(node_err + 1) plus a rounding).  If |d - d'| <= e <= |d'|/2, then
+    |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2 with |d'| >= 2^(mag - 2), plus
+    the division's rounding.  `CPoly.mul` bounds (1/d_m) N_m and its product
+    with y_{m,k}; the sum over m adds n - 1 roundings, each below 2^(1 - wp)
+    times the sum of the terms' norms.  Raises InterpolationSingular when
+    two nodes are within 2^-(wp/2), or some d_m is not certified nonzero.
+    """
+    basis = []
+    for m, x in enumerate(nodes):
+        others = nodes[:m] + nodes[m + 1:]
+        diffs = [x - xj for xj in others]
+        d = reduce(lambda f, g: f.mul(g, wp),
+                   [CPoly([c], _log2add(node_err + 1, c.mag() - wp + 1), c.mag()) for c in diffs])
+        low = d.coeffs[0].mag() - 2
+        if min(c.mag() for c in diffs) < -(wp // 2) or d.err > low - 1:
             raise InterpolationSingular("sample J-values too close")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [c * inv for c in rows[col]]
-        for r in range(n):
-            if r != col:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+        inv = 1 / d.coeffs[0]
+        inv_err = _log2add(d.err + 1 - 2 * low, inv.mag() - wp + 2)
+        numer = product_tree([(xj, node_err) for xj in others], wp)
+        basis.append(CPoly([inv], inv_err, inv.mag()).mul(numer, wp))
+    out = []
+    for k in range(len(samples[0].coeffs)):
+        terms = [CPoly([y.coeffs[k]], y.err, y.coeffs[k].mag()).mul(lm, wp)
+                 for y, lm in zip(samples, basis)]
+        norm = _log2add(*(t.norm for t in terms))
+        err = _log2add(*(t.err for t in terms), norm + math.log2(len(terms)) + 1 - wp)
+        out.append(CPoly([sum(cs) for cs in zip(*(t.coeffs for t in terms))], err, norm))
+    return out
 
 
-def _initial_precision(degx: int, degj: int) -> int:
-    return 256 + 24 * degj * degj + 4 * degx
+def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) -> list[CPoly]:
+    """Every X-coefficient of Phi as a polynomial in J, with its certified
+    bound, from degJ + 1 sample points at precision prec."""
+    wp = prec + TREE_BITS
+    nodes = []
+    samples = []
+    for m in range(degj + 1):
+        z = _sample_point(m, wp + 64)
+        nodes.append(j_invariant(z, prec))
+        table = EtaTable()
+        samples.append(product_tree(
+            [w_pow_s_with_err(UpperHalfPoint(apply_moebius(g, z.value, wp + 64)), p1, p2, prec,
+                              table.for_coset(g)) for g in cosets], wp))
+    # j_invariant certifies its values within 2^(guard - prec)
+    return _lagrange(nodes, eta_guard_bits(prec) - prec, samples, wp)
+
+
+def _rows(polys: list[CPoly]) -> list[list[int]] | None:
+    rows = [round_certified(f) for f in polys]
+    return None if None in rows else rows
 
 
 def compute_modular_polynomial(p1: int, p2: int, *,
@@ -147,50 +179,14 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     if degj > 4:
         raise PreconditionError(f"J-degree {degj} beyond desk scale")
     cosets = coset_representatives(N)
-    n_samples = degj + 1 + VERIFY_SAMPLES
-    return double_until(
-        _initial_precision(degx, degj), max_prec,
-        lambda prec: _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec),
-        f"Phi_{{{p1},{p2}}}")
-
-
-def _attempt(p1, p2, s, degx, degj, cosets, n_samples, prec):
-    wp = prec + 32
-    j_vals: list[ApComplex] = []
-    slices = []
-    for m in range(n_samples):
-        z = _sample_point(m, wp + 64)
-        j_vals.append(j_invariant(z, prec))
-        table = EtaTable()
-        values = [
-            w_pow_s_with_err(UpperHalfPoint(apply_moebius(g, z.value, wp + 64)), p1, p2, prec,
-                             table.for_coset(g))
-            for g in cosets
-        ]
-        slices.append(product_tree(values, wp))
-
-    table: list[list[int]] = []
-    max_resid = 0.0
-    for k in range(degx):
-        ys = [slices[m].coeffs[k] for m in range(degj + 1)]
-        coeffs = _solve_vandermonde(j_vals[: degj + 1], ys, wp)
-        ints, resid = round_to_integers(coeffs)
-        max_resid = max(max_resid, resid)
-        if resid >= ROUND_LIMIT:
-            return None
-        table.append(ints + [0] * (degj + 1 - len(ints)))
-    # extra-sample verification against the rounded integers
-    for m in range(degj + 1, n_samples):
-        jm = j_vals[m]
-        for k in range(degx):
-            acc = ApComplex.make(0, 0, wp)
-            for c in reversed(table[k]):
-                acc = acc * jm + c
-            diff = acc - slices[m].coeffs[k]
-            if diff.mag() > -3:  # |diff| must stay below 1/8
-                return None
-    table.append([1] + [0] * degj)  # monic leading X-coefficient
-    return ModularPolynomial(p1, p2, s, degx, degj, tuple(tuple(r) for r in table))
+    first = _coefficients(p1, p2, degj, cosets, MIN_PREC)
+    rows = _rows(first) if max_prec >= MIN_PREC else None
+    if rows is None:
+        rows = double_until(
+            initial_precision(max(f.err for f in first), degx), max_prec,
+            lambda prec: _rows(_coefficients(p1, p2, degj, cosets, prec)),
+            f"Phi_{{{p1},{p2}}}")
+    return ModularPolynomial(p1, p2, s, degx, degj, tuple(tuple(r) for r in rows))
 
 
 def evaluate_in_j_mod_l(phi: ModularPolynomial, wbar, l: int) -> FpPolynomial:

@@ -96,9 +96,6 @@ def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Matrix]:
     if b < 0 and a == c:
         b = -b
         m = _mat_mul(m, (0, -1, 1, 0))
-    elif b < 0 and b == -a:
-        b = a
-        m = _mat_mul(m, (1, 1, 0, 1))
     g = QuadraticForm(a, b, c)
     assert f.compose(m) == g
     return g, m

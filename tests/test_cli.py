@@ -188,15 +188,35 @@ class TestUsageAndPlumbing:
         assert code == EXIT_OK
         assert out == "embedded-matches-computed: yes\n"
 
+    def test_modpoly_verify_embedded_reads_the_pair(self, capsys):
+        # only Phi_{3,13} ships, so another pair has no file to verify
+        code, out, err = run_cli(["modpoly", "--p1", "5", "--p2", "7", "--verify-embedded"],
+                                 capsys)
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "no embedded polynomial for (5, 7)" in err
+        code, out, _ = run_cli(["modpoly", "--p1", "3", "--p2", "13", "--verify-embedded"],
+                               capsys)
+        assert code == EXIT_OK and out == "embedded-matches-computed: yes\n"
+        for half in (["--p1", "3"], ["--p2", "13"]):
+            code, out, _ = run_cli(["modpoly", *half, "--verify-embedded"], capsys)
+            assert code == EXIT_PRECONDITION and out == ""
+
+    def test_classpoly_b_and_all_b_exclude_each_other(self, capsys):
+        code, out, err = run_cli(["classpoly", "--disc", "-56", "--p1", "3", "--p2", "13",
+                                  "--b", "16", "--all-b"], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "not allowed with argument" in err
+
     @pytest.mark.parametrize("cap, argv", [
         (32, ["classpoly", "--disc", "-56", "--p1", "3", "--p2", "13", "--b", "10"]),
-        (256, ["modpoly", "--p1", "3", "--p2", "5"]),
+        (64, ["modpoly", "--p1", "3", "--p2", "5"]),
         (32, ["modpoly", "--verify-embedded"]),
         (32, ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13", "--prime", "3593"]),
         (32, ["reproduce-example"]),
     ])
     def test_precision_max_below_start_exits_3(self, capsys, cap, argv):
-        # the starts are 64 bits for H of D = -56 and 448 for Phi_{3,5}
+        # the starts are 64 bits for H of D = -56 and 96 for Phi_{3,5}, whose
+        # 64-bit attempt is rejected
         code, out, err = run_cli(["--precision-max", str(cap)] + argv, capsys)
         assert code == 3
         assert f"max_prec = {cap} " in err

@@ -8,6 +8,7 @@ from etacm.errors import (
     CoefficientParseFailure,
     InterpolationSingular,
     MalformedHeader,
+    PrecisionExhausted,
     PreconditionError,
     WrongDegree,
 )
@@ -137,21 +138,89 @@ class TestComputeModularPolynomial:
                 assert abs(val) / scale < mpmath.mpf(2) ** -380
 
     def test_small_pair_and_recompute_stability(self, monkeypatch):
+        # a raised start (the 64-bit attempt rejected, the doubling started
+        # at 1200 bits) gives the same Phi
         import etacm.modpoly as mp
 
         a = compute_modular_polynomial(3, 5)
-        monkeypatch.setattr(mp, "_initial_precision", lambda *a: 1200)
+        calls = []
+        real_coefficients, real_gate = mp._coefficients, mp.round_certified
+        monkeypatch.setattr(mp, "_coefficients",
+                            lambda *a: calls.append(a[4]) or real_coefficients(*a))
+        monkeypatch.setattr(mp, "round_certified",
+                            lambda f: None if len(calls) == 1 else real_gate(f))
+        monkeypatch.setattr(mp, "initial_precision", lambda *a: 1200)
         b = compute_modular_polynomial(3, 5)
+        assert calls == [64, 1200]
         assert a == b
         assert a.degX == 24 and a.degJ == 2 and a.s == 3
         assert a.coeffs[24] == (1, 0, 0)
 
-    def test_doubling_recovers_from_starved_start(self, monkeypatch):
+    def test_doubling_recovers_from_starved_start(self, monkeypatch, phi313_embedded):
+        # Phi_{3,13} needs more than 64 bits: with the start also starved to
+        # 64 bits, the gate rejects both 64-bit attempts and the doubling
+        # still converges to the same integers
         import etacm.modpoly as mp
 
-        want = compute_modular_polynomial(3, 5)
-        monkeypatch.setattr(mp, "_initial_precision", lambda *a: 64)
-        assert compute_modular_polynomial(3, 5) == want
+        calls = []
+        real = mp._coefficients
+        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[4]) or real(*a))
+        monkeypatch.setattr(mp, "initial_precision", lambda *a: 64)
+        assert compute_modular_polynomial(3, 13) == phi313_embedded
+        assert calls[:2] == [64, 64] and len(calls) > 2  # the gate rejected 64 bits
+
+    def test_result_passes_the_gate(self, monkeypatch):
+        # every row of the result is one that round_certified accepted, from
+        # one attempt in which every row's residual and bound are below
+        # RESIDUAL_LIMIT
+        import etacm.classpoly as cp
+        import etacm.modpoly as mp
+
+        attempts = []
+        real_coefficients, real_gate = mp._coefficients, mp.round_certified
+        monkeypatch.setattr(mp, "_coefficients",
+                            lambda *a: attempts.append([]) or real_coefficients(*a))
+        monkeypatch.setattr(mp, "round_certified",
+                            lambda f: attempts[-1].append((f, real_gate(f))) or attempts[-1][-1][1])
+        for p1, p2 in [(3, 5), (3, 7), (5, 7)]:
+            attempts.clear()
+            phi = compute_modular_polynomial(p1, p2)
+            last = attempts[-1]
+            assert [tuple(ints) for _, ints in last] == list(phi.coeffs)
+            for f, _ in last:
+                _, residual = cp.round_to_integers(f.coeffs)
+                assert residual < cp.RESIDUAL_LIMIT
+                assert 2.0 ** f.err < cp.RESIDUAL_LIMIT
+            assert all(any(ints is None for _, ints in a) for a in attempts[:-1])
+
+    @pytest.mark.parametrize("p1,p2", [(3, 5), (3, 13)])
+    def test_certified_bound_covers_the_actual_error(self, monkeypatch, phi_pool, p1, p2):
+        # at every attempt, each coefficient of each X-row lies within its
+        # row's certified bound of the exact Phi
+        import etacm.modpoly as mp
+
+        attempts = []
+        real = mp._coefficients
+        monkeypatch.setattr(mp, "_coefficients",
+                            lambda *a: attempts.append(real(*a)) or attempts[-1])
+        exact = compute_modular_polynomial(p1, p2)
+        assert exact == phi_pool(p1, p2) and len(attempts) >= 2
+        for rows in attempts:
+            for f, want in zip(rows, exact.coeffs):
+                for c, n in zip(f.coeffs, want):
+                    actual = abs(to_mp(c, 400) - n)
+                    assert actual == 0 or mpmath.log(actual, 2) <= f.err
+
+    def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
+        # the accepted bound is the one product_tree certifies: inflating
+        # every leaf bound by 2^1000 must push Phi past max_prec
+        import etacm.modpoly as mp
+
+        real = mp.product_tree
+        monkeypatch.setattr(mp, "product_tree",
+                            lambda roots, wp: real([(r, e + 1000) for r, e in roots], wp))
+        with pytest.raises(PrecisionExhausted):
+            compute_modular_polynomial(3, 5, max_prec=1024)
 
     def test_sample_point_sums_one_series_per_class(self, monkeypatch):
         # the 4 psi(N) eta arguments g z / d at one sample point fall into
@@ -172,7 +241,7 @@ class TestComputeModularPolynomial:
         assert tables and all(0 < len(t) <= 1 + 4 + 14 + psi(39) for t in tables)
 
     def test_duplicate_samples_raise(self, monkeypatch):
-        # the elimination's pivot check still guards the interpolation
+        # coincident nodes cannot be interpolated
         import etacm.modpoly as mp
 
         real_sample = mp._sample_point

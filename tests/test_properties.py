@@ -1,6 +1,10 @@
-"""Property tests: form reduction, roots over F_l and the Phi file format."""
+"""Property tests: form reduction, roots over F_l, certified Lagrange
+interpolation and the Phi file format."""
 import random
+from fractions import Fraction
 from math import gcd
+
+import mpmath
 
 import pytest
 
@@ -9,8 +13,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from mpmath.libmp import from_rational  # noqa: E402
+
+from etacm.apcomplex import RND, ApComplex  # noqa: E402
+from etacm.classpoly import CPoly, round_certified  # noqa: E402
 from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
-from etacm.modpoly import ModularPolynomial, deserialize, serialize  # noqa: E402
+from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.qforms import QuadraticForm, reduce_form  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -91,3 +99,33 @@ class TestSerializeRoundTrip:
     @given(modular_polynomials())
     def test_round_trip(self, phi):
         assert deserialize(serialize(phi)) == phi
+
+
+@st.composite
+def interpolation_problems(draw):
+    """(distinct real nodes k/8, integer coefficients of degree < len(nodes))."""
+    n = draw(st.integers(2, 5))
+    ks = draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n, unique=True))
+    coeffs = draw(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=n))
+    return [Fraction(k, 8) for k in ks], coeffs
+
+
+class TestLagrange:
+    @PROPERTY
+    @given(interpolation_problems())
+    def test_recovers_integer_polynomial_within_bound(self, problem):
+        nodes, coeffs = problem
+        wp = 128
+        samples = []
+        for x in nodes:
+            y = sum(c * x**i for i, c in enumerate(coeffs))
+            v = ApComplex.make(from_rational(y.numerator, y.denominator, wp, RND), 0, wp)
+            samples.append(CPoly([v], v.mag() - wp + 1, v.mag()))
+        xs = [ApComplex.make(float(x), 0, wp) for x in nodes]
+        (f,) = _lagrange(xs, -float(wp), samples, wp)
+        want = coeffs + [0] * (len(nodes) - len(coeffs))
+        with mpmath.workprec(4 * wp):
+            for c, n in zip(f.coeffs, want):
+                actual = abs(mpmath.mpc(mpmath.mpf(c.re), mpmath.mpf(c.im)) - n)
+                assert actual == 0 or mpmath.log(actual, 2) <= f.err
+        assert round_certified(f) == want
