@@ -30,9 +30,7 @@ from mpmath.libmp import (
     mpc_pow_int,
     mpc_sqrt,
     mpc_sub,
-    mpf_add,
     mpf_div,
-    mpf_mul,
     mpf_neg,
     mpf_sqrt,
     round_nearest,
@@ -146,11 +144,6 @@ class ApComplex:
     def sqrt(self) -> "ApComplex":
         """Principal branch square root (real part >= 0)."""
         return ApComplex(*mpc_sqrt(self.mpc, self.prec, RND), self.prec)
-
-    def abs2_mpf(self):
-        p = self.prec
-        return mpf_add(mpf_mul(self.re, self.re, p, RND),
-                       mpf_mul(self.im, self.im, p, RND), p, RND)
 
     def mag(self) -> int:
         """e with |self| <= 2**e (coarse, from the larger component)."""

@@ -28,7 +28,7 @@ from .apcomplex import MIN_PREC, RND, ApComplex
 from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, s_exponent, w_pow_s_with_err
-from .qforms import Discriminant, NSystem, b_candidates, build_nsystem
+from .qforms import Discriminant, QuadraticForm, b_candidates, build_nsystem
 
 MAX_PRECISION = 65536
 RESIDUAL_LIMIT = 1e-3
@@ -172,12 +172,15 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     return True
 
 
-def _roots(system: NSystem, p1: int, p2: int, prec: int) -> list[tuple[ApComplex, float]]:
-    """w^s at every form of the system, with one eta series per reduced form."""
+def _roots(forms: list[QuadraticForm], p1: int, p2: int,
+           prec: int) -> list[tuple[ApComplex, float]]:
+    """w^s at the basis quotient of every form, with one eta series per
+    reduced form of an eta argument: the conjugates of H (the forms of an
+    N-system) or of one sample point of Phi."""
     # alpha gets extra bits so its own rounding stays below the certified bounds
     table = EtaTable()
     return [w_pow_s_with_err(f.alpha(prec + 128), p1, p2, prec, table.for_form(f))
-            for f in system.forms]
+            for f in forms]
 
 
 def initial_precision(tree_err: float, h: int) -> int:
@@ -216,7 +219,7 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
 
-    roots = _roots(system, p1, p2, MIN_PREC)
+    roots = _roots(system.forms, p1, p2, MIN_PREC)
     err = _tree_err(roots, MIN_PREC + TREE_BITS)
     start = initial_precision(err, len(roots))
     if err < math.log2(RESIDUAL_LIMIT) and max(start, MIN_PREC) <= max_prec:
@@ -224,7 +227,7 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
         start = MIN_PREC
     ints = double_until(start, max_prec,
                         lambda prec: _expand(roots if prec == MIN_PREC
-                                             else _roots(system, p1, p2, prec), prec),
+                                             else _roots(system.forms, p1, p2, prec), prec),
                         f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:
         raise PrecisionExhausted("product expansion is not monic")

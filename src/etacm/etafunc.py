@@ -1,13 +1,17 @@
 """Evaluation of the Dedekind eta function, the Klein J-invariant, and the
 double eta-quotient at upper half-plane points, with certified error bounds.
 
-Strategy: every eta evaluation first reduces its argument to the classical
-fundamental domain (|Re| <= 1/2, |z| >= 1), where the sparse
+Strategy: every eta argument is the root of an integer quadratic form, and
+its Gauss-reduced form (`qforms.reduce_form`, exact) names the point of the
+classical fundamental domain (-1/2 <= Re < 1/2, |z| >= 1) where the sparse
 pentagonal-number series converges at a guaranteed >= 7.8 bits per exponent
-unit.  The value at the original point is recovered through the eta
-transformation formula (unimodular matrix, Jacobi-symbol sign times a 24th
-root of unity times sqrt(cz+d)).  Everything else is an eta quotient: the
-double quotient w, and Weber's f1(z) = eta(z/2) / eta(z), which gives J.
+unit.  An mpf is a dyadic rational, so a public point x + iy with x = X/L
+and y = Y/L is exactly the root of the primitive part of
+[L^2, -2XL, X^2 + Y^2].  The value at the original point is recovered
+through the eta transformation formula (unimodular matrix, Jacobi-symbol
+sign times a 24th root of unity times sqrt(cz+d)).  Everything else is an
+eta quotient: the double quotient w, and Weber's f1(z) = eta(z/2) / eta(z),
+which gives J.
 
 Fractional powers of q are never taken through complex roots: q^{1/24} is
 computed as exp(pi*i*z/12) directly from z, which fixes the branch once and
@@ -22,13 +26,14 @@ Every eta value at an arbitrary point comes from an `EtaTable`.  Many
 arguments share one reduced point: the 4h arguments alpha_i/d of a class
 polynomial (d in {1, p1, p2, N}) fall into the h form classes of
 discriminant D, and the 4 psi(N) arguments g z/d of one modular-polynomial
-sample point into 1 + (p1+1) + (p2+1) + psi(N) SL2(Z)-classes.  A table
-names each reduced point by exact integers (a reduced form, or the integer
-matrix taking the sample point to it), sums one series per name ([a, -b, c]
-reuses the conjugate series of [a, b, c]), and recovers every argument's
-value through the transformation formula, with one 24th root of unity per
-exponent and precision.  A table serves one precision attempt of one
-computation, or one public call, and is then dropped.
+sample point into 1 + (p1+1) + (p2+1) + psi(N) SL2(Z)-classes, most of
+them mirror images of each other in pairs, as the sample lies on the
+imaginary axis.  A table names each reduced point by its reduced form, sums
+one series per name ([a, -b, c], the mirror image, reuses the conjugate
+series of [a, b, c]), and recovers every argument's value through the
+transformation formula, with one 24th root of unity per exponent and
+precision.  A table serves one precision attempt of one computation, or one
+public call, and is then dropped.
 """
 
 from __future__ import annotations
@@ -40,29 +45,23 @@ from math import gcd
 from operator import mul
 
 from mpmath.libmp import (
-    fone,
-    fzero,
     from_int,
     from_rational,
-    mpc_div,
     mpc_pow_int,
     mpf_cos_sin_pi,
     mpf_div,
     mpf_exp,
-    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pi,
-    mpf_shift,
-    mpf_sub,
     to_float,
-    to_int,
+    to_rational,
 )
 
 from .apcomplex import MIN_PREC, RND, ApComplex, UpperHalfPoint
 from .arith import check_distinct_odd_primes, jacobi
 from .errors import PreconditionError, PrecisionExhausted
-from .qforms import Matrix, QuadraticForm, _mat_mul, reduce_form
+from .qforms import Matrix, QuadraticForm, reduce_form
 
 # log2 of the worst-case |q| on the fundamental domain: 2*pi*(sqrt(3)/2)/ln 2
 _BITS_PER_Q_POWER = 2.0 * math.pi * (math.sqrt(3.0) / 2.0) / math.log(2.0)
@@ -94,33 +93,24 @@ def eta_guard_bits(prec: int) -> int:
     return 32 + max(1, math.ceil(math.log2(2 * k + 1)))
 
 
+def _form_of(z: UpperHalfPoint) -> QuadraticForm:
+    """The primitive form whose root is exactly z: x + iy with x = X/L and
+    y = Y/L is the root of [L^2, -2XL, X^2 + Y^2]."""
+    (xn, xd), (yn, yd) = to_rational(z.value.re), to_rational(z.value.im)
+    d = math.lcm(xd, yd)
+    x, y = xn * (d // xd), yn * (d // yd)
+    return QuadraticForm.primitive(d * d, -2 * x * d, x * x + y * y)
+
+
 def reduce_to_fundamental_domain(z: UpperHalfPoint) -> tuple[UpperHalfPoint, Matrix]:
-    """Unimodular M and z' = Mz with |Re z'| <= 1/2, |z'| >= 1 - 2^(-prec/2)."""
-    zred, m = _reduce(z.value, z.value.prec)
-    return UpperHalfPoint(zred), m
+    """Unimodular M and z' = Mz, exactly Gauss-reduced: -1/2 <= Re z' < 1/2,
+    |z'| >= 1, and Re z' <= 0 when |z'| = 1.
 
-
-def _reduce(z: ApComplex, wp: int) -> tuple[ApComplex, Matrix]:
-    a, b, c, d = 1, 0, 0, 1
-    zc = z.at_prec(wp)
-    thresh = mpf_sub(fone, mpf_shift(fone, -(wp // 2)), wp, RND)
-    max_steps = 4 * wp + 1000
-    for _ in range(max_steps):
-        t = int(to_int(zc.re, RND))
-        if t:
-            zc = ApComplex(mpf_sub(zc.re, from_int(t), wp, RND), zc.im, wp)
-            a, b = a - t * c, b - t * d
-        norm2 = zc.abs2_mpf()
-        if mpf_lt(norm2, thresh):
-            zc = ApComplex(*mpc_div((from_int(-1), fzero), zc.mpc, wp, RND), wp)
-            a, b, c, d = -c, -d, a, b
-        else:
-            break
-    else:
-        raise PrecisionExhausted("fundamental-domain reduction did not settle")
-    if (c, d) != (0, 1):
-        zc = apply_moebius((a, b, c, d), z, wp)
-    return zc, (a, b, c, d)
+    z' is the root of the reduced form G = F.R of z's form F (`reduce_form`),
+    rounded to z's precision, and M = R^-1.
+    """
+    g, (p, q, r, s) = reduce_form(_form_of(z))
+    return UpperHalfPoint.from_form(g.a, g.b, g.discriminant, z.prec), (s, -q, -r, p)
 
 
 def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
@@ -206,14 +196,6 @@ class EtaTable:
         """Number of series summed so far."""
         return len(self._series)
 
-    def _eta(self, key, zred: Callable[[], ApComplex], z: ApComplex, m: Matrix,
-             wp: int, conj: bool = False) -> tuple[ApComplex, float]:
-        hit = self._series.get((key, wp))
-        if hit is None:
-            hit = self._series[(key, wp)] = _eta_series(zred(), wp)
-        series, err = hit
-        return self._eta_transform(series.conjugate() if conj else series, err, z, m, wp)
-
     def _eta_transform(self, series: ApComplex, err: float, z: ApComplex, m: Matrix,
                        wp: int) -> tuple[ApComplex, float]:
         """eta(z) from the series value at the reduced point m z."""
@@ -230,45 +212,31 @@ class EtaTable:
         return value, value.mag() + rel + 2.0
 
     def for_form(self, f: QuadraticForm) -> EtaAt:
-        """eta(alpha_f / den) for the basis quotient alpha_f of f (den | c).
+        """eta(alpha_f / den) for the basis quotient alpha_f of f, any den.
 
-        alpha_f / den is the basis quotient of F = [a*den, b, c/den].  Its
-        reduced form G = [A, B, C] = F.M names the point: M^-1 takes the
-        argument to alpha_G, and [A, -B, C] shares the series, since its
-        basis quotient is -conj(alpha_G) and eta(-conj z) = conj(eta(z)).
+        alpha_f / den is the basis quotient of F, the primitive part of
+        [a den^2, b den, c] (for den | c, of [a den, b, c/den]).  Its reduced
+        form G = [A, B, C] = F.M names the point: M^-1 takes the argument to
+        alpha_G, and [A, -B, C] shares the series, since its basis quotient
+        is -conj(alpha_G) and eta(-conj z) = conj(eta(z)).
         """
-        d = f.discriminant
-
         def eta_at(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
-            if f.c % den:
-                raise PreconditionError(f"{den} does not divide c of {f}")
-            g, (p, q, r, s) = reduce_form(QuadraticForm(f.a * den, f.b, f.c // den))
-            a, b, c = g.a, abs(g.b), g.c
-            return self._eta((a, b, c), lambda: UpperHalfPoint.from_form(a, b, d, wp).value,
-                             zd, (s, -q, -r, p), wp, conj=g.b < 0)
-
-        return eta_at
-
-    def for_coset(self, g: Matrix) -> EtaAt:
-        """eta(z / den) for a point z = g z0 of one sample point z0.
-
-        The name is the integer matrix K = R diag(1, den) g that takes z0 to
-        the reduced point (R reduces z / den), up to sign.
-        """
-        a, b, c, d = g
-
-        def eta_at(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
-            zred, m = _reduce(zd, wp)
-            k = _mat_mul(m, (a, b, c * den, d * den))
-            key = max(k, tuple(-x for x in k))
-            return self._eta(key, lambda: zred, zd, m, wp)
+            g, (p, q, r, s) = reduce_form(QuadraticForm.primitive(f.a * den * den, f.b * den, f.c))
+            key = (g.a, abs(g.b), g.c, wp)
+            hit = self._series.get(key)
+            if hit is None:
+                zred = UpperHalfPoint.from_form(g.a, abs(g.b), g.discriminant, wp).value
+                hit = self._series[key] = _eta_series(zred, wp)
+            series, err = hit
+            return self._eta_transform(series.conjugate() if g.b < 0 else series, err, zd,
+                                       (s, -q, -r, p), wp)
 
         return eta_at
 
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Dedekind eta, absolute error certified below 2^(guard - prec)."""
-    eta_at = EtaTable().for_coset(IDENTITY)
+    eta_at = EtaTable().for_form(_form_of(z))
     return _certified(prec, lambda wp: eta_at(z.value, 1, wp), "eta")[0]
 
 
@@ -287,7 +255,7 @@ def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     zred, _ = reduce_to_fundamental_domain(z)
     boost = max(0, math.ceil(2.0 * math.pi * to_float(zred.value.im, strict=False)
                              / math.log(2.0))) + 32
-    eta_at = EtaTable().for_coset(IDENTITY)
+    eta_at = EtaTable().for_form(_form_of(z))
 
     def evaluate(wp: int) -> tuple[ApComplex, float]:
         wp += boost
@@ -315,7 +283,7 @@ def _eta_quotient(z: ApComplex, num: tuple[int, ...], den: tuple[int, ...], wp: 
     vals = []
     rel = -float(wp)
     for n in num + den:
-        v, e = eta_at(z / n if n != 1 else z, n, wp)
+        v, e = eta_at(z.at_prec(wp) / n if n != 1 else z, n, wp)
         vals.append(v)
         rel = max(rel, e - v.mag() + 2.0)
     value = reduce(mul, vals[:len(num)]) / reduce(mul, vals[len(num):])
@@ -343,7 +311,7 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
 
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    eta_at = EtaTable().for_coset(IDENTITY)
+    eta_at = EtaTable().for_form(_form_of(z))
     return _certified(
         prec, lambda wp: _eta_quotient(z.value, (p1, p2), (1, p1 * p2), wp + 16, eta_at),
         "quotient")[0]
@@ -351,7 +319,7 @@ def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApCom
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    return w_pow_s_with_err(z, p1, p2, prec, EtaTable().for_coset(IDENTITY))[0]
+    return w_pow_s_with_err(z, p1, p2, prec, EtaTable().for_form(_form_of(z)))[0]
 
 
 def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,

@@ -8,9 +8,11 @@ basis at the nodes J(z_m), with a certified bound, and accepted through H's
 gate (`classpoly.round_certified`).  A rejected first attempt at MIN_PREC
 bits gives the start of the doubling (`classpoly.initial_precision`).  The
 samples lie on the imaginary axis above i, where J is real and strictly
-increasing, so the nodes are distinct and far apart.  Conjugates are
-evaluated by direct eta evaluation at the transformed points, one series per
-SL2(Z)-class of eta argument at each sample point (an `EtaTable`).
+increasing, so the nodes are distinct and far apart.  Each sample point is
+the root of an integer form f_m, so its conjugates are the roots of the
+forms f_m.g^-1 and go through H's helper (`classpoly._roots`): one eta series
+per SL2(Z)-class of eta argument at each sample point (an `EtaTable`), and
+mirror-image classes share one.
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 
-from mpmath.libmp import fzero
-
-from .apcomplex import MIN_PREC, ApComplex, UpperHalfPoint
+from .apcomplex import MIN_PREC, ApComplex
 from .arith import check_distinct_odd_primes, crt_pair
-from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _log2add, double_until,
+from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _log2add, _roots, double_until,
                         initial_precision, product_tree, round_certified)
 from .errors import (
     CoefficientParseFailure,
@@ -36,12 +36,11 @@ from .errors import (
     PreconditionError,
     WrongDegree,
 )
-from .etafunc import (EtaTable, apply_moebius, eta_guard_bits, j_invariant, s_exponent,
-                      w_pow_s_with_err)
+from .etafunc import eta_guard_bits, j_invariant, s_exponent
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, _split_n, _xgcd
+from .qforms import Matrix, QuadraticForm, _split_n, _xgcd
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,11 @@ def coset_representatives(N: int) -> list[Matrix]:
     return reps
 
 
-def _sample_point(m: int, prec: int) -> UpperHalfPoint:
-    """z_m = i (11/10 + m/7): J is real and strictly increasing on the
+def _sample_form(m: int) -> QuadraticForm:
+    """The form [4900, 0, n^2], n = 77 + 10m, whose root is
+    z_m = i (11/10 + m/7): J is real and strictly increasing on the
     imaginary axis above i, so the sample J-values are distinct."""
-    im = ApComplex.make(11, 0, prec) / 10 + ApComplex.make(m, 0, prec) / 7
-    return UpperHalfPoint(ApComplex(fzero, im.re, prec))
+    return QuadraticForm.primitive(4900, 0, (77 + 10 * m) ** 2)
 
 
 def _lagrange(nodes: list[ApComplex], node_err: float, samples: list[CPoly],
@@ -153,12 +152,12 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
     nodes = []
     samples = []
     for m in range(degj + 1):
-        z = _sample_point(m, wp + 64)
-        nodes.append(j_invariant(z, prec))
-        table = EtaTable()
-        samples.append(product_tree(
-            [w_pow_s_with_err(UpperHalfPoint(apply_moebius(g, z.value, wp + 64)), p1, p2, prec,
-                              table.for_coset(g)) for g in cosets], wp))
+        f = _sample_form(m)
+        # as for H's alpha, 128 extra bits keep the point's rounding below the bounds
+        nodes.append(j_invariant(f.alpha(prec + 128), prec))
+        # f.g^-1 has the root g z_m
+        conjugates = [f.compose((d, -b, -c, a)) for a, b, c, d in cosets]
+        samples.append(product_tree(_roots(conjugates, p1, p2, prec), wp))
     # j_invariant certifies its values within 2^(guard - prec)
     return _lagrange(nodes, eta_guard_bits(prec) - prec, samples, wp)
 

@@ -40,6 +40,12 @@ class QuadraticForm:
         if gcd(gcd(self.a, self.b), self.c) != 1:
             raise PreconditionError(f"form {self} is imprimitive")
 
+    @classmethod
+    def primitive(cls, a: int, b: int, c: int) -> "QuadraticForm":
+        """[a, b, c] divided by the gcd of its coefficients (same root)."""
+        g = gcd(a, b, c)
+        return cls(a // g, b // g, c // g)
+
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

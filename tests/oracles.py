@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's own code paths: eta and J
 come from mpmath's high-level q-Pochhammer and theta functions, form counts
-from a direct triple loop, point counts from a naive sweep, and the Hilbert
+from a direct triple loop, the reduction of a point from exact rational
+arithmetic, point counts from a naive sweep, and the Hilbert
 class polynomial from theta-based j-values expanded with mpmath arithmetic.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from fractions import Fraction
+from math import floor, gcd, isqrt
 
 import mpmath
 
@@ -39,6 +41,24 @@ def j_oracle(z: complex, dps: int = 60) -> mpmath.mpc:
         t3 = mpmath.jtheta(3, 0, qhalf)
         lam = (t2 / t3) ** 4
         return 256 * (lam * lam - lam + 1) ** 3 / (lam * (1 - lam)) ** 2
+
+
+def gauss_reduce_point(x: Fraction, y: Fraction) -> tuple[int, int, int, int]:
+    """M in SL2(Z) with M z Gauss-reduced, for z = x + iy in exact rational
+    arithmetic: move Re z into [-1/2, 1/2), invert while |z| < 1, and on the
+    unit arc invert once more if Re z > 0."""
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        t = floor(x + Fraction(1, 2))
+        x, a, b = x - t, a - t * c, b - t * d
+        n = x * x + y * y
+        if n >= 1:
+            break
+        x, y = -x / n, y / n  # z -> -1/z
+        a, b, c, d = -c, -d, a, b
+    if n == 1 and x > 0:
+        a, b, c, d = -c, -d, a, b
+    return a, b, c, d
 
 
 def brute_force_class_count(D: int) -> int:

@@ -79,7 +79,8 @@ class TestComputeClassPolynomial:
 
         base = compute_class_polynomial(-260, 3, 13, 26)
         system = build_nsystem(-260, 39, 26)
-        ints = cp._expand(cp._roots(system, 3, 13, 2048), 2048)  # None unless the gate passes
+        # None unless the gate passes
+        ints = cp._expand(cp._roots(system.forms, 3, 13, 2048), 2048)
         assert ints is not None and tuple(ints) == base.coeffs
 
     def test_doubling_recovers_from_starved_start(self, monkeypatch):
@@ -124,7 +125,7 @@ class TestComputeClassPolynomial:
         assert calls == [64]
         monkeypatch.setattr(cp, "_roots", real)
         system = cp.build_nsystem(D, p1 * p2, want.B)
-        assert cp._expand(cp._roots(system, p1, p2, 512), 512) == list(want.coeffs)
+        assert cp._expand(cp._roots(system.forms, p1, p2, 512), 512) == list(want.coeffs)
 
     @pytest.mark.parametrize("D, p1, p2, cap", [(-56, 3, 13, 32), (-3996, 5, 7, 64)])
     def test_max_prec_below_64_or_the_start_raises(self, D, p1, p2, cap):
@@ -148,7 +149,7 @@ class TestComputeClassPolynomial:
         system = build_nsystem(D, p1 * p2, b)
 
         def passes(prec):
-            return real(cp._roots(system, p1, p2, prec), prec) is not None
+            return real(cp._roots(system.forms, p1, p2, prec), prec) is not None
 
         smallest = next(p for p in range(64, calls[0] + 1, 8) if passes(p))
         assert calls[0] <= 2 * smallest

@@ -12,6 +12,7 @@ from etacm.etafunc import (
     apply_moebius,
     double_eta_quotient,
     eta,
+    eta_guard_bits,
     eta_multiplier,
     j_invariant,
     reduce_to_fundamental_domain,
@@ -70,6 +71,12 @@ class TestReduction:
         assert m[0] * m[3] - m[1] * m[2] == 1
         # z' really is M z
         assert abs(apply_moebius(m, z.value).to_complex() - c) < 1e-40
+
+    def test_left_edge_moves_to_minus_one_half(self):
+        # Gauss's convention -a < b <= a puts Re z' in [-1/2, 1/2)
+        zr, m = reduce_to_fundamental_domain(UpperHalfPoint.make(0.5, 2, 128))
+        assert m == (1, -1, 0, 1)
+        assert zr.to_complex() == complex(-0.5, 2)
 
     def test_random_points_postconditions(self):
         rng = random.Random(101)
@@ -306,6 +313,21 @@ class TestDoubleEtaQuotient:
             assert abs(val) < mpmath.mpf(2) ** -230
             assert abs(w.imag) < mpmath.mpf(2) ** -230
 
+    @pytest.mark.parametrize("x, y", [(0.1, 0.9), (-0.3, 0.45)])
+    def test_low_precision_point_meets_the_target(self, x, y):
+        # z / n is formed at the working precision, not at z's own 64 bits,
+        # so the value at the exact dyadic point z is within the target
+        prec = 256
+        z = UpperHalfPoint.make(x, y, 64)
+        target = mpmath.mpf(2) ** (eta_guard_bits(prec) - prec)
+        with mpmath.workprec(2 * prec):
+            t = mpmath.mpc(mpmath.mpf(z.value.re), mpmath.mpf(z.value.im))
+            for f, p1, p2 in [(double_eta_quotient, 3, 13), (w_pow_s, 5, 7), (w_pow_s, 3, 5)]:
+                w = (mpmath.eta(t / p1) * mpmath.eta(t / p2)
+                     / (mpmath.eta(t) * mpmath.eta(t / (p1 * p2))))
+                want = w ** s_exponent(p1, p2) if f is w_pow_s else w
+                assert abs(to_mp(f(z, p1, p2, prec), 160) - want) <= target, (f, p1, p2)
+
     def test_rejects_bad_primes(self):
         z = UpperHalfPoint.make(0, 1, 128)
         for (p1, p2) in [(3, 3), (2, 13), (9, 5)]:
@@ -357,14 +379,16 @@ class TestEtaTable:
 
     def test_cosets_agree_with_direct_evaluation(self):
         from etacm.modpoly import coset_representatives
+        from etacm.qforms import QuadraticForm
 
         wp = self.WP
         table = EtaTable()
         z0 = UpperHalfPoint.make(0.0625, 1.25, wp + 64).value  # exact in binary
+        f0 = QuadraticForm(256, -32, 401)  # its root is z0 = (1 + 20i) / 16
         cosets = coset_representatives(15)
         for g in cosets:
             z = apply_moebius(g, z0, wp + 64)
-            eta_at = table.for_coset(g)
+            eta_at = table.for_form(f0.compose((g[3], -g[1], -g[2], g[0])))  # root g z0
             for den in (3, 5, 1, 15):
                 zd = z / den if den > 1 else z
                 a, b, c, d = g
@@ -397,7 +421,7 @@ class TestEtaTable:
         monkeypatch.setattr(ef, "mpf_cos_sin_pi", counting)
         monkeypatch.setattr(cp, "EtaTable", Recording)
         system = build_nsystem(D, p1 * p2, b_candidates(D, p1 * p2)[0])
-        cp._roots(system, p1, p2, 256)
+        cp._roots(system.forms, p1, p2, 256)
         series = sum(len(t) for t in tables)
         assert len(calls) - series <= 24 * len(set(calls))  # one cos/sin per series
         assert 4 * len(system.forms) - series > 24  # many more arguments than roots

@@ -224,8 +224,10 @@ class TestComputeModularPolynomial:
 
     def test_sample_point_sums_one_series_per_class(self, monkeypatch):
         # the 4 psi(N) eta arguments g z / d at one sample point fall into
-        # 1 + (p1 + 1) + (p2 + 1) + psi(N) SL2(Z)-classes
-        import etacm.modpoly as mp
+        # 1 + (p1 + 1) + (p2 + 1) + psi(N) = 75 SL2(Z)-classes; the sample
+        # lies on the imaginary axis, so mirror-image classes [A, +-B, C]
+        # share one series, which leaves 42
+        import etacm.classpoly as cp
         from etacm.etafunc import EtaTable
 
         tables = []
@@ -235,24 +237,24 @@ class TestComputeModularPolynomial:
                 super().__init__()
                 tables.append(self)
 
-        monkeypatch.setattr(mp, "EtaTable", Recording)
+        monkeypatch.setattr(cp, "EtaTable", Recording)
         phi = compute_modular_polynomial(3, 13)
         assert phi.degX == psi(39)
-        assert tables and all(0 < len(t) <= 1 + 4 + 14 + psi(39) for t in tables)
+        assert tables and all(0 < len(t) <= 42 for t in tables)
 
     def test_duplicate_samples_raise(self, monkeypatch):
         # coincident nodes cannot be interpolated
         import etacm.modpoly as mp
 
-        real_sample = mp._sample_point
-        monkeypatch.setattr(mp, "_sample_point", lambda m, prec: real_sample(0, prec))
+        real_sample = mp._sample_form
+        monkeypatch.setattr(mp, "_sample_form", lambda m: real_sample(0))
         with pytest.raises(InterpolationSingular):
             compute_modular_polynomial(3, 5)
 
     def test_sample_j_values_real_and_increasing(self):
         import etacm.modpoly as mp
 
-        js = [to_mp(j_invariant(mp._sample_point(m, 320), 256)) for m in range(9)]
+        js = [to_mp(j_invariant(mp._sample_form(m).alpha(320), 256)) for m in range(9)]
         assert all(abs(j.imag) < mpmath.mpf(2) ** -150 for j in js)
         assert 1728 < js[0].real
         assert all(a.real < b.real for a, b in zip(js, js[1:]))

@@ -1,5 +1,5 @@
-"""Property tests: form reduction, roots over F_l, certified Lagrange
-interpolation and the Phi file format."""
+"""Property tests: form and point reduction, roots over F_l, certified
+Lagrange interpolation and the Phi file format."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,11 +15,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from mpmath.libmp import from_rational  # noqa: E402
 
-from etacm.apcomplex import RND, ApComplex  # noqa: E402
+from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, abs_diff  # noqa: E402
 from etacm.classpoly import CPoly, round_certified  # noqa: E402
+from etacm.etafunc import apply_moebius, reduce_to_fundamental_domain  # noqa: E402
 from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.qforms import QuadraticForm, reduce_form  # noqa: E402
+from oracles import gauss_reduce_point  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
@@ -74,6 +76,31 @@ class TestReduceForm:
         assert m[0] * m[3] - m[1] * m[2] == 1
         assert f.compose(m) == g
         assert reduce_form(g) == (g, (1, 0, 0, 1))
+
+
+@st.composite
+def dyadic_points(draw):
+    """(x, y) with x in [-40, 40] and y in [2^-16, 8], multiples of 2^-e."""
+    e = draw(st.integers(0, 60))
+    x = draw(st.integers(-40 << e, 40 << e))
+    y = draw(st.integers(max(1, 1 << e >> 16), 8 << e))
+    return Fraction(x, 1 << e), Fraction(y, 1 << e)
+
+
+class TestReducePoint:
+    @PROPERTY
+    @given(dyadic_points())
+    def test_matches_exact_reference(self, point):
+        x, y = point
+        prec = 128  # holds every drawn point exactly
+        z = UpperHalfPoint(ApComplex(from_rational(x.numerator, x.denominator, prec, RND),
+                                     from_rational(y.numerator, y.denominator, prec, RND), prec))
+        zr, m = reduce_to_fundamental_domain(z)
+        want = gauss_reduce_point(x, y)
+        assert m in (want, tuple(-v for v in want))
+        # m z, formed 64 bits above z's precision, is within a few ulps of z'
+        mz = apply_moebius(m, z.value, prec + 64)
+        assert abs_diff(mz, zr.value) <= zr.value.mag() - prec + 3
 
 
 class TestRootsModL:
