@@ -1,5 +1,6 @@
 """Elementary integer arithmetic: Jacobi/Legendre symbols, primality, CRT."""
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import PreconditionError
@@ -99,9 +100,16 @@ def is_probable_prime(n: int) -> bool:
     return n < PSI13 or _strong_lucas_probable_prime(n)
 
 
+@lru_cache(maxsize=32)
+def is_prime_modulus(n: int) -> bool:
+    """is_probable_prime, remembered for the few moduli that every field
+    element and every root search validates again."""
+    return is_probable_prime(n)
+
+
 def check_odd_prime(n: int) -> None:
     """Raise PreconditionError unless n is an odd prime."""
-    if n == 2 or not is_probable_prime(n):
+    if n == 2 or not is_prime_modulus(n):
         raise PreconditionError(f"{n} is not an odd prime")
 
 

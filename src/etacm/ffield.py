@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .arith import check_odd_prime, is_probable_prime
+from .arith import check_odd_prime, is_prime_modulus
 from .errors import PreconditionError
 
 DEFAULT_SEED = 0
@@ -26,7 +26,7 @@ class FpElement:
     modulus: int
 
     def __post_init__(self):
-        if not is_probable_prime(self.modulus):
+        if not is_prime_modulus(self.modulus):
             raise PreconditionError(f"modulus {self.modulus} is not prime")
         object.__setattr__(self, "value", self.value % self.modulus)
 

@@ -3,12 +3,14 @@
 Steps: pick the trace (4q = t^2 - D v^2), build the N-system and class
 polynomial, take a root of H mod q, solve the modular equation in J, select
 the J-invariant and twist, and certify the curve order.  The order is
-already known to be q + 1 -+ t, so no points are counted: random points are
-checked against both orders, and the first candidate that passes is taken
-(a multiple J-root, when there is one, is tried first).  Only for
-q <= EXHAUSTIVE_LIMIT (10^6), where both orders can pass, is the order
-counted exactly by a character-sum sweep.  Everything is deterministic for
-a fixed seed.
+already known to be q + 1 -+ t, so no points are counted: a random point
+whose order divides one of the two orders but not their gcd decides between
+them (a few such points at small q, so that the curve of a spurious J-root
+with a cyclic group passes with probability below 2^-64), and the first
+candidate that passes is taken (a multiple J-root, when there is one, is
+tried first).  Only for q <= EXHAUSTIVE_LIMIT (10^6), where both orders can
+pass, is the order counted exactly by a character-sum sweep.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import ceil, isqrt, log2
 
 from .arith import check_odd_prime, is_square
 from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_class_polynomial
@@ -28,6 +30,7 @@ from .atkin import multiple_root_condition
 
 EXHAUSTIVE_LIMIT = 10**6
 ORDER_CHECKS = 20
+FALSE_ACCEPT_BITS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +77,7 @@ class OrderCertificate:
     curve: EllipticCurve
     order: int
     trace: int
-    checks: int = ORDER_CHECKS
+    checks: int  # random points drawn
     ambiguous: bool = False
     alt_order: int | None = None
 
@@ -167,7 +170,9 @@ def curves_with_j(jbar: int, q: int) -> list[EllipticCurve]:
 
 
 # ---------------------------------------------------------------------------
-# group arithmetic (affine, None is the point at infinity)
+# group arithmetic (affine points, None is the point at infinity; ec_mul
+# works in Jacobian coordinates (X : Y : Z) = (X/Z^2, Y/Z^3), Z = 0 at
+# infinity, and inverts once at the end)
 
 Point = tuple[int, int] | None
 
@@ -193,17 +198,54 @@ def ec_neg(P: Point, q: int) -> Point:
     return None if P is None else (P[0], (-P[1]) % q)
 
 
+def _jacobian_double(X: int, Y: int, Z: int, a: int, q: int) -> tuple[int, int, int]:
+    """dbl-2007-bl of the Explicit-Formulas Database (any a)."""
+    XX, YY, ZZ = X * X % q, Y * Y % q, Z * Z % q
+    YYYY = YY * YY % q
+    S = X + YY
+    S = 2 * (S * S - XX - YYYY) % q
+    M = (3 * XX + a * ZZ * ZZ) % q
+    T = (M * M - 2 * S) % q
+    Z3 = Y + Z
+    return T, (M * (S - T) - 8 * YYYY) % q, (Z3 * Z3 - YY - ZZ) % q
+
+
+def _jacobian_add_affine(X1: int, Y1: int, Z1: int, x2: int, y2: int,
+                         a: int, q: int) -> tuple[int, int, int]:
+    """(X1 : Y1 : Z1) + (x2, y2): madd-2007-bl of the Explicit-Formulas
+    Database, with the cases it leaves out (infinity, P + P, P + (-P))."""
+    if Z1 == 0:
+        return x2, y2, 1
+    Z1Z1 = Z1 * Z1 % q
+    H = (x2 * Z1Z1 - X1) % q
+    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % q
+    if H == 0:
+        return _jacobian_double(X1, Y1, Z1, a, q) if r == 0 else (1, 1, 0)
+    HH = H * H % q
+    I = 4 * HH
+    J = H * I % q
+    V = X1 * I % q
+    X3 = (r * r - J - 2 * V) % q
+    Z3 = Z1 + H
+    return X3, (r * (V - X3) - 2 * Y1 * J) % q, (Z3 * Z3 - Z1Z1 - HH) % q
+
+
 def ec_mul(k: int, P: Point, a: int, q: int) -> Point:
     if k < 0:
         return ec_neg(ec_mul(-k, P, a, q), q)
-    acc: Point = None
-    add = P
-    while k:
-        if k & 1:
-            acc = ec_add(acc, add, a, q)
-        add = ec_add(add, add, a, q)
-        k >>= 1
-    return acc
+    if k == 0 or P is None:
+        return None
+    x, y = P
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        X, Y, Z = _jacobian_double(X, Y, Z, a, q)
+        if bit == "1":
+            X, Y, Z = _jacobian_add_affine(X, Y, Z, x, y, a, q)
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, q)
+    zi2 = zi * zi % q
+    return X * zi2 % q, Y * zi2 * zi % q
 
 
 def random_point(curve: EllipticCurve, rng: random.Random) -> Point:
@@ -221,8 +263,7 @@ def point_count(curve: EllipticCurve) -> int:
     """Exact group order by a quadratic-character sweep over every x.
 
     Only for q <= EXHAUSTIVE_LIMIT: larger CM curves are certified by
-    random-point order checks against q + 1 -+ t instead (see
-    `construct_cm_curve`).
+    random points against q + 1 -+ t instead (see `_certify`).
     """
     q = curve.q
     if q > EXHAUSTIVE_LIMIT:
@@ -241,7 +282,11 @@ def point_count(curve: EllipticCurve) -> int:
 
 def order_check(curve: EllipticCurve, n: int, rng: random.Random,
                 trials: int = ORDER_CHECKS) -> bool:
-    """n * P = infinity for `trials` random points."""
+    """n * P = infinity for `trials` random points.
+
+    A direct check of one order, for callers that know the order they
+    expect; `_certify` decides between the two CM orders on its own.
+    """
     a = curve.a4.value
     for _ in range(trials):
         P = random_point(curve, rng)
@@ -250,17 +295,70 @@ def order_check(curve: EllipticCurve, n: int, rng: random.Random,
     return True
 
 
+def _escapes_needed(q: int) -> int:
+    """Smallest k, at most ORDER_CHECKS, with
+    (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <= 2^-FALSE_ACCEPT_BITS, where
+    sqrt(q) is rounded up to the next integer."""
+    s = isqrt(q) + 1
+    if q + 1 - 2 * s <= 4 * s:
+        return ORDER_CHECKS
+    bits = log2(q + 1 - 2 * s) - log2(4 * s)
+    return min(ORDER_CHECKS, ceil(FALSE_ACCEPT_BITS / bits))
+
+
 def _certify(curve: EllipticCurve, n1: int, n2: int, t: int,
              rng: random.Random) -> OrderCertificate | None:
-    """Certificate for order n1 if n1 passes `order_check`, else for n2;
-    ambiguous when both pass, None when neither does."""
-    ok1 = order_check(curve, n1, rng)
-    ok2 = order_check(curve, n2, rng)
-    if not (ok1 or ok2):
-        return None
-    both = ok1 and ok2
-    return OrderCertificate(curve, n1 if ok1 else n2, t, ambiguous=both,
-                            alt_order=n2 if both else None)
+    """Certificate for whichever of the two orders n1, n2 is #E, or None.
+
+    The promise #E in {n1, n2}: for j a root of the Hilbert class
+    polynomial H_D mod q, E has CM by the order of discriminant D, so
+    by Deuring's reduction theorem its Frobenius has trace t' with
+    4q = t'^2 - D v'^2, and #E = q + 1 - t' is n1 or n2 for E or its
+    quadratic twist (the other twists at j = 0 and 1728 have other orders).
+
+    The check: for each random point P it decides which of n1 P and
+    n2 P = n1 P + (n2 - n1) P are O.  If neither is, #E is neither order
+    and the answer is None at once.  P escapes g = gcd(n1, n2) when exactly
+    one product is O: its order divides that n_i but not g, so it does not
+    divide the other order, and under the promise one escaping point proves
+    #E = n_i (Atkin and Morain, Elliptic curves and primality proving, Math.
+    Comp. 61, 1993).
+
+    The promise can fail: the modular equation can give a spurious J-root
+    that is not a root of H_D, whose curve has some order m not in
+    {n1, n2}.  Such a curve passes only if every escaping point has order
+    dividing gcd(n_i, m) <= |n_i - m| <= 4 sqrt(q) (Hasse, for both).  Those
+    points make up at most 4 d1 sqrt(q) / m of E(F_q), d1 the smaller
+    invariant factor of E(F_q) = Z/d1 x Z/d2.  So k escaping points are
+    required, the least k with (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <=
+    2^-FALSE_ACCEPT_BITS (`_escapes_needed`): 1 from q ~ 2^132 up, 2 at
+    128 bits, 17 at q = 3593, ORDER_CHECKS for tiny q.  For cyclic E(F_q)
+    (d1 = 1) this is the chance that a spurious curve passes.
+
+    `checks` is the number of points drawn.  If ORDER_CHECKS points are
+    drawn and fewer than k escape, the certificate is ambiguous: its order
+    is the one that annihilated every point (n1 when both did) and
+    alt_order the other.  No point escapes only when the exponent of
+    E(F_q), which is at least sqrt(#E), divides g <= 4 sqrt(q): at small q
+    (the tests meet it at q = 29), or for a nearly square group.
+    """
+    q, a = curve.q, curve.a4.value
+    need = _escapes_needed(q)
+    ok1 = ok2 = True  # n_i P = O for every point so far
+    escaped = 0
+    for drawn in range(1, ORDER_CHECKS + 1):
+        P = random_point(curve, rng)
+        R1 = ec_mul(n1, P, a, q)
+        R2 = ec_add(R1, ec_mul(n2 - n1, P, a, q), a, q)
+        ok1 = ok1 and R1 is None
+        ok2 = ok2 and R2 is None
+        if not (ok1 or ok2):
+            return None
+        escaped += (R1 is None) != (R2 is None)
+        if escaped == need:
+            return OrderCertificate(curve, n1 if ok1 else n2, t, drawn)
+    return OrderCertificate(curve, n1 if ok1 else n2, t, ORDER_CHECKS,
+                            ambiguous=True, alt_order=n2 if ok1 else n1)
 
 
 @lru_cache(maxsize=16)

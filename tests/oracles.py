@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: eta and J
 come from mpmath's high-level q-Pochhammer and theta functions, form counts
 from a direct triple loop, the reduction of a point from exact rational
-arithmetic, point counts from a naive sweep, and the Hilbert
-class polynomial from theta-based j-values expanded with mpmath arithmetic.
+arithmetic, point counts from a naive sweep, the group law from affine
+chord-and-tangent steps, and the Hilbert class polynomial from theta-based
+j-values expanded with mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -107,6 +108,42 @@ def naive_point_count(q: int, a: int, b: int) -> int:
             continue
         n += 1 if rhs in squares else -1
     return n
+
+
+def curve_points(q: int, a: int, b: int) -> list[tuple[int, int]]:
+    """Every affine point of y^2 = x^3 + a x + b over F_q, by a full sweep."""
+    roots: dict[int, list[int]] = {}
+    for y in range(q):
+        roots.setdefault(y * y % q, []).append(y)
+    return [(x, y) for x in range(q) for y in roots.get((x * x * x + a * x + b) % q, [])]
+
+
+def affine_add(P, Q, a: int, q: int):
+    """P + Q by the chord-and-tangent rule; None is the point at infinity."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if (x1 - x2) % q:
+        slope = (y2 - y1) * pow(x2 - x1, q - 2, q)
+    elif (y1 + y2) % q:
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, q - 2, q)
+    else:
+        return None
+    x3 = (slope * slope - x1 - x2) % q
+    return x3, (slope * (x1 - x3) - y1) % q
+
+
+def affine_mul(k: int, P, a: int, q: int):
+    """k P by right-to-left double-and-add over affine_add."""
+    if k < 0:
+        k, P = -k, None if P is None else (P[0], -P[1] % q)
+    acc = None
+    while k:
+        if k & 1:
+            acc = affine_add(acc, P, a, q)
+        P = affine_add(P, P, a, q)
+        k >>= 1
+    return acc
 
 
 def trace_oracle(D: int, q: int) -> tuple[int, int] | None:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from etacm.arith import PSI13, check_odd_prime
 from etacm.errors import PreconditionError
 from etacm.ffield import (
     FpElement,
@@ -33,8 +34,13 @@ class TestFpElement:
         assert FpElement(-56, 3593).value == (-56) % 3593
 
     def test_rejects_composite_modulus(self):
-        with pytest.raises(PreconditionError):
-            FpElement(1, 3591)
+        # twice over: the second round meets the remembered verdict
+        for _ in range(2):
+            for n in (3591, PSI13):
+                with pytest.raises(PreconditionError):
+                    FpElement(1, n)
+                with pytest.raises(PreconditionError):
+                    check_odd_prime(n)
 
 
 class TestRoots:

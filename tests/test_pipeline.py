@@ -21,6 +21,7 @@ from etacm.pipeline import (
     point_count,
     random_point,
 )
+from etacm.qforms import b_candidates
 from oracles import hilbert_class_polynomial, naive_point_count, trace_oracle
 from support import pick_b, split_prime, valid_triples
 
@@ -170,8 +171,8 @@ class TestConstructCmCurve:
         assert point_count(curve) == cert.order
 
     def test_random_points_skip_primality_tests(self, monkeypatch):
-        # q is tested once per trace search, curve coefficient and root
-        # finding, not once per random point of the order checks
+        # q is tested once, by the trace search; curve coefficients, root
+        # finding and random points reuse the remembered verdict
         import sys
 
         import etacm.arith as arith
@@ -186,9 +187,10 @@ class TestConstructCmCurve:
         for name, module in list(sys.modules.items()):
             if name.startswith("etacm") and getattr(module, "is_probable_prime", None) is real:
                 monkeypatch.setattr(module, "is_probable_prime", counting)
+        arith.is_prime_modulus.cache_clear()
         curve, cert, used = construct_cm_curve(-56, 3, 13, 3593, B=10)
         assert used and cert.order in (3588, 3600)
-        assert tested.count(3593) <= 8
+        assert tested.count(3593) == 1
 
     def test_deterministic_replay(self):
         a = construct_cm_curve(-56, 3, 13, 3593, B=10, seed=7)
@@ -275,8 +277,6 @@ class TestConstructCmCurve:
             q = split_prime(D, lmin=800, avoid=(p1, p2))
             assert q is not None
             bs = [pick_b(random.Random(1), D, p1, p2)]
-            from etacm.qforms import b_candidates
-
             collected = set()
             phi = pipeline._modular_polynomial(p1, p2)
             H = compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0])
@@ -287,6 +287,52 @@ class TestConstructCmCurve:
             hilbert = hilbert_class_polynomial(D)
             hroots = set(roots_mod_l(FpPolynomial.make(hilbert, q)))
             assert hroots <= collected, (D, p1, p2, q, hroots, collected)
+
+
+class TestCertify:
+    # the first primes of 129 and 256 bits with 4q = t^2 + 56 v^2
+    LARGE_Q = [340282366920938463463374607431768212273,
+               57896044618658097711785492504343953926634992332820282019728792003956564821593]
+
+    @pytest.mark.parametrize("q", LARGE_Q)
+    def test_twist_gets_the_other_order_from_at_most_two_points(self, q):
+        curve, cert, used = construct_cm_curve(-56, 3, 13, q, B=10)
+        assert used and not cert.ambiguous and cert.checks <= 2
+        n1, n2 = q + 1 - cert.trace, q + 1 + cert.trace
+        twist = pipeline._certify(curve.quadratic_twist(), n1, n2, cert.trace,
+                                  random.Random(1))
+        assert not twist.ambiguous and twist.checks <= 2
+        assert twist.order == n1 + n2 - cert.order
+        assert order_check(curve, cert.order, random.Random(2), trials=2)
+        assert order_check(curve.quadratic_twist(), twist.order, random.Random(3), trials=2)
+
+    def test_rejects_a_j_root_that_is_not_a_hilbert_root(self):
+        # every J-root over the roots of H at this q is a Hilbert root, so
+        # the spurious one is made: a J-root of Phi(w, J) for the first w
+        # above the smallest root of H that gives one
+        D, q = -311, 39623819596429239443853971442590760311
+        hilbert = set(roots_mod_l(FpPolynomial.make(hilbert_class_polynomial(D), q)))
+        H = compute_class_polynomial(D, 3, 13, b_candidates(D, 39)[0])
+        hroots = roots_mod_l(FpPolynomial.make(H.coeffs, q))
+        phi = pipeline._modular_polynomial(3, 13)
+        w = min(hroots)
+        jroots = {}
+        while not jroots:
+            w += 1
+            if w not in hroots:
+                jroots = roots_mod_l(evaluate_in_j_mod_l(phi, w, q))
+        trace = find_trace(D, q)
+        n1, n2 = q + 1 - trace.t, q + 1 + trace.t
+        for jbar in jroots:
+            assert jbar not in hilbert
+            for cand in curves_with_j(jbar, q):
+                assert pipeline._certify(cand, n1, n2, trace.t, random.Random(0)) is None
+
+    @pytest.mark.parametrize("q,k", [(29, 20), (3593, 17), (2**48 + 21, 3),
+                                     (2**128 - 159, 2), (2**256 - 189, 1)])
+    def test_escaping_points_needed_for_a_2_64_bound(self, q, k):
+        # the least k with (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <= 2^-64, at most 20
+        assert pipeline._escapes_needed(q) == k
 
 
 class TestGroupArithmetic:

@@ -1,5 +1,6 @@
 """Property tests: form and point reduction, roots over F_l, certified
-Lagrange interpolation and the Phi file format."""
+Lagrange interpolation, the Phi file format and the elliptic-curve group
+law."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,8 +21,9 @@ from etacm.classpoly import CPoly, round_certified  # noqa: E402
 from etacm.etafunc import apply_moebius, reduce_to_fundamental_domain  # noqa: E402
 from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
+from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
 from etacm.qforms import QuadraticForm, reduce_form  # noqa: E402
-from oracles import gauss_reduce_point  # noqa: E402
+from oracles import affine_mul, curve_points, gauss_reduce_point, naive_point_count  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
@@ -156,3 +158,44 @@ class TestLagrange:
                 actual = abs(mpmath.mpc(mpmath.mpf(c.re), mpmath.mpf(c.im)) - n)
                 assert actual == 0 or mpmath.log(actual, 2) <= f.err
         assert round_certified(f) == want
+
+
+@st.composite
+def small_curve_points(draw):
+    """(q, a, b, P) with P on y^2 = x^3 + a x + b over a small F_q; half of
+    the draws put a 2-torsion point (r, 0) on the curve and take it as P."""
+    q = draw(st.sampled_from([p for p in ODD_PRIMES if p > 3]))
+    a = draw(st.integers(0, q - 1))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, q - 1))
+        b, P = -(r * r * r + a * r) % q, (r, 0)
+    else:
+        b = draw(st.integers(0, q - 1))
+        points = curve_points(q, a, b)
+        assume(points)
+        P = draw(st.sampled_from(points))
+    assume((4 * a * a * a + 27 * b * b) % q)
+    return q, a, b, P
+
+
+@PROPERTY
+@given(small_curve_points())
+def test_ec_mul_matches_affine_oracle_on_small_curves(case):
+    # every k up to twice the group order: k = 0, k = #E, and, once the
+    # order m of P is odd and at least 3, the left-to-right ladder meets
+    # P + (-P) at k = m and P + P at k = m + 2
+    q, a, b, P = case
+    n = naive_point_count(q, a, b)
+    assert ec_mul(0, P, a, q) is None
+    assert ec_mul(n, P, a, q) is None
+    for k in range(-3, 2 * n + 3):
+        assert ec_mul(k, P, a, q) == affine_mul(k, P, a, q), (q, a, b, P, k)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2**256 - 190), st.integers(1, 2**256 - 190),
+       st.integers(-2**257, 2**257), st.integers(0, 2**32))
+def test_ec_mul_matches_affine_oracle_at_256_bits(a, b, k, seed):
+    q = 2**256 - 189
+    P = random_point(EllipticCurve.make(q, a, b), random.Random(seed))
+    assert ec_mul(k, P, a, q) == affine_mul(k, P, a, q)

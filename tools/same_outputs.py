@@ -9,7 +9,8 @@ PYTHONPATH; the job lists come from this tree's perfbench/inputs.py):
     diff old.jsonl new.jsonl
 
 Covered: the distinct `classpoly`, `modpoly`, `cm-shortcut` and `cm-count`
-jobs of the seed range (the same calls that perfbench/run.py times), whether
+jobs of the seed range (the same calls that perfbench/run.py times; a CM
+record also carries the certificate's trace and its ambiguity), whether
 the computed Phi_{3,13} equals the embedded file, and the stdout and exit code
 of `etacm reproduce-example` and of the worked `cm-curve` line.
 """
@@ -82,7 +83,9 @@ def main(argv=None) -> int:
             if once(("cm", job.D, job.q, job.B)):
                 curve, cert, shortcut = etacm.construct_cm_curve(job.D, p1, p2, job.q, B=job.B)
                 _emit({"job": "cm", "D": job.D, "q": job.q, "B": job.B,
-                       "out": [curve.a4.value, curve.a6.value, cert.order, shortcut]})
+                       "out": [curve.a4.value, curve.a6.value, cert.order, shortcut],
+                       "trace": cert.trace, "ambiguous": cert.ambiguous,
+                       "alt_order": cert.alt_order})
     _emit({"job": "reproduce-example", "out": _cli(["reproduce-example"])})
     _emit({"job": "worked-cm-curve", "out": _cli(WORKED_CM_CURVE)})
     return 0
