@@ -6,11 +6,12 @@ the J-invariant and twist, and certify the curve order.  The order is
 already known to be q + 1 -+ t, so no points are counted: a random point
 whose order divides one of the two orders but not their gcd decides between
 them (a few such points at small q, so that the curve of a spurious J-root
-with a cyclic group passes with probability below 2^-64), and the first
-candidate that passes is taken (a multiple J-root, when there is one, is
-tried first).  Only for q <= EXHAUSTIVE_LIMIT (10^6), where both orders can
-pass, is the order counted exactly by a character-sum sweep.  Everything is
-deterministic for a fixed seed.
+with a cyclic group passes with probability below 2^-64; the quadratic
+twist decides when the curve's own points cannot), and the first candidate
+that passes is taken (a multiple J-root, when there is one, is tried
+first).  Only for small q (none above 1549), where ORDER_CHECKS points
+cannot meet that bound, is the order counted exactly by a character-sum
+sweep.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def find_trace(D: int, q: int) -> TraceSolution | None:
     check_odd_prime(q)
     if D % q == 0:
         return None  # q | D forces q | t, never ordinary
-    if q <= EXHAUSTIVE_LIMIT or -D <= 4:
+    if -D <= 4:
         return _trace_exhaustive(D, q)
     return _trace_cornacchia(D, q)
 
@@ -262,8 +263,9 @@ def random_point(curve: EllipticCurve, rng: random.Random) -> Point:
 def point_count(curve: EllipticCurve) -> int:
     """Exact group order by a quadratic-character sweep over every x.
 
-    Only for q <= EXHAUSTIVE_LIMIT: larger CM curves are certified by
-    random points against q + 1 -+ t instead (see `_certify`).
+    For q <= EXHAUSTIVE_LIMIT only.  `_certify` counts only where
+    ORDER_CHECKS random points cannot meet its 2^-64 bound (no prime above
+    1549); other CM curves are certified by random points instead.
     """
     q = curve.q
     if q > EXHAUSTIVE_LIMIT:
@@ -295,15 +297,15 @@ def order_check(curve: EllipticCurve, n: int, rng: random.Random,
     return True
 
 
-def _escapes_needed(q: int) -> int:
-    """Smallest k, at most ORDER_CHECKS, with
-    (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <= 2^-FALSE_ACCEPT_BITS, where
-    sqrt(q) is rounded up to the next integer."""
+def _escapes_needed(q: int) -> int | None:
+    """Smallest k with (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <=
+    2^-FALSE_ACCEPT_BITS, where sqrt(q) is rounded up to the next integer;
+    None when that k exceeds ORDER_CHECKS (for no prime above 1549)."""
     s = isqrt(q) + 1
     if q + 1 - 2 * s <= 4 * s:
-        return ORDER_CHECKS
-    bits = log2(q + 1 - 2 * s) - log2(4 * s)
-    return min(ORDER_CHECKS, ceil(FALSE_ACCEPT_BITS / bits))
+        return None
+    k = ceil(FALSE_ACCEPT_BITS / (log2(q + 1 - 2 * s) - log2(4 * s)))
+    return k if k <= ORDER_CHECKS else None
 
 
 def _certify(curve: EllipticCurve, n1: int, n2: int, t: int,
@@ -332,18 +334,50 @@ def _certify(curve: EllipticCurve, n1: int, n2: int, t: int,
     invariant factor of E(F_q) = Z/d1 x Z/d2.  So k escaping points are
     required, the least k with (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <=
     2^-FALSE_ACCEPT_BITS (`_escapes_needed`): 1 from q ~ 2^132 up, 2 at
-    128 bits, 17 at q = 3593, ORDER_CHECKS for tiny q.  For cyclic E(F_q)
-    (d1 = 1) this is the chance that a spurious curve passes.
+    128 bits, 17 at q = 3593, 20 at q = 1553.  For cyclic E(F_q) (d1 = 1)
+    this is the chance that a spurious curve passes.  Where no k <=
+    ORDER_CHECKS meets the bound, #E is counted (`point_count`) and
+    re-checked on ORDER_CHECKS points, which only a faulty count fails.
 
-    `checks` is the number of points drawn.  If ORDER_CHECKS points are
-    drawn and fewer than k escape, the certificate is ambiguous: its order
-    is the one that annihilated every point (n1 when both did) and
-    alt_order the other.  No point escapes only when the exponent of
-    E(F_q), which is at least sqrt(#E), divides g <= 4 sqrt(q): at small q
-    (the tests meet it at q = 29), or for a nearly square group.
+    `checks` is the number of points drawn.  Fewer than k escape among
+    ORDER_CHECKS points when escaping points are rare; none escapes when
+    the exponent of E(F_q), at least sqrt(#E), divides g <= 4 sqrt(q).
+    Then the quadratic twist E' decides: #E + #E' = 2q + 2 = n1 + n2, so
+    #E' is in {n1, n2} exactly when #E is (None if not), and then
+    #E = n1 + n2 - #E'.  For q > 229, E or E' has a point whose order has
+    only one multiple in the Hasse interval (Cremona and Sutherland, On a
+    theorem of Mestre and Schoof, J. Theor. Nombres Bordeaux 22, 2010), and
+    such a point escapes g.  A spurious curve's twist is spurious too (2q + 2 - m
+    is not in {n1, n2}), so it passes with k escaping points only with
+    chance below 2^-64, as above.  If E' is ambiguous as well, so is the
+    certificate: its order is the one that annihilated every point of E
+    (n1 when both did), and alt_order the other.
     """
+    need = _escapes_needed(curve.q)
+    if need is None:
+        n = point_count(curve)
+        if n not in (n1, n2):
+            return None
+        if not order_check(curve, n, rng):
+            raise PreconditionError("exact count failed the random-point re-check")
+        return OrderCertificate(curve, n, t, ORDER_CHECKS)
+    cert = _escaping_points(curve, n1, n2, t, need, rng)
+    if cert is None or not cert.ambiguous:
+        return cert
+    twist = _escaping_points(curve.quadratic_twist(), n1, n2, t, need, rng)
+    if twist is None:
+        return None
+    if twist.ambiguous:
+        return cert
+    return OrderCertificate(curve, n1 + n2 - twist.order, t, cert.checks + twist.checks)
+
+
+def _escaping_points(curve: EllipticCurve, n1: int, n2: int, t: int, need: int,
+                     rng: random.Random) -> OrderCertificate | None:
+    """Draw up to ORDER_CHECKS points until `need` escape gcd(n1, n2);
+    None once no order annihilates every point drawn, an ambiguous
+    certificate if fewer than `need` escape (see `_certify`)."""
     q, a = curve.q, curve.a4.value
-    need = _escapes_needed(q)
     ok1 = ok2 = True  # n_i P = O for every point so far
     escaped = 0
     for drawn in range(1, ORDER_CHECKS + 1):
@@ -414,21 +448,10 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
             if cert is not None:
                 return cand, cert, True
 
-    # otherwise the first candidate in (jbar, a4, a6) order with order n1 or
-    # n2; at q <= EXHAUSTIVE_LIMIT both orders can pass the random-point
-    # check, so the order is counted exactly there and only re-checked
+    # otherwise the first candidate in (jbar, a4, a6) order with order n1 or n2
     for jbar in sorted(jroots):
         for cand in sorted(curves_with_j(jbar, q), key=lambda e: (e.a4.value, e.a6.value)):
-            if q > EXHAUSTIVE_LIMIT:
-                cert = _certify(cand, n1, n2, trace.t, rng)
-                if cert is None:
-                    continue
-            else:
-                n = point_count(cand)
-                if n not in (n1, n2):
-                    continue
-                cert = _certify(cand, n, n1 + n2 - n, trace.t, rng)
-                if cert is None or cert.order != n:
-                    raise PreconditionError("exact count failed the random-point re-check")
-            return cand, cert, False
+            cert = _certify(cand, n1, n2, trace.t, rng)
+            if cert is not None:
+                return cand, cert, False
     raise NoRationalJRoot("no candidate curve has a CM-compatible order")

@@ -62,22 +62,24 @@ class TestFindTrace:
             count += 1
 
     def test_cornacchia_agrees_with_exhaustive(self):
-        rng = random.Random(13)
         import sympy
 
-        count = 0
-        while count < 25:
-            q = sympy.nextprime(rng.randint(10**6, 10**7))
-            D = -rng.randint(5, 3000)
-            if D % 4 not in (0, 1) or D % q == 0:
-                continue
-            got = pipeline._trace_cornacchia(D, q)
-            want = trace_oracle(D, q)
-            if want is None:
-                assert got is None, (D, q)
-            else:
-                assert got is not None and (got.t, got.v) == want, (D, q)
-            count += 1
+        # q from 10^6 to 10^7, and primes from 5 to 9973
+        for qmin, qmax in [(10**6, 10**7), (4, 9972)]:
+            rng = random.Random(13)
+            count = 0
+            while count < 25:
+                q = sympy.nextprime(rng.randint(qmin, qmax))
+                D = -rng.randint(5, 3000)
+                if D % 4 not in (0, 1) or D % q == 0:
+                    continue
+                got = pipeline._trace_cornacchia(D, q)
+                want = trace_oracle(D, q)
+                if want is None:
+                    assert got is None, (D, q)
+                else:
+                    assert got is not None and (got.t, got.v) == want, (D, q)
+                count += 1
 
 
 class TestCurveFromJ:
@@ -233,15 +235,22 @@ class TestConstructCmCurve:
         assert cert.order in (7 + 1 - 5, 7 + 1 + 5)
         assert point_count(curve) == cert.order
 
-    def test_quartic_twist_branch_reports_ambiguity(self):
+    def test_quartic_twist_branch_is_counted_at_small_q(self):
         # D = -4 gives j = 1728 (17 mod 29); 2(q+1)-n is a multiple of n
-        # here, so the certificate flags the ambiguity instead of guessing
+        # here, so random points cannot decide: at q = 29 the order is counted
         curve, cert, used = construct_cm_curve(-4, 5, 13, 29)
         assert used is True
         assert curve.j_invariant() == 1728 % 29
-        assert cert.order in (20, 40)
-        assert point_count(curve) == 20
-        assert cert.ambiguous and cert.alt_order == 2 * 30 - cert.order
+        assert (curve.a4.value, curve.a6.value) == (1, 0)
+        assert cert.order == point_count(curve) == 20
+        assert not cert.ambiguous
+
+    def test_ambiguous_certificate_is_settled_on_the_twist(self):
+        # fewer than the 20 escaping points needed at q = 1553 come from this
+        # curve's own points; its quadratic twist decides the order
+        curve, cert, used = construct_cm_curve(-368, 3, 13, 1553, seed=53)
+        assert not cert.ambiguous
+        assert cert.order == point_count(curve) == 1536
 
     def test_order_and_membership_invariants(self):
         rng = random.Random(17)
@@ -257,6 +266,9 @@ class TestConstructCmCurve:
                 continue
             assert cert.order in (q + 1 - cert.trace, q + 1 + cert.trace)
             assert cert.trace * cert.trace <= 4 * q
+            assert not cert.ambiguous
+            if q <= pipeline.EXHAUSTIVE_LIMIT:
+                assert cert.order == point_count(curve)
             assert order_check(curve, cert.order, random.Random(done))
             done += 1
 
@@ -328,10 +340,10 @@ class TestCertify:
             for cand in curves_with_j(jbar, q):
                 assert pipeline._certify(cand, n1, n2, trace.t, random.Random(0)) is None
 
-    @pytest.mark.parametrize("q,k", [(29, 20), (3593, 17), (2**48 + 21, 3),
-                                     (2**128 - 159, 2), (2**256 - 189, 1)])
+    @pytest.mark.parametrize("q,k", [(29, None), (1549, None), (1553, 20), (3593, 17),
+                                     (2**48 + 21, 3), (2**128 - 159, 2), (2**256 - 189, 1)])
     def test_escaping_points_needed_for_a_2_64_bound(self, q, k):
-        # the least k with (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <= 2^-64, at most 20
+        # the least k with (4 sqrt(q) / (q + 1 - 2 sqrt(q)))^k <= 2^-64; None above 20
         assert pipeline._escapes_needed(q) == k
 
 

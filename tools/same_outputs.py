@@ -10,9 +10,10 @@ PYTHONPATH; the job lists come from this tree's perfbench/inputs.py):
 
 Covered: the distinct `classpoly`, `modpoly`, `cm-shortcut` and `cm-count`
 jobs of the seed range (the same calls that perfbench/run.py times; a CM
-record also carries the certificate's trace and its ambiguity), whether
-the computed Phi_{3,13} equals the embedded file, and the stdout and exit code
-of `etacm reproduce-example` and of the worked `cm-curve` line.
+record also carries the certificate's trace, its ambiguity and the number
+of points it drew, which pins the random stream), whether the computed
+Phi_{3,13} equals the embedded file, and the stdout and exit code of
+`etacm reproduce-example` and of the worked `cm-curve` line.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
                 _emit({"job": "cm", "D": job.D, "q": job.q, "B": job.B,
                        "out": [curve.a4.value, curve.a6.value, cert.order, shortcut],
                        "trace": cert.trace, "ambiguous": cert.ambiguous,
-                       "alt_order": cert.alt_order})
+                       "alt_order": cert.alt_order, "checks": cert.checks})
     _emit({"job": "reproduce-example", "out": _cli(["reproduce-example"])})
     _emit({"job": "worked-cm-curve", "out": _cli(WORKED_CM_CURVE)})
     return 0
