@@ -6,6 +6,12 @@ the classical route: strip the X^l - X part with a gcd, then split the
 product of linear factors by randomized equal-degree splitting; the
 generator is an explicit argument with a fixed default seed so CLI output
 is reproducible.
+
+The arithmetic runs on plain coefficient lists, packed into one int for
+every product (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009);
+FpPolynomial objects are made only at the API boundary.  Remainders come
+from a schoolbook loop at small degree and from a Newton inverse of the
+reversed modulus, computed once per modulus, at large degree.
 """
 
 from __future__ import annotations
@@ -74,15 +80,7 @@ class FpPolynomial:
         return FpPolynomial.make(a, self.modulus)
 
     def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
-        if self.is_zero() or other.is_zero():
-            return FpPolynomial(self.modulus, ())
-        p = self.modulus
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return FpPolynomial.make(out, p)
+        return FpPolynomial.make(_mul(self.coeffs, other.coeffs, self.modulus), self.modulus)
 
     def scale(self, k: int) -> "FpPolynomial":
         return FpPolynomial.make([c * k for c in self.coeffs], self.modulus)
@@ -90,24 +88,15 @@ class FpPolynomial:
     def monic(self) -> "FpPolynomial":
         if self.is_zero():
             return self
-        inv = pow(self.coeffs[-1], -1, self.modulus)
-        return self.scale(inv)
+        return FpPolynomial(self.modulus, tuple(_monic(self.coeffs, self.modulus)))
 
     def divmod(self, other: "FpPolynomial") -> tuple["FpPolynomial", "FpPolynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.modulus
-        rem = list(self.coeffs)
-        dn = other.degree
-        inv = pow(other.coeffs[-1], -1, p)
-        quo = [0] * max(0, len(rem) - dn)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            q = rem[i + dn] * inv % p
-            if q:
-                quo[i] = q
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] = (rem[i + j] - q * c) % p
-        return FpPolynomial.make(quo, p), FpPolynomial.make(rem[:dn], p)
+        quo, rem = _divmod(self.coeffs, _monic(other.coeffs, p), p)
+        # a = quo * (m / c) + rem, so the quotient by m itself is quo / c
+        return FpPolynomial(p, tuple(_monic(quo, p, other.coeffs[-1]))), FpPolynomial(p, tuple(rem))
 
     def __mod__(self, other: "FpPolynomial") -> "FpPolynomial":
         return self.divmod(other)[1]
@@ -117,44 +106,129 @@ class FpPolynomial:
             [i * c for i, c in enumerate(self.coeffs)][1:], self.modulus)
 
     def gcd(self, other: "FpPolynomial") -> "FpPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return FpPolynomial(self.modulus, tuple(_gcd(self.coeffs, other.coeffs, self.modulus)))
 
     def pow_mod(self, e: int, mod: "FpPolynomial") -> "FpPolynomial":
-        result = FpPolynomial.make([1], self.modulus)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        if mod.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        p = self.modulus
+        m = _monic(mod.coeffs, p)
+        return FpPolynomial(p, tuple(_pow_mod(_divmod(self.coeffs, m, p)[1], e, m, p)))
 
 
-def _x_poly(l: int) -> FpPolynomial:
-    return FpPolynomial.make([0, 1], l)
+# The kernel below works on plain lists of coefficients, lowest degree first,
+# reduced mod p and without trailing zeros unless a docstring says otherwise.
+
+NEWTON_DEGREE = 32  # from this modulus degree on, divide by a Newton inverse
 
 
-def _linear_roots(f: FpPolynomial, rng: random.Random) -> list[int]:
-    """Roots of a squarefree product of linear factors (monic)."""
-    l = f.modulus
-    if f.degree <= 0:
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul(a, b, p: int, n: int | None = None) -> list:
+    """The n lowest coefficients of a*b (all of them by default) by Kronecker
+    substitution: each list becomes one int with a slot of at least
+    2 bitlen(p) + bitlen(len) + 1 bits per coefficient, wide enough that no
+    slot of the product overflows into the next, and one int multiply does
+    the rest.  The n coefficients are returned as they come out of their
+    slots: in [0, len * p^2), not yet reduced mod p, and untrimmed."""
+    if not a or not b:
+        return [0] * (n or 0)
+    if len(b) == 2 and n is None:  # times a linear factor: cheaper than packing
+        b0, b1 = b
+        return [b0 * a[0]] + [b1 * x + b0 * y for x, y in zip(a, a[1:])] + [a[-1] * b1]
+    w = (2 * p.bit_length() + min(len(a), len(b)).bit_length() + 8) // 8  # bytes
+    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+    x = x * x if a is b else x * int.from_bytes(
+        b"".join([c.to_bytes(w, "little") for c in b]), "little")
+    bs = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    n = len(a) + len(b) - 1 if n is None else n
+    return [int.from_bytes(bs[i:i + w], "little") for i in range(0, n * w, w)]
+
+
+def _monic(a, p: int, lead: int | None = None) -> list:
+    """a divided by lead, by default its leading coefficient."""
+    inv = pow(a[-1] if lead is None else lead, -1, p) if a else 1
+    return list(a) if inv == 1 else [c * inv % p for c in a]
+
+
+def _inverse(m: list, k: int, p: int) -> list:
+    """The inverse mod x^k of m reversed, m monic, by Newton iteration: each
+    step g <- g (2 - m_rev g) doubles the number of correct coefficients."""
+    rev, g, n = m[::-1], [1], 1
+    while n < k:
+        n = min(2 * n, k)
+        e = [-c % p for c in _mul(rev[:n], g, p, n)]
+        e[0] = (e[0] + 2) % p
+        g = [c % p for c in _mul(g, e, p, n)]
+    return g
+
+
+def _divmod(a, m: list, p: int, inv: list | None = None) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic m, for a with coefficients
+    that need not be reduced mod p; both results are.  Below NEWTON_DEGREE by a
+    schoolbook loop; from there on the reversed quotient is rev(a) times the
+    inverse of rev(m), to precision k = deg a - deg m + 1 (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 9.1).  inv, if given, is that inverse
+    to a precision of at least k."""
+    d, k = len(m) - 1, len(a) - len(m) + 1
+    if k <= 0:
+        return [], _trim([c % p for c in a])
+    if d < NEWTON_DEGREE:
+        r, quo = list(a), [0] * k
+        for i in range(k - 1, -1, -1):
+            c = quo[i] = r[i + d] % p
+            if c:
+                r[i:i + d] = [x - c * y for x, y in zip(r[i:i + d], m)]
+        return quo, _trim([c % p for c in r[:d]])
+    if inv is None or len(inv) < k:
+        inv = _inverse(m, k, p)
+    quo = [c % p for c in _mul([c % p for c in a[:d - 1:-1]], inv[:k], p, k)][::-1]
+    low = _mul(quo, m, p, d)
+    return quo, _trim([(x - y) % p for x, y in zip(a, low)])
+
+
+def _gcd(a, b, p: int) -> list:
+    """The monic gcd."""
+    a, b = list(a), list(b)
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _pow_mod(b: list, e: int, m: list, p: int) -> list:
+    """b^e mod the monic m, for b reduced mod m; 0 when m is constant."""
+    if len(m) == 1:
         return []
-    if f.degree == 1:
-        return [(-f.coeffs[0]) * pow(f.coeffs[1], -1, l) % l]
-    if f.coeffs[0] == 0:
-        rest, _ = f.divmod(_x_poly(l))
-        return [0] + _linear_roots(rest.monic(), rng)
-    half = (l - 1) // 2
+    if e == 0:
+        return [1]
+    inv = _inverse(m, len(m) - 2, p) if len(m) > NEWTON_DEGREE else None
+    r = b
+    for bit in bin(e)[3:]:
+        r = _divmod(_mul(r, r, p), m, p, inv)[1]
+        if bit == "1":
+            r = _divmod(_mul(r, b, p), m, p, inv)[1]
+    return r
+
+
+def _linear_roots(f: list, p: int, rng: random.Random) -> list[int]:
+    """Roots of a squarefree monic product of linear factors."""
+    if len(f) <= 2:
+        return [-f[0] % p] if len(f) == 2 else []
+    if f[0] == 0:
+        return [0] + _linear_roots(f[1:], p, rng)
+    half = (p - 1) // 2
     while True:
-        a = rng.randrange(l)
-        probe = FpPolynomial.make([a, 1], l).pow_mod(half, f)
-        g = (probe - FpPolynomial.make([1], l)).gcd(f)
-        if 0 < g.degree < f.degree:
-            other, _ = f.divmod(g)
-            return _linear_roots(g, rng) + _linear_roots(other.monic(), rng)
+        a = rng.randrange(p)
+        probe = _pow_mod([a, 1], half, f, p) or [0]
+        probe[0] = (probe[0] - 1) % p
+        g = _gcd(_trim(probe), f, p)
+        if 1 < len(g) < len(f):
+            return _linear_roots(g, p, rng) + _linear_roots(_divmod(f, g, p)[0], p, rng)
 
 
 def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
@@ -164,18 +238,19 @@ def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
         raise PreconditionError("degree must be at least 1")
     rng = rng if rng is not None else random.Random(DEFAULT_SEED)
     l = f.modulus
-    xl = _x_poly(l).pow_mod(l, f)
-    linear_part = (xl - _x_poly(l) % f).gcd(f)
+    m = _monic(f.coeffs, l)
+    x = _divmod([0, 1], m, l)[1]
+    xl = _pow_mod(x, l, m, l) + [0] * len(x)
+    xl[:len(x)] = [(c - d) % l for c, d in zip(xl, x)]
     counts: Counter = Counter()
-    for r in _linear_roots(linear_part, rng):
-        factor = FpPolynomial.make([-r, 1], l)
-        g = f
+    for r in _linear_roots(_gcd(_trim(xl), m, l), l, rng):
+        g = m
         while True:
-            q, rem = g.divmod(factor)
-            if not rem.is_zero():
+            quo, rem = _divmod(g, [-r % l, 1], l)
+            if rem:
                 break
             counts[r] += 1
-            g = q
+            g = quo
     return counts
 
 

@@ -8,8 +8,9 @@ whose order divides one of the two orders but not their gcd decides between
 them (a few such points at small q, so that the curve of a spurious J-root
 with a cyclic group passes with probability below 2^-64; the quadratic
 twist decides when the curve's own points cannot), and the first candidate
-that passes is taken (a multiple J-root, when there is one, is tried
-first).  Only for small q (none above 1549), where ORDER_CHECKS points
+that passes is taken.  A multiple J-root, when there is one, is tried
+first, and it is read off gcd(f, f') of the J-slice f without splitting f;
+f is split only when no multiple root gives a curve.  Only for small q (none above 1549), where ORDER_CHECKS points
 cannot meet that bound, is the order counted exactly by a character-sum
 sweep.  Everything is deterministic for a fixed seed.
 """
@@ -433,23 +434,29 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
     jpoly = evaluate_in_j_mod_l(phi, wbar, q)
     if jpoly.degree < 1:
         raise NoRationalJRoot(f"modular equation degenerates mod {q}")
-    jroots = roots_mod_l(jpoly, rng)
-    if not jroots:
-        raise NoRationalJRoot(f"no rational J-root mod {q}")
     n1, n2 = q + 1 - trace.t, q + 1 + trace.t
 
-    # a multiple J-root is the CM invariant: take it without any counting
-    # (several can coincide mod q for J-degree > 2; the failing ones are
-    # weeded out by the random-point certificate and we fall back to trying
-    # every candidate only if none survives)
-    for jbar in sorted(r for r, m in jroots.items() if m >= 2):
+    # a multiple J-root is the CM invariant: read it off g = gcd(f, f'), whose
+    # roots are exactly the roots of f of multiplicity >= 2, and take it
+    # without any counting (several can coincide mod q for J-degree > 2; the
+    # failing ones are weeded out by the random-point certificate, which
+    # proves that a rejected curve has neither order)
+    g = jpoly.gcd(jpoly.derivative())
+    if g.degree < 2:
+        multiple = [-g.coeffs[0] % q] if g.degree == 1 else []
+    else:
+        multiple = sorted(roots_mod_l(g, rng))
+    for jbar in multiple:
         for cand in curves_with_j(jbar, q):
             cert = _certify(cand, n1, n2, trace.t, rng)
             if cert is not None:
                 return cand, cert, True
 
     # otherwise the first candidate in (jbar, a4, a6) order with order n1 or n2
-    for jbar in sorted(jroots):
+    jroots = roots_mod_l(jpoly, rng)
+    if not jroots:
+        raise NoRationalJRoot(f"no rational J-root mod {q}")
+    for jbar in sorted(set(jroots) - set(multiple)):
         for cand in sorted(curves_with_j(jbar, q), key=lambda e: (e.a4.value, e.a6.value)):
             cert = _certify(cand, n1, n2, trace.t, rng)
             if cert is not None:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: eta and J
 come from mpmath's high-level q-Pochhammer and theta functions, form counts
 from a direct triple loop, the reduction of a point from exact rational
 arithmetic, point counts from a naive sweep, the group law from affine
-chord-and-tangent steps, and the Hilbert class polynomial from theta-based
-j-values expanded with mpmath arithmetic.
+chord-and-tangent steps, the Hilbert class polynomial from theta-based
+j-values expanded with mpmath arithmetic, and polynomial arithmetic over F_p
+from schoolbook loops.
 """
 
 from __future__ import annotations
@@ -191,3 +192,54 @@ def _mul_linear(poly, root):
         out[i] -= c * root
         out[i + 1] += c
     return out
+
+
+# schoolbook polynomial arithmetic over F_p on coefficient lists, lowest
+# degree first; every result is reduced mod p and has no trailing zeros
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def schoolbook_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % p for c in out])
+
+
+def schoolbook_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by any nonzero b."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    inv = pow(b[-1], -1, p)
+    rem, quo = list(a), [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + len(b) - 1] * inv % p
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % p
+    return _trim(quo), _trim(rem[:len(b) - 1])
+
+
+def schoolbook_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd (zero for two zeros)."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        a, b = b, schoolbook_divmod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
+def schoolbook_pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m by right-to-left square and multiply, with a^0 = 1; mod a
+    nonzero constant everything is 0."""
+    result = schoolbook_divmod([1], m, p)[1]
+    base = schoolbook_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = schoolbook_divmod(schoolbook_mul(result, base, p), m, p)[1]
+        base = schoolbook_divmod(schoolbook_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result

@@ -80,6 +80,21 @@ class TestRoots:
                 continue
             assert roots_mod_l(f) == brute_roots(f), (coeffs, l)
 
+    def test_sixty_linear_factors_at_256_bits(self):
+        # degree 62, above the Newton division threshold: 60 known linear
+        # factors, 0 and repeated roots among them, times a quadratic with
+        # no root (c is a non-residue)
+        p = 2**255 - 19
+        rng = random.Random(60)
+        pool = [0] + [rng.randrange(p) for _ in range(29)]
+        roots = [rng.choice(pool) for _ in range(60)]
+        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+        f = FpPolynomial.make([-c, 0, 1], p)
+        for r in roots:
+            f = f * FpPolynomial.make([-r, 1], p)
+        assert f.degree == 62
+        assert roots_mod_l(f, random.Random(1)) == Counter(roots)
+
     def test_deterministic_default_seed(self):
         f = FpPolynomial.make([-1, 2, -1, -2, 1], 3593)
         assert roots_mod_l(f) == roots_mod_l(f)
@@ -89,6 +104,19 @@ class TestRoots:
             roots_mod_l(FpPolynomial.make([5], 7))
         with pytest.raises(PreconditionError):
             roots_mod_l(FpPolynomial.make([1, 1], 4))
+
+
+class TestPowMod:
+    def test_exponent_zero_zero_base_and_constant_modulus(self):
+        p = 101
+        f, m = FpPolynomial.make([3, 1], p), FpPolynomial.make([1, 0, 1], p)
+        zero = FpPolynomial.make([], p)
+        assert f.pow_mod(0, m).coeffs == (1,)
+        assert zero.pow_mod(0, m).coeffs == (1,)
+        assert zero.pow_mod(5, m).is_zero()
+        # every polynomial is 0 mod a unit, f^0 = 1 included
+        for e in (0, 1, 7):
+            assert f.pow_mod(e, FpPolynomial.make([5], p)).is_zero()
 
 
 class TestMultipleRoot:

@@ -172,6 +172,24 @@ class TestConstructCmCurve:
         assert cert.order in (3588, 3600)
         assert point_count(curve) == cert.order
 
+    def test_witnessed_job_splits_only_h(self, monkeypatch):
+        # the multiple J-root is read off gcd(f, f'), so a witnessed job
+        # calls roots_mod_l once, on H; without a witness the slice is split
+        degrees = []
+
+        def counting(f, rng=None):
+            degrees.append(f.degree)
+            return roots_mod_l(f, rng)
+
+        monkeypatch.setattr(pipeline, "roots_mod_l", counting)
+        q256 = 84632970245310086680688588841393060632974587876599533069688206916113180513121
+        for q, B, used_shortcut, want in ((3593, 10, True, [4]), (q256, 10, True, [4]),
+                                          (3593, 16, False, [4, 2])):
+            degrees.clear()
+            _, _, used = construct_cm_curve(-56, 3, 13, q, B=B)
+            assert used is used_shortcut
+            assert degrees == want, (q, B)
+
     def test_random_points_skip_primality_tests(self, monkeypatch):
         # q is tested once, by the trace search; curve coefficients, root
         # finding and random points reuse the remembered verdict

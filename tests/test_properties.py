@@ -23,7 +23,16 @@ from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
 from etacm.qforms import QuadraticForm, reduce_form  # noqa: E402
-from oracles import affine_mul, curve_points, gauss_reduce_point, naive_point_count  # noqa: E402
+from oracles import (  # noqa: E402
+    affine_mul,
+    curve_points,
+    gauss_reduce_point,
+    naive_point_count,
+    schoolbook_divmod,
+    schoolbook_gcd,
+    schoolbook_mul,
+    schoolbook_pow_mod,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
@@ -112,6 +121,32 @@ class TestRootsModL:
         coeffs, l = poly
         got = roots_mod_l(FpPolynomial.make(coeffs, l), random.Random(seed))
         assert dict(got) == _brute_force_roots(coeffs, l)
+
+
+@st.composite
+def fp_operands(draw):
+    """(a, b, e, p): a of degree up to 80 and b up to 40, on both sides of
+    the degree where division switches to a Newton inverse, with zero and
+    constant operands and non-monic b."""
+    p = draw(st.sampled_from([101, 2**255 - 19]))
+    coeff = st.integers(0, p - 1)
+    a, b = (draw(st.lists(coeff, min_size=n, max_size=n))
+            for n in (draw(st.integers(0, 81)), draw(st.integers(0, 41))))
+    return a, b, draw(st.integers(0, 2**16)), p
+
+
+@PROPERTY
+@given(fp_operands())
+def test_packed_arithmetic_matches_schoolbook(case):
+    a, b, e, p = case
+    A, B = FpPolynomial.make(a, p), FpPolynomial.make(b, p)
+    assert list((A * B).coeffs) == schoolbook_mul(a, b, p)
+    assert list((A * A).coeffs) == schoolbook_mul(a, a, p)
+    assert list(A.gcd(B).coeffs) == schoolbook_gcd(a, b, p)
+    if not B.is_zero():
+        quo, rem = A.divmod(B)
+        assert (list(quo.coeffs), list(rem.coeffs)) == schoolbook_divmod(a, b, p)
+        assert list(A.pow_mod(e, B).coeffs) == schoolbook_pow_mod(a, e, b, p)
 
 
 @st.composite
