@@ -86,17 +86,16 @@ class FpPolynomial:
         return FpPolynomial.make([c * k for c in self.coeffs], self.modulus)
 
     def monic(self) -> "FpPolynomial":
-        if self.is_zero():
-            return self
         return FpPolynomial(self.modulus, tuple(_monic(self.coeffs, self.modulus)))
 
     def divmod(self, other: "FpPolynomial") -> tuple["FpPolynomial", "FpPolynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.modulus
-        quo, rem = _divmod(self.coeffs, _monic(other.coeffs, p), p)
-        # a = quo * (m / c) + rem, so the quotient by m itself is quo / c
-        return FpPolynomial(p, tuple(_monic(quo, p, other.coeffs[-1]))), FpPolynomial(p, tuple(rem))
+        inv = pow(other.coeffs[-1], -1, p)
+        quo, rem = _divmod(self.coeffs, [c * inv % p for c in other.coeffs], p)
+        # a = quo * (m / lead) + rem, so the quotient by m itself is quo / lead
+        return FpPolynomial(p, tuple(c * inv % p for c in quo)), FpPolynomial(p, tuple(rem))
 
     def __mod__(self, other: "FpPolynomial") -> "FpPolynomial":
         return self.divmod(other)[1]
@@ -149,9 +148,8 @@ def _mul(a, b, p: int, n: int | None = None) -> list:
     return [int.from_bytes(bs[i:i + w], "little") for i in range(0, n * w, w)]
 
 
-def _monic(a, p: int, lead: int | None = None) -> list:
-    """a divided by lead, by default its leading coefficient."""
-    inv = pow(a[-1] if lead is None else lead, -1, p) if a else 1
+def _monic(a, p: int) -> list:
+    inv = pow(a[-1], -1, p) if a else 1
     return list(a) if inv == 1 else [c * inv % p for c in a]
 
 

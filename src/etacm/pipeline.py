@@ -10,9 +10,10 @@ with a cyclic group passes with probability below 2^-64; the quadratic
 twist decides when the curve's own points cannot), and the first candidate
 that passes is taken.  A multiple J-root, when there is one, is tried
 first, and it is read off gcd(f, f') of the J-slice f without splitting f;
-f is split only when no multiple root gives a curve.  Only for small q (none above 1549), where ORDER_CHECKS points
-cannot meet that bound, is the order counted exactly by a character-sum
-sweep.  Everything is deterministic for a fixed seed.
+f is split only when no multiple root gives a curve.  Only for small q
+(none above 1549), where ORDER_CHECKS points cannot meet that bound, is the
+order counted exactly by a character-sum sweep.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
