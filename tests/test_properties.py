@@ -130,8 +130,9 @@ def fp_operands(draw):
     constant operands and non-monic b."""
     p = draw(st.sampled_from([101, 2**255 - 19]))
     coeff = st.integers(0, p - 1)
-    a, b = (draw(st.lists(coeff, min_size=n, max_size=n))
-            for n in (draw(st.integers(0, 81)), draw(st.integers(0, 41))))
+    n, k = draw(st.integers(0, 81)), draw(st.integers(0, 41))
+    a = draw(st.lists(coeff, min_size=n, max_size=n))
+    b = draw(st.lists(coeff, min_size=k, max_size=k))
     return a, b, draw(st.integers(0, 2**16)), p
 
 
