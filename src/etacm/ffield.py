@@ -65,25 +65,8 @@ class FpPolynomial:
             acc = (acc * x + c) % self.modulus
         return acc
 
-    def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return FpPolynomial.make(a, self.modulus)
-
-    def __sub__(self, other: "FpPolynomial") -> "FpPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] -= c
-        return FpPolynomial.make(a, self.modulus)
-
     def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
         return FpPolynomial.make(_mul(self.coeffs, other.coeffs, self.modulus), self.modulus)
-
-    def scale(self, k: int) -> "FpPolynomial":
-        return FpPolynomial.make([c * k for c in self.coeffs], self.modulus)
 
     def monic(self) -> "FpPolynomial":
         return FpPolynomial(self.modulus, tuple(_monic(self.coeffs, self.modulus)))
@@ -96,9 +79,6 @@ class FpPolynomial:
         quo, rem = _divmod(self.coeffs, [c * inv % p for c in other.coeffs], p)
         # a = quo * (m / lead) + rem, so the quotient by m itself is quo / lead
         return FpPolynomial(p, tuple(c * inv % p for c in quo)), FpPolynomial(p, tuple(rem))
-
-    def __mod__(self, other: "FpPolynomial") -> "FpPolynomial":
-        return self.divmod(other)[1]
 
     def derivative(self) -> "FpPolynomial":
         return FpPolynomial.make(
@@ -118,7 +98,9 @@ class FpPolynomial:
 # The kernel below works on plain lists of coefficients, lowest degree first,
 # reduced mod p and without trailing zeros unless a docstring says otherwise.
 
-NEWTON_DEGREE = 32  # from this modulus degree on, divide by a Newton inverse
+# From this modulus degree on, divide by a Newton inverse.  The value is not
+# measured: no benchmark job divides by a modulus of degree above 12.
+NEWTON_DEGREE = 32
 
 
 def _trim(a: list) -> list:

@@ -7,7 +7,7 @@ PYTHONPATH):
     PYTHONPATH=src python3 tools/time_roots.py
     PYTHONPATH=/path/to/other/src python3 tools/time_roots.py
 
-By default it computes H_{B,15} for D = -35759 (h = 259) and the first B of
+It computes H_{B,15} for D = -35759 (h = 259) and the first B of
 `b_candidates`, reduces it mod q = 2^255 - 19, and prints one line each for
 H itself, `x^q mod H` and `roots_mod_l(H mod q)`: the seconds taken and a
 SHA-256 prefix of the result.  The hashes must agree between trees; the
@@ -16,12 +16,14 @@ times are as measured on the machine at hand.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 import time
 
 from etacm import Discriminant, FpPolynomial, b_candidates, compute_class_polynomial, roots_mod_l
+
+
+DISC, P1, P2, PRIME = -35759, 3, 5, 2**255 - 19
 
 
 def _digest(value) -> str:
@@ -35,20 +37,14 @@ def _timed(label: str, fn):
     return value
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--disc", type=int, default=-35759)
-    parser.add_argument("--p1", type=int, default=3)
-    parser.add_argument("--p2", type=int, default=5)
-    parser.add_argument("--prime", type=int, default=2**255 - 19)
-    args = parser.parse_args(argv)
-    disc, q = Discriminant(args.disc), args.prime
-    B = b_candidates(disc, args.p1 * args.p2)[0]
-    print(f"D = {args.disc}, (p1, p2) = ({args.p1}, {args.p2}), B = {B}, "
-          f"h = {disc.class_number()}, q = {q}")
-    H = _timed("H", lambda: compute_class_polynomial(disc, args.p1, args.p2, B).coeffs)
-    hq = FpPolynomial.make(H, q)
-    _timed("x^q mod H", lambda: FpPolynomial.make([0, 1], q).pow_mod(q, hq).coeffs)
+def main() -> int:
+    disc = Discriminant(DISC)
+    B = b_candidates(disc, P1 * P2)[0]
+    print(f"D = {DISC}, (p1, p2) = ({P1}, {P2}), B = {B}, "
+          f"h = {disc.class_number()}, q = {PRIME}")
+    H = _timed("H", lambda: compute_class_polynomial(disc, P1, P2, B).coeffs)
+    hq = FpPolynomial.make(H, PRIME)
+    _timed("x^q mod H", lambda: FpPolynomial.make([0, 1], PRIME).pow_mod(PRIME, hq).coeffs)
     _timed("roots of H", lambda: sorted(roots_mod_l(hq).items()))
     return 0
 
