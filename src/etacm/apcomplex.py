@@ -1,37 +1,36 @@
-"""Arbitrary-precision complex values on top of mpmath's raw libmp layer.
+"""Complex values: the public boundary types, and the fixed-point
+Gaussian-integer kernel that the numerical hot loops run on.
 
-The libmp functions take the working precision explicitly, so every operation
-here is a pure function of its inputs; there is no global context to mutate
-(unlike mpmath's high-level ``mp`` singleton).  Values are immutable and safe
-to share between threads.
+`ApComplex` and `UpperHalfPoint` are what `eta`, `j_invariant`, `w_pow_s`
+and friends take and return: immutable pairs of raw mpmath mpf tuples
+``(sign, man, exp, bc)`` with a nominal precision.  The MIN_PREC floor is
+checked where a precision enters (`UpperHalfPoint.from_form`).
 
-Internally a real number is a raw mpf tuple ``(sign, man, exp, bc)``; the
-magnitude bound ``|x| <= 2**mag(x)`` used for error bookkeeping falls straight
-out of that representation.  The MIN_PREC floor is checked where a precision
-enters (`ApComplex.make`, `UpperHalfPoint.from_form`); arithmetic results
-take their operands' precision.
+The kernel holds a complex value as a triple ``(re, im, e)`` of Python ints
+standing for ``(re + i im) 2^e``: one power-of-two exponent per value, so
+relative precision survives across the whole range of magnitudes.  An mpf is
+dyadic, so `from_mpc` and `to_apcomplex` convert exactly.  `mul` and `add`
+are exact; a value is cut back to W bits only by `trunc`, and `div` and
+`sqrt` round once.  With u = 2^-W, each rounding has a relative error below
+3u (ROUND_ULPS): a mantissa of W bits is at least 2^(W-1) units, and
+rounding both parts down moves it by less than sqrt(2) units, so by under
+2 sqrt(2) u (`sqrt` and `div` land on W + 1 bits or more and do better).
+The slack up to 3u covers the second-order terms when relative errors are
+added along a computation, as long as they stay below 2^20 u; W is at least
+MIN_PREC.  `power`'s roundings weigh n - 1 in all, so x^n is within
+n r + 3 (n - 1) u when x is within a relative r.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 
 from mpmath.libmp import (
     MPZ,
-    from_float,
     from_int,
     from_man_exp,
-    mpc_add,
-    mpc_div,
-    mpc_mul,
-    mpc_mul_int,
-    mpc_neg,
-    mpc_pow_int,
-    mpc_sqrt,
-    mpc_sub,
     mpf_div,
-    mpf_neg,
     mpf_sqrt,
     round_nearest,
     to_float,
@@ -41,30 +40,13 @@ RND = round_nearest
 
 MIN_PREC = 64
 
-
-def mag(x) -> int:
-    """Upper bound e with |x| <= 2**e for a raw mpf (-10**9 for zero)."""
-    sign, man, exp, bc = x
-    if not man and not exp:
-        return -(10**9)
-    return exp + bc
+# relative error of one rounding kernel operation, in units of 2^-W
+ROUND_ULPS = 3.0
 
 
 def _check_prec(prec: int) -> None:
     if prec < MIN_PREC:
         raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
-
-
-def real_from(value, prec: int):
-    """Coerce an integer, float, or raw mpf tuple to a raw mpf."""
-    if isinstance(value, tuple):
-        return value
-    if isinstance(value, float):
-        return from_float(value, prec, RND)
-    try:
-        return from_int(operator.index(value), prec, RND)
-    except TypeError:
-        raise TypeError(f"cannot convert {type(value).__name__} to mpf") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,83 +56,6 @@ class ApComplex:
     re: tuple
     im: tuple
     prec: int
-
-    @classmethod
-    def make(cls, re, im=0, prec: int = MIN_PREC) -> "ApComplex":
-        _check_prec(prec)
-        return cls(real_from(re, prec), real_from(im, prec), prec)
-
-    @property
-    def mpc(self):
-        return (self.re, self.im)
-
-    def _prec_with(self, other) -> int:
-        if isinstance(other, ApComplex):
-            return max(self.prec, other.prec)
-        return self.prec
-
-    def _coerce(self, other) -> "ApComplex":
-        if isinstance(other, ApComplex):
-            return other
-        return ApComplex.make(other, 0, self.prec)
-
-    def __add__(self, other):
-        p = self._prec_with(other)
-        o = self._coerce(other)
-        return ApComplex(*mpc_add(self.mpc, o.mpc, p, RND), p)
-
-    def __sub__(self, other):
-        p = self._prec_with(other)
-        o = self._coerce(other)
-        return ApComplex(*mpc_sub(self.mpc, o.mpc, p, RND), p)
-
-    def __mul__(self, other):
-        p = self._prec_with(other)
-        if not isinstance(other, ApComplex):
-            try:
-                return ApComplex(*mpc_mul_int(self.mpc, operator.index(other), p, RND), p)
-            except TypeError:
-                pass
-        o = self._coerce(other)
-        return ApComplex(*mpc_mul(self.mpc, o.mpc, p, RND), p)
-
-    def __truediv__(self, other):
-        p = self._prec_with(other)
-        o = self._coerce(other)
-        return ApComplex(*mpc_div(self.mpc, o.mpc, p, RND), p)
-
-    def __rtruediv__(self, other):
-        p = self.prec
-        o = self._coerce(other)
-        return ApComplex(*mpc_div(o.mpc, self.mpc, p, RND), p)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return ApComplex(*mpc_neg(self.mpc, self.prec, RND), self.prec)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("integer exponents only")
-        return ApComplex(*mpc_pow_int(self.mpc, n, self.prec, RND), self.prec)
-
-    def conjugate(self) -> "ApComplex":
-        return ApComplex(self.re, mpf_neg(self.im), self.prec)
-
-    def sqrt(self) -> "ApComplex":
-        """Principal branch square root (real part >= 0)."""
-        return ApComplex(*mpc_sqrt(self.mpc, self.prec, RND), self.prec)
-
-    def mag(self) -> int:
-        """e with |self| <= 2**e (coarse, from the larger component)."""
-        return max(mag(self.re), mag(self.im)) + 1
-
-    def at_prec(self, prec: int) -> "ApComplex":
-        return ApComplex(self.re, self.im, prec)
 
     def to_complex(self) -> complex:
         return complex(to_float(self.re, strict=False), to_float(self.im, strict=False))
@@ -169,10 +74,6 @@ class UpperHalfPoint:
         sign, man, exp, bc = self.value.im
         if sign or not man:
             raise ValueError("point not in the upper half-plane")
-
-    @classmethod
-    def make(cls, re, im, prec: int = MIN_PREC) -> "UpperHalfPoint":
-        return cls(ApComplex.make(re, im, prec))
 
     @classmethod
     def from_form(cls, a: int, b: int, D: int, prec: int) -> "UpperHalfPoint":
@@ -194,20 +95,120 @@ class UpperHalfPoint:
         return self.value.to_complex()
 
 
-def abs_diff(x: ApComplex, y: ApComplex) -> float:
-    """log2 of |x - y| (rough, for tolerance checks); -inf when equal."""
-    p = max(x.prec, y.prec)
-    d = mpc_sub(x.mpc, y.mpc, p, RND)
-    m = max(mag(d[0]), mag(d[1]))
-    return float("-inf") if m <= -(10**8) else float(m)
+def _from_mpf(x) -> tuple[int, int]:
+    sign, man, exp, bc = x
+    return (-int(man) if sign else int(man)), exp
 
 
-__all__ = [
-    "ApComplex",
-    "UpperHalfPoint",
-    "MIN_PREC",
-    "RND",
-    "mag",
-    "abs_diff",
-    "real_from",
-]
+def from_mpc(re, im) -> tuple[int, int, int]:
+    """The triple of the complex number with raw mpf parts re and im, exactly."""
+    (a, ea), (b, eb) = _from_mpf(re), _from_mpf(im)
+    if not a:
+        return 0, b, eb
+    if not b:
+        return a, 0, ea
+    e = min(ea, eb)
+    return a << (ea - e), b << (eb - e), e
+
+
+def to_apcomplex(x: tuple[int, int, int], prec: int) -> ApComplex:
+    """x as an ApComplex labelled with precision prec, exactly."""
+    re, im, e = x
+    return ApComplex(from_man_exp(MPZ(re), e), from_man_exp(MPZ(im), e), prec)
+
+
+def lg(x: tuple[int, int, int]) -> float:
+    """log2 |x|, raised by 2^-30 so that it bounds |x| from above (-inf for 0;
+    for |log2 |x|| below 2^20).  A lower bound is lg(x) - 2^-29."""
+    re, im, e = x
+    bits = max(abs(re), abs(im)).bit_length()
+    if not bits:
+        return float("-inf")
+    s = max(bits - 64, 0)
+    return math.log2(math.hypot(re >> s, im >> s)) + s + e + 2.0 ** -30
+
+
+def trunc(x: tuple[int, int, int], W: int) -> tuple[int, int, int]:
+    """x cut down to a W-bit mantissa (both parts rounded down, so a
+    negative part may reach -2^W)."""
+    re, im, e = x
+    s = max(abs(re), abs(im)).bit_length() - W
+    if s <= 0:
+        return x
+    return re >> s, im >> s, e + s
+
+
+def mul(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x y, exact."""
+    a, b, e = x
+    c, d, f = y
+    return a * c - b * d, a * d + b * c, e + f
+
+
+def div(x: tuple[int, int, int], y: tuple[int, int, int], W: int) -> tuple[int, int, int]:
+    """x / y = x conj(y) / |y|^2, from one floor division per part scaled so
+    that the quotient has at least W + 1 bits."""
+    a, b, e = x
+    c, d, f = y
+    nr, ni, den = a * c + b * d, b * c - a * d, c * c + d * d
+    s = W + 2 + den.bit_length() - max(abs(nr), abs(ni)).bit_length()
+    if s >= 0:
+        nr, ni = nr << s, ni << s
+    else:
+        den <<= -s
+    return nr // den, ni // den, e - f - s
+
+
+def sqrt(x: tuple[int, int, int], W: int) -> tuple[int, int, int]:
+    """Principal square root (real part >= 0), from math.isqrt.
+
+    The mantissa is first scaled to at least 2W + 4 bits with an even
+    exponent.  Then n = isqrt(re^2 + im^2) is |x| to one unit, the larger
+    part T = sqrt((|x| + |re|) / 2) comes from one more isqrt to within
+    1.01 units, and the other part im / (2T) from one floor division to
+    within 2.02 units, on a root of at least 2^(W+1) units: 1.13u in all.
+    """
+    re, im, e = x
+    if not re and not im:
+        return x
+    s = max(2 * W + 4 - max(abs(re), abs(im)).bit_length(), 0)
+    s += (e - s) & 1
+    re, im, e = re << s, im << s, e - s
+    t = math.isqrt((math.isqrt(re * re + im * im) + abs(re)) >> 1)
+    o = abs(im) // (2 * t)
+    if re >= 0:
+        return t, (o if im >= 0 else -o), e // 2
+    return o, (t if im >= 0 else -t), e // 2
+
+
+def power(x: tuple[int, int, int], n: int, W: int) -> tuple[int, int, int]:
+    """x^n for n >= 1 by left-to-right binary powering, cut to W bits after
+    each product.  A rounding at x^m is raised to the power n / m, and these
+    weights sum to n - 1, so the result is within n r + 3 (n - 1) u of x^n
+    when x is within a relative r."""
+    r = x
+    for bit in bin(n)[3:]:
+        r = trunc(mul(r, r), W)
+        if bit == "1":
+            r = trunc(mul(r, x), W)
+    return r
+
+
+def log2add(*vals: float) -> float:
+    """log2 of the sum of 2^v over vals, without underflow."""
+    top = max(vals)
+    if top == float("-inf"):
+        return top
+    return top + math.log2(sum(2.0 ** (v - top) for v in vals))
+
+
+def add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x + y, exact (aligned to the smaller exponent)."""
+    a, b, e = x
+    c, d, f = y
+    if e > f:
+        a, b, e = a << (e - f), b << (e - f), f
+    elif f > e:
+        c, d = c << (f - e), d << (f - e)
+    return a + c, b + d, e
+

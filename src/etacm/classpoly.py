@@ -22,12 +22,11 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from mpmath.libmp import from_int, mpf_sub, to_float, to_int
-
-from .apcomplex import MIN_PREC, RND, ApComplex
+from .apcomplex import MIN_PREC, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
-from .etafunc import EtaTable, s_exponent, w_pow_s_with_err
+from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
+from .intpoly import pack, slot_bytes, unpack
 from .qforms import Discriminant, QuadraticForm, b_candidates, build_nsystem
 
 MAX_PRECISION = 65536
@@ -74,46 +73,59 @@ class ClassPolynomial:
         return list(reversed(self.coeffs))
 
 
-def _log2add(*vals: float) -> float:
-    top = max(vals)
-    if top == float("-inf"):
-        return top
-    return top + math.log2(sum(2.0 ** (v - top) for v in vals))
-
-
-def _mul_err(norm1: float, err1: float, norm2: float, err2: float,
-             size: int, wp: int) -> float:
+def _mul_err(norm1: float, err1: float, norm2: float, err2: float, wp: int) -> float:
     """Error bound of a product of two polynomials with these norm and error
-    bounds, the shorter of length `size`, expanded at precision wp."""
-    return _log2add(norm1 + err2, norm2 + err1, err1 + err2,
-                    norm1 + norm2 - wp + math.log2(size) + 2)
+    bounds: the propagated error, and the rounding down to the exponent
+    floor(norm1 + norm2) - wp (`CPoly.mul`), below sqrt(2) units of it."""
+    return log2add(norm1 + err2, norm2 + err1, err1 + err2, _round_exp(norm1 + norm2, wp) + 0.5)
+
+
+def _round_exp(norm: float, wp: int) -> float:
+    """The exponent a product of norm 2^norm is rounded to (-inf for zero)."""
+    return math.floor(norm) - wp if norm > -math.inf else -math.inf
 
 
 class CPoly:
-    """Complex polynomial with an L1-norm bound and a per-coefficient
-    absolute-error bound, both as log2 exponents."""
+    """Complex polynomial sum_k (re[k] + i im[k]) 2^exp X^k, lowest degree
+    first, with an L1-norm bound and a per-coefficient absolute-error bound,
+    both as log2 exponents."""
 
-    __slots__ = ("coeffs", "err", "norm")
+    __slots__ = ("re", "im", "exp", "err", "norm")
 
-    def __init__(self, coeffs: list[ApComplex], err: float, norm: float):
-        self.coeffs = coeffs
+    def __init__(self, re: list[int], im: list[int], exp: int, err: float, norm: float):
+        self.re = re
+        self.im = im
+        self.exp = exp
         self.err = err
         self.norm = norm
 
+    @classmethod
+    def constant(cls, c: Value, err: float) -> "CPoly":
+        return cls([c[0]], [c[1]], c[2], err, lg(c))
+
     def mul(self, other: "CPoly", wp: int) -> "CPoly":
-        n, m = len(self.coeffs), len(other.coeffs)
-        zero = ApComplex.make(0, 0, wp)
-        out = [zero] * (n + m - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        err = _mul_err(self.norm, self.err, other.norm, other.err, min(n, m), wp)
-        return CPoly(out, err, self.norm + other.norm)
+        """The product, exact, then rounded down to the exponent
+        floor(norm1 + norm2) - wp where that is finer than exact.  Its three
+        real products (Karatsuba: ac, bd and (a + b)(c + d)) are each one
+        product of packed integers (`intpoly.pack`)."""
+        n, m = len(self.re), len(other.re)
+        bits = (max(max(self.re), -min(self.re), max(self.im), -min(self.im)).bit_length()
+                + max(max(other.re), -min(other.re), max(other.im), -min(other.im)).bit_length())
+        w = slot_bytes(bits, min(n, m))
+        a, b, c, d = (pack(x, w) for x in (self.re, self.im, other.re, other.im))
+        ac, bd = a * c, b * d
+        re, im = unpack(ac - bd, n + m - 1, w), unpack((a + b) * (c + d) - ac - bd, n + m - 1, w)
+        exp = self.exp + other.exp
+        shift = _round_exp(self.norm + other.norm, wp) - exp
+        if shift > 0:
+            re, im, exp = [x >> shift for x in re], [x >> shift for x in im], exp + shift
+        err = _mul_err(self.norm, self.err, other.norm, other.err, wp)
+        return CPoly(re, im, exp, err, self.norm + other.norm)
 
 
-def _root_norm(r: ApComplex) -> float:
+def _root_norm(r: Value) -> float:
     """log2 of an upper bound on the L1 norm of X - r."""
-    return _log2add(0.0, float(r.mag()))
+    return log2add(0.0, lg(r))
 
 
 def _balanced(items: list, mul):
@@ -126,32 +138,34 @@ def _balanced(items: list, mul):
     return items[0]
 
 
-def product_tree(roots: list[tuple[ApComplex, float]], wp: int) -> CPoly:
+def product_tree(roots: list[tuple[Value, float]], wp: int) -> CPoly:
     """Expand prod (X - r_i) for (value, log2 error) pairs."""
-    one = ApComplex.make(1, 0, wp)
-    leaves = [CPoly([-r, one], err, _root_norm(r)) for r, err in roots]
+    leaves = []
+    for r, err in roots:
+        a, b, e = r
+        if e > 0:
+            a, b, e = a << e, b << e, 0
+        leaves.append(CPoly([-a, 1 << -e], [-b, 0], e, err, _root_norm(r)))
     return _balanced(leaves, lambda f, g: f.mul(g, wp))
 
 
-def _tree_err(roots: list[tuple[ApComplex, float]], wp: int) -> float:
+def _tree_err(roots: list[tuple[Value, float]], wp: int) -> float:
     """The error bound `product_tree` would certify, without expanding:
-    the same fold over (norm, error, length) triples."""
+    the same fold over (norm, error) pairs."""
     def mul(f, g):
-        return (f[0] + g[0], _mul_err(*f[:2], *g[:2], min(f[2], g[2]), wp), f[2] + g[2] - 1)
+        return f[0] + g[0], _mul_err(*f, *g, wp)
 
-    return _balanced([(_root_norm(r), err, 2) for r, err in roots], mul)[1]
+    return _balanced([(_root_norm(r), err) for r, err in roots], mul)[1]
 
 
-def round_to_integers(coeffs: list[ApComplex]) -> tuple[list[int], float]:
+def round_to_integers(f: CPoly) -> tuple[list[int], float]:
     """Nearest integers to the coefficients and the worst rounding residual."""
-    out = []
-    residual = 0.0
-    for c in coeffs:
-        n = int(to_int(c.re, RND))
-        diff = abs(to_float(mpf_sub(c.re, from_int(n), c.prec, RND), strict=False))
-        residual = max(residual, diff, abs(to_float(c.im, strict=False)))
-        out.append(n)
-    return out, residual
+    re, im, s = f.re, f.im, -f.exp
+    if s <= 0:
+        re, im, s = [c << -s for c in re], [c << -s for c in im], 0
+    ints = [(c + (1 << s >> 1)) >> s for c in re]
+    worst = max(max(abs(c - (n << s)) for c, n in zip(re, ints)), max(im), -min(im))
+    return ints, (worst / (1 << s) if worst.bit_length() - s < 1000 else math.inf)
 
 
 def check_integrality_conditions(D, p1: int, p2: int) -> bool:
@@ -173,14 +187,12 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
 
 
 def _roots(forms: list[QuadraticForm], p1: int, p2: int,
-           prec: int) -> list[tuple[ApComplex, float]]:
+           prec: int) -> list[tuple[Value, float]]:
     """w^s at the basis quotient of every form, with one eta series per
     reduced form of an eta argument: the conjugates of H (the forms of an
     N-system) or of one sample point of Phi."""
-    # alpha gets extra bits so its own rounding stays below the certified bounds
     table = EtaTable()
-    return [w_pow_s_with_err(f.alpha(prec + 128), p1, p2, prec, table.for_form(f))
-            for f in forms]
+    return [w_pow_s_with_err(f, p1, p2, prec, table) for f in forms]
 
 
 def initial_precision(tree_err: float, h: int) -> int:
@@ -199,11 +211,11 @@ def initial_precision(tree_err: float, h: int) -> int:
 def round_certified(f: CPoly) -> list[int] | None:
     """The gate of H and Phi: the nearest integers to f's coefficients if the
     rounding residual and the certified bound 2^f.err are below RESIDUAL_LIMIT."""
-    ints, residual = round_to_integers(f.coeffs)
+    ints, residual = round_to_integers(f)
     return ints if residual < RESIDUAL_LIMIT and f.err < math.log2(RESIDUAL_LIMIT) else None
 
 
-def _expand(roots: list[tuple[ApComplex, float]], prec: int) -> list[int] | None:
+def _expand(roots: list[tuple[Value, float]], prec: int) -> list[int] | None:
     return round_certified(product_tree(roots, prec + TREE_BITS))
 
 

@@ -17,10 +17,14 @@ Fractional powers of q are never taken through complex roots: q^{1/24} is
 computed as exp(pi*i*z/12) directly from z, which fixes the branch once and
 for all; q itself is its 24th power.
 
-Each evaluator tracks one accumulated absolute-error bound (as a log2
-exponent) per value, and `eta`, `j_invariant`, `double_eta_quotient` and
-`w_pow_s_with_err` all accept it, or retry with more bits and finally raise
-PrecisionExhausted, through one helper (`_certified`).
+The values are fixed-point Gaussian-integer triples (`apcomplex`), each with
+an exponent of its own.  Every step counts its error in ulps u = 2^-wp of
+the working precision, relative to the value: the series (`_eta_series`),
+the transformation formula (`EtaTable._eta_transform`), the quotients and
+the powers.  `eta`, `j_invariant`, `double_eta_quotient` and
+`w_pow_s_with_err` all accept the resulting absolute bound, or retry with
+more bits and finally raise PrecisionExhausted, through one helper
+(`_certified`).
 
 Every eta value at an arbitrary point comes from an `EtaTable`.  Many
 arguments share one reduced point: the 4h arguments alpha_i/d of a class
@@ -42,23 +46,38 @@ import math
 from collections.abc import Callable
 from functools import reduce
 from math import gcd
-from operator import mul
 
 from mpmath.libmp import (
     from_int,
     from_rational,
-    mpc_pow_int,
     mpf_cos_sin_pi,
     mpf_div,
     mpf_exp,
     mpf_mul,
     mpf_neg,
     mpf_pi,
+    mpf_sqrt,
     to_float,
     to_rational,
 )
 
-from .apcomplex import MIN_PREC, RND, ApComplex, UpperHalfPoint
+from .apcomplex import (
+    MIN_PREC,
+    RND,
+    ROUND_ULPS,
+    ApComplex,
+    UpperHalfPoint,
+    add,
+    div,
+    from_mpc,
+    lg,
+    log2add,
+    mul,
+    power,
+    sqrt,
+    to_apcomplex,
+    trunc,
+)
 from .arith import check_distinct_odd_primes, jacobi
 from .errors import PreconditionError, PrecisionExhausted
 from .qforms import Matrix, QuadraticForm, reduce_form
@@ -68,19 +87,15 @@ _BITS_PER_Q_POWER = 2.0 * math.pi * (math.sqrt(3.0) / 2.0) / math.log(2.0)
 
 IDENTITY: Matrix = (1, 0, 0, 1)
 
-
-def apply_moebius(m: Matrix, z: ApComplex, prec: int | None = None) -> ApComplex:
-    """(a*z + b) / (c*z + d) at the given working precision."""
-    a, b, c, d = m
-    p = prec if prec is not None else z.prec
-    zz = z.at_prec(p)
-    num = zz * a + b
-    den = zz * c + d
-    return num / den
+Value = tuple[int, int, int]  # (re, im, e): (re + i im) 2^e, see `apcomplex`
 
 
 def _series_terms(wp: int, im_bits: float) -> int:
-    """Largest pentagonal index K needed so the tail is below 2^-(wp+4)."""
+    """The number K of pentagonal terms summed: the first k from a guess just
+    above the root with g_k im_bits >= wp + 8, g_k = k(3k-1)/2, where
+    |q| = 2^-im_bits.  Every omitted term q^(g_k) or q^(g_k + k), k > K, is
+    then below 2^-(wp+8) |q|^(3K+1), and the sum of them all below
+    2^-(wp+8)."""
     k = int(math.sqrt(2.0 * (wp + 8) / (3.0 * im_bits))) + 2
     while (k * (3 * k - 1)) // 2 * im_bits < wp + 8:
         k += 1
@@ -135,49 +150,77 @@ def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
     return c, d, jacobi(a, gamma), e % 24
 
 
-def _zeta24(k: int, wp: int) -> ApComplex:
-    """exp(pi i k / 12) at precision wp."""
-    cos, sin = mpf_cos_sin_pi(from_rational(k, 12, wp, RND), wp, RND)
-    return ApComplex(cos, sin, wp)
+def _zeta24(k: int, wp: int) -> Value:
+    """exp(pi i k / 12), within 0.1u relative (u = 2^-wp): its argument and
+    cos/sin at wp + 8 bits are each within an ulp."""
+    return from_mpc(*mpf_cos_sin_pi(from_rational(k, 12, wp + 8, RND), wp + 8, RND))
 
 
-def _eta_series(zred: ApComplex, wp: int) -> tuple[ApComplex, float]:
-    """eta at a fundamental-domain point by the pentagonal-number series.
+def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
+    """eta at the root tau = (-b + sqrt(D)) / (2a) of a reduced form, by the
+    pentagonal-number series
+        eta = q^(1/24) (1 + sum_{k=1..K} (-1)^k (q^(g_k) + q^(g_k + k))),
+    and its relative error bound in units u = 2^-wp.
 
-    Returns (value, log2 absolute error bound).
+    - q^(1/24) = exp(pi i tau / 12) comes from libmp at P = wp + 8 +
+      bitlen(floor(t) + 1) bits, t = pi Im(tau) / 12 = -log |q^(1/24)|:
+      with -b/(24a), sqrt(-D), pi, the product, the quotient, exp, cos/sin
+      and the two final products each within an ulp 2^(1-P), it is within
+      (8.02 t + 7.03) 2^-P < 0.06u relative, and converted exactly.
+    - q = (q^(1/24))^24 by `power` is within 24 * 0.06u + 23 * 3u < 71u
+      relative, and |q| < 0.0044 on the fundamental domain, so rounded down
+      to the fixed point 2^-wp it is within 0.31u + sqrt(2)u < 1.8u.
+    - The sum runs in that fixed point.  Each product of two powers of q,
+      each within 2u, is within 0.0044 (2u + 2u) + sqrt(2)u < 2u, as the
+      product rounds down; so each of the K terms is within 4u, and the sum
+      of exact additions within 4K u plus the tail (`_series_terms`), below
+      2^-(wp+8).  The sum is at least 1 - 2.01 * 0.0044 > 0.99 in modulus,
+      so it is within (4.05K + 0.01)u relative.
+    - eta is the product, cut to wp bits: within (4.05K + 3.07)u.
     """
-    # q^{1/24} = exp(pi*i*z/12) straight from z, and q its 24th power
-    pi = mpf_pi(wp)
-    cos, sin = mpf_cos_sin_pi(mpf_div(zred.re, from_int(12), wp, RND), wp, RND)
-    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(pi, zred.im, wp, RND), from_int(12), wp, RND)), wp, RND)
-    w24 = ApComplex(mpf_mul(r, cos, wp, RND), mpf_mul(r, sin, wp, RND), wp)
-    q = ApComplex(*mpc_pow_int(w24.mpc, 24, wp, RND), wp)
-    im_bits = 2.0 * math.pi * to_float(zred.im, strict=False) / math.log(2.0)
-    kmax = _series_terms(wp, im_bits)
+    t = math.pi * math.sqrt(-D / (4 * a * a)) / 12
+    P = wp + 8 + (int(t) + 1).bit_length()
+    cos, sin = mpf_cos_sin_pi(from_rational(-b, 24 * a, P, RND), P, RND)
+    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(mpf_pi(P), mpf_sqrt(from_int(-D), P, RND), P, RND),
+                                from_int(24 * a), P, RND)), P, RND)
+    w24 = from_mpc(mpf_mul(r, cos, P, RND), mpf_mul(r, sin, P, RND))
+    qr, qi, e = power(w24, 24, wp)
+    e += wp  # the shift to the fixed point 2^-wp
+    qr, qi = (qr << e, qi << e) if e >= 0 else (qr >> -e, qi >> -e)
+    kmax = _series_terms(wp, 24 * t / math.log(2.0))
 
-    one = ApComplex.make(1, 0, wp)
-    total = one
-    a_pow = q                     # q^{g_k},  g_k = k(3k-1)/2
-    qk = q                        # q^k
-    q3 = ApComplex(*mpc_pow_int(q.mpc, 3, wp, RND), wp)
-    qstep = ApComplex(*mpc_pow_int(q.mpc, 4, wp, RND), wp)   # q^{3k+1}
-    sign = -1
-    for _ in range(1, kmax + 1):
-        term = a_pow + a_pow * qk
-        total = total + term * sign
-        sign = -sign
-        a_pow = a_pow * qstep
-        qstep = qstep * q3
-        qk = qk * q
-    value = w24 * total
-    # tail < 2^-(wp+6); rounding: ~6 ops/term on values bounded by 2
-    err = -wp + 1.5 + math.log2(6 * kmax + 8)
-    return value, err
+    def fmul(xr, xi, yr, yi):
+        return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
+
+    q3r, q3i = fmul(*fmul(qr, qi, qr, qi), qr, qi)
+    sr, si = fmul(q3r, q3i, qr, qi)  # q^(3k+1)
+    ar, ai = kr, ki = qr, qi         # q^(g_k) and q^k
+    tr, ti = 1 << wp, 0
+    for k in range(1, kmax + 1):
+        br, bi = fmul(ar, ai, kr, ki)
+        if k & 1:
+            tr, ti = tr - ar - br, ti - ai - bi
+        else:
+            tr, ti = tr + ar + br, ti + ai + bi
+        ar, ai = fmul(ar, ai, sr, si)
+        sr, si = fmul(sr, si, q3r, q3i)
+        kr, ki = fmul(kr, ki, qr, qi)
+    return trunc(mul(w24, (tr, ti, -wp)), wp), 4.05 * kmax + 3.1
 
 
-# eta_at(z / den, den, wp): eta(z / den) and its log2 error bound, for the
-# point z that the table view was made for
-EtaAt = Callable[[ApComplex, int, int], tuple[ApComplex, float]]
+# eta_at(den, wp): eta(z / den) at the point z that the table view was made
+# for, and the log2 of its absolute error bound
+EtaAt = Callable[[int, int], tuple[Value, float]]
+
+
+def _abs_err(x: Value, rel: float, wp: int) -> float:
+    """log2 of the absolute error of x, from its relative error in units 2^-wp."""
+    return lg(x) + math.log2(rel) - wp
+
+
+def _rel_err(x: Value, err: float, wp: int) -> float:
+    """The relative error of x in units 2^-wp, from a log2 absolute bound."""
+    return 2.0 ** (err - lg(x) + 2.0 ** -29 + wp)
 
 
 class EtaTable:
@@ -196,20 +239,32 @@ class EtaTable:
         """Number of series summed so far."""
         return len(self._series)
 
-    def _eta_transform(self, series: ApComplex, err: float, z: ApComplex, m: Matrix,
-                       wp: int) -> tuple[ApComplex, float]:
-        """eta(z) from the series value at the reduced point m z."""
+    def _eta_transform(self, series: Value, rel: float, f: QuadraticForm, m: Matrix,
+                       wp: int) -> tuple[Value, float]:
+        """eta(z) at the root z of f = [A, B, C], from the series value at the
+        reduced point m z, and its relative error in units u = 2^-wp.
+
+        eta(z) = series / (sign zeta_24^k sqrt(cz + d)), and with
+        cz + d = w / (4A^2), w = 2A(2Ad - cB) + i c sqrt(4A^2 |disc f|),
+        1 / sqrt(cz + d) = 2A / sqrt(w).  The imaginary part of w is rounded
+        down at 2^-(wp+8) and is at least 1 when c > 0, so sqrt(w) is within
+        2^-(wp+9) + 3u; with the unit (0.1u) and the division (3u) that is
+        at most 6.2u on top of the series' own error.  A translation (c = 0)
+        needs the unit alone.
+        """
         if m == IDENTITY:
-            return series, err
+            return series, rel
         c, d, sign, k = eta_multiplier(m)
         unit = self._roots.get((k, wp))
         if unit is None:
             unit = self._roots[(k, wp)] = _zeta24(k, wp)
-        value = series / (unit * sign * (z.at_prec(wp) * c + d).sqrt())
-        # |eps| = 1 so |denom| = |sqrt(cz+d)|; the division keeps the relative
-        # error, plus ulps from the root, the unit and the division itself
-        rel = max(err - series.mag() + 2.0, -wp + 3.0)
-        return value, value.mag() + rel + 2.0
+        num = mul(series, (sign * unit[0], -sign * unit[1], unit[2]))
+        if c == 0:
+            return trunc(num, wp), rel + ROUND_ULPS + 0.1
+        A, s = f.a, wp + 8
+        w = (2 * A * (2 * A * d - c * f.b) << s,
+             math.isqrt((4 * A * A * c * c * -f.discriminant) << (2 * s)), -s)
+        return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel + 2 * ROUND_ULPS + 0.2
 
     def for_form(self, f: QuadraticForm) -> EtaAt:
         """eta(alpha_f / den) for the basis quotient alpha_f of f, any den.
@@ -220,16 +275,17 @@ class EtaTable:
         alpha_G, and [A, -B, C] shares the series, since its basis quotient
         is -conj(alpha_G) and eta(-conj z) = conj(eta(z)).
         """
-        def eta_at(zd: ApComplex, den: int, wp: int) -> tuple[ApComplex, float]:
-            g, (p, q, r, s) = reduce_form(QuadraticForm.primitive(f.a * den * den, f.b * den, f.c))
+        def eta_at(den: int, wp: int) -> tuple[Value, float]:
+            F = QuadraticForm.primitive(f.a * den * den, f.b * den, f.c)
+            g, (p, q, r, s) = reduce_form(F)
             key = (g.a, abs(g.b), g.c, wp)
             hit = self._series.get(key)
             if hit is None:
-                zred = UpperHalfPoint.from_form(g.a, abs(g.b), g.discriminant, wp).value
-                hit = self._series[key] = _eta_series(zred, wp)
-            series, err = hit
-            return self._eta_transform(series.conjugate() if g.b < 0 else series, err, zd,
-                                       (s, -q, -r, p), wp)
+                hit = self._series[key] = _eta_series(g.a, abs(g.b), g.discriminant, wp)
+            (re, im, e), rel = hit
+            value, rel = self._eta_transform((re, -im if g.b < 0 else im, e), rel, F,
+                                             (s, -q, -r, p), wp)
+            return value, _abs_err(value, rel, wp)
 
         return eta_at
 
@@ -237,37 +293,37 @@ class EtaTable:
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Dedekind eta, absolute error certified below 2^(guard - prec)."""
     eta_at = EtaTable().for_form(_form_of(z))
-    return _certified(prec, lambda wp: eta_at(z.value, 1, wp), "eta")[0]
+    return to_apcomplex(_certified(prec, lambda wp: eta_at(1, wp), "eta")[0], prec)
 
 
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Klein J (J(i) = 1728) from Weber's f1(z) = eta(z/2) / eta(z):
     J = (f + 16)^3 / f with f = f1^24 (Yui and Zagier, Math. Comp. 66, 1997).
 
-    If f1 is within a relative 2^r, then f = f1^24 is within 24 |f| 2^r,
-    and since dJ/df = (f + 16)^2 (2f - 16) / f^2, to first order
-        |dJ| <= |f + 16|^2 |2f - 16| / |f| * 24 * 2^r.
-    As for w^s, each magnitude below a line costs 2 bits (a coarse |x| is
-    only known to be >= 2^(mag - 2)), and rounding adds a few ulps of J.
-    |J| ~ e^{2 pi Im} at the reduced point, so every try gets that many
-    extra bits.
+    If f1 is within a relative r, then f = f1^24 is within
+    r_f = 24 r + 69u (`power`), and since dJ/df = (f + 16)^2 (2f - 16) / f^2,
+    to first order
+        |dJ| <= |f + 16|^2 |2f - 16| / |f| * r_f.
+    Forming (f + 16)^3 / f rounds three times, 9u of J; one more bit covers
+    the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, so
+    every try gets that many extra bits.
     """
     zred, _ = reduce_to_fundamental_domain(z)
     boost = max(0, math.ceil(2.0 * math.pi * to_float(zred.value.im, strict=False)
                              / math.log(2.0))) + 32
     eta_at = EtaTable().for_form(_form_of(z))
 
-    def evaluate(wp: int) -> tuple[ApComplex, float]:
+    def evaluate(wp: int) -> tuple[Value, float]:
         wp += boost
-        f1, err = _eta_quotient(z.value, (2,), (1,), wp, eta_at)
-        f = f1 ** 24
-        g = f + 16
-        value = g ** 3 / f
-        rel_f = err - f1.mag() + math.log2(24.0) + 2
-        dj = 2 * g.mag() + (f * 2 - 16).mag() - f.mag() + 2 + rel_f
-        return value, max(dj, value.mag() - wp + 4) + 2
+        f1, rel = _eta_quotient((2,), (1,), wp, eta_at)
+        f = power(f1, 24, wp)
+        g = add(f, (16, 0, 0))
+        value = div(power(g, 3, wp), f, wp)
+        dj = (2 * lg(g) + lg(add(add(f, f), (-16, 0, 0))) - lg(f) + 2.0 ** -29
+              + math.log2(24 * rel + 23 * ROUND_ULPS) - wp)
+        return value, log2add(dj, _abs_err(value, 3 * ROUND_ULPS, wp)) + 1
 
-    return _certified(prec, evaluate, "J")[0]
+    return to_apcomplex(_certified(prec, evaluate, "J")[0], prec)
 
 
 def s_exponent(p1: int, p2: int) -> int:
@@ -275,23 +331,21 @@ def s_exponent(p1: int, p2: int) -> int:
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
 
 
-def _eta_quotient(z: ApComplex, num: tuple[int, ...], den: tuple[int, ...], wp: int,
-                  eta_at: EtaAt) -> tuple[ApComplex, float]:
-    """prod eta(z/n) for n in num over prod eta(z/d) for d in den, and its
-    log2 absolute error bound: each of the (at most four) factors is within
-    a relative 2^rel, and the quotient within 8 * 2^rel."""
-    vals = []
-    rel = -float(wp)
+def _eta_quotient(num: tuple[int, ...], den: tuple[int, ...], wp: int,
+                  eta_at: EtaAt) -> tuple[Value, float]:
+    """prod eta(z/n) for n in num over prod eta(z/d) for d in den (one or two
+    of each), and its relative error in units 2^-wp: the products are exact,
+    so the factors' relative errors add, and the division rounds once."""
+    vals, rel = [], ROUND_ULPS
     for n in num + den:
-        v, e = eta_at(z.at_prec(wp) / n if n != 1 else z, n, wp)
+        v, e = eta_at(n, wp)
         vals.append(v)
-        rel = max(rel, e - v.mag() + 2.0)
-    value = reduce(mul, vals[:len(num)]) / reduce(mul, vals[len(num):])
-    return value, value.mag() + rel + 3.0
+        rel += _rel_err(v, e, wp)
+    return div(reduce(mul, vals[:len(num)]), reduce(mul, vals[len(num):]), wp), rel
 
 
-def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
-               what: str) -> tuple[ApComplex, float]:
+def _certified(prec: int, evaluate: Callable[[int], tuple[Value, float]],
+               what: str) -> tuple[Value, float]:
     """evaluate(prec + guard + boost) until its bound is below 2^(guard - prec).
 
     A large value pushes its absolute bound up, so each retry buys that many
@@ -305,36 +359,43 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[ApComplex, float]],
         value, err = evaluate(prec + guard + boost)
         if err <= guard - prec:
             return value, err
-        boost = max(boost + 32, int(value.mag()) + 32)
+        boost = max(boost + 32, math.ceil(max(lg(value), 0.0)) + 33)
     raise PrecisionExhausted(f"{what} error bound 2^{err:.0f} exceeds target")
 
 
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
     eta_at = EtaTable().for_form(_form_of(z))
-    return _certified(
-        prec, lambda wp: _eta_quotient(z.value, (p1, p2), (1, p1 * p2), wp + 16, eta_at),
-        "quotient")[0]
+
+    def evaluate(wp: int) -> tuple[Value, float]:
+        value, rel = _eta_quotient((p1, p2), (1, p1 * p2), wp + 16, eta_at)
+        return value, _abs_err(value, rel, wp + 16)
+
+    return to_apcomplex(_certified(prec, evaluate, "quotient")[0], prec)
 
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    return w_pow_s_with_err(z, p1, p2, prec, EtaTable().for_form(_form_of(z)))[0]
+    return to_apcomplex(w_pow_s_with_err(_form_of(z), p1, p2, prec, EtaTable())[0], prec)
 
 
-def w_pow_s_with_err(z: UpperHalfPoint, p1: int, p2: int, prec: int,
-                     eta_at: EtaAt) -> tuple[ApComplex, float]:
-    """(w^s, log2 absolute error bound); the workhorse for class polynomials.
+def w_pow_s_with_err(f: QuadraticForm, p1: int, p2: int, prec: int,
+                     table: EtaTable) -> tuple[Value, float]:
+    """(w^s, log2 absolute error bound) at the basis quotient of f; the
+    workhorse for class polynomials.
 
-    eta_at, a view of an `EtaTable`, supplies eta(z/den) and shares its
-    series between the arguments of one attempt.  p1 and p2 are not checked
-    here; callers check them once (`arith.check_distinct_odd_primes`).
+    table shares its eta series between the arguments of one attempt.  p1
+    and p2 are not checked here; callers check them once
+    (`arith.check_distinct_odd_primes`).  w^s, by `power`, is within
+    s r + 3 (s - 1) u when w is within a relative r.
     """
     s = s_exponent(p1, p2)
+    eta_at = table.for_form(f)
 
-    def evaluate(wp: int) -> tuple[ApComplex, float]:
-        w, err = _eta_quotient(z.value, (p1, p2), (1, p1 * p2), wp + 16 + 4 * s, eta_at)
-        value = w ** s
-        return value, value.mag() + err - w.mag() + math.log2(float(s)) + 2
+    def evaluate(wp: int) -> tuple[Value, float]:
+        wp += 16 + 4 * s
+        w, rel = _eta_quotient((p1, p2), (1, p1 * p2), wp, eta_at)
+        value = power(w, s, wp)
+        return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
 
     return _certified(prec, evaluate, "w^s")

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 
-from .apcomplex import MIN_PREC, ApComplex
+from .apcomplex import MIN_PREC, ROUND_ULPS, add, div, from_mpc, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair
-from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _log2add, _roots, double_until,
+from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _roots, double_until,
                         initial_precision, product_tree, round_certified)
 from .errors import (
     CoefficientParseFailure,
@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
     WrongDegree,
 )
-from .etafunc import eta_guard_bits, j_invariant, s_exponent
+from .etafunc import Value, eta_guard_bits, j_invariant, s_exponent
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
@@ -106,42 +106,45 @@ def _sample_form(m: int) -> QuadraticForm:
     return QuadraticForm.primitive(4900, 0, (77 + 10 * m) ** 2)
 
 
-def _lagrange(nodes: list[ApComplex], node_err: float, samples: list[CPoly],
-             wp: int) -> list[CPoly]:
+def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
+              wp: int) -> list[CPoly]:
     """For every k, the polynomial P_k of degree < len(nodes) through the
-    points (nodes[m], samples[m].coeffs[k]), with a certified error bound.
+    points (nodes[m], coefficient k of samples[m]), with a certified error
+    bound.
 
     P_k = sum_m y_{m,k} N_m / d_m, with N_m(J) = prod_{j != m} (J - x_j) and
     d_m = prod_{j != m} (x_m - x_j).  Nodes are within 2^node_err, y_{m,k}
     within 2^samples[m].err.  N_m is a `product_tree` with node_err at the
-    leaves, d_m the same `CPoly.mul` fold over x_m - x_j (each within
-    2^(node_err + 1) plus a rounding).  If |d - d'| <= e <= |d'|/2, then
-    |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2 with |d'| >= 2^(mag - 2), plus
-    the division's rounding.  `CPoly.mul` bounds (1/d_m) N_m and its product
-    with y_{m,k}; the sum over m adds n - 1 roundings, each below 2^(1 - wp)
-    times the sum of the terms' norms.  Raises InterpolationSingular when
-    two nodes are within 2^-(wp/2), or some d_m is not certified nonzero.
+    leaves, d_m the same `CPoly.mul` fold over the exact differences
+    x_m - x_j, each within 2^(node_err + 1).  If |d - d'| <= e <= |d'|/2,
+    then |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2, plus the division's
+    rounding, 3 ulps of 1/d' at wp bits.  `CPoly.mul` bounds (1/d_m) N_m and
+    its product with y_{m,k}; the sum over m is exact.  Raises
+    InterpolationSingular when two nodes are within 2^-(wp/2), or some d_m
+    is not certified nonzero.
     """
     basis = []
     for m, x in enumerate(nodes):
         others = nodes[:m] + nodes[m + 1:]
-        diffs = [x - xj for xj in others]
-        d = reduce(lambda f, g: f.mul(g, wp),
-                   [CPoly([c], _log2add(node_err + 1, c.mag() - wp + 1), c.mag()) for c in diffs])
-        low = d.coeffs[0].mag() - 2
-        if min(c.mag() for c in diffs) < -(wp // 2) or d.err > low - 1:
+        diffs = [add(x, (-a, -b, e)) for a, b, e in others]
+        d = reduce(lambda f, g: f.mul(g, wp), [CPoly.constant(c, node_err + 1) for c in diffs])
+        dm = (d.re[0], d.im[0], d.exp)
+        low = lg(dm) - 2.0 ** -29
+        if min(lg(c) for c in diffs) < -(wp // 2) or d.err > low - 1:
             raise InterpolationSingular("sample J-values too close")
-        inv = 1 / d.coeffs[0]
-        inv_err = _log2add(d.err + 1 - 2 * low, inv.mag() - wp + 2)
+        inv = div((1, 0, 0), dm, wp)
+        inv_err = log2add(d.err + 1 - 2 * low, lg(inv) + math.log2(ROUND_ULPS) - wp)
         numer = product_tree([(xj, node_err) for xj in others], wp)
-        basis.append(CPoly([inv], inv_err, inv.mag()).mul(numer, wp))
+        basis.append(CPoly.constant(inv, inv_err).mul(numer, wp))
     out = []
-    for k in range(len(samples[0].coeffs)):
-        terms = [CPoly([y.coeffs[k]], y.err, y.coeffs[k].mag()).mul(lm, wp)
+    for k in range(len(samples[0].re)):
+        terms = [CPoly.constant((y.re[k], y.im[k], y.exp), y.err).mul(lm, wp)
                  for y, lm in zip(samples, basis)]
-        norm = _log2add(*(t.norm for t in terms))
-        err = _log2add(*(t.err for t in terms), norm + math.log2(len(terms)) + 1 - wp)
-        out.append(CPoly([sum(cs) for cs in zip(*(t.coeffs for t in terms))], err, norm))
+        exp = min(t.exp for t in terms)
+        re = [sum(cs) for cs in zip(*([c << (t.exp - exp) for c in t.re] for t in terms))]
+        im = [sum(cs) for cs in zip(*([c << (t.exp - exp) for c in t.im] for t in terms))]
+        out.append(CPoly(re, im, exp, log2add(*(t.err for t in terms)),
+                         log2add(*(t.norm for t in terms))))
     return out
 
 
@@ -153,8 +156,10 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
     samples = []
     for m in range(degj + 1):
         f = _sample_form(m)
-        # as for H's alpha, 128 extra bits keep the point's rounding below the bounds
-        nodes.append(j_invariant(f.alpha(prec + 128), prec))
+        # the node is J at the sample point rounded 128 bits below the target,
+        # which moves it by far less than its certified bound
+        j = j_invariant(f.alpha(prec + 128), prec)
+        nodes.append(from_mpc(j.re, j.im))
         # f.g^-1 has the root g z_m
         conjugates = [f.compose((d, -b, -c, a)) for a, b, c, d in cosets]
         samples.append(product_tree(_roots(conjugates, p1, p2, prec), wp))

@@ -16,8 +16,6 @@ from math import floor, gcd, isqrt
 
 import mpmath
 
-from etacm.apcomplex import ApComplex
-
 
 def eta_oracle(z: complex, dps: int = 60) -> mpmath.mpc:
     """q^{1/24} * qp(q) with mpmath's own exp/qp implementations."""
@@ -27,11 +25,10 @@ def eta_oracle(z: complex, dps: int = 60) -> mpmath.mpc:
         return mpmath.exp(2j * mpmath.pi * zz / 24) * mpmath.qp(q)
 
 
-def root_of_unity(k: int, prec: int) -> ApComplex:
-    """exp(pi i k / 12) from mpmath's expjpi, held as an ApComplex."""
+def root_of_unity(k: int, prec: int) -> mpmath.mpc:
+    """exp(pi i k / 12) from mpmath's expjpi at prec bits."""
     with mpmath.workprec(prec):
-        z = mpmath.expjpi(mpmath.mpf(k) / 12)
-        return ApComplex(z.real._mpf_, z.imag._mpf_, prec)
+        return mpmath.expjpi(mpmath.mpf(k) / 12)
 
 
 def j_oracle(z: complex, dps: int = 60) -> mpmath.mpc:

@@ -1,9 +1,14 @@
-"""Shared instance samplers for randomized suites (not oracles)."""
+"""Shared instance samplers and numerical helpers for the suites (not oracles)."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
+import mpmath
+
+from etacm.apcomplex import ApComplex, UpperHalfPoint
 from etacm.arith import is_probable_prime, legendre
 from etacm.classpoly import check_integrality_conditions
 from etacm.pipeline import find_trace
@@ -48,3 +53,67 @@ def split_prime(D: int, lmin: int = 5, lmax: int = 10**6,
 
 def both_symbols_one(D: int, p1: int, p2: int) -> bool:
     return legendre(D, p1) == 1 and legendre(D, p2) == 1
+
+
+# Points and complex values for the numerical suites.  Arithmetic on them
+# runs in mpmath; the library's own kernel is what is being checked.
+
+def to_mpc(v) -> mpmath.mpc:
+    """An ApComplex or a kernel triple (re, im, e), exactly."""
+    if isinstance(v, ApComplex):
+        with mpmath.workprec(max(v.re[3], v.im[3], 53)):
+            return mpmath.mpc(mpmath.mpf(v.re), mpmath.mpf(v.im))
+    re, im, e = v
+    with mpmath.workprec(max(abs(re).bit_length(), abs(im).bit_length(), 53)):
+        return mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e)))
+
+
+def coefficients(f) -> list[mpmath.mpc]:
+    """The coefficients of a `classpoly.CPoly`, exactly."""
+    return [to_mpc((a, b, f.exp)) for a, b in zip(f.re, f.im)]
+
+
+def from_mp(z, prec: int) -> ApComplex:
+    """An mpmath number rounded to prec bits."""
+    with mpmath.workprec(prec):
+        z = mpmath.mpc(z)
+        return ApComplex(z.real._mpf_, z.imag._mpf_, prec)
+
+
+def point(x, y, prec: int) -> UpperHalfPoint:
+    """x + iy for ints, floats or mpmath numbers, rounded to prec bits."""
+    with mpmath.workprec(prec):
+        return UpperHalfPoint(from_mp(mpmath.mpc(x, y), prec))
+
+
+def moebius(m, z, prec: int) -> ApComplex:
+    """(a z + b) / (c z + d) at prec bits, for an ApComplex z."""
+    a, b, c, d = m
+    with mpmath.workprec(prec):
+        w = to_mpc(z)
+        return from_mp((a * w + b) / (c * w + d), prec)
+
+
+def mag(v: ApComplex) -> int:
+    """e with |v| <= 2^e, coarse: one more than the larger part's exp + bc."""
+    return max(x[2] + x[3] if x[1] else -(10**9) for x in (v.re, v.im)) + 1
+
+
+def _fraction(x: tuple) -> Fraction:
+    sign, man, exp, bc = x
+    f = int(man) * Fraction(2) ** exp
+    return -f if sign else f
+
+
+def log2_dist(a, b) -> float:
+    """log2 |a - b|, exactly, for ApComplex or mpmath values; -inf when equal."""
+    def parts(v):
+        if isinstance(v, ApComplex):
+            return _fraction(v.re), _fraction(v.im)
+        if isinstance(v, int):
+            return Fraction(v), Fraction(0)
+        return _fraction(v.real._mpf_), _fraction(v.imag._mpf_)
+
+    (ar, ai), (br, bi) = parts(a), parts(b)
+    n2 = (ar - br) ** 2 + (ai - bi) ** 2
+    return float("-inf") if n2 == 0 else (math.log2(n2.numerator) - math.log2(n2.denominator)) / 2

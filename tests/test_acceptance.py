@@ -7,14 +7,14 @@ import time
 from contextlib import contextmanager
 from math import sqrt
 
+import mpmath
 import pytest
 
-from etacm.apcomplex import ApComplex, UpperHalfPoint, abs_diff
+from etacm.apcomplex import UpperHalfPoint
 from etacm.arith import legendre
 from etacm.atkin import multiple_root_condition
 from etacm.classpoly import compute_class_polynomial, involution_transform
 from etacm.etafunc import (
-    apply_moebius,
     double_eta_quotient,
     eta,
     eta_multiplier,
@@ -27,7 +27,7 @@ from etacm.modpoly import discriminant_in_j, evaluate_in_j_mod_l
 from etacm.pipeline import construct_cm_curve, order_check
 from etacm.qforms import b_candidates, class_number
 from oracles import brute_force_class_count, hilbert_class_polynomial, root_of_unity
-from support import pick_b, split_prime, valid_triples
+from support import log2_dist, mag, moebius, pick_b, point, split_prime, to_mpc, valid_triples
 
 
 @contextmanager
@@ -151,12 +151,13 @@ def test_criterion_7c_eta_transformation_residuals():
             if max(abs(a), abs(b), abs(c), abs(d)) > 10**6:
                 continue
             m = (a, b, c, d)
-            z = UpperHalfPoint.make(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 3.0), hp)
-            lhs = eta(UpperHalfPoint(apply_moebius(m, z.value, hp)), prec)
+            z = point(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 3.0), hp)
+            lhs = eta(UpperHalfPoint(moebius(m, z.value, hp)), prec)
             c, d, sign, k = eta_multiplier(m)
-            root = (z.value * c + d).sqrt()
-            rhs = root_of_unity(k, hp) * sign * root * eta(z, prec)
-            assert abs_diff(lhs, rhs) <= -prec + 12, m
+            with mpmath.workprec(hp):
+                root = mpmath.sqrt(to_mpc(z.value) * c + d)
+                rhs = root_of_unity(k, hp) * sign * root * to_mpc(eta(z, prec))
+            assert log2_dist(lhs, rhs) <= -prec + 12, m
 
 
 def test_criterion_7d_quotient_identities():
@@ -173,15 +174,15 @@ def test_criterion_7d_quotient_identities():
             x = (1 - p2 * y) // p1
             wp1 = (-p1, N, -y, -p1 * x)
             for _ in range(5):
-                z = UpperHalfPoint.make(rng.uniform(-0.5, 0.5),
-                                        rng.uniform(0.87, 2.2), prec + 64)
-                wn = UpperHalfPoint(ApComplex.make(-N, 0, prec + 64) / z.value)
+                z = point(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 2.2), prec + 64)
+                wn = UpperHalfPoint(moebius((0, -N, 1, 0), z.value, prec + 64))
                 a = double_eta_quotient(z, p1, p2, prec)
                 b = double_eta_quotient(wn, p1, p2, prec)
-                assert abs_diff(a, b) <= max(a.mag(), 0) - prec + 12
-                wz = UpperHalfPoint(apply_moebius(wp1, z.value, prec + 64))
-                prod = w_pow_s(wz, p1, p2, prec) * w_pow_s(z, p1, p2, prec)
-                assert abs_diff(prod, ApComplex.make(eps, 0, prec)) <= -prec + 16
+                assert log2_dist(a, b) <= max(mag(a), 0) - prec + 12
+                wz = UpperHalfPoint(moebius(wp1, z.value, prec + 64))
+                with mpmath.workprec(4 * prec):
+                    prod = to_mpc(w_pow_s(wz, p1, p2, prec)) * to_mpc(w_pow_s(z, p1, p2, prec))
+                assert log2_dist(prod, eps) <= -prec + 16
 
 
 def test_criterion_7e_vacuity_bound():

@@ -1,62 +1,45 @@
+"""The boundary types, and the fixed-point kernel: each rounding operation
+within its stated ulps of the exact result, the others exact."""
+import mpmath
 import pytest
+from mpmath.libmp import from_float, fzero
 
-from etacm.apcomplex import ApComplex, UpperHalfPoint, abs_diff, mag
+from etacm.apcomplex import (
+    ROUND_ULPS,
+    ApComplex,
+    UpperHalfPoint,
+    add,
+    div,
+    from_mpc,
+    lg,
+    mul,
+    power,
+    sqrt,
+    to_apcomplex,
+    trunc,
+)
+from support import to_mpc
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+EXACT = 4096  # bits: every result below is exact at this precision
 
 
 def test_minimum_precision_enforced():
     with pytest.raises(ValueError):
-        ApComplex.make(1, 0, 32)
-    ApComplex.make(1, 0, 64)
-
-
-def test_arithmetic_round_trip():
-    x = ApComplex.make(3, 4, 128)
-    y = ApComplex.make(-2, 1, 128)
-    assert (x + y).to_complex() == (1 + 5j)
-    assert (x - y).to_complex() == (5 + 3j)
-    assert (x * y).to_complex() == (3 + 4j) * (-2 + 1j)
-    q = (x / y).to_complex()
-    assert abs(q - (3 + 4j) / (-2 + 1j)) < 1e-14  # float-side rounding
-
-
-def test_mixed_precision_uses_max():
-    x = ApComplex.make(1, 1, 64)
-    y = ApComplex.make(1, 1, 256)
-    assert (x * y).prec == 256
-    assert (x + y).prec == 256
-
-
-def test_integer_scalars():
-    x = ApComplex.make(3, -1, 96)
-    assert (x * 5).to_complex() == (15 - 5j)
-    assert (2 + x).to_complex() == (5 - 1j)
-    assert (1 / ApComplex.make(2, 0, 96)).to_complex() == 0.5
-
-
-def test_sqrt_principal_branch():
-    z = ApComplex.make(0, 4, 128).sqrt().to_complex()
-    assert abs(z - (2**0.5 + 2**0.5 * 1j)) < 1e-15
-    w = ApComplex.make(-4, 0, 128).sqrt().to_complex()
-    assert w.real >= 0  # principal branch
-
-
-def test_pow_and_conjugate():
-    x = ApComplex.make(1, 2, 128)
-    assert abs((x ** 5).to_complex() - (1 + 2j) ** 5) < 1e-12
-    assert x.conjugate().to_complex() == (1 - 2j)
-
-
-def test_mag_bounds_value():
-    x = ApComplex.make(1000, 0, 64)
-    assert 2 ** x.mag() >= 1000
-    assert x.mag() <= 12
+        UpperHalfPoint.from_form(1, 0, -4, 32)
+    UpperHalfPoint.from_form(1, 0, -4, 64)
 
 
 def test_upper_half_point_rejects_lower_plane():
     with pytest.raises(ValueError):
-        UpperHalfPoint.make(0.0, -1.0, 64)
+        UpperHalfPoint(ApComplex(fzero, from_float(-1.0), 64))
     with pytest.raises(ValueError):
-        UpperHalfPoint.make(1.0, 0.0, 64)
+        UpperHalfPoint(ApComplex(from_float(1.0), fzero, 64))
 
 
 def test_from_form_matches_quadratic_data():
@@ -67,9 +50,46 @@ def test_from_form_matches_quadratic_data():
     assert abs(z.imag - (56 ** 0.5 / 6)) < 1e-12
 
 
-def test_abs_diff_reports_log2():
-    x = ApComplex.make(1, 0, 128)
-    y = ApComplex.make(1, 0, 128) + ApComplex.make(0, 0, 128)
-    assert abs_diff(x, y) == float("-inf")
-    z = ApComplex.make(1.25, 0, 128)
-    assert -3 < abs_diff(x, z) < 0
+def test_sqrt_principal_branch():
+    assert to_mpc(sqrt((-4, 0, 0), 64)) == 2j
+    with mpmath.workprec(256):
+        assert abs(to_mpc(sqrt((0, 4, 0), 128)) - mpmath.sqrt(2) * (1 + 1j)) < 2.0 ** -120
+    assert to_mpc(sqrt((-4, -1, 0), 64)).real > 0
+
+
+@st.composite
+def values(draw):
+    """Nonzero triples, both parts up to 300 bits, exponents in [-500, 500]."""
+    part = st.integers(-(2**300), 2**300)
+    re, im = draw(part), draw(part)
+    if not re and not im:
+        re = 1
+    return re, im, draw(st.integers(-500, 500))
+
+
+def rel_error(got, want):
+    with mpmath.workprec(EXACT):
+        return abs(to_mpc(got) - want) / abs(want)
+
+
+@PROPERTY
+@given(values(), values(), st.integers(64, 300), st.integers(1, 30))
+def test_rounding_operations_within_their_ulps(x, y, W, n):
+    u = mpmath.mpf(2) ** -W
+    with mpmath.workprec(EXACT):
+        a, b = to_mpc(x), to_mpc(y)
+        assert to_mpc(mul(x, y)) == a * b
+        assert to_mpc(add(x, y)) == a + b
+        for got, want in [(trunc(x, W), a), (div(x, y, W), a / b), (sqrt(x, W), mpmath.sqrt(a))]:
+            assert rel_error(got, want) <= ROUND_ULPS * u
+        assert max(abs(v) for v in trunc(x, W)[:2]).bit_length() <= W + 1
+        assert max(abs(v) for v in div(x, y, W)[:2]).bit_length() <= W + 4
+        assert rel_error(power(x, n, W), a ** n) <= ROUND_ULPS * (n - 1) * u * 1.01
+        assert mpmath.log(abs(a), 2) <= lg(x) <= mpmath.log(abs(a), 2) + 2.0 ** -29
+
+
+@PROPERTY
+@given(values())
+def test_conversions_are_exact(x):
+    v = to_apcomplex(x, 64)
+    assert to_mpc(from_mpc(v.re, v.im)) == to_mpc(x) == to_mpc(v)

@@ -111,10 +111,10 @@ class TestComputeClassPolynomial:
             compute_class_polynomial(-56, 3, 13, 10, max_prec=256)
         assert calls == []  # refused before any evaluation at 512 bits
 
-    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7)])
+    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1511, 5, 7)])
     def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
         # when the 64-bit pass already predicts a passing gate (D = -56
-        # measures a start below 64 bits, D = -3996 one of 66), its roots
+        # measures a start below 64 bits, D = -1511 one of 66), its roots
         # are expanded as the first attempt instead of being evaluated again
         import etacm.classpoly as cp
 
@@ -127,9 +127,9 @@ class TestComputeClassPolynomial:
         system = cp.build_nsystem(D, p1 * p2, want.B)
         assert cp._expand(cp._roots(system.forms, p1, p2, 512), 512) == list(want.coeffs)
 
-    @pytest.mark.parametrize("D, p1, p2, cap", [(-56, 3, 13, 32), (-3996, 5, 7, 64)])
+    @pytest.mark.parametrize("D, p1, p2, cap", [(-56, 3, 13, 32), (-1511, 5, 7, 64)])
     def test_max_prec_below_64_or_the_start_raises(self, D, p1, p2, cap):
-        # -3996's 64-bit pass would pass the gate, but its measured start is 66
+        # -1511's 64-bit pass would pass the gate, but its measured start is 66
         with pytest.raises(PrecisionExhausted):
             compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0], max_prec=cap)
 
@@ -153,6 +153,18 @@ class TestComputeClassPolynomial:
 
         smallest = next(p for p in range(64, calls[0] + 1, 8) if passes(p))
         assert calls[0] <= 2 * smallest
+
+    def test_precision_attempt_at_h_90(self, monkeypatch):
+        # D = -55067, N = 21 (h = 90) expands once, from no higher a start
+        # than it has had: the certified bounds are no looser
+        import etacm.classpoly as cp
+
+        calls = []
+        real = cp._expand
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
+        poly = compute_class_polynomial(-55067, 3, 7, b_candidates(-55067, 21)[0])
+        assert poly.degree == 90
+        assert len(calls) == 1 and calls[0] <= 338
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13)])
     def test_attempt_sums_at_most_h_series(self, monkeypatch, D, p1, p2):

@@ -25,6 +25,7 @@ from etacm.modpoly import (
     psi,
     serialize,
 )
+from support import coefficients, moebius, point
 
 
 def to_mp(v: ApComplex, dps: int = 60) -> mpmath.mpc:
@@ -91,8 +92,8 @@ class TestComputeModularPolynomial:
         phi = phi313_embedded
         with mpmath.workdps(120):
             for _ in range(20):
-                z = UpperHalfPoint.make(rng.uniform(-0.45, 0.45),
-                                        rng.uniform(0.85, 1.9), 640)
+                z = point(rng.uniform(-0.45, 0.45),
+                          rng.uniform(0.85, 1.9), 640)
                 w = to_mp(w_pow_s(z, 3, 13, 512), 120)
                 J = to_mp(j_invariant(z, 512), 120)
                 val, scale = eval_phi(phi, w, J)
@@ -104,9 +105,9 @@ class TestComputeModularPolynomial:
         phi = phi313_embedded
         with mpmath.workdps(100):
             for _ in range(6):
-                z = UpperHalfPoint.make(rng.uniform(-0.45, 0.45),
-                                        rng.uniform(0.9, 1.6), 512)
-                wn = UpperHalfPoint(ApComplex.make(-39, 0, 512) / z.value)
+                z = point(rng.uniform(-0.45, 0.45),
+                          rng.uniform(0.9, 1.6), 512)
+                wn = UpperHalfPoint(moebius((0, -39, 1, 0), z.value, 512))
                 w = to_mp(w_pow_s(z, 3, 13, 448), 100)
                 j1 = to_mp(j_invariant(z, 448), 100)
                 j2 = to_mp(j_invariant(wn, 448), 100)
@@ -130,12 +131,25 @@ class TestComputeModularPolynomial:
         assert phi.degX == psi(p1 * p2)
         with mpmath.workdps(120):
             for _ in range(3):
-                z = UpperHalfPoint.make(rng.uniform(-0.45, 0.45),
-                                        rng.uniform(0.9, 1.7), 640)
+                z = point(rng.uniform(-0.45, 0.45),
+                          rng.uniform(0.9, 1.7), 640)
                 w = to_mp(w_pow_s(z, p1, p2, 512), 120)
                 J = to_mp(j_invariant(z, 512), 120)
                 val, scale = eval_phi(phi, w, J)
                 assert abs(val) / scale < mpmath.mpf(2) ** -380
+
+    @pytest.mark.parametrize("p1, p2, start", [(3, 5, 96), (3, 7, 99), (3, 13, 130),
+                                               (5, 7, 114), (5, 13, 225)])
+    def test_precision_attempts(self, monkeypatch, p1, p2, start):
+        # one attempt at 64 bits that measures the height, then exactly one
+        # start, no higher than it has been: the certified bounds are no looser
+        import etacm.modpoly as mp
+
+        calls = []
+        real = mp._coefficients
+        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[4]) or real(*a))
+        compute_modular_polynomial(p1, p2)
+        assert calls[0] == 64 and len(calls) == 2 and calls[1] <= start
 
     def test_small_pair_and_recompute_stability(self, monkeypatch):
         # a raised start (the 64-bit attempt rejected, the doubling started
@@ -188,7 +202,7 @@ class TestComputeModularPolynomial:
             last = attempts[-1]
             assert [tuple(ints) for _, ints in last] == list(phi.coeffs)
             for f, _ in last:
-                _, residual = cp.round_to_integers(f.coeffs)
+                _, residual = cp.round_to_integers(f)
                 assert residual < cp.RESIDUAL_LIMIT
                 assert 2.0 ** f.err < cp.RESIDUAL_LIMIT
             assert all(any(ints is None for _, ints in a) for a in attempts[:-1])
@@ -207,8 +221,9 @@ class TestComputeModularPolynomial:
         assert exact == phi_pool(p1, p2) and len(attempts) >= 2
         for rows in attempts:
             for f, want in zip(rows, exact.coeffs):
-                for c, n in zip(f.coeffs, want):
-                    actual = abs(to_mp(c, 400) - n)
+                for c, n in zip(coefficients(f), want):
+                    with mpmath.workdps(400):
+                        actual = abs(c - n)
                     assert actual == 0 or mpmath.log(actual, 2) <= f.err
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):

@@ -1,6 +1,7 @@
-"""Property tests: form and point reduction, roots over F_l, certified
-Lagrange interpolation, the Phi file format and the elliptic-curve group
-law."""
+"""Property tests: form and point reduction, roots over F_l, the certified
+product tree and Lagrange interpolation, the Phi file format and the
+elliptic-curve group law."""
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,11 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mpmath.libmp import from_rational  # noqa: E402
+from mpmath.libmp import from_rational, fzero  # noqa: E402
 
-from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, abs_diff  # noqa: E402
-from etacm.classpoly import CPoly, round_certified  # noqa: E402
-from etacm.etafunc import apply_moebius, reduce_to_fundamental_domain  # noqa: E402
+from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, from_mpc  # noqa: E402
+from etacm.classpoly import CPoly, _tree_err, product_tree, round_certified  # noqa: E402
+from etacm.etafunc import reduce_to_fundamental_domain  # noqa: E402
 from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
@@ -33,6 +34,7 @@ from oracles import (  # noqa: E402
     schoolbook_mul,
     schoolbook_pow_mod,
 )
+from support import coefficients, log2_dist, mag, moebius  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
@@ -110,8 +112,8 @@ class TestReducePoint:
         want = gauss_reduce_point(x, y)
         assert m in (want, tuple(-v for v in want))
         # m z, formed 64 bits above z's precision, is within a few ulps of z'
-        mz = apply_moebius(m, z.value, prec + 64)
-        assert abs_diff(mz, zr.value) <= zr.value.mag() - prec + 3
+        mz = moebius(m, z.value, prec + 64)
+        assert log2_dist(mz, zr.value) <= mag(zr.value) - prec + 3
 
 
 class TestRootsModL:
@@ -167,6 +169,48 @@ class TestSerializeRoundTrip:
 
 
 @st.composite
+def root_sets(draw):
+    """(roots, wp): 1-40 dyadic complex roots of modulus 2^-9..2^41 with a
+    leaf error bound each (they are exact), and wp in 64..512."""
+    roots = []
+    for _ in range(draw(st.integers(1, 40))):
+        bits = draw(st.integers(1, 80))
+        re = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) * draw(st.sampled_from([1, -1]))
+        im = draw(st.integers(-(1 << bits), 1 << bits))
+        err = draw(st.one_of(st.just(float("-inf")), st.floats(-600, 0)))
+        roots.append(((re, im, draw(st.integers(-8, 40)) - bits), err))
+    return roots, draw(st.integers(64, 512))
+
+
+@PROPERTY
+@given(root_sets())
+def test_product_tree_within_its_bound(case):
+    # prod (X - r_i) expanded exactly: with every r_i = R_i 2^e0 for Gaussian
+    # integers R_i, it is sum_j c_j 2^(e0 (n - j)) X^j, where sum_j c_j Y^j
+    # is prod (Y - R_i)
+    roots, wp = case
+    f = product_tree(roots, wp)
+    assert _tree_err(roots, wp) == f.err  # what initial_precision relies on
+    e0 = min(e for (_, _, e), _ in roots)
+    exact = [(1, 0)]
+    for (re, im, e), _ in roots:
+        rr, ri = re << (e - e0), im << (e - e0)
+        exact = [((exact[j - 1][0] if j else 0) - (rr * exact[j][0] - ri * exact[j][1]
+                                                     if j < len(exact) else 0),
+                  (exact[j - 1][1] if j else 0) - (rr * exact[j][1] + ri * exact[j][0]
+                                                     if j < len(exact) else 0))
+                 for j in range(len(exact) + 1)]
+    n = len(roots)
+    assert len(f.re) == len(f.im) == n + 1
+    for j, (cr, ci) in enumerate(exact):
+        low = min(f.exp, e0 * (n - j))
+        dr = (f.re[j] << (f.exp - low)) - (cr << (e0 * (n - j) - low))
+        di = (f.im[j] << (f.exp - low)) - (ci << (e0 * (n - j) - low))
+        if dr or di:
+            assert math.log2(dr * dr + di * di) / 2 + low <= f.err, j
+
+
+@st.composite
 def interpolation_problems(draw):
     """(distinct real nodes k/8, integer coefficients of degree < len(nodes))."""
     n = draw(st.integers(2, 5))
@@ -184,14 +228,14 @@ class TestLagrange:
         samples = []
         for x in nodes:
             y = sum(c * x**i for i, c in enumerate(coeffs))
-            v = ApComplex.make(from_rational(y.numerator, y.denominator, wp, RND), 0, wp)
-            samples.append(CPoly([v], v.mag() - wp + 1, v.mag()))
-        xs = [ApComplex.make(float(x), 0, wp) for x in nodes]
+            v = ApComplex(from_rational(y.numerator, y.denominator, wp, RND), fzero, wp)
+            samples.append(CPoly.constant(from_mpc(v.re, v.im), mag(v) - wp + 1))
+        xs = [(x.numerator * (8 // x.denominator), 0, -3) for x in nodes]
         (f,) = _lagrange(xs, -float(wp), samples, wp)
         want = coeffs + [0] * (len(nodes) - len(coeffs))
         with mpmath.workprec(4 * wp):
-            for c, n in zip(f.coeffs, want):
-                actual = abs(mpmath.mpc(mpmath.mpf(c.re), mpmath.mpf(c.im)) - n)
+            for c, n in zip(coefficients(f), want):
+                actual = abs(c - n)
                 assert actual == 0 or mpmath.log(actual, 2) <= f.err
         assert round_certified(f) == want
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from etacm.apcomplex import abs_diff
 from etacm.arith import legendre
 from etacm.errors import (
     DiscriminantMismatch,
@@ -25,6 +24,7 @@ from etacm.qforms import (
     validate_nsystem,
 )
 from oracles import brute_force_class_count, brute_force_reduced_forms
+from support import log2_dist
 
 
 class TestQuadraticForm:
@@ -240,12 +240,12 @@ class TestNSystem:
             g = QuadraticForm(f.a, b2, (b2 * b2 + 56) // (4 * f.a))
             wa = w_pow_s(f.alpha(prec + 64), 3, 13, prec)
             wb = w_pow_s(g.alpha(prec + 64), 3, 13, prec)
-            assert abs_diff(wa, wb) <= -prec + 12
+            assert log2_dist(wa, wb) <= -prec + 12
             # converse (different residue): report, do not assert
             b3 = f.b + 2 * f.a
             h = QuadraticForm(f.a, b3, (b3 * b3 + 56) // (4 * f.a))
             wc = w_pow_s(h.alpha(prec + 64), 3, 13, prec)
-            if abs_diff(wa, wc) > -prec + 12:
+            if log2_dist(wa, wc) > -prec + 12:
                 differing += 1
         print(f"note: {differing}/{len(ns.forms)} shifted-residue values differ (expected)")
 
