@@ -57,6 +57,60 @@ def test_sqrt_principal_branch():
     assert to_mpc(sqrt((-4, -1, 0), 64)).real > 0
 
 
+def test_arithmetic_round_trip():
+    x, y = (3, 4, 0), (-2, 1, 0)
+    assert to_mpc(add(x, y)) == 1 + 5j
+    assert to_mpc(add(x, (2, -1, 0))) == 5 + 3j
+    assert to_mpc(mul(x, y)) == (3 + 4j) * (-2 + 1j)
+    with mpmath.workprec(256):
+        q = mpmath.mpc(3, 4) / mpmath.mpc(-2, 1)
+        assert abs(to_mpc(div(x, y, 128)) - q) <= ROUND_ULPS * 2.0 ** -128 * abs(q)
+    assert to_mpc(mul(div(x, y, 128), y)) != to_mpc(x)  # div rounds (-2/5 - 11/5 i)
+
+
+def test_mixed_precision_uses_max():
+    # exact operations keep every bit of both operands, whatever their
+    # mantissa lengths and exponents
+    x = (2**63 + 1, 1, -63)
+    y = (2**255 + 1, -(2**200), -300)
+    with mpmath.workprec(EXACT):
+        assert to_mpc(add(x, y)) == to_mpc(x) + to_mpc(y)
+        assert to_mpc(mul(x, y)) == to_mpc(x) * to_mpc(y)
+    assert add(x, y)[2] == -300  # aligned to the finer exponent
+    assert max(abs(v) for v in trunc(mul(x, y), 256)[:2]).bit_length() == 256
+
+
+def test_integer_scalars():
+    x = (3, -1, 0)
+    assert to_mpc(mul(x, (5, 0, 0))) == 15 - 5j
+    assert to_mpc(add((2, 0, 0), x)) == 5 - 1j
+    assert to_mpc(div((1, 0, 0), (2, 0, 0), 96)) == 0.5
+
+
+def test_pow_and_conjugate():
+    x = (1, 2, 0)
+    assert to_mpc(power(x, 5, 128)) == (1 + 2j) ** 5  # small enough to stay exact
+    re, im, e = power(x, 37, 64)
+    assert power((1, -2, 0), 37, 64) == (re, -im, e)  # power commutes with conjugation
+    with mpmath.workprec(256):
+        want = mpmath.mpc(1, 2) ** 37
+        assert abs(to_mpc((re, im, e)) - want) <= ROUND_ULPS * 36 * 2.0 ** -64 * abs(want)
+
+
+def test_mag_bounds_value():
+    assert 2 ** lg((1000, 0, 0)) >= 1000
+    assert lg((1000, 0, 0)) <= 10
+    assert 2 ** lg((3, -4, 5)) >= 5 * 2**5
+    assert lg((0, 0, 7)) == float("-inf")
+
+
+def test_abs_diff_reports_log2():
+    # lg of a difference is its log2 distance
+    assert lg(add((1, 0, 0), (-1, 0, 0))) == float("-inf")
+    assert -3 < lg(add((1, 0, 0), (-5, 0, -2))) < 0
+    assert abs(lg(add((1, 0, 0), (-5, 0, -2))) + 2) <= 2.0 ** -29
+
+
 @st.composite
 def values(draw):
     """Nonzero triples, both parts up to 300 bits, exponents in [-500, 500]."""

@@ -111,10 +111,10 @@ class TestComputeClassPolynomial:
             compute_class_polynomial(-56, 3, 13, 10, max_prec=256)
         assert calls == []  # refused before any evaluation at 512 bits
 
-    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1511, 5, 7)])
+    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7), (-1511, 5, 7)])
     def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
-        # when the 64-bit pass already predicts a passing gate (D = -56
-        # measures a start below 64 bits, D = -1511 one of 66), its roots
+        # when the 64-bit pass already predicts a passing gate (D = -56 and
+        # -3996 measure a start below 64 bits, D = -1511 one of 66), its roots
         # are expanded as the first attempt instead of being evaluated again
         import etacm.classpoly as cp
 
@@ -127,9 +127,12 @@ class TestComputeClassPolynomial:
         system = cp.build_nsystem(D, p1 * p2, want.B)
         assert cp._expand(cp._roots(system.forms, p1, p2, 512), 512) == list(want.coeffs)
 
-    @pytest.mark.parametrize("D, p1, p2, cap", [(-56, 3, 13, 32), (-1511, 5, 7, 64)])
+    @pytest.mark.parametrize("D, p1, p2, cap",
+                             [(-56, 3, 13, 32), (-3996, 5, 7, 63), (-1511, 5, 7, 64)])
     def test_max_prec_below_64_or_the_start_raises(self, D, p1, p2, cap):
-        # -1511's 64-bit pass would pass the gate, but its measured start is 66
+        # -3996 measures a start below 64 bits, so one bit under 64 already
+        # raises; -1511's 64-bit pass would pass the gate, but its measured
+        # start is 66
         with pytest.raises(PrecisionExhausted):
             compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0], max_prec=cap)
 
