@@ -18,13 +18,17 @@ computed as exp(pi*i*z/12) directly from z, which fixes the branch once and
 for all; q itself is its 24th power.
 
 The values are fixed-point Gaussian-integer triples (`apcomplex`), each with
-an exponent of its own.  Every step counts its error in ulps u = 2^-wp of
-the working precision, relative to the value: the series (`_eta_series`),
-the transformation formula (`EtaTable._eta_transform`), the quotients and
-the powers.  `eta`, `j_invariant`, `double_eta_quotient` and
-`w_pow_s_with_err` all accept the resulting absolute bound, or retry with
-more bits and finally raise PrecisionExhausted, through one helper
-(`_certified`).
+an exponent of its own.  Inside the module a point is always the exact
+integer form it is the root of, and every step returns a value with its
+error in ulps u = 2^-wp of the working precision, relative to the value:
+the series (`_eta_series`), the transformation formula
+(`EtaTable._eta_transform`), one eta value (`EtaTable.eta`), the quotients
+and the powers.  Each evaluation turns that into an absolute bound at its
+last step only, and one helper (`_certified`) accepts the bound, or retries
+with more bits and finally raises PrecisionExhausted.  The public point
+functions (`eta`, `j_invariant`, `double_eta_quotient`, `w_pow_s`) name
+their point's form once (`_form_of`) and hand the value back as an
+`ApComplex` (`to_apcomplex`).
 
 Every eta value at an arbitrary point comes from an `EtaTable`.  Many
 arguments share one reduced point: the 4h arguments alpha_i/d of a class
@@ -57,7 +61,6 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_sqrt,
-    to_float,
     to_rational,
 )
 
@@ -208,19 +211,9 @@ def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
     return trunc(mul(w24, (tr, ti, -wp)), wp), 4.05 * kmax + 3.1
 
 
-# eta_at(den, wp): eta(z / den) at the point z that the table view was made
-# for, and the log2 of its absolute error bound
-EtaAt = Callable[[int, int], tuple[Value, float]]
-
-
 def _abs_err(x: Value, rel: float, wp: int) -> float:
     """log2 of the absolute error of x, from its relative error in units 2^-wp."""
     return lg(x) + math.log2(rel) - wp
-
-
-def _rel_err(x: Value, err: float, wp: int) -> float:
-    """The relative error of x in units 2^-wp, from a log2 absolute bound."""
-    return 2.0 ** (err - lg(x) + 2.0 ** -29 + wp)
 
 
 class EtaTable:
@@ -266,64 +259,72 @@ class EtaTable:
              math.isqrt((4 * A * A * c * c * -f.discriminant) << (2 * s)), -s)
         return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel + 2 * ROUND_ULPS + 0.2
 
-    def for_form(self, f: QuadraticForm) -> EtaAt:
-        """eta(alpha_f / den) for the basis quotient alpha_f of f, any den.
+    def eta(self, f: QuadraticForm, den: int, wp: int) -> tuple[Value, float]:
+        """eta(alpha_f / den) at the basis quotient alpha_f of f, and its
+        relative error in units 2^-wp.
 
         alpha_f / den is the basis quotient of F, the primitive part of
-        [a den^2, b den, c] (for den | c, of [a den, b, c/den]).  Its reduced
-        form G = [A, B, C] = F.M names the point: M^-1 takes the argument to
-        alpha_G, and [A, -B, C] shares the series, since its basis quotient
-        is -conj(alpha_G) and eta(-conj z) = conj(eta(z)).
+        [a den^2, b den, c].  Its reduced form G = [A, B, C] = F.M names the
+        point: M^-1 takes the argument to alpha_G, and [A, -B, C] shares the
+        series, since its basis quotient is -conj(alpha_G) and
+        eta(-conj z) = conj(eta(z)).
         """
-        def eta_at(den: int, wp: int) -> tuple[Value, float]:
-            F = QuadraticForm.primitive(f.a * den * den, f.b * den, f.c)
-            g, (p, q, r, s) = reduce_form(F)
-            key = (g.a, abs(g.b), g.c, wp)
-            hit = self._series.get(key)
-            if hit is None:
-                hit = self._series[key] = _eta_series(g.a, abs(g.b), g.discriminant, wp)
-            (re, im, e), rel = hit
-            value, rel = self._eta_transform((re, -im if g.b < 0 else im, e), rel, F,
-                                             (s, -q, -r, p), wp)
-            return value, _abs_err(value, rel, wp)
-
-        return eta_at
+        F = QuadraticForm.primitive(f.a * den * den, f.b * den, f.c)
+        g, (p, q, r, s) = reduce_form(F)
+        key = (g.a, abs(g.b), g.c, wp)
+        hit = self._series.get(key)
+        if hit is None:
+            hit = self._series[key] = _eta_series(g.a, abs(g.b), g.discriminant, wp)
+        (re, im, e), rel = hit
+        return self._eta_transform((re, -im if g.b < 0 else im, e), rel, F, (s, -q, -r, p), wp)
 
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Dedekind eta, absolute error certified below 2^(guard - prec)."""
-    eta_at = EtaTable().for_form(_form_of(z))
-    return to_apcomplex(_certified(prec, lambda wp: eta_at(1, wp), "eta")[0], prec)
+    f, table = _form_of(z), EtaTable()
+
+    def evaluate(wp: int) -> tuple[Value, float]:
+        value, rel = table.eta(f, 1, wp)
+        return value, _abs_err(value, rel, wp)
+
+    return to_apcomplex(_certified(prec, evaluate, "eta")[0], prec)
 
 
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
-    """Klein J (J(i) = 1728) from Weber's f1(z) = eta(z/2) / eta(z):
-    J = (f + 16)^3 / f with f = f1^24 (Yui and Zagier, Math. Comp. 66, 1997).
+    """Klein J (J(i) = 1728), absolute error certified below 2^(guard - prec)."""
+    return to_apcomplex(j_invariant_with_err(_form_of(z), prec)[0], prec)
 
-    If f1 is within a relative r, then f = f1^24 is within
-    r_f = 24 r + 69u (`power`), and since dJ/df = (f + 16)^2 (2f - 16) / f^2,
+
+def j_invariant_with_err(f: QuadraticForm, prec: int) -> tuple[Value, float]:
+    """(J, log2 absolute error bound) at the basis quotient of f, from Weber's
+    f1(z) = eta(z/2) / eta(z): J = (x + 16)^3 / x with x = f1^24 (Yui and
+    Zagier, Math. Comp. 66, 1997).
+
+    If f1 is within a relative r, then x = f1^24 is within
+    r_x = 24 r + 69u (`power`), and since dJ/dx = (x + 16)^2 (2x - 16) / x^2,
     to first order
-        |dJ| <= |f + 16|^2 |2f - 16| / |f| * r_f.
-    Forming (f + 16)^3 / f rounds three times, 9u of J; one more bit covers
-    the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, so
-    every try gets that many extra bits.
+        |dJ| <= |x + 16|^2 |2x - 16| / |x| * r_x.
+    Forming (x + 16)^3 / x rounds three times, 9u of J; one more bit covers
+    the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, whose
+    imaginary part is sqrt(|D|) / (2A) for the reduced form [A, B, C] of f,
+    so every try gets that many extra bits.
     """
-    zred, _ = reduce_to_fundamental_domain(z)
-    boost = max(0, math.ceil(2.0 * math.pi * to_float(zred.value.im, strict=False)
-                             / math.log(2.0))) + 32
-    eta_at = EtaTable().for_form(_form_of(z))
+    g = reduce_form(f)[0]
+    im = math.exp(math.log(-g.discriminant) / 2 - math.log(2 * g.a))
+    boost = math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
+    table = EtaTable()
 
     def evaluate(wp: int) -> tuple[Value, float]:
         wp += boost
-        f1, rel = _eta_quotient((2,), (1,), wp, eta_at)
-        f = power(f1, 24, wp)
-        g = add(f, (16, 0, 0))
-        value = div(power(g, 3, wp), f, wp)
-        dj = (2 * lg(g) + lg(add(add(f, f), (-16, 0, 0))) - lg(f) + 2.0 ** -29
+        f1, rel = _eta_quotient(f, (2,), (1,), wp, table)
+        x = power(f1, 24, wp)
+        x16 = add(x, (16, 0, 0))
+        value = div(power(x16, 3, wp), x, wp)
+        dj = (2 * lg(x16) + lg(add(add(x, x), (-16, 0, 0))) - lg(x) + 2.0 ** -29
               + math.log2(24 * rel + 23 * ROUND_ULPS) - wp)
         return value, log2add(dj, _abs_err(value, 3 * ROUND_ULPS, wp)) + 1
 
-    return to_apcomplex(_certified(prec, evaluate, "J")[0], prec)
+    return _certified(prec, evaluate, "J")
 
 
 def s_exponent(p1: int, p2: int) -> int:
@@ -331,16 +332,17 @@ def s_exponent(p1: int, p2: int) -> int:
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
 
 
-def _eta_quotient(num: tuple[int, ...], den: tuple[int, ...], wp: int,
-                  eta_at: EtaAt) -> tuple[Value, float]:
-    """prod eta(z/n) for n in num over prod eta(z/d) for d in den (one or two
-    of each), and its relative error in units 2^-wp: the products are exact,
-    so the factors' relative errors add, and the division rounds once."""
+def _eta_quotient(f: QuadraticForm, num: tuple[int, ...], den: tuple[int, ...], wp: int,
+                  table: EtaTable) -> tuple[Value, float]:
+    """prod eta(alpha_f / n) for n in num over prod eta(alpha_f / d) for d in
+    den (one or two of each), and its relative error in units 2^-wp: the
+    products are exact, so the factors' relative errors add, and the division
+    rounds once."""
     vals, rel = [], ROUND_ULPS
     for n in num + den:
-        v, e = eta_at(n, wp)
+        v, r = table.eta(f, n, wp)
         vals.append(v)
-        rel += _rel_err(v, e, wp)
+        rel += r
     return div(reduce(mul, vals[:len(num)]), reduce(mul, vals[len(num):]), wp), rel
 
 
@@ -365,10 +367,10 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[Value, float]],
 
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     check_distinct_odd_primes(p1, p2)
-    eta_at = EtaTable().for_form(_form_of(z))
+    f, table = _form_of(z), EtaTable()
 
     def evaluate(wp: int) -> tuple[Value, float]:
-        value, rel = _eta_quotient((p1, p2), (1, p1 * p2), wp + 16, eta_at)
+        value, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp + 16, table)
         return value, _abs_err(value, rel, wp + 16)
 
     return to_apcomplex(_certified(prec, evaluate, "quotient")[0], prec)
@@ -390,11 +392,10 @@ def w_pow_s_with_err(f: QuadraticForm, p1: int, p2: int, prec: int,
     s r + 3 (s - 1) u when w is within a relative r.
     """
     s = s_exponent(p1, p2)
-    eta_at = table.for_form(f)
 
     def evaluate(wp: int) -> tuple[Value, float]:
         wp += 16 + 4 * s
-        w, rel = _eta_quotient((p1, p2), (1, p1 * p2), wp, eta_at)
+        w, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table)
         value = power(w, s, wp)
         return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .arith import check_odd_prime, is_prime_modulus
 from .errors import PreconditionError
+from .intpoly import trim
 
 DEFAULT_SEED = 0
 
@@ -103,12 +104,6 @@ class FpPolynomial:
 NEWTON_DEGREE = 32
 
 
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _mul(a, b, p: int, n: int | None = None) -> list:
     """The n lowest coefficients of a*b (all of them by default) by Kronecker
     substitution: each list becomes one int with a slot of at least
@@ -156,19 +151,19 @@ def _divmod(a, m: list, p: int, inv: list | None = None) -> tuple[list, list]:
     to a precision of at least k."""
     d, k = len(m) - 1, len(a) - len(m) + 1
     if k <= 0:
-        return [], _trim([c % p for c in a])
+        return [], trim([c % p for c in a])
     if d < NEWTON_DEGREE:
         r, quo = list(a), [0] * k
         for i in range(k - 1, -1, -1):
             c = quo[i] = r[i + d] % p
             if c:
                 r[i:i + d] = [x - c * y for x, y in zip(r[i:i + d], m)]
-        return quo, _trim([c % p for c in r[:d]])
+        return quo, trim([c % p for c in r[:d]])
     if inv is None or len(inv) < k:
         inv = _inverse(m, k, p)
     quo = [c % p for c in _mul([c % p for c in a[:d - 1:-1]], inv[:k], p, k)][::-1]
     low = _mul(quo, m, p, d)
-    return quo, _trim([(x - y) % p for x, y in zip(a, low)])
+    return quo, trim([(x - y) % p for x, y in zip(a, low)])
 
 
 def _gcd(a, b, p: int) -> list:
@@ -206,7 +201,7 @@ def _linear_roots(f: list, p: int, rng: random.Random) -> list[int]:
         a = rng.randrange(p)
         probe = _pow_mod([a, 1], half, f, p) or [0]
         probe[0] = (probe[0] - 1) % p
-        g = _gcd(_trim(probe), f, p)
+        g = _gcd(trim(probe), f, p)
         if 1 < len(g) < len(f):
             return _linear_roots(g, p, rng) + _linear_roots(_divmod(f, g, p)[0], p, rng)
 
@@ -223,7 +218,7 @@ def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
     xl = _pow_mod(x, l, m, l) + [0] * len(x)
     xl[:len(x)] = [(c - d) % l for c, d in zip(xl, x)]
     counts: Counter = Counter()
-    for r in _linear_roots(_gcd(_trim(xl), m, l), l, rng):
+    for r in _linear_roots(_gcd(trim(xl), m, l), l, rng):
         g = m
         while True:
             quo, rem = _divmod(g, [-r % l, 1], l)

@@ -9,10 +9,11 @@ gate (`classpoly.round_certified`).  A rejected first attempt at MIN_PREC
 bits gives the start of the doubling (`classpoly.initial_precision`).  The
 samples lie on the imaginary axis above i, where J is real and strictly
 increasing, so the nodes are distinct and far apart.  Each sample point is
-the root of an integer form f_m, so its conjugates are the roots of the
-forms f_m.g^-1 and go through H's helper (`classpoly._roots`): one eta series
-per SL2(Z)-class of eta argument at each sample point (an `EtaTable`), and
-mirror-image classes share one.
+the root of an integer form f_m: its node J(z_m) is evaluated at f_m itself
+(`etafunc.j_invariant_with_err`), with a certified bound of its own, and its
+conjugates are the roots of the forms f_m.g^-1 and go through H's helper
+(`classpoly._roots`): one eta series per SL2(Z)-class of eta argument at
+each sample point (an `EtaTable`), and mirror-image classes share one.
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 
-from .apcomplex import MIN_PREC, ROUND_ULPS, add, div, from_mpc, lg, log2add
-from .arith import check_distinct_odd_primes, crt_pair
+from .apcomplex import MIN_PREC, ROUND_ULPS, add, div, lg, log2add
+from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
 from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _roots, double_until,
                         initial_precision, product_tree, round_certified)
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     PreconditionError,
     WrongDegree,
 )
-from .etafunc import Value, eta_guard_bits, j_invariant, s_exponent
+from .etafunc import Value, j_invariant_with_err, s_exponent
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
@@ -156,15 +157,11 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
     samples = []
     for m in range(degj + 1):
         f = _sample_form(m)
-        # the node is J at the sample point rounded 128 bits below the target,
-        # which moves it by far less than its certified bound
-        j = j_invariant(f.alpha(prec + 128), prec)
-        nodes.append(from_mpc(j.re, j.im))
+        nodes.append(j_invariant_with_err(f, prec))
         # f.g^-1 has the root g z_m
         conjugates = [f.compose((d, -b, -c, a)) for a, b, c, d in cosets]
         samples.append(product_tree(_roots(conjugates, p1, p2, prec), wp))
-    # j_invariant certifies its values within 2^(guard - prec)
-    return _lagrange(nodes, eta_guard_bits(prec) - prec, samples, wp)
+    return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 
 
 def _rows(polys: list[CPoly]) -> list[list[int]] | None:
@@ -195,6 +192,7 @@ def compute_modular_polynomial(p1: int, p2: int, *,
 
 def evaluate_in_j_mod_l(phi: ModularPolynomial, wbar, l: int) -> FpPolynomial:
     """The J-polynomial slice Phi(wbar, J) over F_l (not normalized)."""
+    check_odd_prime(l)
     w = int(wbar) % l
     pw = 1
     out = [0] * (phi.degJ + 1)

@@ -142,13 +142,12 @@ def _non_residue(q: int) -> int:
 def curve_from_j(jbar, q: int | None = None) -> EllipticCurve:
     """Short Weierstrass curve with the given j-invariant (q > 3)."""
     if isinstance(jbar, FpElement):
-        q, j = jbar.modulus, jbar.value
-    else:
-        if q is None:
-            raise PreconditionError("modulus required for plain integers")
-        j = int(jbar) % q
+        jbar, q = jbar.value, jbar.modulus
+    elif q is None:
+        raise PreconditionError("modulus required for plain integers")
     if q <= 3:
         raise PreconditionError("q > 3 required")
+    j = int(jbar) % q
     if j == 0:
         return EllipticCurve.make(q, 0, 1)
     if j == 1728 % q:

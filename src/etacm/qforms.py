@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .apcomplex import UpperHalfPoint
 from .arith import fundamental_parts, is_probable_prime, legendre
 from .errors import (
     DiscriminantMismatch,
@@ -67,10 +66,6 @@ class QuadraticForm:
         if not (-a < b <= a <= c):
             return False
         return b >= 0 if a == c else True
-
-    def alpha(self, prec: int) -> UpperHalfPoint:
-        """Basis quotient (-b + sqrt(D)) / (2a)."""
-        return UpperHalfPoint.from_form(self.a, self.b, self.discriminant, prec)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

@@ -209,13 +209,13 @@ class TestUsageAndPlumbing:
 
     @pytest.mark.parametrize("cap, argv", [
         (32, ["classpoly", "--disc", "-56", "--p1", "3", "--p2", "13", "--b", "10"]),
-        (64, ["modpoly", "--p1", "3", "--p2", "5"]),
+        (64, ["modpoly", "--p1", "5", "--p2", "13"]),
         (32, ["modpoly", "--verify-embedded"]),
         (32, ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13", "--prime", "3593"]),
         (32, ["reproduce-example"]),
     ])
     def test_precision_max_below_start_exits_3(self, capsys, cap, argv):
-        # the starts are 64 bits for H of D = -56 and 96 for Phi_{3,5}, whose
+        # the starts are 64 bits for H of D = -56 and 136 for Phi_{5,13}, whose
         # 64-bit attempt is rejected
         code, out, err = run_cli(["--precision-max", str(cap)] + argv, capsys)
         assert code == 3

@@ -376,13 +376,15 @@ class TestEtaTable:
     WP = 192
 
     def assert_certified(self, got, exact):
-        v, e = got
+        # got is the value and its relative error in units 2^-WP
+        v, rel = got
         with mpmath.workprec(self.WP + 128):
-            assert abs(to_mpc(v) - exact) <= mpmath.mpf(2) ** e
+            bound = abs(to_mpc(v)) * rel * mpmath.mpf(2) ** -self.WP
+            assert abs(to_mpc(v) - exact) <= bound
             # tightness: on these inputs the bound is at most 2^(20 - WP)
             # relative (the series' term count, a small series at a high
             # reduced point, and the transformation's ulps)
-            assert e <= mpmath.log(abs(to_mpc(v)), 2) - self.WP + 20
+            assert bound <= abs(to_mpc(v)) * mpmath.mpf(2) ** (20 - self.WP)
 
     @staticmethod
     def mp_eta(tau):
@@ -399,11 +401,10 @@ class TestEtaTable:
         table = EtaTable()
         system = build_nsystem(D, N, b_candidates(D, N)[0])
         for f in system.forms:
-            eta_at = table.for_form(f)
             for den in (p1, p2, 1, N):
                 with mpmath.workprec(wp + 128):
                     tau = mpmath.mpc(-f.b, mpmath.sqrt(-D)) / (2 * f.a * den)
-                self.assert_certified(eta_at(den, wp), self.mp_eta(tau))
+                self.assert_certified(table.eta(f, den, wp), self.mp_eta(tau))
         assert len(table) <= len(system.forms)
 
     def test_cosets_agree_with_direct_evaluation(self):
@@ -415,13 +416,13 @@ class TestEtaTable:
         f0 = QuadraticForm(256, -32, 401)  # its root is z0 = (1 + 20i) / 16
         cosets = coset_representatives(15)
         for g in cosets:
-            eta_at = table.for_form(f0.compose((g[3], -g[1], -g[2], g[0])))  # root g z0
+            f = f0.compose((g[3], -g[1], -g[2], g[0]))  # root g z0
             for den in (3, 5, 1, 15):
                 a, b, c, d = g
                 with mpmath.workprec(wp + 128):
                     t0 = mpmath.mpc(mpmath.mpf(1) / 16, mpmath.mpf(5) / 4)
                     tau = (a * t0 + b) / (c * t0 + d) / den
-                self.assert_certified(eta_at(den, wp), self.mp_eta(tau))
+                self.assert_certified(table.eta(f, den, wp), self.mp_eta(tau))
         assert len(table) <= 1 + 4 + 6 + len(cosets)
 
     def test_attempt_computes_at_most_24_roots_of_unity_per_precision(self, monkeypatch):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from etacm.arith import PSI13, check_odd_prime
+from etacm.arith import PSI13, check_odd_prime, is_probable_prime
 from etacm.errors import PreconditionError
 from etacm.ffield import (
     FpElement,
@@ -170,8 +170,11 @@ class TestSqrt:
 
     def test_mod_one_mod_four_prime(self):
         # exercises the full Tonelli-Shanks path (l = 1 mod 4)
-        l = 1000003 if 1000003 % 4 == 3 else 1000033
+        l = 1000033
+        assert is_probable_prime(l) and l % 4 == 1
         for a in range(2, 40):
-            r = sqrt_mod_l(a, 1000033)
+            r = sqrt_mod_l(a, l)
             if r is not None:
-                assert r.value * r.value % 1000033 == a
+                assert r.value * r.value % l == a
+            else:
+                assert pow(a, (l - 1) // 2, l) == l - 1

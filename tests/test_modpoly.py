@@ -12,7 +12,7 @@ from etacm.errors import (
     PreconditionError,
     WrongDegree,
 )
-from etacm.etafunc import j_invariant, w_pow_s
+from etacm.etafunc import j_invariant, j_invariant_with_err, w_pow_s
 from etacm.ffield import FpPolynomial
 from etacm.intpoly import divmod_monic
 from etacm.modpoly import (
@@ -25,7 +25,7 @@ from etacm.modpoly import (
     psi,
     serialize,
 )
-from support import coefficients, moebius, point
+from support import coefficients, moebius, point, to_mpc
 
 
 def to_mp(v: ApComplex, dps: int = 60) -> mpmath.mpc:
@@ -138,18 +138,22 @@ class TestComputeModularPolynomial:
                 val, scale = eval_phi(phi, w, J)
                 assert abs(val) / scale < mpmath.mpf(2) ** -380
 
-    @pytest.mark.parametrize("p1, p2, start", [(3, 5, 96), (3, 7, 99), (3, 13, 130),
-                                               (5, 7, 114), (5, 13, 225)])
+    @pytest.mark.parametrize("p1, p2, start", [(3, 5, None), (3, 7, None), (3, 13, None),
+                                               (5, 7, None), (5, 13, 136)])
     def test_precision_attempts(self, monkeypatch, p1, p2, start):
-        # one attempt at 64 bits that measures the height, then exactly one
-        # start, no higher than it has been: the certified bounds are no looser
+        # the gate accepts the 64-bit attempt of the four small pairs; Phi_{5,13}
+        # needs exactly one more attempt, which starts no higher than it has
+        # been: the certified bounds are no looser
         import etacm.modpoly as mp
 
         calls = []
         real = mp._coefficients
         monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[4]) or real(*a))
         compute_modular_polynomial(p1, p2)
-        assert calls[0] == 64 and len(calls) == 2 and calls[1] <= start
+        if start is None:
+            assert calls == [64]
+        else:
+            assert calls[0] == 64 and len(calls) == 2 and calls[1] <= start
 
     def test_small_pair_and_recompute_stability(self, monkeypatch):
         # a raised start (the 64-bit attempt rejected, the doubling started
@@ -170,17 +174,18 @@ class TestComputeModularPolynomial:
         assert a.degX == 24 and a.degJ == 2 and a.s == 3
         assert a.coeffs[24] == (1, 0, 0)
 
-    def test_doubling_recovers_from_starved_start(self, monkeypatch, phi313_embedded):
-        # Phi_{3,13} needs more than 64 bits: with the start also starved to
+    def test_doubling_recovers_from_starved_start(self, monkeypatch, phi_pool):
+        # Phi_{5,13} needs more than 64 bits: with the start also starved to
         # 64 bits, the gate rejects both 64-bit attempts and the doubling
         # still converges to the same integers
         import etacm.modpoly as mp
 
+        want = phi_pool(5, 13)
         calls = []
         real = mp._coefficients
         monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[4]) or real(*a))
         monkeypatch.setattr(mp, "initial_precision", lambda *a: 64)
-        assert compute_modular_polynomial(3, 13) == phi313_embedded
+        assert compute_modular_polynomial(5, 13) == want
         assert calls[:2] == [64, 64] and len(calls) > 2  # the gate rejected 64 bits
 
     def test_result_passes_the_gate(self, monkeypatch):
@@ -209,22 +214,48 @@ class TestComputeModularPolynomial:
 
     @pytest.mark.parametrize("p1,p2", [(3, 5), (3, 13)])
     def test_certified_bound_covers_the_actual_error(self, monkeypatch, phi_pool, p1, p2):
-        # at every attempt, each coefficient of each X-row lies within its
-        # row's certified bound of the exact Phi
+        # at the 64-bit attempt and at a forced 160-bit one, each coefficient
+        # of each X-row lies within its row's certified bound of the exact Phi
         import etacm.modpoly as mp
 
+        want = phi_pool(p1, p2)
         attempts = []
-        real = mp._coefficients
+        real, real_gate = mp._coefficients, mp.round_certified
         monkeypatch.setattr(mp, "_coefficients",
-                            lambda *a: attempts.append(real(*a)) or attempts[-1])
+                            lambda *a: attempts.append((a[4], real(*a))) or attempts[-1][1])
+        monkeypatch.setattr(mp, "round_certified",
+                            lambda f: None if len(attempts) == 1 else real_gate(f))
+        monkeypatch.setattr(mp, "initial_precision", lambda *a: 160)
         exact = compute_modular_polynomial(p1, p2)
-        assert exact == phi_pool(p1, p2) and len(attempts) >= 2
-        for rows in attempts:
-            for f, want in zip(rows, exact.coeffs):
-                for c, n in zip(coefficients(f), want):
+        assert exact == want and [prec for prec, _ in attempts] == [64, 160]
+        for _, rows in attempts:
+            for f, ints in zip(rows, exact.coeffs):
+                for c, n in zip(coefficients(f), ints):
                     with mpmath.workdps(400):
                         actual = abs(c - n)
                     assert actual == 0 or mpmath.log(actual, 2) <= f.err
+
+    @pytest.mark.parametrize("prec", [64, 149])
+    def test_nodes_lie_within_their_certified_bounds(self, monkeypatch, prec):
+        # each node J(z_m) of Phi_{5,13} lies within its own certified bound
+        # of 1728 kleinj(z_m) at prec + 300 bits, and the interpolation is
+        # handed the largest of those bounds
+        import etacm.modpoly as mp
+
+        errs = []
+        for m in range(5):
+            f = mp._sample_form(m)
+            value, err = j_invariant_with_err(f, prec)
+            with mpmath.workprec(prec + 300):
+                z = mpmath.mpc(0, mpmath.sqrt(-f.discriminant)) / (2 * f.a)
+                assert abs(to_mpc(value) - 1728 * mpmath.kleinj(z)) <= mpmath.mpf(2) ** err
+            errs.append(err)
+        seen = []
+        real = mp._lagrange
+        monkeypatch.setattr(mp, "_lagrange",
+                            lambda nodes, err, *a: seen.append(err) or real(nodes, err, *a))
+        mp._coefficients(5, 13, 4, coset_representatives(65), prec)
+        assert seen == [max(errs)]
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
         # the accepted bound is the one product_tree certifies: inflating
@@ -269,7 +300,7 @@ class TestComputeModularPolynomial:
     def test_sample_j_values_real_and_increasing(self):
         import etacm.modpoly as mp
 
-        js = [to_mp(j_invariant(mp._sample_form(m).alpha(320), 256)) for m in range(9)]
+        js = [to_mpc(j_invariant_with_err(mp._sample_form(m), 256)[0]) for m in range(9)]
         assert all(abs(j.imag) < mpmath.mpf(2) ** -150 for j in js)
         assert 1728 < js[0].real
         assert all(a.real < b.real for a, b in zip(js, js[1:]))

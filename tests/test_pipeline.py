@@ -106,6 +106,13 @@ class TestCurveFromJ:
             for cand in curves_with_j(j, 3593):
                 assert cand.j_invariant() == j % 3593
 
+    @pytest.mark.parametrize("q", [0, 1, 9, -7])
+    def test_bad_modulus_raises(self, phi313_embedded, q):
+        for call in (lambda: curve_from_j(229, q), lambda: curves_with_j(229, q),
+                     lambda: evaluate_in_j_mod_l(phi313_embedded, 607, q)):
+            with pytest.raises(PreconditionError):
+                call()
+
     @pytest.mark.parametrize("j,residue,count", [(0, 3, 6), (1728, 4, 4)])
     def test_every_twist_class_is_reached(self, j, residue, count):
         # the twists of j = 0 (q = 1 mod 3) and j = 1728 (q = 1 mod 4) have

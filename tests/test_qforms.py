@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from etacm.apcomplex import UpperHalfPoint
 from etacm.arith import legendre
 from etacm.errors import (
     DiscriminantMismatch,
@@ -238,13 +239,13 @@ class TestNSystem:
         for f in ns.forms:
             b2 = f.b + 2 * f.a * 39  # translate by t = N
             g = QuadraticForm(f.a, b2, (b2 * b2 + 56) // (4 * f.a))
-            wa = w_pow_s(f.alpha(prec + 64), 3, 13, prec)
-            wb = w_pow_s(g.alpha(prec + 64), 3, 13, prec)
+            wa = w_pow_s(UpperHalfPoint.from_form(f.a, f.b, -56, prec + 64), 3, 13, prec)
+            wb = w_pow_s(UpperHalfPoint.from_form(g.a, g.b, -56, prec + 64), 3, 13, prec)
             assert log2_dist(wa, wb) <= -prec + 12
             # converse (different residue): report, do not assert
             b3 = f.b + 2 * f.a
             h = QuadraticForm(f.a, b3, (b3 * b3 + 56) // (4 * f.a))
-            wc = w_pow_s(h.alpha(prec + 64), 3, 13, prec)
+            wc = w_pow_s(UpperHalfPoint.from_form(h.a, h.b, -56, prec + 64), 3, 13, prec)
             if log2_dist(wa, wc) > -prec + 12:
                 differing += 1
         print(f"note: {differing}/{len(ns.forms)} shifted-residue values differ (expected)")
