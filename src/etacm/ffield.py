@@ -1,11 +1,19 @@
 """Exact arithmetic over prime fields and univariate polynomials over them:
 root finding with multiplicities, multiple-root detection, square roots.
 
-Polynomials store coefficients lowest degree first.  Root finding follows
-the classical route: strip the X^l - X part with a gcd, then split the
-product of linear factors by randomized equal-degree splitting; the
-generator is an explicit argument with a fixed default seed so CLI output
-is reproducible.
+Polynomials store coefficients lowest degree first.  Root finding makes one
+exponentiation y = (x + a)^((q-1)/2) mod f per split (Rabin, SIAM J. Comput.
+9, 1980).  For f itself the Frobenius identity (x + a)^q = x^q + a gives
+x^q = (x + a) y^2 - a, so the linear part gcd(x^q - x, f) comes without a
+second exponentiation, and y splits it at once; a later factor of degree 3
+or more is split with a fresh shift, and one of degree 2 is solved by the
+quadratic formula.  The shifts come from a private generator.  The caller's
+generator, an explicit argument with a fixed default seed, only orders the
+roots: it is drawn from exactly as splitting gcd(x^q - x, f) by
+gcd((x + a)^((q-1)/2) - 1, .) with a drawn from it would draw, and the roots
+are listed in that splitting's order.  That order, and every draw the caller
+makes afterwards (the order certificate's random points), fix the curve and
+the CLI output for a seed, so neither depends on how the roots were found.
 
 The arithmetic runs on plain coefficient lists, packed into one int for
 every product (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009);
@@ -19,6 +27,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import check_odd_prime, is_prime_modulus
 from .errors import PreconditionError
@@ -190,35 +199,88 @@ def _pow_mod(b: list, e: int, m: list, p: int) -> list:
     return r
 
 
-def _linear_roots(f: list, p: int, rng: random.Random) -> list[int]:
-    """Roots of a squarefree monic product of linear factors."""
-    if len(f) <= 2:
-        return [-f[0] % p] if len(f) == 2 else []
-    if f[0] == 0:
-        return [0] + _linear_roots(f[1:], p, rng)
+def _split(g: list, a: int, y: list, p: int) -> list[list]:
+    """The factors of g, a monic product of distinct linear factors, by
+    y = (x + a)^((p-1)/2) mod g: gcd(y - 1, g), with the roots r that have
+    r + a a square, gcd(y + 1, g), with the others, and x + a when it divides
+    g; each one that is not constant."""
+    y = y or [0]
+    parts = [_gcd(trim([(y[0] + c) % p] + y[1:]), g, p) for c in (-1, 1)]
+    if not _divmod(g, [a, 1], p)[1]:
+        parts.append([a, 1])
+    return [h for h in parts if len(h) > 1]
+
+
+def _distinct_roots(m: list, p: int) -> list[int]:
+    """The distinct roots of the monic m, of degree at least 1, in no
+    particular order, with one exponentiation for m and one for each later
+    node of degree 3 or more.  The shifts a come from a private generator:
+    they decide the work done, never the roots."""
+    if len(m) == 2:
+        return [-m[0] % p]
+    rng, half, roots = random.Random(DEFAULT_SEED), (p - 1) // 2, []
+    a = rng.randrange(p)
+    y = _pow_mod([a, 1], half, m, p)
+    # (x + a)^p = x^p + a, so x^p - x = (x + a)(y^2 - 1) mod m: the linear
+    # part g of m comes without x^p, and y mod g splits it
+    t = _divmod(_mul(y, y, p), m, p)[1] or [0]
+    t[0] -= 1
+    g = _gcd(_divmod(_mul(t, [a, 1], p), m, p)[1], m, p)
+    nodes = _split(g, a, _divmod(y, g, p)[1], p) if len(g) > 1 else []
+    while nodes:
+        g = nodes.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) == 3:  # no exponentiation: the quadratic formula
+            c, b, inv2 = g[0], g[1], (p + 1) // 2
+            s = _sqrt_mod((b * b - 4 * c) % p, p)
+            roots += [(s - b) * inv2 % p, (-s - b) * inv2 % p]
+        else:
+            a = rng.randrange(p)
+            parts = _split(g, a, _pow_mod([a, 1], half, g, p), p)
+            nodes += parts if len(parts) > 1 else [g]
+    return roots
+
+
+def _replay(roots: list[int], p: int, rng: random.Random) -> list[int]:
+    """The distinct roots in the order in which randomized splitting of
+    their product by gcd((x + a)^((p-1)/2) - 1, .) lists them, with rng
+    drawn exactly as that splitting draws it: no draw for one root, 0 peeled
+    off first, and otherwise a = rng.randrange(p) until between 1 and all
+    but one of the roots r have r + a a square; those come first."""
+    if len(roots) <= 1:
+        return list(roots)
+    if 0 in roots:
+        return [0] + _replay([r for r in roots if r], p, rng)
     half = (p - 1) // 2
     while True:
         a = rng.randrange(p)
-        probe = _pow_mod([a, 1], half, f, p) or [0]
-        probe[0] = (probe[0] - 1) % p
-        g = _gcd(trim(probe), f, p)
-        if 1 < len(g) < len(f):
-            return _linear_roots(g, p, rng) + _linear_roots(_divmod(f, g, p)[0], p, rng)
+        squares = [pow(r + a, half, p) == 1 for r in roots]
+        if 0 < sum(squares) < len(roots):
+            return (_replay([r for r, s in zip(roots, squares) if s], p, rng)
+                    + _replay([r for r, s in zip(roots, squares) if not s], p, rng))
 
 
 def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
-    """All roots in F_l with multiplicities, as a Counter {root: mult}."""
+    """All roots in F_l with multiplicities, as a Counter {root: mult}.
+
+    The roots are found with private shifts (_distinct_roots): one
+    exponentiation y = (x + a)^((l-1)/2) mod f gives x^l = (x + a) y^2 - a
+    by the Frobenius identity, hence the linear part gcd(x^l - x, f), which
+    y splits; a later factor of degree 3 or more takes one exponentiation,
+    and a quadratic one a square root.  rng only orders them (_replay): the
+    Counter lists the roots, and rng is left, as splitting gcd(x^l - x, f)
+    by gcd((x + a)^((l-1)/2) - 1, .) with a = rng.randrange(l) would list
+    and leave them, so that a caller's later draws do not depend on how the
+    roots were found."""
     check_odd_prime(f.modulus)
     if f.degree < 1:
         raise PreconditionError("degree must be at least 1")
     rng = rng if rng is not None else random.Random(DEFAULT_SEED)
     l = f.modulus
     m = _monic(f.coeffs, l)
-    x = _divmod([0, 1], m, l)[1]
-    xl = _pow_mod(x, l, m, l) + [0] * len(x)
-    xl[:len(x)] = [(c - d) % l for c, d in zip(xl, x)]
     counts: Counter = Counter()
-    for r in _linear_roots(_gcd(trim(xl), m, l), l, rng):
+    for r in _replay(_distinct_roots(m, l), l, rng):
         g = m
         while True:
             quo, rem = _divmod(g, [-r % l, 1], l)
@@ -253,6 +315,15 @@ def sqrt_mod_l(a, modulus: int | None = None) -> FpElement | None:
     return None if r is None else FpElement(r, modulus)
 
 
+@lru_cache(maxsize=64)
+def _non_residue(q: int) -> int:
+    """The smallest quadratic non-residue mod the odd prime q."""
+    n = 2
+    while pow(n, (q - 1) // 2, q) != q - 1:
+        n += 1
+    return n
+
+
 def _sqrt_mod(v: int, l: int) -> int | None:
     """sqrt_mod_l for 0 <= v < l and an odd prime l that the caller has
     already checked: the smaller root as an int, or None."""
@@ -268,10 +339,7 @@ def _sqrt_mod(v: int, l: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    n = 2
-    while pow(n, (l - 1) // 2, l) != l - 1:
-        n += 1
-    z = pow(n, q, l)
+    z = pow(_non_residue(l), q, l)
     m, c, t, r = s, z, pow(v, q, l), pow(v, (q + 1) // 2, l)
     while t != 1:
         t2, i = t, 0

@@ -26,7 +26,7 @@ from math import ceil, isqrt, log2
 from .arith import check_odd_prime, is_square
 from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_class_polynomial
 from .errors import NoRationalJRoot, NoTrace, PreconditionError
-from .ffield import FpElement, FpPolynomial, _sqrt_mod, roots_mod_l, sqrt_mod_l
+from .ffield import FpElement, FpPolynomial, _non_residue, _sqrt_mod, roots_mod_l, sqrt_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
 from .qforms import Discriminant, b_candidates
 from .atkin import multiple_root_condition
@@ -129,14 +129,6 @@ def _trace_cornacchia(D: int, q: int) -> TraceSolution | None:
     if not is_square(vv):
         return None
     return TraceSolution(q, b, isqrt(vv))
-
-
-@lru_cache(maxsize=64)
-def _non_residue(q: int) -> int:
-    n = 2
-    while pow(n, (q - 1) // 2, q) != q - 1:
-        n += 1
-    return n
 
 
 def curve_from_j(jbar, q: int | None = None) -> EllipticCurve:

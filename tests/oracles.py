@@ -5,12 +5,14 @@ come from mpmath's high-level q-Pochhammer and theta functions, form counts
 from a direct triple loop, the reduction of a point from exact rational
 arithmetic, point counts from a naive sweep, the group law from affine
 chord-and-tangent steps, the Hilbert class polynomial from theta-based
-j-values expanded with mpmath arithmetic, and polynomial arithmetic over F_p
-from schoolbook loops.
+j-values expanded with mpmath arithmetic, and polynomial arithmetic and
+root finding over F_p from schoolbook loops.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, isqrt
 
@@ -240,3 +242,35 @@ def schoolbook_pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
         base = schoolbook_divmod(schoolbook_mul(base, base, p), m, p)[1]
         e >>= 1
     return result
+
+
+def reference_roots_mod_l(f: list[int], p: int, rng: random.Random) -> Counter:
+    """{root: multiplicity} of f over F_p by the textbook route: the gcd g of
+    x^p - x and f, split by gcd((x + a)^((p-1)/2) - 1, g) with a drawn from
+    rng, 0 peeled off without a draw, then each root's multiplicity by
+    repeated division.  The Counter lists the roots in the order the split
+    finds them, and rng is drawn from as the split draws it."""
+    m = schoolbook_divmod(f, [f[-1] % p], p)[0]  # monic
+    xp = schoolbook_pow_mod([0, 1], p, m, p) + [0, 0]
+    xp[1] -= 1
+    half = (p - 1) // 2
+
+    def linear_roots(g: list[int]) -> list[int]:
+        if len(g) <= 2:
+            return [-g[0] % p] if len(g) == 2 else []
+        if g[0] == 0:
+            return [0] + linear_roots(g[1:])
+        while True:
+            probe = schoolbook_pow_mod([rng.randrange(p), 1], half, g, p) or [0]
+            probe[0] -= 1
+            h = schoolbook_gcd(probe, g, p)
+            if 1 < len(h) < len(g):
+                return linear_roots(h) + linear_roots(schoolbook_divmod(g, h, p)[0])
+
+    counts: Counter = Counter()
+    for r in linear_roots(schoolbook_gcd(xp, m, p)):
+        g, rem = schoolbook_divmod(m, [-r, 1], p)
+        while not rem:
+            counts[r] += 1
+            g, rem = schoolbook_divmod(g, [-r, 1], p)
+    return counts

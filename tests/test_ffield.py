@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from etacm import ffield
 from etacm.arith import PSI13, check_odd_prime, is_probable_prime
 from etacm.errors import PreconditionError
 from etacm.ffield import (
@@ -98,6 +99,29 @@ class TestRoots:
     def test_deterministic_default_seed(self):
         f = FpPolynomial.make([-1, 2, -1, -2, 1], 3593)
         assert roots_mod_l(f) == roots_mod_l(f)
+
+    @pytest.mark.parametrize("l", [3593, 2**127 - 1])  # l = 1 and 3 mod 4
+    def test_one_exponentiation_for_a_quadratic_or_no_root(self, l, monkeypatch):
+        # x^l comes from the split's own exponentiation, and a quadratic
+        # factor is solved by a square root, so either case costs one
+        calls, pow_mod = [], ffield._pow_mod
+
+        def counting(*args):
+            calls.append(args)
+            return pow_mod(*args)
+
+        monkeypatch.setattr(ffield, "_pow_mod", counting)
+        for seed in range(20):
+            f = FpPolynomial.make([seed + 1, 1], l) * FpPolynomial.make([seed + 2, 1], l)
+            calls.clear()
+            assert roots_mod_l(f, random.Random(seed)) == Counter({l - seed - 1: 1, l - seed - 2: 1})
+            assert len(calls) == 1
+        # x^2 - c has no root for a non-residue c, such as n and 4n
+        n = ffield._non_residue(l)
+        g = FpPolynomial.make([-n, 0, 1], l)
+        calls.clear()
+        assert roots_mod_l(g * g * FpPolynomial.make([-4 * n, 0, 1], l)) == Counter()
+        assert len(calls) == 1
 
     def test_rejects_degenerate(self):
         with pytest.raises(PreconditionError):

@@ -29,6 +29,7 @@ from oracles import (  # noqa: E402
     curve_points,
     gauss_reduce_point,
     naive_point_count,
+    reference_roots_mod_l,
     schoolbook_divmod,
     schoolbook_gcd,
     schoolbook_mul,
@@ -116,6 +117,25 @@ class TestReducePoint:
         assert log2_dist(mz, zr.value) <= mag(zr.value) - prec + 3
 
 
+@st.composite
+def split_and_rootless_factors(draw):
+    """(coefficients lowest degree first, p): linear factors drawn from a
+    small pool, so that roots repeat, with the root 0 in the pool, times
+    x^2 - n for a non-residue n, which has no root, and a random factor."""
+    p = draw(st.sampled_from([3, 5, 7, 101, 3593, 2**61 - 1, 2**128 - 159]))
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    pool = [0] + draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=4))
+    factors = [[-draw(st.sampled_from(pool)), 1] for _ in range(draw(st.integers(0, 7)))]
+    if draw(st.booleans()):
+        factors.append([-n, 0, 1])
+    factors.append(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4)) + [1])
+    coeffs = [1]
+    for g in factors:
+        coeffs = schoolbook_mul(coeffs, g, p)
+    assume(len(coeffs) > 1)
+    return coeffs, p
+
+
 class TestRootsModL:
     @PROPERTY
     @given(polynomials_mod_l(), st.integers(0, 2**32))
@@ -123,6 +143,17 @@ class TestRootsModL:
         coeffs, l = poly
         got = roots_mod_l(FpPolynomial.make(coeffs, l), random.Random(seed))
         assert dict(got) == _brute_force_roots(coeffs, l)
+
+    @PROPERTY
+    @given(split_and_rootless_factors(), st.integers(0, 2**32))
+    def test_order_and_stream_match_reference(self, poly, seed):
+        # the roots are listed, and the caller's generator left, exactly as
+        # splitting gcd(x^p - x, f) with that generator leaves them
+        coeffs, p = poly
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = roots_mod_l(FpPolynomial.make(coeffs, p), rng)
+        assert list(got.items()) == list(reference_roots_mod_l(coeffs, p, ref).items())
+        assert rng.getstate() == ref.getstate()
 
 
 @st.composite

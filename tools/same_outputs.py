@@ -11,7 +11,10 @@ PYTHONPATH; the job lists come from this tree's perfbench/inputs.py):
 Covered: the distinct `classpoly`, `modpoly`, `cm-shortcut` and `cm-count`
 jobs of the seed range (the same calls that perfbench/run.py times; a CM
 record also carries the certificate's trace, its ambiguity and the number
-of points it drew, which pins the random stream), whether the computed
+of points it drew, which pins the random stream), the roots of H mod q of
+each `cm-shortcut` job in the order `roots_mod_l` lists them, with the next
+64 bits its generator gives afterwards (seeded 0, as `construct_cm_curve`
+seeds it), whether the computed
 Phi_{3,13} equals the embedded file, and the stdout and exit code of
 `etacm reproduce-example` and of the worked `cm-curve` line.
 """
@@ -22,6 +25,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -79,8 +83,15 @@ def main(argv=None) -> int:
                 if pair == (3, 13):
                     _emit({"job": "phi-3-13-equals-embedded",
                            "out": phi == etacm.load_embedded(3, 13)})
-        jobs = inputs.shortcut_jobs(seed) + inputs.count_jobs(seed)[0]
-        for job in jobs:
+        shortcut_jobs = inputs.shortcut_jobs(seed)
+        for job in shortcut_jobs:
+            if once(("roots-of-H", job.D, job.q, job.B)):
+                H = etacm.compute_class_polynomial(job.D, p1, p2, job.B)
+                rng = random.Random(0)
+                roots = etacm.roots_mod_l(etacm.FpPolynomial.make(H.coeffs, job.q), rng)
+                _emit({"job": "roots-of-H", "D": job.D, "q": job.q, "B": job.B,
+                       "out": list(roots.items()), "next_bits": rng.getrandbits(64)})
+        for job in shortcut_jobs + inputs.count_jobs(seed)[0]:
             if once(("cm", job.D, job.q, job.B)):
                 curve, cert, shortcut = etacm.construct_cm_curve(job.D, p1, p2, job.q, B=job.B)
                 _emit({"job": "cm", "D": job.D, "q": job.q, "B": job.B,
