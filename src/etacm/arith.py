@@ -3,7 +3,7 @@
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import PreconditionError
+from .errors import InvalidDiscriminant, PreconditionError
 
 # Deterministic Miller-Rabin witness set, valid for all n below PSI13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -158,9 +158,10 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
 
 
 def fundamental_parts(D: int) -> tuple[int, int]:
-    """Split a discriminant D < 0 into (d_K, f) with D = f**2 * d_K, d_K fundamental."""
+    """Split a discriminant D < 0 into (d_K, f) with D = f**2 * d_K, d_K
+    fundamental; the one place that checks D < 0 and D = 0, 1 mod 4."""
     if D >= 0 or D % 4 not in (0, 1):
-        raise PreconditionError(f"not a negative discriminant: {D}")
+        raise InvalidDiscriminant(f"{D} is not a negative discriminant")
     k, f = squarefree_kernel(-D)
     m = -k  # squarefree negative part
     if m % 4 == 1:

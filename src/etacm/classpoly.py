@@ -27,7 +27,7 @@ from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
 from .intpoly import pack, slot_bytes, unpack
-from .qforms import Discriminant, QuadraticForm, b_candidates, build_nsystem
+from .qforms import Discriminant, Form, as_discriminant, b_candidates, build_nsystem
 
 MAX_PRECISION = 65536
 RESIDUAL_LIMIT = 1e-3
@@ -175,7 +175,7 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     branches report False.
     """
     try:
-        disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
+        disc = as_discriminant(D)
         check_distinct_odd_primes(p1, p2)
     except ValueError:
         return False
@@ -186,7 +186,7 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     return True
 
 
-def _roots(forms: list[QuadraticForm], p1: int, p2: int,
+def _roots(forms: list[Form], p1: int, p2: int,
            prec: int) -> list[tuple[Value, float]]:
     """w^s at the basis quotient of every form, with one eta series per
     reduced form of an eta argument: the conjugates of H (the forms of an
@@ -222,7 +222,7 @@ def _expand(roots: list[tuple[Value, float]], prec: int) -> list[int] | None:
 def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
                              max_prec: int = MAX_PRECISION) -> ClassPolynomial:
     """H_{B,N} as an exact integer polynomial (adaptive precision)."""
-    disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
+    disc = as_discriminant(D)
     if not check_integrality_conditions(disc, p1, p2):
         raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
     N = p1 * p2
@@ -270,7 +270,7 @@ def involution_transform(H: ClassPolynomial) -> ClassPolynomial:
 
 def count_distinct_class_polynomials(D, p1: int, p2: int) -> int:
     """Number of distinct H_{B,N} over all admissible B (is 1 or 2)."""
-    disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
+    disc = as_discriminant(D)
     if not check_integrality_conditions(disc, p1, p2):
         raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
     N = p1 * p2

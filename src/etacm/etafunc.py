@@ -2,7 +2,7 @@
 double eta-quotient at upper half-plane points, with certified error bounds.
 
 Strategy: every eta argument is the root of an integer quadratic form, and
-its Gauss-reduced form (`qforms.reduce_form`, exact) names the point of the
+its Gauss-reduced form (`qforms._reduce`, exact) names the point of the
 classical fundamental domain (-1/2 <= Re < 1/2, |z| >= 1) where the sparse
 pentagonal-number series converges at a guaranteed >= 7.8 bits per exponent
 unit.  An mpf is a dyadic rational, so a public point x + iy with x = X/L
@@ -83,7 +83,7 @@ from .apcomplex import (
 )
 from .arith import check_distinct_odd_primes, jacobi
 from .errors import PreconditionError, PrecisionExhausted
-from .qforms import Matrix, QuadraticForm, reduce_form
+from .qforms import Form, Matrix, _primitive, _reduce
 
 # log2 of the worst-case |q| on the fundamental domain: 2*pi*(sqrt(3)/2)/ln 2
 _BITS_PER_Q_POWER = 2.0 * math.pi * (math.sqrt(3.0) / 2.0) / math.log(2.0)
@@ -111,24 +111,24 @@ def eta_guard_bits(prec: int) -> int:
     return 32 + max(1, math.ceil(math.log2(2 * k + 1)))
 
 
-def _form_of(z: UpperHalfPoint) -> QuadraticForm:
+def _form_of(z: UpperHalfPoint) -> Form:
     """The primitive form whose root is exactly z: x + iy with x = X/L and
     y = Y/L is the root of [L^2, -2XL, X^2 + Y^2]."""
     (xn, xd), (yn, yd) = to_rational(z.value.re), to_rational(z.value.im)
     d = math.lcm(xd, yd)
     x, y = xn * (d // xd), yn * (d // yd)
-    return QuadraticForm.primitive(d * d, -2 * x * d, x * x + y * y)
+    return _primitive(d * d, -2 * x * d, x * x + y * y)
 
 
 def reduce_to_fundamental_domain(z: UpperHalfPoint) -> tuple[UpperHalfPoint, Matrix]:
     """Unimodular M and z' = Mz, exactly Gauss-reduced: -1/2 <= Re z' < 1/2,
     |z'| >= 1, and Re z' <= 0 when |z'| = 1.
 
-    z' is the root of the reduced form G = F.R of z's form F (`reduce_form`),
+    z' is the root of the reduced form G = F.R of z's form F (`qforms._reduce`),
     rounded to z's precision, and M = R^-1.
     """
-    g, (p, q, r, s) = reduce_form(_form_of(z))
-    return UpperHalfPoint.from_form(g.a, g.b, g.discriminant, z.prec), (s, -q, -r, p)
+    (a, b, c), (p, q, r, s) = _reduce(_form_of(z))
+    return UpperHalfPoint.from_form(a, b, b * b - 4 * a * c, z.prec), (s, -q, -r, p)
 
 
 def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
@@ -232,7 +232,7 @@ class EtaTable:
         """Number of series summed so far."""
         return len(self._series)
 
-    def _eta_transform(self, series: Value, rel: float, f: QuadraticForm, m: Matrix,
+    def _eta_transform(self, series: Value, rel: float, f: Form, m: Matrix,
                        wp: int) -> tuple[Value, float]:
         """eta(z) at the root z of f = [A, B, C], from the series value at the
         reduced point m z, and its relative error in units u = 2^-wp.
@@ -254,12 +254,12 @@ class EtaTable:
         num = mul(series, (sign * unit[0], -sign * unit[1], unit[2]))
         if c == 0:
             return trunc(num, wp), rel + ROUND_ULPS + 0.1
-        A, s = f.a, wp + 8
-        w = (2 * A * (2 * A * d - c * f.b) << s,
-             math.isqrt((4 * A * A * c * c * -f.discriminant) << (2 * s)), -s)
+        (A, B, C), s = f, wp + 8
+        w = (2 * A * (2 * A * d - c * B) << s,
+             math.isqrt((4 * A * A * c * c * (4 * A * C - B * B)) << (2 * s)), -s)
         return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel + 2 * ROUND_ULPS + 0.2
 
-    def eta(self, f: QuadraticForm, den: int, wp: int) -> tuple[Value, float]:
+    def eta(self, f: Form, den: int, wp: int) -> tuple[Value, float]:
         """eta(alpha_f / den) at the basis quotient alpha_f of f, and its
         relative error in units 2^-wp.
 
@@ -269,14 +269,15 @@ class EtaTable:
         series, since its basis quotient is -conj(alpha_G) and
         eta(-conj z) = conj(eta(z)).
         """
-        F = QuadraticForm.primitive(f.a * den * den, f.b * den, f.c)
-        g, (p, q, r, s) = reduce_form(F)
-        key = (g.a, abs(g.b), g.c, wp)
+        a, b, c = f
+        F = _primitive(a * den * den, b * den, c)
+        (A, B, C), (p, q, r, s) = _reduce(F)
+        key = (A, abs(B), C, wp)
         hit = self._series.get(key)
         if hit is None:
-            hit = self._series[key] = _eta_series(g.a, abs(g.b), g.discriminant, wp)
+            hit = self._series[key] = _eta_series(A, abs(B), B * B - 4 * A * C, wp)
         (re, im, e), rel = hit
-        return self._eta_transform((re, -im if g.b < 0 else im, e), rel, F, (s, -q, -r, p), wp)
+        return self._eta_transform((re, -im if B < 0 else im, e), rel, F, (s, -q, -r, p), wp)
 
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
@@ -295,7 +296,7 @@ def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     return to_apcomplex(j_invariant_with_err(_form_of(z), prec)[0], prec)
 
 
-def j_invariant_with_err(f: QuadraticForm, prec: int) -> tuple[Value, float]:
+def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     """(J, log2 absolute error bound) at the basis quotient of f, from Weber's
     f1(z) = eta(z/2) / eta(z): J = (x + 16)^3 / x with x = f1^24 (Yui and
     Zagier, Math. Comp. 66, 1997).
@@ -309,8 +310,8 @@ def j_invariant_with_err(f: QuadraticForm, prec: int) -> tuple[Value, float]:
     imaginary part is sqrt(|D|) / (2A) for the reduced form [A, B, C] of f,
     so every try gets that many extra bits.
     """
-    g = reduce_form(f)[0]
-    im = math.exp(math.log(-g.discriminant) / 2 - math.log(2 * g.a))
+    a, b, c = _reduce(f)[0]
+    im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
     boost = math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
     table = EtaTable()
 
@@ -332,7 +333,7 @@ def s_exponent(p1: int, p2: int) -> int:
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
 
 
-def _eta_quotient(f: QuadraticForm, num: tuple[int, ...], den: tuple[int, ...], wp: int,
+def _eta_quotient(f: Form, num: tuple[int, ...], den: tuple[int, ...], wp: int,
                   table: EtaTable) -> tuple[Value, float]:
     """prod eta(alpha_f / n) for n in num over prod eta(alpha_f / d) for d in
     den (one or two of each), and its relative error in units 2^-wp: the
@@ -381,7 +382,7 @@ def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     return to_apcomplex(w_pow_s_with_err(_form_of(z), p1, p2, prec, EtaTable())[0], prec)
 
 
-def w_pow_s_with_err(f: QuadraticForm, p1: int, p2: int, prec: int,
+def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
                      table: EtaTable) -> tuple[Value, float]:
     """(w^s, log2 absolute error bound) at the basis quotient of f; the
     workhorse for class polynomials.

@@ -41,7 +41,7 @@ from .etafunc import Value, j_invariant_with_err, s_exponent
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, QuadraticForm, _split_n, _xgcd
+from .qforms import Matrix, QuadraticForm, _compose, _primitive, _split_n, _xgcd
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def _sample_form(m: int) -> QuadraticForm:
     """The form [4900, 0, n^2], n = 77 + 10m, whose root is
     z_m = i (11/10 + m/7): J is real and strictly increasing on the
     imaginary axis above i, so the sample J-values are distinct."""
-    return QuadraticForm.primitive(4900, 0, (77 + 10 * m) ** 2)
+    return QuadraticForm(*_primitive(4900, 0, (77 + 10 * m) ** 2))
 
 
 def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
@@ -159,7 +159,7 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
         f = _sample_form(m)
         nodes.append(j_invariant_with_err(f, prec))
         # f.g^-1 has the root g z_m
-        conjugates = [f.compose((d, -b, -c, a)) for a, b, c, d in cosets]
+        conjugates = [_compose(f, (d, -b, -c, a)) for a, b, c, d in cosets]
         samples.append(product_tree(_roots(conjugates, p1, p2, prec), wp))
     return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 

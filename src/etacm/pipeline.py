@@ -28,7 +28,7 @@ from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_clas
 from .errors import NoRationalJRoot, NoTrace, PreconditionError
 from .ffield import FpElement, FpPolynomial, _non_residue, _sqrt_mod, roots_mod_l, sqrt_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
-from .qforms import Discriminant, b_candidates
+from .qforms import as_discriminant, b_candidates
 from .atkin import multiple_root_condition
 
 EXHAUSTIVE_LIMIT = 10**6
@@ -85,33 +85,25 @@ class OrderCertificate:
     alt_order: int | None = None
 
 
-def find_trace(D: int, q: int) -> TraceSolution | None:
+def find_trace(D, q: int) -> TraceSolution | None:
     """Positive trace t and v with 4q = t^2 - D v^2, smallest v; None if
     q does not split suitably."""
-    D = int(D)
-    if D >= 0 or D % 4 not in (0, 1):
-        raise PreconditionError(f"{D} is not a negative discriminant")
+    D = as_discriminant(D).D
     check_odd_prime(q)
     if D % q == 0:
         return None  # q | D forces q | t, never ordinary
-    if -D <= 4:
-        return _trace_exhaustive(D, q)
     return _trace_cornacchia(D, q)
 
 
-def _trace_exhaustive(D: int, q: int) -> TraceSolution | None:
-    for v in range(1, isqrt(4 * q // -D) + 1):
-        tt = 4 * q + D * v * v
-        if tt <= 0:
-            break
-        if is_square(tt):
-            t = isqrt(tt)
-            if t > 0 and t % q:
-                return TraceSolution(q, t, v)
-    return None
-
-
 def _trace_cornacchia(D: int, q: int) -> TraceSolution | None:
+    """Cornacchia: Euclid on (2q, x0), x0 a square root of D mod q of D's
+    parity, down to the first remainder t <= 2 sqrt(q).
+
+    The remainders decrease, so Euclid stops at the largest t <= 2 sqrt(q),
+    which is the smallest v (t^2 = 4q + D v^2), also where the units give
+    D = -3 and -4 more than one solution: for both, and every prime
+    5 <= q < 2 * 10^5, it is the exhaustive search's (`tests/oracles.py`).
+    """
     r = sqrt_mod_l(D % q, q)
     if r is None:
         return None
@@ -403,10 +395,10 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
     max_prec caps the precision of H and, unless it is the embedded
     Phi_{3,13}, of Phi.
     """
-    disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
+    disc = as_discriminant(D)
     if not check_integrality_conditions(disc, p1, p2):
         raise PreconditionError(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
-    trace = find_trace(disc.D, q)
+    trace = find_trace(disc, q)
     if trace is None:
         raise NoTrace(f"4q = t^2 - D v^2 has no solution for q = {q}")
     rng = random.Random(seed)

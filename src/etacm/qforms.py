@@ -5,10 +5,15 @@ A form [a, b, c] stands for a*X^2 + b*X*Y + c*Y^2 with a > 0 and
 b^2 - 4ac = D < 0, primitive.  Composition with a unimodular matrix
 M = [[p, q], [r, s]] acts on the right: (f.M)(v) = f(Mv), so the leading
 coefficient of f.M is f(p, r).
+
+Inputs are checked once, where they enter: a form by `QuadraticForm`, a
+discriminant by `as_discriminant`.  Below them a form is a plain (a, b, c)
+triple (`_reduce`, `_compose`, `_primitive`), valid by construction.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
@@ -17,95 +22,92 @@ from .arith import fundamental_parts, is_probable_prime, legendre
 from .errors import (
     DiscriminantMismatch,
     InvalidB,
-    InvalidDiscriminant,
     NoSolution,
     PreconditionError,
 )
 
+Form = tuple[int, int, int]
 Matrix = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class QuadraticForm:
-    a: int
-    b: int
-    c: int
+class QuadraticForm(namedtuple("_Form", "a b c")):
+    """The checked boundary type, a > 0, b^2 - 4ac < 0 and gcd(a, b, c) = 1:
+    a tuple, equal to its plain triple (a, b, c)."""
 
-    def __post_init__(self):
-        if self.a <= 0:
-            raise PreconditionError(f"form {self} needs a > 0")
-        if self.discriminant >= 0:
-            raise PreconditionError(f"form {self} has non-negative discriminant")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise PreconditionError(f"form {self} is imprimitive")
+    __slots__ = ()
 
-    @classmethod
-    def primitive(cls, a: int, b: int, c: int) -> "QuadraticForm":
-        """[a, b, c] divided by the gcd of its coefficients (same root)."""
-        g = gcd(a, b, c)
-        return cls(a // g, b // g, c // g)
+    def __new__(cls, a: int, b: int, c: int):
+        if a <= 0:
+            raise PreconditionError(f"form [{a}, {b}, {c}] needs a > 0")
+        if b * b - 4 * a * c >= 0:
+            raise PreconditionError(f"form [{a}, {b}, {c}] has non-negative discriminant")
+        if gcd(a, b, c) != 1:
+            raise PreconditionError(f"form [{a}, {b}, {c}] is imprimitive")
+        return super().__new__(cls, a, b, c)
 
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def compose(self, m: Matrix) -> "QuadraticForm":
         p, q, r, s = m
         if p * s - q * r != 1:
             raise PreconditionError(f"matrix {m} is not unimodular")
-        a2 = self.value(p, r)
-        b2 = 2 * self.a * p * q + self.b * (p * s + q * r) + 2 * self.c * r * s
-        c2 = self.value(q, s)
-        return QuadraticForm(a2, b2, c2)
+        return QuadraticForm(*_compose(self, m))
 
     def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self
         if not (-a < b <= a <= c):
             return False
         return b >= 0 if a == c else True
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+    def as_tuple(self) -> Form:
+        return tuple(self)
 
 
-def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
-    a, b, c, d = m1
-    p, q, r, s = m2
-    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+def _compose(f: Form, m: Matrix) -> Form:
+    """f.M for a unimodular M: (f.M)(v) = f(Mv)."""
+    a, b, c = f
+    p, q, r, s = m
+    return (a * p * p + b * p * r + c * r * r,
+            2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+            a * q * q + b * q * s + c * s * s)
+
+
+def _primitive(a: int, b: int, c: int) -> Form:
+    """[a, b, c] divided by the gcd of its coefficients (same root)."""
+    g = gcd(a, b, c)
+    return (a // g, b // g, c // g)
+
+
+def _reduce(f: Form) -> tuple[Form, Matrix]:
+    """The Gauss-reduced triple g and M = [[p, q], [r, s]] in SL2(Z) with
+    g = f.M, for a positive definite f."""
+    a, b, c = f
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        if not -a < b <= a:
+            # f.[[1, t], [0, 1]] = [a, b + 2at, f(t, 1)] has b in (-a, a]
+            t = (a - b) // (2 * a)
+            b, c = b + 2 * a * t, c + t * (b + a * t)
+            q, s = p * t + q, r * t + s
+        if a < c or a == c and b >= 0:
+            break
+        a, b, c = c, -b, a
+        p, q, r, s = q, -p, s, -r  # M.[[0, -1], [1, 0]]
+    return (a, b, c), (p, q, r, s)
 
 
 def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Matrix]:
     """Gauss-reduced representative g and M in SL2(Z) with g = f.M."""
-    a, b, c = f.a, f.b, f.c
-    m: Matrix = (1, 0, 0, 1)
-    while True:
-        # shift b into (-a, a]
-        if not -a < b <= a:
-            t = (a - b) // (2 * a)
-            b2 = b + 2 * a * t
-            c = (b2 * b2 - f.discriminant) // (4 * a)
-            b = b2
-            m = _mat_mul(m, (1, t, 0, 1))
-        if a > c:
-            a, b, c = c, -b, a
-            m = _mat_mul(m, (0, -1, 1, 0))
-            continue
-        break
-    if b < 0 and a == c:
-        b = -b
-        m = _mat_mul(m, (0, -1, 1, 0))
-    g = QuadraticForm(a, b, c)
-    assert f.compose(m) == g
-    return g, m
+    g, m = _reduce(f)
+    assert _compose(f, m) == g
+    return QuadraticForm(*g), m
 
 
 @lru_cache(maxsize=4096)
 def _reduced_forms(D: int) -> tuple[QuadraticForm, ...]:
-    if D >= 0 or D % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{D} is not a negative discriminant")
+    """The reduced forms of a discriminant D already checked."""
     forms = []
     for a in range(1, isqrt(-D // 3) + 1):
         for b in range(-a + 1, a + 1):
@@ -120,24 +122,24 @@ def _reduced_forms(D: int) -> tuple[QuadraticForm, ...]:
             if gcd(gcd(a, b), c) != 1:
                 continue
             forms.append(QuadraticForm(a, b, c))
-    forms.sort(key=QuadraticForm.as_tuple)
+    forms.sort()
     return tuple(forms)
 
 
 def enumerate_reduced_forms(D) -> list[QuadraticForm]:
     """All primitive reduced forms of discriminant D, one per class."""
-    return list(_reduced_forms(int(D)))
+    return list(_reduced_forms(as_discriminant(D).D))
 
 
 def class_number(D) -> int:
-    return len(_reduced_forms(int(D)))
+    return len(_reduced_forms(as_discriminant(D).D))
 
 
 def equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
     if f.discriminant != g.discriminant:
         raise DiscriminantMismatch(
             f"discriminants differ: {f.discriminant} vs {g.discriminant}")
-    return reduce_form(f)[0] == reduce_form(g)[0]
+    return _reduce(f)[0] == _reduce(g)[0]
 
 
 @dataclass(frozen=True)
@@ -149,17 +151,20 @@ class Discriminant:
     f: int = field(init=False)
 
     def __post_init__(self):
-        if self.D >= 0 or self.D % 4 not in (0, 1):
-            raise InvalidDiscriminant(f"{self.D} is not a negative discriminant")
         d_k, f = fundamental_parts(self.D)
         object.__setattr__(self, "d_K", d_k)
         object.__setattr__(self, "f", f)
 
     def class_number(self) -> int:
-        return class_number(self.D)
+        return len(_reduced_forms(self.D))
 
     def __int__(self) -> int:
         return self.D
+
+
+def as_discriminant(D) -> Discriminant:
+    """D, an int or a `Discriminant`, as a checked `Discriminant`."""
+    return D if isinstance(D, Discriminant) else Discriminant(int(D))
 
 
 def _split_n(N: int) -> tuple[int, int]:
@@ -178,9 +183,7 @@ def b_candidates(D, N: int) -> list[int]:
     Count is 4 when (D|p1) = (D|p2) = 1 and 2 when exactly one symbol is 0
     (the remaining square-free patterns are enumerated, not classified).
     """
-    d = int(D)
-    if d >= 0 or d % 4 not in (0, 1):
-        raise InvalidDiscriminant(f"{d} is not a negative discriminant")
+    d = as_discriminant(D).D
     p1, p2 = _split_n(N)
     if legendre(d, p1) == -1 or legendre(d, p2) == -1:
         raise NoSolution(f"{d} is a non-residue modulo {p1 if legendre(d, p1) == -1 else p2}")
@@ -201,15 +204,16 @@ class NSystem:
     forms: tuple[QuadraticForm, ...]
 
 
-def _coprime_representation(f: QuadraticForm, N: int) -> tuple[int, Matrix]:
+def _coprime_representation(f: Form, N: int) -> tuple[int, Matrix]:
     """(value, M) with value = (f.M) leading coefficient coprime to N."""
+    a, b, c = f
     bound = 2
     while bound <= 1 << 20:
         for x in range(0, bound + 1):
             for y in range(-bound, bound + 1):
                 if gcd(x, y) != 1:
                     continue
-                v = f.value(x, y)
+                v = a * x * x + b * x * y + c * y * y
                 if v > 0 and gcd(v, N) == 1:
                     # first column (x, y); complete by solving x*s - y*t = 1
                     g, s, t = _xgcd(x, y)
@@ -235,32 +239,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def build_nsystem(D, N: int, B: int) -> NSystem:
     """An N-system for D whose first form is [1, B, (B^2 - D)/4]."""
-    disc = D if isinstance(D, Discriminant) else Discriminant(int(D))
+    disc = as_discriminant(D)
     d = disc.D
     if (B * B - d) % (4 * N):
         raise InvalidB(f"B = {B} fails B^2 = D mod 4N for D = {d}, N = {N}")
-    principal = (QuadraticForm(1, 0, -d // 4) if d % 4 == 0
-                 else QuadraticForm(1, 1, (1 - d) // 4))
+    principal = (1, 0, -d // 4) if d % 4 == 0 else (1, 1, (1 - d) // 4)
     rest = []
     for rep in _reduced_forms(d):
         if rep == principal:
             continue
         a2, m = _coprime_representation(rep, N)
-        g = rep.compose(m)
-        assert g.a == a2
+        a, b, _ = _compose(rep, m)
+        assert a == a2
         # translate so the middle coefficient lands on B mod 2N
-        t0 = (B - g.b) // 2 * pow(g.a, -1, N) % N
-        bi = g.b + 2 * g.a * t0
+        t0 = (B - b) // 2 * pow(a, -1, N) % N
+        bi = b + 2 * a * t0
         # shifting t0 by multiples of N preserves B mod 2N; keep |b| small
-        step = 2 * g.a * N
+        step = 2 * a * N
         bi += step * ((-bi + step // 2) // step)
-        form = QuadraticForm(g.a, bi, (bi * bi - d) // (4 * g.a))
-        if form.c % N:
-            raise InvalidB(f"C = {form.c} not divisible by N = {N}")
-        rest.append(form)
-    rest.sort(key=QuadraticForm.as_tuple)
-    first = QuadraticForm(1, B, (B * B - d) // 4)
-    system = NSystem(disc, N, B % (2 * N), (first, *rest))
+        c = (bi * bi - d) // (4 * a)
+        if c % N:
+            raise InvalidB(f"C = {c} not divisible by N = {N}")
+        rest.append((a, bi, c))
+    rest.sort()
+    forms = (QuadraticForm(1, B, (B * B - d) // 4), *(QuadraticForm(*f) for f in rest))
+    system = NSystem(disc, N, B % (2 * N), forms)
     validate_nsystem(system)
     return system
 
@@ -269,7 +272,8 @@ def validate_nsystem(system: NSystem) -> None:
     """Re-check the defining conditions; raises PreconditionError on failure."""
     d = system.D.D
     n = system.N
-    if len(system.forms) != class_number(d):
+    classes = set(_reduced_forms(d))
+    if len(system.forms) != len(classes):
         raise PreconditionError("wrong number of forms")
     b0 = system.forms[0].b
     seen = set()
@@ -282,6 +286,6 @@ def validate_nsystem(system: NSystem) -> None:
             raise PreconditionError(f"{f}: B not congruent mod 2N")
         if f.c % n:
             raise PreconditionError(f"{f}: N does not divide C")
-        seen.add(reduce_form(f)[0])
-    if len(seen) != len(system.forms) or seen != set(_reduced_forms(d)):
+        seen.add(_reduce(f)[0])
+    if len(seen) != len(system.forms) or seen != classes:
         raise PreconditionError("forms do not represent every class exactly once")

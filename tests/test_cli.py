@@ -1,3 +1,6 @@
+import time
+from math import isqrt
+
 import pytest
 
 from etacm.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, dispatch
@@ -130,6 +133,22 @@ class TestCmCurve:
             ["cm-curve", "--disc", "-3", "--p1", "3", "--p2", "13", "--prime", "43"], capsys)
         assert code == EXIT_OK
         assert int(out.split()[3]) in (31, 57)
+
+    @pytest.mark.parametrize("disc, p1, p2, q", [
+        (-3, 3, 13, 193965429751141169708248355070420863803),
+        (-4, 5, 13, 14285488504823898977)])
+    def test_unit_discriminants_at_large_q(self, capsys, disc, p1, p2, q):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["cm-curve", "--disc", str(disc), "--p1", str(p1), "--p2", str(p2),
+             "--prime", str(q)], capsys)
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_OK
+        fields = out.split()
+        t = int(fields[4])
+        vv, rest = divmod(4 * q - t * t, -disc)
+        assert rest == 0 and isqrt(vv) ** 2 == vv
+        assert int(fields[3]) in (q + 1 - t, q + 1 + t)
 
     def test_no_trace_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -80,6 +80,12 @@ class TestFindTrace:
                 else:
                     assert got is not None and (got.t, got.v) == want, (D, q)
                 count += 1
+        # the units give D = -3 and -4 several solutions: the smallest v is taken
+        for D in (-3, -4):
+            for q in sympy.primerange(5, 5000):
+                got = pipeline._trace_cornacchia(D, q)
+                want = trace_oracle(D, q)
+                assert (None if got is None else (got.t, got.v)) == want, (D, q)
 
 
 class TestCurveFromJ:

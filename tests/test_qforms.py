@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import etacm.classpoly as classpoly
+import etacm.modpoly as modpoly
 from etacm.apcomplex import UpperHalfPoint
 from etacm.arith import legendre
 from etacm.errors import (
@@ -12,6 +14,7 @@ from etacm.errors import (
     PreconditionError,
 )
 from etacm.etafunc import w_pow_s
+from etacm.pipeline import construct_cm_curve, find_trace
 from etacm.qforms import (
     Discriminant,
     NSystem,
@@ -267,3 +270,60 @@ class TestDiscriminant:
             Discriminant(-6)
         with pytest.raises(InvalidDiscriminant):
             Discriminant(4)
+
+    @pytest.mark.parametrize("D", [0, 5, -6, -54])
+    @pytest.mark.parametrize("entry", [
+        lambda D: find_trace(D, 3593),
+        lambda D: b_candidates(D, 39),
+        enumerate_reduced_forms,
+        lambda D: build_nsystem(D, 39, 10),
+        lambda D: classpoly.compute_class_polynomial(D, 3, 13, 10),
+        lambda D: construct_cm_curve(D, 3, 13, 3593),
+    ], ids=["find_trace", "b_candidates", "enumerate_reduced_forms", "build_nsystem",
+            "compute_class_polynomial", "construct_cm_curve"])
+    def test_one_rule_at_every_entry_point(self, entry, D):
+        with pytest.raises(InvalidDiscriminant):
+            entry(D)
+
+
+def _count_checked_forms(monkeypatch) -> list:
+    """A list that grows by one for every QuadraticForm built from now on."""
+    built = []
+    new = QuadraticForm.__new__
+
+    def counting(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(QuadraticForm, "__new__", counting)
+    return built
+
+
+class TestCheckedOnlyAtTheBoundary:
+    def test_class_polynomial_builds_none_after_the_nsystem(self, monkeypatch):
+        built = _count_checked_forms(monkeypatch)
+        marks = []
+        nsystem = classpoly.build_nsystem
+
+        def build(*args):
+            system = nsystem(*args)
+            marks.append(len(built))
+            return system
+
+        monkeypatch.setattr(classpoly, "build_nsystem", build)
+        H = classpoly.compute_class_polynomial(-56, 3, 13, 10)
+        assert H.descending() == [1, -2, -1, 2, -1]
+        assert len(marks) == 1 and len(built) == marks[0]
+
+    def test_modular_polynomial_builds_one_per_sample(self, monkeypatch):
+        built = _count_checked_forms(monkeypatch)
+        attempts = []
+        coefficients = modpoly._coefficients
+
+        def attempt(*args):
+            attempts.append(args)
+            return coefficients(*args)
+
+        monkeypatch.setattr(modpoly, "_coefficients", attempt)
+        phi = modpoly.compute_modular_polynomial(3, 5)
+        assert attempts and len(built) <= (phi.degJ + 1) * len(attempts)

@@ -9,7 +9,9 @@ PYTHONPATH; the job lists come from this tree's perfbench/inputs.py):
     diff old.jsonl new.jsonl
 
 Covered: the distinct `classpoly`, `modpoly`, `cm-shortcut` and `cm-count`
-jobs of the seed range (the same calls that perfbench/run.py times; a CM
+jobs of the seed range (the same calls that perfbench/run.py times; a
+`classpoly` record also carries the forms of the N-system that H is the
+product over, as ordered triples, which H itself does not pin; a CM
 record also carries the certificate's trace, its ambiguity and the number
 of points it drew, which pins the random stream), the roots of H mod q of
 each `cm-shortcut` job in the order `roots_mod_l` lists them, with the next
@@ -73,8 +75,11 @@ def main(argv=None) -> int:
         for job in inputs.classpoly_jobs(seed):
             if once(("classpoly", job.D, job.p1, job.p2, job.B)):
                 poly = etacm.compute_class_polynomial(job.D, job.p1, job.p2, job.B)
+                N = job.p1 * job.p2
+                system = etacm.build_nsystem(job.D, N, job.B % (2 * N))
                 _emit({"job": "classpoly", "D": job.D, "p1": job.p1, "p2": job.p2,
-                       "B": job.B, "out": list(poly.coeffs)})
+                       "B": job.B, "out": list(poly.coeffs),
+                       "forms": [[f.a, f.b, f.c] for f in system.forms]})
         for pair in inputs.modpoly_jobs(seed):
             if once(("modpoly", pair)):
                 phi = etacm.compute_modular_polynomial(*pair)
