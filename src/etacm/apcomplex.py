@@ -4,7 +4,7 @@ Gaussian-integer kernel that the numerical hot loops run on.
 `ApComplex` and `UpperHalfPoint` are what `eta`, `j_invariant`, `w_pow_s`
 and friends take and return: immutable pairs of raw mpmath mpf tuples
 ``(sign, man, exp, bc)`` with a nominal precision.  The MIN_PREC floor is
-checked where a precision enters (`UpperHalfPoint.from_form`).
+checked where a precision enters (`check_prec`).
 
 The kernel holds a complex value as a triple ``(re, im, e)`` of Python ints
 standing for ``(re + i im) 2^e``: one power-of-two exponent per value, so
@@ -36,6 +36,8 @@ from mpmath.libmp import (
     to_float,
 )
 
+from .errors import PreconditionError
+
 RND = round_nearest
 
 MIN_PREC = 64
@@ -44,9 +46,10 @@ MIN_PREC = 64
 ROUND_ULPS = 3.0
 
 
-def _check_prec(prec: int) -> None:
+def check_prec(prec: int) -> None:
+    """The precision floor: PreconditionError below MIN_PREC bits."""
     if prec < MIN_PREC:
-        raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
+        raise PreconditionError(f"precision {prec} below minimum {MIN_PREC}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +83,7 @@ class UpperHalfPoint:
         """Basis quotient (-b + sqrt(D)) / (2a) of the form [a, b, *] of discriminant D < 0."""
         if D >= 0 or a <= 0:
             raise ValueError("need D < 0 and a > 0")
-        _check_prec(prec)
+        check_prec(prec)
         sq = mpf_sqrt(from_int(-D, prec, RND), prec, RND)
         re = from_man_exp(MPZ(-b), 0)
         re = mpf_div(re, from_int(2 * a), prec, RND)

@@ -7,13 +7,13 @@ the involution fixes the class.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import is_square
 from .classpoly import check_integrality_conditions
-from .errors import ConditionsViolated, InvalidB, PreconditionError
-from .qforms import b_candidates
+from .errors import ConditionsViolated
+from .qforms import as_discriminant, check_b
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,68 +28,45 @@ class Wn2Solution:
     Y: int
 
 
-def _check_b(D: int, N: int, B: int) -> None:
-    if N <= 0:
-        raise PreconditionError(f"N = {N} must be positive")
-    if D >= 0:
-        raise InvalidB(f"D = {D} must be negative")
-    if (B * B - D) % (4 * N):
-        raise InvalidB(f"B = {B} fails B^2 = D mod 4N")
+def _solutions(D: int, n: int) -> Iterator[tuple[int, int]]:
+    """Every (x, y) with x^2 - D y^2 = n, for D < 0 and n > 0, in the order
+    |y| increasing (y = 0 first, then y before -y), x >= 0 before -x."""
+    for ay in range(isqrt(n // -D) + 1):  # -D y^2 <= n
+        xx = n + D * ay * ay
+        x = isqrt(xx)
+        if x * x != xx:
+            continue
+        for y in ((0,) if ay == 0 else (ay, -ay)):
+            for xc in ((0,) if x == 0 else (x, -x)):
+                yield xc, y
 
 
-def multiple_root_condition(D: int, N: int, B: int) -> Con1Solution | None:
+def multiple_root_condition(D, N: int, B: int) -> Con1Solution | None:
     """First (u, v) with u^2 - D v^2 = 4N and u = Bv mod 2N, or None.
 
     Enumeration order: |v| increasing (v = 0 first, then positive before
     negative), u >= 0 before u < 0.  None is guaranteed for D <= -4N.
     """
-    D, N, B = int(D), int(N), int(B)
-    _check_b(D, N, B)
-    vmax = isqrt(4 * N // -D)
-    for av in range(vmax + 1):
-        uu = 4 * N + D * av * av
-        if uu < 0:
-            break
-        if not is_square(uu):
-            continue
-        u = isqrt(uu)
-        for v in ((0,) if av == 0 else (av, -av)):
-            for uc in ((0,) if u == 0 else (u, -u)):
-                if (uc - B * v) % (2 * N) == 0:
-                    return Con1Solution(uc, v)
-    return None
+    d = check_b(D, N, B).D
+    return next((Con1Solution(u, v) for u, v in _solutions(d, 4 * N)
+                 if (u - B * v) % (2 * N) == 0), None)
 
 
-def wn_squared_fixes_class(D: int, N: int, B: int) -> Wn2Solution | None:
+def wn_squared_fixes_class(D, N: int, B: int) -> Wn2Solution | None:
     """First (X, Y), Y != 0, with X^2 - D Y^2 = 4N^2, X = BY mod 2N and
-    ((X - BY)/2N)^2 = 1 mod Y; or None."""
-    D, N, B = int(D), int(N), int(B)
-    _check_b(D, N, B)
-    ymax = isqrt(4 * N * N // -D)
-    for ay in range(1, ymax + 1):
-        xx = 4 * N * N + D * ay * ay
-        if xx < 0:
-            break
-        if not is_square(xx):
-            continue
-        x = isqrt(xx)
-        for y in (ay, -ay):
-            for xc in ((0,) if x == 0 else (x, -x)):
-                if (xc - B * y) % (2 * N):
-                    continue
-                t = (xc - B * y) // (2 * N)
-                if (t * t - 1) % abs(y) == 0:
-                    return Wn2Solution(xc, y)
-    return None
+    ((X - BY)/2N)^2 = 1 mod Y; or None.  Same order as
+    `multiple_root_condition`."""
+    d = check_b(D, N, B).D
+    return next((Wn2Solution(x, y) for x, y in _solutions(d, 4 * N * N)
+                 if y and (x - B * y) % (2 * N) == 0
+                 and (((x - B * y) // (2 * N)) ** 2 - 1) % abs(y) == 0), None)
 
 
-def is_multiple_root_case(D: int, p1: int, p2: int, B: int) -> tuple[bool, Con1Solution | None]:
+def is_multiple_root_case(D, p1: int, p2: int, B: int) -> tuple[bool, Con1Solution | None]:
     """Whether the modular equation has a multiple J-root for every form of
     the B-indexed N-system (the answer depends only on B), with witness."""
-    if not check_integrality_conditions(D, p1, p2):
-        raise ConditionsViolated(f"(D, p1, p2) = ({D}, {p1}, {p2}) unsupported")
-    N = p1 * p2
-    if int(B) % (2 * N) not in b_candidates(D, N):
-        raise InvalidB(f"B = {B} is not admissible for D = {D}, N = {N}")
-    witness = multiple_root_condition(D, N, B)
+    disc = as_discriminant(D)
+    if not check_integrality_conditions(disc, p1, p2):
+        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
+    witness = multiple_root_condition(disc, p1 * p2, B)
     return witness is not None, witness

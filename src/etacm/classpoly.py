@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .apcomplex import MIN_PREC, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, legendre
-from .errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
+from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
 from .intpoly import pack, slot_bytes, unpack
 from .qforms import Discriminant, Form, as_discriminant, b_candidates, build_nsystem
@@ -226,8 +226,6 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     if not check_integrality_conditions(disc, p1, p2):
         raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
     N = p1 * p2
-    if B % (2 * N) not in b_candidates(disc, N):
-        raise InvalidB(f"B = {B} is not a square root of D mod 4N")
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
 

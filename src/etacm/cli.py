@@ -12,6 +12,7 @@ and reproduce-example, each of which works out its start from its input.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 from . import atkin, classpoly, modpoly, pipeline, qforms
@@ -130,7 +131,7 @@ def _cmd_multiplicity(args, out) -> int:
     N = _validated_n(args)
     bs = [args.b] if args.b is not None else qforms.b_candidates(disc, N)
     for b in bs:
-        witness = atkin.multiple_root_condition(disc.D, N, b)
+        witness = atkin.multiple_root_condition(disc, N, b)
         if witness is None:
             print(f"B={b} SIMPLE", file=out)
         else:
@@ -156,8 +157,6 @@ def _cmd_roots(args, out) -> int:
         raise PreconditionError("empty coefficient list")
     check_odd_prime(args.modulus)  # before FpPolynomial.make reduces by it
     poly = FpPolynomial.make(list(reversed(coeffs)), args.modulus)
-    import random
-
     counts = roots_mod_l(poly, random.Random(args.seed))
     for root in sorted(counts):
         print(f"{root} {counts[root]}", file=out)
@@ -233,7 +232,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as exc:
         print(f"etacm: precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (PreconditionError, EtaCMError) as exc:
+    except EtaCMError as exc:
         print(f"etacm: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -65,12 +65,12 @@ from mpmath.libmp import (
 )
 
 from .apcomplex import (
-    MIN_PREC,
     RND,
     ROUND_ULPS,
     ApComplex,
     UpperHalfPoint,
     add,
+    check_prec,
     div,
     from_mpc,
     lg,
@@ -354,8 +354,7 @@ def _certified(prec: int, evaluate: Callable[[int], tuple[Value, float]],
     A large value pushes its absolute bound up, so each retry buys that many
     extra bits.
     """
-    if prec < MIN_PREC:
-        raise PreconditionError(f"prec must be at least {MIN_PREC}")
+    check_prec(prec)
     guard = eta_guard_bits(prec)
     boost = 0
     for _ in range(3):

@@ -6,10 +6,10 @@ exponentiation y = (x + a)^((q-1)/2) mod f per split (Rabin, SIAM J. Comput.
 9, 1980).  For f itself the Frobenius identity (x + a)^q = x^q + a gives
 x^q = (x + a) y^2 - a, so the linear part gcd(x^q - x, f) comes without a
 second exponentiation, and y splits it at once; a later factor of degree 3
-or more is split with a fresh shift, and one of degree 2 is solved by the
-quadratic formula.  The shifts come from a private generator.  The caller's
-generator, an explicit argument with a fixed default seed, only orders the
-roots: it is drawn from exactly as splitting gcd(x^q - x, f) by
+or more is split with a fresh shift.  f or a factor of degree 2 or less is
+solved in closed form, by the quadratic formula.  The shifts come from a
+private generator.  The caller's generator, an explicit argument with a
+fixed default seed, only orders the roots: it is drawn from exactly as splitting gcd(x^q - x, f) by
 gcd((x + a)^((q-1)/2) - 1, .) with a drawn from it would draw, and the roots
 are listed in that splitting's order.  That order, and every draw the caller
 makes afterwards (the order certificate's random points), fix the curve and
@@ -213,11 +213,11 @@ def _split(g: list, a: int, y: list, p: int) -> list[list]:
 
 def _distinct_roots(m: list, p: int) -> list[int]:
     """The distinct roots of the monic m, of degree at least 1, in no
-    particular order, with one exponentiation for m and one for each later
-    node of degree 3 or more.  The shifts a come from a private generator:
-    they decide the work done, never the roots."""
-    if len(m) == 2:
-        return [-m[0] % p]
+    particular order, with one exponentiation for each of m and the later
+    nodes that is of degree 3 or more.  The shifts a come from a private
+    generator: they decide the work done, never the roots."""
+    if len(m) <= 3:
+        return _small_roots(m, p)
     rng, half, roots = random.Random(DEFAULT_SEED), (p - 1) // 2, []
     a = rng.randrange(p)
     y = _pow_mod([a, 1], half, m, p)
@@ -229,17 +229,27 @@ def _distinct_roots(m: list, p: int) -> list[int]:
     nodes = _split(g, a, _divmod(y, g, p)[1], p) if len(g) > 1 else []
     while nodes:
         g = nodes.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
-        elif len(g) == 3:  # no exponentiation: the quadratic formula
-            c, b, inv2 = g[0], g[1], (p + 1) // 2
-            s = _sqrt_mod((b * b - 4 * c) % p, p)
-            roots += [(s - b) * inv2 % p, (-s - b) * inv2 % p]
+        if len(g) <= 3:
+            roots += _small_roots(g, p)
         else:
             a = rng.randrange(p)
             parts = _split(g, a, _pow_mod([a, 1], half, g, p), p)
             nodes += parts if len(parts) > 1 else [g]
     return roots
+
+
+def _small_roots(g: list, p: int) -> list[int]:
+    """The distinct roots of the monic g of degree 1 or 2 in closed form, with
+    no exponentiation: the quadratic formula gives one root for a zero
+    discriminant and none for a non-residue."""
+    if len(g) == 2:
+        return [-g[0] % p]
+    c, b, inv2 = g[0], g[1], (p + 1) // 2
+    s = _sqrt_mod((b * b - 4 * c) % p, p)
+    if s is None:
+        return []
+    r = (s - b) * inv2 % p
+    return [r] if s == 0 else [r, (-s - b) * inv2 % p]
 
 
 def _replay(roots: list[int], p: int, rng: random.Random) -> list[int]:
@@ -268,11 +278,11 @@ def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
     exponentiation y = (x + a)^((l-1)/2) mod f gives x^l = (x + a) y^2 - a
     by the Frobenius identity, hence the linear part gcd(x^l - x, f), which
     y splits; a later factor of degree 3 or more takes one exponentiation,
-    and a quadratic one a square root.  rng only orders them (_replay): the
-    Counter lists the roots, and rng is left, as splitting gcd(x^l - x, f)
-    by gcd((x + a)^((l-1)/2) - 1, .) with a = rng.randrange(l) would list
-    and leave them, so that a caller's later draws do not depend on how the
-    roots were found."""
+    and f or a factor of degree 2 or less at most a square root.  rng only
+    orders them (_replay): the Counter lists the roots, and rng is left, as
+    splitting gcd(x^l - x, f) by gcd((x + a)^((l-1)/2) - 1, .) with
+    a = rng.randrange(l) would list and leave them, so that a caller's
+    later draws do not depend on how the roots were found."""
     check_odd_prime(f.modulus)
     if f.degree < 1:
         raise PreconditionError("degree must be at least 1")

@@ -25,7 +25,7 @@ from math import ceil, isqrt, log2
 
 from .arith import check_odd_prime, is_square
 from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_class_polynomial
-from .errors import NoRationalJRoot, NoTrace, PreconditionError
+from .errors import ConditionsViolated, NoRationalJRoot, NoTrace, PreconditionError
 from .ffield import FpElement, FpPolynomial, _non_residue, _sqrt_mod, roots_mod_l, sqrt_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
 from .qforms import as_discriminant, b_candidates
@@ -54,6 +54,10 @@ class EllipticCurve:
     a6: FpElement
 
     def __post_init__(self):
+        if self.q <= 3:
+            raise PreconditionError("q > 3 required")
+        if self.a4.modulus != self.q or self.a6.modulus != self.q:
+            raise PreconditionError(f"coefficients must lie in F_{self.q}")
         a, b = self.a4.value, self.a6.value
         if (4 * a * a * a + 27 * b * b) % self.q == 0:
             raise PreconditionError("singular curve")
@@ -125,13 +129,11 @@ def _trace_cornacchia(D: int, q: int) -> TraceSolution | None:
 
 def curve_from_j(jbar, q: int | None = None) -> EllipticCurve:
     """Short Weierstrass curve with the given j-invariant (q > 3)."""
-    if isinstance(jbar, FpElement):
-        jbar, q = jbar.value, jbar.modulus
-    elif q is None:
-        raise PreconditionError("modulus required for plain integers")
-    if q <= 3:
-        raise PreconditionError("q > 3 required")
-    j = int(jbar) % q
+    if not isinstance(jbar, FpElement):
+        if q is None:
+            raise PreconditionError("modulus required for plain integers")
+        jbar = FpElement(int(jbar), q)
+    j, q = jbar.value, jbar.modulus
     if j == 0:
         return EllipticCurve.make(q, 0, 1)
     if j == 1728 % q:
@@ -397,15 +399,15 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
     """
     disc = as_discriminant(D)
     if not check_integrality_conditions(disc, p1, p2):
-        raise PreconditionError(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
+        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
     trace = find_trace(disc, q)
     if trace is None:
         raise NoTrace(f"4q = t^2 - D v^2 has no solution for q = {q}")
     rng = random.Random(seed)
-    N = p1 * p2
-    cands = b_candidates(disc, N)
     if B is None:
-        B = next((b for b in cands if multiple_root_condition(disc.D, N, b)), cands[0])
+        N = p1 * p2
+        cands = b_candidates(disc, N)
+        B = next((b for b in cands if multiple_root_condition(disc, N, b)), cands[0])
 
     H = compute_class_polynomial(disc, p1, p2, B, max_prec=max_prec)
     hq = FpPolynomial.make(H.coeffs, q)

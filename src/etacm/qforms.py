@@ -7,8 +7,9 @@ M = [[p, q], [r, s]] acts on the right: (f.M)(v) = f(Mv), so the leading
 coefficient of f.M is f(p, r).
 
 Inputs are checked once, where they enter: a form by `QuadraticForm`, a
-discriminant by `as_discriminant`.  Below them a form is a plain (a, b, c)
-triple (`_reduce`, `_compose`, `_primitive`), valid by construction.
+discriminant by `as_discriminant`, a residue B by `check_b`.  Below them a
+form is a plain (a, b, c) triple (`_reduce`, `_compose`, `_primitive`),
+valid by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import fundamental_parts, is_probable_prime, legendre
+from .arith import check_distinct_odd_primes, fundamental_parts, legendre
 from .errors import (
     DiscriminantMismatch,
     InvalidB,
@@ -168,13 +169,27 @@ def as_discriminant(D) -> Discriminant:
 
 
 def _split_n(N: int) -> tuple[int, int]:
-    for p in range(3, isqrt(max(N, 0)) + 1, 2):
-        if N % p == 0:
-            q = N // p
-            if p != q and q % 2 and is_probable_prime(p) and is_probable_prime(q):
-                return p, q
-            break
-    raise PreconditionError(f"N = {N} is not a product of two distinct odd primes")
+    """(p1, p2), p1 < p2, with N = p1 p2 a product of two distinct odd primes."""
+    p = next((p for p in range(3, isqrt(max(N, 0)) + 1, 2) if N % p == 0), None)
+    if p is None:
+        raise PreconditionError(f"N = {N} is not a product of two distinct odd primes")
+    check_distinct_odd_primes(p, N // p)
+    return p, N // p
+
+
+def _is_b(d: int, N: int, B: int) -> bool:
+    return (B * B - d) % (4 * N) == 0
+
+
+def check_b(D, N: int, B: int) -> Discriminant:
+    """D as a checked `Discriminant`, once N > 0 and B^2 = D mod 4N hold
+    (InvalidB if not)."""
+    disc = as_discriminant(D)
+    if N <= 0:
+        raise PreconditionError(f"N = {N} must be positive")
+    if not _is_b(disc.D, N, B):
+        raise InvalidB(f"B = {B} fails B^2 = D mod 4N for D = {disc.D}, N = {N}")
+    return disc
 
 
 def b_candidates(D, N: int) -> list[int]:
@@ -187,7 +202,7 @@ def b_candidates(D, N: int) -> list[int]:
     p1, p2 = _split_n(N)
     if legendre(d, p1) == -1 or legendre(d, p2) == -1:
         raise NoSolution(f"{d} is a non-residue modulo {p1 if legendre(d, p1) == -1 else p2}")
-    found = [B for B in range(2 * N) if (B * B - d) % (4 * N) == 0]
+    found = [B for B in range(2 * N) if _is_b(d, N, B)]
     if not found:
         raise NoSolution(f"B^2 = {d} mod {4 * N} has no solution")
     return found
@@ -239,10 +254,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def build_nsystem(D, N: int, B: int) -> NSystem:
     """An N-system for D whose first form is [1, B, (B^2 - D)/4]."""
-    disc = as_discriminant(D)
+    disc = check_b(D, N, B)
     d = disc.D
-    if (B * B - d) % (4 * N):
-        raise InvalidB(f"B = {B} fails B^2 = D mod 4N for D = {d}, N = {N}")
     principal = (1, 0, -d // 4) if d % 4 == 0 else (1, 1, (1 - d) // 4)
     rest = []
     for rep in _reduced_forms(d):
@@ -257,10 +270,7 @@ def build_nsystem(D, N: int, B: int) -> NSystem:
         # shifting t0 by multiples of N preserves B mod 2N; keep |b| small
         step = 2 * a * N
         bi += step * ((-bi + step // 2) // step)
-        c = (bi * bi - d) // (4 * a)
-        if c % N:
-            raise InvalidB(f"C = {c} not divisible by N = {N}")
-        rest.append((a, bi, c))
+        rest.append((a, bi, (bi * bi - d) // (4 * a)))
     rest.sort()
     forms = (QuadraticForm(1, B, (B * B - d) // 4), *(QuadraticForm(*f) for f in rest))
     system = NSystem(disc, N, B % (2 * N), forms)

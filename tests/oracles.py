@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: eta and J
 come from mpmath's high-level q-Pochhammer and theta functions, form counts
 from a direct triple loop, the reduction of a point from exact rational
-arithmetic, point counts from a naive sweep, the group law from affine
+arithmetic, point counts from a naive sweep, the solutions of
+x^2 - D y^2 = n from a search over x, the group law from affine
 chord-and-tangent steps, the Hilbert class polynomial from theta-based
 j-values expanded with mpmath arithmetic, and polynomial arithmetic and
 root finding over F_p from schoolbook loops.
@@ -156,6 +157,20 @@ def trace_oracle(D: int, q: int) -> tuple[int, int] | None:
         if t * t == tt and t > 0 and t % q:
             return t, v
     return None
+
+
+def norm_form_solutions(D: int, n: int) -> list[tuple[int, int]]:
+    """Every (x, y) with x^2 - D y^2 = n (D < 0), found by a search over x,
+    sorted by |y|, then y before -y, then x >= 0 before -x."""
+    found = []
+    for x in range(isqrt(n) + 1):
+        rest = n - x * x
+        if rest % -D:
+            continue
+        y = isqrt(rest // -D)
+        if y * y * -D == rest:
+            found += [(sx, sy) for sx in {x, -x} for sy in {y, -y}]
+    return sorted(found, key=lambda s: (abs(s[1]), s[1] < 0, s[0] < 0))
 
 
 def hilbert_class_polynomial(D: int, extra_dps: int = 25) -> list[int]:

@@ -18,6 +18,8 @@ from etacm.apcomplex import (
     to_apcomplex,
     trunc,
 )
+from etacm.errors import PreconditionError
+from etacm.etafunc import eta
 from support import to_mpc
 
 pytest.importorskip("hypothesis")
@@ -33,6 +35,13 @@ def test_minimum_precision_enforced():
     with pytest.raises(ValueError):
         UpperHalfPoint.from_form(1, 0, -4, 32)
     UpperHalfPoint.from_form(1, 0, -4, 64)
+
+
+def test_one_precision_floor():
+    with pytest.raises(PreconditionError):
+        UpperHalfPoint.from_form(1, 0, -4, 63)
+    with pytest.raises(PreconditionError):
+        eta(UpperHalfPoint.from_form(1, 0, -4, 64), 63)
 
 
 def test_upper_half_point_rejects_lower_plane():

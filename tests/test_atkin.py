@@ -14,6 +14,8 @@ from etacm.ffield import FpPolynomial, has_multiple_root, roots_mod_l
 from etacm.classpoly import compute_class_polynomial
 from etacm.intpoly import divmod_monic
 from etacm.modpoly import discriminant_in_j, evaluate_in_j_mod_l
+from etacm.qforms import Discriminant
+from oracles import norm_form_solutions
 from support import split_prime, valid_triples, pick_b
 
 
@@ -166,3 +168,28 @@ class TestIsMultipleRootCase:
             else:
                 assert len(flags) == 1, (D, p1, p2, b, ell, flags)
                 done += 1
+
+
+class TestWitnessOrder:
+    def test_first_admissible_solution_in_the_documented_order(self):
+        # every admissible B for D = -3, -10, ... down to -(4N^2 + 200)
+        cases = con1 = wn2 = 0
+        for N in (15, 21, 33, 35, 39, 51, 55, 65, 77, 91, 143):
+            for D in range(-3, -(4 * N * N + 200) - 1, -7):
+                bs = [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
+                if not bs:
+                    continue
+                disc = Discriminant(D)
+                sols, sols2 = norm_form_solutions(D, 4 * N), norm_form_solutions(D, 4 * N * N)
+                for B in bs:
+                    want = next((Con1Solution(u, v) for u, v in sols
+                                 if (u - B * v) % (2 * N) == 0), None)
+                    want2 = next((Wn2Solution(x, y) for x, y in sols2
+                                  if y and (x - B * y) % (2 * N) == 0
+                                  and (((x - B * y) // (2 * N)) ** 2 - 1) % abs(y) == 0), None)
+                    assert multiple_root_condition(disc, N, B) == want, (D, N, B)
+                    assert wn_squared_fixes_class(disc, N, B) == want2, (D, N, B)
+                    cases += 1
+                    con1 += want is not None
+                    wn2 += want2 is not None
+        assert (cases, con1, wn2) == (18692, 70, 731)

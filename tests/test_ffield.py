@@ -102,8 +102,9 @@ class TestRoots:
 
     @pytest.mark.parametrize("l", [3593, 2**127 - 1])  # l = 1 and 3 mod 4
     def test_one_exponentiation_for_a_quadratic_or_no_root(self, l, monkeypatch):
-        # x^l comes from the split's own exponentiation, and a quadratic
-        # factor is solved by a square root, so either case costs one
+        # a quadratic, whole or a factor, is solved by a square root and costs
+        # none; x^l comes from the split's own exponentiation, so a rootless
+        # polynomial of higher degree costs one
         calls, pow_mod = [], ffield._pow_mod
 
         def counting(*args):
@@ -115,11 +116,14 @@ class TestRoots:
             f = FpPolynomial.make([seed + 1, 1], l) * FpPolynomial.make([seed + 2, 1], l)
             calls.clear()
             assert roots_mod_l(f, random.Random(seed)) == Counter({l - seed - 1: 1, l - seed - 2: 1})
-            assert len(calls) == 1
+            assert len(calls) == 0
         # x^2 - c has no root for a non-residue c, such as n and 4n
         n = ffield._non_residue(l)
         g = FpPolynomial.make([-n, 0, 1], l)
-        calls.clear()
+        double = FpPolynomial.make([5, 1], l)
+        assert roots_mod_l(g) == Counter()
+        assert roots_mod_l(double * double) == Counter({l - 5: 2})
+        assert len(calls) == 0
         assert roots_mod_l(g * g * FpPolynomial.make([-4 * n, 0, 1], l)) == Counter()
         assert len(calls) == 1
 

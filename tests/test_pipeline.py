@@ -7,7 +7,7 @@ from etacm.arith import is_probable_prime
 from etacm.atkin import is_multiple_root_case
 from etacm.classpoly import compute_class_polynomial
 from etacm.errors import NoTrace, PreconditionError
-from etacm.ffield import FpPolynomial, roots_mod_l
+from etacm.ffield import FpElement, FpPolynomial, roots_mod_l
 from etacm.modpoly import evaluate_in_j_mod_l
 from etacm.pipeline import (
     EllipticCurve,
@@ -118,6 +118,16 @@ class TestCurveFromJ:
                      lambda: evaluate_in_j_mod_l(phi313_embedded, 607, q)):
             with pytest.raises(PreconditionError):
                 call()
+
+    def test_curve_checks_its_own_field(self):
+        # every short Weierstrass curve over F_2 or F_3 is singular
+        for q in (2, 3):
+            with pytest.raises(PreconditionError):
+                EllipticCurve.make(q, 0, 1)
+        with pytest.raises(PreconditionError):
+            EllipticCurve(5, FpElement(1, 7), FpElement(1, 7))
+        with pytest.raises(PreconditionError):
+            curve_from_j(0, 0)
 
     @pytest.mark.parametrize("j,residue,count", [(0, 3, 6), (1728, 4, 4)])
     def test_every_twist_class_is_reached(self, j, residue, count):

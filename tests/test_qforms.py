@@ -6,7 +6,9 @@ import etacm.classpoly as classpoly
 import etacm.modpoly as modpoly
 from etacm.apcomplex import UpperHalfPoint
 from etacm.arith import legendre
+from etacm.atkin import is_multiple_root_case, multiple_root_condition, wn_squared_fixes_class
 from etacm.errors import (
+    ConditionsViolated,
     DiscriminantMismatch,
     InvalidB,
     InvalidDiscriminant,
@@ -279,11 +281,38 @@ class TestDiscriminant:
         lambda D: build_nsystem(D, 39, 10),
         lambda D: classpoly.compute_class_polynomial(D, 3, 13, 10),
         lambda D: construct_cm_curve(D, 3, 13, 3593),
+        lambda D: multiple_root_condition(D, 39, 10),
+        lambda D: wn_squared_fixes_class(D, 39, 10),
+        lambda D: is_multiple_root_case(D, 3, 13, 10),
     ], ids=["find_trace", "b_candidates", "enumerate_reduced_forms", "build_nsystem",
-            "compute_class_polynomial", "construct_cm_curve"])
+            "compute_class_polynomial", "construct_cm_curve", "multiple_root_condition",
+            "wn_squared_fixes_class", "is_multiple_root_case"])
     def test_one_rule_at_every_entry_point(self, entry, D):
         with pytest.raises(InvalidDiscriminant):
             entry(D)
+
+    @pytest.mark.parametrize("entry", [
+        lambda B: build_nsystem(-56, 39, B),
+        lambda B: classpoly.compute_class_polynomial(-56, 3, 13, B),
+        lambda B: multiple_root_condition(-56, 39, B),
+        lambda B: wn_squared_fixes_class(-56, 39, B),
+        lambda B: is_multiple_root_case(-56, 3, 13, B),
+    ], ids=["build_nsystem", "compute_class_polynomial", "multiple_root_condition",
+            "wn_squared_fixes_class", "is_multiple_root_case"])
+    def test_one_b_rule_at_every_entry_point(self, entry):
+        # 11^2 + 56 = 177 is not 0 mod 156
+        with pytest.raises(InvalidB):
+            entry(11)
+
+    @pytest.mark.parametrize("entry", [
+        lambda: classpoly.compute_class_polynomial(-8, 3, 13, 2),
+        lambda: is_multiple_root_case(-8, 3, 13, 2),
+        lambda: construct_cm_curve(-8, 3, 13, 3593),
+    ], ids=["compute_class_polynomial", "is_multiple_root_case", "construct_cm_curve"])
+    def test_one_integrality_error_at_every_entry_point(self, entry):
+        # (-8 | 13) = -1
+        with pytest.raises(ConditionsViolated):
+            entry()
 
 
 def _count_checked_forms(monkeypatch) -> list:

@@ -16,9 +16,11 @@ record also carries the certificate's trace, its ambiguity and the number
 of points it drew, which pins the random stream), the roots of H mod q of
 each `cm-shortcut` job in the order `roots_mod_l` lists them, with the next
 64 bits its generator gives afterwards (seeded 0, as `construct_cm_curve`
-seeds it), whether the computed
-Phi_{3,13} equals the embedded file, and the stdout and exit code of
-`etacm reproduce-example` and of the worked `cm-curve` line.
+seeds it), the witnesses of `multiple_root_condition` and
+`wn_squared_fixes_class` for each (D, B) that a CM job runs at N = 39 (every
+admissible B when the job lets `construct_cm_curve` choose), whether the
+computed Phi_{3,13} equals the embedded file, and the stdout and exit code
+of `etacm reproduce-example` and of the worked `cm-curve` line.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import io
 import json
 import random
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -53,6 +56,10 @@ def _cli(argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
+def _witness(solution) -> list[int] | None:
+    return None if solution is None else list(astuple(solution))
+
+
 def _seed_range(text: str) -> range:
     lo, _, hi = text.partition("-")
     return range(int(lo), int(hi or lo) + 1)
@@ -64,6 +71,7 @@ def main(argv=None) -> int:
                         help="inclusive seed range, e.g. 0-9 (default) or 3")
     args = parser.parse_args(argv)
     p1, p2 = inputs.CM_PAIR
+    n = p1 * p2
     seen: set = set()
 
     def once(key) -> bool:
@@ -97,6 +105,11 @@ def main(argv=None) -> int:
                 _emit({"job": "roots-of-H", "D": job.D, "q": job.q, "B": job.B,
                        "out": list(roots.items()), "next_bits": rng.getrandbits(64)})
         for job in shortcut_jobs + inputs.count_jobs(seed)[0]:
+            for B in [job.B] if job.B is not None else etacm.b_candidates(job.D, n):
+                if once(("witnesses", job.D, B)):
+                    _emit({"job": "witnesses", "D": job.D, "B": B,
+                           "out": [_witness(etacm.multiple_root_condition(job.D, n, B)),
+                                   _witness(etacm.wn_squared_fixes_class(job.D, n, B))]})
             if once(("cm", job.D, job.q, job.B)):
                 curve, cert, shortcut = etacm.construct_cm_curve(job.D, p1, p2, job.q, B=job.B)
                 _emit({"job": "cm", "D": job.D, "q": job.q, "B": job.B,
