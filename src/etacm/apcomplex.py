@@ -3,8 +3,10 @@ Gaussian-integer kernel that the numerical hot loops run on.
 
 `ApComplex` and `UpperHalfPoint` are what `eta`, `j_invariant`, `w_pow_s`
 and friends take and return: immutable pairs of raw mpmath mpf tuples
-``(sign, man, exp, bc)`` with a nominal precision.  The MIN_PREC floor is
-checked where a precision enters (`check_prec`).
+``(sign, man, exp, bc)`` with a nominal precision.  The whole precision
+policy is here: the MIN_PREC floor, checked where a precision enters
+(`check_prec`), the default cap MAX_PRECISION, and `double_until`, the only
+loop that re-runs an evaluation at a higher precision.
 
 The kernel holds a complex value as a triple ``(re, im, e)`` of Python ints
 standing for ``(re + i im) 2^e``: one power-of-two exponent per value, so
@@ -24,6 +26,7 @@ n r + 3 (n - 1) u when x is within a relative r.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from mpmath.libmp import (
@@ -36,11 +39,12 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .errors import PreconditionError
+from .errors import PreconditionError, PrecisionExhausted
 
 RND = round_nearest
 
 MIN_PREC = 64
+MAX_PRECISION = 65536
 
 # relative error of one rounding kernel operation, in units of 2^-W
 ROUND_ULPS = 3.0
@@ -50,6 +54,20 @@ def check_prec(prec: int) -> None:
     """The precision floor: PreconditionError below MIN_PREC bits."""
     if prec < MIN_PREC:
         raise PreconditionError(f"precision {prec} below minimum {MIN_PREC}")
+
+
+def double_until(start: int, max_prec: int, attempt: Callable, what: str):
+    """The first result of attempt(prec) that is not None, for prec = start,
+    2 start, ... (start raised to MIN_PREC) while prec <= max_prec; a start
+    above max_prec raises before any attempt."""
+    start = prec = max(start, MIN_PREC)
+    while prec <= max_prec:
+        result = attempt(prec)
+        if result is not None:
+            return result
+        prec *= 2
+    raise PrecisionExhausted(f"{what} needs more than max_prec = {max_prec} bits "
+                             f"(start {start})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,13 +94,13 @@ class UpperHalfPoint:
     def __post_init__(self):
         sign, man, exp, bc = self.value.im
         if sign or not man:
-            raise ValueError("point not in the upper half-plane")
+            raise PreconditionError("point not in the upper half-plane")
 
     @classmethod
     def from_form(cls, a: int, b: int, D: int, prec: int) -> "UpperHalfPoint":
         """Basis quotient (-b + sqrt(D)) / (2a) of the form [a, b, *] of discriminant D < 0."""
         if D >= 0 or a <= 0:
-            raise ValueError("need D < 0 and a > 0")
+            raise PreconditionError("need D < 0 and a > 0")
         check_prec(prec)
         sq = mpf_sqrt(from_int(-D, prec, RND), prec, RND)
         re = from_man_exp(MPZ(-b), 0)

@@ -8,44 +8,29 @@ sums one eta series per reduced form (an `EtaTable`), not one per argument.
 The complex product is expanded through a balanced tree with one worst-case
 error bound carried per polynomial, and the rounding to integers is accepted
 only when both the rounding residual and the certified error are small
-(`round_certified`); otherwise the precision is doubled, up to max_prec
-(`double_until`).  modpoly shares both, and `initial_precision`: the first
-attempt starts from the measured height of H, as a pass at MIN_PREC bits
-gives the roots' norms and error bounds, hence the precision at which the
-tree's bound falls below the rounding limit.  When that bound is already
-below the limit at MIN_PREC bits, the pass's roots are the first attempt.
+(`round_certified`); otherwise the precision is doubled up to max_prec by
+apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly
+shares both, and `initial_precision`: the first attempt starts from the
+measured height of H, as a pass at MIN_PREC bits gives the roots' norms and
+error bounds, hence the precision at which the tree's bound falls below the
+rounding limit.  When that bound is already below the limit at MIN_PREC
+bits, the pass's roots are the first attempt.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from .apcomplex import MIN_PREC, lg, log2add
+from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
 from .intpoly import pack, slot_bytes, unpack
 from .qforms import Discriminant, Form, as_discriminant, b_candidates, build_nsystem
 
-MAX_PRECISION = 65536
 RESIDUAL_LIMIT = 1e-3
 TREE_BITS = 32  # extra bits of the product tree over the roots' precision
-
-
-def double_until(start: int, max_prec: int, attempt: Callable, what: str):
-    """The first result of attempt(prec) that is not None, for prec = start,
-    2 start, ... (start raised to MIN_PREC) while prec <= max_prec; a start
-    above max_prec raises before any attempt."""
-    start = prec = max(start, MIN_PREC)
-    while prec <= max_prec:
-        result = attempt(prec)
-        if result is not None:
-            return result
-        prec *= 2
-    raise PrecisionExhausted(f"{what} needs more than max_prec = {max_prec} bits "
-                             f"(start {start})")
 
 
 @dataclass(frozen=True)

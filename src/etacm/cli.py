@@ -16,6 +16,7 @@ import random
 import sys
 
 from . import atkin, classpoly, modpoly, pipeline, qforms
+from .apcomplex import MAX_PRECISION
 from .arith import check_distinct_odd_primes, check_odd_prime
 from .errors import EtaCMError, PreconditionError, PrecisionExhausted
 from .ffield import FpPolynomial, roots_mod_l
@@ -34,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="etacm", description=__doc__)
-    parser.add_argument("--precision-max", type=int, default=classpoly.MAX_PRECISION)
+    parser.add_argument("--precision-max", type=int, default=MAX_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,12 +23,13 @@ integer form it is the root of, and every step returns a value with its
 error in ulps u = 2^-wp of the working precision, relative to the value:
 the series (`_eta_series`), the transformation formula
 (`EtaTable._eta_transform`), one eta value (`EtaTable.eta`), the quotients
-and the powers.  Each evaluation turns that into an absolute bound at its
-last step only, and one helper (`_certified`) accepts the bound, or retries
-with more bits and finally raises PrecisionExhausted.  The public point
-functions (`eta`, `j_invariant`, `double_eta_quotient`, `w_pow_s`) name
-their point's form once (`_form_of`) and hand the value back as an
-`ApComplex` (`to_apcomplex`).
+and the powers.  Each evaluation runs once, at a working precision set by
+the requested one, and turns that into an absolute bound at its last step
+only; a gate accepts it or not, and `apcomplex.double_until` is the only
+loop that raises the precision.  The public point functions (`eta`,
+`j_invariant`, `double_eta_quotient`, `w_pow_s`) name their point's form
+once (`_form_of`), run that loop up to their target (`_to_target`), and
+hand the value back as an `ApComplex` (`to_apcomplex`).
 
 Every eta value at an arbitrary point comes from an `EtaTable`.  Many
 arguments share one reduced point: the 4h arguments alpha_i/d of a class
@@ -65,6 +66,7 @@ from mpmath.libmp import (
 )
 
 from .apcomplex import (
+    MAX_PRECISION,
     RND,
     ROUND_ULPS,
     ApComplex,
@@ -72,6 +74,7 @@ from .apcomplex import (
     add,
     check_prec,
     div,
+    double_until,
     from_mpc,
     lg,
     log2add,
@@ -82,7 +85,7 @@ from .apcomplex import (
     trunc,
 )
 from .arith import check_distinct_odd_primes, jacobi
-from .errors import PreconditionError, PrecisionExhausted
+from .errors import PreconditionError
 from .qforms import Form, Matrix, _primitive, _reduce
 
 # log2 of the worst-case |q| on the fundamental domain: 2*pi*(sqrt(3)/2)/ln 2
@@ -280,20 +283,37 @@ class EtaTable:
         return self._eta_transform((re, -im if B < 0 else im, e), rel, F, (s, -q, -r, p), wp)
 
 
-def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
-    """Dedekind eta, absolute error certified below 2^(guard - prec)."""
+def _to_target(z: UpperHalfPoint, prec: int,
+               evaluate: Callable[[Form, int, EtaTable], tuple[Value, float]],
+               what: str) -> ApComplex:
+    """evaluate(f, p, table) at z's form f, for p = prec, 2 prec, ... up to
+    MAX_PRECISION, until its bound is below 2^(eta_guard_bits(prec) - prec)."""
+    check_prec(prec)
     f, table = _form_of(z), EtaTable()
+    target = eta_guard_bits(prec) - prec
 
-    def evaluate(wp: int) -> tuple[Value, float]:
+    def attempt(p: int) -> Value | None:
+        value, err = evaluate(f, p, table)
+        return value if err <= target else None
+
+    return to_apcomplex(double_until(prec, MAX_PRECISION, attempt, what), prec)
+
+
+def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
+    """Dedekind eta, absolute error certified below 2^(guard - prec) with at
+    most MAX_PRECISION bits (`_to_target`)."""
+    def evaluate(f: Form, p: int, table: EtaTable) -> tuple[Value, float]:
+        wp = p + eta_guard_bits(p)
         value, rel = table.eta(f, 1, wp)
         return value, _abs_err(value, rel, wp)
 
-    return to_apcomplex(_certified(prec, evaluate, "eta")[0], prec)
+    return _to_target(z, prec, evaluate, "eta")
 
 
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
-    """Klein J (J(i) = 1728), absolute error certified below 2^(guard - prec)."""
-    return to_apcomplex(j_invariant_with_err(_form_of(z), prec)[0], prec)
+    """Klein J (J(i) = 1728), absolute error certified below 2^(guard - prec)
+    with at most MAX_PRECISION bits (`_to_target`)."""
+    return _to_target(z, prec, lambda f, p, _: j_invariant_with_err(f, p), "J")
 
 
 def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
@@ -308,24 +328,18 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     Forming (x + 16)^3 / x rounds three times, 9u of J; one more bit covers
     the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, whose
     imaginary part is sqrt(|D|) / (2A) for the reduced form [A, B, C] of f,
-    so every try gets that many extra bits.
+    so it is evaluated once, at prec + guard + that many bits + 32.
     """
     a, b, c = _reduce(f)[0]
     im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
-    boost = math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
-    table = EtaTable()
-
-    def evaluate(wp: int) -> tuple[Value, float]:
-        wp += boost
-        f1, rel = _eta_quotient(f, (2,), (1,), wp, table)
-        x = power(f1, 24, wp)
-        x16 = add(x, (16, 0, 0))
-        value = div(power(x16, 3, wp), x, wp)
-        dj = (2 * lg(x16) + lg(add(add(x, x), (-16, 0, 0))) - lg(x) + 2.0 ** -29
-              + math.log2(24 * rel + 23 * ROUND_ULPS) - wp)
-        return value, log2add(dj, _abs_err(value, 3 * ROUND_ULPS, wp)) + 1
-
-    return _certified(prec, evaluate, "J")
+    wp = prec + eta_guard_bits(prec) + math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
+    f1, rel = _eta_quotient(f, (2,), (1,), wp, EtaTable())
+    x = power(f1, 24, wp)
+    x16 = add(x, (16, 0, 0))
+    value = div(power(x16, 3, wp), x, wp)
+    dj = (2 * lg(x16) + lg(add(add(x, x), (-16, 0, 0))) - lg(x) + 2.0 ** -29
+          + math.log2(24 * rel + 23 * ROUND_ULPS) - wp)
+    return value, log2add(dj, _abs_err(value, 3 * ROUND_ULPS, wp)) + 1
 
 
 def s_exponent(p1: int, p2: int) -> int:
@@ -347,44 +361,30 @@ def _eta_quotient(f: Form, num: tuple[int, ...], den: tuple[int, ...], wp: int,
     return div(reduce(mul, vals[:len(num)]), reduce(mul, vals[len(num):]), wp), rel
 
 
-def _certified(prec: int, evaluate: Callable[[int], tuple[Value, float]],
-               what: str) -> tuple[Value, float]:
-    """evaluate(prec + guard + boost) until its bound is below 2^(guard - prec).
-
-    A large value pushes its absolute bound up, so each retry buys that many
-    extra bits.
-    """
-    check_prec(prec)
-    guard = eta_guard_bits(prec)
-    boost = 0
-    for _ in range(3):
-        value, err = evaluate(prec + guard + boost)
-        if err <= guard - prec:
-            return value, err
-        boost = max(boost + 32, math.ceil(max(lg(value), 0.0)) + 33)
-    raise PrecisionExhausted(f"{what} error bound 2^{err:.0f} exceeds target")
-
-
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
+    """w = eta(z/p1) eta(z/p2) / (eta(z) eta(z/N)), absolute error certified
+    below 2^(guard - prec) with at most MAX_PRECISION bits (`_to_target`)."""
     check_distinct_odd_primes(p1, p2)
-    f, table = _form_of(z), EtaTable()
 
-    def evaluate(wp: int) -> tuple[Value, float]:
-        value, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp + 16, table)
-        return value, _abs_err(value, rel, wp + 16)
+    def evaluate(f: Form, p: int, table: EtaTable) -> tuple[Value, float]:
+        wp = p + eta_guard_bits(p) + 16
+        value, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table)
+        return value, _abs_err(value, rel, wp)
 
-    return to_apcomplex(_certified(prec, evaluate, "quotient")[0], prec)
+    return _to_target(z, prec, evaluate, "quotient")
 
 
 def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
+    """w^s, absolute error certified below 2^(guard - prec) with at most
+    MAX_PRECISION bits (`_to_target`)."""
     check_distinct_odd_primes(p1, p2)
-    return to_apcomplex(w_pow_s_with_err(_form_of(z), p1, p2, prec, EtaTable())[0], prec)
+    return _to_target(z, prec, lambda f, p, table: w_pow_s_with_err(f, p1, p2, p, table), "w^s")
 
 
 def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
                      table: EtaTable) -> tuple[Value, float]:
-    """(w^s, log2 absolute error bound) at the basis quotient of f; the
-    workhorse for class polynomials.
+    """(w^s, log2 absolute error bound) at the basis quotient of f, evaluated
+    once at prec + guard + 16 + 4s bits; the workhorse for class polynomials.
 
     table shares its eta series between the arguments of one attempt.  p1
     and p2 are not checked here; callers check them once
@@ -392,11 +392,7 @@ def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
     s r + 3 (s - 1) u when w is within a relative r.
     """
     s = s_exponent(p1, p2)
-
-    def evaluate(wp: int) -> tuple[Value, float]:
-        wp += 16 + 4 * s
-        w, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table)
-        value = power(w, s, wp)
-        return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
-
-    return _certified(prec, evaluate, "w^s")
+    wp = prec + eta_guard_bits(prec) + 16 + 4 * s
+    w, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table)
+    value = power(w, s, wp)
+    return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)

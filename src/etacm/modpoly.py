@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 
-from .apcomplex import MIN_PREC, ROUND_ULPS, add, div, lg, log2add
+from .apcomplex import MAX_PRECISION, MIN_PREC, ROUND_ULPS, add, div, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
-from .classpoly import (MAX_PRECISION, TREE_BITS, CPoly, _roots, double_until,
-                        initial_precision, product_tree, round_certified)
+from .classpoly import TREE_BITS, CPoly, _roots, initial_precision, product_tree, round_certified
 from .errors import (
     CoefficientParseFailure,
     InterpolationSingular,

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, isqrt, log2
 
+from .apcomplex import MAX_PRECISION
 from .arith import check_odd_prime, is_square
-from .classpoly import MAX_PRECISION, check_integrality_conditions, compute_class_polynomial
+from .classpoly import check_integrality_conditions, compute_class_polynomial
 from .errors import ConditionsViolated, NoRationalJRoot, NoTrace, PreconditionError
-from .ffield import FpElement, FpPolynomial, _non_residue, _sqrt_mod, roots_mod_l, sqrt_mod_l
+from .ffield import FpElement, FpPolynomial, _non_residue, _sqrt_mod, roots_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
 from .qforms import as_discriminant, b_candidates
 from .atkin import multiple_root_condition
@@ -108,10 +109,9 @@ def _trace_cornacchia(D: int, q: int) -> TraceSolution | None:
     D = -3 and -4 more than one solution: for both, and every prime
     5 <= q < 2 * 10^5, it is the exhaustive search's (`tests/oracles.py`).
     """
-    r = sqrt_mod_l(D % q, q)
-    if r is None:
+    x0 = _sqrt_mod(D % q, q)  # find_trace has checked q
+    if x0 is None:
         return None
-    x0 = r.value
     if (x0 - D) % 2:
         x0 = q - x0
     a, b = 2 * q, x0

@@ -45,10 +45,17 @@ def test_one_precision_floor():
 
 
 def test_upper_half_point_rejects_lower_plane():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         UpperHalfPoint(ApComplex(fzero, from_float(-1.0), 64))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         UpperHalfPoint(ApComplex(from_float(1.0), fzero, 64))
+
+
+def test_from_form_rejects_bad_forms():
+    with pytest.raises(PreconditionError):
+        UpperHalfPoint.from_form(1, 0, 4, 64)  # D >= 0
+    with pytest.raises(PreconditionError):
+        UpperHalfPoint.from_form(0, 1, -4, 64)  # a <= 0
 
 
 def test_from_form_matches_quadratic_data():

@@ -212,6 +212,61 @@ class TestComputeClassPolynomial:
             assert sum(counts.values()) == poly.degree, (D, p1, p2, b, ell)
 
 
+class TestPrecisionPolicy:
+    """Each value is evaluated once per attempt, and only the gate, through
+    `apcomplex.double_until`, decides whether to try again higher."""
+
+    def test_one_evaluation_per_value(self, monkeypatch):
+        import etacm.classpoly as cp
+        import etacm.etafunc as ef
+        import etacm.modpoly as mp
+
+        counts = {"quotient": 0, "value": 0}
+
+        def counting(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ef, "_eta_quotient", counting(ef._eta_quotient, "quotient"))
+        monkeypatch.setattr(cp, "w_pow_s_with_err", counting(cp.w_pow_s_with_err, "value"))
+        monkeypatch.setattr(mp, "j_invariant_with_err",
+                            counting(mp.j_invariant_with_err, "value"))
+        assert compute_class_polynomial(-56, 3, 13, 10).descending() == [1, -2, -1, 2, -1]
+        mp.compute_modular_polynomial(3, 5)
+        assert counts["value"] > 0
+        assert counts["quotient"] == counts["value"]
+
+    @pytest.mark.parametrize("job, extra, later", [("H", 40, False), ("H", 100, True),
+                                                   ("Phi", 40, False), ("Phi", 100, True)])
+    def test_inflated_first_bounds_keep_the_result_exact(self, monkeypatch, job, extra, later):
+        # the 64-bit roots' bounds read 2^extra too large.  The 64-bit bounds
+        # of H and Phi_{3,5} are about 2^-90 and 2^-49, so at 2^40 the gate
+        # still accepts the 64-bit attempt, and at 2^100 it takes a later
+        # one.  The result is exact either way.
+        import etacm.classpoly as cp
+        from etacm.apcomplex import MIN_PREC
+        from etacm.modpoly import compute_modular_polynomial
+
+        def run():
+            if job == "H":
+                return compute_class_polynomial(-56, 3, 13, 10).coeffs
+            return compute_modular_polynomial(3, 5).coeffs
+
+        want, precs = run(), []
+        real = cp.w_pow_s_with_err
+
+        def inflated(f, p1, p2, prec, table):
+            precs.append(prec)
+            value, err = real(f, p1, p2, prec, table)
+            return value, err + extra if prec == MIN_PREC else err
+
+        monkeypatch.setattr(cp, "w_pow_s_with_err", inflated)
+        assert run() == want
+        assert precs[0] == MIN_PREC and (max(precs) > MIN_PREC) == later
+
+
 class TestInvolutionTransform:
     def test_worked_example_pair(self):
         h10 = compute_class_polynomial(-56, 3, 13, 10)

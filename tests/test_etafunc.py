@@ -359,6 +359,22 @@ class TestDoubleEtaQuotient:
                 want = w ** s_exponent(p1, p2) if f is w_pow_s else w
                 assert abs(to_mp(f(z, p1, p2, prec), 160) - want) <= target, (f, p1, p2)
 
+    @pytest.mark.parametrize("f, y, p1, p2", [(w_pow_s, 256, 3, 5),
+                                               (double_eta_quotient, 256, 3, 5),
+                                               (w_pow_s, 400, 5, 7)])
+    def test_far_up_the_imaginary_axis_meets_the_target(self, f, y, p1, p2):
+        # |w^3| ~ 2^155 at Im z = 256: the first working precision misses the
+        # absolute target, and a doubled one meets it
+        prec = 128
+        z = point(0.25, y, 64)
+        target = mpmath.mpf(2) ** (eta_guard_bits(prec) - prec)
+        with mpmath.workprec(4 * prec):
+            t = mpmath.mpc(mpmath.mpf(z.value.re), mpmath.mpf(z.value.im))
+            w = (mpmath.eta(t / p1) * mpmath.eta(t / p2)
+                 / (mpmath.eta(t) * mpmath.eta(t / (p1 * p2))))
+            want = w ** s_exponent(p1, p2) if f is w_pow_s else w
+            assert abs(to_mpc(f(z, p1, p2, prec)) - want) <= target
+
     def test_rejects_bad_primes(self):
         z = point(0, 1, 128)
         for (p1, p2) in [(3, 3), (2, 13), (9, 5)]:

@@ -19,8 +19,11 @@ each `cm-shortcut` job in the order `roots_mod_l` lists them, with the next
 seeds it), the witnesses of `multiple_root_condition` and
 `wn_squared_fixes_class` for each (D, B) that a CM job runs at N = 39 (every
 admissible B when the job lets `construct_cm_curve` choose), whether the
-computed Phi_{3,13} equals the embedded file, and the stdout and exit code
-of `etacm reproduce-example` and of the worked `cm-curve` line.
+computed Phi_{3,13} equals the embedded file, the public point functions
+`eta`, `j_invariant`, `double_eta_quotient` and `w_pow_s` at 128 bits at the
+roots of the worked example's N-system (D = -56, N = 39, B = 10), as exact
+(mantissa, exponent) pairs, and the stdout and exit code of
+`etacm reproduce-example` and of the worked `cm-curve` line.
 """
 
 from __future__ import annotations
@@ -58,6 +61,22 @@ def _cli(argv: list[str]) -> dict:
 
 def _witness(solution) -> list[int] | None:
     return None if solution is None else list(astuple(solution))
+
+
+def _exact(z) -> list[list[int]]:
+    """The (signed mantissa, exponent) pairs of an ApComplex's two parts."""
+    return [[-man if sign else man, exp] for sign, man, exp, _ in (z.re, z.im)]
+
+
+def _point_values() -> dict:
+    prec, (p1, p2), D = 128, inputs.CM_PAIR, -56
+    out = []
+    for f in etacm.build_nsystem(D, p1 * p2, 10).forms:
+        z = etacm.UpperHalfPoint.from_form(f.a, f.b, D, prec)
+        out.append([_exact(etacm.eta(z, prec)), _exact(etacm.j_invariant(z, prec)),
+                    _exact(etacm.double_eta_quotient(z, p1, p2, prec)),
+                    _exact(etacm.w_pow_s(z, p1, p2, prec))])
+    return {"job": "worked-point-values", "out": out}
 
 
 def _seed_range(text: str) -> range:
@@ -116,6 +135,7 @@ def main(argv=None) -> int:
                        "out": [curve.a4.value, curve.a6.value, cert.order, shortcut],
                        "trace": cert.trace, "ambiguous": cert.ambiguous,
                        "alt_order": cert.alt_order, "checks": cert.checks})
+    _emit(_point_values())
     _emit({"job": "reproduce-example", "out": _cli(["reproduce-example"])})
     _emit({"job": "worked-cm-curve", "out": _cli(WORKED_CM_CURVE)})
     return 0
