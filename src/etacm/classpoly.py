@@ -90,16 +90,22 @@ class CPoly:
 
     def mul(self, other: "CPoly", wp: int) -> "CPoly":
         """The product, exact, then rounded down to the exponent
-        floor(norm1 + norm2) - wp where that is finer than exact.  Its three
-        real products (Karatsuba: ac, bd and (a + b)(c + d)) are each one
-        product of packed integers (`intpoly.pack`)."""
+        floor(norm1 + norm2) - wp where that is finer than exact.  When both
+        factors are real (every imaginary part zero), the exact product is one
+        product of packed integers (`intpoly.pack`); otherwise it is
+        Karatsuba's three real products ac, bd and (a + b)(c + d), each one
+        packed product.  Both give the same integers, hence the same bound."""
         n, m = len(self.re), len(other.re)
         bits = (max(max(self.re), -min(self.re), max(self.im), -min(self.im)).bit_length()
                 + max(max(other.re), -min(other.re), max(other.im), -min(other.im)).bit_length())
         w = slot_bytes(bits, min(n, m))
-        a, b, c, d = (pack(x, w) for x in (self.re, self.im, other.re, other.im))
-        ac, bd = a * c, b * d
-        re, im = unpack(ac - bd, n + m - 1, w), unpack((a + b) * (c + d) - ac - bd, n + m - 1, w)
+        if any(self.im) or any(other.im):
+            a, b, c, d = (pack(x, w) for x in (self.re, self.im, other.re, other.im))
+            ac, bd = a * c, b * d
+            re = unpack(ac - bd, n + m - 1, w)
+            im = unpack((a + b) * (c + d) - ac - bd, n + m - 1, w)
+        else:
+            re, im = unpack(pack(self.re, w) * pack(other.re, w), n + m - 1, w), [0] * (n + m - 1)
         exp = self.exp + other.exp
         shift = _round_exp(self.norm + other.norm, wp) - exp
         if shift > 0:
@@ -123,15 +129,17 @@ def _balanced(items: list, mul):
     return items[0]
 
 
+def _leaf(r: Value, err: float) -> CPoly:
+    """X - r, within 2^err."""
+    a, b, e = r
+    if e > 0:
+        a, b, e = a << e, b << e, 0
+    return CPoly([-a, 1 << -e], [-b, 0], e, err, _root_norm(r))
+
+
 def product_tree(roots: list[tuple[Value, float]], wp: int) -> CPoly:
     """Expand prod (X - r_i) for (value, log2 error) pairs."""
-    leaves = []
-    for r, err in roots:
-        a, b, e = r
-        if e > 0:
-            a, b, e = a << e, b << e, 0
-        leaves.append(CPoly([-a, 1 << -e], [-b, 0], e, err, _root_norm(r)))
-    return _balanced(leaves, lambda f, g: f.mul(g, wp))
+    return _balanced([_leaf(r, err) for r, err in roots], lambda f, g: f.mul(g, wp))
 
 
 def _tree_err(roots: list[tuple[Value, float]], wp: int) -> float:

@@ -14,6 +14,12 @@ the root of an integer form f_m: its node J(z_m) is evaluated at f_m itself
 conjugates are the roots of the forms f_m.g^-1 and go through H's helper
 (`classpoly._roots`): one eta series per SL2(Z)-class of eta argument at
 each sample point (an `EtaTable`), and mirror-image classes share one.
+On the imaginary axis, mirror cosets share the value as well as the series:
+the coset of top row (a, -b) has the conjugate of the value at (a, b)
+(`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
+(psi(N) + 4)/2 values per sample point, each pair gives the real quadratic
+(X - r)(X - conj r), and Phi's samples are expanded and interpolated as real
+polynomials (Enge, Math. Comp. 78, 2009).
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -28,7 +34,16 @@ from importlib import resources
 
 from .apcomplex import MAX_PRECISION, MIN_PREC, ROUND_ULPS, add, div, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
-from .classpoly import TREE_BITS, CPoly, _roots, initial_precision, product_tree, round_certified
+from .classpoly import (
+    TREE_BITS,
+    CPoly,
+    _balanced,
+    _leaf,
+    _roots,
+    initial_precision,
+    product_tree,
+    round_certified,
+)
 from .errors import (
     CoefficientParseFailure,
     InterpolationSingular,
@@ -72,6 +87,12 @@ def psi(N: int) -> int:
     return (p1 + 1) * (p2 + 1)
 
 
+def _degrees(p1: int, p2: int) -> tuple[int, int, int]:
+    """(s, degX, degJ) of Phi_{p1,p2}."""
+    s = s_exponent(p1, p2)
+    return s, psi(p1 * p2), s * (p1 - 1) * (p2 - 1) // 12
+
+
 def _p1_line(p: int) -> list[tuple[int, int]]:
     return [(1, t) for t in range(p)] + [(0, 1)]
 
@@ -97,6 +118,22 @@ def coset_representatives(N: int) -> list[Matrix]:
             reps.append((a, b, -t, s))
     assert len(reps) == psi(N)
     return reps
+
+
+def _mirror(p1: int, p2: int) -> list[int]:
+    """The index of the mirror coset of each coset of `coset_representatives`:
+    top row (a, b) goes to (a, -b), that is t -> -t mod p and inf -> inf on
+    each factor of `_p1_line`.  An involution whose 4 fixed cosets are those
+    with t1, t2 in {0, inf}.
+
+    For z = iy, -conj(g z) = g' z with g' = (a, -b, -c, d), and w^s has real
+    q-coefficients, so w^s(g' z) = conj(w^s(g z)): the mirror coset's value
+    is the conjugate, and a fixed coset's value is real.
+    """
+    def neg(p: int) -> list[int]:
+        return [-t % p for t in range(p)] + [p]
+
+    return [i1 * (p2 + 1) + i2 for i1 in neg(p1) for i2 in neg(p2)]
 
 
 def _sample_form(m: int) -> QuadraticForm:
@@ -148,18 +185,46 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
     return out
 
 
+def _sample_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> CPoly:
+    """The real polynomial prod (X - r)(X - conj r) over the paired roots
+    times prod (X - Re r) over the others, with a certified bound.
+
+    A pair leaf is the `CPoly.mul` product of the two linear leaves: its
+    imaginary parts cancel exactly in integers, and its bound is the
+    product's.  Each other root approximates a real value, and the real part
+    of an approximation is within the same bound of a real value, so its
+    imaginary part is dropped.  All products of the tree are then real.
+    """
+    leaves = []
+    for ((a, b, e), err), pair in zip(roots, paired):
+        if pair:
+            leaves.append(_leaf((a, b, e), err).mul(_leaf((a, -b, e), err), wp))
+        else:
+            leaves.append(_leaf((a, 0, e), err))
+    return _balanced(leaves, lambda f, g: f.mul(g, wp))
+
+
 def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) -> list[CPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
-    bound, from degJ + 1 sample points at precision prec."""
+    bound, from degJ + 1 sample points at precision prec.
+
+    w^s is evaluated at one coset of each mirror pair (`_mirror`), and the
+    other's value is its conjugate.  Each node J(z_m) is real, and keeps
+    only the real part of its approximation, within the same bound.
+    """
     wp = prec + TREE_BITS
+    mirror = _mirror(p1, p2)
+    kept = [i for i, j in enumerate(mirror) if i <= j]
+    paired = [mirror[i] != i for i in kept]
     nodes = []
     samples = []
     for m in range(degj + 1):
         f = _sample_form(m)
-        nodes.append(j_invariant_with_err(f, prec))
+        (re, _, e), err = j_invariant_with_err(f, prec)
+        nodes.append(((re, 0, e), err))
         # f.g^-1 has the root g z_m
-        conjugates = [_compose(f, (d, -b, -c, a)) for a, b, c, d in cosets]
-        samples.append(product_tree(_roots(conjugates, p1, p2, prec), wp))
+        conjugates = [_compose(f, (d, -b, -c, a)) for a, b, c, d in (cosets[i] for i in kept)]
+        samples.append(_sample_tree(_roots(conjugates, p1, p2, prec), paired, wp))
     return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 
 
@@ -172,13 +237,10 @@ def compute_modular_polynomial(p1: int, p2: int, *,
                                max_prec: int = MAX_PRECISION) -> ModularPolynomial:
     """Phi_{p1,p2} with exact integer coefficients (adaptive precision)."""
     check_distinct_odd_primes(p1, p2)
-    s = s_exponent(p1, p2)
-    N = p1 * p2
-    degx = psi(N)
-    degj = s * (p1 - 1) * (p2 - 1) // 12
+    s, degx, degj = _degrees(p1, p2)
     if degj > 4:
         raise PreconditionError(f"J-degree {degj} beyond desk scale")
-    cosets = coset_representatives(N)
+    cosets = coset_representatives(p1 * p2)
     first = _coefficients(p1, p2, degj, cosets, MIN_PREC)
     rows = _rows(first) if max_prec >= MIN_PREC else None
     if rows is None:
@@ -243,8 +305,15 @@ def deserialize(data: bytes) -> ModularPolynomial:
             raise MalformedHeader(f"bad header token: {token!r}") from exc
     if len(fields) != 5:
         raise MalformedHeader("missing header fields")
-    degx, degj = fields["degX"], fields["degJ"]
+    p1, p2, degx, degj = fields["p1"], fields["p2"], fields["degX"], fields["degJ"]
+    try:
+        check_distinct_odd_primes(p1, p2)
+    except PreconditionError as exc:
+        raise MalformedHeader(f"bad header: {exc}") from exc
+    if (fields["s"], degx, degj) != _degrees(p1, p2):
+        raise MalformedHeader(f"s, degX or degJ inconsistent with p1, p2: {lines[0]!r}")
     table = [[0] * (degj + 1) for _ in range(degx + 1)]
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -255,9 +324,13 @@ def deserialize(data: bytes) -> ModularPolynomial:
             raise CoefficientParseFailure(f"bad line: {ln!r}") from exc
         if not (0 <= kx <= degx and 0 <= kj <= degj):
             raise CoefficientParseFailure(f"indices out of range: {ln!r}")
+        if (kx, kj) in seen:
+            raise CoefficientParseFailure(f"repeated coefficient: {ln!r}")
+        seen.add((kx, kj))
         table[kx][kj] = c
-    return ModularPolynomial(fields["p1"], fields["p2"], fields["s"], degx, degj,
-                             tuple(tuple(r) for r in table))
+    if table[degx] != [1] + [0] * degj:
+        raise CoefficientParseFailure(f"the X^{degx} row is not 1")
+    return ModularPolynomial(p1, p2, fields["s"], degx, degj, tuple(tuple(r) for r in table))
 
 
 def load_embedded(p1: int = 3, p2: int = 13) -> ModularPolynomial:

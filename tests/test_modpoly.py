@@ -45,6 +45,21 @@ def eval_phi(phi: ModularPolynomial, w, J):
     return val, scale
 
 
+PAIRS = [(3, 5), (3, 7), (3, 13), (5, 7), (5, 13)]
+
+
+def mirror_by_top_rows(n: int) -> list[int]:
+    """For each coset of `coset_representatives(n)`, the index of the one
+    whose top row is (a, -b) in P^1(Z/n), found by search."""
+    reps = coset_representatives(n)
+    out = []
+    for a, b, _, _ in reps:
+        hits = [j for j, (a2, b2, _, _) in enumerate(reps) if (a2 * b + a * b2) % n == 0]
+        assert len(hits) == 1
+        out.append(hits[0])
+    return out
+
+
 class TestCosetRepresentatives:
     def test_counts(self):
         assert len(coset_representatives(39)) == 56
@@ -62,6 +77,31 @@ class TestCosetRepresentatives:
                 a2, b2, _, _ = reps[j]
                 # same coset of Gamma^0(N) iff a2*b1 = a1*b2 mod N
                 assert (a2 * b1 - a1 * b2) % n, (reps[i], reps[j])
+
+    @pytest.mark.parametrize("p1,p2", PAIRS)
+    def test_mirror_cosets_have_conjugate_values(self, p1, p2):
+        # the identity behind evaluating one coset per mirror pair, checked
+        # on every coset at 128 bits: at the sample z_0 = iy, the coset of top
+        # row (a, -b) holds the conjugate of the value at (a, b), and the 4
+        # cosets that are their own mirror hold real values
+        import etacm.modpoly as mp
+        from etacm.classpoly import _roots
+        from etacm.qforms import _compose
+
+        n = p1 * p2
+        mirror = mirror_by_top_rows(n)
+        assert all(mirror[j] == i for i, j in enumerate(mirror))
+        assert sum(i == j for i, j in enumerate(mirror)) == 4
+        f = mp._sample_form(0)
+        forms = [_compose(f, (d, -b, -c, a)) for a, b, c, d in coset_representatives(n)]
+        roots = [(to_mpc(r), err) for r, err in _roots(forms, p1, p2, 128)]
+        with mpmath.workprec(512):
+            for (r, err), j in zip(roots, mirror):
+                rm, err_m = roots[j]
+                assert abs(r - mpmath.conj(rm)) <= mpmath.mpf(2) ** err + mpmath.mpf(2) ** err_m
+            for i in (i for i, j in enumerate(mirror) if i == j):
+                r, err = roots[i]
+                assert abs(r.imag) <= mpmath.mpf(2) ** err
 
     def test_rejects_bad_levels(self):
         with pytest.raises(PreconditionError):
@@ -258,15 +298,36 @@ class TestComputeModularPolynomial:
         assert seen == [max(errs)]
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
-        # the accepted bound is the one product_tree certifies: inflating
-        # every leaf bound by 2^1000 must push Phi past max_prec
+        # the accepted bound is the one the trees certify: inflating the leaf
+        # bounds of the sample points (`_sample_tree`), or else those of the
+        # Lagrange basis (`product_tree`), by 2^1000 must push Phi past max_prec
         import etacm.modpoly as mp
 
-        real = mp.product_tree
+        real_sample, real_tree = mp._sample_tree, mp.product_tree
+        with monkeypatch.context() as patch:
+            patch.setattr(mp, "_sample_tree", lambda roots, paired, wp: real_sample(
+                [(r, e + 1000) for r, e in roots], paired, wp))
+            with pytest.raises(PrecisionExhausted):
+                compute_modular_polynomial(3, 5, max_prec=1024)
         monkeypatch.setattr(mp, "product_tree",
-                            lambda roots, wp: real([(r, e + 1000) for r, e in roots], wp))
+                            lambda roots, wp: real_tree([(r, e + 1000) for r, e in roots], wp))
         with pytest.raises(PrecisionExhausted):
             compute_modular_polynomial(3, 5, max_prec=1024)
+
+    def test_one_evaluation_per_mirror_pair(self, monkeypatch):
+        # Phi_{3,5} takes one attempt of degJ + 1 = 3 sample points, and each
+        # evaluates w^s at one coset of each mirror pair, (psi + 4)/2 = 14 of
+        # the 24: 42 evaluations, not 72
+        import etacm.classpoly as cp
+        import etacm.modpoly as mp
+
+        for p1, p2 in PAIRS:
+            assert mp._mirror(p1, p2) == mirror_by_top_rows(p1 * p2)
+        calls = []
+        real = cp.w_pow_s_with_err
+        monkeypatch.setattr(cp, "w_pow_s_with_err", lambda *a: calls.append(a[3]) or real(*a))
+        compute_modular_polynomial(3, 5)
+        assert calls == [64] * 3 * 14
 
     def test_sample_point_sums_one_series_per_class(self, monkeypatch):
         # the 4 psi(N) eta arguments g z / d at one sample point fall into
@@ -381,6 +442,28 @@ class TestSerialization:
             deserialize(good + b"90 0 5\n")
         with pytest.raises(CoefficientParseFailure):
             deserialize(good + b"1 0 x\n")
+
+    @pytest.mark.parametrize("head", [
+        b"MODPOLY v1 p1=3 p2=13 s=7 degX=2 degJ=0\n2 0 1\n2 0 5\n",  # s, degX, degJ
+        b"MODPOLY v1 p1=3 p2=13 s=1 degX=-1 degJ=2\n",
+        b"MODPOLY v1 p1=3 p2=13 s=1 degX=55 degJ=2\n",
+        b"MODPOLY v1 p1=3 p2=13 s=1 degX=56 degJ=3\n",
+        b"MODPOLY v1 p1=3 p2=13 s=2 degX=56 degJ=2\n",
+        b"MODPOLY v1 p1=9 p2=13 s=1 degX=56 degJ=2\n",
+        b"MODPOLY v1 p1=13 p2=13 s=1 degX=196 degJ=12\n",
+    ])
+    def test_header_inconsistent_with_the_primes(self, head):
+        with pytest.raises(MalformedHeader):
+            deserialize(head + b"56 0 1\n")
+
+    def test_repeated_coefficient(self):
+        with pytest.raises(CoefficientParseFailure):
+            deserialize(b"MODPOLY v1 p1=3 p2=13 s=1 degX=56 degJ=2\n56 0 1\n0 0 1\n0 0 5\n")
+
+    @pytest.mark.parametrize("row", [b"", b"56 0 2\n", b"56 0 1\n56 1 3\n"])
+    def test_leading_row_not_one(self, row):
+        with pytest.raises(CoefficientParseFailure):
+            deserialize(b"MODPOLY v1 p1=3 p2=13 s=1 degX=56 degJ=2\n" + row + b"0 0 1\n")
 
     def test_embedded_resource_loads(self, phi313_embedded):
         assert phi313_embedded.degX == 56

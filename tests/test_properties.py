@@ -185,11 +185,15 @@ def test_packed_arithmetic_matches_schoolbook(case):
 
 @st.composite
 def modular_polynomials(draw):
-    degx, degj = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    """Polynomials shaped like Phi_{p1,p2}, which is all that `deserialize`
+    accepts: s, degX = psi(N) and degJ from the pair, and the X^degX row 1;
+    the other coefficients are arbitrary."""
+    p1, p2 = draw(st.sampled_from([(3, 5), (3, 7), (5, 7), (3, 13), (13, 3)]))
+    s = 24 // gcd(24, (p1 - 1) * (p2 - 1))
+    degx, degj = (p1 + 1) * (p2 + 1), s * (p1 - 1) * (p2 - 1) // 12
     row = st.tuples(*[st.integers(-10**30, 10**30)] * (degj + 1))
-    coeffs = draw(st.tuples(*[row] * (degx + 1)))
-    return ModularPolynomial(draw(st.integers(3, 13)), draw(st.integers(3, 13)),
-                             draw(st.integers(1, 24)), degx, degj, coeffs)
+    coeffs = draw(st.tuples(*[row] * degx)) + ((1,) + (0,) * degj,)
+    return ModularPolynomial(p1, p2, s, degx, degj, coeffs)
 
 
 class TestSerializeRoundTrip:
@@ -239,6 +243,36 @@ def test_product_tree_within_its_bound(case):
         di = (f.im[j] << (f.exp - low)) - (ci << (e0 * (n - j) - low))
         if dr or di:
             assert math.log2(dr * dr + di * di) / 2 + low <= f.err, j
+
+
+@st.composite
+def real_polynomial_pairs(draw):
+    """Two real `CPoly` operands of 1-20 coefficients of up to 300 bits, and
+    wp in 32..256, so that the product is often rounded."""
+    def operand():
+        n = draw(st.integers(1, 20))
+        bound = 1 << draw(st.integers(1, 300))
+        re = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        exp = draw(st.integers(-400, 40))
+        total = sum(map(abs, re))
+        norm = math.log2(total) + exp if total else -math.inf
+        return CPoly(re, [0] * n, exp, draw(st.floats(-600, 0)), norm)
+
+    return operand(), operand(), draw(st.integers(32, 256))
+
+
+@PROPERTY
+@given(real_polynomial_pairs())
+def test_real_product_matches_the_three_product_path(case):
+    # i f is not real, so (i f) g takes Karatsuba's three products, and its
+    # imaginary part is f g rounded with the same shift: the one product of
+    # the real path must give the same integers, exponent, bound and norm
+    f, g, wp = case
+    assume(any(f.re))
+    h = f.mul(g, wp)
+    k = CPoly([0] * len(f.re), f.re, f.exp, f.err, f.norm).mul(g, wp)
+    assert (h.re, h.im, h.exp, h.err, h.norm) == (k.im, k.re, k.exp, k.err, k.norm)
+    assert not any(h.im)
 
 
 @st.composite
