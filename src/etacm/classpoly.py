@@ -5,11 +5,22 @@ N-system; by construction it has exact integer coefficients whenever the
 integrality conditions hold.  The 4h eta arguments alpha_i/d of one
 precision attempt reduce to the h forms of discriminant D, so an attempt
 sums one eta series per reduced form (an `EtaTable`), not one per argument.
-The complex product is expanded through a balanced tree with one worst-case
-error bound carried per polynomial, and the rounding to integers is accepted
-only when both the rounding residual and the certified error are small
-(`round_certified`); otherwise the precision is doubled up to max_prec by
-apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly
+
+H is real, and its roots pair up exactly by conjugation (`_partners`): the
+root of [c/N, b, aN] is -conj(-N/tau) for the root tau of [a, b, c], the
+Fricke map tau -> -N/tau keeps w (the factors sqrt(tau / (k i)) of
+eta(-k/tau) cancel), and w(-conj tau) = conj w(tau), as w has real
+q-coefficients; [c/N, b, aN] has the value of the N-system form of its
+SL2(Z)-class.  So w^s is evaluated at one form of each pair,
+(h + #fixed) / 2 values, and the fixed forms carry the real roots.
+
+H is expanded through a balanced real tree (`product_tree`) from the
+quadratics (X - r)(X - conj r) and the real linear factors, with one
+worst-case error bound carried per polynomial; the same tree expands Phi's
+samples and its Lagrange basis (`modpoly`).  The rounding to integers is
+accepted only when both the rounding residual and the certified error are
+small (`round_certified`); otherwise the precision is doubled up to max_prec
+by apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly
 shares both, and `initial_precision`: the first attempt starts from the
 measured height of H, as a pass at MIN_PREC bits gives the roots' norms and
 error bounds, hence the precision at which the tree's bound falls below the
@@ -27,7 +38,15 @@ from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
 from .intpoly import pack, slot_bytes, unpack
-from .qforms import Discriminant, Form, as_discriminant, b_candidates, build_nsystem
+from .qforms import (
+    Discriminant,
+    Form,
+    NSystem,
+    _reduce,
+    as_discriminant,
+    b_candidates,
+    build_nsystem,
+)
 
 RESIDUAL_LIMIT = 1e-3
 TREE_BITS = 32  # extra bits of the product tree over the roots' precision
@@ -58,14 +77,14 @@ class ClassPolynomial:
         return list(reversed(self.coeffs))
 
 
-def _mul_err(norm1: float, err1: float, norm2: float, err2: float, wp: int) -> float:
+def _mul_err(norm1: float, err1: float, norm2: float, err2: float, wp: float) -> float:
     """Error bound of a product of two polynomials with these norm and error
     bounds: the propagated error, and the rounding down to the exponent
     floor(norm1 + norm2) - wp (`CPoly.mul`), below sqrt(2) units of it."""
     return log2add(norm1 + err2, norm2 + err1, err1 + err2, _round_exp(norm1 + norm2, wp) + 0.5)
 
 
-def _round_exp(norm: float, wp: int) -> float:
+def _round_exp(norm: float, wp: float) -> float:
     """The exponent a product of norm 2^norm is rounded to (-inf for zero)."""
     return math.floor(norm) - wp if norm > -math.inf else -math.inf
 
@@ -88,9 +107,10 @@ class CPoly:
     def constant(cls, c: Value, err: float) -> "CPoly":
         return cls([c[0]], [c[1]], c[2], err, lg(c))
 
-    def mul(self, other: "CPoly", wp: int) -> "CPoly":
+    def mul(self, other: "CPoly", wp: float) -> "CPoly":
         """The product, exact, then rounded down to the exponent
-        floor(norm1 + norm2) - wp where that is finer than exact.  When both
+        floor(norm1 + norm2) - wp where that is finer than exact (never at
+        wp = math.inf, which keeps the product exact).  When both
         factors are real (every imaginary part zero), the exact product is one
         product of packed integers (`intpoly.pack`); otherwise it is
         Karatsuba's three real products ac, bd and (a + b)(c + d), each one
@@ -119,16 +139,6 @@ def _root_norm(r: Value) -> float:
     return log2add(0.0, lg(r))
 
 
-def _balanced(items: list, mul):
-    """Fold items pairwise, level by level, as the product tree does."""
-    while len(items) > 1:
-        nxt = [mul(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
-
-
 def _leaf(r: Value, err: float) -> CPoly:
     """X - r, within 2^err."""
     a, b, e = r
@@ -137,18 +147,49 @@ def _leaf(r: Value, err: float) -> CPoly:
     return CPoly([-a, 1 << -e], [-b, 0], e, err, _root_norm(r))
 
 
-def product_tree(roots: list[tuple[Value, float]], wp: int) -> CPoly:
-    """Expand prod (X - r_i) for (value, log2 error) pairs."""
-    return _balanced([_leaf(r, err) for r, err in roots], lambda f, g: f.mul(g, wp))
+def _fold(roots: list[tuple[Value, float]], paired: list[bool], leaf, mul, wp: int):
+    """The leaves of the tree, leaf(r, err) times leaf(conj r, err) exactly
+    for a paired root and leaf(Re r, err) for another, folded pairwise, level
+    by level, with mul(f, g, wp)."""
+    items = [mul(leaf((a, b, e), err), leaf((a, -b, e), err), math.inf) if pair
+             else leaf((a, 0, e), err) for ((a, b, e), err), pair in zip(roots, paired)]
+    while len(items) > 1:
+        nxt = [mul(items[i], items[i + 1], wp) for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
 
 
-def _tree_err(roots: list[tuple[Value, float]], wp: int) -> float:
+def product_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> CPoly:
+    """The real polynomial prod (X - r)(X - conj r) over the paired roots
+    times prod (X - Re r) over the others, for (value, log2 error) pairs,
+    with a certified bound.
+
+    A pair leaf is the exact `CPoly.mul` product of the two linear leaves (at
+    infinite precision it rounds nothing): its imaginary parts cancel exactly
+    in integers, and its bound is the product's, without a rounding term.
+    Each other root approximates a real value, and the real part of an
+    approximation is within the same bound of a real value, so its imaginary
+    part is dropped.  All products of the tree are then real.
+    """
+    return _fold(roots, paired, _leaf, CPoly.mul, wp)
+
+
+def _tree_err(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> float:
     """The error bound `product_tree` would certify, without expanding:
     the same fold over (norm, error) pairs."""
-    def mul(f, g):
-        return f[0] + g[0], _mul_err(*f, *g, wp)
+    def mul(f, g, w):
+        return f[0] + g[0], _mul_err(*f, *g, w)
 
-    return _balanced([(_root_norm(r), err) for r, err in roots], mul)[1]
+    return _fold(roots, paired, lambda r, err: (_root_norm(r), err), mul, wp)[1]
+
+
+def _one_per_pair(partner: list[int]) -> tuple[list[int], list[bool]]:
+    """For an involution on indices: the index i <= partner[i] of each pair
+    or fixed point, and whether it is paired (not fixed)."""
+    kept = [i for i, j in enumerate(partner) if i <= j]
+    return kept, [partner[i] != i for i in kept]
 
 
 def round_to_integers(f: CPoly) -> tuple[list[int], float]:
@@ -182,10 +223,30 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
 def _roots(forms: list[Form], p1: int, p2: int,
            prec: int) -> list[tuple[Value, float]]:
     """w^s at the basis quotient of every form, with one eta series per
-    reduced form of an eta argument: the conjugates of H (the forms of an
-    N-system) or of one sample point of Phi."""
+    reduced form of an eta argument: one form of each conjugate pair of H's
+    N-system (`_partners`), or of one sample point of Phi."""
     table = EtaTable()
     return [w_pow_s_with_err(f, p1, p2, prec, table) for f in forms]
+
+
+def _partners(system: NSystem) -> list[int]:
+    """For each form [a, b, c] of the N-system, the index of the form in the
+    SL2(Z)-class of [c/N, b, aN], whose root carries the complex conjugate of
+    the value at [a, b, c].
+
+    The root tau' of [c/N, b, aN] is -conj(-N/tau) for the root tau of
+    [a, b, c].  The Fricke map keeps w (the four factors sqrt(tau / (k i))
+    of the transformation eta(-k/tau) cancel), and w(-conj tau) is
+    conj w(tau), so w^s(tau') = conj w^s(tau).  [c/N, b, aN] is primitive
+    (a prime dividing N, b and c/N would square-divide the fundamental part
+    of D, as gcd(N, f) = 1 and N is odd), has N | aN and b = B mod 2N, so its
+    value is that of the N-system form of its SL2(Z)-class (Gross, Kohnen
+    and Zagier, Math. Ann. 278, 1987).  Applied twice, the map gives back
+    [a, b, c]: an involution, whose fixed points carry the real roots of H.
+    """
+    N = system.N
+    index = {_reduce(f)[0]: i for i, f in enumerate(system.forms)}
+    return [index[_reduce((c // N, b, a * N))[0]] for a, b, c in system.forms]
 
 
 def initial_precision(tree_err: float, h: int) -> int:
@@ -208,8 +269,8 @@ def round_certified(f: CPoly) -> list[int] | None:
     return ints if residual < RESIDUAL_LIMIT and f.err < math.log2(RESIDUAL_LIMIT) else None
 
 
-def _expand(roots: list[tuple[Value, float]], prec: int) -> list[int] | None:
-    return round_certified(product_tree(roots, prec + TREE_BITS))
+def _expand(roots: list[tuple[Value, float]], paired: list[bool], prec: int) -> list[int] | None:
+    return round_certified(product_tree(roots, paired, prec + TREE_BITS))
 
 
 def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
@@ -221,16 +282,18 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     N = p1 * p2
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
+    kept, paired = _one_per_pair(_partners(system))
+    forms = [system.forms[i] for i in kept]
 
-    roots = _roots(system.forms, p1, p2, MIN_PREC)
-    err = _tree_err(roots, MIN_PREC + TREE_BITS)
-    start = initial_precision(err, len(roots))
+    roots = _roots(forms, p1, p2, MIN_PREC)
+    err = _tree_err(roots, paired, MIN_PREC + TREE_BITS)
+    start = initial_precision(err, len(system.forms))
     if err < math.log2(RESIDUAL_LIMIT) and max(start, MIN_PREC) <= max_prec:
         # the height pass's roots are predicted to round: they are the first attempt
         start = MIN_PREC
     ints = double_until(start, max_prec,
                         lambda prec: _expand(roots if prec == MIN_PREC
-                                             else _roots(system.forms, p1, p2, prec), prec),
+                                             else _roots(forms, p1, p2, prec), paired, prec),
                         f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:
         raise PrecisionExhausted("product expansion is not monic")

@@ -18,8 +18,9 @@ On the imaginary axis, mirror cosets share the value as well as the series:
 the coset of top row (a, -b) has the conjugate of the value at (a, b)
 (`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
 (psi(N) + 4)/2 values per sample point, each pair gives the real quadratic
-(X - r)(X - conj r), and Phi's samples are expanded and interpolated as real
-polynomials (Enge, Math. Comp. 78, 2009).
+(X - r)(X - conj r), and Phi's samples are expanded by H's real tree
+(`classpoly.product_tree`) and interpolated as real polynomials (Enge,
+Math. Comp. 78, 2009).
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -37,8 +38,7 @@ from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
 from .classpoly import (
     TREE_BITS,
     CPoly,
-    _balanced,
-    _leaf,
+    _one_per_pair,
     _roots,
     initial_precision,
     product_tree,
@@ -56,6 +56,8 @@ from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
 from .qforms import Matrix, QuadraticForm, _compose, _primitive, _split_n, _xgcd
+
+MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ def psi(N: int) -> int:
 
 
 def _degrees(p1: int, p2: int) -> tuple[int, int, int]:
-    """(s, degX, degJ) of Phi_{p1,p2}."""
+    """(s, degX, degJ) of Phi_{p1,p2}, for distinct odd primes p1, p2."""
     s = s_exponent(p1, p2)
-    return s, psi(p1 * p2), s * (p1 - 1) * (p2 - 1) // 12
+    return s, (p1 + 1) * (p2 + 1), s * (p1 - 1) * (p2 - 1) // 12
 
 
 def _p1_line(p: int) -> list[tuple[int, int]]:
@@ -171,7 +173,7 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
             raise InterpolationSingular("sample J-values too close")
         inv = div((1, 0, 0), dm, wp)
         inv_err = log2add(d.err + 1 - 2 * low, lg(inv) + math.log2(ROUND_ULPS) - wp)
-        numer = product_tree([(xj, node_err) for xj in others], wp)
+        numer = product_tree([(xj, node_err) for xj in others], [False] * len(others), wp)
         basis.append(CPoly.constant(inv, inv_err).mul(numer, wp))
     out = []
     for k in range(len(samples[0].re)):
@@ -185,25 +187,6 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
     return out
 
 
-def _sample_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> CPoly:
-    """The real polynomial prod (X - r)(X - conj r) over the paired roots
-    times prod (X - Re r) over the others, with a certified bound.
-
-    A pair leaf is the `CPoly.mul` product of the two linear leaves: its
-    imaginary parts cancel exactly in integers, and its bound is the
-    product's.  Each other root approximates a real value, and the real part
-    of an approximation is within the same bound of a real value, so its
-    imaginary part is dropped.  All products of the tree are then real.
-    """
-    leaves = []
-    for ((a, b, e), err), pair in zip(roots, paired):
-        if pair:
-            leaves.append(_leaf((a, b, e), err).mul(_leaf((a, -b, e), err), wp))
-        else:
-            leaves.append(_leaf((a, 0, e), err))
-    return _balanced(leaves, lambda f, g: f.mul(g, wp))
-
-
 def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) -> list[CPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
     bound, from degJ + 1 sample points at precision prec.
@@ -213,9 +196,7 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
     only the real part of its approximation, within the same bound.
     """
     wp = prec + TREE_BITS
-    mirror = _mirror(p1, p2)
-    kept = [i for i, j in enumerate(mirror) if i <= j]
-    paired = [mirror[i] != i for i in kept]
+    kept, paired = _one_per_pair(_mirror(p1, p2))
     nodes = []
     samples = []
     for m in range(degj + 1):
@@ -224,7 +205,7 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
         nodes.append(((re, 0, e), err))
         # f.g^-1 has the root g z_m
         conjugates = [_compose(f, (d, -b, -c, a)) for a, b, c, d in (cosets[i] for i in kept)]
-        samples.append(_sample_tree(_roots(conjugates, p1, p2, prec), paired, wp))
+        samples.append(product_tree(_roots(conjugates, p1, p2, prec), paired, wp))
     return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 
 
@@ -238,8 +219,8 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     """Phi_{p1,p2} with exact integer coefficients (adaptive precision)."""
     check_distinct_odd_primes(p1, p2)
     s, degx, degj = _degrees(p1, p2)
-    if degj > 4:
-        raise PreconditionError(f"J-degree {degj} beyond desk scale")
+    if degj > MAX_DEGJ:
+        raise PreconditionError(f"J-degree {degj} above {MAX_DEGJ}")
     cosets = coset_representatives(p1 * p2)
     first = _coefficients(p1, p2, degj, cosets, MIN_PREC)
     rows = _rows(first) if max_prec >= MIN_PREC else None
@@ -312,6 +293,9 @@ def deserialize(data: bytes) -> ModularPolynomial:
         raise MalformedHeader(f"bad header: {exc}") from exc
     if (fields["s"], degx, degj) != _degrees(p1, p2):
         raise MalformedHeader(f"s, degX or degJ inconsistent with p1, p2: {lines[0]!r}")
+    if degj > MAX_DEGJ:
+        # the dense table below has (degX + 1)(degJ + 1) slots
+        raise MalformedHeader(f"J-degree {degj} above {MAX_DEGJ}: {lines[0]!r}")
     table = [[0] * (degj + 1) for _ in range(degx + 1)]
     seen = set()
     for ln in lines[1:]:

@@ -1,5 +1,6 @@
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,17 @@ from etacm.errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroC
 from etacm.ffield import FpPolynomial, roots_mod_l
 from etacm.qforms import Discriminant, b_candidates, class_number
 from support import pick_b, split_prime, valid_triples
+
+PAIRS = ((3, 5), (3, 7), (3, 13), (5, 7), (5, 13))
+
+
+def one_per_pair(system):
+    """The forms at which `compute_class_polynomial` evaluates w^s, one of
+    each conjugate pair of the N-system, and whether each is paired."""
+    import etacm.classpoly as cp
+
+    kept, paired = cp._one_per_pair(cp._partners(system))
+    return [system.forms[i] for i in kept], paired
 
 
 class TestIntegralityConditions:
@@ -78,9 +90,9 @@ class TestComputeClassPolynomial:
         from etacm.qforms import build_nsystem
 
         base = compute_class_polynomial(-260, 3, 13, 26)
-        system = build_nsystem(-260, 39, 26)
+        forms, paired = one_per_pair(build_nsystem(-260, 39, 26))
         # None unless the gate passes
-        ints = cp._expand(cp._roots(system.forms, 3, 13, 2048), 2048)
+        ints = cp._expand(cp._roots(forms, 3, 13, 2048), paired, 2048)
         assert ints is not None and tuple(ints) == base.coeffs
 
     def test_doubling_recovers_from_starved_start(self, monkeypatch):
@@ -93,7 +105,7 @@ class TestComputeClassPolynomial:
         want = compute_class_polynomial(-9899, 3, 5, b).coeffs
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
         got = compute_class_polynomial(-9899, 3, 5, b)
         assert got.coeffs == want
@@ -105,7 +117,7 @@ class TestComputeClassPolynomial:
 
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 512)
         with pytest.raises(PrecisionExhausted):
             compute_class_polynomial(-56, 3, 13, 10, max_prec=256)
@@ -114,7 +126,7 @@ class TestComputeClassPolynomial:
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7), (-1511, 5, 7)])
     def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
         # when the 64-bit pass already predicts a passing gate (D = -56 and
-        # -3996 measure a start below 64 bits, D = -1511 one of 66), its roots
+        # -3996 measure a start below 64 bits, D = -1511 one of 65), its roots
         # are expanded as the first attempt instead of being evaluated again
         import etacm.classpoly as cp
 
@@ -124,15 +136,15 @@ class TestComputeClassPolynomial:
         want = compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0])
         assert calls == [64]
         monkeypatch.setattr(cp, "_roots", real)
-        system = cp.build_nsystem(D, p1 * p2, want.B)
-        assert cp._expand(cp._roots(system.forms, p1, p2, 512), 512) == list(want.coeffs)
+        forms, paired = one_per_pair(cp.build_nsystem(D, p1 * p2, want.B))
+        assert cp._expand(cp._roots(forms, p1, p2, 512), paired, 512) == list(want.coeffs)
 
     @pytest.mark.parametrize("D, p1, p2, cap",
                              [(-56, 3, 13, 32), (-3996, 5, 7, 63), (-1511, 5, 7, 64)])
     def test_max_prec_below_64_or_the_start_raises(self, D, p1, p2, cap):
         # -3996 measures a start below 64 bits, so one bit under 64 already
         # raises; -1511's 64-bit pass would pass the gate, but its measured
-        # start is 66
+        # start is 65
         with pytest.raises(PrecisionExhausted):
             compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0], max_prec=cap)
 
@@ -146,13 +158,13 @@ class TestComputeClassPolynomial:
         b = b_candidates(D, p1 * p2)[0]
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
         compute_class_polynomial(D, p1, p2, b)
         assert len(calls) == 1
-        system = build_nsystem(D, p1 * p2, b)
+        forms, paired = one_per_pair(build_nsystem(D, p1 * p2, b))
 
         def passes(prec):
-            return real(cp._roots(system.forms, p1, p2, prec), prec) is not None
+            return real(cp._roots(forms, p1, p2, prec), paired, prec) is not None
 
         smallest = next(p for p in range(64, calls[0] + 1, 8) if passes(p))
         assert calls[0] <= 2 * smallest
@@ -164,7 +176,7 @@ class TestComputeClassPolynomial:
 
         calls = []
         real = cp._expand
-        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
         poly = compute_class_polynomial(-55067, 3, 7, b_candidates(-55067, 21)[0])
         assert poly.degree == 90
         assert len(calls) == 1 and calls[0] <= 338
@@ -210,6 +222,63 @@ class TestComputeClassPolynomial:
                 continue  # l divides a leading structure constant: skip
             counts = roots_mod_l(hq)
             assert sum(counts.values()) == poly.degree, (D, p1, p2, b, ell)
+
+
+class TestConjugatePairs:
+    """H is real: the N-system form in the class of [c/N, b, aN] carries the
+    conjugate of the value at [a, b, c] (`classpoly._partners`)."""
+
+    def test_partner_holds_the_conjugate(self):
+        # every (D, pair, B) with -800 < D < 0 and h <= 16, checked on every
+        # form at 128 bits: 1562 cases and 13300 roots, among them forms with
+        # gcd(C/N, N) > 1 and cases with (D|p) = 0 for one of the primes
+        import etacm.classpoly as cp
+        from etacm.apcomplex import add, lg, log2add
+        from etacm.arith import legendre
+
+        cases = roots = shared = ramified = 0
+        for D in range(-3, -800, -1):
+            if D % 4 not in (0, 1) or class_number(D) > 16:
+                continue
+            for p1, p2 in PAIRS:
+                if not check_integrality_conditions(D, p1, p2):
+                    continue
+                N = p1 * p2
+                for B in b_candidates(D, N):
+                    system = cp.build_nsystem(D, N, B)
+                    partner = cp._partners(system)
+                    assert all(partner[j] == i for i, j in enumerate(partner)), (D, N, B)
+                    values = cp._roots(system.forms, p1, p2, 128)
+                    for ((a, b, e), err), j in zip(values, partner):
+                        (c, d, f), err_j = values[j]
+                        # |conj r_i - r_j| <= 2^err_i + 2^err_j, lg bounds from above
+                        assert lg(add((a, -b, e), (-c, -d, f))) <= log2add(err, err_j), \
+                            (D, N, B)
+                    cases += 1
+                    roots += len(values)
+                    shared += sum(gcd(c // N, N) > 1 for _, _, c in system.forms)
+                    ramified += legendre(D, p1) == 0 or legendre(D, p2) == 0
+        assert (cases, roots) == (1562, 13300)
+        assert shared == 3891 and ramified == 506
+
+    def test_one_evaluation_per_pair(self, monkeypatch):
+        # H(-56, 3, 13, 10) has h = 4 and 2 real roots: each attempt evaluates
+        # w^s at (h + 2) / 2 = 3 forms, and its one attempt is the height pass.
+        # D = -9899 (h = 30, no real root) forced to start at 64 bits takes
+        # more than one attempt, of 15 evaluations each.
+        import etacm.classpoly as cp
+
+        assert cp._partners(cp.build_nsystem(-56, 39, 10)) == [0, 2, 1, 3]
+        calls = []
+        real = cp.w_pow_s_with_err
+        monkeypatch.setattr(cp, "w_pow_s_with_err", lambda *a: calls.append(a[3]) or real(*a))
+        compute_class_polynomial(-56, 3, 13, 10)
+        assert calls == [64] * 3
+        calls.clear()
+        monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
+        compute_class_polynomial(-9899, 3, 5, b_candidates(-9899, 15)[0])
+        precs = sorted(set(calls))
+        assert len(precs) > 1 and all(calls.count(p) == 15 for p in precs)
 
 
 class TestPrecisionPolicy:

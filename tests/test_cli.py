@@ -234,7 +234,7 @@ class TestUsageAndPlumbing:
         (32, ["reproduce-example"]),
     ])
     def test_precision_max_below_start_exits_3(self, capsys, cap, argv):
-        # the starts are 64 bits for H of D = -56 and 136 for Phi_{5,13}, whose
+        # the starts are 64 bits for H of D = -56 and 135 for Phi_{5,13}, whose
         # 64-bit attempt is rejected
         code, out, err = run_cli(["--precision-max", str(cap)] + argv, capsys)
         assert code == 3

@@ -1,4 +1,5 @@
 import random
+import time
 
 import mpmath
 import pytest
@@ -110,6 +111,14 @@ class TestCosetRepresentatives:
             psi(-39)
         with pytest.raises(PreconditionError):
             coset_representatives(30)
+
+    def test_rejects_j_degree_above_the_cap(self):
+        # Phi_{3,11} has J-degree 10 > MAX_DEGJ; refused before any sample
+        import etacm.modpoly as mp
+
+        assert mp._degrees(3, 11)[2] > mp.MAX_DEGJ
+        with pytest.raises(PreconditionError):
+            compute_modular_polynomial(3, 11)
 
 
 class TestComputeModularPolynomial:
@@ -299,20 +308,22 @@ class TestComputeModularPolynomial:
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
         # the accepted bound is the one the trees certify: inflating the leaf
-        # bounds of the sample points (`_sample_tree`), or else those of the
-        # Lagrange basis (`product_tree`), by 2^1000 must push Phi past max_prec
+        # bounds of the sample points (the trees with paired leaves), or else
+        # those of the Lagrange basis (the trees without), by 2^1000 must push
+        # Phi past max_prec
         import etacm.modpoly as mp
 
-        real_sample, real_tree = mp._sample_tree, mp.product_tree
-        with monkeypatch.context() as patch:
-            patch.setattr(mp, "_sample_tree", lambda roots, paired, wp: real_sample(
-                [(r, e + 1000) for r, e in roots], paired, wp))
-            with pytest.raises(PrecisionExhausted):
-                compute_modular_polynomial(3, 5, max_prec=1024)
-        monkeypatch.setattr(mp, "product_tree",
-                            lambda roots, wp: real_tree([(r, e + 1000) for r, e in roots], wp))
-        with pytest.raises(PrecisionExhausted):
-            compute_modular_polynomial(3, 5, max_prec=1024)
+        real_tree = mp.product_tree
+        for samples in (True, False):
+            def inflated(roots, paired, wp, samples=samples):
+                if any(paired) == samples:
+                    roots = [(r, e + 1000) for r, e in roots]
+                return real_tree(roots, paired, wp)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mp, "product_tree", inflated)
+                with pytest.raises(PrecisionExhausted):
+                    compute_modular_polynomial(3, 5, max_prec=1024)
 
     def test_one_evaluation_per_mirror_pair(self, monkeypatch):
         # Phi_{3,5} takes one attempt of degJ + 1 = 3 sample points, and each
@@ -455,6 +466,18 @@ class TestSerialization:
     def test_header_inconsistent_with_the_primes(self, head):
         with pytest.raises(MalformedHeader):
             deserialize(head + b"56 0 1\n")
+
+    @pytest.mark.parametrize("head", [
+        # consistent with its primes, but a dense table of about 8.7e10 slots
+        b"MODPOLY v1 p1=1009 p2=1013 s=1 degX=1024140 degJ=85008\n",
+        # primes too large to factor N = p1 p2 by trial division
+        b"MODPOLY v1 p1=1000000007 p2=1000000009 s=1 degX=1 degJ=1\n",
+    ])
+    def test_large_header_is_rejected_at_once(self, head):
+        start = time.monotonic()
+        with pytest.raises(MalformedHeader):
+            deserialize(head)
+        assert time.monotonic() - start < 1.0
 
     def test_repeated_coefficient(self):
         with pytest.raises(CoefficientParseFailure):

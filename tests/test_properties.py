@@ -205,8 +205,9 @@ class TestSerializeRoundTrip:
 
 @st.composite
 def root_sets(draw):
-    """(roots, wp): 1-40 dyadic complex roots of modulus 2^-9..2^41 with a
-    leaf error bound each (they are exact), and wp in 64..512."""
+    """(roots, paired, wp): 1-40 dyadic complex roots of modulus 2^-9..2^41
+    with a leaf error bound each (they are exact), each either paired with
+    its conjugate or standing for its real part, and wp in 64..512."""
     roots = []
     for _ in range(draw(st.integers(1, 40))):
         bits = draw(st.integers(1, 80))
@@ -214,35 +215,36 @@ def root_sets(draw):
         im = draw(st.integers(-(1 << bits), 1 << bits))
         err = draw(st.one_of(st.just(float("-inf")), st.floats(-600, 0)))
         roots.append(((re, im, draw(st.integers(-8, 40)) - bits), err))
-    return roots, draw(st.integers(64, 512))
+    paired = draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
+    return roots, paired, draw(st.integers(64, 512))
 
 
 @PROPERTY
 @given(root_sets())
 def test_product_tree_within_its_bound(case):
-    # prod (X - r_i) expanded exactly: with every r_i = R_i 2^e0 for Gaussian
-    # integers R_i, it is sum_j c_j 2^(e0 (n - j)) X^j, where sum_j c_j Y^j
-    # is prod (Y - R_i)
-    roots, wp = case
-    f = product_tree(roots, wp)
-    assert _tree_err(roots, wp) == f.err  # what initial_precision relies on
+    # prod (X - r_i)(X - conj r_i) over the paired roots times prod (X - Re r_i)
+    # over the others, expanded exactly: with every r_i = R_i 2^e0 for
+    # Gaussian integers R_i, it is sum_j c_j 2^(e0 (n - j)) X^j, where
+    # sum_j c_j Y^j is the same product of Y^2 - 2 Re R_i Y + |R_i|^2 and
+    # Y - Re R_i
+    roots, paired, wp = case
+    f = product_tree(roots, paired, wp)
+    assert _tree_err(roots, paired, wp) == f.err  # what initial_precision relies on
+    assert not any(f.im)
     e0 = min(e for (_, _, e), _ in roots)
-    exact = [(1, 0)]
-    for (re, im, e), _ in roots:
+    exact = [1]
+    for ((re, im, e), _), pair in zip(roots, paired):
         rr, ri = re << (e - e0), im << (e - e0)
-        exact = [((exact[j - 1][0] if j else 0) - (rr * exact[j][0] - ri * exact[j][1]
-                                                     if j < len(exact) else 0),
-                  (exact[j - 1][1] if j else 0) - (rr * exact[j][1] + ri * exact[j][0]
-                                                     if j < len(exact) else 0))
-                 for j in range(len(exact) + 1)]
-    n = len(roots)
-    assert len(f.re) == len(f.im) == n + 1
-    for j, (cr, ci) in enumerate(exact):
+        factor = [rr * rr + ri * ri, -2 * rr, 1] if pair else [-rr, 1]
+        exact = [sum(exact[i] * factor[j - i] for i in range(len(exact)) if 0 <= j - i < len(factor))
+                 for j in range(len(exact) + len(factor) - 1)]
+    n = len(exact) - 1
+    assert len(f.re) == n + 1 == len(roots) + sum(paired) + 1
+    for j, c in enumerate(exact):
         low = min(f.exp, e0 * (n - j))
-        dr = (f.re[j] << (f.exp - low)) - (cr << (e0 * (n - j) - low))
-        di = (f.im[j] << (f.exp - low)) - (ci << (e0 * (n - j) - low))
-        if dr or di:
-            assert math.log2(dr * dr + di * di) / 2 + low <= f.err, j
+        d = (f.re[j] << (f.exp - low)) - (c << (e0 * (n - j) - low))
+        if d:
+            assert math.log2(abs(d)) + low <= f.err, j
 
 
 @st.composite
