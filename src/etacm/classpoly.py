@@ -14,11 +14,12 @@ q-coefficients; [c/N, b, aN] has the value of the N-system form of its
 SL2(Z)-class.  So w^s is evaluated at one form of each pair,
 (h + #fixed) / 2 values, and the fixed forms carry the real roots.
 
-H is expanded through a balanced real tree (`product_tree`) from the
-quadratics (X - r)(X - conj r) and the real linear factors, with one
-worst-case error bound carried per polynomial; the same tree expands Phi's
-samples and its Lagrange basis (`modpoly`).  The rounding to integers is
-accepted only when both the rounding residual and the certified error are
+H is expanded through a balanced tree (`product_tree`) of real polynomials
+(`RPoly`, one `intpoly.mul` per product) from the quadratics
+(X - r)(X - conj r), built in closed form, and the real linear factors, with
+one worst-case error bound carried per polynomial; the same tree expands
+Phi's samples and its Lagrange basis (`modpoly`).  The rounding to integers
+is accepted only when both the rounding residual and the certified error are
 small (`round_certified`); otherwise the precision is doubled up to max_prec
 by apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly
 shares both, and `initial_precision`: the first attempt starts from the
@@ -37,7 +38,7 @@ from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
-from .intpoly import pack, slot_bytes, unpack
+from .intpoly import mul as ipmul
 from .qforms import (
     Discriminant,
     Form,
@@ -80,7 +81,7 @@ class ClassPolynomial:
 def _mul_err(norm1: float, err1: float, norm2: float, err2: float, wp: float) -> float:
     """Error bound of a product of two polynomials with these norm and error
     bounds: the propagated error, and the rounding down to the exponent
-    floor(norm1 + norm2) - wp (`CPoly.mul`), below sqrt(2) units of it."""
+    floor(norm1 + norm2) - wp (`RPoly.mul`), below one unit, counted as sqrt(2)."""
     return log2add(norm1 + err2, norm2 + err1, err1 + err2, _round_exp(norm1 + norm2, wp) + 0.5)
 
 
@@ -89,49 +90,34 @@ def _round_exp(norm: float, wp: float) -> float:
     return math.floor(norm) - wp if norm > -math.inf else -math.inf
 
 
-class CPoly:
-    """Complex polynomial sum_k (re[k] + i im[k]) 2^exp X^k, lowest degree
-    first, with an L1-norm bound and a per-coefficient absolute-error bound,
-    both as log2 exponents."""
+@dataclass(slots=True)
+class RPoly:
+    """Real polynomial sum_k coeffs[k] 2^exp X^k, lowest degree first, with
+    an L1-norm bound and a per-coefficient absolute-error bound, both as log2
+    exponents."""
 
-    __slots__ = ("re", "im", "exp", "err", "norm")
-
-    def __init__(self, re: list[int], im: list[int], exp: int, err: float, norm: float):
-        self.re = re
-        self.im = im
-        self.exp = exp
-        self.err = err
-        self.norm = norm
+    coeffs: list[int]
+    exp: int
+    err: float
+    norm: float
 
     @classmethod
-    def constant(cls, c: Value, err: float) -> "CPoly":
-        return cls([c[0]], [c[1]], c[2], err, lg(c))
+    def constant(cls, c: int, exp: int, err: float) -> "RPoly":
+        return cls([c], exp, err, lg((c, 0, exp)))
 
-    def mul(self, other: "CPoly", wp: float) -> "CPoly":
-        """The product, exact, then rounded down to the exponent
-        floor(norm1 + norm2) - wp where that is finer than exact (never at
-        wp = math.inf, which keeps the product exact).  When both
-        factors are real (every imaginary part zero), the exact product is one
-        product of packed integers (`intpoly.pack`); otherwise it is
-        Karatsuba's three real products ac, bd and (a + b)(c + d), each one
-        packed product.  Both give the same integers, hence the same bound."""
-        n, m = len(self.re), len(other.re)
-        bits = (max(max(self.re), -min(self.re), max(self.im), -min(self.im)).bit_length()
-                + max(max(other.re), -min(other.re), max(other.im), -min(other.im)).bit_length())
-        w = slot_bytes(bits, min(n, m))
-        if any(self.im) or any(other.im):
-            a, b, c, d = (pack(x, w) for x in (self.re, self.im, other.re, other.im))
-            ac, bd = a * c, b * d
-            re = unpack(ac - bd, n + m - 1, w)
-            im = unpack((a + b) * (c + d) - ac - bd, n + m - 1, w)
-        else:
-            re, im = unpack(pack(self.re, w) * pack(other.re, w), n + m - 1, w), [0] * (n + m - 1)
+    def mul(self, other: "RPoly", wp: float) -> "RPoly":
+        """The product, exact (`intpoly.mul`), then rounded down to the
+        exponent floor(norm1 + norm2) - wp where that is finer than exact
+        (never at wp = math.inf, which keeps the product exact)."""
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        coeffs = ipmul(self.coeffs, other.coeffs)
+        coeffs += [0] * (n - len(coeffs))  # ipmul trims a zero top
         exp = self.exp + other.exp
         shift = _round_exp(self.norm + other.norm, wp) - exp
         if shift > 0:
-            re, im, exp = [x >> shift for x in re], [x >> shift for x in im], exp + shift
+            coeffs, exp = [x >> shift for x in coeffs], exp + shift
         err = _mul_err(self.norm, self.err, other.norm, other.err, wp)
-        return CPoly(re, im, exp, err, self.norm + other.norm)
+        return RPoly(coeffs, exp, err, self.norm + other.norm)
 
 
 def _root_norm(r: Value) -> float:
@@ -139,20 +125,32 @@ def _root_norm(r: Value) -> float:
     return log2add(0.0, lg(r))
 
 
-def _leaf(r: Value, err: float) -> CPoly:
-    """X - r, within 2^err."""
+def _leaf_bound(r: Value, err: float, pair: bool) -> tuple[float, float]:
+    """(norm, error) bounds of `_leaf`: those of the exact product
+    (X - r)(X - conj r) of two linear factors within 2^err, or those of
+    X - Re r."""
+    if not pair:
+        return _root_norm((r[0], 0, r[2])), err
+    n = _root_norm(r)
+    return 2 * n, _mul_err(n, err, n, err, math.inf)
+
+
+def _leaf(r: Value, err: float, pair: bool) -> RPoly:
+    """(X - r)(X - conj r) for a paired root r = (a + i b) 2^e, in closed form
+    (a^2 + b^2) 2^(2e) - 2a 2^e X + X^2, and X - Re r for another."""
+    norm, err = _leaf_bound(r, err, pair)
     a, b, e = r
     if e > 0:
         a, b, e = a << e, b << e, 0
-    return CPoly([-a, 1 << -e], [-b, 0], e, err, _root_norm(r))
+    if pair:
+        return RPoly([a * a + b * b, -a << (1 - e), 1 << -2 * e], 2 * e, err, norm)
+    return RPoly([-a, 1 << -e], e, err, norm)
 
 
 def _fold(roots: list[tuple[Value, float]], paired: list[bool], leaf, mul, wp: int):
-    """The leaves of the tree, leaf(r, err) times leaf(conj r, err) exactly
-    for a paired root and leaf(Re r, err) for another, folded pairwise, level
-    by level, with mul(f, g, wp)."""
-    items = [mul(leaf((a, b, e), err), leaf((a, -b, e), err), math.inf) if pair
-             else leaf((a, 0, e), err) for ((a, b, e), err), pair in zip(roots, paired)]
+    """The leaves leaf(r, err, pair) of the tree, folded pairwise, level by
+    level, with mul(f, g, wp)."""
+    items = [leaf(r, err, pair) for (r, err), pair in zip(roots, paired)]
     while len(items) > 1:
         nxt = [mul(items[i], items[i + 1], wp) for i in range(0, len(items) - 1, 2)]
         if len(items) % 2:
@@ -161,19 +159,17 @@ def _fold(roots: list[tuple[Value, float]], paired: list[bool], leaf, mul, wp: i
     return items[0]
 
 
-def product_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> CPoly:
+def product_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> RPoly:
     """The real polynomial prod (X - r)(X - conj r) over the paired roots
     times prod (X - Re r) over the others, for (value, log2 error) pairs,
     with a certified bound.
 
-    A pair leaf is the exact `CPoly.mul` product of the two linear leaves (at
-    infinite precision it rounds nothing): its imaginary parts cancel exactly
-    in integers, and its bound is the product's, without a rounding term.
-    Each other root approximates a real value, and the real part of an
-    approximation is within the same bound of a real value, so its imaginary
-    part is dropped.  All products of the tree are then real.
+    A pair leaf is the exact product of the two linear factors, so its bound
+    has no rounding term.  Each other root approximates a real value, and the
+    real part of an approximation is within the same bound of a real value,
+    so its imaginary part is dropped.
     """
-    return _fold(roots, paired, _leaf, CPoly.mul, wp)
+    return _fold(roots, paired, _leaf, RPoly.mul, wp)
 
 
 def _tree_err(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> float:
@@ -182,7 +178,7 @@ def _tree_err(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> 
     def mul(f, g, w):
         return f[0] + g[0], _mul_err(*f, *g, w)
 
-    return _fold(roots, paired, lambda r, err: (_root_norm(r), err), mul, wp)[1]
+    return _fold(roots, paired, _leaf_bound, mul, wp)[1]
 
 
 def _one_per_pair(partner: list[int]) -> tuple[list[int], list[bool]]:
@@ -192,13 +188,13 @@ def _one_per_pair(partner: list[int]) -> tuple[list[int], list[bool]]:
     return kept, [partner[i] != i for i in kept]
 
 
-def round_to_integers(f: CPoly) -> tuple[list[int], float]:
+def round_to_integers(f: RPoly) -> tuple[list[int], float]:
     """Nearest integers to the coefficients and the worst rounding residual."""
-    re, im, s = f.re, f.im, -f.exp
+    cs, s = f.coeffs, -f.exp
     if s <= 0:
-        re, im, s = [c << -s for c in re], [c << -s for c in im], 0
-    ints = [(c + (1 << s >> 1)) >> s for c in re]
-    worst = max(max(abs(c - (n << s)) for c, n in zip(re, ints)), max(im), -min(im))
+        cs, s = [c << -s for c in cs], 0
+    ints = [(c + (1 << s >> 1)) >> s for c in cs]
+    worst = max(abs(c - (n << s)) for c, n in zip(cs, ints))
     return ints, (worst / (1 << s) if worst.bit_length() - s < 1000 else math.inf)
 
 
@@ -262,7 +258,7 @@ def initial_precision(tree_err: float, h: int) -> int:
     return MIN_PREC + math.ceil(tree_err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
 
 
-def round_certified(f: CPoly) -> list[int] | None:
+def round_certified(f: RPoly) -> list[int] | None:
     """The gate of H and Phi: the nearest integers to f's coefficients if the
     rounding residual and the certified bound 2^f.err are below RESIDUAL_LIMIT."""
     ints, residual = round_to_integers(f)

@@ -19,8 +19,8 @@ the coset of top row (a, -b) has the conjugate of the value at (a, b)
 (`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
 (psi(N) + 4)/2 values per sample point, each pair gives the real quadratic
 (X - r)(X - conj r), and Phi's samples are expanded by H's real tree
-(`classpoly.product_tree`) and interpolated as real polynomials (Enge,
-Math. Comp. 78, 2009).
+(`classpoly.product_tree`) and interpolated on real nodes, all as H's real
+polynomials (`classpoly.RPoly`; Enge, Math. Comp. 78, 2009).
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -37,7 +37,7 @@ from .apcomplex import MAX_PRECISION, MIN_PREC, ROUND_ULPS, add, div, double_unt
 from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
 from .classpoly import (
     TREE_BITS,
-    CPoly,
+    RPoly,
     _one_per_pair,
     _roots,
     initial_precision,
@@ -145,19 +145,19 @@ def _sample_form(m: int) -> QuadraticForm:
     return QuadraticForm(*_primitive(4900, 0, (77 + 10 * m) ** 2))
 
 
-def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
-              wp: int) -> list[CPoly]:
+def _lagrange(nodes: list[Value], node_err: float, samples: list[RPoly],
+              wp: int) -> list[RPoly]:
     """For every k, the polynomial P_k of degree < len(nodes) through the
     points (nodes[m], coefficient k of samples[m]), with a certified error
-    bound.
+    bound, for real nodes.
 
     P_k = sum_m y_{m,k} N_m / d_m, with N_m(J) = prod_{j != m} (J - x_j) and
     d_m = prod_{j != m} (x_m - x_j).  Nodes are within 2^node_err, y_{m,k}
     within 2^samples[m].err.  N_m is a `product_tree` with node_err at the
-    leaves, d_m the same `CPoly.mul` fold over the exact differences
+    leaves, d_m the same `RPoly.mul` fold over the exact differences
     x_m - x_j, each within 2^(node_err + 1).  If |d - d'| <= e <= |d'|/2,
     then |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2, plus the division's
-    rounding, 3 ulps of 1/d' at wp bits.  `CPoly.mul` bounds (1/d_m) N_m and
+    rounding, 3 ulps of 1/d' at wp bits.  `RPoly.mul` bounds (1/d_m) N_m and
     its product with y_{m,k}; the sum over m is exact.  Raises
     InterpolationSingular when two nodes are within 2^-(wp/2), or some d_m
     is not certified nonzero.
@@ -165,29 +165,29 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[CPoly],
     basis = []
     for m, x in enumerate(nodes):
         others = nodes[:m] + nodes[m + 1:]
-        diffs = [add(x, (-a, -b, e)) for a, b, e in others]
-        d = reduce(lambda f, g: f.mul(g, wp), [CPoly.constant(c, node_err + 1) for c in diffs])
-        dm = (d.re[0], d.im[0], d.exp)
+        diffs = [add(x, (-a, 0, e)) for a, _, e in others]
+        d = reduce(lambda f, g: f.mul(g, wp),
+                   [RPoly.constant(c, e, node_err + 1) for c, _, e in diffs])
+        dm = (d.coeffs[0], 0, d.exp)
         low = lg(dm) - 2.0 ** -29
         if min(lg(c) for c in diffs) < -(wp // 2) or d.err > low - 1:
             raise InterpolationSingular("sample J-values too close")
-        inv = div((1, 0, 0), dm, wp)
-        inv_err = log2add(d.err + 1 - 2 * low, lg(inv) + math.log2(ROUND_ULPS) - wp)
+        inv, _, e = div((1, 0, 0), dm, wp)
+        inv_err = log2add(d.err + 1 - 2 * low, lg((inv, 0, e)) + math.log2(ROUND_ULPS) - wp)
         numer = product_tree([(xj, node_err) for xj in others], [False] * len(others), wp)
-        basis.append(CPoly.constant(inv, inv_err).mul(numer, wp))
+        basis.append(RPoly.constant(inv, e, inv_err).mul(numer, wp))
     out = []
-    for k in range(len(samples[0].re)):
-        terms = [CPoly.constant((y.re[k], y.im[k], y.exp), y.err).mul(lm, wp)
+    for k in range(len(samples[0].coeffs)):
+        terms = [RPoly.constant(y.coeffs[k], y.exp, y.err).mul(lm, wp)
                  for y, lm in zip(samples, basis)]
         exp = min(t.exp for t in terms)
-        re = [sum(cs) for cs in zip(*([c << (t.exp - exp) for c in t.re] for t in terms))]
-        im = [sum(cs) for cs in zip(*([c << (t.exp - exp) for c in t.im] for t in terms))]
-        out.append(CPoly(re, im, exp, log2add(*(t.err for t in terms)),
+        cs = [sum(c) for c in zip(*([c << (t.exp - exp) for c in t.coeffs] for t in terms))]
+        out.append(RPoly(cs, exp, log2add(*(t.err for t in terms)),
                          log2add(*(t.norm for t in terms))))
     return out
 
 
-def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) -> list[CPoly]:
+def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) -> list[RPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
     bound, from degJ + 1 sample points at precision prec.
 
@@ -209,7 +209,7 @@ def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) 
     return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 
 
-def _rows(polys: list[CPoly]) -> list[list[int]] | None:
+def _rows(polys: list[RPoly]) -> list[list[int]] | None:
     rows = [round_certified(f) for f in polys]
     return None if None in rows else rows
 

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import check_distinct_odd_primes, fundamental_parts, legendre
+from .arith import check_distinct_odd_primes, crt_pair, fundamental_parts
 from .errors import (
     DiscriminantMismatch,
     InvalidB,
     NoSolution,
     PreconditionError,
 )
+from .ffield import _sqrt_mod
 
 Form = tuple[int, int, int]
 Matrix = tuple[int, int, int, int]
@@ -177,35 +178,31 @@ def _split_n(N: int) -> tuple[int, int]:
     return p, N // p
 
 
-def _is_b(d: int, N: int, B: int) -> bool:
-    return (B * B - d) % (4 * N) == 0
-
-
 def check_b(D, N: int, B: int) -> Discriminant:
     """D as a checked `Discriminant`, once N > 0 and B^2 = D mod 4N hold
     (InvalidB if not)."""
     disc = as_discriminant(D)
     if N <= 0:
         raise PreconditionError(f"N = {N} must be positive")
-    if not _is_b(disc.D, N, B):
+    if (B * B - disc.D) % (4 * N):
         raise InvalidB(f"B = {B} fails B^2 = D mod 4N for D = {disc.D}, N = {N}")
     return disc
 
 
 def b_candidates(D, N: int) -> list[int]:
-    """All residues B mod 2N with B^2 = D mod 4N.
+    """All residues B mod 2N with B^2 = D mod 4N, in increasing order.
 
-    Count is 4 when (D|p1) = (D|p2) = 1 and 2 when exactly one symbol is 0
-    (the remaining square-free patterns are enumerated, not classified).
+    B^2 = D mod 4 is B = D mod 2, so the B are the CRT combinations of
+    B = D mod 2 with the square roots of D mod p1 and mod p2.  Count is 4
+    when (D|p1) = (D|p2) = 1 and 2 when exactly one symbol is 0.
     """
     d = as_discriminant(D).D
     p1, p2 = _split_n(N)
-    if legendre(d, p1) == -1 or legendre(d, p2) == -1:
-        raise NoSolution(f"{d} is a non-residue modulo {p1 if legendre(d, p1) == -1 else p2}")
-    found = [B for B in range(2 * N) if _is_b(d, N, B)]
-    if not found:
-        raise NoSolution(f"B^2 = {d} mod {4 * N} has no solution")
-    return found
+    r1, r2 = _sqrt_mod(d % p1, p1), _sqrt_mod(d % p2, p2)
+    if r1 is None or r2 is None:
+        raise NoSolution(f"{d} is a non-residue modulo {p1 if r1 is None else p2}")
+    return sorted({crt_pair(crt_pair(s1, p1, s2, p2), N, d % 2, 2)
+                   for s1 in (r1, -r1 % p1) for s2 in (r2, -r2 % p2)})
 
 
 @dataclass(frozen=True)

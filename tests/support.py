@@ -69,8 +69,8 @@ def to_mpc(v) -> mpmath.mpc:
 
 
 def coefficients(f) -> list[mpmath.mpc]:
-    """The coefficients of a `classpoly.CPoly`, exactly."""
-    return [to_mpc((a, b, f.exp)) for a, b in zip(f.re, f.im)]
+    """The coefficients of a `classpoly.RPoly`, exactly."""
+    return [to_mpc((c, 0, f.exp)) for c in f.coeffs]
 
 
 def from_mp(z, prec: int) -> ApComplex:

@@ -62,6 +62,16 @@ class TestMultiplicity:
         assert lines[0] == "B=10 MULTIPLE u=10 v=1"
         assert "B=16 SIMPLE" in lines
 
+    def test_large_primes_answer_at_once(self, capsys):
+        # the four B mod 2N come from square roots mod p1 and mod p2, not
+        # from a search of all 2N residues
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["multiplicity", "--disc", "-8", "--p1", "1000003", "--p2", "1000033"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert len(out.strip().split("\n")) == 4
+
 
 class TestNsystem:
     def test_form_lines(self, capsys):

@@ -1,6 +1,6 @@
-"""Property tests: form and point reduction, roots over F_l, the certified
-product tree and Lagrange interpolation, the Phi file format and the
-elliptic-curve group law."""
+"""Property tests: form and point reduction, the residues B of an N-system,
+roots over F_l, the certified product tree and Lagrange interpolation, the
+Phi file format and the elliptic-curve group law."""
 import math
 import random
 from fractions import Fraction
@@ -18,12 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 from mpmath.libmp import from_rational, fzero  # noqa: E402
 
 from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, from_mpc  # noqa: E402
-from etacm.classpoly import CPoly, _tree_err, product_tree, round_certified  # noqa: E402
+from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
 from etacm.etafunc import reduce_to_fundamental_domain  # noqa: E402
 from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
-from etacm.qforms import QuadraticForm, reduce_form  # noqa: E402
+from etacm.qforms import QuadraticForm, b_candidates, reduce_form  # noqa: E402
 from oracles import (  # noqa: E402
     affine_mul,
     curve_points,
@@ -90,6 +90,25 @@ class TestReduceForm:
         assert m[0] * m[3] - m[1] * m[2] == 1
         assert f.compose(m) == g
         assert reduce_form(g) == (g, (1, 0, 0, 1))
+
+
+@st.composite
+def b_problems(draw):
+    """(D, N): N = p1 p2 for distinct odd primes below 50, and D = B0^2 - 4Nk
+    < 0 for some B0, so that B^2 = D mod 4N has solutions; p1 or p2 divides D
+    when it divides B0."""
+    p1, p2 = draw(st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+                           min_size=2, max_size=2, unique=True))
+    N = p1 * p2
+    b0 = draw(st.integers(0, 2 * N - 1))
+    return b0 * b0 - 4 * N * (b0 * b0 // (4 * N) + draw(st.integers(1, 1000))), N
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(b_problems())
+def test_b_candidates_match_the_exhaustive_search(case):
+    D, N = case
+    assert b_candidates(D, N) == [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
 
 
 @st.composite
@@ -219,6 +238,12 @@ def root_sets(draw):
     return roots, paired, draw(st.integers(64, 512))
 
 
+def _integer_product(p: list[int], q: list[int]) -> list[int]:
+    """p q by the schoolbook sum, all len(p) + len(q) - 1 coefficients."""
+    return [sum(p[i] * q[j - i] for i in range(len(p)) if 0 <= j - i < len(q))
+            for j in range(len(p) + len(q) - 1)]
+
+
 @PROPERTY
 @given(root_sets())
 def test_product_tree_within_its_bound(case):
@@ -230,51 +255,51 @@ def test_product_tree_within_its_bound(case):
     roots, paired, wp = case
     f = product_tree(roots, paired, wp)
     assert _tree_err(roots, paired, wp) == f.err  # what initial_precision relies on
-    assert not any(f.im)
     e0 = min(e for (_, _, e), _ in roots)
     exact = [1]
     for ((re, im, e), _), pair in zip(roots, paired):
         rr, ri = re << (e - e0), im << (e - e0)
-        factor = [rr * rr + ri * ri, -2 * rr, 1] if pair else [-rr, 1]
-        exact = [sum(exact[i] * factor[j - i] for i in range(len(exact)) if 0 <= j - i < len(factor))
-                 for j in range(len(exact) + len(factor) - 1)]
+        exact = _integer_product(exact, [rr * rr + ri * ri, -2 * rr, 1] if pair else [-rr, 1])
     n = len(exact) - 1
-    assert len(f.re) == n + 1 == len(roots) + sum(paired) + 1
+    assert len(f.coeffs) == n + 1 == len(roots) + sum(paired) + 1
     for j, c in enumerate(exact):
         low = min(f.exp, e0 * (n - j))
-        d = (f.re[j] << (f.exp - low)) - (c << (e0 * (n - j) - low))
+        d = (f.coeffs[j] << (f.exp - low)) - (c << (e0 * (n - j) - low))
         if d:
             assert math.log2(abs(d)) + low <= f.err, j
 
 
 @st.composite
 def real_polynomial_pairs(draw):
-    """Two real `CPoly` operands of 1-20 coefficients of up to 300 bits, and
-    wp in 32..256, so that the product is often rounded."""
+    """Two `RPoly` operands of 1-20 coefficients of up to 300 bits, one in
+    ten the constant 0, and wp in 32..256, so that the product is often
+    rounded."""
     def operand():
         n = draw(st.integers(1, 20))
         bound = 1 << draw(st.integers(1, 300))
-        re = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        coeffs = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        if draw(st.integers(0, 9)) == 0:
+            coeffs = [0]
         exp = draw(st.integers(-400, 40))
-        total = sum(map(abs, re))
+        total = sum(map(abs, coeffs))
         norm = math.log2(total) + exp if total else -math.inf
-        return CPoly(re, [0] * n, exp, draw(st.floats(-600, 0)), norm)
+        return RPoly(coeffs, exp, draw(st.floats(-600, 0)), norm)
 
     return operand(), operand(), draw(st.integers(32, 256))
 
 
 @PROPERTY
 @given(real_polynomial_pairs())
-def test_real_product_matches_the_three_product_path(case):
-    # i f is not real, so (i f) g takes Karatsuba's three products, and its
-    # imaginary part is f g rounded with the same shift: the one product of
-    # the real path must give the same integers, exponent, bound and norm
+def test_real_product_is_the_integer_product_shifted(case):
+    # every coefficient of the exact integer product, shifted down by one
+    # amount to the exponent floor(norm f + norm g) - wp where that is finer;
+    # all len f + len g - 1 of them, also for a zero factor
     f, g, wp = case
-    assume(any(f.re))
     h = f.mul(g, wp)
-    k = CPoly([0] * len(f.re), f.re, f.exp, f.err, f.norm).mul(g, wp)
-    assert (h.re, h.im, h.exp, h.err, h.norm) == (k.im, k.re, k.exp, k.err, k.norm)
-    assert not any(h.im)
+    exp, norm = f.exp + g.exp, f.norm + g.norm
+    shift = max(math.floor(norm) - wp - exp, 0) if norm > -math.inf else 0
+    assert h.coeffs == [c >> shift for c in _integer_product(f.coeffs, g.coeffs)]
+    assert (h.exp, h.norm) == (exp + shift, norm)
 
 
 @st.composite
@@ -296,7 +321,8 @@ class TestLagrange:
         for x in nodes:
             y = sum(c * x**i for i, c in enumerate(coeffs))
             v = ApComplex(from_rational(y.numerator, y.denominator, wp, RND), fzero, wp)
-            samples.append(CPoly.constant(from_mpc(v.re, v.im), mag(v) - wp + 1))
+            c, _, e = from_mpc(v.re, v.im)
+            samples.append(RPoly.constant(c, e, mag(v) - wp + 1))
         xs = [(x.numerator * (8 // x.denominator), 0, -3) for x in nodes]
         (f,) = _lagrange(xs, -float(wp), samples, wp)
         want = coeffs + [0] * (len(nodes) - len(coeffs))
