@@ -11,9 +11,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 
-from .classpoly import check_integrality_conditions
-from .errors import ConditionsViolated
-from .qforms import as_discriminant, check_b
+from .classpoly import check_conditions
+from .qforms import check_b
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +64,5 @@ def wn_squared_fixes_class(D, N: int, B: int) -> Wn2Solution | None:
 def is_multiple_root_case(D, p1: int, p2: int, B: int) -> tuple[bool, Con1Solution | None]:
     """Whether the modular equation has a multiple J-root for every form of
     the B-indexed N-system (the answer depends only on B), with witness."""
-    disc = as_discriminant(D)
-    if not check_integrality_conditions(disc, p1, p2):
-        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
-    witness = multiple_root_condition(disc, p1 * p2, B)
+    witness = multiple_root_condition(check_conditions(D, p1, p2), p1 * p2, B)
     return witness is not None, witness

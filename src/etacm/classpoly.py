@@ -216,6 +216,15 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
     return True
 
 
+def check_conditions(D, p1: int, p2: int) -> Discriminant:
+    """D as a checked `Discriminant`, once the integrality conditions hold
+    for (D, p1, p2) (ConditionsViolated if not)."""
+    disc = as_discriminant(D)
+    if not check_integrality_conditions(disc, p1, p2):
+        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
+    return disc
+
+
 def _roots(forms: list[Form], p1: int, p2: int,
            prec: int) -> list[tuple[Value, float]]:
     """w^s at the basis quotient of every form, with one eta series per
@@ -272,9 +281,7 @@ def _expand(roots: list[tuple[Value, float]], paired: list[bool], prec: int) -> 
 def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
                              max_prec: int = MAX_PRECISION) -> ClassPolynomial:
     """H_{B,N} as an exact integer polynomial (adaptive precision)."""
-    disc = as_discriminant(D)
-    if not check_integrality_conditions(disc, p1, p2):
-        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
+    disc = check_conditions(D, p1, p2)
     N = p1 * p2
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
@@ -320,11 +327,9 @@ def involution_transform(H: ClassPolynomial) -> ClassPolynomial:
 
 def count_distinct_class_polynomials(D, p1: int, p2: int) -> int:
     """Number of distinct H_{B,N} over all admissible B (is 1 or 2)."""
-    disc = as_discriminant(D)
-    if not check_integrality_conditions(disc, p1, p2):
-        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
+    disc = check_conditions(D, p1, p2)
     N = p1 * p2
-    cands = b_candidates(disc, N)
+    cands = b_candidates(disc, p1, p2)
     reps = sorted({min(b, (2 * N - b) % (2 * N)) for b in cands})
     polys = {compute_class_polynomial(disc, p1, p2, b).coeffs for b in reps}
     count = len(polys)

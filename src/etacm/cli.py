@@ -89,11 +89,10 @@ def _validated_n(args) -> int:
 
 def _cmd_classpoly(args, out) -> int:
     disc = qforms.Discriminant(args.disc)
-    N = _validated_n(args)
-    if args.all_b:
-        bs = qforms.b_candidates(disc, N)
-    else:
-        bs = [args.b if args.b is not None else qforms.b_candidates(disc, N)[0]]
+    check_distinct_odd_primes(args.p1, args.p2)
+    bs = [args.b] if args.b is not None else qforms.b_candidates(disc, args.p1, args.p2)
+    if not args.all_b:
+        bs = bs[:1]
     for b in bs:
         poly = classpoly.compute_class_polynomial(
             disc, args.p1, args.p2, b, max_prec=args.precision_max)
@@ -120,7 +119,7 @@ def _cmd_modpoly(args, out) -> int:
 def _cmd_nsystem(args, out) -> int:
     disc = qforms.Discriminant(args.disc)
     N = _validated_n(args)
-    b = args.b if args.b is not None else qforms.b_candidates(disc, N)[0]
+    b = args.b if args.b is not None else qforms.b_candidates(disc, args.p1, args.p2)[0]
     system = qforms.build_nsystem(disc, N, b)
     for f in system.forms:
         print(f"{f.a} {f.b} {f.c}", file=out)
@@ -130,7 +129,7 @@ def _cmd_nsystem(args, out) -> int:
 def _cmd_multiplicity(args, out) -> int:
     disc = qforms.Discriminant(args.disc)
     N = _validated_n(args)
-    bs = [args.b] if args.b is not None else qforms.b_candidates(disc, N)
+    bs = [args.b] if args.b is not None else qforms.b_candidates(disc, args.p1, args.p2)
     for b in bs:
         witness = atkin.multiple_root_condition(disc, N, b)
         if witness is None:

@@ -22,6 +22,11 @@ the coset of top row (a, -b) has the conjugate of the value at (a, b)
 (`classpoly.product_tree`) and interpolated on real nodes, all as H's real
 polynomials (`classpoly.RPoly`; Enge, Math. Comp. 78, 2009).
 
+The level is the ordered pair (p1, p2) as the caller gives it, and
+N = p1 p2 is never factored: `coset_representatives(p1, p2)` lists the
+cosets in the order that `_mirror(p1, p2)` indexes, so either order of the
+pair gives the same Phi.
+
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
 """
@@ -55,7 +60,7 @@ from .etafunc import Value, j_invariant_with_err, s_exponent
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, QuadraticForm, _compose, _primitive, _split_n, _xgcd
+from .qforms import Matrix, QuadraticForm, _compose, _primitive, _xgcd
 
 MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
 
@@ -83,12 +88,6 @@ class ModularPolynomial:
         return acc
 
 
-def psi(N: int) -> int:
-    """Index of Gamma^0(N) in SL_2(Z) for N = p1 * p2: (p1 + 1)(p2 + 1)."""
-    p1, p2 = _split_n(N)
-    return (p1 + 1) * (p2 + 1)
-
-
 def _degrees(p1: int, p2: int) -> tuple[int, int, int]:
     """(s, degX, degJ) of Phi_{p1,p2}, for distinct odd primes p1, p2."""
     s = s_exponent(p1, p2)
@@ -99,10 +98,12 @@ def _p1_line(p: int) -> list[tuple[int, int]]:
     return [(1, t) for t in range(p)] + [(0, 1)]
 
 
-def coset_representatives(N: int) -> list[Matrix]:
-    """psi(N) unimodular matrices, one per coset of Gamma^0(N), indexed by
-    the projective line over Z/N on the top row."""
-    p1, p2 = _split_n(N)
+def coset_representatives(p1: int, p2: int) -> list[Matrix]:
+    """(p1 + 1)(p2 + 1) unimodular matrices, one per coset of Gamma^0(N),
+    N = p1 p2, indexed by the top row in P^1(Z/p1) x P^1(Z/p2) in the order
+    of the pair as given: the order that `_mirror(p1, p2)` indexes."""
+    check_distinct_odd_primes(p1, p2)
+    N = p1 * p2
     reps = []
     for u1, v1 in _p1_line(p1):
         for u2, v2 in _p1_line(p2):
@@ -118,7 +119,6 @@ def coset_representatives(N: int) -> list[Matrix]:
             assert g == 1
             # top row (a, b); bottom row solves a*d - b*c = 1
             reps.append((a, b, -t, s))
-    assert len(reps) == psi(N)
     return reps
 
 
@@ -221,7 +221,7 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     s, degx, degj = _degrees(p1, p2)
     if degj > MAX_DEGJ:
         raise PreconditionError(f"J-degree {degj} above {MAX_DEGJ}")
-    cosets = coset_representatives(p1 * p2)
+    cosets = coset_representatives(p1, p2)
     first = _coefficients(p1, p2, degj, cosets, MIN_PREC)
     rows = _rows(first) if max_prec >= MIN_PREC else None
     if rows is None:

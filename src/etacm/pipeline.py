@@ -25,8 +25,8 @@ from math import ceil, isqrt, log2
 
 from .apcomplex import MAX_PRECISION
 from .arith import check_odd_prime, is_square
-from .classpoly import check_integrality_conditions, compute_class_polynomial
-from .errors import ConditionsViolated, NoRationalJRoot, NoTrace, PreconditionError
+from .classpoly import check_conditions, compute_class_polynomial
+from .errors import NoRationalJRoot, NoTrace, PreconditionError
 from .ffield import FpElement, FpPolynomial, _non_residue, _sqrt_mod, roots_mod_l
 from .modpoly import ModularPolynomial, compute_modular_polynomial, evaluate_in_j_mod_l, load_embedded
 from .qforms import as_discriminant, b_candidates
@@ -397,16 +397,16 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
     max_prec caps the precision of H and, unless it is the embedded
     Phi_{3,13}, of Phi.
     """
-    disc = as_discriminant(D)
-    if not check_integrality_conditions(disc, p1, p2):
-        raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
+    disc = check_conditions(D, p1, p2)
     trace = find_trace(disc, q)
     if trace is None:
         raise NoTrace(f"4q = t^2 - D v^2 has no solution for q = {q}")
+    # Phi first: its J-degree cap refuses a level before B is chosen or H computed
+    phi = _modular_polynomial(p1, p2, max_prec)
     rng = random.Random(seed)
     if B is None:
         N = p1 * p2
-        cands = b_candidates(disc, N)
+        cands = b_candidates(disc, p1, p2)
         B = next((b for b in cands if multiple_root_condition(disc, N, b)), cands[0])
 
     H = compute_class_polynomial(disc, p1, p2, B, max_prec=max_prec)
@@ -416,7 +416,6 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
         raise NoRationalJRoot(f"H has no root mod {q}")
     wbar = min(hroots)
 
-    phi = _modular_polynomial(p1, p2, max_prec)
     jpoly = evaluate_in_j_mod_l(phi, wbar, q)
     if jpoly.degree < 1:
         raise NoRationalJRoot(f"modular equation degenerates mod {q}")

@@ -9,7 +9,9 @@ coefficient of f.M is f(p, r).
 Inputs are checked once, where they enter: a form by `QuadraticForm`, a
 discriminant by `as_discriminant`, a residue B by `check_b`.  Below them a
 form is a plain (a, b, c) triple (`_reduce`, `_compose`, `_primitive`),
-valid by construction.
+valid by construction.  A level is the ordered pair (p1, p2) of distinct odd
+primes that the caller holds (`arith.check_distinct_odd_primes`); N = p1 p2
+is computed from it and never factored.
 """
 
 from __future__ import annotations
@@ -169,15 +171,6 @@ def as_discriminant(D) -> Discriminant:
     return D if isinstance(D, Discriminant) else Discriminant(int(D))
 
 
-def _split_n(N: int) -> tuple[int, int]:
-    """(p1, p2), p1 < p2, with N = p1 p2 a product of two distinct odd primes."""
-    p = next((p for p in range(3, isqrt(max(N, 0)) + 1, 2) if N % p == 0), None)
-    if p is None:
-        raise PreconditionError(f"N = {N} is not a product of two distinct odd primes")
-    check_distinct_odd_primes(p, N // p)
-    return p, N // p
-
-
 def check_b(D, N: int, B: int) -> Discriminant:
     """D as a checked `Discriminant`, once N > 0 and B^2 = D mod 4N hold
     (InvalidB if not)."""
@@ -189,19 +182,20 @@ def check_b(D, N: int, B: int) -> Discriminant:
     return disc
 
 
-def b_candidates(D, N: int) -> list[int]:
-    """All residues B mod 2N with B^2 = D mod 4N, in increasing order.
+def b_candidates(D, p1: int, p2: int) -> list[int]:
+    """All residues B mod 2N, N = p1 p2, with B^2 = D mod 4N, in increasing
+    order, for distinct odd primes p1 and p2.
 
     B^2 = D mod 4 is B = D mod 2, so the B are the CRT combinations of
     B = D mod 2 with the square roots of D mod p1 and mod p2.  Count is 4
     when (D|p1) = (D|p2) = 1 and 2 when exactly one symbol is 0.
     """
     d = as_discriminant(D).D
-    p1, p2 = _split_n(N)
+    check_distinct_odd_primes(p1, p2)
     r1, r2 = _sqrt_mod(d % p1, p1), _sqrt_mod(d % p2, p2)
     if r1 is None or r2 is None:
         raise NoSolution(f"{d} is a non-residue modulo {p1 if r1 is None else p2}")
-    return sorted({crt_pair(crt_pair(s1, p1, s2, p2), N, d % 2, 2)
+    return sorted({crt_pair(crt_pair(s1, p1, s2, p2), p1 * p2, d % 2, 2)
                    for s1 in (r1, -r1 % p1) for s2 in (r2, -r2 % p2)})
 
 

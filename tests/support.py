@@ -33,7 +33,7 @@ def valid_triples(rng: random.Random, count: int, dmin: int, dmax: int,
 
 
 def pick_b(rng: random.Random, D: int, p1: int, p2: int) -> int:
-    bs = b_candidates(D, p1 * p2)
+    bs = b_candidates(D, p1, p2)
     return bs[rng.randrange(len(bs))]
 
 

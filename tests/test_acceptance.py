@@ -259,7 +259,7 @@ def test_criterion_8_oracle_equivalence(phi_pool):
             q = split_prime(D, lmin=900, avoid=(p1, p2))
             assert q is not None, D
             phi = phi_pool(p1, p2)
-            H = compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0])
+            H = compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
             collected = set()
             for wbar in roots_mod_l(FpPolynomial.make(H.coeffs, q)):
                 jpoly = evaluate_in_j_mod_l(phi, wbar, q)

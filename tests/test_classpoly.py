@@ -101,7 +101,7 @@ class TestComputeClassPolynomial:
         # to the same integers
         import etacm.classpoly as cp
 
-        b = b_candidates(-9899, 15)[0]
+        b = b_candidates(-9899, 3, 5)[0]
         want = compute_class_polynomial(-9899, 3, 5, b).coeffs
         calls = []
         real = cp._expand
@@ -133,7 +133,7 @@ class TestComputeClassPolynomial:
         calls = []
         real = cp._roots
         monkeypatch.setattr(cp, "_roots", lambda *a: calls.append(a[3]) or real(*a))
-        want = compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0])
+        want = compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
         assert calls == [64]
         monkeypatch.setattr(cp, "_roots", real)
         forms, paired = one_per_pair(cp.build_nsystem(D, p1 * p2, want.B))
@@ -146,7 +146,7 @@ class TestComputeClassPolynomial:
         # raises; -1511's 64-bit pass would pass the gate, but its measured
         # start is 65
         with pytest.raises(PrecisionExhausted):
-            compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0], max_prec=cap)
+            compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0], max_prec=cap)
 
     @pytest.mark.parametrize("D, p1, p2", [(-3996, 5, 7), (-9899, 3, 5)])
     def test_start_is_measured_from_the_height(self, monkeypatch, D, p1, p2):
@@ -155,7 +155,7 @@ class TestComputeClassPolynomial:
         import etacm.classpoly as cp
         from etacm.qforms import build_nsystem
 
-        b = b_candidates(D, p1 * p2)[0]
+        b = b_candidates(D, p1, p2)[0]
         calls = []
         real = cp._expand
         monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
@@ -177,7 +177,7 @@ class TestComputeClassPolynomial:
         calls = []
         real = cp._expand
         monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
-        poly = compute_class_polynomial(-55067, 3, 7, b_candidates(-55067, 21)[0])
+        poly = compute_class_polynomial(-55067, 3, 7, b_candidates(-55067, 3, 7)[0])
         assert poly.degree == 90
         assert len(calls) == 1 and calls[0] <= 338
 
@@ -196,7 +196,7 @@ class TestComputeClassPolynomial:
 
         monkeypatch.setattr(cp, "EtaTable", Recording)
         h = class_number(D)
-        b = b_candidates(D, p1 * p2)[0]
+        b = b_candidates(D, p1, p2)[0]
         compute_class_polynomial(D, p1, p2, b)
         assert tables and all(0 < len(t) <= h for t in tables)
 
@@ -244,7 +244,7 @@ class TestConjugatePairs:
                 if not check_integrality_conditions(D, p1, p2):
                     continue
                 N = p1 * p2
-                for B in b_candidates(D, N):
+                for B in b_candidates(D, p1, p2):
                     system = cp.build_nsystem(D, N, B)
                     partner = cp._partners(system)
                     assert all(partner[j] == i for i, j in enumerate(partner)), (D, N, B)
@@ -276,7 +276,7 @@ class TestConjugatePairs:
         assert calls == [64] * 3
         calls.clear()
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
-        compute_class_polynomial(-9899, 3, 5, b_candidates(-9899, 15)[0])
+        compute_class_polynomial(-9899, 3, 5, b_candidates(-9899, 3, 5)[0])
         precs = sorted(set(calls))
         assert len(precs) > 1 and all(calls.count(p) == 15 for p in precs)
 
@@ -356,7 +356,7 @@ class TestInvolutionTransform:
             (D, p1, p2), = valid_triples(rng, 1, 3, 2500)
             if legendre(D, p1) != 1 or legendre(D, p2) != 1:
                 continue
-            bs = b_candidates(D, p1 * p2)
+            bs = b_candidates(D, p1, p2)
             b = bs[0]
             t = involution_transform(compute_class_polynomial(D, p1, p2, b))
             direct = compute_class_polynomial(D, p1, p2, t.B)

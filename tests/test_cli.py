@@ -72,6 +72,23 @@ class TestMultiplicity:
         assert code == EXIT_OK
         assert len(out.strip().split("\n")) == 4
 
+    @pytest.mark.parametrize("argv, code, lines", [
+        (["multiplicity", "--disc", "-8", "--p1", "1000000007", "--p2", "1000000009"],
+         EXIT_PRECONDITION, 0),
+        (["nsystem", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021"], EXIT_OK, 4),
+        (["classpoly", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021"], EXIT_OK, 1),
+        (["cm-curve", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021",
+          "--prime", "3593"], EXIT_PRECONDITION, 0),
+    ], ids=["multiplicity", "nsystem", "classpoly", "cm-curve"])
+    def test_large_level_pairs_answer_at_once(self, capsys, argv, code, lines):
+        # the level is the pair as given: nothing factors N ~ 10^18, and
+        # cm-curve refuses the J-degree of its Phi before any other work
+        start = time.perf_counter()
+        got, out, _ = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert got == code
+        assert len(out.split("\n")) - 1 == lines
+
 
 class TestNsystem:
     def test_form_lines(self, capsys):
@@ -124,6 +141,13 @@ class TestCmCurve:
         assert int(fields[3]) in (3588, 3600)
         assert fields[4] == "6"
         assert fields[5] == "shortcut=yes"
+
+    def test_swapped_pair_prints_the_worked_line(self, capsys):
+        code, out, _ = run_cli(
+            ["cm-curve", "--disc", "-56", "--p1", "13", "--p2", "3",
+             "--prime", "3593", "--b", "10"], capsys)
+        assert code == EXIT_OK
+        assert out == "3593 1337 2089 3600 6 shortcut=yes\n"
 
     def test_trace_at_hasse_bound(self, capsys):
         # t = 34903 = isqrt(4q) lies just outside q + 1 +- 2*isqrt(q)

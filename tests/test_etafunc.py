@@ -415,7 +415,7 @@ class TestEtaTable:
         N = p1 * p2
         wp = self.WP
         table = EtaTable()
-        system = build_nsystem(D, N, b_candidates(D, N)[0])
+        system = build_nsystem(D, N, b_candidates(D, p1, p2)[0])
         for f in system.forms:
             for den in (p1, p2, 1, N):
                 with mpmath.workprec(wp + 128):
@@ -430,7 +430,7 @@ class TestEtaTable:
         wp = self.WP
         table = EtaTable()
         f0 = QuadraticForm(256, -32, 401)  # its root is z0 = (1 + 20i) / 16
-        cosets = coset_representatives(15)
+        cosets = coset_representatives(3, 5)
         for g in cosets:
             f = f0.compose((g[3], -g[1], -g[2], g[0]))  # root g z0
             for den in (3, 5, 1, 15):
@@ -463,7 +463,7 @@ class TestEtaTable:
 
         monkeypatch.setattr(ef, "mpf_cos_sin_pi", counting)
         monkeypatch.setattr(cp, "EtaTable", Recording)
-        system = build_nsystem(D, p1 * p2, b_candidates(D, p1 * p2)[0])
+        system = build_nsystem(D, p1 * p2, b_candidates(D, p1, p2)[0])
         cp._roots(system.forms, p1, p2, 256)
         series = sum(len(t) for t in tables)
         assert len(calls) - series <= 24 * len(set(calls))  # one cos/sin per series

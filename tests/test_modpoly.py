@@ -23,7 +23,7 @@ from etacm.modpoly import (
     deserialize,
     discriminant_in_j,
     evaluate_in_j_mod_l,
-    psi,
+    load_embedded,
     serialize,
 )
 from support import coefficients, moebius, point, to_mpc
@@ -47,12 +47,14 @@ def eval_phi(phi: ModularPolynomial, w, J):
 
 
 PAIRS = [(3, 5), (3, 7), (3, 13), (5, 7), (5, 13)]
+SWAPPED = [(p2, p1) for p1, p2 in PAIRS]
 
 
-def mirror_by_top_rows(n: int) -> list[int]:
-    """For each coset of `coset_representatives(n)`, the index of the one
-    whose top row is (a, -b) in P^1(Z/n), found by search."""
-    reps = coset_representatives(n)
+def mirror_by_top_rows(p1: int, p2: int) -> list[int]:
+    """For each coset of `coset_representatives(p1, p2)`, the index of the
+    one whose top row is (a, -b) in P^1(Z/N), found by search."""
+    n = p1 * p2
+    reps = coset_representatives(p1, p2)
     out = []
     for a, b, _, _ in reps:
         hits = [j for j, (a2, b2, _, _) in enumerate(reps) if (a2 * b + a * b2) % n == 0]
@@ -63,21 +65,22 @@ def mirror_by_top_rows(n: int) -> list[int]:
 
 class TestCosetRepresentatives:
     def test_counts(self):
-        assert len(coset_representatives(39)) == 56
-        assert len(coset_representatives(15)) == 24
-        assert psi(39) == 56 and psi(15) == 24
+        assert len(coset_representatives(3, 13)) == 56
+        assert len(coset_representatives(13, 3)) == 56
+        assert len(coset_representatives(3, 5)) == 24
 
     def test_pairwise_distinct_cosets(self):
         n = 39
-        reps = coset_representatives(n)
-        for g in reps:
-            assert g[0] * g[3] - g[1] * g[2] == 1
-        for i in range(len(reps)):
-            a1, b1, _, _ = reps[i]
-            for j in range(i + 1, len(reps)):
-                a2, b2, _, _ = reps[j]
-                # same coset of Gamma^0(N) iff a2*b1 = a1*b2 mod N
-                assert (a2 * b1 - a1 * b2) % n, (reps[i], reps[j])
+        for p1, p2 in ((3, 13), (13, 3)):
+            reps = coset_representatives(p1, p2)
+            for g in reps:
+                assert g[0] * g[3] - g[1] * g[2] == 1
+            for i in range(len(reps)):
+                a1, b1, _, _ = reps[i]
+                for j in range(i + 1, len(reps)):
+                    a2, b2, _, _ = reps[j]
+                    # same coset of Gamma^0(N) iff a2*b1 = a1*b2 mod N
+                    assert (a2 * b1 - a1 * b2) % n, (reps[i], reps[j])
 
     @pytest.mark.parametrize("p1,p2", PAIRS)
     def test_mirror_cosets_have_conjugate_values(self, p1, p2):
@@ -89,12 +92,11 @@ class TestCosetRepresentatives:
         from etacm.classpoly import _roots
         from etacm.qforms import _compose
 
-        n = p1 * p2
-        mirror = mirror_by_top_rows(n)
+        mirror = mirror_by_top_rows(p1, p2)
         assert all(mirror[j] == i for i, j in enumerate(mirror))
         assert sum(i == j for i, j in enumerate(mirror)) == 4
         f = mp._sample_form(0)
-        forms = [_compose(f, (d, -b, -c, a)) for a, b, c, d in coset_representatives(n)]
+        forms = [_compose(f, (d, -b, -c, a)) for a, b, c, d in coset_representatives(p1, p2)]
         roots = [(to_mpc(r), err) for r, err in _roots(forms, p1, p2, 128)]
         with mpmath.workprec(512):
             for (r, err), j in zip(roots, mirror):
@@ -105,12 +107,10 @@ class TestCosetRepresentatives:
                 assert abs(r.imag) <= mpmath.mpf(2) ** err
 
     def test_rejects_bad_levels(self):
-        with pytest.raises(PreconditionError):
-            coset_representatives(9)
-        with pytest.raises(PreconditionError):
-            psi(-39)
-        with pytest.raises(PreconditionError):
-            coset_representatives(30)
+        # an equal pair, a composite and an even prime
+        for p1, p2 in ((3, 3), (3, 15), (2, 15), (5, 2)):
+            with pytest.raises(PreconditionError):
+                coset_representatives(p1, p2)
 
     def test_rejects_j_degree_above_the_cap(self):
         # Phi_{3,11} has J-degree 10 > MAX_DEGJ; refused before any sample
@@ -135,6 +135,16 @@ class TestComputeModularPolynomial:
 
     def test_matches_embedded_everywhere(self, phi313_computed, phi313_embedded):
         assert phi313_computed == phi313_embedded
+
+    @pytest.mark.parametrize("p1,p2", [(5, 3), (7, 3), (13, 3), (7, 5)])
+    def test_either_order_of_the_pair(self, phi_pool, p1, p2):
+        # w is symmetric in p1 and p2: the swapped pair has the same Phi, so
+        # its cosets must pair by conjugation in the caller's order too
+        phi = compute_modular_polynomial(p1, p2, max_prec=2048)
+        assert (phi.p1, phi.p2) == (p1, p2)
+        assert phi.coeffs == phi_pool(p2, p1).coeffs
+        if (p1, p2) == (13, 3):
+            assert phi.coeffs == load_embedded(3, 13).coeffs
 
     def test_defining_property(self, phi313_embedded):
         rng = random.Random(19)
@@ -177,7 +187,7 @@ class TestComputeModularPolynomial:
     def test_defining_property_other_pairs(self, phi_pool, p1, p2):
         rng = random.Random(p1 * 100 + p2)
         phi = phi_pool(p1, p2)
-        assert phi.degX == psi(p1 * p2)
+        assert phi.degX == (p1 + 1) * (p2 + 1)
         with mpmath.workdps(120):
             for _ in range(3):
                 z = point(rng.uniform(-0.45, 0.45),
@@ -303,7 +313,7 @@ class TestComputeModularPolynomial:
         real = mp._lagrange
         monkeypatch.setattr(mp, "_lagrange",
                             lambda nodes, err, *a: seen.append(err) or real(nodes, err, *a))
-        mp._coefficients(5, 13, 4, coset_representatives(65), prec)
+        mp._coefficients(5, 13, 4, coset_representatives(5, 13), prec)
         assert seen == [max(errs)]
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
@@ -332,8 +342,8 @@ class TestComputeModularPolynomial:
         import etacm.classpoly as cp
         import etacm.modpoly as mp
 
-        for p1, p2 in PAIRS:
-            assert mp._mirror(p1, p2) == mirror_by_top_rows(p1 * p2)
+        for p1, p2 in PAIRS + SWAPPED:
+            assert mp._mirror(p1, p2) == mirror_by_top_rows(p1, p2)
         calls = []
         real = cp.w_pow_s_with_err
         monkeypatch.setattr(cp, "w_pow_s_with_err", lambda *a: calls.append(a[3]) or real(*a))
@@ -357,7 +367,7 @@ class TestComputeModularPolynomial:
 
         monkeypatch.setattr(cp, "EtaTable", Recording)
         phi = compute_modular_polynomial(3, 13)
-        assert phi.degX == psi(39)
+        assert phi.degX == 56
         assert tables and all(0 < len(t) <= 42 for t in tables)
 
     def test_duplicate_samples_raise(self, monkeypatch):

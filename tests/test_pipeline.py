@@ -252,6 +252,17 @@ class TestConstructCmCurve:
         with pytest.raises(PreconditionError):
             construct_cm_curve(-8, 3, 13, 3593)
 
+    @pytest.mark.parametrize("D, p1, p2, q", [(-3, 7, 13, 1009),
+                                              (-56, 1000000009, 1000000021, 3593)])
+    def test_uncapped_level_is_refused_before_b_and_h(self, monkeypatch, D, p1, p2, q):
+        # Phi's J-degree cap is checked before B is chosen and H computed
+        work = []
+        monkeypatch.setattr(pipeline, "b_candidates", lambda *a: work.append(a))
+        monkeypatch.setattr(pipeline, "compute_class_polynomial", lambda *a, **k: work.append(a))
+        with pytest.raises(PreconditionError, match="J-degree"):
+            construct_cm_curve(D, p1, p2, q)
+        assert work == []
+
     def test_shortcut_iff_multiple_root_case(self):
         rng = random.Random(606)
         done = 0
@@ -332,7 +343,7 @@ class TestConstructCmCurve:
             bs = [pick_b(random.Random(1), D, p1, p2)]
             collected = set()
             phi = pipeline._modular_polynomial(p1, p2)
-            H = compute_class_polynomial(D, p1, p2, b_candidates(D, p1 * p2)[0])
+            H = compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
             for wbar in roots_mod_l(FpPolynomial.make(H.coeffs, q)):
                 jpoly = evaluate_in_j_mod_l(phi, wbar, q)
                 if jpoly.degree >= 1:
@@ -365,7 +376,7 @@ class TestCertify:
         # above the smallest root of H that gives one
         D, q = -311, 39623819596429239443853971442590760311
         hilbert = set(roots_mod_l(FpPolynomial.make(hilbert_class_polynomial(D), q)))
-        H = compute_class_polynomial(D, 3, 13, b_candidates(D, 39)[0])
+        H = compute_class_polynomial(D, 3, 13, b_candidates(D, 3, 13)[0])
         hroots = roots_mod_l(FpPolynomial.make(H.coeffs, q))
         phi = pipeline._modular_polynomial(3, 13)
         w = min(hroots)

@@ -94,21 +94,22 @@ class TestReduceForm:
 
 @st.composite
 def b_problems(draw):
-    """(D, N): N = p1 p2 for distinct odd primes below 50, and D = B0^2 - 4Nk
+    """(D, p1, p2): distinct odd primes below 50 in either order, and D = B0^2 - 4Nk
     < 0 for some B0, so that B^2 = D mod 4N has solutions; p1 or p2 divides D
     when it divides B0."""
     p1, p2 = draw(st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
                            min_size=2, max_size=2, unique=True))
     N = p1 * p2
     b0 = draw(st.integers(0, 2 * N - 1))
-    return b0 * b0 - 4 * N * (b0 * b0 // (4 * N) + draw(st.integers(1, 1000))), N
+    return b0 * b0 - 4 * N * (b0 * b0 // (4 * N) + draw(st.integers(1, 1000))), p1, p2
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(b_problems())
 def test_b_candidates_match_the_exhaustive_search(case):
-    D, N = case
-    assert b_candidates(D, N) == [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
+    D, p1, p2 = case
+    N = p1 * p2
+    assert b_candidates(D, p1, p2) == [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
 
 
 @st.composite

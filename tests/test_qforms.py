@@ -139,21 +139,26 @@ class TestEquivalent:
 
 class TestBCandidates:
     def test_worked_case(self):
-        assert b_candidates(-56, 39) == [10, 16, 62, 68]
+        assert b_candidates(-56, 3, 13) == [10, 16, 62, 68]
         assert legendre(-56, 3) == 1 and legendre(-56, 13) == 1
 
     def test_closed_under_negation(self):
-        bs = b_candidates(-56, 39)
+        bs = b_candidates(-56, 3, 13)
         assert {(-b) % 78 for b in bs} == set(bs)
 
     def test_nonpositive_n_raises(self):
-        for n in (-39, 0):
+        for p1, p2 in ((-3, 13), (0, 13), (3, -13)):
             with pytest.raises(PreconditionError):
-                b_candidates(-56, n)
+                b_candidates(-56, p1, p2)
+
+    def test_rejects_bad_levels(self):
+        for p1, p2 in ((13, 13), (3, 39), (2, 13), (13, 2)):
+            with pytest.raises(PreconditionError):
+                b_candidates(-56, p1, p2)
 
     def test_no_solution_raises(self):
         with pytest.raises(NoSolution):
-            b_candidates(-8, 39)  # (-8|13) = -1
+            b_candidates(-8, 3, 13)  # (-8|13) = -1
 
     def test_counts_match_symbol_patterns(self):
         # N(D) = 4 for the (1,1) pattern, 2 when exactly one symbol is 0
@@ -169,7 +174,7 @@ class TestBCandidates:
             if l1 == -1 or l2 == -1:
                 continue
             try:
-                count = len(b_candidates(D, p1 * p2))
+                count = len(b_candidates(D, p1, p2))
             except NoSolution:
                 count = 0
             if l1 == 1 and l2 == 1:
@@ -203,7 +208,7 @@ class TestNSystem:
             build_nsystem(-4, 39, 38)
 
     def test_first_form_is_principal_lift(self):
-        for b in b_candidates(-56, 39):
+        for b in b_candidates(-56, 3, 13):
             ns = build_nsystem(-56, 39, b)
             assert ns.forms[0].as_tuple() == (1, b, (b * b + 56) // 4)
 
@@ -221,7 +226,7 @@ class TestNSystem:
             if legendre(D, p1) == -1 or legendre(D, p2) == -1:
                 continue
             try:
-                bs = b_candidates(D, N)
+                bs = b_candidates(D, p1, p2)
             except NoSolution:
                 continue
             ns = build_nsystem(D, N, bs[rng.randrange(len(bs))])
@@ -276,7 +281,7 @@ class TestDiscriminant:
     @pytest.mark.parametrize("D", [0, 5, -6, -54])
     @pytest.mark.parametrize("entry", [
         lambda D: find_trace(D, 3593),
-        lambda D: b_candidates(D, 39),
+        lambda D: b_candidates(D, 3, 13),
         enumerate_reduced_forms,
         lambda D: build_nsystem(D, 39, 10),
         lambda D: classpoly.compute_class_polynomial(D, 3, 13, 10),

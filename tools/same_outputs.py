@@ -124,7 +124,7 @@ def main(argv=None) -> int:
                 _emit({"job": "roots-of-H", "D": job.D, "q": job.q, "B": job.B,
                        "out": list(roots.items()), "next_bits": rng.getrandbits(64)})
         for job in shortcut_jobs + inputs.count_jobs(seed)[0]:
-            for B in [job.B] if job.B is not None else etacm.b_candidates(job.D, n):
+            for B in [job.B] if job.B is not None else etacm.b_candidates(job.D, p1, p2):
                 if once(("witnesses", job.D, B)):
                     _emit({"job": "witnesses", "D": job.D, "B": B,
                            "out": [_witness(etacm.multiple_root_condition(job.D, n, B)),

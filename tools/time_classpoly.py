@@ -28,7 +28,7 @@ JOBS = ((-56, 3, 13, 10), (-55067, 3, 7, None), (-35759, 3, 5, None), (-4000004,
 
 def main() -> int:
     for D, p1, p2, B in JOBS:
-        B = b_candidates(D, p1 * p2)[0] if B is None else B
+        B = b_candidates(D, p1, p2)[0] if B is None else B
         t0 = time.perf_counter()
         H = compute_class_polynomial(D, p1, p2, B)
         seconds = time.perf_counter() - t0

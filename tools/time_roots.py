@@ -39,7 +39,7 @@ def _timed(label: str, fn):
 
 def main() -> int:
     disc = Discriminant(DISC)
-    B = b_candidates(disc, P1 * P2)[0]
+    B = b_candidates(disc, P1, P2)[0]
     print(f"D = {DISC}, (p1, p2) = ({P1}, {P2}), B = {B}, "
           f"h = {disc.class_number()}, q = {PRIME}")
     H = _timed("H", lambda: compute_class_polynomial(disc, P1, P2, B).coeffs)
