@@ -7,12 +7,13 @@ integers in plain decimal.  Exit codes: 0 success, 2 precondition failure,
 
 --precision-max caps the working precision of classpoly, modpoly, cm-curve
 and reproduce-example, each of which works out its start from its input.
+--seed seeds the order certificate's random points in cm-curve and
+reproduce-example; no other subcommand reads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import atkin, classpoly, modpoly, pipeline, qforms
@@ -157,7 +158,7 @@ def _cmd_roots(args, out) -> int:
         raise PreconditionError("empty coefficient list")
     check_odd_prime(args.modulus)  # before FpPolynomial.make reduces by it
     poly = FpPolynomial.make(list(reversed(coeffs)), args.modulus)
-    counts = roots_mod_l(poly, random.Random(args.seed))
+    counts = roots_mod_l(poly)
     for root in sorted(counts):
         print(f"{root} {counts[root]}", file=out)
     return EXIT_OK

@@ -8,12 +8,9 @@ x^q = (x + a) y^2 - a, so the linear part gcd(x^q - x, f) comes without a
 second exponentiation, and y splits it at once; a later factor of degree 3
 or more is split with a fresh shift.  f or a factor of degree 2 or less is
 solved in closed form, by the quadratic formula.  The shifts come from a
-private generator.  The caller's generator, an explicit argument with a
-fixed default seed, only orders the roots: it is drawn from exactly as splitting gcd(x^q - x, f) by
-gcd((x + a)^((q-1)/2) - 1, .) with a drawn from it would draw, and the roots
-are listed in that splitting's order.  That order, and every draw the caller
-makes afterwards (the order certificate's random points), fix the curve and
-the CLI output for a seed, so neither depends on how the roots were found.
+private generator with a fixed seed, so root finding draws nothing from the
+caller: the roots are listed in increasing order, and neither they nor the
+work done depend on anything but f.
 
 The arithmetic runs on plain coefficient lists, packed into one int for
 every product (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009);
@@ -252,45 +249,22 @@ def _small_roots(g: list, p: int) -> list[int]:
     return [r] if s == 0 else [r, (-s - b) * inv2 % p]
 
 
-def _replay(roots: list[int], p: int, rng: random.Random) -> list[int]:
-    """The distinct roots in the order in which randomized splitting of
-    their product by gcd((x + a)^((p-1)/2) - 1, .) lists them, with rng
-    drawn exactly as that splitting draws it: no draw for one root, 0 peeled
-    off first, and otherwise a = rng.randrange(p) until between 1 and all
-    but one of the roots r have r + a a square; those come first."""
-    if len(roots) <= 1:
-        return list(roots)
-    if 0 in roots:
-        return [0] + _replay([r for r in roots if r], p, rng)
-    half = (p - 1) // 2
-    while True:
-        a = rng.randrange(p)
-        squares = [pow(r + a, half, p) == 1 for r in roots]
-        if 0 < sum(squares) < len(roots):
-            return (_replay([r for r, s in zip(roots, squares) if s], p, rng)
-                    + _replay([r for r, s in zip(roots, squares) if not s], p, rng))
-
-
-def roots_mod_l(f: FpPolynomial, rng: random.Random | None = None) -> Counter:
-    """All roots in F_l with multiplicities, as a Counter {root: mult}.
+def roots_mod_l(f: FpPolynomial) -> Counter:
+    """All roots in F_l with multiplicities, as a Counter {root: mult} that
+    lists the roots in increasing order.
 
     The roots are found with private shifts (_distinct_roots): one
     exponentiation y = (x + a)^((l-1)/2) mod f gives x^l = (x + a) y^2 - a
     by the Frobenius identity, hence the linear part gcd(x^l - x, f), which
     y splits; a later factor of degree 3 or more takes one exponentiation,
-    and f or a factor of degree 2 or less at most a square root.  rng only
-    orders them (_replay): the Counter lists the roots, and rng is left, as
-    splitting gcd(x^l - x, f) by gcd((x + a)^((l-1)/2) - 1, .) with
-    a = rng.randrange(l) would list and leave them, so that a caller's
-    later draws do not depend on how the roots were found."""
+    and f or a factor of degree 2 or less at most a square root."""
     check_odd_prime(f.modulus)
     if f.degree < 1:
         raise PreconditionError("degree must be at least 1")
-    rng = rng if rng is not None else random.Random(DEFAULT_SEED)
     l = f.modulus
     m = _monic(f.coeffs, l)
     counts: Counter = Counter()
-    for r in _replay(_distinct_roots(m, l), l, rng):
+    for r in sorted(_distinct_roots(m, l)):
         g = m
         while True:
             quo, rem = _divmod(g, [-r % l, 1], l)
@@ -317,6 +291,8 @@ def sqrt_mod_l(a, modulus: int | None = None) -> FpElement | None:
     Returns the smaller of the two roots, for reproducibility.
     """
     if isinstance(a, FpElement):
+        if modulus not in (None, a.modulus):
+            raise PreconditionError(f"element mod {a.modulus} given with modulus {modulus}")
         a, modulus = a.value, a.modulus
     elif modulus is None:
         raise PreconditionError("modulus required for plain integers")

@@ -133,6 +133,8 @@ def curve_from_j(jbar, q: int | None = None) -> EllipticCurve:
         if q is None:
             raise PreconditionError("modulus required for plain integers")
         jbar = FpElement(int(jbar), q)
+    elif q not in (None, jbar.modulus):
+        raise PreconditionError(f"element mod {jbar.modulus} given with modulus {q}")
     j, q = jbar.value, jbar.modulus
     if j == 0:
         return EllipticCurve.make(q, 0, 1)
@@ -411,7 +413,7 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
 
     H = compute_class_polynomial(disc, p1, p2, B, max_prec=max_prec)
     hq = FpPolynomial.make(H.coeffs, q)
-    hroots = roots_mod_l(hq, rng)
+    hroots = roots_mod_l(hq)
     if not hroots:
         raise NoRationalJRoot(f"H has no root mod {q}")
     wbar = min(hroots)
@@ -430,7 +432,7 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
     if g.degree < 2:
         multiple = [-g.coeffs[0] % q] if g.degree == 1 else []
     else:
-        multiple = sorted(roots_mod_l(g, rng))
+        multiple = list(roots_mod_l(g))
     for jbar in multiple:
         for cand in curves_with_j(jbar, q):
             cert = _certify(cand, n1, n2, trace.t, rng)
@@ -438,7 +440,7 @@ def construct_cm_curve(D, p1: int, p2: int, q: int, B: int | None = None,
                 return cand, cert, True
 
     # otherwise the first candidate in (jbar, a4, a6) order with order n1 or n2
-    jroots = roots_mod_l(jpoly, rng)
+    jroots = roots_mod_l(jpoly)
     if not jroots:
         raise NoRationalJRoot(f"no rational J-root mod {q}")
     for jbar in sorted(set(jroots) - set(multiple)):

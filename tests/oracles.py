@@ -259,12 +259,12 @@ def schoolbook_pow_mod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
-def reference_roots_mod_l(f: list[int], p: int, rng: random.Random) -> Counter:
+def reference_roots_mod_l(f: list[int], p: int) -> Counter:
     """{root: multiplicity} of f over F_p by the textbook route: the gcd g of
     x^p - x and f, split by gcd((x + a)^((p-1)/2) - 1, g) with a drawn from
-    rng, 0 peeled off without a draw, then each root's multiplicity by
-    repeated division.  The Counter lists the roots in the order the split
-    finds them, and rng is drawn from as the split draws it."""
+    a generator of fixed seed, 0 peeled off without a draw, then each root's
+    multiplicity by repeated division."""
+    rng = random.Random(0)
     m = schoolbook_divmod(f, [f[-1] % p], p)[0]  # monic
     xp = schoolbook_pow_mod([0, 1], p, m, p) + [0, 0]
     xp[1] -= 1

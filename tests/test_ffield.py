@@ -62,7 +62,7 @@ class TestRoots:
             l = rng.choice([11, 13, 101, 3593])
             coeffs = [rng.randrange(l) for _ in range(rng.randint(2, 8))] + [1]
             f = FpPolynomial.make(coeffs, l)
-            counts = roots_mod_l(f, random.Random(1))
+            counts = roots_mod_l(f)
             g = FpPolynomial.make([1], l)
             for r, m in counts.items():
                 for _ in range(m):
@@ -94,7 +94,7 @@ class TestRoots:
         for r in roots:
             f = f * FpPolynomial.make([-r, 1], p)
         assert f.degree == 62
-        assert roots_mod_l(f, random.Random(1)) == Counter(roots)
+        assert roots_mod_l(f) == Counter(roots)
 
     def test_deterministic_default_seed(self):
         f = FpPolynomial.make([-1, 2, -1, -2, 1], 3593)
@@ -115,7 +115,7 @@ class TestRoots:
         for seed in range(20):
             f = FpPolynomial.make([seed + 1, 1], l) * FpPolynomial.make([seed + 2, 1], l)
             calls.clear()
-            assert roots_mod_l(f, random.Random(seed)) == Counter({l - seed - 1: 1, l - seed - 2: 1})
+            assert roots_mod_l(f) == Counter({l - seed - 1: 1, l - seed - 2: 1})
             assert len(calls) == 0
         # x^2 - c has no root for a non-residue c, such as n and 4n
         n = ffield._non_residue(l)
@@ -184,6 +184,11 @@ class TestSqrt:
         l = 3593
         a = next(a for a in range(2, l) if pow(a, (l - 1) // 2, l) == l - 1)
         assert sqrt_mod_l(a, l) is None
+
+    def test_element_and_modulus_must_agree(self):
+        assert sqrt_mod_l(FpElement(2, 7), 7) == FpElement(3, 7)
+        with pytest.raises(PreconditionError):
+            sqrt_mod_l(FpElement(2, 7), 11)
 
     def test_squares_round_trip(self):
         rng = random.Random(41)

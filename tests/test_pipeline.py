@@ -25,6 +25,9 @@ from etacm.qforms import b_candidates
 from oracles import hilbert_class_polynomial, naive_point_count, trace_oracle
 from support import pick_b, split_prime, valid_triples
 
+# a 256-bit prime at which D = -56, N = 39, B = 10 takes the shortcut
+Q256 = 84632970245310086680688588841393060632974587876599533069688206916113180513121
+
 
 class TestFindTrace:
     def test_worked_example_prime(self):
@@ -119,6 +122,11 @@ class TestCurveFromJ:
             with pytest.raises(PreconditionError):
                 call()
 
+    def test_element_and_modulus_must_agree(self):
+        assert curve_from_j(FpElement(5, 7), 7) == curve_from_j(5, 7)
+        with pytest.raises(PreconditionError):
+            curve_from_j(FpElement(5, 7), 11)
+
     def test_curve_checks_its_own_field(self):
         # every short Weierstrass curve over F_2 or F_3 is singular
         for q in (2, 3):
@@ -200,13 +208,12 @@ class TestConstructCmCurve:
         # calls roots_mod_l once, on H; without a witness the slice is split
         degrees = []
 
-        def counting(f, rng=None):
+        def counting(f):
             degrees.append(f.degree)
-            return roots_mod_l(f, rng)
+            return roots_mod_l(f)
 
         monkeypatch.setattr(pipeline, "roots_mod_l", counting)
-        q256 = 84632970245310086680688588841393060632974587876599533069688206916113180513121
-        for q, B, used_shortcut, want in ((3593, 10, True, [4]), (q256, 10, True, [4]),
+        for q, B, used_shortcut, want in ((3593, 10, True, [4]), (Q256, 10, True, [4]),
                                           (3593, 16, False, [4, 2])):
             degrees.clear()
             _, _, used = construct_cm_curve(-56, 3, 13, q, B=B)
@@ -239,6 +246,15 @@ class TestConstructCmCurve:
         a = construct_cm_curve(-56, 3, 13, 3593, B=10, seed=7)
         b = construct_cm_curve(-56, 3, 13, 3593, B=10, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("q, B", [(3593, 10), (3593, 16), (Q256, 10)])
+    def test_seed_changes_no_curve(self, q, B):
+        # the seed feeds only the certificate's random points
+        outputs = set()
+        for seed in range(4):
+            curve, cert, used = construct_cm_curve(-56, 3, 13, q, B=B, seed=seed)
+            outputs.add((curve.a4.value, curve.a6.value, cert.order, used))
+        assert len(outputs) == 1
 
     def test_default_b_prefers_shortcut(self):
         _, _, used = construct_cm_curve(-56, 3, 13, 3593)

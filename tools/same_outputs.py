@@ -14,9 +14,8 @@ jobs of the seed range (the same calls that perfbench/run.py times; a
 product over, as ordered triples, which H itself does not pin; a CM
 record also carries the certificate's trace, its ambiguity and the number
 of points it drew, which pins the random stream), the roots of H mod q of
-each `cm-shortcut` job in the order `roots_mod_l` lists them, with the next
-64 bits its generator gives afterwards (seeded 0, as `construct_cm_curve`
-seeds it), the witnesses of `multiple_root_condition` and
+each `cm-shortcut` job with their multiplicities and in increasing order, the
+witnesses of `multiple_root_condition` and
 `wn_squared_fixes_class` for each (D, B) that a CM job runs at N = 39 (every
 admissible B when the job lets `construct_cm_curve` choose), whether the
 computed Phi_{3,13} equals the embedded file, the public point functions
@@ -32,7 +31,6 @@ import argparse
 import contextlib
 import io
 import json
-import random
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -119,10 +117,9 @@ def main(argv=None) -> int:
         for job in shortcut_jobs:
             if once(("roots-of-H", job.D, job.q, job.B)):
                 H = etacm.compute_class_polynomial(job.D, p1, p2, job.B)
-                rng = random.Random(0)
-                roots = etacm.roots_mod_l(etacm.FpPolynomial.make(H.coeffs, job.q), rng)
+                roots = etacm.roots_mod_l(etacm.FpPolynomial.make(H.coeffs, job.q))
                 _emit({"job": "roots-of-H", "D": job.D, "q": job.q, "B": job.B,
-                       "out": list(roots.items()), "next_bits": rng.getrandbits(64)})
+                       "out": sorted(roots.items())})
         for job in shortcut_jobs + inputs.count_jobs(seed)[0]:
             for B in [job.B] if job.B is not None else etacm.b_candidates(job.D, p1, p2):
                 if once(("witnesses", job.D, B)):
