@@ -75,14 +75,18 @@ class TestMultiplicity:
     @pytest.mark.parametrize("argv, code, lines", [
         (["multiplicity", "--disc", "-8", "--p1", "1000000007", "--p2", "1000000009"],
          EXIT_PRECONDITION, 0),
+        (["multiplicity", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021"],
+         EXIT_OK, 4),
         (["nsystem", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021"], EXIT_OK, 4),
         (["classpoly", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021"], EXIT_OK, 1),
         (["cm-curve", "--disc", "-56", "--p1", "1000000009", "--p2", "1000000021",
           "--prime", "3593"], EXIT_PRECONDITION, 0),
-    ], ids=["multiplicity", "nsystem", "classpoly", "cm-curve"])
+    ], ids=["multiplicity", "multiplicity-witness", "nsystem", "classpoly", "cm-curve"])
     def test_large_level_pairs_answer_at_once(self, capsys, argv, code, lines):
-        # the level is the pair as given: nothing factors N ~ 10^18, and
-        # cm-curve refuses the J-degree of its Phi before any other work
+        # the level is the pair as given: nothing factors N ~ 10^18, the
+        # witness search reduces one form per B instead of walking |v| up to
+        # sqrt(4N/|D|), and cm-curve refuses the J-degree of its Phi before
+        # any other work
         start = time.perf_counter()
         got, out, _ = run_cli(argv, capsys)
         assert time.perf_counter() - start < 1

@@ -20,7 +20,7 @@ from mpmath.libmp import from_rational, fzero  # noqa: E402
 from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, from_mpc  # noqa: E402
 from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
 from etacm.etafunc import reduce_to_fundamental_domain  # noqa: E402
-from etacm.ffield import FpPolynomial, roots_mod_l  # noqa: E402
+from etacm.ffield import NEWTON_DEGREE, FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
 from etacm.qforms import QuadraticForm, b_candidates, reduce_form  # noqa: E402
@@ -200,6 +200,18 @@ def test_packed_arithmetic_matches_schoolbook(case):
         quo, rem = A.divmod(B)
         assert (list(quo.coeffs), list(rem.coeffs)) == schoolbook_divmod(a, b, p)
         assert list(A.pow_mod(e, B).coeffs) == schoolbook_pow_mod(a, e, b, p)
+
+
+@pytest.mark.parametrize("p", [4294967291, 2**127 - 1, 2**255 - 19], ids=["32", "127", "255"])
+@pytest.mark.parametrize("d", range(1, NEWTON_DEGREE + 2))
+def test_root_finding_power_across_the_switch(p, d):
+    # (x + a)^((p-1)/2) mod a random m of every degree up to one past
+    # NEWTON_DEGREE, at the full exponent size of root finding: the fused
+    # small-degree kernel below the switch, the Newton remainder from it on
+    rng = random.Random(d * p)
+    a, m = rng.randrange(p), [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+    got = FpPolynomial.make([a, 1], p).pow_mod((p - 1) // 2, FpPolynomial.make(m, p))
+    assert list(got.coeffs) == schoolbook_pow_mod([a, 1], (p - 1) // 2, m, p)
 
 
 @st.composite

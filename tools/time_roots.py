@@ -1,5 +1,5 @@
-"""Time root finding over F_q at large degree, so that two trees of etacm can
-be compared on the same input.
+"""Time root finding over F_q at large and at small degree, so that two trees
+of etacm can be compared on the same inputs.
 
 Usage, from the root of one tree (the etacm that runs is the one on
 PYTHONPATH):
@@ -10,8 +10,11 @@ PYTHONPATH):
 It computes H_{B,15} for D = -35759 (h = 259) and the first B of
 `b_candidates`, reduces it mod q = 2^255 - 19, and prints one line each for
 H itself, `x^q mod H` and `roots_mod_l(H mod q)`: the seconds taken and a
-SHA-256 prefix of the result.  The hashes must agree between trees; the
-times are as measured on the machine at hand.
+SHA-256 prefix of the result.  Then the same three lines for two H of small
+degree, where exponentiation takes the fused path of `_pow_mod`: the worked
+example (D = -56, N = 39, B = 10, h = 4) and D = -356, N = 15 (h = 12).
+The hashes must agree between trees; the times are as measured on the
+machine at hand.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 from etacm import Discriminant, FpPolynomial, b_candidates, compute_class_polynomial, roots_mod_l
 
 
-DISC, P1, P2, PRIME = -35759, 3, 5, 2**255 - 19
+CASES, PRIME = [(-35759, 3, 5), (-56, 3, 13), (-356, 3, 5)], 2**255 - 19
 
 
 def _digest(value) -> str:
@@ -38,14 +41,15 @@ def _timed(label: str, fn):
 
 
 def main() -> int:
-    disc = Discriminant(DISC)
-    B = b_candidates(disc, P1, P2)[0]
-    print(f"D = {DISC}, (p1, p2) = ({P1}, {P2}), B = {B}, "
-          f"h = {disc.class_number()}, q = {PRIME}")
-    H = _timed("H", lambda: compute_class_polynomial(disc, P1, P2, B).coeffs)
-    hq = FpPolynomial.make(H, PRIME)
-    _timed("x^q mod H", lambda: FpPolynomial.make([0, 1], PRIME).pow_mod(PRIME, hq).coeffs)
-    _timed("roots of H", lambda: sorted(roots_mod_l(hq).items()))
+    for D, p1, p2 in CASES:
+        disc = Discriminant(D)
+        B = b_candidates(disc, p1, p2)[0]
+        print(f"D = {D}, (p1, p2) = ({p1}, {p2}), B = {B}, "
+              f"h = {disc.class_number()}, q = {PRIME}")
+        H = _timed("H", lambda: compute_class_polynomial(disc, p1, p2, B).coeffs)
+        hq = FpPolynomial.make(H, PRIME)
+        _timed("x^q mod H", lambda: FpPolynomial.make([0, 1], PRIME).pow_mod(PRIME, hq).coeffs)
+        _timed("roots of H", lambda: sorted(roots_mod_l(hq).items()))
     return 0
 
 
