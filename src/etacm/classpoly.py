@@ -229,7 +229,7 @@ def _roots(forms: list[Form], p1: int, p2: int,
            prec: int) -> list[tuple[Value, float]]:
     """w^s at the basis quotient of every form, with one eta series per
     reduced form of an eta argument: one form of each conjugate pair of H's
-    N-system (`_partners`), or of one sample point of Phi."""
+    N-system (`_partners`)."""
     table = EtaTable()
     return [w_pow_s_with_err(f, p1, p2, prec, table) for f in forms]
 

@@ -34,15 +34,23 @@ hand the value back as an `ApComplex` (`to_apcomplex`).
 Every eta value at an arbitrary point comes from an `EtaTable`.  Many
 arguments share one reduced point: the 4h arguments alpha_i/d of a class
 polynomial (d in {1, p1, p2, N}) fall into the h form classes of
-discriminant D, and the 4 psi(N) arguments g z/d of one modular-polynomial
-sample point into 1 + (p1+1) + (p2+1) + psi(N) SL2(Z)-classes, most of
-them mirror images of each other in pairs, as the sample lies on the
-imaginary axis.  A table names each reduced point by its reduced form, sums
+discriminant D.  A table names each reduced point by its reduced form, sums
 one series per name ([a, -b, c], the mirror image, reuses the conjugate
 series of [a, b, c]), and recovers every argument's value through the
 transformation formula, with one 24th root of unity per exponent and
 precision.  A table serves one precision attempt of one computation, or one
 public call, and is then dropped.
+
+The conjugates w(g z) of a modular-polynomial sample point z need no eta
+value at the 4 psi(N) points g z/d themselves.  Each matrix [[a, b],
+[dc, dd']] splits as M_d U_d with M_d unimodular and U_d = [[alpha, beta],
+[0, delta]] (`hecke_split`), so eta(g z/d) is eta at the Hecke point U_d z
+times the multiplier of M_d, whose square roots sqrt(alpha_d (cz + d'))
+cancel in the quotient: w(g z) is a 24th root of unity times a quotient of
+eta values at Hecke points (`w_at_hecke_points`).  A sample point has
+1 + (p1+1) + (p2+1) + psi(N) of them, each evaluated once
+(`w_pow_s_at_hecke_points`), and as the sample lies on the imaginary axis,
+most come in mirror-image pairs that share a series.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ from .apcomplex import (
 )
 from .arith import check_distinct_odd_primes, jacobi
 from .errors import PreconditionError
-from .qforms import Form, Matrix, _primitive, _reduce
+from .qforms import Form, Matrix, _primitive, _reduce, _xgcd
 
 # log2 of the worst-case |q| on the fundamental domain: 2*pi*(sqrt(3)/2)/ln 2
 _BITS_PER_Q_POWER = 2.0 * math.pi * (math.sqrt(3.0) / 2.0) / math.log(2.0)
@@ -235,6 +243,13 @@ class EtaTable:
         """Number of series summed so far."""
         return len(self._series)
 
+    def unit(self, k: int, wp: int) -> Value:
+        """zeta_24^k for 0 <= k < 24, within 0.1u relative (u = 2^-wp)."""
+        unit = self._roots.get((k, wp))
+        if unit is None:
+            unit = self._roots[(k, wp)] = _zeta24(k, wp)
+        return unit
+
     def _eta_transform(self, series: Value, rel: float, f: Form, m: Matrix,
                        wp: int) -> tuple[Value, float]:
         """eta(z) at the root z of f = [A, B, C], from the series value at the
@@ -251,10 +266,8 @@ class EtaTable:
         if m == IDENTITY:
             return series, rel
         c, d, sign, k = eta_multiplier(m)
-        unit = self._roots.get((k, wp))
-        if unit is None:
-            unit = self._roots[(k, wp)] = _zeta24(k, wp)
-        num = mul(series, (sign * unit[0], -sign * unit[1], unit[2]))
+        ur, ui, ue = self.unit(k, wp)
+        num = mul(series, (sign * ur, -sign * ui, ue))
         if c == 0:
             return trunc(num, wp), rel + ROUND_ULPS + 0.1
         (A, B, C), s = f, wp + 8
@@ -381,6 +394,18 @@ def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     return _to_target(z, prec, lambda f, p, table: w_pow_s_with_err(f, p1, p2, p, table), "w^s")
 
 
+def _w_wp(prec: int, s: int) -> int:
+    """The working precision of w^s for a target of prec bits."""
+    return prec + eta_guard_bits(prec) + 16 + 4 * s
+
+
+def _power_with_err(w: Value, rel: float, s: int, wp: int) -> tuple[Value, float]:
+    """(w^s, log2 absolute error bound) for w within a relative rel: by
+    `power`, within s rel + 3 (s - 1) u."""
+    value = power(w, s, wp)
+    return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
+
+
 def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
                      table: EtaTable) -> tuple[Value, float]:
     """(w^s, log2 absolute error bound) at the basis quotient of f, evaluated
@@ -388,11 +413,84 @@ def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
 
     table shares its eta series between the arguments of one attempt.  p1
     and p2 are not checked here; callers check them once
-    (`arith.check_distinct_odd_primes`).  w^s, by `power`, is within
-    s r + 3 (s - 1) u when w is within a relative r.
+    (`arith.check_distinct_odd_primes`).
     """
     s = s_exponent(p1, p2)
-    wp = prec + eta_guard_bits(prec) + 16 + 4 * s
-    w, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table)
-    value = power(w, s, wp)
-    return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
+    wp = _w_wp(prec, s)
+    return _power_with_err(*_eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table), s, wp)
+
+
+def hecke_split(m: Matrix, d: int) -> tuple[Matrix, Matrix]:
+    """(M, U) with M U = [[a, b], [d c, d d']] for m = [[a, b], [c, d']],
+    normalized so that c > 0, or c = 0 and d' > 0.
+
+    U = [[alpha, beta], [0, delta]] with alpha = gcd(a, d c), alpha delta = d
+    and 0 <= beta < delta, and M is unimodular with first column
+    (a, d c) / alpha: so c_M = d c / alpha >= 0, and d_M = alpha d' > 0 when
+    c_M = 0.  Then m z / d = M (U z), and c_M U z + d_M = alpha (c z + d').
+    """
+    a, b, c, dd = m
+    alpha = gcd(a, d * c)
+    delta, p, r = d // alpha, a // alpha, d * c // alpha
+    _, y, x = _xgcd(p, r)  # p y + r x = 1: the second column is (-x, y)
+    beta0 = y * b + x * d * dd
+    t, beta = divmod(beta0, delta)
+    return (p, t * p - x, r, t * r + y), (alpha, beta, 0, delta)
+
+
+def hecke_point(f: Form, u: Matrix) -> Form:
+    """The primitive form whose root is (alpha z + beta) / delta, for the root
+    z of f = [A, B, C] and u = [[alpha, beta], [0, delta]]."""
+    A, B, C = f
+    alpha, beta, _, delta = u
+    return _primitive(A * delta * delta, delta * (B * alpha - 2 * A * beta),
+                      A * beta * beta - B * alpha * beta + C * alpha * alpha)
+
+
+def w_at_hecke_points(m: Matrix, p1: int, p2: int) -> tuple[tuple[Matrix, ...], int, int]:
+    """((U_p1, U_p2, U_1, U_N), K, sign) with, for every z,
+
+        w(m z) = sign zeta_24^K eta(U_p1 z) eta(U_p2 z) / (eta(U_1 z) eta(U_N z)),
+
+    N = p1 p2, from the splits (M_d, U_d) of m (`hecke_split`) and the
+    multipliers (sign_d, k_d) of M_d (`eta_multiplier`): sign is the product
+    of the four signs, and K = k_p1 + k_p2 - k_1 - k_N mod 24.
+    eta(m z / d) = sign_d zeta_24^(k_d) sqrt(alpha_d (c z + d')) eta(U_d z)
+    with the same c z + d' for all four d, alpha_1 = 1, and
+    alpha_p1 alpha_p2 = alpha_N as gcd(a, c) = 1: the square roots cancel.
+    """
+    a, b, c, d = m
+    if c < 0 or (c == 0 and d < 0):
+        m = (-a, -b, -c, -d)
+    us, k, sign = [], 0, 1
+    for n, e in ((p1, 1), (p2, 1), (1, -1), (p1 * p2, -1)):
+        big, u = hecke_split(m, n)
+        _, _, sign_n, k_n = eta_multiplier(big)
+        us.append(u)
+        k, sign = k + e * k_n, sign * sign_n
+    return tuple(us), k % 24, sign
+
+
+def w_pow_s_at_hecke_points(points: list[Form],
+                            quotients: list[tuple[int, int, int, int, int, int]],
+                            s: int, prec: int, table: EtaTable) -> list[tuple[Value, float]]:
+    """(w^s, log2 absolute error bound) of each quotient
+    (i1, i2, i0, iN, K, sign) = sign zeta_24^K eta_i1 eta_i2 / (eta_i0 eta_iN)
+    over the eta values at the points (`w_at_hecke_points`), evaluated once
+    each at the working precision of `w_pow_s_with_err`.
+
+    The products are exact and the unit, within 0.1u, is multiplied into the
+    numerator, so w is within the sum of the four eta bounds, 0.1u and the
+    division's rounding.
+    """
+    wp = _w_wp(prec, s)
+    etas = [table.eta(f, 1, wp) for f in points]
+    out = []
+    for i1, i2, i0, iN, k, sign in quotients:
+        (v1, r1), (v2, r2), (v0, r0), (vN, rN) = etas[i1], etas[i2], etas[i0], etas[iN]
+        num, rel = mul(v1, v2), r1 + r2 + r0 + rN + ROUND_ULPS
+        if k or sign < 0:
+            ur, ui, ue = table.unit(k, wp)
+            num, rel = mul(num, (sign * ur, sign * ui, ue)), rel + 0.1
+        out.append(_power_with_err(div(num, mul(v0, vN), wp), rel, s, wp))
+    return out

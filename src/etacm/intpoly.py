@@ -49,9 +49,19 @@ def unpack(x: int, n: int, w: int) -> list[int]:
 
 
 def mul(p: list[int], q: list[int]) -> list[int]:
-    """p q, by one integer product of the packed operands."""
+    """p q: a scalar product when one operand is a constant, else one
+    integer product of the packed operands (`_packed_mul`)."""
     if not p or not q:
         return []
+    if len(p) == 1 or len(q) == 1:
+        (c,), other = (p, q) if len(p) == 1 else (q, p)
+        return trim([c * x for x in other])
+    return _packed_mul(p, q)
+
+
+def _packed_mul(p: list[int], q: list[int]) -> list[int]:
+    """p q for nonempty p and q, by one integer product of the packed
+    operands."""
     bits = max(max(p), -min(p)).bit_length() + max(max(q), -min(q)).bit_length()
     w = slot_bytes(bits, min(len(p), len(q)))
     return trim(unpack(pack(p, w) * pack(q, w), len(p) + len(q) - 1, w))

@@ -10,10 +10,13 @@ bits gives the start of the doubling (`classpoly.initial_precision`).  The
 samples lie on the imaginary axis above i, where J is real and strictly
 increasing, so the nodes are distinct and far apart.  Each sample point is
 the root of an integer form f_m: its node J(z_m) is evaluated at f_m itself
-(`etafunc.j_invariant_with_err`), with a certified bound of its own, and its
-conjugates are the roots of the forms f_m.g^-1 and go through H's helper
-(`classpoly._roots`): one eta series per SL2(Z)-class of eta argument at
-each sample point (an `EtaTable`), and mirror-image classes share one.
+(`etafunc.j_invariant_with_err`), with a certified bound of its own.  Its
+conjugates w^s(g z_m) come from eta at the Hecke points (alpha z_m + beta) /
+delta of z_m, each evaluated once per attempt, and a 24th root of unity per
+coset (`etafunc.w_pow_s_at_hecke_points`); which Hecke points and which
+root each coset takes depends on the coset alone, so `_conjugate_plan`
+works it out once per Phi.  One `EtaTable` serves an attempt, and
+mirror-image Hecke points share one eta series.
 On the imaginary axis, mirror cosets share the value as well as the series:
 the coset of top row (a, -b) has the conjugate of the value at (a, b)
 (`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
@@ -44,7 +47,6 @@ from .classpoly import (
     TREE_BITS,
     RPoly,
     _one_per_pair,
-    _roots,
     initial_precision,
     product_tree,
     round_certified,
@@ -56,13 +58,24 @@ from .errors import (
     PreconditionError,
     WrongDegree,
 )
-from .etafunc import Value, j_invariant_with_err, s_exponent
+from .etafunc import (
+    EtaTable,
+    Value,
+    hecke_point,
+    j_invariant_with_err,
+    s_exponent,
+    w_at_hecke_points,
+    w_pow_s_at_hecke_points,
+)
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, QuadraticForm, _compose, _primitive, _xgcd
+from .qforms import Matrix, QuadraticForm, _primitive, _xgcd
 
 MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
+
+# Hecke matrices, one quotient per kept coset, paired flags (`_conjugate_plan`)
+Plan = tuple[list[Matrix], list[tuple[int, ...]], list[bool]]
 
 
 @dataclass(frozen=True)
@@ -187,25 +200,46 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[RPoly],
     return out
 
 
-def _coefficients(p1: int, p2: int, degj: int, cosets: list[Matrix], prec: int) -> list[RPoly]:
+def _conjugate_plan(p1: int, p2: int) -> Plan:
+    """The Hecke matrices U and, for one coset of each mirror pair
+    (`_mirror`), the quotient (i1, i2, i0, iN, K, sign) with
+    w^s(g z) = (sign zeta_24^K eta(U_i1 z) eta(U_i2 z) / (eta(U_i0 z) eta(U_iN z)))^s
+    for every z (`etafunc.w_at_hecke_points`), and whether the coset is
+    paired.  It depends on the cosets only, so it serves every sample point
+    of every attempt of one Phi."""
+    cosets = coset_representatives(p1, p2)
+    kept, paired = _one_per_pair(_mirror(p1, p2))
+    index: dict[Matrix, int] = {}
+    quotients = []
+    for i in kept:
+        us, k, sign = w_at_hecke_points(cosets[i], p1, p2)
+        quotients.append((*(index.setdefault(u, len(index)) for u in us), k, sign))
+    return list(index), quotients, paired
+
+
+def _coefficients(p1: int, p2: int, degj: int, plan: Plan, prec: int) -> list[RPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
     bound, from degJ + 1 sample points at precision prec.
 
-    w^s is evaluated at one coset of each mirror pair (`_mirror`), and the
-    other's value is its conjugate.  Each node J(z_m) is real, and keeps
-    only the real part of its approximation, within the same bound.
+    w^s is evaluated at one coset of each mirror pair (`_conjugate_plan`),
+    and the other's value is its conjugate; the eta values at the Hecke
+    points of a sample point are evaluated once each, with one `EtaTable`
+    for the attempt.  Each node J(z_m) is real, and keeps only the real part
+    of its approximation, within the same bound.
     """
     wp = prec + TREE_BITS
-    kept, paired = _one_per_pair(_mirror(p1, p2))
+    s = s_exponent(p1, p2)
+    hecke, quotients, paired = plan
+    table = EtaTable()
     nodes = []
     samples = []
     for m in range(degj + 1):
         f = _sample_form(m)
         (re, _, e), err = j_invariant_with_err(f, prec)
         nodes.append(((re, 0, e), err))
-        # f.g^-1 has the root g z_m
-        conjugates = [_compose(f, (d, -b, -c, a)) for a, b, c, d in (cosets[i] for i in kept)]
-        samples.append(product_tree(_roots(conjugates, p1, p2, prec), paired, wp))
+        points = [hecke_point(f, u) for u in hecke]
+        samples.append(product_tree(w_pow_s_at_hecke_points(points, quotients, s, prec, table),
+                                    paired, wp))
     return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 
 
@@ -221,13 +255,13 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     s, degx, degj = _degrees(p1, p2)
     if degj > MAX_DEGJ:
         raise PreconditionError(f"J-degree {degj} above {MAX_DEGJ}")
-    cosets = coset_representatives(p1, p2)
-    first = _coefficients(p1, p2, degj, cosets, MIN_PREC)
+    plan = _conjugate_plan(p1, p2)
+    first = _coefficients(p1, p2, degj, plan, MIN_PREC)
     rows = _rows(first) if max_prec >= MIN_PREC else None
     if rows is None:
         rows = double_until(
             initial_precision(max(f.err for f in first), degx), max_prec,
-            lambda prec: _rows(_coefficients(p1, p2, degj, cosets, prec)),
+            lambda prec: _rows(_coefficients(p1, p2, degj, plan, prec)),
             f"Phi_{{{p1},{p2}}}")
     return ModularPolynomial(p1, p2, s, degx, degj, tuple(tuple(r) for r in rows))
 

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the library's own code paths: eta and J
-come from mpmath's high-level q-Pochhammer and theta functions, form counts
+come from mpmath's high-level q-Pochhammer and theta functions (eta at any
+rational point through Rademacher's Dedekind-sum multiplier), form counts
 from a direct triple loop, the reduction of a point from exact rational
 arithmetic, point counts from a naive sweep, the solutions of
 x^2 - D y^2 = n from a search over x, the group law from affine
@@ -61,6 +62,36 @@ def gauss_reduce_point(x: Fraction, y: Fraction) -> tuple[int, int, int, int]:
     if n == 1 and x > 0:
         a, b, c, d = -c, -d, a, b
     return a, b, c, d
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for k > 0, from its definition sum_{r=1}^{k-1} ((r/k)) ((hr/k)),
+    with ((x)) = x - floor(x) - 1/2 off the integers and 0 on them."""
+    return Fraction(sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k) if h * r % k),
+                    4 * k * k)
+
+
+def eta_at_rational_point(x: Fraction, y: Fraction, prec: int) -> mpmath.mpc:
+    """eta(x + iy) for rational x and y > 0, at prec bits: mpmath's eta at the
+    Gauss-reduced point M tau (`gauss_reduce_point`), moved back by
+    Rademacher's form of the transformation formula, for c > 0
+        eta(M tau) = exp(pi i ((a + d) / (12 c) - s(d, c))) sqrt(-i (c tau + d)) eta(tau),
+    and eta(tau + b) = exp(pi i b / 12) eta(tau) for c = 0."""
+    a, b, c, d = gauss_reduce_point(x, y)
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    re = ((a * x + b) * (c * x + d) + a * c * y * y) / den  # M tau = re + i y / den
+
+    def mpf(q: Fraction) -> mpmath.mpf:
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workprec(prec):
+        reduced = mpmath.eta(mpmath.mpc(mpf(re), mpf(y / den)))
+        if c == 0:
+            return reduced / mpmath.expjpi(mpmath.mpf(b) / 12)
+        unit = mpmath.expjpi(mpf(Fraction(a + d, 12 * c) - dedekind_sum(d, c)))
+        return reduced / (unit * mpmath.sqrt(-1j * (c * mpmath.mpc(mpf(x), mpf(y)) + d)))
 
 
 def brute_force_class_count(D: int) -> int:

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -26,6 +27,7 @@ from etacm.modpoly import (
     load_embedded,
     serialize,
 )
+from oracles import eta_at_rational_point
 from support import coefficients, moebius, point, to_mpc
 
 
@@ -44,6 +46,19 @@ def eval_phi(phi: ModularPolynomial, w, J):
         val = val * w + term
         scale = max(scale, abs(term) * abs(w) ** kx)
     return val, scale
+
+
+def assert_defining_property(phi: ModularPolynomial, p1: int, p2: int) -> None:
+    """Phi(w^s(z), J(z)) vanishes to 380 bits at three random points z."""
+    rng = random.Random(p1 * 100 + p2)
+    with mpmath.workdps(120):
+        for _ in range(3):
+            z = point(rng.uniform(-0.45, 0.45),
+                      rng.uniform(0.9, 1.7), 640)
+            w = to_mp(w_pow_s(z, p1, p2, 512), 120)
+            J = to_mp(j_invariant(z, 512), 120)
+            val, scale = eval_phi(phi, w, J)
+            assert abs(val) / scale < mpmath.mpf(2) ** -380
 
 
 PAIRS = [(3, 5), (3, 7), (3, 13), (5, 7), (5, 13)]
@@ -105,6 +120,35 @@ class TestCosetRepresentatives:
             for i in (i for i, j in enumerate(mirror) if i == j):
                 r, err = roots[i]
                 assert abs(r.imag) <= mpmath.mpf(2) ** err
+
+    @pytest.mark.parametrize("p1,p2", [(3, 5), (5, 13), (13, 5)])
+    def test_conjugates_lie_within_their_bounds(self, p1, p2):
+        # at the sample z_0 = 11i/10, w^s of one coset of each mirror pair,
+        # from the eta values at the Hecke points, lies within its certified
+        # bound of w^s(g z_0) from mpmath's eta at the four points g z_0 / d
+        # (`oracles.eta_at_rational_point`)
+        import etacm.modpoly as mp
+        from etacm.classpoly import _one_per_pair
+        from etacm.etafunc import EtaTable, hecke_point, s_exponent, w_pow_s_at_hecke_points
+
+        f, y0 = mp._sample_form(0), Fraction(11, 10)
+        assert f == (100, 0, 121)
+        hecke, quotients, _ = mp._conjugate_plan(p1, p2)
+        s = s_exponent(p1, p2)
+        values = w_pow_s_at_hecke_points([hecke_point(f, u) for u in hecke], quotients, s, 64,
+                                         EtaTable())
+        kept = _one_per_pair(mp._mirror(p1, p2))[0]
+        cosets = coset_representatives(p1, p2)
+        assert len(values) == len(kept) == ((p1 + 1) * (p2 + 1) + 4) // 2
+        for i, (value, err) in zip(kept, values):
+            a, b, c, d = cosets[i]
+            den = (c * y0) ** 2 + d * d
+            x, y = (b * d + a * c * y0 * y0) / den, y0 / den  # g z_0
+            e1, e2, e0, eN = (eta_at_rational_point(x / n, y / n, 400)
+                              for n in (p1, p2, 1, p1 * p2))
+            with mpmath.workprec(400):
+                want = (e1 * e2 / (e0 * eN)) ** s
+                assert abs(to_mpc(value) - want) <= mpmath.mpf(2) ** err
 
     def test_rejects_bad_levels(self):
         # an equal pair, a composite and an even prime
@@ -185,17 +229,20 @@ class TestComputeModularPolynomial:
 
     @pytest.mark.parametrize("p1,p2", [(3, 7), (5, 7), (5, 13)])
     def test_defining_property_other_pairs(self, phi_pool, p1, p2):
-        rng = random.Random(p1 * 100 + p2)
         phi = phi_pool(p1, p2)
         assert phi.degX == (p1 + 1) * (p2 + 1)
-        with mpmath.workdps(120):
-            for _ in range(3):
-                z = point(rng.uniform(-0.45, 0.45),
-                          rng.uniform(0.9, 1.7), 640)
-                w = to_mp(w_pow_s(z, p1, p2, 512), 120)
-                J = to_mp(j_invariant(z, 512), 120)
-                val, scale = eval_phi(phi, w, J)
-                assert abs(val) / scale < mpmath.mpf(2) ** -380
+        assert_defining_property(phi, p1, p2)
+
+    @pytest.mark.parametrize("p1,p2", [(3, 19), (7, 13)])
+    def test_defining_property_above_the_cap(self, monkeypatch, p1, p2):
+        # J-degree 6, with the cap raised: 80 and 112 cosets, each with the
+        # root of unity of its Hecke points (`etafunc.w_at_hecke_points`)
+        import etacm.modpoly as mp
+
+        monkeypatch.setattr(mp, "MAX_DEGJ", 6)
+        phi = compute_modular_polynomial(p1, p2)
+        assert (phi.degX, phi.degJ) == ((p1 + 1) * (p2 + 1), 6)
+        assert_defining_property(phi, p1, p2)
 
     @pytest.mark.parametrize("p1, p2, start", [(3, 5, None), (3, 7, None), (3, 13, None),
                                                (5, 7, None), (5, 13, 136)])
@@ -313,7 +360,7 @@ class TestComputeModularPolynomial:
         real = mp._lagrange
         monkeypatch.setattr(mp, "_lagrange",
                             lambda nodes, err, *a: seen.append(err) or real(nodes, err, *a))
-        mp._coefficients(5, 13, 4, coset_representatives(5, 13), prec)
+        mp._coefficients(5, 13, 4, mp._conjugate_plan(5, 13), prec)
         assert seen == [max(errs)]
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
@@ -338,37 +385,55 @@ class TestComputeModularPolynomial:
     def test_one_evaluation_per_mirror_pair(self, monkeypatch):
         # Phi_{3,5} takes one attempt of degJ + 1 = 3 sample points, and each
         # evaluates w^s at one coset of each mirror pair, (psi + 4)/2 = 14 of
-        # the 24: 42 evaluations, not 72
-        import etacm.classpoly as cp
+        # the 24: 42 conjugates, not 72
         import etacm.modpoly as mp
 
         for p1, p2 in PAIRS + SWAPPED:
             assert mp._mirror(p1, p2) == mirror_by_top_rows(p1, p2)
         calls = []
-        real = cp.w_pow_s_with_err
-        monkeypatch.setattr(cp, "w_pow_s_with_err", lambda *a: calls.append(a[3]) or real(*a))
+        real = mp.w_pow_s_at_hecke_points
+
+        def counting(points, quotients, s, prec, table):
+            values = real(points, quotients, s, prec, table)
+            calls.extend([prec] * len(values))
+            return values
+
+        monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", counting)
         compute_modular_polynomial(3, 5)
         assert calls == [64] * 3 * 14
 
     def test_sample_point_sums_one_series_per_class(self, monkeypatch):
-        # the 4 psi(N) eta arguments g z / d at one sample point fall into
-        # 1 + (p1 + 1) + (p2 + 1) + psi(N) = 75 SL2(Z)-classes; the sample
-        # lies on the imaginary axis, so mirror-image classes [A, +-B, C]
-        # share one series, which leaves 42
-        import etacm.classpoly as cp
-        from etacm.etafunc import EtaTable
+        # the 4 psi(N) eta arguments g z / d at one sample point are eta
+        # transforms of 1 + (p1 + 1) + (p2 + 1) + psi(N) = 75 Hecke points
+        # (alpha z + beta) / delta; the sample lies on the imaginary axis, so
+        # mirror-image classes [A, +-B, C] share one series, which leaves at
+        # most 42 series per point, and at most 42 transforms other than the
+        # identity.  One table serves every sample point of an attempt
+        import etacm.etafunc as ef
+        import etacm.modpoly as mp
 
-        tables = []
+        transforms, per_point, tables = [0], [], set()
+        real_transform = ef.EtaTable._eta_transform
 
-        class Recording(EtaTable):
-            def __init__(self):
-                super().__init__()
-                tables.append(self)
+        def transform(self, series, rel, f, m, wp):
+            transforms[0] += m != ef.IDENTITY
+            return real_transform(self, series, rel, f, m, wp)
 
-        monkeypatch.setattr(cp, "EtaTable", Recording)
+        real = mp.w_pow_s_at_hecke_points
+
+        def counting(points, quotients, s, prec, table):
+            series, before = len(table), transforms[0]
+            values = real(points, quotients, s, prec, table)
+            per_point.append((len(table) - series, transforms[0] - before))
+            tables.add(id(table))
+            return values
+
+        monkeypatch.setattr(ef.EtaTable, "_eta_transform", transform)
+        monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", counting)
         phi = compute_modular_polynomial(3, 13)
         assert phi.degX == 56
-        assert tables and all(0 < len(t) <= 42 for t in tables)
+        assert len(per_point) == 3 and len(tables) == 1
+        assert all(0 < n <= 42 and t <= 42 for n, t in per_point)
 
     def test_duplicate_samples_raise(self, monkeypatch):
         # coincident nodes cannot be interpolated

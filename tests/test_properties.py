@@ -19,11 +19,12 @@ from mpmath.libmp import from_rational, fzero  # noqa: E402
 
 from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, from_mpc  # noqa: E402
 from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
-from etacm.etafunc import reduce_to_fundamental_domain  # noqa: E402
+from etacm import intpoly  # noqa: E402
+from etacm.etafunc import hecke_split, reduce_to_fundamental_domain  # noqa: E402
 from etacm.ffield import NEWTON_DEGREE, FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
-from etacm.qforms import QuadraticForm, b_candidates, reduce_form  # noqa: E402
+from etacm.qforms import QuadraticForm, _xgcd, b_candidates, reduce_form  # noqa: E402
 from oracles import (  # noqa: E402
     affine_mul,
     curve_points,
@@ -312,6 +313,56 @@ def test_real_product_is_the_integer_product_shifted(case):
     shift = max(math.floor(norm) - wp - exp, 0) if norm > -math.inf else 0
     assert h.coeffs == [c >> shift for c in _integer_product(f.coeffs, g.coeffs)]
     assert (h.exp, h.norm) == (exp + shift, norm)
+
+
+@st.composite
+def constant_operands(draw):
+    """(p, q) with at least one constant: zero, negative and large constants,
+    and length 1 on both sides."""
+    coeff = st.one_of(st.just(0), st.integers(-2**300, 2**300), st.integers(-3, 3))
+    const = [draw(coeff)]
+    other = draw(st.lists(coeff, min_size=1, max_size=12))
+    return (const, other) if draw(st.booleans()) else (other, const)
+
+
+@PROPERTY
+@given(constant_operands())
+def test_constant_operand_matches_the_packed_product(case):
+    p, q = case
+    assert intpoly.mul(p, q) == intpoly._packed_mul(p, q)
+
+
+@st.composite
+def hecke_problems(draw):
+    """(g, p1, p2): g unimodular with c > 0, or c = 0 and d > 0, and two
+    distinct odd primes."""
+    p1, p2 = draw(st.lists(st.sampled_from(ODD_PRIMES[:12]), min_size=2, max_size=2,
+                           unique=True))
+    c = draw(st.integers(0, 10**6))
+    d = draw(st.integers(-10**6, 10**6)) if c else 1
+    assume(gcd(c, d) == 1)
+    _, x, y = _xgcd(d, -c)  # d x - c y = 1
+    k = draw(st.integers(-50, 50))
+    return (x + k * c, y + k * d, c, d), p1, p2
+
+
+@PROPERTY
+@given(hecke_problems())
+def test_hecke_split(case):
+    # M U = [[a, b], [n c, n d]] with M unimodular and normalized, U upper
+    # triangular with 0 <= beta < delta, and alpha_p1 alpha_p2 = alpha_N
+    (a, b, c, d), p1, p2 = case
+    assert a * d - b * c == 1
+    alphas = {}
+    for n in (p1, p2, 1, p1 * p2):
+        (p, q, r, s), (alpha, beta, zero, delta) = hecke_split((a, b, c, d), n)
+        assert (p * alpha, p * beta + q * delta, r * alpha, r * beta + s * delta) == \
+            (a, b, n * c, n * d)
+        assert p * s - q * r == 1 and zero == 0
+        assert r > 0 or (r == 0 and s > 0)
+        assert 0 <= beta < delta and alpha * delta == n
+        alphas[n] = alpha
+    assert alphas[1] == 1 and alphas[p1] * alphas[p2] == alphas[p1 * p2]
 
 
 @st.composite
