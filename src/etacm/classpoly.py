@@ -2,9 +2,14 @@
 
 H_{B,N}(X) is the monic degree-h(D) product of (X - w^s(alpha_i)) over an
 N-system; by construction it has exact integer coefficients whenever the
-integrality conditions hold.  The 4h eta arguments alpha_i/d of one
-precision attempt reduce to the h forms of discriminant D, so an attempt
-sums one eta series per reduced form (an `EtaTable`), not one per argument.
+integrality conditions hold.  Each root comes from eta at the Hecke points
+of its form's reduced form, the route that Phi's conjugates take
+(`etafunc.hecke_plan`, `etafunc.w_pow_s_at_hecke_points`): with
+alpha_i = R tau_g for the reduced form g, w(alpha_i) is a 24th root of
+unity times eta(U_p1 tau_g) eta(U_p2 tau_g) / (eta(tau_g) eta(U_N tau_g)),
+with no square root left over.  The Hecke points of all roots are listed
+once per H, each evaluated once per attempt; they have discriminant D, so
+an attempt sums one eta series per class (an `EtaTable`).
 
 H is real, and its roots pair up exactly by conjugation (`_partners`): the
 root of [c/N, b, aN] is -conj(-N/tau) for the root tau of [a, b, c], the
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
-from .etafunc import EtaTable, Value, s_exponent, w_pow_s_with_err
+from .etafunc import EtaTable, Value, hecke_plan, s_exponent, w_pow_s_at_hecke_points
 from .intpoly import mul as ipmul
 from .qforms import (
     Discriminant,
@@ -227,11 +232,10 @@ def check_conditions(D, p1: int, p2: int) -> Discriminant:
 
 def _roots(forms: list[Form], p1: int, p2: int,
            prec: int) -> list[tuple[Value, float]]:
-    """w^s at the basis quotient of every form, with one eta series per
-    reduced form of an eta argument: one form of each conjugate pair of H's
-    N-system (`_partners`)."""
-    table = EtaTable()
-    return [w_pow_s_with_err(f, p1, p2, prec, table) for f in forms]
+    """w^s at the basis quotient of every form, from eta at the Hecke points
+    of its reduced form (`etafunc.hecke_plan`), each evaluated once."""
+    return w_pow_s_at_hecke_points(*hecke_plan(forms, p1, p2), s_exponent(p1, p2), prec,
+                                   EtaTable())
 
 
 def _partners(system: NSystem) -> list[int]:
@@ -286,17 +290,20 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     s = s_exponent(p1, p2)
     system = build_nsystem(disc, N, B % (2 * N))
     kept, paired = _one_per_pair(_partners(system))
-    forms = [system.forms[i] for i in kept]
+    points, quotients = hecke_plan([system.forms[i] for i in kept], p1, p2)
 
-    roots = _roots(forms, p1, p2, MIN_PREC)
+    def evaluate(prec: int) -> list[tuple[Value, float]]:
+        return w_pow_s_at_hecke_points(points, quotients, s, prec, EtaTable())
+
+    roots = evaluate(MIN_PREC)
     err = _tree_err(roots, paired, MIN_PREC + TREE_BITS)
     start = initial_precision(err, len(system.forms))
     if err < math.log2(RESIDUAL_LIMIT) and max(start, MIN_PREC) <= max_prec:
         # the height pass's roots are predicted to round: they are the first attempt
         start = MIN_PREC
     ints = double_until(start, max_prec,
-                        lambda prec: _expand(roots if prec == MIN_PREC
-                                             else _roots(forms, p1, p2, prec), paired, prec),
+                        lambda prec: _expand(roots if prec == MIN_PREC else evaluate(prec),
+                                             paired, prec),
                         f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:
         raise PrecisionExhausted("product expansion is not monic")

@@ -31,33 +31,35 @@ loop that raises the precision.  The public point functions (`eta`,
 once (`_form_of`), run that loop up to their target (`_to_target`), and
 hand the value back as an `ApComplex` (`to_apcomplex`).
 
-Every eta value at an arbitrary point comes from an `EtaTable`.  Many
-arguments share one reduced point: the 4h arguments alpha_i/d of a class
-polynomial (d in {1, p1, p2, N}) fall into the h form classes of
-discriminant D.  A table names each reduced point by its reduced form, sums
-one series per name ([a, -b, c], the mirror image, reuses the conjugate
-series of [a, b, c]), and recovers every argument's value through the
-transformation formula, with one 24th root of unity per exponent and
-precision.  A table serves one precision attempt of one computation, or one
+Every eta value at an arbitrary point comes from an `EtaTable`.  A table
+names each reduced point by its reduced form, sums one series per name
+([a, -b, c], the mirror image, reuses the conjugate series of [a, b, c]),
+and recovers every other value through the transformation formula.  The
+24th roots of unity are built from three integer square roots, floor(sqrt(n)
+2^P) for n = 2, 3, 6, once per exponent and precision (`_zeta24`), with no
+cos/sin.  A table serves one precision attempt of one computation, or one
 public call, and is then dropped.
 
-The conjugates w(g z) of a modular-polynomial sample point z need no eta
-value at the 4 psi(N) points g z/d themselves.  Each matrix [[a, b],
-[dc, dd']] splits as M_d U_d with M_d unimodular and U_d = [[alpha, beta],
-[0, delta]] (`hecke_split`), so eta(g z/d) is eta at the Hecke point U_d z
-times the multiplier of M_d, whose square roots sqrt(alpha_d (cz + d'))
-cancel in the quotient: w(g z) is a 24th root of unity times a quotient of
-eta values at Hecke points (`w_at_hecke_points`).  A sample point has
-1 + (p1+1) + (p2+1) + psi(N) of them, each evaluated once
-(`w_pow_s_at_hecke_points`), and as the sample lies on the imaginary axis,
-most come in mirror-image pairs that share a series.
+Every value of w, at an N-system form of a class polynomial, at a coset of
+a modular-polynomial sample point, or at a public point, needs no eta value
+at its four arguments tau/d (d in {1, p1, p2, N}) themselves.  With
+tau = m z for a unimodular m and a point z (for a form, z is the root of
+its reduced form and m the reducing matrix; for a sample point z, m is the
+coset), each matrix [[a, b], [dc, dd']] splits as M_d U_d with M_d
+unimodular and U_d = [[alpha, beta], [0, delta]] (`hecke_split`), so
+eta(m z/d) is eta at the Hecke point U_d z times the multiplier of M_d,
+whose square roots sqrt(alpha_d (cz + d')) cancel in the quotient: w(m z)
+is a 24th root of unity times a quotient of eta values at Hecke points
+(`w_at_hecke_points`).  U_1 is the identity, so for a reduced z one of the
+four is a series with no transform.  The Hecke points of many values are
+listed once (`hecke_plan` for forms, `modpoly._conjugate_plan` for cosets)
+and each is evaluated once per attempt (`w_pow_s_at_hecke_points`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import reduce
 from math import gcd
 
 from mpmath.libmp import (
@@ -102,6 +104,7 @@ _BITS_PER_Q_POWER = 2.0 * math.pi * (math.sqrt(3.0) / 2.0) / math.log(2.0)
 IDENTITY: Matrix = (1, 0, 0, 1)
 
 Value = tuple[int, int, int]  # (re, im, e): (re + i im) 2^e, see `apcomplex`
+Quotient = tuple[int, int, int, int, int, int]  # see `w_pow_s_at_hecke_points`
 
 
 def _series_terms(wp: int, im_bits: float) -> int:
@@ -165,9 +168,24 @@ def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
 
 
 def _zeta24(k: int, wp: int) -> Value:
-    """exp(pi i k / 12), within 0.1u relative (u = 2^-wp): its argument and
-    cos/sin at wp + 8 bits are each within an ulp."""
-    return from_mpc(*mpf_cos_sin_pi(from_rational(k, 12, wp + 8, RND), wp + 8, RND))
+    """exp(pi i k / 12), within 0.003u relative (u = 2^-wp), and exact when
+    6 | k.
+
+    zeta_24^k = i^(k // 6) zeta_24^(k mod 6), each step of 6 an exact
+    multiplication by i, and the six units (1, 0), ((r6 + r2)/4, (r6 - r2)/4),
+    (r3/2, 1/2), (r2/2, r2/2), (1/2, r3/2) and ((r6 - r2)/4, (r6 + r2)/4),
+    rn = sqrt(n), are built from floor(rn 2^P) = isqrt(n 2^2P) at
+    P = wp + 8.  Each part is then within 2^-(P+1), so the unit within
+    0.71 2^-P.
+    """
+    P = wp + 8
+    r2, r3, r6 = (math.isqrt(n << 2 * P) for n in (2, 3, 6))
+    one = 4 << P  # the units in 2^-(P+2)
+    re, im = ((one, 0), (r6 + r2, r6 - r2), (2 * r3, one >> 1), (2 * r2, 2 * r2),
+              (one >> 1, 2 * r3), (r6 - r2, r6 + r2))[k % 6]
+    for _ in range(k // 6 % 4):
+        re, im = -im, re
+    return re, im, -(P + 2)
 
 
 def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
@@ -229,10 +247,10 @@ def _abs_err(x: Value, rel: float, wp: int) -> float:
 
 class EtaTable:
     """The eta series of one computation, one per (reduced point, wp), and
-    the 24th roots of unity of the transformation formula, one per (k, wp).
+    the 24th roots of unity, one per (k, wp).
 
-    Every argument still gets its own factor sqrt(cz+d), so each value
-    carries a certified bound of its own.
+    Each argument that is not itself reduced gets its own factor sqrt(cz+d),
+    so each value carries a certified bound of its own.
     """
 
     def __init__(self):
@@ -334,7 +352,8 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     f1(z) = eta(z/2) / eta(z): J = (x + 16)^3 / x with x = f1^24 (Yui and
     Zagier, Math. Comp. 66, 1997).
 
-    If f1 is within a relative r, then x = f1^24 is within
+    f1, from two values of a one-off `EtaTable`, is within a relative r, the
+    sum of their bounds and the division's 3u.  Then x = f1^24 is within
     r_x = 24 r + 69u (`power`), and since dJ/dx = (x + 16)^2 (2x - 16) / x^2,
     to first order
         |dJ| <= |x + 16|^2 |2x - 16| / |x| * r_x.
@@ -346,8 +365,10 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     a, b, c = _reduce(f)[0]
     im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
     wp = prec + eta_guard_bits(prec) + math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
-    f1, rel = _eta_quotient(f, (2,), (1,), wp, EtaTable())
-    x = power(f1, 24, wp)
+    table = EtaTable()
+    (v2, r2), (v1, r1) = table.eta(f, 2, wp), table.eta(f, 1, wp)
+    x = power(div(v2, v1, wp), 24, wp)
+    rel = r2 + r1 + ROUND_ULPS
     x16 = add(x, (16, 0, 0))
     value = div(power(x16, 3, wp), x, wp)
     dj = (2 * lg(x16) + lg(add(add(x, x), (-16, 0, 0))) - lg(x) + 2.0 ** -29
@@ -360,29 +381,14 @@ def s_exponent(p1: int, p2: int) -> int:
     return 24 // gcd(24, (p1 - 1) * (p2 - 1))
 
 
-def _eta_quotient(f: Form, num: tuple[int, ...], den: tuple[int, ...], wp: int,
-                  table: EtaTable) -> tuple[Value, float]:
-    """prod eta(alpha_f / n) for n in num over prod eta(alpha_f / d) for d in
-    den (one or two of each), and its relative error in units 2^-wp: the
-    products are exact, so the factors' relative errors add, and the division
-    rounds once."""
-    vals, rel = [], ROUND_ULPS
-    for n in num + den:
-        v, r = table.eta(f, n, wp)
-        vals.append(v)
-        rel += r
-    return div(reduce(mul, vals[:len(num)]), reduce(mul, vals[len(num):]), wp), rel
-
-
 def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     """w = eta(z/p1) eta(z/p2) / (eta(z) eta(z/N)), absolute error certified
-    below 2^(guard - prec) with at most MAX_PRECISION bits (`_to_target`)."""
+    below 2^(guard - prec) with at most MAX_PRECISION bits (`_to_target`):
+    w^s for s = 1."""
     check_distinct_odd_primes(p1, p2)
 
     def evaluate(f: Form, p: int, table: EtaTable) -> tuple[Value, float]:
-        wp = p + eta_guard_bits(p) + 16
-        value, rel = _eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table)
-        return value, _abs_err(value, rel, wp)
+        return w_pow_s_at_hecke_points(*hecke_plan([f], p1, p2), 1, p, table)[0]
 
     return _to_target(z, prec, evaluate, "quotient")
 
@@ -408,16 +414,15 @@ def _power_with_err(w: Value, rel: float, s: int, wp: int) -> tuple[Value, float
 
 def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
                      table: EtaTable) -> tuple[Value, float]:
-    """(w^s, log2 absolute error bound) at the basis quotient of f, evaluated
-    once at prec + guard + 16 + 4s bits; the workhorse for class polynomials.
+    """(w^s, log2 absolute error bound) at the basis quotient of f, from eta
+    at the Hecke points of its reduced form (`hecke_plan`), evaluated once at
+    prec + guard + 16 + 4s bits.
 
-    table shares its eta series between the arguments of one attempt.  p1
-    and p2 are not checked here; callers check them once
+    table shares its eta series between the values of one attempt.  p1 and
+    p2 are not checked here; callers check them once
     (`arith.check_distinct_odd_primes`).
     """
-    s = s_exponent(p1, p2)
-    wp = _w_wp(prec, s)
-    return _power_with_err(*_eta_quotient(f, (p1, p2), (1, p1 * p2), wp, table), s, wp)
+    return w_pow_s_at_hecke_points(*hecke_plan([f], p1, p2), s_exponent(p1, p2), prec, table)[0]
 
 
 def hecke_split(m: Matrix, d: int) -> tuple[Matrix, Matrix]:
@@ -471,17 +476,37 @@ def w_at_hecke_points(m: Matrix, p1: int, p2: int) -> tuple[tuple[Matrix, ...], 
     return tuple(us), k % 24, sign
 
 
+def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Form], list[Quotient]]:
+    """The forms of the Hecke points of the forms' roots, each listed once,
+    and for each form f the quotient (i1, i2, i0, iN, K, sign) of
+    `w_pow_s_at_hecke_points` with w(alpha_f) = sign zeta_24^K eta_i1 eta_i2 /
+    (eta_i0 eta_iN).
+
+    With (g, R) = `_reduce(f)`, alpha_f = R alpha_g, so w(alpha_f) comes from
+    eta at the Hecke points U_d alpha_g (`w_at_hecke_points`).  U_1 is the
+    identity and g is reduced, so eta_i0 is a series with no transform.
+    """
+    index: dict[Form, int] = {}
+    quotients = []
+    for f in forms:
+        g, m = _reduce(f)
+        us, k, sign = w_at_hecke_points(m, p1, p2)
+        quotients.append((*(index.setdefault(hecke_point(g, u), len(index)) for u in us),
+                          k, sign))
+    return list(index), quotients
+
+
 def w_pow_s_at_hecke_points(points: list[Form],
-                            quotients: list[tuple[int, int, int, int, int, int]],
+                            quotients: list[Quotient],
                             s: int, prec: int, table: EtaTable) -> list[tuple[Value, float]]:
     """(w^s, log2 absolute error bound) of each quotient
     (i1, i2, i0, iN, K, sign) = sign zeta_24^K eta_i1 eta_i2 / (eta_i0 eta_iN)
-    over the eta values at the points (`w_at_hecke_points`), evaluated once
-    each at the working precision of `w_pow_s_with_err`.
+    over the eta values at the points (`w_at_hecke_points`, `hecke_plan`),
+    evaluated once each at prec + guard + 16 + 4s bits (`_w_wp`).
 
-    The products are exact and the unit, within 0.1u, is multiplied into the
-    numerator, so w is within the sum of the four eta bounds, 0.1u and the
-    division's rounding.
+    The products are exact and the unit, within 0.1u (`_zeta24`), is
+    multiplied into the numerator, so w is within the sum of the four eta
+    bounds, 0.1u and the division's rounding.
     """
     wp = _w_wp(prec, s)
     etas = [table.eta(f, 1, wp) for f in points]

@@ -111,10 +111,11 @@ def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Matrix]:
 
 @lru_cache(maxsize=4096)
 def _reduced_forms(D: int) -> tuple[QuadraticForm, ...]:
-    """The reduced forms of a discriminant D already checked."""
+    """The reduced forms of a discriminant D already checked: b runs over
+    -a < b <= a with b = D mod 2, as b^2 = D mod 4a needs."""
     forms = []
     for a in range(1, isqrt(-D // 3) + 1):
-        for b in range(-a + 1, a + 1):
+        for b in range(-a + 1 + (a + 1 + D) % 2, a + 1, 2):
             num = b * b - D
             if num % (4 * a):
                 continue

@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: eta and J
 come from mpmath's high-level q-Pochhammer and theta functions (eta at any
-rational point through Rademacher's Dedekind-sum multiplier), form counts
-from a direct triple loop, the reduction of a point from exact rational
-arithmetic, point counts from a naive sweep, the solutions of
-x^2 - D y^2 = n from a search over x, the group law from affine
+point x + i sqrt(y2), x and y2 rational, through Rademacher's Dedekind-sum
+multiplier), form counts from a direct triple loop, the reduction of a
+point from exact rational arithmetic, point counts from a naive sweep, the
+solutions of x^2 - D y^2 = n from a search over x, the group law from affine
 chord-and-tangent steps, the Hilbert class polynomial from theta-based
 j-values expanded with mpmath arithmetic, and polynomial arithmetic and
 root finding over F_p from schoolbook loops.
@@ -46,18 +46,18 @@ def j_oracle(z: complex, dps: int = 60) -> mpmath.mpc:
         return 256 * (lam * lam - lam + 1) ** 3 / (lam * (1 - lam)) ** 2
 
 
-def gauss_reduce_point(x: Fraction, y: Fraction) -> tuple[int, int, int, int]:
-    """M in SL2(Z) with M z Gauss-reduced, for z = x + iy in exact rational
-    arithmetic: move Re z into [-1/2, 1/2), invert while |z| < 1, and on the
-    unit arc invert once more if Re z > 0."""
+def gauss_reduce_point(x: Fraction, y2: Fraction) -> tuple[int, int, int, int]:
+    """M in SL2(Z) with M z Gauss-reduced, for z = x + i sqrt(y2) with x and
+    y2 > 0 rational, exactly: move Re z into [-1/2, 1/2), invert while
+    |z| < 1, and on the unit arc invert once more if Re z > 0."""
     a, b, c, d = 1, 0, 0, 1
     while True:
         t = floor(x + Fraction(1, 2))
         x, a, b = x - t, a - t * c, b - t * d
-        n = x * x + y * y
+        n = x * x + y2
         if n >= 1:
             break
-        x, y = -x / n, y / n  # z -> -1/z
+        x, y2 = -x / n, y2 / (n * n)  # z -> -1/z
         a, b, c, d = -c, -d, a, b
     if n == 1 and x > 0:
         a, b, c, d = -c, -d, a, b
@@ -71,27 +71,41 @@ def dedekind_sum(h: int, k: int) -> Fraction:
                     4 * k * k)
 
 
-def eta_at_rational_point(x: Fraction, y: Fraction, prec: int) -> mpmath.mpc:
-    """eta(x + iy) for rational x and y > 0, at prec bits: mpmath's eta at the
-    Gauss-reduced point M tau (`gauss_reduce_point`), moved back by
+def eta_at_quadratic_point(x: Fraction, y2: Fraction, prec: int) -> mpmath.mpc:
+    """eta(x + i sqrt(y2)) for rational x and y2 > 0, at prec bits: mpmath's
+    eta at the Gauss-reduced point M tau (`gauss_reduce_point`), moved back by
     Rademacher's form of the transformation formula, for c > 0
         eta(M tau) = exp(pi i ((a + d) / (12 c) - s(d, c))) sqrt(-i (c tau + d)) eta(tau),
     and eta(tau + b) = exp(pi i b / 12) eta(tau) for c = 0."""
-    a, b, c, d = gauss_reduce_point(x, y)
+    a, b, c, d = gauss_reduce_point(x, y2)
     if c < 0 or (c == 0 and d < 0):
         a, b, c, d = -a, -b, -c, -d
-    den = (c * x + d) ** 2 + (c * y) ** 2
-    re = ((a * x + b) * (c * x + d) + a * c * y * y) / den  # M tau = re + i y / den
+    den = (c * x + d) ** 2 + c * c * y2
+    re = ((a * x + b) * (c * x + d) + a * c * y2) / den  # M tau = re + i sqrt(y2) / den
 
     def mpf(q: Fraction) -> mpmath.mpf:
         return mpmath.mpf(q.numerator) / q.denominator
 
     with mpmath.workprec(prec):
-        reduced = mpmath.eta(mpmath.mpc(mpf(re), mpf(y / den)))
+        y = mpmath.sqrt(mpf(y2))
+        reduced = mpmath.eta(mpmath.mpc(mpf(re), y / mpf(den)))
         if c == 0:
             return reduced / mpmath.expjpi(mpmath.mpf(b) / 12)
         unit = mpmath.expjpi(mpf(Fraction(a + d, 12 * c) - dedekind_sum(d, c)))
-        return reduced / (unit * mpmath.sqrt(-1j * (c * mpmath.mpc(mpf(x), mpf(y)) + d)))
+        return reduced / (unit * mpmath.sqrt(-1j * (c * mpmath.mpc(mpf(x), y) + d)))
+
+
+def w_pow_s_at_form(f: tuple[int, int, int], p1: int, p2: int, prec: int) -> mpmath.mpc:
+    """w^s = (eta(tau/p1) eta(tau/p2) / (eta(tau) eta(tau/N)))^s at the root
+    tau = (-b + sqrt(D)) / (2a) of f = (a, b, c), s = 24 / gcd(24, (p1-1)(p2-1)),
+    from `eta_at_quadratic_point` at the four points tau / n, at prec bits."""
+    a, b, c = f
+    D = b * b - 4 * a * c
+    e1, e2, e0, eN = (eta_at_quadratic_point(Fraction(-b, 2 * a * n),
+                                             Fraction(-D, 4 * a * a * n * n), prec)
+                      for n in (p1, p2, 1, p1 * p2))
+    with mpmath.workprec(prec):
+        return (e1 * e2 / (e0 * eN)) ** (24 // gcd(24, (p1 - 1) * (p2 - 1)))
 
 
 def brute_force_class_count(D: int) -> int:

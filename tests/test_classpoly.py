@@ -131,11 +131,12 @@ class TestComputeClassPolynomial:
         import etacm.classpoly as cp
 
         calls = []
-        real = cp._roots
-        monkeypatch.setattr(cp, "_roots", lambda *a: calls.append(a[3]) or real(*a))
+        real = cp.w_pow_s_at_hecke_points
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points",
+                            lambda *a: calls.append(a[3]) or real(*a))
         want = compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
         assert calls == [64]
-        monkeypatch.setattr(cp, "_roots", real)
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", real)
         forms, paired = one_per_pair(cp.build_nsystem(D, p1 * p2, want.B))
         assert cp._expand(cp._roots(forms, p1, p2, 512), paired, 512) == list(want.coeffs)
 
@@ -270,8 +271,14 @@ class TestConjugatePairs:
 
         assert cp._partners(cp.build_nsystem(-56, 39, 10)) == [0, 2, 1, 3]
         calls = []
-        real = cp.w_pow_s_with_err
-        monkeypatch.setattr(cp, "w_pow_s_with_err", lambda *a: calls.append(a[3]) or real(*a))
+        real = cp.w_pow_s_at_hecke_points
+
+        def counting(points, quotients, s, prec, table):
+            values = real(points, quotients, s, prec, table)
+            calls.extend([prec] * len(values))
+            return values
+
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", counting)
         compute_class_polynomial(-56, 3, 13, 10)
         assert calls == [64] * 3
         calls.clear()
@@ -281,31 +288,89 @@ class TestConjugatePairs:
         assert len(precs) > 1 and all(calls.count(p) == 15 for p in precs)
 
 
+class TestHeckeRoute:
+    """Every root of H comes from eta at the Hecke points of its reduced form
+    (`etafunc.hecke_plan`), through the same functions as Phi's conjugates."""
+
+    @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-9899, 3, 5), (-260, 3, 13)])
+    def test_roots_lie_within_their_bounds(self, D, p1, p2):
+        # h = 4, h = 30, and (D|13) = 0: every root of the N-system at 128
+        # bits lies within its certified bound of w^s from mpmath's eta at
+        # the four points tau / n (`oracles.w_pow_s_at_form`)
+        import mpmath
+
+        import etacm.classpoly as cp
+        from etacm.arith import legendre
+        from oracles import w_pow_s_at_form
+        from support import to_mpc
+
+        system = cp.build_nsystem(D, p1 * p2, b_candidates(D, p1, p2)[0])
+        assert D != -9899 or len(system.forms) == 30
+        assert D != -260 or legendre(D, p2) == 0
+        for f, (value, err) in zip(system.forms, cp._roots(system.forms, p1, p2, 128)):
+            want = w_pow_s_at_form(f, p1, p2, 400)
+            with mpmath.workprec(400):
+                assert abs(to_mpc(value) - want) <= mpmath.mpf(2) ** err, (D, f)
+
+    def test_at_most_seven_square_roots_per_attempt(self, monkeypatch):
+        # D = -56, (3, 13) at 128 bits: the 3 kept forms have 10 distinct
+        # Hecke points, 3 of them a reduced form itself; each of the other 7
+        # takes at most one transform with one square root (transforming each
+        # argument alpha / d took 12 transforms and 10 square roots)
+        import etacm.classpoly as cp
+        import etacm.etafunc as ef
+
+        transforms, roots = [], []
+        real_transform, real_sqrt = ef.EtaTable._eta_transform, ef.sqrt
+
+        def transform(self, series, rel, f, m, wp):
+            if m != ef.IDENTITY:
+                transforms.append(m)
+            return real_transform(self, series, rel, f, m, wp)
+
+        monkeypatch.setattr(ef.EtaTable, "_eta_transform", transform)
+        monkeypatch.setattr(ef, "sqrt", lambda *a: roots.append(a) or real_sqrt(*a))
+        forms, _ = one_per_pair(cp.build_nsystem(-56, 39, 10))
+        cp._roots(forms, 3, 13, 128)
+        assert len(transforms) <= 7 and len(roots) <= 7
+
+
 class TestPrecisionPolicy:
     """Each value is evaluated once per attempt, and only the gate, through
     `apcomplex.double_until`, decides whether to try again higher."""
 
     def test_one_evaluation_per_value(self, monkeypatch):
+        # an attempt evaluates each value once and raises it to s once: w^s
+        # at each kept form of H, w^s at each kept coset of each sample
+        # point of Phi, and J at each sample point
         import etacm.classpoly as cp
         import etacm.etafunc as ef
         import etacm.modpoly as mp
 
-        counts = {"quotient": 0, "value": 0}
+        values, powers, nodes = [], [], []
 
-        def counting(fn, key):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
+        def recording(fn):
+            def wrapper(points, quotients, s, prec, table):
+                out = fn(points, quotients, s, prec, table)
+                values.append((prec, len(out)))
+                return out
             return wrapper
 
-        monkeypatch.setattr(ef, "_eta_quotient", counting(ef._eta_quotient, "quotient"))
-        monkeypatch.setattr(cp, "w_pow_s_with_err", counting(cp.w_pow_s_with_err, "value"))
+        real_power, real_j = ef._power_with_err, mp.j_invariant_with_err
+        monkeypatch.setattr(ef, "_power_with_err", lambda *a: powers.append(a) or real_power(*a))
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", recording(cp.w_pow_s_at_hecke_points))
+        monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", recording(mp.w_pow_s_at_hecke_points))
         monkeypatch.setattr(mp, "j_invariant_with_err",
-                            counting(mp.j_invariant_with_err, "value"))
+                            lambda *a: nodes.append(a[1]) or real_j(*a))
         assert compute_class_polynomial(-56, 3, 13, 10).descending() == [1, -2, -1, 2, -1]
+        assert values == [(64, 3)]  # h = 4 with 2 real roots: 3 kept forms
         mp.compute_modular_polynomial(3, 5)
-        assert counts["value"] > 0
-        assert counts["quotient"] == counts["value"]
+        phi = values[1:]
+        # 3 sample points per attempt, (24 + 4) / 2 kept cosets each
+        assert len(phi) == len(nodes) > 0 and {n for _, n in phi} == {14}
+        assert sorted(p for p, _ in phi) == sorted(nodes)
+        assert all(nodes.count(p) == 3 for p in nodes)
+        assert len(powers) == sum(n for _, n in values)
 
     @pytest.mark.parametrize("job, extra, later", [("H", 40, False), ("H", 100, True),
                                                    ("Phi", 40, False), ("Phi", 100, True)])
@@ -324,24 +389,15 @@ class TestPrecisionPolicy:
             return mp.compute_modular_polynomial(3, 5).coeffs
 
         want, precs = run(), []
-        if job == "H":
-            real = cp.w_pow_s_with_err
+        module = cp if job == "H" else mp
+        real = module.w_pow_s_at_hecke_points
 
-            def inflated(f, p1, p2, prec, table):
-                precs.append(prec)
-                value, err = real(f, p1, p2, prec, table)
-                return value, err + extra if prec == MIN_PREC else err
+        def inflated(points, quotients, s, prec, table):
+            precs.append(prec)
+            values = real(points, quotients, s, prec, table)
+            return [(v, e + extra) for v, e in values] if prec == MIN_PREC else values
 
-            monkeypatch.setattr(cp, "w_pow_s_with_err", inflated)
-        else:
-            real = mp.w_pow_s_at_hecke_points
-
-            def inflated(points, quotients, s, prec, table):
-                precs.append(prec)
-                values = real(points, quotients, s, prec, table)
-                return [(v, e + extra) for v, e in values] if prec == MIN_PREC else values
-
-            monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", inflated)
+        monkeypatch.setattr(module, "w_pow_s_at_hecke_points", inflated)
         assert run() == want
         assert precs[0] == MIN_PREC and (max(precs) > MIN_PREC) == later
 

@@ -127,6 +127,17 @@ class TestMultiplier:
                 diff = to_mpc(_zeta24(k, wp)) - want
                 assert abs(diff) <= mpmath.mpf(2) ** (2 - wp), k  # a few ulps
 
+    @pytest.mark.parametrize("wp", [64, 200, 300])
+    def test_roots_of_unity_within_a_tenth_of_an_ulp(self, wp):
+        # zeta_24^k from integer square roots: within 0.1u (u = 2^-wp) for
+        # every k, and exactly 1, i, -1 and -i for k = 0, 6, 12 and 18
+        with mpmath.workprec(wp + 64):
+            for k in range(24):
+                got = to_mpc(_zeta24(k, wp))
+                assert abs(got - root_of_unity(k, wp + 64)) <= mpmath.mpf(2) ** -wp / 10, k
+                if k % 6 == 0:
+                    assert got == (1, 1j, -1, -1j)[k // 6], k
+
     def test_rejects_non_unimodular(self):
         with pytest.raises(PreconditionError):
             eta_multiplier((1, 1, 1, 0))
@@ -443,28 +454,16 @@ class TestEtaTable:
 
     def test_attempt_computes_at_most_24_roots_of_unity_per_precision(self, monkeypatch):
         # one class-polynomial attempt: each zeta_24^k is computed once per
-        # working precision, however many of its 4h arguments need it
+        # working precision, however many of its values need it
         import etacm.classpoly as cp
         import etacm.etafunc as ef
         from etacm.qforms import b_candidates, build_nsystem
 
         D, p1, p2 = -1639, 5, 13
-        calls, tables = [], []
-        real_cos_sin = ef.mpf_cos_sin_pi
-
-        def counting(x, prec, rnd):
-            calls.append(prec)
-            return real_cos_sin(x, prec, rnd)
-
-        class Recording(EtaTable):
-            def __init__(self):
-                super().__init__()
-                tables.append(self)
-
-        monkeypatch.setattr(ef, "mpf_cos_sin_pi", counting)
-        monkeypatch.setattr(cp, "EtaTable", Recording)
+        calls = []
+        real = ef._zeta24
+        monkeypatch.setattr(ef, "_zeta24", lambda k, wp: calls.append((k, wp)) or real(k, wp))
         system = build_nsystem(D, p1 * p2, b_candidates(D, p1, p2)[0])
         cp._roots(system.forms, p1, p2, 256)
-        series = sum(len(t) for t in tables)
-        assert len(calls) - series <= 24 * len(set(calls))  # one cos/sin per series
-        assert 4 * len(system.forms) - series > 24  # many more arguments than roots
+        assert len(calls) == len(set(calls)) <= 24 * len({wp for _, wp in calls})
+        assert 4 * len(system.forms) > 24  # many more arguments than roots

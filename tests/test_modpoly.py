@@ -27,7 +27,7 @@ from etacm.modpoly import (
     load_embedded,
     serialize,
 )
-from oracles import eta_at_rational_point
+from oracles import eta_at_quadratic_point
 from support import coefficients, moebius, point, to_mpc
 
 
@@ -126,7 +126,7 @@ class TestCosetRepresentatives:
         # at the sample z_0 = 11i/10, w^s of one coset of each mirror pair,
         # from the eta values at the Hecke points, lies within its certified
         # bound of w^s(g z_0) from mpmath's eta at the four points g z_0 / d
-        # (`oracles.eta_at_rational_point`)
+        # (`oracles.eta_at_quadratic_point`)
         import etacm.modpoly as mp
         from etacm.classpoly import _one_per_pair
         from etacm.etafunc import EtaTable, hecke_point, s_exponent, w_pow_s_at_hecke_points
@@ -144,7 +144,7 @@ class TestCosetRepresentatives:
             a, b, c, d = cosets[i]
             den = (c * y0) ** 2 + d * d
             x, y = (b * d + a * c * y0 * y0) / den, y0 / den  # g z_0
-            e1, e2, e0, eN = (eta_at_rational_point(x / n, y / n, 400)
+            e1, e2, e0, eN = (eta_at_quadratic_point(x / n, (y / n) ** 2, 400)
                               for n in (p1, p2, 1, p1 * p2))
             with mpmath.workprec(400):
                 want = (e1 * e2 / (e0 * eN)) ** s

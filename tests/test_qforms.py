@@ -106,6 +106,14 @@ class TestEnumeration:
             if D % 4 in (0, 1):
                 assert class_number(D) == brute_force_class_count(D), D
 
+    def test_equals_the_brute_force_forms(self):
+        # b runs over b = D mod 2 only; every D = 0 and D = 1 mod 4 in
+        # -3000 < D <= -3 gives the oracle's forms, in sorted order
+        for D in range(-3, -3000, -1):
+            if D % 4 in (0, 1):
+                got = [f.as_tuple() for f in enumerate_reduced_forms(D)]
+                assert got == sorted(brute_force_reduced_forms(D)), D
+
     def test_random_discriminants_reduced_primitive_inequivalent(self):
         rng = random.Random(9)
         for _ in range(40):
