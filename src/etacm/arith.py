@@ -157,19 +157,21 @@ def squarefree_kernel(n: int) -> tuple[int, int]:
     return k * n, f
 
 
-def fundamental_parts(D: int) -> tuple[int, int]:
-    """Split a discriminant D < 0 into (d_K, f) with D = f**2 * d_K, d_K
-    fundamental; the one place that checks D < 0 and D = 0, 1 mod 4."""
+def check_discriminant(D: int) -> None:
+    """The one check of a discriminant: D < 0 and D = 0, 1 mod 4."""
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{D} is not a negative discriminant")
+
+
+def fundamental_parts(D: int) -> tuple[int, int]:
+    """Split a discriminant D < 0 into (d_K, f) with D = f**2 * d_K, d_K
+    fundamental, by trial division of |D|."""
+    check_discriminant(D)
     k, f = squarefree_kernel(-D)
     m = -k  # squarefree negative part
     if m % 4 == 1:
         d_k = m
-    else:
-        d_k = 4 * m
-        if f % 2:
-            raise PreconditionError(f"not a discriminant: {D}")
-        f //= 2
+    else:  # D = 0 mod 4 with m = 2, 3 mod 4 squarefree, so f is even
+        d_k, f = 4 * m, f // 2
     assert f * f * d_k == D
     return d_k, f

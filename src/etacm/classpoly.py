@@ -9,7 +9,7 @@ alpha_i = R tau_g for the reduced form g, w(alpha_i) is a 24th root of
 unity times eta(U_p1 tau_g) eta(U_p2 tau_g) / (eta(tau_g) eta(U_N tau_g)),
 with no square root left over.  The Hecke points of all roots are listed
 once per H, each evaluated once per attempt; they have discriminant D, so
-an attempt sums one eta series per class (an `EtaTable`).
+an attempt sums at most one eta series per class.
 
 H is real, and its roots pair up exactly by conjugation (`_partners`): the
 root of [c/N, b, aN] is -conj(-N/tau) for the root tau of [a, b, c], the
@@ -42,11 +42,10 @@ from dataclasses import dataclass
 from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, legendre
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
-from .etafunc import EtaTable, Value, hecke_plan, s_exponent, w_pow_s_at_hecke_points
+from .etafunc import Value, hecke_plan, s_exponent, w_pow_s_at_hecke_points
 from .intpoly import mul as ipmul
 from .qforms import (
     Discriminant,
-    Form,
     NSystem,
     _reduce,
     as_discriminant,
@@ -216,7 +215,8 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
         return False
     if legendre(disc.D, p1) == -1 or legendre(disc.D, p2) == -1:
         return False
-    if disc.f % p1 == 0 or disc.f % p2 == 0:
+    # for an odd prime p, p divides the conductor iff p^2 divides D
+    if disc.D % (p1 * p1) == 0 or disc.D % (p2 * p2) == 0:
         return False
     return True
 
@@ -228,14 +228,6 @@ def check_conditions(D, p1: int, p2: int) -> Discriminant:
     if not check_integrality_conditions(disc, p1, p2):
         raise ConditionsViolated(f"(D, p1, p2) = ({disc.D}, {p1}, {p2}) unsupported")
     return disc
-
-
-def _roots(forms: list[Form], p1: int, p2: int,
-           prec: int) -> list[tuple[Value, float]]:
-    """w^s at the basis quotient of every form, from eta at the Hecke points
-    of its reduced form (`etafunc.hecke_plan`), each evaluated once."""
-    return w_pow_s_at_hecke_points(*hecke_plan(forms, p1, p2), s_exponent(p1, p2), prec,
-                                   EtaTable())
 
 
 def _partners(system: NSystem) -> list[int]:
@@ -293,7 +285,7 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     points, quotients = hecke_plan([system.forms[i] for i in kept], p1, p2)
 
     def evaluate(prec: int) -> list[tuple[Value, float]]:
-        return w_pow_s_at_hecke_points(points, quotients, s, prec, EtaTable())
+        return w_pow_s_at_hecke_points(points, quotients, s, prec)
 
     roots = evaluate(MIN_PREC)
     err = _tree_err(roots, paired, MIN_PREC + TREE_BITS)

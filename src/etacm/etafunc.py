@@ -22,8 +22,8 @@ an exponent of its own.  Inside the module a point is always the exact
 integer form it is the root of, and every step returns a value with its
 error in ulps u = 2^-wp of the working precision, relative to the value:
 the series (`_eta_series`), the transformation formula
-(`EtaTable._eta_transform`), one eta value (`EtaTable.eta`), the quotients
-and the powers.  Each evaluation runs once, at a working precision set by
+(`_eta_transform`), the eta values (`_eta_values`), the quotients and the
+powers.  Each evaluation runs once, at a working precision set by
 the requested one, and turns that into an absolute bound at its last step
 only; a gate accepts it or not, and `apcomplex.double_until` is the only
 loop that raises the precision.  The public point functions (`eta`,
@@ -31,14 +31,14 @@ loop that raises the precision.  The public point functions (`eta`,
 once (`_form_of`), run that loop up to their target (`_to_target`), and
 hand the value back as an `ApComplex` (`to_apcomplex`).
 
-Every eta value at an arbitrary point comes from an `EtaTable`.  A table
-names each reduced point by its reduced form, sums one series per name
-([a, -b, c], the mirror image, reuses the conjugate series of [a, b, c]),
-and recovers every other value through the transformation formula.  The
-24th roots of unity are built from three integer square roots, floor(sqrt(n)
-2^P) for n = 2, 3, 6, once per exponent and precision (`_zeta24`), with no
-cos/sin.  A table serves one precision attempt of one computation, or one
-public call, and is then dropped.
+Every eta value at an arbitrary point comes from one batch call,
+`_eta_values`, which names each reduced point by its reduced form, sums one
+series per name ([a, -b, c], the mirror image, reuses the conjugate series
+of [a, b, c]), and recovers every other value through the transformation
+formula.  The 24th roots of unity are built from three integer square roots,
+floor(sqrt(n) 2^P) for n = 2, 3, 6, all 24 at once per evaluation
+(`_units`), with no cos/sin.  Which values share a series, and which units
+get built, is decided here alone: callers only ask for values.
 
 Every value of w, at an N-system form of a class polynomial, at a coset of
 a modular-polynomial sample point, or at a public point, needs no eta value
@@ -167,9 +167,9 @@ def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
     return c, d, jacobi(a, gamma), e % 24
 
 
-def _zeta24(k: int, wp: int) -> Value:
-    """exp(pi i k / 12), within 0.003u relative (u = 2^-wp), and exact when
-    6 | k.
+def _units(wp: int) -> list[Value]:
+    """exp(pi i k / 12) for k = 0, ..., 23, each within 0.003u relative
+    (u = 2^-wp), and exact when 6 | k.
 
     zeta_24^k = i^(k // 6) zeta_24^(k mod 6), each step of 6 an exact
     multiplication by i, and the six units (1, 0), ((r6 + r2)/4, (r6 - r2)/4),
@@ -181,11 +181,11 @@ def _zeta24(k: int, wp: int) -> Value:
     P = wp + 8
     r2, r3, r6 = (math.isqrt(n << 2 * P) for n in (2, 3, 6))
     one = 4 << P  # the units in 2^-(P+2)
-    re, im = ((one, 0), (r6 + r2, r6 - r2), (2 * r3, one >> 1), (2 * r2, 2 * r2),
-              (one >> 1, 2 * r3), (r6 - r2, r6 + r2))[k % 6]
-    for _ in range(k // 6 % 4):
-        re, im = -im, re
-    return re, im, -(P + 2)
+    units = [(one, 0), (r6 + r2, r6 - r2), (2 * r3, one >> 1), (2 * r2, 2 * r2),
+             (one >> 1, 2 * r3), (r6 - r2, r6 + r2)]
+    for _ in range(3):
+        units += [(-im, re) for re, im in units[-6:]]
+    return [(re, im, -(P + 2)) for re, im in units]
 
 
 def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
@@ -245,86 +245,67 @@ def _abs_err(x: Value, rel: float, wp: int) -> float:
     return lg(x) + math.log2(rel) - wp
 
 
-class EtaTable:
-    """The eta series of one computation, one per (reduced point, wp), and
-    the 24th roots of unity, one per (k, wp).
+def _eta_transform(series: Value, rel: float, f: Form, m: Matrix, wp: int,
+                   units: list[Value]) -> tuple[Value, float]:
+    """eta(z) at the root z of f = [A, B, C], from the series value at the
+    reduced point m z, and its relative error in units u = 2^-wp.
 
-    Each argument that is not itself reduced gets its own factor sqrt(cz+d),
-    so each value carries a certified bound of its own.
+    eta(z) = series / (sign zeta_24^k sqrt(cz + d)), and with
+    cz + d = w / (4A^2), w = 2A(2Ad - cB) + i c sqrt(4A^2 |disc f|),
+    1 / sqrt(cz + d) = 2A / sqrt(w).  The imaginary part of w is rounded
+    down at 2^-(wp+8) and is at least 1 when c > 0, so sqrt(w) is within
+    2^-(wp+9) + 3u; with the unit (0.1u, `_units`) and the division (3u)
+    that is at most 6.2u on top of the series' own error.  A translation
+    (c = 0) needs the unit alone.
     """
+    if m == IDENTITY:
+        return series, rel
+    c, d, sign, k = eta_multiplier(m)
+    ur, ui, ue = units[k]
+    num = mul(series, (sign * ur, -sign * ui, ue))
+    if c == 0:
+        return trunc(num, wp), rel + ROUND_ULPS + 0.1
+    (A, B, C), s = f, wp + 8
+    w = (2 * A * (2 * A * d - c * B) << s,
+         math.isqrt((4 * A * A * c * c * (4 * A * C - B * B)) << (2 * s)), -s)
+    return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel + 2 * ROUND_ULPS + 0.2
 
-    def __init__(self):
-        self._series: dict = {}
-        self._roots: dict = {}
 
-    def __len__(self) -> int:
-        """Number of series summed so far."""
-        return len(self._series)
+def _eta_values(forms: list[Form], wp: int, units: list[Value]) -> list[tuple[Value, float]]:
+    """eta at the root of each primitive form, and its relative error in
+    units 2^-wp, with the 24th roots of unity `_units(wp)`.
 
-    def unit(self, k: int, wp: int) -> Value:
-        """zeta_24^k for 0 <= k < 24, within 0.1u relative (u = 2^-wp)."""
-        unit = self._roots.get((k, wp))
-        if unit is None:
-            unit = self._roots[(k, wp)] = _zeta24(k, wp)
-        return unit
-
-    def _eta_transform(self, series: Value, rel: float, f: Form, m: Matrix,
-                       wp: int) -> tuple[Value, float]:
-        """eta(z) at the root z of f = [A, B, C], from the series value at the
-        reduced point m z, and its relative error in units u = 2^-wp.
-
-        eta(z) = series / (sign zeta_24^k sqrt(cz + d)), and with
-        cz + d = w / (4A^2), w = 2A(2Ad - cB) + i c sqrt(4A^2 |disc f|),
-        1 / sqrt(cz + d) = 2A / sqrt(w).  The imaginary part of w is rounded
-        down at 2^-(wp+8) and is at least 1 when c > 0, so sqrt(w) is within
-        2^-(wp+9) + 3u; with the unit (0.1u) and the division (3u) that is
-        at most 6.2u on top of the series' own error.  A translation (c = 0)
-        needs the unit alone.
-        """
-        if m == IDENTITY:
-            return series, rel
-        c, d, sign, k = eta_multiplier(m)
-        ur, ui, ue = self.unit(k, wp)
-        num = mul(series, (sign * ur, -sign * ui, ue))
-        if c == 0:
-            return trunc(num, wp), rel + ROUND_ULPS + 0.1
-        (A, B, C), s = f, wp + 8
-        w = (2 * A * (2 * A * d - c * B) << s,
-             math.isqrt((4 * A * A * c * c * (4 * A * C - B * B)) << (2 * s)), -s)
-        return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel + 2 * ROUND_ULPS + 0.2
-
-    def eta(self, f: Form, den: int, wp: int) -> tuple[Value, float]:
-        """eta(alpha_f / den) at the basis quotient alpha_f of f, and its
-        relative error in units 2^-wp.
-
-        alpha_f / den is the basis quotient of F, the primitive part of
-        [a den^2, b den, c].  Its reduced form G = [A, B, C] = F.M names the
-        point: M^-1 takes the argument to alpha_G, and [A, -B, C] shares the
-        series, since its basis quotient is -conj(alpha_G) and
-        eta(-conj z) = conj(eta(z)).
-        """
-        a, b, c = f
-        F = _primitive(a * den * den, b * den, c)
-        (A, B, C), (p, q, r, s) = _reduce(F)
-        key = (A, abs(B), C, wp)
-        hit = self._series.get(key)
+    The reduced form G = [A, B, C] = F.M of a form F names its point: M^-1
+    takes the root of G to that of F.  One series is summed per name, and
+    [A, -B, C] shares it, since its root is -conj(alpha_G) and
+    eta(-conj z) = conj(eta(z)); every other value comes through the
+    transformation formula (`_eta_transform`).
+    """
+    series: dict[Form, tuple[Value, float]] = {}
+    out = []
+    for f in forms:
+        (A, B, C), (p, q, r, s) = _reduce(f)
+        key = (A, abs(B), C)
+        hit = series.get(key)
         if hit is None:
-            hit = self._series[key] = _eta_series(A, abs(B), B * B - 4 * A * C, wp)
+            hit = series[key] = _eta_series(A, abs(B), B * B - 4 * A * C, wp)
         (re, im, e), rel = hit
-        return self._eta_transform((re, -im if B < 0 else im, e), rel, F, (s, -q, -r, p), wp)
+        out.append(_eta_transform((re, -im if B < 0 else im, e), rel, f, (s, -q, -r, p), wp,
+                                  units))
+    return out
 
 
 def _to_target(z: UpperHalfPoint, prec: int,
-               evaluate: Callable[[Form, int, EtaTable], tuple[Value, float]],
+               evaluate: Callable[[Form, int], tuple[Value, float]],
                what: str) -> ApComplex:
-    """evaluate(f, p, table) at z's form f, for p = prec, 2 prec, ... up to
+    """evaluate(f, p) at z's form f, for p = prec, 2 prec, ... up to
     MAX_PRECISION, until its bound is below 2^(eta_guard_bits(prec) - prec)."""
     check_prec(prec)
-    f, table = _form_of(z), EtaTable()
+    f = _form_of(z)
     target = eta_guard_bits(prec) - prec
 
     def attempt(p: int) -> Value | None:
-        value, err = evaluate(f, p, table)
+        value, err = evaluate(f, p)
         return value if err <= target else None
 
     return to_apcomplex(double_until(prec, MAX_PRECISION, attempt, what), prec)
@@ -333,9 +314,9 @@ def _to_target(z: UpperHalfPoint, prec: int,
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Dedekind eta, absolute error certified below 2^(guard - prec) with at
     most MAX_PRECISION bits (`_to_target`)."""
-    def evaluate(f: Form, p: int, table: EtaTable) -> tuple[Value, float]:
+    def evaluate(f: Form, p: int) -> tuple[Value, float]:
         wp = p + eta_guard_bits(p)
-        value, rel = table.eta(f, 1, wp)
+        [(value, rel)] = _eta_values([f], wp, _units(wp))
         return value, _abs_err(value, rel, wp)
 
     return _to_target(z, prec, evaluate, "eta")
@@ -344,7 +325,7 @@ def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Klein J (J(i) = 1728), absolute error certified below 2^(guard - prec)
     with at most MAX_PRECISION bits (`_to_target`)."""
-    return _to_target(z, prec, lambda f, p, _: j_invariant_with_err(f, p), "J")
+    return _to_target(z, prec, j_invariant_with_err, "J")
 
 
 def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
@@ -352,10 +333,10 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     f1(z) = eta(z/2) / eta(z): J = (x + 16)^3 / x with x = f1^24 (Yui and
     Zagier, Math. Comp. 66, 1997).
 
-    f1, from two values of a one-off `EtaTable`, is within a relative r, the
-    sum of their bounds and the division's 3u.  Then x = f1^24 is within
-    r_x = 24 r + 69u (`power`), and since dJ/dx = (x + 16)^2 (2x - 16) / x^2,
-    to first order
+    f1, from eta at alpha_f / 2 and alpha_f (`_eta_values`), is within a
+    relative r, the sum of their bounds and the division's 3u.  Then
+    x = f1^24 is within r_x = 24 r + 69u (`power`), and since
+    dJ/dx = (x + 16)^2 (2x - 16) / x^2, to first order
         |dJ| <= |x + 16|^2 |2x - 16| / |x| * r_x.
     Forming (x + 16)^3 / x rounds three times, 9u of J; one more bit covers
     the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, whose
@@ -365,8 +346,7 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     a, b, c = _reduce(f)[0]
     im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
     wp = prec + eta_guard_bits(prec) + math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
-    table = EtaTable()
-    (v2, r2), (v1, r1) = table.eta(f, 2, wp), table.eta(f, 1, wp)
+    (v2, r2), (v1, r1) = _eta_values([hecke_point(f, (1, 0, 0, 2)), f], wp, _units(wp))
     x = power(div(v2, v1, wp), 24, wp)
     rel = r2 + r1 + ROUND_ULPS
     x16 = add(x, (16, 0, 0))
@@ -387,8 +367,8 @@ def double_eta_quotient(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApCom
     w^s for s = 1."""
     check_distinct_odd_primes(p1, p2)
 
-    def evaluate(f: Form, p: int, table: EtaTable) -> tuple[Value, float]:
-        return w_pow_s_at_hecke_points(*hecke_plan([f], p1, p2), 1, p, table)[0]
+    def evaluate(f: Form, p: int) -> tuple[Value, float]:
+        return w_pow_s_at_hecke_points(*hecke_plan([f], p1, p2), 1, p)[0]
 
     return _to_target(z, prec, evaluate, "quotient")
 
@@ -397,12 +377,7 @@ def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
     """w^s, absolute error certified below 2^(guard - prec) with at most
     MAX_PRECISION bits (`_to_target`)."""
     check_distinct_odd_primes(p1, p2)
-    return _to_target(z, prec, lambda f, p, table: w_pow_s_with_err(f, p1, p2, p, table), "w^s")
-
-
-def _w_wp(prec: int, s: int) -> int:
-    """The working precision of w^s for a target of prec bits."""
-    return prec + eta_guard_bits(prec) + 16 + 4 * s
+    return _to_target(z, prec, lambda f, p: w_pow_s_with_err(f, p1, p2, p), "w^s")
 
 
 def _power_with_err(w: Value, rel: float, s: int, wp: int) -> tuple[Value, float]:
@@ -412,17 +387,15 @@ def _power_with_err(w: Value, rel: float, s: int, wp: int) -> tuple[Value, float
     return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
 
 
-def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int,
-                     table: EtaTable) -> tuple[Value, float]:
+def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int) -> tuple[Value, float]:
     """(w^s, log2 absolute error bound) at the basis quotient of f, from eta
     at the Hecke points of its reduced form (`hecke_plan`), evaluated once at
     prec + guard + 16 + 4s bits.
 
-    table shares its eta series between the values of one attempt.  p1 and
-    p2 are not checked here; callers check them once
+    p1 and p2 are not checked here; callers check them once
     (`arith.check_distinct_odd_primes`).
     """
-    return w_pow_s_at_hecke_points(*hecke_plan([f], p1, p2), s_exponent(p1, p2), prec, table)[0]
+    return w_pow_s_at_hecke_points(*hecke_plan([f], p1, p2), s_exponent(p1, p2), prec)[0]
 
 
 def hecke_split(m: Matrix, d: int) -> tuple[Matrix, Matrix]:
@@ -498,24 +471,26 @@ def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Form], list[Qu
 
 def w_pow_s_at_hecke_points(points: list[Form],
                             quotients: list[Quotient],
-                            s: int, prec: int, table: EtaTable) -> list[tuple[Value, float]]:
+                            s: int, prec: int) -> list[tuple[Value, float]]:
     """(w^s, log2 absolute error bound) of each quotient
     (i1, i2, i0, iN, K, sign) = sign zeta_24^K eta_i1 eta_i2 / (eta_i0 eta_iN)
     over the eta values at the points (`w_at_hecke_points`, `hecke_plan`),
-    evaluated once each at prec + guard + 16 + 4s bits (`_w_wp`).
+    evaluated once each at wp = prec + guard + 16 + 4s bits (`_eta_values`),
+    with one set of 24th roots of unity (`_units`) per call.
 
-    The products are exact and the unit, within 0.1u (`_zeta24`), is
-    multiplied into the numerator, so w is within the sum of the four eta
-    bounds, 0.1u and the division's rounding.
+    The products are exact and the unit, within 0.1u, is multiplied into the
+    numerator, so w is within the sum of the four eta bounds, 0.1u and the
+    division's rounding.
     """
-    wp = _w_wp(prec, s)
-    etas = [table.eta(f, 1, wp) for f in points]
+    wp = prec + eta_guard_bits(prec) + 16 + 4 * s
+    units = _units(wp)
+    etas = _eta_values(points, wp, units)
     out = []
     for i1, i2, i0, iN, k, sign in quotients:
         (v1, r1), (v2, r2), (v0, r0), (vN, rN) = etas[i1], etas[i2], etas[i0], etas[iN]
         num, rel = mul(v1, v2), r1 + r2 + r0 + rN + ROUND_ULPS
         if k or sign < 0:
-            ur, ui, ue = table.unit(k, wp)
+            ur, ui, ue = units[k]
             num, rel = mul(num, (sign * ur, sign * ui, ue)), rel + 0.1
         out.append(_power_with_err(div(num, mul(v0, vN), wp), rel, s, wp))
     return out

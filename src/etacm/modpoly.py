@@ -15,8 +15,8 @@ conjugates w^s(g z_m) come from eta at the Hecke points (alpha z_m + beta) /
 delta of z_m, each evaluated once per attempt, and a 24th root of unity per
 coset (`etafunc.w_pow_s_at_hecke_points`); which Hecke points and which
 root each coset takes depends on the coset alone, so `_conjugate_plan`
-works it out once per Phi.  One `EtaTable` serves an attempt, and
-mirror-image Hecke points share one eta series.
+works it out once per Phi, and mirror-image Hecke points share one eta
+series.
 On the imaginary axis, mirror cosets share the value as well as the series:
 the coset of top row (a, -b) has the conjugate of the value at (a, b)
 (`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
@@ -59,7 +59,6 @@ from .errors import (
     WrongDegree,
 )
 from .etafunc import (
-    EtaTable,
     Value,
     hecke_point,
     j_invariant_with_err,
@@ -223,14 +222,13 @@ def _coefficients(p1: int, p2: int, degj: int, plan: Plan, prec: int) -> list[RP
 
     w^s is evaluated at one coset of each mirror pair (`_conjugate_plan`),
     and the other's value is its conjugate; the eta values at the Hecke
-    points of a sample point are evaluated once each, with one `EtaTable`
-    for the attempt.  Each node J(z_m) is real, and keeps only the real part
-    of its approximation, within the same bound.
+    points of a sample point are evaluated once each.  Each node J(z_m) is
+    real, and keeps only the real part of its approximation, within the same
+    bound.
     """
     wp = prec + TREE_BITS
     s = s_exponent(p1, p2)
     hecke, quotients, paired = plan
-    table = EtaTable()
     nodes = []
     samples = []
     for m in range(degj + 1):
@@ -238,7 +236,7 @@ def _coefficients(p1: int, p2: int, degj: int, plan: Plan, prec: int) -> list[RP
         (re, _, e), err = j_invariant_with_err(f, prec)
         nodes.append(((re, 0, e), err))
         points = [hecke_point(f, u) for u in hecke]
-        samples.append(product_tree(w_pow_s_at_hecke_points(points, quotients, s, prec, table),
+        samples.append(product_tree(w_pow_s_at_hecke_points(points, quotients, s, prec),
                                     paired, wp))
     return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
 

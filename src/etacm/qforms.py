@@ -17,11 +17,11 @@ is computed from it and never factored.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
-from .arith import check_distinct_odd_primes, crt_pair, fundamental_parts
+from .arith import check_discriminant, check_distinct_odd_primes, crt_pair, fundamental_parts
 from .errors import (
     DiscriminantMismatch,
     InvalidB,
@@ -149,16 +149,24 @@ def equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 @dataclass(frozen=True)
 class Discriminant:
-    """Negative discriminant D = f^2 * d_K with d_K fundamental."""
+    """Negative discriminant D = f^2 * d_K with d_K fundamental.
+
+    Construction checks D < 0 and D = 0, 1 mod 4 only; d_K and f factor |D|,
+    so they are computed when first asked for.
+    """
 
     D: int
-    d_K: int = field(init=False)
-    f: int = field(init=False)
 
     def __post_init__(self):
-        d_k, f = fundamental_parts(self.D)
-        object.__setattr__(self, "d_K", d_k)
-        object.__setattr__(self, "f", f)
+        check_discriminant(self.D)
+
+    @cached_property
+    def d_K(self) -> int:
+        return fundamental_parts(self.D)[0]
+
+    @cached_property
+    def f(self) -> int:
+        return fundamental_parts(self.D)[1]
 
     def class_number(self) -> int:
         return len(_reduced_forms(self.D))

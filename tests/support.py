@@ -11,6 +11,7 @@ import mpmath
 from etacm.apcomplex import ApComplex, UpperHalfPoint
 from etacm.arith import is_probable_prime, legendre
 from etacm.classpoly import check_integrality_conditions
+from etacm.etafunc import hecke_plan, s_exponent, w_pow_s_at_hecke_points
 from etacm.pipeline import find_trace
 from etacm.qforms import b_candidates
 
@@ -117,3 +118,9 @@ def log2_dist(a, b) -> float:
     (ar, ai), (br, bi) = parts(a), parts(b)
     n2 = (ar - br) ** 2 + (ai - bi) ** 2
     return float("-inf") if n2 == 0 else (math.log2(n2.numerator) - math.log2(n2.denominator)) / 2
+
+
+def hecke_roots(forms, p1: int, p2: int, prec: int) -> list:
+    """(w^s, log2 error bound) at the root of every form, from eta at the
+    Hecke points of its reduced form: the values H's roots are made of."""
+    return w_pow_s_at_hecke_points(*hecke_plan(forms, p1, p2), s_exponent(p1, p2), prec)

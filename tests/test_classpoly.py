@@ -14,7 +14,7 @@ from etacm.classpoly import (
 from etacm.errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
 from etacm.ffield import FpPolynomial, roots_mod_l
 from etacm.qforms import Discriminant, b_candidates, class_number
-from support import pick_b, split_prime, valid_triples
+from support import hecke_roots, pick_b, split_prime, valid_triples
 
 PAIRS = ((3, 5), (3, 7), (3, 13), (5, 7), (5, 13))
 
@@ -44,6 +44,25 @@ class TestIntegralityConditions:
     def test_conductor_divisibility(self):
         # D = -175 = 5^2 * (-7): p1 = 5 divides the conductor
         assert check_integrality_conditions(-175, 5, 3) is False
+
+    def test_conductor_test_agrees_with_the_factoring(self):
+        # for an odd prime p, p | f iff p^2 | D: the conditions read D mod p^2
+        # and agree with the factored conductor for every D down to -3000, and
+        # a D of 142 bits needs no factoring at all
+        from etacm.arith import legendre
+
+        for D in range(-3, -3000, -1):
+            if D % 4 not in (0, 1):
+                continue
+            f = Discriminant(D).f
+            for p1, p2 in PAIRS:
+                want = (legendre(D, p1) != -1 and legendre(D, p2) != -1
+                        and f % p1 != 0 and f % p2 != 0)
+                assert check_integrality_conditions(D, p1, p2) is want, (D, p1, p2)
+        start = time.perf_counter()
+        assert check_integrality_conditions(-4 * 10**42 - 19, 3, 13) is True
+        assert check_integrality_conditions(-4 * 10**42 * 9 - 19 * 9, 3, 13) is False
+        assert time.perf_counter() - start < 1
 
     def test_non_integer_input_is_an_error(self):
         # only a rejected discriminant means "unsupported"; a wrong type is a bug
@@ -92,7 +111,7 @@ class TestComputeClassPolynomial:
         base = compute_class_polynomial(-260, 3, 13, 26)
         forms, paired = one_per_pair(build_nsystem(-260, 39, 26))
         # None unless the gate passes
-        ints = cp._expand(cp._roots(forms, 3, 13, 2048), paired, 2048)
+        ints = cp._expand(hecke_roots(forms, 3, 13, 2048), paired, 2048)
         assert ints is not None and tuple(ints) == base.coeffs
 
     def test_doubling_recovers_from_starved_start(self, monkeypatch):
@@ -138,7 +157,7 @@ class TestComputeClassPolynomial:
         assert calls == [64]
         monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", real)
         forms, paired = one_per_pair(cp.build_nsystem(D, p1 * p2, want.B))
-        assert cp._expand(cp._roots(forms, p1, p2, 512), paired, 512) == list(want.coeffs)
+        assert cp._expand(hecke_roots(forms, p1, p2, 512), paired, 512) == list(want.coeffs)
 
     @pytest.mark.parametrize("D, p1, p2, cap",
                              [(-56, 3, 13, 32), (-3996, 5, 7, 63), (-1511, 5, 7, 64)])
@@ -165,7 +184,7 @@ class TestComputeClassPolynomial:
         forms, paired = one_per_pair(build_nsystem(D, p1 * p2, b))
 
         def passes(prec):
-            return real(cp._roots(forms, p1, p2, prec), paired, prec) is not None
+            return real(hecke_roots(forms, p1, p2, prec), paired, prec) is not None
 
         smallest = next(p for p in range(64, calls[0] + 1, 8) if passes(p))
         assert calls[0] <= 2 * smallest
@@ -184,22 +203,32 @@ class TestComputeClassPolynomial:
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13)])
     def test_attempt_sums_at_most_h_series(self, monkeypatch, D, p1, p2):
-        # the 4h eta arguments of an attempt share h reduced forms
+        # the 4h eta arguments of an attempt share the h reduced forms, and
+        # [a, -b, c] shares the series of [a, b, c]: an attempt sums at most
+        # one series per reduced form up to the sign of b
         import etacm.classpoly as cp
-        from etacm.etafunc import EtaTable
+        import etacm.etafunc as ef
+        from etacm.qforms import enumerate_reduced_forms
 
-        tables = []
+        series, per_attempt = [0], []
+        real_series, real = ef._eta_series, cp.w_pow_s_at_hecke_points
 
-        class Recording(EtaTable):
-            def __init__(self):
-                super().__init__()
-                tables.append(self)
+        def counting_series(*a):
+            series[0] += 1
+            return real_series(*a)
 
-        monkeypatch.setattr(cp, "EtaTable", Recording)
-        h = class_number(D)
-        b = b_candidates(D, p1, p2)[0]
-        compute_class_polynomial(D, p1, p2, b)
-        assert tables and all(0 < len(t) <= h for t in tables)
+        def counting(*a):
+            before = series[0]
+            values = real(*a)
+            per_attempt.append(series[0] - before)
+            return values
+
+        monkeypatch.setattr(ef, "_eta_series", counting_series)
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", counting)
+        names = {(f.a, abs(f.b), f.c) for f in enumerate_reduced_forms(D)}
+        assert len(names) < class_number(D)
+        compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
+        assert per_attempt and all(0 < n <= len(names) for n in per_attempt)
 
     def test_negation_symmetry_random(self):
         rng = random.Random(61)
@@ -249,7 +278,7 @@ class TestConjugatePairs:
                     system = cp.build_nsystem(D, N, B)
                     partner = cp._partners(system)
                     assert all(partner[j] == i for i, j in enumerate(partner)), (D, N, B)
-                    values = cp._roots(system.forms, p1, p2, 128)
+                    values = hecke_roots(system.forms, p1, p2, 128)
                     for ((a, b, e), err), j in zip(values, partner):
                         (c, d, f), err_j = values[j]
                         # |conj r_i - r_j| <= 2^err_i + 2^err_j, lg bounds from above
@@ -273,8 +302,8 @@ class TestConjugatePairs:
         calls = []
         real = cp.w_pow_s_at_hecke_points
 
-        def counting(points, quotients, s, prec, table):
-            values = real(points, quotients, s, prec, table)
+        def counting(points, quotients, s, prec):
+            values = real(points, quotients, s, prec)
             calls.extend([prec] * len(values))
             return values
 
@@ -307,7 +336,7 @@ class TestHeckeRoute:
         system = cp.build_nsystem(D, p1 * p2, b_candidates(D, p1, p2)[0])
         assert D != -9899 or len(system.forms) == 30
         assert D != -260 or legendre(D, p2) == 0
-        for f, (value, err) in zip(system.forms, cp._roots(system.forms, p1, p2, 128)):
+        for f, (value, err) in zip(system.forms, hecke_roots(system.forms, p1, p2, 128)):
             want = w_pow_s_at_form(f, p1, p2, 400)
             with mpmath.workprec(400):
                 assert abs(to_mpc(value) - want) <= mpmath.mpf(2) ** err, (D, f)
@@ -321,17 +350,17 @@ class TestHeckeRoute:
         import etacm.etafunc as ef
 
         transforms, roots = [], []
-        real_transform, real_sqrt = ef.EtaTable._eta_transform, ef.sqrt
+        real_transform, real_sqrt = ef._eta_transform, ef.sqrt
 
-        def transform(self, series, rel, f, m, wp):
+        def transform(series, rel, f, m, wp, units):
             if m != ef.IDENTITY:
                 transforms.append(m)
-            return real_transform(self, series, rel, f, m, wp)
+            return real_transform(series, rel, f, m, wp, units)
 
-        monkeypatch.setattr(ef.EtaTable, "_eta_transform", transform)
+        monkeypatch.setattr(ef, "_eta_transform", transform)
         monkeypatch.setattr(ef, "sqrt", lambda *a: roots.append(a) or real_sqrt(*a))
         forms, _ = one_per_pair(cp.build_nsystem(-56, 39, 10))
-        cp._roots(forms, 3, 13, 128)
+        hecke_roots(forms, 3, 13, 128)
         assert len(transforms) <= 7 and len(roots) <= 7
 
 
@@ -350,8 +379,8 @@ class TestPrecisionPolicy:
         values, powers, nodes = [], [], []
 
         def recording(fn):
-            def wrapper(points, quotients, s, prec, table):
-                out = fn(points, quotients, s, prec, table)
+            def wrapper(points, quotients, s, prec):
+                out = fn(points, quotients, s, prec)
                 values.append((prec, len(out)))
                 return out
             return wrapper
@@ -392,9 +421,9 @@ class TestPrecisionPolicy:
         module = cp if job == "H" else mp
         real = module.w_pow_s_at_hecke_points
 
-        def inflated(points, quotients, s, prec, table):
+        def inflated(points, quotients, s, prec):
             precs.append(prec)
-            values = real(points, quotients, s, prec, table)
+            values = real(points, quotients, s, prec)
             return [(v, e + extra) for v, e in values] if prec == MIN_PREC else values
 
         monkeypatch.setattr(module, "w_pow_s_at_hecke_points", inflated)

@@ -72,6 +72,17 @@ class TestMultiplicity:
         assert code == EXIT_OK
         assert len(out.strip().split("\n")) == 4
 
+    def test_large_discriminant_answers_at_once(self, capsys):
+        # a Discriminant checks the sign and the residue mod 4 only: nothing
+        # trial-divides |D| ~ 4e42
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["multiplicity", "--disc", "-4000000000000000000000000000000000000000019",
+             "--p1", "3", "--p2", "13"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert out == "B=17 SIMPLE\nB=35 SIMPLE\nB=43 SIMPLE\nB=61 SIMPLE\n"
+
     @pytest.mark.parametrize("argv, code, lines", [
         (["multiplicity", "--disc", "-8", "--p1", "1000000007", "--p2", "1000000009"],
          EXIT_PRECONDITION, 0),

@@ -7,9 +7,9 @@ import pytest
 from etacm.apcomplex import ApComplex, UpperHalfPoint
 from etacm.errors import PreconditionError
 from etacm.etafunc import (
-    EtaTable,
     _eta_series,
-    _zeta24,
+    _eta_values,
+    _units,
     double_eta_quotient,
     eta,
     eta_guard_bits,
@@ -99,12 +99,12 @@ class TestMultiplier:
 
     def test_identity(self):
         assert eta_multiplier((1, 0, 0, 1)) == (0, 1, 1, 0)
-        assert to_mpc(_zeta24(0, 96)) == 1
+        assert to_mpc(_units(96)[0]) == 1
 
     def test_inversion_matches_classical_formula(self):
         c, d, sign, k = eta_multiplier((0, -1, 1, 0))
         assert (c, d, sign, k) == (1, 0, 1, 21)  # zeta_24^{-3}
-        val = sign * complex(to_mpc(_zeta24(k, 128)))
+        val = sign * complex(to_mpc(_units(128)[k]))
         want = complex(math.cos(-math.pi / 4), math.sin(-math.pi / 4))
         assert abs(val - want) < 1e-15
 
@@ -120,20 +120,23 @@ class TestMultiplier:
 
     def test_roots_of_unity_against_cos_sin(self):
         wp = 192
+        units = _units(wp)
+        assert len(units) == 24
         with mpmath.workprec(wp + 64):
             for k in range(24):
                 want = mpmath.mpc(mpmath.cospi(mpmath.mpf(k) / 12),
                                   mpmath.sinpi(mpmath.mpf(k) / 12))
-                diff = to_mpc(_zeta24(k, wp)) - want
+                diff = to_mpc(units[k]) - want
                 assert abs(diff) <= mpmath.mpf(2) ** (2 - wp), k  # a few ulps
 
     @pytest.mark.parametrize("wp", [64, 200, 300])
     def test_roots_of_unity_within_a_tenth_of_an_ulp(self, wp):
         # zeta_24^k from integer square roots: within 0.1u (u = 2^-wp) for
         # every k, and exactly 1, i, -1 and -i for k = 0, 6, 12 and 18
+        units = _units(wp)
         with mpmath.workprec(wp + 64):
             for k in range(24):
-                got = to_mpc(_zeta24(k, wp))
+                got = to_mpc(units[k])
                 assert abs(got - root_of_unity(k, wp + 64)) <= mpmath.mpf(2) ** -wp / 10, k
                 if k % 6 == 0:
                     assert got == (1, 1j, -1, -1j)[k // 6], k
@@ -396,9 +399,10 @@ class TestDoubleEtaQuotient:
 
 
 class TestEtaTable:
-    """Table-built eta values against direct evaluation at the exact point
-    (mpmath's q-product), within the table's own certified bound, which must
-    also be tight."""
+    """The table of series inside one batch call (`_eta_values`): its eta
+    values against direct evaluation at the exact point (mpmath's
+    q-product), within their own certified bounds, which must also be tight,
+    from few series."""
 
     WP = 192
 
@@ -415,55 +419,81 @@ class TestEtaTable:
 
     @staticmethod
     def mp_eta(tau):
-        # q^(1/24) (q; q)_inf, far above the table's precision
+        # q^(1/24) (q; q)_inf, far above the working precision
         with mpmath.workprec(TestEtaTable.WP + 128):
             return mpmath.eta(tau)
 
+    @staticmethod
+    def counted_values(monkeypatch, points, wp):
+        # the values at the points from one batch, and the series it summed
+        import etacm.etafunc as ef
+
+        calls, real = [], ef._eta_series
+        monkeypatch.setattr(ef, "_eta_series", lambda *a: calls.append(a) or real(*a))
+        return _eta_values(points, wp, _units(wp)), len(calls)
+
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13), (-3996, 5, 7)])
-    def test_forms_agree_with_direct_evaluation(self, D, p1, p2):
+    def test_forms_agree_with_direct_evaluation(self, monkeypatch, D, p1, p2):
+        from etacm.etafunc import hecke_point
         from etacm.qforms import b_candidates, build_nsystem
 
         N = p1 * p2
         wp = self.WP
-        table = EtaTable()
         system = build_nsystem(D, N, b_candidates(D, p1, p2)[0])
-        for f in system.forms:
-            for den in (p1, p2, 1, N):
-                with mpmath.workprec(wp + 128):
-                    tau = mpmath.mpc(-f.b, mpmath.sqrt(-D)) / (2 * f.a * den)
-                self.assert_certified(table.eta(f, den, wp), self.mp_eta(tau))
-        assert len(table) <= len(system.forms)
+        args = [(f, den) for f in system.forms for den in (p1, p2, 1, N)]
+        values, series = self.counted_values(
+            monkeypatch, [hecke_point(f, (1, 0, 0, den)) for f, den in args], wp)
+        for (f, den), got in zip(args, values):
+            with mpmath.workprec(wp + 128):
+                tau = mpmath.mpc(-f.b, mpmath.sqrt(-D)) / (2 * f.a * den)
+            self.assert_certified(got, self.mp_eta(tau))
+        assert series <= len(system.forms)
 
-    def test_cosets_agree_with_direct_evaluation(self):
+    def test_cosets_agree_with_direct_evaluation(self, monkeypatch):
+        from etacm.etafunc import hecke_point
         from etacm.modpoly import coset_representatives
         from etacm.qforms import QuadraticForm
 
         wp = self.WP
-        table = EtaTable()
         f0 = QuadraticForm(256, -32, 401)  # its root is z0 = (1 + 20i) / 16
         cosets = coset_representatives(3, 5)
-        for g in cosets:
-            f = f0.compose((g[3], -g[1], -g[2], g[0]))  # root g z0
-            for den in (3, 5, 1, 15):
-                a, b, c, d = g
-                with mpmath.workprec(wp + 128):
-                    t0 = mpmath.mpc(mpmath.mpf(1) / 16, mpmath.mpf(5) / 4)
-                    tau = (a * t0 + b) / (c * t0 + d) / den
-                self.assert_certified(table.eta(f, den, wp), self.mp_eta(tau))
-        assert len(table) <= 1 + 4 + 6 + len(cosets)
+        args = [(g, den) for g in cosets for den in (3, 5, 1, 15)]
+        # the root of f0.g^-1 is g z0
+        points = [hecke_point(f0.compose((g[3], -g[1], -g[2], g[0])), (1, 0, 0, den))
+                  for g, den in args]
+        values, series = self.counted_values(monkeypatch, points, wp)
+        for ((a, b, c, d), den), got in zip(args, values):
+            with mpmath.workprec(wp + 128):
+                t0 = mpmath.mpc(mpmath.mpf(1) / 16, mpmath.mpf(5) / 4)
+                tau = (a * t0 + b) / (c * t0 + d) / den
+            self.assert_certified(got, self.mp_eta(tau))
+        assert series <= 1 + 4 + 6 + len(cosets)
 
-    def test_attempt_computes_at_most_24_roots_of_unity_per_precision(self, monkeypatch):
-        # one class-polynomial attempt: each zeta_24^k is computed once per
-        # working precision, however many of its values need it
+    def test_one_set_of_units_per_evaluation(self, monkeypatch):
+        # every w_pow_s_at_hecke_points call builds the 24 units once, at its
+        # own working precision, and every J once more: H with D = -9899
+        # forced to start at 64 bits (the gate rejects that attempt, so there
+        # is another), and Phi_{3,5} (J, then w^s, at each sample point)
         import etacm.classpoly as cp
         import etacm.etafunc as ef
-        from etacm.qforms import b_candidates, build_nsystem
+        import etacm.modpoly as mp
+        from etacm.qforms import b_candidates
 
-        D, p1, p2 = -1639, 5, 13
-        calls = []
-        real = ef._zeta24
-        monkeypatch.setattr(ef, "_zeta24", lambda k, wp: calls.append((k, wp)) or real(k, wp))
-        system = build_nsystem(D, p1 * p2, b_candidates(D, p1, p2)[0])
-        cp._roots(system.forms, p1, p2, 256)
-        assert len(calls) == len(set(calls)) <= 24 * len({wp for _, wp in calls})
-        assert 4 * len(system.forms) > 24  # many more arguments than roots
+        units, wps, js = [], [], []
+        real_units, real_j = ef._units, mp.j_invariant_with_err
+        monkeypatch.setattr(ef, "_units", lambda wp: units.append(wp) or real_units(wp))
+        monkeypatch.setattr(mp, "j_invariant_with_err", lambda *a: js.append(a) or real_j(*a))
+        for module in (cp, mp):
+            def recording(points, quotients, s, prec, real=module.w_pow_s_at_hecke_points):
+                wps.append(prec + eta_guard_bits(prec) + 16 + 4 * s)
+                return real(points, quotients, s, prec)
+
+            monkeypatch.setattr(module, "w_pow_s_at_hecke_points", recording)
+        monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
+        cp.compute_class_polynomial(-9899, 3, 5, b_candidates(-9899, 3, 5)[0])
+        assert len(set(wps)) > 1 and units == wps
+        units.clear()
+        wps.clear()
+        mp.compute_modular_polynomial(3, 5)
+        assert len(wps) == len(js) > 0
+        assert len(units) == 2 * len(wps) and units[1::2] == wps

@@ -28,7 +28,7 @@ from etacm.modpoly import (
     serialize,
 )
 from oracles import eta_at_quadratic_point
-from support import coefficients, moebius, point, to_mpc
+from support import coefficients, hecke_roots, moebius, point, to_mpc
 
 
 def to_mp(v: ApComplex, dps: int = 60) -> mpmath.mpc:
@@ -104,7 +104,6 @@ class TestCosetRepresentatives:
         # row (a, -b) holds the conjugate of the value at (a, b), and the 4
         # cosets that are their own mirror hold real values
         import etacm.modpoly as mp
-        from etacm.classpoly import _roots
         from etacm.qforms import _compose
 
         mirror = mirror_by_top_rows(p1, p2)
@@ -112,7 +111,7 @@ class TestCosetRepresentatives:
         assert sum(i == j for i, j in enumerate(mirror)) == 4
         f = mp._sample_form(0)
         forms = [_compose(f, (d, -b, -c, a)) for a, b, c, d in coset_representatives(p1, p2)]
-        roots = [(to_mpc(r), err) for r, err in _roots(forms, p1, p2, 128)]
+        roots = [(to_mpc(r), err) for r, err in hecke_roots(forms, p1, p2, 128)]
         with mpmath.workprec(512):
             for (r, err), j in zip(roots, mirror):
                 rm, err_m = roots[j]
@@ -129,14 +128,13 @@ class TestCosetRepresentatives:
         # (`oracles.eta_at_quadratic_point`)
         import etacm.modpoly as mp
         from etacm.classpoly import _one_per_pair
-        from etacm.etafunc import EtaTable, hecke_point, s_exponent, w_pow_s_at_hecke_points
+        from etacm.etafunc import hecke_point, s_exponent, w_pow_s_at_hecke_points
 
         f, y0 = mp._sample_form(0), Fraction(11, 10)
         assert f == (100, 0, 121)
         hecke, quotients, _ = mp._conjugate_plan(p1, p2)
         s = s_exponent(p1, p2)
-        values = w_pow_s_at_hecke_points([hecke_point(f, u) for u in hecke], quotients, s, 64,
-                                         EtaTable())
+        values = w_pow_s_at_hecke_points([hecke_point(f, u) for u in hecke], quotients, s, 64)
         kept = _one_per_pair(mp._mirror(p1, p2))[0]
         cosets = coset_representatives(p1, p2)
         assert len(values) == len(kept) == ((p1 + 1) * (p2 + 1) + 4) // 2
@@ -393,8 +391,8 @@ class TestComputeModularPolynomial:
         calls = []
         real = mp.w_pow_s_at_hecke_points
 
-        def counting(points, quotients, s, prec, table):
-            values = real(points, quotients, s, prec, table)
+        def counting(points, quotients, s, prec):
+            values = real(points, quotients, s, prec)
             calls.extend([prec] * len(values))
             return values
 
@@ -408,31 +406,35 @@ class TestComputeModularPolynomial:
         # (alpha z + beta) / delta; the sample lies on the imaginary axis, so
         # mirror-image classes [A, +-B, C] share one series, which leaves at
         # most 42 series per point, and at most 42 transforms other than the
-        # identity.  One table serves every sample point of an attempt
+        # identity
         import etacm.etafunc as ef
         import etacm.modpoly as mp
 
-        transforms, per_point, tables = [0], [], set()
-        real_transform = ef.EtaTable._eta_transform
+        series, transforms, per_point = [0], [0], []
+        real_series, real_transform = ef._eta_series, ef._eta_transform
 
-        def transform(self, series, rel, f, m, wp):
+        def counting_series(*a):
+            series[0] += 1
+            return real_series(*a)
+
+        def transform(series, rel, f, m, wp, units):
             transforms[0] += m != ef.IDENTITY
-            return real_transform(self, series, rel, f, m, wp)
+            return real_transform(series, rel, f, m, wp, units)
 
         real = mp.w_pow_s_at_hecke_points
 
-        def counting(points, quotients, s, prec, table):
-            series, before = len(table), transforms[0]
-            values = real(points, quotients, s, prec, table)
-            per_point.append((len(table) - series, transforms[0] - before))
-            tables.add(id(table))
+        def counting(points, quotients, s, prec):
+            before = series[0], transforms[0]
+            values = real(points, quotients, s, prec)
+            per_point.append((series[0] - before[0], transforms[0] - before[1]))
             return values
 
-        monkeypatch.setattr(ef.EtaTable, "_eta_transform", transform)
+        monkeypatch.setattr(ef, "_eta_series", counting_series)
+        monkeypatch.setattr(ef, "_eta_transform", transform)
         monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", counting)
         phi = compute_modular_polynomial(3, 13)
         assert phi.degX == 56
-        assert len(per_point) == 3 and len(tables) == 1
+        assert len(per_point) == 3
         assert all(0 < n <= 42 and t <= 42 for n, t in per_point)
 
     def test_duplicate_samples_raise(self, monkeypatch):
