@@ -240,3 +240,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -40,20 +40,20 @@ floor(sqrt(n) 2^P) for n = 2, 3, 6, all 24 at once per evaluation
 (`_units`), with no cos/sin.  Which values share a series, and which units
 get built, is decided here alone: callers only ask for values.
 
-Every value of w, at an N-system form of a class polynomial, at a coset of
-a modular-polynomial sample point, or at a public point, needs no eta value
-at its four arguments tau/d (d in {1, p1, p2, N}) themselves.  With
-tau = m z for a unimodular m and a point z (for a form, z is the root of
-its reduced form and m the reducing matrix; for a sample point z, m is the
-coset), each matrix [[a, b], [dc, dd']] splits as M_d U_d with M_d
-unimodular and U_d = [[alpha, beta], [0, delta]] (`hecke_split`), so
-eta(m z/d) is eta at the Hecke point U_d z times the multiplier of M_d,
+Every value of w, at an N-system form of a class polynomial, at a coset g
+of a modular-polynomial sample point z_m (the form f_m.g^-1, which reduces
+back to f_m with matrix +-g), or at a public point, is w at the root of a
+form, and needs no eta value at its four arguments tau/d
+(d in {1, p1, p2, N}).  With tau = m z, z the root of the reduced form and
+m the reducing matrix, each matrix [[a, b], [dc, dd']] splits as M_d U_d
+with M_d unimodular and U_d = [[alpha, beta], [0, delta]] (`hecke_split`),
+so eta(m z/d) is eta at the Hecke point U_d z times the multiplier of M_d,
 whose square roots sqrt(alpha_d (cz + d')) cancel in the quotient: w(m z)
 is a 24th root of unity times a quotient of eta values at Hecke points
 (`w_at_hecke_points`).  U_1 is the identity, so for a reduced z one of the
 four is a series with no transform.  The Hecke points of many values are
-listed once (`hecke_plan` for forms, `modpoly._conjugate_plan` for cosets)
-and each is evaluated once per attempt (`w_pow_s_at_hecke_points`).
+listed once (`hecke_plan`, for H and Phi alike) and each is evaluated once
+per attempt (`w_pow_s_at_hecke_points`).
 """
 
 from __future__ import annotations
@@ -456,14 +456,19 @@ def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Form], list[Qu
     (eta_i0 eta_iN).
 
     With (g, R) = `_reduce(f)`, alpha_f = R alpha_g, so w(alpha_f) comes from
-    eta at the Hecke points U_d alpha_g (`w_at_hecke_points`).  U_1 is the
-    identity and g is reduced, so eta_i0 is a series with no transform.
+    eta at the Hecke points U_d alpha_g (`w_at_hecke_points`), worked out once
+    per distinct R within the call: the cosets of a modular polynomial repeat
+    their R at every sample point.  U_1 is the identity and g is reduced, so
+    eta_i0 is a series with no transform.
     """
     index: dict[Form, int] = {}
+    splits: dict[Matrix, tuple[tuple[Matrix, ...], int, int]] = {}
     quotients = []
     for f in forms:
         g, m = _reduce(f)
-        us, k, sign = w_at_hecke_points(m, p1, p2)
+        if m not in splits:
+            splits[m] = w_at_hecke_points(m, p1, p2)
+        us, k, sign = splits[m]
         quotients.append((*(index.setdefault(hecke_point(g, u), len(index)) for u in us),
                           k, sign))
     return list(index), quotients

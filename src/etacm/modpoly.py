@@ -11,14 +11,12 @@ samples lie on the imaginary axis above i, where J is real and strictly
 increasing, so the nodes are distinct and far apart.  Each sample point is
 the root of an integer form f_m: its node J(z_m) is evaluated at f_m itself
 (`etafunc.j_invariant_with_err`), with a certified bound of its own.  Its
-conjugates w^s(g z_m) come from eta at the Hecke points (alpha z_m + beta) /
-delta of z_m, each evaluated once per attempt, and a 24th root of unity per
-coset (`etafunc.w_pow_s_at_hecke_points`); which Hecke points and which
-root each coset takes depends on the coset alone, so `_conjugate_plan`
-works it out once per Phi, and mirror-image Hecke points share one eta
-series.
-On the imaginary axis, mirror cosets share the value as well as the series:
-the coset of top row (a, -b) has the conjugate of the value at (a, b)
+conjugate w^s(g z_m) is w^s at the root of the form f_m.g^-1, planned once
+per Phi as H's forms are (`etafunc.hecke_plan`; z_m is not an elliptic
+point, so that form reduces back to f_m with matrix +-g) and evaluated for
+all samples in one call per attempt (`etafunc.w_pow_s_at_hecke_points`).
+On the imaginary axis, mirror cosets share the value: the coset of top
+row (a, -b) has the conjugate of the value at (a, b)
 (`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
 (psi(N) + 4)/2 values per sample point, each pair gives the real quadratic
 (X - r)(X - conj r), and Phi's samples are expanded by H's real tree
@@ -59,22 +57,22 @@ from .errors import (
     WrongDegree,
 )
 from .etafunc import (
+    Quotient,
     Value,
-    hecke_point,
+    hecke_plan,
     j_invariant_with_err,
     s_exponent,
-    w_at_hecke_points,
     w_pow_s_at_hecke_points,
 )
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, QuadraticForm, _primitive, _xgcd
+from .qforms import Form, Matrix, QuadraticForm, _compose, _primitive, _xgcd
 
 MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
 
-# Hecke matrices, one quotient per kept coset, paired flags (`_conjugate_plan`)
-Plan = tuple[list[Matrix], list[tuple[int, ...]], list[bool]]
+# sample forms, Hecke points, quotients, paired flags (`_conjugate_plan`)
+Plan = tuple[list[QuadraticForm], list[Form], list[Quotient], list[bool]]
 
 
 @dataclass(frozen=True)
@@ -199,46 +197,36 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[RPoly],
     return out
 
 
-def _conjugate_plan(p1: int, p2: int) -> Plan:
-    """The Hecke matrices U and, for one coset of each mirror pair
-    (`_mirror`), the quotient (i1, i2, i0, iN, K, sign) with
-    w^s(g z) = (sign zeta_24^K eta(U_i1 z) eta(U_i2 z) / (eta(U_i0 z) eta(U_iN z)))^s
-    for every z (`etafunc.w_at_hecke_points`), and whether the coset is
-    paired.  It depends on the cosets only, so it serves every sample point
-    of every attempt of one Phi."""
+def _conjugate_plan(p1: int, p2: int, degj: int) -> Plan:
+    """The degJ + 1 sample forms f_m; the Hecke points and quotients
+    (`etafunc.hecke_plan`) of the forms f_m.g^-1, roots g z_m, sample by
+    sample, for one coset g of each mirror pair (`_mirror`); and whether
+    each coset is paired.  It serves every attempt of one Phi."""
+    sample_forms = [_sample_form(m) for m in range(degj + 1)]
     cosets = coset_representatives(p1, p2)
     kept, paired = _one_per_pair(_mirror(p1, p2))
-    index: dict[Matrix, int] = {}
-    quotients = []
-    for i in kept:
-        us, k, sign = w_at_hecke_points(cosets[i], p1, p2)
-        quotients.append((*(index.setdefault(u, len(index)) for u in us), k, sign))
-    return list(index), quotients, paired
+    forms = [_compose(f, (d, -b, -c, a)) for f in sample_forms
+             for a, b, c, d in (cosets[i] for i in kept)]
+    return sample_forms, *hecke_plan(forms, p1, p2), paired
 
 
 def _coefficients(p1: int, p2: int, degj: int, plan: Plan, prec: int) -> list[RPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
     bound, from degJ + 1 sample points at precision prec.
 
-    w^s is evaluated at one coset of each mirror pair (`_conjugate_plan`),
-    and the other's value is its conjugate; the eta values at the Hecke
-    points of a sample point are evaluated once each.  Each node J(z_m) is
-    real, and keeps only the real part of its approximation, within the same
-    bound.
+    w^s is evaluated at one coset of each mirror pair of every sample point
+    in one call (`_conjugate_plan`), and the other's value is its conjugate.
+    Each node J(z_m) is real, and keeps only the real part of its
+    approximation, within the same bound.
     """
     wp = prec + TREE_BITS
-    s = s_exponent(p1, p2)
-    hecke, quotients, paired = plan
-    nodes = []
-    samples = []
-    for m in range(degj + 1):
-        f = _sample_form(m)
-        (re, _, e), err = j_invariant_with_err(f, prec)
-        nodes.append(((re, 0, e), err))
-        points = [hecke_point(f, u) for u in hecke]
-        samples.append(product_tree(w_pow_s_at_hecke_points(points, quotients, s, prec),
-                                    paired, wp))
-    return _lagrange([j for j, _ in nodes], max(e for _, e in nodes), samples, wp)
+    sample_forms, points, quotients, paired = plan
+    values = w_pow_s_at_hecke_points(points, quotients, s_exponent(p1, p2), prec)
+    nodes = [j_invariant_with_err(f, prec) for f in sample_forms]
+    n = len(paired)
+    samples = [product_tree(values[i:i + n], paired, wp) for i in range(0, len(values), n)]
+    return _lagrange([(re, 0, e) for (re, _, e), _ in nodes], max(err for _, err in nodes),
+                     samples, wp)
 
 
 def _rows(polys: list[RPoly]) -> list[list[int]] | None:
@@ -253,7 +241,7 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     s, degx, degj = _degrees(p1, p2)
     if degj > MAX_DEGJ:
         raise PreconditionError(f"J-degree {degj} above {MAX_DEGJ}")
-    plan = _conjugate_plan(p1, p2)
+    plan = _conjugate_plan(p1, p2, degj)
     first = _coefficients(p1, p2, degj, plan, MIN_PREC)
     rows = _rows(first) if max_prec >= MIN_PREC else None
     if rows is None:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,10 +12,10 @@ from etacm.atkin import (
 )
 from etacm.errors import ConditionsViolated, InvalidB, PreconditionError
 from etacm.ffield import FpPolynomial, has_multiple_root, roots_mod_l
-from etacm.classpoly import compute_class_polynomial
+from etacm.classpoly import check_integrality_conditions, compute_class_polynomial
 from etacm.intpoly import divmod_monic
 from etacm.modpoly import discriminant_in_j, evaluate_in_j_mod_l
-from etacm.qforms import Discriminant
+from etacm.qforms import Discriminant, b_candidates
 from oracles import norm_form_solutions
 from support import split_prime, valid_triples, pick_b
 
@@ -130,13 +131,24 @@ class TestIsMultipleRootCase:
         with pytest.raises(ConditionsViolated):
             is_multiple_root_case(-8, 3, 13, 2)
 
-    def test_agrees_with_discriminant_divisibility(self, phi313_embedded):
-        disc_poly = discriminant_in_j(phi313_embedded)
-        for b in (10, 16, 62, 68):
-            h = compute_class_polynomial(-56, 3, 13, b)
-            _, rem = divmod_monic(disc_poly, list(h.coeffs))
-            divides = rem == []
-            assert is_multiple_root_case(-56, 3, 13, b)[0] == divides
+    def test_agrees_with_discriminant_divisibility(self, phi_pool):
+        # at J-degree 2, Phi(wbar, J) has a double root at every root wbar of
+        # H iff H divides the J-discriminant of Phi: the paper's criterion
+        # decides exactly that, for every admissible -400 < D <= -3 and
+        # every B of the four pairs of J-degree 2 (693 cases)
+        seen = Counter()
+        for p1, p2 in [(3, 5), (3, 7), (5, 7), (3, 13)]:
+            disc_poly = discriminant_in_j(phi_pool(p1, p2))
+            for D in range(-399, -2):
+                if D % 4 > 1 or not check_integrality_conditions(D, p1, p2):
+                    continue
+                for b in b_candidates(D, p1, p2):
+                    h = compute_class_polynomial(D, p1, p2, b)
+                    divides = divmod_monic(disc_poly, list(h.coeffs))[1] == []
+                    holds = multiple_root_condition(D, p1 * p2, b) is not None
+                    assert divides == holds, (D, p1, p2, b)
+                    seen[holds] += 1
+        assert seen == {True: 101, False: 592}
 
     def test_all_or_none_across_roots(self, phi_pool):
         # multiplicity of the J-slice is an all-or-none property across the

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import time
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import etacm
 from etacm.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, dispatch
 
 
@@ -223,6 +228,22 @@ class TestUsageAndPlumbing:
 
     def test_unknown_command_exits_64(self, capsys):
         assert run_cli(["frobnicate"], capsys)[0] == EXIT_USAGE
+
+    def test_runs_as_a_module(self, capsys):
+        # `python -m etacm.cli` runs the same commands as `dispatch`, with
+        # the same output and exit codes
+        env = dict(os.environ, PYTHONPATH=str(Path(etacm.__file__).parents[1]))
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "etacm.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        argv = ["multiplicity", "--disc", "-56", "--p1", "3", "--p2", "13"]
+        done = module(*argv)
+        code, out, _ = run_cli(argv, capsys)
+        assert done.returncode == code == EXIT_OK
+        assert done.stdout == out and len(out.splitlines()) == 4
+        assert module("frobnicate").returncode == EXIT_USAGE
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "h.txt"

@@ -473,7 +473,8 @@ class TestEtaTable:
         # every w_pow_s_at_hecke_points call builds the 24 units once, at its
         # own working precision, and every J once more: H with D = -9899
         # forced to start at 64 bits (the gate rejects that attempt, so there
-        # is another), and Phi_{3,5} (J, then w^s, at each sample point)
+        # is another), and Phi_{3,5} (one w^s call for all its sample points,
+        # then J at each)
         import etacm.classpoly as cp
         import etacm.etafunc as ef
         import etacm.modpoly as mp
@@ -495,5 +496,5 @@ class TestEtaTable:
         units.clear()
         wps.clear()
         mp.compute_modular_polynomial(3, 5)
-        assert len(wps) == len(js) > 0
-        assert len(units) == 2 * len(wps) and units[1::2] == wps
+        assert len(wps) == 1 and len(js) == 3
+        assert len(units) == len(wps) + len(js) and units[0] == wps[0]

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -128,13 +129,13 @@ class TestCosetRepresentatives:
         # (`oracles.eta_at_quadratic_point`)
         import etacm.modpoly as mp
         from etacm.classpoly import _one_per_pair
-        from etacm.etafunc import hecke_point, s_exponent, w_pow_s_at_hecke_points
+        from etacm.etafunc import s_exponent, w_pow_s_at_hecke_points
 
-        f, y0 = mp._sample_form(0), Fraction(11, 10)
-        assert f == (100, 0, 121)
-        hecke, quotients, _ = mp._conjugate_plan(p1, p2)
+        forms, points, quotients, _ = mp._conjugate_plan(p1, p2, 0)
+        y0 = Fraction(11, 10)
+        assert forms == [(100, 0, 121)]
         s = s_exponent(p1, p2)
-        values = w_pow_s_at_hecke_points([hecke_point(f, u) for u in hecke], quotients, s, 64)
+        values = w_pow_s_at_hecke_points(points, quotients, s, 64)
         kept = _one_per_pair(mp._mirror(p1, p2))[0]
         cosets = coset_representatives(p1, p2)
         assert len(values) == len(kept) == ((p1 + 1) * (p2 + 1) + 4) // 2
@@ -358,7 +359,7 @@ class TestComputeModularPolynomial:
         real = mp._lagrange
         monkeypatch.setattr(mp, "_lagrange",
                             lambda nodes, err, *a: seen.append(err) or real(nodes, err, *a))
-        mp._coefficients(5, 13, 4, mp._conjugate_plan(5, 13), prec)
+        mp._coefficients(5, 13, 4, mp._conjugate_plan(5, 13, 4), prec)
         assert seen == [max(errs)]
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
@@ -406,9 +407,19 @@ class TestComputeModularPolynomial:
         # (alpha z + beta) / delta; the sample lies on the imaginary axis, so
         # mirror-image classes [A, +-B, C] share one series, which leaves at
         # most 42 series per point, and at most 42 transforms other than the
-        # identity
+        # identity.  Each sample's kept cosets, evaluated alone, give exactly
+        # its slice of the one batch that Phi_{3,13} evaluates per attempt
         import etacm.etafunc as ef
         import etacm.modpoly as mp
+        from etacm.classpoly import _one_per_pair
+        from etacm.qforms import _compose
+
+        forms, points, quotients, paired = mp._conjugate_plan(3, 13, 2)
+        batch = ef.w_pow_s_at_hecke_points(points, quotients, ef.s_exponent(3, 13), 64)
+        cosets = coset_representatives(3, 13)
+        kept = [cosets[i] for i in _one_per_pair(mp._mirror(3, 13))[0]]
+        n = len(kept)
+        assert len(paired) == n == (56 + 4) // 2 and len(batch) == 3 * n
 
         series, transforms, per_point = [0], [0], []
         real_series, real_transform = ef._eta_series, ef._eta_transform
@@ -421,21 +432,40 @@ class TestComputeModularPolynomial:
             transforms[0] += m != ef.IDENTITY
             return real_transform(series, rel, f, m, wp, units)
 
-        real = mp.w_pow_s_at_hecke_points
-
-        def counting(points, quotients, s, prec):
-            before = series[0], transforms[0]
-            values = real(points, quotients, s, prec)
-            per_point.append((series[0] - before[0], transforms[0] - before[1]))
-            return values
-
         monkeypatch.setattr(ef, "_eta_series", counting_series)
         monkeypatch.setattr(ef, "_eta_transform", transform)
-        monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", counting)
-        phi = compute_modular_polynomial(3, 13)
-        assert phi.degX == 56
-        assert len(per_point) == 3
-        assert all(0 < n <= 42 and t <= 42 for n, t in per_point)
+        for m, f in enumerate(forms):
+            before = series[0], transforms[0]
+            values = hecke_roots([_compose(f, (d, -b, -c, a)) for a, b, c, d in kept], 3, 13, 64)
+            per_point.append((series[0] - before[0], transforms[0] - before[1]))
+            assert values == batch[m * n:(m + 1) * n]
+        assert all(0 < k <= 42 and t <= 42 for k, t in per_point)
+
+    @pytest.mark.parametrize("p1, p2, splits", [(3, 5, 14), (3, 7, 18), (3, 13, 30),
+                                                (5, 7, 26), (5, 13, 44)])
+    def test_one_split_per_coset_and_one_batch_per_attempt(self, monkeypatch, p1, p2, splits):
+        # every sample point reduces each kept coset's form back to its sample
+        # form with the coset's own matrix, so each kept coset's Hecke split
+        # is worked out once per Phi (`etafunc.hecke_plan`), not once per
+        # sample; and each attempt evaluates all its conjugates in one call
+        import etacm.etafunc as ef
+        import etacm.modpoly as mp
+
+        counts = Counter()
+
+        def counting(key, fn):
+            def wrapper(*a):
+                counts[key] += 1
+                return fn(*a)
+            return wrapper
+
+        monkeypatch.setattr(ef, "w_at_hecke_points", counting("split", ef.w_at_hecke_points))
+        monkeypatch.setattr(mp, "w_pow_s_at_hecke_points",
+                            counting("batch", mp.w_pow_s_at_hecke_points))
+        monkeypatch.setattr(mp, "_coefficients", counting("attempt", mp._coefficients))
+        compute_modular_polynomial(p1, p2)
+        assert counts["split"] == splits == ((p1 + 1) * (p2 + 1) + 4) // 2
+        assert counts["batch"] == counts["attempt"] == (2 if (p1, p2) == (5, 13) else 1)
 
     def test_duplicate_samples_raise(self, monkeypatch):
         # coincident nodes cannot be interpolated

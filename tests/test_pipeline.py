@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -350,6 +351,28 @@ class TestConstructCmCurve:
         assert cert.trace * cert.trace <= 4 * q
         hilbert = FpPolynomial.make(hilbert_class_polynomial(D), q)
         assert curve.j_invariant() in roots_mod_l(hilbert)
+
+    @pytest.mark.parametrize("q", [8304717999680899, 307526674626918301,
+                                   1349622565360537519, 3465214642037198749])
+    def test_spurious_double_root_is_not_taken(self, q):
+        # D = -195 and (5, 13), whose only B is 65, have no multiple-root
+        # witness, yet at these q = (t^2 + 195)/4 the J-slice at the smallest
+        # root of H mod q has one double root: gcd(f, f') has degree 1.  That
+        # root is no CM invariant, so the curve is counted, not read off it
+        D, t = -195, isqrt(4 * q - 195)
+        assert t * t + 195 == 4 * q and b_candidates(D, 5, 13) == [65]
+        assert is_multiple_root_case(D, 5, 13, 65) == (False, None)
+        H = compute_class_polynomial(D, 5, 13, 65)
+        wbar = min(roots_mod_l(FpPolynomial.make(H.coeffs, q)))
+        jpoly = evaluate_in_j_mod_l(pipeline._modular_polynomial(5, 13), wbar, q)
+        g = jpoly.gcd(jpoly.derivative())
+        assert g.degree == 1
+        double = -g.coeffs[0] * pow(g.coeffs[1], -1, q) % q
+        assert roots_mod_l(jpoly)[double] == 2
+        curve, cert, used = construct_cm_curve(D, 5, 13, q, 65)
+        assert used is False and curve.j_invariant() != double
+        assert FpPolynomial.make(hilbert_class_polynomial(D), q)(curve.j_invariant()) == 0
+        assert cert.order in (q + 1 - t, q + 1 + t)
 
     def test_j_roots_contain_hilbert_roots(self):
         # step-4 J-roots over all roots of H mod q cover the Hilbert roots
