@@ -13,9 +13,15 @@ sign times a 24th root of unity times sqrt(cz+d)).  Everything else is an
 eta quotient: the double quotient w, and Weber's f1(z) = eta(z/2) / eta(z),
 which gives J.
 
-Fractional powers of q are never taken through complex roots: q^{1/24} is
-computed as exp(pi*i*z/12) directly from z, which fixes the branch once and
-for all; q itself is its 24th power.
+Fractional powers of q are never taken through complex roots: at the root
+of a reduced form [a, b, c], q^{1/24} = exp(pi*i*z/12) =
+exp(-t) (cos theta - i sin theta) with t = pi sqrt|D| / (24a) and
+theta = pi |b| / (24a) in [0, pi/24], which fixes the branch once and for
+all; q itself is its 24th power.  It is built in integer fixed point
+(`_q24`): t from mpmath's pi_fixed and one math.isqrt, split as
+n ln 2 + r, exp(r) and cos/sin(theta) from mpmath's fixed-point kernels
+(exp_basecase, cos_sin_basecase), and 2^n kept in the value's exponent, so
+that its relative precision holds at any Im.
 
 The values are fixed-point Gaussian-integer triples (`apcomplex`), each with
 an exponent of its own.  Inside the module a point is always the exact
@@ -62,22 +68,11 @@ import math
 from collections.abc import Callable
 from math import gcd
 
-from mpmath.libmp import (
-    from_int,
-    from_rational,
-    mpf_cos_sin_pi,
-    mpf_div,
-    mpf_exp,
-    mpf_mul,
-    mpf_neg,
-    mpf_pi,
-    mpf_sqrt,
-    to_rational,
-)
+from mpmath.libmp import ln2_fixed, pi_fixed, to_rational
+from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase
 
 from .apcomplex import (
     MAX_PRECISION,
-    RND,
     ROUND_ULPS,
     ApComplex,
     UpperHalfPoint,
@@ -85,7 +80,6 @@ from .apcomplex import (
     check_prec,
     div,
     double_until,
-    from_mpc,
     lg,
     log2add,
     mul,
@@ -95,7 +89,7 @@ from .apcomplex import (
     trunc,
 )
 from .arith import check_distinct_odd_primes, jacobi
-from .errors import PreconditionError
+from .errors import PrecisionExhausted, PreconditionError
 from .qforms import Form, Matrix, _primitive, _reduce, _xgcd
 
 # log2 of the worst-case |q| on the fundamental domain: 2*pi*(sqrt(3)/2)/ln 2
@@ -188,18 +182,50 @@ def _units(wp: int) -> list[Value]:
     return [(re, im, -(P + 2)) for re, im in units]
 
 
+def _q24(a: int, b: int, D: int, Q: int) -> Value:
+    """q^(1/24) = exp(pi i tau / 12) at the root tau = (-b + sqrt(D)) / (2a)
+    of a reduced form with 0 <= b <= a, in integer fixed point at Q bits:
+    within (2.4t + 2^10) 2^-Q relative, t = pi sqrt|D| / (24a) = -log |q^(1/24)|.
+
+    q^(1/24) = exp(-t) (cos theta - i sin theta), theta = pi b / (24a) in
+    [0, pi/24].  In ulps 2^-Q:
+    - pi_fixed(Q) and s = isqrt(|D| 2^2Q) are each within an ulp below, so
+      their product is within (1/pi + 1/sqrt|D|) < 0.9 ulps relative
+      (|D| >= 3), and the floor division T = t 2^Q within 0.9t + 1 ulps.
+    - -T = n L + r with L = ln2_fixed(Q) (an ulp below ln 2) and
+      0 <= r < L: n L is within |n| <= t / ln 2 + 1 ulps of n ln 2, so
+      exp(-t) = 2^n exp(r 2^-Q) within (2.35t + 2) ulps relative.
+    - exp_basecase(r, Q) >= 2^Q: up to EXP_COSH_CUTOFF, the Taylor series
+      at r 2^-k, k = floor(sqrt Q), with Q + k bits and under sqrt Q + 2
+      terms, each truncation an ulp, squared k times: within
+      2 sqrt Q + 8 < 2^8 ulps; above it, `exponential_series` works with
+      10 + 2k' extra bits for its k' squarings, within a few ulps.
+    - theta = floor(pi b / (24a)) is within 1.05 ulps, and
+      cos_sin_basecase(theta, Q) gives cos and sin within 2^8 ulps each: up
+      to COS_SIN_CACHE_PREC, a series of under Q/8 terms about a cached
+      cos/sin of theta's top 8 bits; above it, `exponential_series` again.
+    - The two products, cut to Q bits by rounding down: sqrt(2) ulps.
+    That is 2.35t + 2 + 2^8 + 1.05 + 2^8 sqrt(2) + sqrt(2) < 2.4t + 2^10
+    with the second-order terms.  The 2^n stays in the exponent, so the
+    bound is relative at any Im.
+    """
+    pi = pi_fixed(Q)
+    n, r = divmod(-(pi * math.isqrt(-D << 2 * Q) // (24 * a << Q)), ln2_fixed(Q))
+    e = exp_basecase(r, Q)
+    cos, sin = cos_sin_basecase(pi * b // (24 * a), Q)
+    return (e * cos) >> Q, -(e * sin) >> Q, n - Q
+
+
 def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
-    """eta at the root tau = (-b + sqrt(D)) / (2a) of a reduced form, by the
-    pentagonal-number series
+    """eta at the root tau = (-b + sqrt(D)) / (2a) of a reduced form with
+    0 <= b <= a, by the pentagonal-number series
         eta = q^(1/24) (1 + sum_{k=1..K} (-1)^k (q^(g_k) + q^(g_k + k))),
     and its relative error bound in units u = 2^-wp.
 
-    - q^(1/24) = exp(pi i tau / 12) comes from libmp at P = wp + 8 +
-      bitlen(floor(t) + 1) bits, t = pi Im(tau) / 12 = -log |q^(1/24)|:
-      with -b/(24a), sqrt(-D), pi, the product, the quotient, exp, cos/sin
-      and the two final products each within an ulp 2^(1-P), it is within
-      (8.02 t + 7.03) 2^-P < 0.06u relative, and converted exactly.
-    - q = (q^(1/24))^24 by `power` is within 24 * 0.06u + 23 * 3u < 71u
+    - q^(1/24) comes from `_q24` at Q = wp + 22 + bitlen(floor(t) + 1)
+      bits, t = pi Im(tau) / 12: as t < 2^(Q - wp - 22), its
+      (2.4t + 2^10) 2^-Q is below 0.001u relative.
+    - q = (q^(1/24))^24 by `power` is within 24 * 0.001u + 23 * 3u < 70u
       relative, and |q| < 0.0044 on the fundamental domain, so rounded down
       to the fixed point 2^-wp it is within 0.31u + sqrt(2)u < 1.8u.
     - The sum runs in that fixed point.  Each product of two powers of q,
@@ -208,35 +234,30 @@ def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
       of exact additions within 4K u plus the tail (`_series_terms`), below
       2^-(wp+8).  The sum is at least 1 - 2.01 * 0.0044 > 0.99 in modulus,
       so it is within (4.05K + 0.01)u relative.
-    - eta is the product, cut to wp bits: within (4.05K + 3.07)u.
+    - eta is the product, cut to wp bits: within (4.05K + 3.02)u.
     """
     t = math.pi * math.sqrt(-D / (4 * a * a)) / 12
-    P = wp + 8 + (int(t) + 1).bit_length()
-    cos, sin = mpf_cos_sin_pi(from_rational(-b, 24 * a, P, RND), P, RND)
-    r = mpf_exp(mpf_neg(mpf_div(mpf_mul(mpf_pi(P), mpf_sqrt(from_int(-D), P, RND), P, RND),
-                                from_int(24 * a), P, RND)), P, RND)
-    w24 = from_mpc(mpf_mul(r, cos, P, RND), mpf_mul(r, sin, P, RND))
+    w24 = _q24(a, b, D, wp + 22 + (int(t) + 1).bit_length())
     qr, qi, e = power(w24, 24, wp)
     e += wp  # the shift to the fixed point 2^-wp
     qr, qi = (qr << e, qi << e) if e >= 0 else (qr >> -e, qi >> -e)
     kmax = _series_terms(wp, 24 * t / math.log(2.0))
-
-    def fmul(xr, xi, yr, yi):
-        return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
-
-    q3r, q3i = fmul(*fmul(qr, qi, qr, qi), qr, qi)
-    sr, si = fmul(q3r, q3i, qr, qi)  # q^(3k+1)
-    ar, ai = kr, ki = qr, qi         # q^(g_k) and q^k
+    # products in the fixed point, each part rounded down: q^3, and
+    # q^(3k+1), q^(g_k) and q^k from k = 1 on
+    q2r, q2i = (qr * qr - qi * qi) >> wp, (2 * qr * qi) >> wp
+    q3r, q3i = (q2r * qr - q2i * qi) >> wp, (q2r * qi + q2i * qr) >> wp
+    sr, si = (q3r * qr - q3i * qi) >> wp, (q3r * qi + q3i * qr) >> wp
+    ar, ai = kr, ki = qr, qi
     tr, ti = 1 << wp, 0
     for k in range(1, kmax + 1):
-        br, bi = fmul(ar, ai, kr, ki)
+        br, bi = (ar * kr - ai * ki) >> wp, (ar * ki + ai * kr) >> wp
         if k & 1:
             tr, ti = tr - ar - br, ti - ai - bi
         else:
             tr, ti = tr + ar + br, ti + ai + bi
-        ar, ai = fmul(ar, ai, sr, si)
-        sr, si = fmul(sr, si, q3r, q3i)
-        kr, ki = fmul(kr, ki, qr, qi)
+        ar, ai = (ar * sr - ai * si) >> wp, (ar * si + ai * sr) >> wp
+        sr, si = (sr * q3r - si * q3i) >> wp, (sr * q3i + si * q3r) >> wp
+        kr, ki = (kr * qr - ki * qi) >> wp, (kr * qi + ki * qr) >> wp
     return trunc(mul(w24, (tr, ti, -wp)), wp), 4.05 * kmax + 3.1
 
 
@@ -324,8 +345,23 @@ def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
 
 def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     """Klein J (J(i) = 1728), absolute error certified below 2^(guard - prec)
-    with at most MAX_PRECISION bits (`_to_target`)."""
+    with at most MAX_PRECISION bits (`_to_target`).  |J| itself takes
+    `_j_bits` more, so a point where prec + `_j_bits` passes MAX_PRECISION
+    (Im above about 7200) is refused at once with PrecisionExhausted."""
+    check_prec(prec)
+    need = prec + _j_bits(_form_of(z))
+    if need > MAX_PRECISION:
+        raise PrecisionExhausted(f"J needs {need} bits, more than max_prec = {MAX_PRECISION}")
     return _to_target(z, prec, j_invariant_with_err, "J")
+
+
+def _j_bits(f: Form) -> int:
+    """ceil(log2 e^(2 pi Im)) = ceil(2 pi Im / ln 2), the bits of |J| at the
+    reduced point of f, whose Im is sqrt|D| / (2A) for its reduced form
+    [A, B, C]."""
+    a, b, c = _reduce(f)[0]
+    im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
+    return math.ceil(2.0 * math.pi * im / math.log(2.0))
 
 
 def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
@@ -339,13 +375,10 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     dJ/dx = (x + 16)^2 (2x - 16) / x^2, to first order
         |dJ| <= |x + 16|^2 |2x - 16| / |x| * r_x.
     Forming (x + 16)^3 / x rounds three times, 9u of J; one more bit covers
-    the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, whose
-    imaginary part is sqrt(|D|) / (2A) for the reduced form [A, B, C] of f,
-    so it is evaluated once, at prec + guard + that many bits + 32.
+    the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, so it
+    is evaluated once, at prec + guard + `_j_bits` + 32.
     """
-    a, b, c = _reduce(f)[0]
-    im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
-    wp = prec + eta_guard_bits(prec) + math.ceil(2.0 * math.pi * im / math.log(2.0)) + 32
+    wp = prec + eta_guard_bits(prec) + _j_bits(f) + 32
     (v2, r2), (v1, r1) = _eta_values([hecke_point(f, (1, 0, 0, 2)), f], wp, _units(wp))
     x = power(div(v2, v1, wp), 24, wp)
     rel = r2 + r1 + ROUND_ULPS

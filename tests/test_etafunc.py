@@ -1,14 +1,16 @@
 import math
 import random
+import time
 
 import mpmath
 import pytest
 
 from etacm.apcomplex import ApComplex, UpperHalfPoint
-from etacm.errors import PreconditionError
+from etacm.errors import PrecisionExhausted, PreconditionError
 from etacm.etafunc import (
     _eta_series,
     _eta_values,
+    _q24,
     _units,
     double_eta_quotient,
     eta,
@@ -224,16 +226,39 @@ class TestEta:
             assert res[128] - res[256] >= 64
 
 
+def series_forms(seed: int) -> list[tuple[int, int, int]]:
+    """(a, b, D) of reduced forms [a, b, c], 0 <= b <= a <= c, as the series
+    is called (with |b|): two each with b = 0, with b = a, with a near
+    sqrt(|D|/3) (c = a, b near a), and with a = 1 and Im up to ~143."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(2):
+        a = rng.randint(1, 60)
+        forms.append((a, 0, -4 * a * rng.randint(a, 4 * a)))
+        a = rng.randint(1, 60)
+        forms.append((a, a, a * a - 4 * a * rng.randint(a, 4 * a)))
+        a = rng.randint(2, 400)
+        b = a - rng.randint(0, 1)
+        forms.append((a, b, b * b - 4 * a * a))
+        b = rng.randint(0, 1)
+        forms.append((1, b, b - 4 * rng.randint(2000, 20400)))
+    return forms
+
+
+# rho, the worst decay; i; the principal form of D = -81443, whose root has
+# Im ~ 143 and |q^(1/24)| ~ 2^-54; and seeded forms of every shape
+SERIES_FORMS = [(1, 1, -3), (1, 0, -4), (1, 1, -81443)] + series_forms(29)
+
+
 class TestEtaSeries:
-    """The pentagonal series at a reduced point against the q-product
-    oracle at twice the precision, within its certified relative bound."""
+    """The pentagonal series at a reduced point against the q-product oracle
+    at twice the precision, within its certified relative bound.  The
+    precisions straddle mpmath's kernel cutoffs: above COS_SIN_CACHE_PREC
+    (400) and EXP_COSH_CUTOFF (600) bits, the fixed-point cos/sin and exp
+    under q^(1/24) switch to `exponential_series`."""
 
-    # rho, the worst decay; i; and the principal form of D = -81443, whose
-    # root has Im ~ 143 and |q^(1/24)| ~ 2^-54
-    POINTS = [(1, 1, -3), (1, 0, -4), (1, 1, -81443)]
-
-    @pytest.mark.parametrize("a, b, D", POINTS)
-    @pytest.mark.parametrize("wp", [64, 200, 640])
+    @pytest.mark.parametrize("a, b, D", SERIES_FORMS)
+    @pytest.mark.parametrize("wp", [64, 200, 401, 640, 1200])
     def test_within_its_bound(self, a, b, D, wp):
         v, rel = _eta_series(a, b, D, wp)
         with mpmath.workprec(2 * wp):
@@ -251,6 +276,29 @@ class TestEtaSeries:
             assert abs(math.log2(high / at_i)) <= 2
 
 
+class TestQ24:
+    """q^(1/24) in integer fixed point against mpmath's exp at twice the
+    precision, within its documented (2.4t + 2^10) 2^-Q, t = -log |q^(1/24)|."""
+
+    @pytest.mark.parametrize("a, b, D", SERIES_FORMS)
+    @pytest.mark.parametrize("Q", [90, 230, 420, 630, 1230])
+    def test_within_its_bound(self, a, b, D, Q):
+        v = _q24(a, b, D, Q)
+        with mpmath.workprec(2 * Q):
+            tau = mpmath.mpc(-b, mpmath.sqrt(-D)) / (2 * a)
+            want = mpmath.exp(mpmath.pi * 1j * tau / 12)
+            t = mpmath.pi * mpmath.sqrt(-D) / (24 * a)
+            assert abs(to_mpc(v) - want) / abs(want) <= (2.4 * t + 2**10) * mpmath.mpf(2) ** -Q
+
+    def test_power_of_two_stays_in_the_exponent(self):
+        # D = -81443, a = 1: exp(-t) = 2^n exp(r) with n ~ -54, and the
+        # mantissa keeps Q bits instead of losing n of them
+        Q = 230
+        re, im, e = _q24(1, 1, -81443, Q)
+        assert e + Q < -50
+        assert max(abs(re), abs(im)).bit_length() >= Q
+
+
 class TestJInvariant:
     def test_special_points(self):
         with mpmath.workdps(70):
@@ -265,6 +313,21 @@ class TestJInvariant:
         v = j_invariant(point(0, 2, 192), 192)
         with mpmath.workdps(70):
             assert abs(to_mp(v, 70) - 287496) < mpmath.mpf(2) ** -140  # 66^3
+
+    def test_large_im_below_max_precision(self):
+        # |J| ~ 2^27194 at Im = 3000, so 128 bits need some 27.3k, below
+        # MAX_PRECISION; J = 1/q + 744 + O(q) with 1/q = -i e^(6000 pi)
+        v = j_invariant(point(0.25, 3000, 128), 128)
+        with mpmath.workprec(27500):
+            want = -1j * mpmath.exp(6000 * mpmath.pi) + 744
+            assert abs(to_mpc(v) - want) < mpmath.mpf(2) ** -80
+
+    def test_refuses_beyond_max_precision_at_once(self):
+        # at Im = 30000, |J| alone takes some 272k bits
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhausted):
+            j_invariant(point(0.25, 30000, 128), 128)
+        assert time.perf_counter() - start < 1
 
     def test_matches_theta_oracle(self):
         rng = random.Random(23)

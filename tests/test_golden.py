@@ -1,10 +1,11 @@
-"""Golden outputs: H, Phi and the worked cm-curve line are pinned, so that a
-change meant to keep every output cannot change one unseen.
+"""Golden outputs: H, Phi, the worked example's cm-curve, multiplicity and
+reproduce-example output, and cm-curve lines on both CM paths are pinned, so
+that a change meant to keep every output cannot change one unseen.
 
 The hashes are the 16-hex SHA-256 prefixes that `tools/time_modpoly.py`
 (of `serialize(phi)`) and `tools/time_classpoly.py` (of `repr(H.coeffs)`)
 print; a change that alters an output on purpose regenerates them with those
-tools.
+tools, and the CLI lines by running the same arguments.
 """
 
 import contextlib
@@ -21,6 +22,13 @@ from etacm.qforms import b_candidates
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(argv)
+    return code, out.getvalue()
 
 
 @pytest.mark.parametrize("p1, p2, want", [
@@ -55,8 +63,46 @@ def test_class_polynomials(D, p1, p2, B, want):
                                      (16, "3593 3055 2517 3600 6 shortcut=no")],
                          ids=["B=10", "B=16"])
 def test_worked_cm_curve(seed, b, line):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = dispatch(["--seed", str(seed), "cm-curve", "--disc", "-56", "--p1", "3",
-                         "--p2", "13", "--prime", "3593", "--b", str(b)])
-    assert (code, out.getvalue()) == (0, line + "\n")
+    assert run_cli(["--seed", str(seed), "cm-curve", "--disc", "-56", "--p1", "3",
+                    "--p2", "13", "--prime", "3593", "--b", str(b)]) == (0, line + "\n")
+
+
+def test_worked_multiplicity():
+    assert run_cli(["multiplicity", "--disc", "-56", "--p1", "3", "--p2", "13"]) == (
+        0, "B=10 MULTIPLE u=10 v=1\nB=16 SIMPLE\nB=62 SIMPLE\nB=68 MULTIPLE u=-10 v=1\n")
+
+
+def test_reproduce_example():
+    assert run_cli(["reproduce-example"]) == (0, "".join(
+        f"PASS {name}\n" for name in (
+            "class-polynomial-coefficients", "class-polynomial-roots-mod-3593",
+            "four-perfect-square-quadratics", "discriminant-divisible-by-class-polynomial",
+            "curve-order-membership")))
+
+
+# N = 39, certificate seed 0: three witnessed D through the multiple-root
+# shortcut (128-247-bit q), and three D without a witness, where cm-curve
+# picks B, through point counting (21-48-bit q)
+@pytest.mark.parametrize("D, q, B, line", [
+    (-23, 172393879683465410441577777363007074811, 35,
+     "6653159313502292100473769531125079936 4435439542334861400315846354083386624 "
+     "172393879683465410419275429868125786424 22302347494881288388 shortcut=yes"),
+    (-131, 2931441168763077782425916721326357540578583101139019158306311, 5,
+     "1774478656717364020641633590157302318207933428683706043667427 "
+     "2160132827399268607903061300546987392331483319502143748547055 "
+     "2931441168763077782425916721325440613623082665208193641015699 "
+     "916926955500435930825517290613 shortcut=yes"),
+    (-156, 114895811409235922874586334582966967655234090096450506652900218987767203951, 0,
+     "39873278889038824206878672849549045883428304805882171723942751589421009265 "
+     "103179393532183164720976671621677342359108263268221785584561980384792142144 "
+     "114895811409235922874586334582966967635799073448049673890219312479741101672 "
+     "19435016648400832762680906508026102280 shortcut=yes"),
+    (-204, 1080907, None, "402193 628431 1079020 1888 shortcut=no"),
+    (-620, 4138928021, None, "1065607447 2800452603 4138950780 22758 shortcut=no"),
+    (-779, 279039035670103, None,
+     "26891574581200 110940728277501 279039003618163 32051941 shortcut=no"),
+], ids=["D=-23", "D=-131", "D=-156", "D=-204", "D=-620", "D=-779"])
+def test_cm_curve_lines(D, q, B, line):
+    argv = ["cm-curve", "--disc", str(D), "--p1", "3", "--p2", "13", "--prime", str(q)]
+    argv += [] if B is None else ["--b", str(B)]
+    assert run_cli(argv) == (0, f"{q} {line}\n")
