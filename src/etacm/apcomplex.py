@@ -11,7 +11,7 @@ loop that re-runs an evaluation at a higher precision.
 The kernel holds a complex value as a triple ``(re, im, e)`` of Python ints
 standing for ``(re + i im) 2^e``: one power-of-two exponent per value, so
 relative precision survives across the whole range of magnitudes.  An mpf is
-dyadic, so `from_mpc` and `to_apcomplex` convert exactly.  `mul` and `add`
+dyadic, so `to_apcomplex` converts a triple to mpf exactly.  `mul` and `add`
 are exact; a value is cut back to W bits only by `trunc`, and `div` and
 `sqrt` round once.  With u = 2^-W, each rounding has a relative error below
 3u (ROUND_ULPS): a mantissa of W bits is at least 2^(W-1) units, and
@@ -114,22 +114,6 @@ class UpperHalfPoint:
 
     def to_complex(self) -> complex:
         return self.value.to_complex()
-
-
-def _from_mpf(x) -> tuple[int, int]:
-    sign, man, exp, bc = x
-    return (-int(man) if sign else int(man)), exp
-
-
-def from_mpc(re, im) -> tuple[int, int, int]:
-    """The triple of the complex number with raw mpf parts re and im, exactly."""
-    (a, ea), (b, eb) = _from_mpf(re), _from_mpf(im)
-    if not a:
-        return 0, b, eb
-    if not b:
-        return a, 0, ea
-    e = min(ea, eb)
-    return a << (ea - e), b << (eb - e), e
 
 
 def to_apcomplex(x: tuple[int, int, int], prec: int) -> ApComplex:

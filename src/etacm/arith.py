@@ -1,4 +1,4 @@
-"""Elementary integer arithmetic: Jacobi/Legendre symbols, primality, CRT."""
+"""Elementary integer arithmetic: the Jacobi symbol, primality, CRT."""
 
 from functools import lru_cache
 from math import gcd, isqrt
@@ -12,7 +12,7 @@ PSI13 = 3317044064679887385961981
 
 
 def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0."""
+    """Jacobi symbol (a|n) for odd n > 0; the Legendre symbol for prime n."""
     if n <= 0 or n % 2 == 0:
         raise ValueError("Jacobi symbol needs odd positive n")
     a %= n
@@ -27,20 +27,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p, via Euler's criterion.
-
-    Returns 0 when p | a.
-    """
-    if p == 2 or p < 2:
-        raise ValueError("odd prime required")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
-from .arith import check_distinct_odd_primes, crt_pair, legendre
+from .arith import check_distinct_odd_primes, crt_pair, jacobi
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
 from .etafunc import Value, hecke_plan, s_exponent, w_pow_s_at_hecke_points
 from .intpoly import mul as ipmul
@@ -213,7 +213,7 @@ def check_integrality_conditions(D, p1: int, p2: int) -> bool:
         check_distinct_odd_primes(p1, p2)
     except ValueError:
         return False
-    if legendre(disc.D, p1) == -1 or legendre(disc.D, p2) == -1:
+    if jacobi(disc.D, p1) == -1 or jacobi(disc.D, p2) == -1:
         return False
     # for an odd prime p, p divides the conductor iff p^2 divides D
     if disc.D % (p1 * p1) == 0 or disc.D % (p2 * p2) == 0:
@@ -290,7 +290,7 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     roots = evaluate(MIN_PREC)
     err = _tree_err(roots, paired, MIN_PREC + TREE_BITS)
     start = initial_precision(err, len(system.forms))
-    if err < math.log2(RESIDUAL_LIMIT) and max(start, MIN_PREC) <= max_prec:
+    if err < math.log2(RESIDUAL_LIMIT):
         # the height pass's roots are predicted to round: they are the first attempt
         start = MIN_PREC
     ints = double_until(start, max_prec,
@@ -305,12 +305,12 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
 def involution_transform(H: ClassPolynomial) -> ClassPolynomial:
     """The companion polynomial H_{B',N}: reverse the coefficients, twist by
     (p1|p2)^s, and divide by the constant term."""
-    if legendre(H.D.D, H.p1) != 1 or legendre(H.D.D, H.p2) != 1:
+    if jacobi(H.D.D, H.p1) != 1 or jacobi(H.D.D, H.p2) != 1:
         raise ConditionsViolated("transform needs (D|p1) = (D|p2) = 1")
     a0 = H.coeffs[0]
     if a0 == 0:
         raise ZeroConstantTerm("constant term vanishes")
-    eps = legendre(H.p1, H.p2) ** H.s
+    eps = jacobi(H.p1, H.p2) ** H.s
     h = H.degree
     out = []
     for j in range(h + 1):
@@ -332,7 +332,7 @@ def count_distinct_class_polynomials(D, p1: int, p2: int) -> int:
     reps = sorted({min(b, (2 * N - b) % (2 * N)) for b in cands})
     polys = {compute_class_polynomial(disc, p1, p2, b).coeffs for b in reps}
     count = len(polys)
-    l1, l2 = legendre(disc.D, p1), legendre(disc.D, p2)
+    l1, l2 = jacobi(disc.D, p1), jacobi(disc.D, p2)
     if l1 == 1 and l2 == 1:
         assert count in (1, 2)
     elif (l1 == 1 and l2 == 0) or (l1 == 0 and l2 == 1):

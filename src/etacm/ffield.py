@@ -57,10 +57,7 @@ class FpPolynomial:
 
     @classmethod
     def make(cls, coeffs, modulus: int) -> "FpPolynomial":
-        cs = [c % modulus for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(modulus, tuple(cs))
+        return cls(modulus, tuple(trim([c % modulus for c in coeffs])))
 
     @property
     def degree(self) -> int:

@@ -160,32 +160,12 @@ def curves_with_j(jbar: int, q: int) -> list[EllipticCurve]:
 
 
 # ---------------------------------------------------------------------------
-# group arithmetic (affine points, None is the point at infinity; ec_mul
-# works in Jacobian coordinates (X : Y : Z) = (X/Z^2, Y/Z^3), Z = 0 at
-# infinity, and inverts once at the end)
+# group arithmetic: Jacobian coordinates (X : Y : Z) = (X/Z^2, Y/Z^3), Z = 0
+# at infinity; an affine point is (x, y), None at infinity.  ec_mul inverts
+# once at the end, and the certificate reads its O-tests off Z, so each
+# point it draws costs one inversion
 
 Point = tuple[int, int] | None
-
-
-def ec_add(P: Point, Q: Point, a: int, q: int) -> Point:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % q == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow((x2 - x1) % q, -1, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    return (x3, (lam * (x1 - x3) - y1) % q)
-
-
-def ec_neg(P: Point, q: int) -> Point:
-    return None if P is None else (P[0], (-P[1]) % q)
 
 
 def _jacobian_double(X: int, Y: int, Z: int, a: int, q: int) -> tuple[int, int, int]:
@@ -220,22 +200,28 @@ def _jacobian_add_affine(X1: int, Y1: int, Z1: int, x2: int, y2: int,
     return X3, (r * (V - X3) - 2 * Y1 * J) % q, (Z3 * Z3 - Z1Z1 - HH) % q
 
 
-def ec_mul(k: int, P: Point, a: int, q: int) -> Point:
-    if k < 0:
-        return ec_neg(ec_mul(-k, P, a, q), q)
-    if k == 0 or P is None:
-        return None
+def _jacobian_mul(k: int, P: tuple[int, int], a: int, q: int) -> tuple[int, int, int]:
+    """k P in Jacobian coordinates for k >= 1 and a finite P, by the
+    left-to-right ladder."""
     x, y = P
     X, Y, Z = x, y, 1
     for bit in bin(k)[3:]:
         X, Y, Z = _jacobian_double(X, Y, Z, a, q)
         if bit == "1":
             X, Y, Z = _jacobian_add_affine(X, Y, Z, x, y, a, q)
+    return X, Y, Z
+
+
+def ec_mul(k: int, P: Point, a: int, q: int) -> Point:
+    if k == 0 or P is None:
+        return None
+    X, Y, Z = _jacobian_mul(abs(k), P, a, q)
     if Z == 0:
         return None
     zi = pow(Z, -1, q)
     zi2 = zi * zi % q
-    return X * zi2 % q, Y * zi2 * zi % q
+    y = Y * zi2 * zi % q
+    return X * zi2 % q, y if k > 0 else -y % q
 
 
 def random_point(curve: EllipticCurve, rng: random.Random) -> Point:
@@ -278,10 +264,11 @@ def order_check(curve: EllipticCurve, n: int, rng: random.Random,
     A direct check of one order, for callers that know the order they
     expect; `_certify` decides between the two CM orders on its own.
     """
-    a = curve.a4.value
+    if n < 1:
+        raise PreconditionError("order_check needs n >= 1")
+    q, a = curve.q, curve.a4.value
     for _ in range(trials):
-        P = random_point(curve, rng)
-        if ec_mul(n, P, a, curve.q) is not None:
+        if _jacobian_mul(n, random_point(curve, rng), a, q)[2]:
             return False
     return True
 
@@ -365,19 +352,25 @@ def _escaping_points(curve: EllipticCurve, n1: int, n2: int, t: int, need: int,
                      rng: random.Random) -> OrderCertificate | None:
     """Draw up to ORDER_CHECKS points until `need` escape gcd(n1, n2);
     None once no order annihilates every point drawn, an ambiguous
-    certificate if fewer than `need` escape (see `_certify`)."""
+    certificate if fewer than `need` escape (see `_certify`).
+
+    Both O-tests are read off Z: n1 P = (X : Y : Z) is O when Z = 0, and
+    n2 P = n1 P + S with S = (n2 - n1) P, the one affine point (and the one
+    inversion) per draw; n2 P = n1 P when S = O.  n1 >= 1."""
     q, a = curve.q, curve.a4.value
     ok1 = ok2 = True  # n_i P = O for every point so far
     escaped = 0
     for drawn in range(1, ORDER_CHECKS + 1):
         P = random_point(curve, rng)
-        R1 = ec_mul(n1, P, a, q)
-        R2 = ec_add(R1, ec_mul(n2 - n1, P, a, q), a, q)
-        ok1 = ok1 and R1 is None
-        ok2 = ok2 and R2 is None
+        X, Y, Z = _jacobian_mul(n1, P, a, q)
+        S = ec_mul(n2 - n1, P, a, q)
+        Z2 = Z if S is None else _jacobian_add_affine(X, Y, Z, *S, a, q)[2]
+        o1, o2 = Z == 0, Z2 == 0
+        ok1 = ok1 and o1
+        ok2 = ok2 and o2
         if not (ok1 or ok2):
             return None
-        escaped += (R1 is None) != (R2 is None)
+        escaped += o1 != o2
         if escaped == need:
             return OrderCertificate(curve, n1 if ok1 else n2, t, drawn)
     return OrderCertificate(curve, n1 if ok1 else n2, t, ORDER_CHECKS,

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 
 from etacm.apcomplex import ApComplex, UpperHalfPoint
-from etacm.arith import is_probable_prime, legendre
+from etacm.arith import is_probable_prime, jacobi
 from etacm.classpoly import check_integrality_conditions
 from etacm.etafunc import hecke_plan, s_exponent, w_pow_s_at_hecke_points
 from etacm.pipeline import find_trace
@@ -53,7 +53,7 @@ def split_prime(D: int, lmin: int = 5, lmax: int = 10**6,
 
 
 def both_symbols_one(D: int, p1: int, p2: int) -> bool:
-    return legendre(D, p1) == 1 and legendre(D, p2) == 1
+    return jacobi(D, p1) == 1 and jacobi(D, p2) == 1
 
 
 # Points and complex values for the numerical suites.  Arithmetic on them
@@ -67,6 +67,17 @@ def to_mpc(v) -> mpmath.mpc:
     re, im, e = v
     with mpmath.workprec(max(abs(re).bit_length(), abs(im).bit_length(), 53)):
         return mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e)))
+
+
+def kernel_triple(re, im) -> tuple[int, int, int]:
+    """The kernel triple of the complex number with raw mpf parts re and im, exactly."""
+    (a, ea), (b, eb) = [(-int(man) if sign else int(man), exp) for sign, man, exp, _ in (re, im)]
+    if not a:
+        return 0, b, eb
+    if not b:
+        return a, 0, ea
+    e = min(ea, eb)
+    return a << (ea - e), b << (eb - e), e
 
 
 def coefficients(f) -> list[mpmath.mpc]:

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from etacm.apcomplex import UpperHalfPoint
-from etacm.arith import legendre
+from etacm.arith import jacobi
 from etacm.atkin import multiple_root_condition
 from etacm.classpoly import compute_class_polynomial, involution_transform
 from etacm.etafunc import (
@@ -126,7 +126,7 @@ def test_criterion_7b_involution_transform_consistency():
         done = 0
         while done < 10:
             (D, p1, p2), = valid_triples(rng, 1, 3, 6000)
-            if legendre(D, p1) != 1 or legendre(D, p2) != 1:
+            if jacobi(D, p1) != 1 or jacobi(D, p2) != 1:
                 continue
             b = pick_b(rng, D, p1, p2)
             t = involution_transform(compute_class_polynomial(D, p1, p2, b))
@@ -167,7 +167,7 @@ def test_criterion_7d_quotient_identities():
         for (p1, p2) in [(3, 5), (3, 13), (5, 7)]:
             N = p1 * p2
             s = s_exponent(p1, p2)
-            eps = legendre(p1, p2) ** s
+            eps = jacobi(p1, p2) ** s
             y = -1
             while (1 - p2 * y) % p1 or y % 2 == 0:
                 y -= 1

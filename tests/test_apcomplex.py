@@ -10,7 +10,6 @@ from etacm.apcomplex import (
     UpperHalfPoint,
     add,
     div,
-    from_mpc,
     lg,
     mul,
     power,
@@ -20,7 +19,7 @@ from etacm.apcomplex import (
 )
 from etacm.errors import PreconditionError
 from etacm.etafunc import eta
-from support import to_mpc
+from support import kernel_triple, to_mpc
 
 pytest.importorskip("hypothesis")
 
@@ -162,4 +161,4 @@ def test_rounding_operations_within_their_ulps(x, y, W, n):
 @given(values())
 def test_conversions_are_exact(x):
     v = to_apcomplex(x, 64)
-    assert to_mpc(from_mpc(v.re, v.im)) == to_mpc(x) == to_mpc(v)
+    assert to_mpc(kernel_triple(v.re, v.im)) == to_mpc(x) == to_mpc(v)

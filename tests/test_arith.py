@@ -3,7 +3,28 @@ import random
 import pytest
 import sympy
 
-from etacm.arith import PSI13, _strong_lucas_probable_prime, is_probable_prime
+from etacm.arith import PSI13, _strong_lucas_probable_prime, is_probable_prime, jacobi
+
+
+class TestJacobi:
+    def test_agrees_with_sympy(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            n = rng.randrange(1, 2**rng.randrange(1, 65), 2)
+            k = rng.randrange(1, 80)
+            a = rng.randrange(-2**k, 2**k)  # 0 at small k
+            assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+    def test_is_eulers_criterion_at_primes(self):
+        for p in sympy.primerange(3, 500):
+            for a in range(p):
+                euler = pow(a, (p - 1) // 2, p)
+                assert jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+
+    @pytest.mark.parametrize("n", [0, -3, 2, 10, -8])
+    def test_needs_odd_positive_n(self, n):
+        with pytest.raises(ValueError):
+            jacobi(1, n)
 
 
 class TestIsProbablePrime:

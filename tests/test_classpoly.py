@@ -49,14 +49,14 @@ class TestIntegralityConditions:
         # for an odd prime p, p | f iff p^2 | D: the conditions read D mod p^2
         # and agree with the factored conductor for every D down to -3000, and
         # a D of 142 bits needs no factoring at all
-        from etacm.arith import legendre
+        from etacm.arith import jacobi
 
         for D in range(-3, -3000, -1):
             if D % 4 not in (0, 1):
                 continue
             f = Discriminant(D).f
             for p1, p2 in PAIRS:
-                want = (legendre(D, p1) != -1 and legendre(D, p2) != -1
+                want = (jacobi(D, p1) != -1 and jacobi(D, p2) != -1
                         and f % p1 != 0 and f % p2 != 0)
                 assert check_integrality_conditions(D, p1, p2) is want, (D, p1, p2)
         start = time.perf_counter()
@@ -132,6 +132,8 @@ class TestComputeClassPolynomial:
         assert max(abs(c) for c in want) > 2**100  # genuinely needed more bits
 
     def test_max_prec_bounds_the_first_attempt(self, monkeypatch):
+        # -9899's 64-bit pass does not predict a passing gate, so the
+        # measured start is the first attempt
         import etacm.classpoly as cp
 
         calls = []
@@ -139,7 +141,7 @@ class TestComputeClassPolynomial:
         monkeypatch.setattr(cp, "_expand", lambda *a: calls.append(a[2]) or real(*a))
         monkeypatch.setattr(cp, "initial_precision", lambda *a: 512)
         with pytest.raises(PrecisionExhausted):
-            compute_class_polynomial(-56, 3, 13, 10, max_prec=256)
+            compute_class_polynomial(-9899, 3, 5, b_candidates(-9899, 3, 5)[0], max_prec=256)
         assert calls == []  # refused before any evaluation at 512 bits
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7), (-1511, 5, 7)])
@@ -161,12 +163,24 @@ class TestComputeClassPolynomial:
 
     @pytest.mark.parametrize("D, p1, p2, cap",
                              [(-56, 3, 13, 32), (-3996, 5, 7, 63), (-1511, 5, 7, 64)])
-    def test_max_prec_below_64_or_the_start_raises(self, D, p1, p2, cap):
+    def test_max_prec_below_64_or_the_start_raises(self, monkeypatch, D, p1, p2, cap):
         # -3996 measures a start below 64 bits, so one bit under 64 already
-        # raises; -1511's 64-bit pass would pass the gate, but its measured
-        # start is 65
-        with pytest.raises(PrecisionExhausted):
-            compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0], max_prec=cap)
+        # raises; -1511 measures a start of 65, but its 64-bit pass passes
+        # the gate, so a cap of 64 gives the uncapped H from that one pass
+        import etacm.classpoly as cp
+
+        b = b_candidates(D, p1, p2)[0]
+        if cap < 64:
+            with pytest.raises(PrecisionExhausted):
+                compute_class_polynomial(D, p1, p2, b, max_prec=cap)
+            return
+        want = compute_class_polynomial(D, p1, p2, b)
+        calls = []
+        real = cp.w_pow_s_at_hecke_points
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points",
+                            lambda *a: calls.append(a[3]) or real(*a))
+        assert compute_class_polynomial(D, p1, p2, b, max_prec=cap) == want
+        assert calls == [64]
 
     @pytest.mark.parametrize("D, p1, p2", [(-3996, 5, 7), (-9899, 3, 5)])
     def test_start_is_measured_from_the_height(self, monkeypatch, D, p1, p2):
@@ -264,7 +278,7 @@ class TestConjugatePairs:
         # gcd(C/N, N) > 1 and cases with (D|p) = 0 for one of the primes
         import etacm.classpoly as cp
         from etacm.apcomplex import add, lg, log2add
-        from etacm.arith import legendre
+        from etacm.arith import jacobi
 
         cases = roots = shared = ramified = 0
         for D in range(-3, -800, -1):
@@ -287,7 +301,7 @@ class TestConjugatePairs:
                     cases += 1
                     roots += len(values)
                     shared += sum(gcd(c // N, N) > 1 for _, _, c in system.forms)
-                    ramified += legendre(D, p1) == 0 or legendre(D, p2) == 0
+                    ramified += jacobi(D, p1) == 0 or jacobi(D, p2) == 0
         assert (cases, roots) == (1562, 13300)
         assert shared == 3891 and ramified == 506
 
@@ -329,13 +343,13 @@ class TestHeckeRoute:
         import mpmath
 
         import etacm.classpoly as cp
-        from etacm.arith import legendre
+        from etacm.arith import jacobi
         from oracles import w_pow_s_at_form
         from support import to_mpc
 
         system = cp.build_nsystem(D, p1 * p2, b_candidates(D, p1, p2)[0])
         assert D != -9899 or len(system.forms) == 30
-        assert D != -260 or legendre(D, p2) == 0
+        assert D != -260 or jacobi(D, p2) == 0
         for f, (value, err) in zip(system.forms, hecke_roots(system.forms, p1, p2, 128)):
             want = w_pow_s_at_form(f, p1, p2, 400)
             with mpmath.workprec(400):
@@ -443,12 +457,12 @@ class TestInvolutionTransform:
 
     def test_transform_matches_direct_computation(self):
         rng = random.Random(8)
-        from etacm.arith import legendre
+        from etacm.arith import jacobi
         from etacm.qforms import b_candidates
         done = 0
         while done < 4:
             (D, p1, p2), = valid_triples(rng, 1, 3, 2500)
-            if legendre(D, p1) != 1 or legendre(D, p2) != 1:
+            if jacobi(D, p1) != 1 or jacobi(D, p2) != 1:
                 continue
             bs = b_candidates(D, p1, p2)
             b = bs[0]

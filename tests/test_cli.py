@@ -310,6 +310,14 @@ class TestUsageAndPlumbing:
         assert code == 3
         assert f"max_prec = {cap} " in err
 
+    def test_precision_max_64_accepts_a_passing_64_bit_pass(self, capsys):
+        # H of D = -1511 measures a start of 65 bits, but its 64-bit height
+        # pass already rounds, so a cap of 64 prints the uncapped line
+        argv = ["classpoly", "--disc", "-1511", "--p1", "5", "--p2", "7"]
+        want = run_cli(argv, capsys)
+        assert want[0] == EXIT_OK and want[1]
+        assert run_cli(["--precision-max", "64"] + argv, capsys) == want
+
     def test_precision_exhausted_exits_3(self, capsys, monkeypatch):
         from etacm import cli
         from etacm.errors import PrecisionExhausted

@@ -392,7 +392,7 @@ class TestDoubleEtaQuotient:
 
     def test_w_p1_involution(self):
         # w^s(W_{p1} z) * w^s(z) = (p1|p2)^s  with p1 x + p2 y = 1, y < 0 odd
-        from etacm.arith import legendre
+        from etacm.arith import jacobi
 
         rng = random.Random(13)
         prec = 192
@@ -404,7 +404,7 @@ class TestDoubleEtaQuotient:
             x = (1 - p2 * y) // p1
             m = (-p1, N, -y, -p1 * x)
             s = s_exponent(p1, p2)
-            eps = legendre(p1, p2) ** s
+            eps = jacobi(p1, p2) ** s
             for _ in range(4):
                 z = rand_fundamental(rng, prec + 64)
                 wz = UpperHalfPoint(moebius(m, z.value, prec + 64))

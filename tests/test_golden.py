@@ -1,6 +1,7 @@
 """Golden outputs: H, Phi, the worked example's cm-curve, multiplicity and
-reproduce-example output, and cm-curve lines on both CM paths are pinned, so
-that a change meant to keep every output cannot change one unseen.
+reproduce-example output, cm-curve lines on both CM paths, and the order
+certificates behind them are pinned, so that a change meant to keep every
+output cannot change one unseen.
 
 The hashes are the 16-hex SHA-256 prefixes that `tools/time_modpoly.py`
 (of `serialize(phi)`) and `tools/time_classpoly.py` (of `repr(H.coeffs)`)
@@ -17,6 +18,7 @@ import pytest
 from etacm.classpoly import compute_class_polynomial
 from etacm.cli import dispatch
 from etacm.modpoly import serialize
+from etacm.pipeline import construct_cm_curve
 from etacm.qforms import b_candidates
 
 
@@ -106,3 +108,43 @@ def test_cm_curve_lines(D, q, B, line):
     argv = ["cm-curve", "--disc", str(D), "--p1", "3", "--p2", "13", "--prime", str(q)]
     argv += [] if B is None else ["--b", str(B)]
     assert run_cli(argv) == (0, f"{q} {line}\n")
+
+
+Q23 = 172393879683465410441577777363007074811
+Q131 = 2931441168763077782425916721326357540578583101139019158306311
+Q156 = 114895811409235922874586334582966967655234090096450506652900218987767203951
+
+
+# (a4, a6, order, trace, checks, ambiguous, alt_order, used_shortcut) of
+# construct_cm_curve: the worked example, the six N = 39 jobs above, a job
+# that the quadratic twist settles (40 points drawn), and two counted ones
+@pytest.mark.parametrize("D, p1, p2, q, B, seed, want", [
+    *[(-56, 3, 13, 3593, 10, s, (1337, 2089, 3600, 6, 17, False, None, True)) for s in range(4)],
+    *[(-56, 3, 13, 3593, 16, s, (3055, 2517, 3600, 6, 17, False, None, False)) for s in range(4)],
+    (-23, 3, 13, Q23, 35, 0,
+     (6653159313502292100473769531125079936, 4435439542334861400315846354083386624,
+      172393879683465410419275429868125786424, 22302347494881288388, 2, False, None, True)),
+    (-131, 3, 13, Q131, 5, 0,
+     (1774478656717364020641633590157302318207933428683706043667427,
+      2160132827399268607903061300546987392331483319502143748547055,
+      2931441168763077782425916721325440613623082665208193641015699,
+      916926955500435930825517290613, 1, False, None, True)),
+    (-156, 3, 13, Q156, 0, 0,
+     (39873278889038824206878672849549045883428304805882171723942751589421009265,
+      103179393532183164720976671621677342359108263268221785584561980384792142144,
+      114895811409235922874586334582966967635799073448049673890219312479741101672,
+      19435016648400832762680906508026102280, 1, False, None, True)),
+    (-204, 3, 13, 1080907, None, 0, (402193, 628431, 1079020, 1888, 8, False, None, False)),
+    (-620, 3, 13, 4138928021, None, 0,
+     (1065607447, 2800452603, 4138950780, 22758, 5, False, None, False)),
+    (-779, 3, 13, 279039035670103, None, 0,
+     (26891574581200, 110940728277501, 279039003618163, 32051941, 3, False, None, False)),
+    (-368, 3, 13, 1553, None, 53, (793, 11, 1536, 18, 40, False, None, False)),
+    (-4, 5, 13, 29, None, 0, (1, 0, 20, 10, 20, False, None, True)),
+    (-3, 3, 13, 7, None, 0, (0, 3, 13, 5, 20, False, None, True)),
+])
+def test_certificates(D, p1, p2, q, B, seed, want):
+    curve, cert, shortcut = construct_cm_curve(D, p1, p2, q, B, seed=seed)
+    assert cert.curve == curve
+    assert (curve.a4.value, curve.a6.value, cert.order, cert.trace, cert.checks,
+            cert.ambiguous, cert.alt_order, shortcut) == want

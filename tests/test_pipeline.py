@@ -23,7 +23,7 @@ from etacm.pipeline import (
     random_point,
 )
 from etacm.qforms import b_candidates
-from oracles import hilbert_class_polynomial, naive_point_count, trace_oracle
+from oracles import affine_add, hilbert_class_polynomial, naive_point_count, trace_oracle
 from support import pick_b, split_prime, valid_triples
 
 # a 256-bit prime at which D = -56, N = 39, B = 10 takes the shortcut
@@ -444,9 +444,9 @@ class TestGroupArithmetic:
         rng = random.Random(2)
         P = random_point(e, rng)
         a = e.a4.value
-        twice = pipeline.ec_add(P, P, a, e.q)
+        twice = affine_add(P, P, a, e.q)
         assert ec_mul(2, P, a, e.q) == twice
-        assert ec_mul(5, P, a, e.q) == pipeline.ec_add(
+        assert ec_mul(5, P, a, e.q) == affine_add(
             ec_mul(2, P, a, e.q), ec_mul(3, P, a, e.q), a, e.q)
 
     def test_point_on_curve(self):
@@ -455,3 +455,8 @@ class TestGroupArithmetic:
         for _ in range(10):
             x, y = random_point(e, rng)
             assert (y * y - x * x * x - 7 * x - 11) % 3593 == 0
+
+    @pytest.mark.parametrize("n", [0, -3600])
+    def test_order_check_needs_a_positive_order(self, n):
+        with pytest.raises(PreconditionError):
+            order_check(EllipticCurve.make(3593, 7, 11), n, random.Random(0))

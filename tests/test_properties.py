@@ -17,13 +17,20 @@ from hypothesis import strategies as st  # noqa: E402
 
 from mpmath.libmp import from_rational, fzero  # noqa: E402
 
-from etacm.apcomplex import RND, ApComplex, UpperHalfPoint, from_mpc  # noqa: E402
+from etacm.apcomplex import RND, ApComplex, UpperHalfPoint  # noqa: E402
 from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
 from etacm import intpoly  # noqa: E402
 from etacm.etafunc import hecke_split, reduce_to_fundamental_domain  # noqa: E402
 from etacm.ffield import NEWTON_DEGREE, FpPolynomial, roots_mod_l  # noqa: E402
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
-from etacm.pipeline import EllipticCurve, ec_mul, random_point  # noqa: E402
+from etacm.pipeline import (  # noqa: E402
+    ORDER_CHECKS,
+    EllipticCurve,
+    OrderCertificate,
+    _escaping_points,
+    ec_mul,
+    random_point,
+)
 from etacm.qforms import QuadraticForm, _xgcd, b_candidates, reduce_form  # noqa: E402
 from oracles import (  # noqa: E402
     affine_mul,
@@ -36,7 +43,7 @@ from oracles import (  # noqa: E402
     schoolbook_mul,
     schoolbook_pow_mod,
 )
-from support import coefficients, log2_dist, mag, moebius  # noqa: E402
+from support import coefficients, kernel_triple, log2_dist, mag, moebius  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
@@ -384,7 +391,7 @@ class TestLagrange:
         for x in nodes:
             y = sum(c * x**i for i, c in enumerate(coeffs))
             v = ApComplex(from_rational(y.numerator, y.denominator, wp, RND), fzero, wp)
-            c, _, e = from_mpc(v.re, v.im)
+            c, _, e = kernel_triple(v.re, v.im)
             samples.append(RPoly.constant(c, e, mag(v) - wp + 1))
         xs = [(x.numerator * (8 // x.denominator), 0, -3) for x in nodes]
         (f,) = _lagrange(xs, -float(wp), samples, wp)
@@ -426,6 +433,43 @@ def test_ec_mul_matches_affine_oracle_on_small_curves(case):
     assert ec_mul(n, P, a, q) is None
     for k in range(-3, 2 * n + 3):
         assert ec_mul(k, P, a, q) == affine_mul(k, P, a, q), (q, a, b, P, k)
+
+
+def _escaping_points_oracle(curve, n1, n2, t, need, rng):
+    """`pipeline._escaping_points` with both O-tests by `affine_mul`."""
+    q, a = curve.q, curve.a4.value
+    ok1 = ok2 = True
+    escaped = 0
+    for drawn in range(1, ORDER_CHECKS + 1):
+        P = random_point(curve, rng)
+        o1, o2 = affine_mul(n1, P, a, q) is None, affine_mul(n2, P, a, q) is None
+        ok1, ok2 = ok1 and o1, ok2 and o2
+        if not (ok1 or ok2):
+            return None
+        escaped += o1 != o2
+        if escaped == need:
+            return OrderCertificate(curve, n1 if ok1 else n2, t, drawn)
+    return OrderCertificate(curve, n1 if ok1 else n2, t, ORDER_CHECKS,
+                            ambiguous=True, alt_order=n2 if ok1 else n1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_curve_points(), st.integers(1, ORDER_CHECKS), st.integers(0, 2**32))
+def test_escaping_points_match_the_affine_oracle(case, need, seed):
+    # #E against every m of the Hasse interval, as (n1, n2) = (#E, m),
+    # where n1 P = O and n2 P = S, and as (m, #E), where n2 P = n1 P + S is
+    # an addition; S = (n2 - n1) P is O whenever the order of the drawn P
+    # divides m - #E.  The pair (m, 2q + 2 - m) of a CM certificate, mostly
+    # without #E, also reaches the answer None
+    q, a, b, _ = case
+    curve = EllipticCurve.make(q, a, b)
+    n = naive_point_count(q, a, b)
+    s = math.isqrt(4 * q)
+    for m in range(q + 1 - s, q + 2 + s):
+        for n1, n2 in [(n, m), (m, n), (m, 2 * q + 2 - m)]:
+            got = _escaping_points(curve, n1, n2, 0, need, random.Random(seed))
+            want = _escaping_points_oracle(curve, n1, n2, 0, need, random.Random(seed))
+            assert got == want, (q, a, b, n1, n2, need, seed)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

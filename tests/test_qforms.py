@@ -5,7 +5,7 @@ import pytest
 import etacm.classpoly as classpoly
 import etacm.modpoly as modpoly
 from etacm.apcomplex import UpperHalfPoint
-from etacm.arith import legendre
+from etacm.arith import jacobi
 from etacm.atkin import is_multiple_root_case, multiple_root_condition, wn_squared_fixes_class
 from etacm.errors import (
     ConditionsViolated,
@@ -148,7 +148,7 @@ class TestEquivalent:
 class TestBCandidates:
     def test_worked_case(self):
         assert b_candidates(-56, 3, 13) == [10, 16, 62, 68]
-        assert legendre(-56, 3) == 1 and legendre(-56, 13) == 1
+        assert jacobi(-56, 3) == 1 and jacobi(-56, 13) == 1
 
     def test_closed_under_negation(self):
         bs = b_candidates(-56, 3, 13)
@@ -178,7 +178,7 @@ class TestBCandidates:
             D = -rng.randint(3, 40000)
             if D % 4 not in (0, 1):
                 continue
-            l1, l2 = legendre(D, p1), legendre(D, p2)
+            l1, l2 = jacobi(D, p1), jacobi(D, p2)
             if l1 == -1 or l2 == -1:
                 continue
             try:
@@ -222,7 +222,7 @@ class TestNSystem:
 
     def test_bulk_random_systems_validate(self):
         rng = random.Random(2718)
-        from etacm.arith import legendre
+        from etacm.arith import jacobi
         primes = [3, 5, 7, 11, 13]
         built = 0
         while built < 150:
@@ -231,7 +231,7 @@ class TestNSystem:
             D = -rng.randint(3, 30000)
             if D % 4 not in (0, 1):
                 continue
-            if legendre(D, p1) == -1 or legendre(D, p2) == -1:
+            if jacobi(D, p1) == -1 or jacobi(D, p2) == -1:
                 continue
             try:
                 bs = b_candidates(D, p1, p2)
