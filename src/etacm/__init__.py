@@ -8,7 +8,6 @@ from .apcomplex import ApComplex, UpperHalfPoint
 from .atkin import (
     Con1Solution,
     Wn2Solution,
-    is_multiple_root_case,
     multiple_root_condition,
     wn_squared_fixes_class,
 )
@@ -16,7 +15,6 @@ from .classpoly import (
     ClassPolynomial,
     check_integrality_conditions,
     compute_class_polynomial,
-    count_distinct_class_polynomials,
     involution_transform,
 )
 from .errors import (
@@ -36,11 +34,10 @@ from .etafunc import (
     eta,
     eta_multiplier,
     j_invariant,
-    reduce_to_fundamental_domain,
     s_exponent,
     w_pow_s,
 )
-from .ffield import FpElement, FpPolynomial, has_multiple_root, roots_mod_l, sqrt_mod_l
+from .ffield import FpElement, FpPolynomial, has_multiple_root, roots_mod_l
 from .modpoly import (
     ModularPolynomial,
     compute_modular_polynomial,
@@ -67,9 +64,6 @@ from .qforms import (
     b_candidates,
     build_nsystem,
     class_number,
-    enumerate_reduced_forms,
-    equivalent,
-    reduce_form,
 )
 
 __version__ = "0.1.0"

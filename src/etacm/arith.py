@@ -124,40 +124,7 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + (r2 - r1) * inv % m2 * m1) % (m1 * m2)
 
 
-def squarefree_kernel(n: int) -> tuple[int, int]:
-    """Return (squarefree part k, cofactor f) with n = k * f**2, n > 0."""
-    if n <= 0:
-        raise ValueError("positive n required")
-    k, f = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            f *= d ** (e // 2)
-            if e % 2:
-                k *= d
-        d += 1 if d == 2 else 2
-    return k * n, f
-
-
 def check_discriminant(D: int) -> None:
     """The one check of a discriminant: D < 0 and D = 0, 1 mod 4."""
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidDiscriminant(f"{D} is not a negative discriminant")
-
-
-def fundamental_parts(D: int) -> tuple[int, int]:
-    """Split a discriminant D < 0 into (d_K, f) with D = f**2 * d_K, d_K
-    fundamental, by trial division of |D|."""
-    check_discriminant(D)
-    k, f = squarefree_kernel(-D)
-    m = -k  # squarefree negative part
-    if m % 4 == 1:
-        d_k = m
-    else:  # D = 0 mod 4 with m = 2, 3 mod 4 squarefree, so f is even
-        d_k, f = 4 * m, f // 2
-    assert f * f * d_k == D
-    return d_k, f

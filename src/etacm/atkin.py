@@ -11,7 +11,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 
-from .classpoly import check_conditions
 from .qforms import _reduce, check_b
 
 
@@ -73,10 +72,3 @@ def wn_squared_fixes_class(D, N: int, B: int) -> Wn2Solution | None:
     return next((Wn2Solution(x, y) for x, y in _solutions(d, 4 * N * N)
                  if y and (x - B * y) % (2 * N) == 0
                  and (((x - B * y) // (2 * N)) ** 2 - 1) % abs(y) == 0), None)
-
-
-def is_multiple_root_case(D, p1: int, p2: int, B: int) -> tuple[bool, Con1Solution | None]:
-    """Whether the modular equation has a multiple J-root for every form of
-    the B-indexed N-system (the answer depends only on B), with witness."""
-    witness = multiple_root_condition(check_conditions(D, p1, p2), p1 * p2, B)
-    return witness is not None, witness

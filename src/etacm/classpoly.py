@@ -49,7 +49,6 @@ from .qforms import (
     NSystem,
     _reduce,
     as_discriminant,
-    b_candidates,
     build_nsystem,
 )
 
@@ -71,12 +70,6 @@ class ClassPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def descending(self) -> list[int]:
         return list(reversed(self.coeffs))
@@ -322,19 +315,3 @@ def involution_transform(H: ClassPolynomial) -> ClassPolynomial:
     bp = crt_pair(H.B % H.p1, H.p1, (-H.B) % H.p2, H.p2)
     bp = crt_pair(bp, H.p1 * H.p2, H.B % 2, 2) % n2
     return ClassPolynomial(H.D, H.p1, H.p2, H.s, bp, tuple(out))
-
-
-def count_distinct_class_polynomials(D, p1: int, p2: int) -> int:
-    """Number of distinct H_{B,N} over all admissible B (is 1 or 2)."""
-    disc = check_conditions(D, p1, p2)
-    N = p1 * p2
-    cands = b_candidates(disc, p1, p2)
-    reps = sorted({min(b, (2 * N - b) % (2 * N)) for b in cands})
-    polys = {compute_class_polynomial(disc, p1, p2, b).coeffs for b in reps}
-    count = len(polys)
-    l1, l2 = jacobi(disc.D, p1), jacobi(disc.D, p2)
-    if l1 == 1 and l2 == 1:
-        assert count in (1, 2)
-    elif (l1 == 1 and l2 == 0) or (l1 == 0 and l2 == 1):
-        assert count == 1
-    return count

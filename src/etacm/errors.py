@@ -24,10 +24,6 @@ class NoSolution(PreconditionError):
     pass
 
 
-class DiscriminantMismatch(PreconditionError):
-    pass
-
-
 class ConditionsViolated(PreconditionError):
     pass
 

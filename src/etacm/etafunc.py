@@ -128,17 +128,6 @@ def _form_of(z: UpperHalfPoint) -> Form:
     return _primitive(d * d, -2 * x * d, x * x + y * y)
 
 
-def reduce_to_fundamental_domain(z: UpperHalfPoint) -> tuple[UpperHalfPoint, Matrix]:
-    """Unimodular M and z' = Mz, exactly Gauss-reduced: -1/2 <= Re z' < 1/2,
-    |z'| >= 1, and Re z' <= 0 when |z'| = 1.
-
-    z' is the root of the reduced form G = F.R of z's form F (`qforms._reduce`),
-    rounded to z's precision, and M = R^-1.
-    """
-    (a, b, c), (p, q, r, s) = _reduce(_form_of(z))
-    return UpperHalfPoint.from_form(a, b, b * b - 4 * a * c, z.prec), (s, -q, -r, p)
-
-
 def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
     """(c, d, sign, k) with eta(Mz) = sign * zeta_24^k * sqrt(cz+d) * eta(z).
 

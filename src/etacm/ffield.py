@@ -1,5 +1,5 @@
 """Exact arithmetic over prime fields and univariate polynomials over them:
-root finding with multiplicities, multiple-root detection, square roots.
+root finding with multiplicities and multiple-root detection.
 
 Polynomials store coefficients lowest degree first.  Root finding makes one
 exponentiation y = (x + a)^((q-1)/2) mod f per split (Rabin, SIAM J. Comput.
@@ -46,9 +46,6 @@ class FpElement:
             raise PreconditionError(f"modulus {self.modulus} is not prime")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def __int__(self) -> int:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class FpPolynomial:
@@ -63,29 +60,8 @@ class FpPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
-
-    def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
-        return FpPolynomial.make(_mul(self.coeffs, other.coeffs, self.modulus), self.modulus)
-
     def monic(self) -> "FpPolynomial":
         return FpPolynomial(self.modulus, tuple(_monic(self.coeffs, self.modulus)))
-
-    def divmod(self, other: "FpPolynomial") -> tuple["FpPolynomial", "FpPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.modulus
-        inv = pow(other.coeffs[-1], -1, p)
-        quo, rem = _divmod(self.coeffs, [c * inv % p for c in other.coeffs], p)
-        # a = quo * (m / lead) + rem, so the quotient by m itself is quo / lead
-        return FpPolynomial(p, tuple(c * inv % p for c in quo)), FpPolynomial(p, tuple(rem))
 
     def derivative(self) -> "FpPolynomial":
         return FpPolynomial.make(
@@ -93,13 +69,6 @@ class FpPolynomial:
 
     def gcd(self, other: "FpPolynomial") -> "FpPolynomial":
         return FpPolynomial(self.modulus, tuple(_gcd(self.coeffs, other.coeffs, self.modulus)))
-
-    def pow_mod(self, e: int, mod: "FpPolynomial") -> "FpPolynomial":
-        if mod.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.modulus
-        m = _monic(mod.coeffs, p)
-        return FpPolynomial(p, tuple(_pow_mod(_divmod(self.coeffs, m, p)[1], e, m, p)))
 
 
 # The kernel below works on plain lists of coefficients, lowest degree first,
@@ -329,25 +298,9 @@ def has_multiple_root(f: FpPolynomial) -> bool:
     if f.degree < 1:
         raise PreconditionError("degree must be at least 1")
     d = f.derivative()
-    if d.is_zero():
+    if not d.coeffs:
         return True
     return f.gcd(d).degree >= 1
-
-
-def sqrt_mod_l(a, modulus: int | None = None) -> FpElement | None:
-    """Tonelli-Shanks square root, or None for a non-residue.
-
-    Returns the smaller of the two roots, for reproducibility.
-    """
-    if isinstance(a, FpElement):
-        if modulus not in (None, a.modulus):
-            raise PreconditionError(f"element mod {a.modulus} given with modulus {modulus}")
-        a, modulus = a.value, a.modulus
-    elif modulus is None:
-        raise PreconditionError("modulus required for plain integers")
-    check_odd_prime(modulus)
-    r = _sqrt_mod(a % modulus, modulus)
-    return None if r is None else FpElement(r, modulus)
 
 
 @lru_cache(maxsize=64)
@@ -360,8 +313,9 @@ def _non_residue(q: int) -> int:
 
 
 def _sqrt_mod(v: int, l: int) -> int | None:
-    """sqrt_mod_l for 0 <= v < l and an odd prime l that the caller has
-    already checked: the smaller root as an int, or None."""
+    """A square root of v mod l by Tonelli-Shanks, for 0 <= v < l and an odd
+    prime l that the caller has already checked: the smaller of the two
+    roots, for reproducibility, or None for a non-residue."""
     if v == 0:
         return 0
     if pow(v, (l - 1) // 2, l) != 1:

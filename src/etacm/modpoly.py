@@ -88,15 +88,6 @@ class ModularPolynomial:
         """Coefficient polynomial of J^kJ, as an integer polynomial in X."""
         return [row[kJ] if kJ < len(row) else 0 for row in self.coeffs]
 
-    def __call__(self, x: int, j: int) -> int:
-        acc = 0
-        for row in reversed(self.coeffs):
-            term = 0
-            for c in reversed(row):
-                term = term * j + c
-            acc = acc * x + term
-        return acc
-
 
 def _degrees(p1: int, p2: int) -> tuple[int, int, int]:
     """(s, degX, degJ) of Phi_{p1,p2}, for distinct odd primes p1, p2."""

@@ -67,13 +67,6 @@ class EllipticCurve:
     def make(cls, q: int, a4: int, a6: int) -> "EllipticCurve":
         return cls(q, FpElement(a4, q), FpElement(a6, q))
 
-    def j_invariant(self) -> int:
-        q = self.q
-        a, b = self.a4.value, self.a6.value
-        num = 6912 * pow(a, 3, q)
-        den = (4 * pow(a, 3, q) + 27 * pow(b, 2, q)) % q
-        return num * pow(den, -1, q) % q
-
     def quadratic_twist(self) -> "EllipticCurve":
         c = _non_residue(self.q)
         return EllipticCurve.make(

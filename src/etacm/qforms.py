@@ -1,5 +1,5 @@
 """Binary quadratic forms of negative discriminant: Gauss reduction, class
-enumeration, equivalence, and N-system construction.
+enumeration, and N-system construction.
 
 A form [a, b, c] stands for a*X^2 + b*X*Y + c*Y^2 with a > 0 and
 b^2 - 4ac = D < 0, primitive.  Composition with a unimodular matrix
@@ -18,16 +18,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import check_discriminant, check_distinct_odd_primes, crt_pair, fundamental_parts
-from .errors import (
-    DiscriminantMismatch,
-    InvalidB,
-    NoSolution,
-    PreconditionError,
-)
+from .arith import check_discriminant, check_distinct_odd_primes, crt_pair
+from .errors import InvalidB, NoSolution, PreconditionError
 from .ffield import _sqrt_mod
 
 Form = tuple[int, int, int]
@@ -52,21 +47,6 @@ class QuadraticForm(namedtuple("_Form", "a b c")):
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def compose(self, m: Matrix) -> "QuadraticForm":
-        p, q, r, s = m
-        if p * s - q * r != 1:
-            raise PreconditionError(f"matrix {m} is not unimodular")
-        return QuadraticForm(*_compose(self, m))
-
-    def is_reduced(self) -> bool:
-        a, b, c = self
-        if not (-a < b <= a <= c):
-            return False
-        return b >= 0 if a == c else True
-
-    def as_tuple(self) -> Form:
-        return tuple(self)
 
 
 def _compose(f: Form, m: Matrix) -> Form:
@@ -102,13 +82,6 @@ def _reduce(f: Form) -> tuple[Form, Matrix]:
     return (a, b, c), (p, q, r, s)
 
 
-def reduce_form(f: QuadraticForm) -> tuple[QuadraticForm, Matrix]:
-    """Gauss-reduced representative g and M in SL2(Z) with g = f.M."""
-    g, m = _reduce(f)
-    assert _compose(f, m) == g
-    return QuadraticForm(*g), m
-
-
 @lru_cache(maxsize=4096)
 def _reduced_forms(D: int) -> tuple[QuadraticForm, ...]:
     """The reduced forms of a discriminant D already checked: b runs over
@@ -131,48 +104,19 @@ def _reduced_forms(D: int) -> tuple[QuadraticForm, ...]:
     return tuple(forms)
 
 
-def enumerate_reduced_forms(D) -> list[QuadraticForm]:
-    """All primitive reduced forms of discriminant D, one per class."""
-    return list(_reduced_forms(as_discriminant(D).D))
-
-
 def class_number(D) -> int:
     return len(_reduced_forms(as_discriminant(D).D))
 
 
-def equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
-    if f.discriminant != g.discriminant:
-        raise DiscriminantMismatch(
-            f"discriminants differ: {f.discriminant} vs {g.discriminant}")
-    return _reduce(f)[0] == _reduce(g)[0]
-
-
 @dataclass(frozen=True)
 class Discriminant:
-    """Negative discriminant D = f^2 * d_K with d_K fundamental.
-
-    Construction checks D < 0 and D = 0, 1 mod 4 only; d_K and f factor |D|,
-    so they are computed when first asked for.
-    """
+    """A negative discriminant D: construction checks D < 0 and D = 0, 1
+    mod 4, and never factors |D|."""
 
     D: int
 
     def __post_init__(self):
         check_discriminant(self.D)
-
-    @cached_property
-    def d_K(self) -> int:
-        return fundamental_parts(self.D)[0]
-
-    @cached_property
-    def f(self) -> int:
-        return fundamental_parts(self.D)[1]
-
-    def class_number(self) -> int:
-        return len(_reduced_forms(self.D))
-
-    def __int__(self) -> int:
-        return self.D
 
 
 def as_discriminant(D) -> Discriminant:

@@ -6,7 +6,8 @@ point x + i sqrt(y2), x and y2 rational, through Rademacher's Dedekind-sum
 multiplier), form counts from a direct triple loop, the reduction of a
 point from exact rational arithmetic, point counts from a naive sweep, the
 solutions of x^2 - D y^2 = n from a search over x, the group law from affine
-chord-and-tangent steps, the Hilbert class polynomial from theta-based
+chord-and-tangent steps, the j-invariant of a curve from its textbook
+formula, the Hilbert class polynomial from theta-based
 j-values expanded with mpmath arithmetic, and polynomial arithmetic and
 root finding over F_p from schoolbook loops.
 """
@@ -154,6 +155,11 @@ def naive_point_count(q: int, a: int, b: int) -> int:
             continue
         n += 1 if rhs in squares else -1
     return n
+
+
+def j_of_curve(q: int, a: int, b: int) -> int:
+    """j(E) = 1728 * 4a^3 / (4a^3 + 27b^2) of y^2 = x^3 + a x + b over F_q."""
+    return 1728 * 4 * a ** 3 * pow(4 * a ** 3 + 27 * b * b, -1, q) % q
 
 
 def curve_points(q: int, a: int, b: int) -> list[tuple[int, int]]:

@@ -6,13 +6,16 @@ import pytest
 from etacm.atkin import (
     Con1Solution,
     Wn2Solution,
-    is_multiple_root_case,
     multiple_root_condition,
     wn_squared_fixes_class,
 )
 from etacm.errors import ConditionsViolated, InvalidB, PreconditionError
 from etacm.ffield import FpPolynomial, has_multiple_root, roots_mod_l
-from etacm.classpoly import check_integrality_conditions, compute_class_polynomial
+from etacm.classpoly import (
+    check_conditions,
+    check_integrality_conditions,
+    compute_class_polynomial,
+)
 from etacm.intpoly import divmod_monic
 from etacm.modpoly import discriminant_in_j, evaluate_in_j_mod_l
 from etacm.qforms import Discriminant, b_candidates
@@ -119,17 +122,17 @@ class TestWnSquared:
 
 
 class TestIsMultipleRootCase:
+    # the shortcut's test: the integrality conditions, then the criterion
     def test_worked_example_true_case(self):
-        flag, witness = is_multiple_root_case(-56, 3, 13, 10)
-        assert flag and witness == Con1Solution(10, 1)
+        witness = multiple_root_condition(check_conditions(-56, 3, 13), 39, 10)
+        assert witness == Con1Solution(10, 1)
 
     def test_worked_example_false_case(self):
-        flag, witness = is_multiple_root_case(-56, 3, 13, 16)
-        assert not flag and witness is None
+        assert multiple_root_condition(check_conditions(-56, 3, 13), 39, 16) is None
 
     def test_rejects_unsupported_triple(self):
         with pytest.raises(ConditionsViolated):
-            is_multiple_root_case(-8, 3, 13, 2)
+            multiple_root_condition(check_conditions(-8, 3, 13), 39, 2)
 
     def test_agrees_with_discriminant_divisibility(self, phi_pool):
         # at J-degree 2, Phi(wbar, J) has a double root at every root wbar of

@@ -1,14 +1,14 @@
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 import pytest
+import sympy
 
 from etacm.classpoly import (
     ClassPolynomial,
     check_integrality_conditions,
     compute_class_polynomial,
-    count_distinct_class_polynomials,
     involution_transform,
 )
 from etacm.errors import ConditionsViolated, InvalidB, PrecisionExhausted, ZeroConstantTerm
@@ -54,7 +54,9 @@ class TestIntegralityConditions:
         for D in range(-3, -3000, -1):
             if D % 4 not in (0, 1):
                 continue
-            f = Discriminant(D).f
+            # the odd part of the conductor f of D = f^2 d_K, d_K fundamental:
+            # p^e exactly dividing D gives p^(e // 2) exactly dividing f
+            f = prod(p ** (e // 2) for p, e in sympy.factorint(-D).items() if p > 2)
             for p1, p2 in PAIRS:
                 want = (jacobi(D, p1) != -1 and jacobi(D, p2) != -1
                         and f % p1 != 0 and f % p2 != 0)
@@ -222,7 +224,7 @@ class TestComputeClassPolynomial:
         # one series per reduced form up to the sign of b
         import etacm.classpoly as cp
         import etacm.etafunc as ef
-        from etacm.qforms import enumerate_reduced_forms
+        from etacm.qforms import _reduced_forms
 
         series, per_attempt = [0], []
         real_series, real = ef._eta_series, cp.w_pow_s_at_hecke_points
@@ -239,7 +241,7 @@ class TestComputeClassPolynomial:
 
         monkeypatch.setattr(ef, "_eta_series", counting_series)
         monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", counting)
-        names = {(f.a, abs(f.b), f.c) for f in enumerate_reduced_forms(D)}
+        names = {(f.a, abs(f.b), f.c) for f in _reduced_forms(D)}
         assert len(names) < class_number(D)
         compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
         assert per_attempt and all(0 < n <= len(names) for n in per_attempt)
@@ -481,17 +483,3 @@ class TestInvolutionTransform:
         poly = compute_class_polynomial(-260, 3, 13, 26)
         with pytest.raises(ConditionsViolated):
             involution_transform(poly)
-
-
-class TestCountDistinct:
-    def test_worked_case_has_two(self):
-        assert count_distinct_class_polynomials(-56, 3, 13) == 2
-
-    def test_single_when_one_symbol_vanishes(self):
-        # (-260|3) = 1, (-260|13) = 0
-        assert count_distinct_class_polynomials(-260, 3, 13) == 1
-
-    def test_never_more_than_two(self):
-        rng = random.Random(12)
-        for D, p1, p2 in valid_triples(rng, 5, 3, 2000):
-            assert count_distinct_class_polynomials(D, p1, p2) <= 2

@@ -7,8 +7,10 @@ import pytest
 
 from etacm.apcomplex import ApComplex, UpperHalfPoint
 from etacm.errors import PrecisionExhausted, PreconditionError
+from etacm.qforms import _compose, _reduce
 from etacm.etafunc import (
     _eta_series,
+    _form_of,
     _eta_values,
     _q24,
     _units,
@@ -17,7 +19,6 @@ from etacm.etafunc import (
     eta_guard_bits,
     eta_multiplier,
     j_invariant,
-    reduce_to_fundamental_domain,
     s_exponent,
     w_pow_s,
 )
@@ -52,46 +53,41 @@ def rand_fundamental(rng: random.Random, prec: int) -> UpperHalfPoint:
 
 
 class TestReduction:
+    # a point enters the eta path as the exact form F it is the root of
+    # (`_form_of`); the reduced form G = F.R (`_reduce`) has the root R^-1 z,
+    # at -b/2a + i sqrt|D|/2a
     def test_already_reduced_is_identity(self):
-        z = point(0.3, 2.0, 128)
-        zr, m = reduce_to_fundamental_domain(z)
-        assert m == (1, 0, 0, 1)
-        assert zr.to_complex() == z.to_complex()
+        f = _form_of(point(0.3, 2.0, 128))
+        assert _reduce(f) == (f, (1, 0, 0, 1))
 
     def test_integer_translation(self):
-        z = point(5.3, 2.0, 128)
-        zr, m = reduce_to_fundamental_domain(z)
-        assert m == (1, -5, 0, 1)
-        assert abs(zr.to_complex() - (5.3 - 5 + 2j)) < 1e-30
+        (a, b, c), m = _reduce(_form_of(point(5.3, 2.0, 128)))
+        assert m == (1, 5, 0, 1)  # R^-1 z = z - 5
+        assert abs(complex(-b, math.sqrt(4 * a * c - b * b)) / (2 * a) - (0.3 + 2j)) < 1e-15
 
     def test_small_point_lands_in_domain(self):
-        z = point(0.1, 0.1, 192)
-        zr, m = reduce_to_fundamental_domain(z)
-        c = zr.to_complex()
-        assert abs(c) >= 1 - 2.0 ** (-96)
-        assert abs(c.real) <= 0.5 + 1e-30
-        assert c.imag >= 0.1
+        f = _form_of(point(0.1, 0.1, 192))
+        (a, b, c), m = _reduce(f)
+        assert -a < b <= a <= c
+        assert a < f[0]  # Im grows
         assert m[0] * m[3] - m[1] * m[2] == 1
-        # z' really is M z
-        assert abs(moebius(m, z.value, z.prec).to_complex() - c) < 1e-40
+        assert _compose(f, m) == (a, b, c)
 
     def test_left_edge_moves_to_minus_one_half(self):
         # Gauss's convention -a < b <= a puts Re z' in [-1/2, 1/2)
-        zr, m = reduce_to_fundamental_domain(point(0.5, 2, 128))
-        assert m == (1, -1, 0, 1)
-        assert zr.to_complex() == complex(-0.5, 2)
+        (a, b, c), m = _reduce(_form_of(point(0.5, 2, 128)))
+        assert m == (1, 1, 0, 1)
+        assert (a, b, c) == (4, 4, 17)  # the root of 4z^2 + 4z + 17 is -1/2 + 2i
 
     def test_random_points_postconditions(self):
         rng = random.Random(101)
         for _ in range(50):
-            z = point(rng.uniform(-30, 30), rng.uniform(0.005, 5), 160)
-            zr, m = reduce_to_fundamental_domain(z)
-            a, b, c, d = m
-            assert a * d - b * c == 1
-            w = zr.to_complex()
-            assert abs(w.real) <= 0.5 + 1e-30
-            assert abs(w) >= 1 - 2.0 ** (-80)
-            assert w.imag >= z.to_complex().imag - 1e-12
+            f = _form_of(point(rng.uniform(-30, 30), rng.uniform(0.005, 5), 160))
+            (a, b, c), m = _reduce(f)
+            assert m[0] * m[3] - m[1] * m[2] == 1
+            assert _compose(f, m) == (a, b, c)
+            assert -a < b <= a <= c and (b >= 0 or a < c)
+            assert a <= f[0]  # Im z' = sqrt|D|/2a >= Im z = sqrt|D|/2A
 
 
 class TestMultiplier:
@@ -522,7 +518,7 @@ class TestEtaTable:
         cosets = coset_representatives(3, 5)
         args = [(g, den) for g in cosets for den in (3, 5, 1, 15)]
         # the root of f0.g^-1 is g z0
-        points = [hecke_point(f0.compose((g[3], -g[1], -g[2], g[0])), (1, 0, 0, den))
+        points = [hecke_point(_compose(f0, (g[3], -g[1], -g[2], g[0])), (1, 0, 0, den))
                   for g, den in args]
         values, series = self.counted_values(monkeypatch, points, wp)
         for ((a, b, c, d), den), got in zip(args, values):

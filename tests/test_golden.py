@@ -1,10 +1,12 @@
 """Golden outputs: H, Phi, the worked example's cm-curve, multiplicity and
-reproduce-example output, cm-curve lines on both CM paths, and the order
-certificates behind them are pinned, so that a change meant to keep every
-output cannot change one unseen.
+reproduce-example output, cm-curve lines on both CM paths, the order
+certificates behind them, and x^q mod H and the roots of H mod q at a 255-bit
+q are pinned, so that a change meant to keep every output cannot change one
+unseen.
 
 The hashes are the 16-hex SHA-256 prefixes that `tools/time_modpoly.py`
-(of `serialize(phi)`) and `tools/time_classpoly.py` (of `repr(H.coeffs)`)
+(of `serialize(phi)`), `tools/time_classpoly.py` (of `repr(H.coeffs)`) and
+`tools/time_roots.py` (of `repr` of the coefficient tuple of x^q mod H)
 print; a change that alters an output on purpose regenerates them with those
 tools, and the CLI lines by running the same arguments.
 """
@@ -17,6 +19,7 @@ import pytest
 
 from etacm.classpoly import compute_class_polynomial
 from etacm.cli import dispatch
+from etacm.ffield import FpPolynomial, _pow_mod, roots_mod_l
 from etacm.modpoly import serialize
 from etacm.pipeline import construct_cm_curve
 from etacm.qforms import b_candidates
@@ -148,3 +151,20 @@ def test_certificates(D, p1, p2, q, B, seed, want):
     assert cert.curve == curve
     assert (curve.a4.value, curve.a6.value, cert.order, cert.trace, cert.checks,
             cert.ambiguous, cert.alt_order, shortcut) == want
+
+
+# H mod q = 2^255 - 19 at the first B: x^q mod H through the exponentiation
+# that root finding runs, and the roots with their multiplicities (none for
+# the worked example at this q)
+@pytest.mark.parametrize("D, p1, p2, xq, roots", [
+    (-56, 3, 13, "ceb9d4675b18b503", []),
+    (-356, 3, 5, "8c61223a300213b2", [
+        (20968390033420292723282559316107636608720972457219807495922375049806218815710, 1),
+        (44673698727418234634586863259958600423726053822429290424926138531371376254461, 1)]),
+], ids=["D=-56", "D=-356"])
+def test_roots_mod_q(D, p1, p2, xq, roots):
+    q = 2**255 - 19
+    H = compute_class_polynomial(D, p1, p2, b_candidates(D, p1, p2)[0])
+    hq = FpPolynomial.make(H.coeffs, q)
+    assert digest(repr(tuple(_pow_mod([0, 1], q, list(hq.coeffs), q))).encode()) == xq
+    assert sorted(roots_mod_l(hq).items()) == roots

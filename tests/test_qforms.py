@@ -6,10 +6,9 @@ import etacm.classpoly as classpoly
 import etacm.modpoly as modpoly
 from etacm.apcomplex import UpperHalfPoint
 from etacm.arith import jacobi
-from etacm.atkin import is_multiple_root_case, multiple_root_condition, wn_squared_fixes_class
+from etacm.atkin import multiple_root_condition, wn_squared_fixes_class
 from etacm.errors import (
     ConditionsViolated,
-    DiscriminantMismatch,
     InvalidB,
     InvalidDiscriminant,
     NoSolution,
@@ -21,12 +20,12 @@ from etacm.qforms import (
     Discriminant,
     NSystem,
     QuadraticForm,
+    _compose,
+    _reduce,
+    _reduced_forms,
     b_candidates,
     build_nsystem,
     class_number,
-    enumerate_reduced_forms,
-    equivalent,
-    reduce_form,
     validate_nsystem,
 )
 from oracles import brute_force_class_count, brute_force_reduced_forms
@@ -44,23 +43,23 @@ class TestQuadraticForm:
 
     def test_compose_preserves_discriminant(self):
         f = QuadraticForm(3, 2, 5)
-        g = f.compose((2, 1, 1, 1))
+        g = QuadraticForm(*_compose(f, (2, 1, 1, 1)))
         assert g.discriminant == f.discriminant
 
 
 class TestReduce:
     def test_already_reduced(self):
-        g, m = reduce_form(QuadraticForm(1, 0, 14))
-        assert g.as_tuple() == (1, 0, 14) and m == (1, 0, 0, 1)
+        g, m = _reduce((1, 0, 14))
+        assert g == (1, 0, 14) and m == (1, 0, 0, 1)
 
     def test_translation_case(self):
         # hand check: 2*22^2 - 88*22 + 975 = 7
-        g, m = reduce_form(QuadraticForm(2, 88, 975))
-        assert g.as_tuple() == (2, 0, 7)
+        g, m = _reduce((2, 88, 975))
+        assert g == (2, 0, 7) and _compose((2, 88, 975), m) == g
 
     def test_translate_then_invert(self):
-        g, m = reduce_form(QuadraticForm(5, 322, 5187))
-        assert g.as_tuple() == (3, -2, 5)
+        g, m = _reduce((5, 322, 5187))
+        assert g == (3, -2, 5) and _compose((5, 322, 5187), m) == g
 
     def test_witness_matrix_on_random_forms(self):
         rng = random.Random(2024)
@@ -73,33 +72,32 @@ class TestReduce:
                 f = QuadraticForm(a, b, c)
             except PreconditionError:
                 continue
-            g, m = reduce_form(f)
+            g, m = _reduce(f)
             assert m[0] * m[3] - m[1] * m[2] == 1
-            assert f.compose(m) == g
-            assert g.is_reduced()
+            assert _compose(f, m) == g
             # the reduced representative is among the brute-force reduced set
-            assert g.as_tuple() in brute_force_reduced_forms(f.discriminant)
+            assert g in brute_force_reduced_forms(f.discriminant)
 
 
 class TestEnumeration:
     def test_worked_discriminant(self):
-        forms = {f.as_tuple() for f in enumerate_reduced_forms(-56)}
+        forms = set(_reduced_forms(-56))
         assert forms == {(1, 0, 14), (2, 0, 7), (3, 2, 5), (3, -2, 5)}
         assert class_number(-56) == 4
 
     def test_smallest_case(self):
-        assert [f.as_tuple() for f in enumerate_reduced_forms(-4)] == [(1, 0, 1)]
+        assert _reduced_forms(-4) == ((1, 0, 1),)
         assert class_number(-4) == 1
 
     def test_two_classes(self):
-        assert {f.as_tuple() for f in enumerate_reduced_forms(-35)} == {(1, 1, 9), (3, 1, 3)}
+        assert set(_reduced_forms(-35)) == {(1, 1, 9), (3, 1, 3)}
         assert class_number(-35) == 2
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDiscriminant):
-            enumerate_reduced_forms(-6)
+            class_number(-6)
         with pytest.raises(InvalidDiscriminant):
-            enumerate_reduced_forms(5)
+            class_number(5)
 
     def test_against_brute_force_counts(self):
         for D in range(-3, -401, -1):
@@ -111,38 +109,33 @@ class TestEnumeration:
         # -3000 < D <= -3 gives the oracle's forms, in sorted order
         for D in range(-3, -3000, -1):
             if D % 4 in (0, 1):
-                got = [f.as_tuple() for f in enumerate_reduced_forms(D)]
-                assert got == sorted(brute_force_reduced_forms(D)), D
+                assert list(_reduced_forms(D)) == sorted(brute_force_reduced_forms(D)), D
 
     def test_random_discriminants_reduced_primitive_inequivalent(self):
         rng = random.Random(9)
         for _ in range(40):
             k = rng.randint(1, 250000)
             D = -4 * k if rng.random() < 0.5 else -4 * k - 3
-            forms = enumerate_reduced_forms(D)
-            seen = set()
+            forms = _reduced_forms(D)
             for f in forms:
-                assert f.is_reduced()
                 assert f.discriminant == D
-                assert reduce_form(f)[0] == f
-                seen.add(f.as_tuple())
-            assert len(seen) == len(forms)
+                # reduced: Gauss reduction leaves it as it is
+                assert _reduce(f) == (f, (1, 0, 0, 1))
+            assert len(set(forms)) == len(forms)
 
 
 class TestEquivalent:
+    # two forms are equivalent iff they reduce to the same form, which is how
+    # `validate_nsystem` checks that an N-system meets every class once
     def test_translated_pair(self):
-        assert equivalent(QuadraticForm(2, 88, 975), QuadraticForm(2, 0, 7))
+        assert _reduce((2, 88, 975))[0] == _reduce((2, 0, 7))[0]
 
     def test_distinct_reduced_classes(self):
-        assert not equivalent(QuadraticForm(3, 2, 5), QuadraticForm(3, -2, 5))
+        assert _reduce((3, 2, 5))[0] != _reduce((3, -2, 5))[0]
 
     def test_reflexive(self):
-        f = QuadraticForm(5, 322, 5187)
-        assert equivalent(f, f)
-
-    def test_discriminant_mismatch(self):
-        with pytest.raises(DiscriminantMismatch):
-            equivalent(QuadraticForm(1, 0, 1), QuadraticForm(1, 0, 2))
+        f = (5, 322, 5187)
+        assert _reduce(f)[0] == _reduce(_compose(f, (2, 1, 1, 1)))[0]
 
 
 class TestBCandidates:
@@ -195,7 +188,7 @@ class TestBCandidates:
 class TestNSystem:
     def test_worked_system_shape(self):
         ns = build_nsystem(-56, 39, 10)
-        assert ns.forms[0].as_tuple() == (1, 10, 39)
+        assert ns.forms[0] == (1, 10, 39)
         assert len(ns.forms) == 4
         validate_nsystem(ns)
 
@@ -206,9 +199,7 @@ class TestNSystem:
                 ns = build_nsystem(D, N, B)
             except InvalidB:
                 continue
-            classes = {reduce_form(f)[0].as_tuple() for f in ns.forms}
-            expected = {f.as_tuple() for f in enumerate_reduced_forms(D)}
-            assert classes == expected
+            assert {_reduce(f)[0] for f in ns.forms} == set(_reduced_forms(D))
 
     def test_invalid_b_rejected(self):
         # B = 38 has 38^2 = 1448 != -4 mod 156
@@ -218,7 +209,7 @@ class TestNSystem:
     def test_first_form_is_principal_lift(self):
         for b in b_candidates(-56, 3, 13):
             ns = build_nsystem(-56, 39, b)
-            assert ns.forms[0].as_tuple() == (1, b, (b * b + 56) // 4)
+            assert ns.forms[0] == (1, b, (b * b + 56) // 4)
 
     def test_bulk_random_systems_validate(self):
         rng = random.Random(2718)
@@ -243,11 +234,11 @@ class TestNSystem:
 
     def test_reduce_huge_translation(self):
         t = 10**25
-        f = QuadraticForm(1, 0, 14).compose((1, t, 0, 1))
-        assert abs(f.b) > 10**24
-        g, m = reduce_form(f)
-        assert g.as_tuple() == (1, 0, 14)
-        assert f.compose(m) == g
+        f = _compose((1, 0, 14), (1, t, 0, 1))
+        assert abs(f[1]) > 10**24
+        g, m = _reduce(f)
+        assert g == (1, 0, 14)
+        assert _compose(f, m) == g
 
     def test_singular_values_respect_class_and_residue(self):
         # same class, same B mod 2N: equal w^s values (tolerance 2^-prec+12)
@@ -271,14 +262,8 @@ class TestNSystem:
 
 class TestDiscriminant:
     def test_worked_value(self):
-        d = Discriminant(-56)
-        assert (d.d_K, d.f) == (-56, 1)
-        assert d.class_number() == 4
-
-    def test_conductor_extraction(self):
-        assert (Discriminant(-12).d_K, Discriminant(-12).f) == (-3, 2)
-        assert (Discriminant(-16).d_K, Discriminant(-16).f) == (-4, 2)
-        assert (Discriminant(-175).d_K, Discriminant(-175).f) == (-7, 5)
+        assert Discriminant(-56).D == -56
+        assert class_number(Discriminant(-56)) == 4
 
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidDiscriminant):
@@ -290,16 +275,15 @@ class TestDiscriminant:
     @pytest.mark.parametrize("entry", [
         lambda D: find_trace(D, 3593),
         lambda D: b_candidates(D, 3, 13),
-        enumerate_reduced_forms,
+        class_number,
         lambda D: build_nsystem(D, 39, 10),
         lambda D: classpoly.compute_class_polynomial(D, 3, 13, 10),
         lambda D: construct_cm_curve(D, 3, 13, 3593),
         lambda D: multiple_root_condition(D, 39, 10),
         lambda D: wn_squared_fixes_class(D, 39, 10),
-        lambda D: is_multiple_root_case(D, 3, 13, 10),
-    ], ids=["find_trace", "b_candidates", "enumerate_reduced_forms", "build_nsystem",
+    ], ids=["find_trace", "b_candidates", "class_number", "build_nsystem",
             "compute_class_polynomial", "construct_cm_curve", "multiple_root_condition",
-            "wn_squared_fixes_class", "is_multiple_root_case"])
+            "wn_squared_fixes_class"])
     def test_one_rule_at_every_entry_point(self, entry, D):
         with pytest.raises(InvalidDiscriminant):
             entry(D)
@@ -309,9 +293,8 @@ class TestDiscriminant:
         lambda B: classpoly.compute_class_polynomial(-56, 3, 13, B),
         lambda B: multiple_root_condition(-56, 39, B),
         lambda B: wn_squared_fixes_class(-56, 39, B),
-        lambda B: is_multiple_root_case(-56, 3, 13, B),
     ], ids=["build_nsystem", "compute_class_polynomial", "multiple_root_condition",
-            "wn_squared_fixes_class", "is_multiple_root_case"])
+            "wn_squared_fixes_class"])
     def test_one_b_rule_at_every_entry_point(self, entry):
         # 11^2 + 56 = 177 is not 0 mod 156
         with pytest.raises(InvalidB):
@@ -319,9 +302,8 @@ class TestDiscriminant:
 
     @pytest.mark.parametrize("entry", [
         lambda: classpoly.compute_class_polynomial(-8, 3, 13, 2),
-        lambda: is_multiple_root_case(-8, 3, 13, 2),
         lambda: construct_cm_curve(-8, 3, 13, 3593),
-    ], ids=["compute_class_polynomial", "is_multiple_root_case", "construct_cm_curve"])
+    ], ids=["compute_class_polynomial", "construct_cm_curve"])
     def test_one_integrality_error_at_every_entry_point(self, entry):
         # (-8 | 13) = -1
         with pytest.raises(ConditionsViolated):

@@ -23,7 +23,9 @@ import hashlib
 import sys
 import time
 
-from etacm import Discriminant, FpPolynomial, b_candidates, compute_class_polynomial, roots_mod_l
+from etacm import (FpPolynomial, b_candidates, class_number, compute_class_polynomial,
+                   roots_mod_l)
+from etacm.ffield import _pow_mod
 
 
 CASES, PRIME = [(-35759, 3, 5), (-56, 3, 13), (-356, 3, 5)], 2**255 - 19
@@ -42,13 +44,12 @@ def _timed(label: str, fn):
 
 def main() -> int:
     for D, p1, p2 in CASES:
-        disc = Discriminant(D)
-        B = b_candidates(disc, p1, p2)[0]
+        B = b_candidates(D, p1, p2)[0]
         print(f"D = {D}, (p1, p2) = ({p1}, {p2}), B = {B}, "
-              f"h = {disc.class_number()}, q = {PRIME}")
-        H = _timed("H", lambda: compute_class_polynomial(disc, p1, p2, B).coeffs)
+              f"h = {class_number(D)}, q = {PRIME}")
+        H = _timed("H", lambda: compute_class_polynomial(D, p1, p2, B).coeffs)
         hq = FpPolynomial.make(H, PRIME)
-        _timed("x^q mod H", lambda: FpPolynomial.make([0, 1], PRIME).pow_mod(PRIME, hq).coeffs)
+        _timed("x^q mod H", lambda: tuple(_pow_mod([0, 1], PRIME, list(hq.coeffs), PRIME)))
         _timed("roots of H", lambda: sorted(roots_mod_l(hq).items()))
     return 0
 
