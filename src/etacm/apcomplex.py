@@ -2,17 +2,16 @@
 Gaussian-integer kernel that the numerical hot loops run on.
 
 `ApComplex` and `UpperHalfPoint` are what `eta`, `j_invariant`, `w_pow_s`
-and friends take and return: immutable pairs of raw mpmath mpf tuples
-``(sign, man, exp, bc)`` with a nominal precision.  The whole precision
-policy is here: the MIN_PREC floor, checked where a precision enters
-(`check_prec`), the default cap MAX_PRECISION, and `double_until`, the only
-loop that re-runs an evaluation at a higher precision.
+and friends take and return: an exact kernel triple with a nominal
+precision.  The whole precision policy is here: the MIN_PREC floor, checked
+where a precision enters (`check_prec`), the default cap MAX_PRECISION, and
+`double_until`, the only loop that re-runs an evaluation at a higher
+precision.
 
 The kernel holds a complex value as a triple ``(re, im, e)`` of Python ints
 standing for ``(re + i im) 2^e``: one power-of-two exponent per value, so
-relative precision survives across the whole range of magnitudes.  An mpf is
-dyadic, so `to_apcomplex` converts a triple to mpf exactly.  `mul` and `add`
-are exact; a value is cut back to W bits only by `trunc`, and `div` and
+relative precision survives across the whole range of magnitudes.  `mul` and
+`add` are exact; a value is cut back to W bits only by `trunc`, and `div` and
 `sqrt` round once.  With u = 2^-W, each rounding has a relative error below
 3u (ROUND_ULPS): a mantissa of W bits is at least 2^(W-1) units, and
 rounding both parts down moves it by less than sqrt(2) units, so by under
@@ -29,19 +28,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from mpmath.libmp import (
-    MPZ,
-    from_int,
-    from_man_exp,
-    mpf_div,
-    mpf_sqrt,
-    round_nearest,
-    to_float,
-)
-
 from .errors import PreconditionError, PrecisionExhausted
-
-RND = round_nearest
 
 MIN_PREC = 64
 MAX_PRECISION = 65536
@@ -72,14 +59,15 @@ def double_until(start: int, max_prec: int, attempt: Callable, what: str):
 
 @dataclass(frozen=True, slots=True)
 class ApComplex:
-    """Immutable arbitrary-precision complex number with explicit precision."""
+    """Immutable arbitrary-precision complex number with explicit precision:
+    the kernel triple (re, im, e), (re + i im) 2^e exactly."""
 
-    re: tuple
-    im: tuple
+    triple: tuple[int, int, int]
     prec: int
 
     def to_complex(self) -> complex:
-        return complex(to_float(self.re, strict=False), to_float(self.im, strict=False))
+        re, im, e = self.triple
+        return complex(_to_float(re, e), _to_float(im, e))
 
     def __repr__(self):
         return f"ApComplex({self.to_complex()}, prec={self.prec})"
@@ -92,21 +80,22 @@ class UpperHalfPoint:
     value: ApComplex
 
     def __post_init__(self):
-        sign, man, exp, bc = self.value.im
-        if sign or not man:
+        if self.value.triple[1] <= 0:
             raise PreconditionError("point not in the upper half-plane")
 
     @classmethod
     def from_form(cls, a: int, b: int, D: int, prec: int) -> "UpperHalfPoint":
-        """Basis quotient (-b + sqrt(D)) / (2a) of the form [a, b, *] of discriminant D < 0."""
+        """Basis quotient (-b + sqrt(D)) / (2a) of the form [a, b, *] of
+        discriminant D < 0: |D| rounded to prec bits, its square root, and
+        the two quotients by 2a, each rounded to nearest at prec bits."""
         if D >= 0 or a <= 0:
             raise PreconditionError("need D < 0 and a > 0")
         check_prec(prec)
-        sq = mpf_sqrt(from_int(-D, prec, RND), prec, RND)
-        re = from_man_exp(MPZ(-b), 0)
-        re = mpf_div(re, from_int(2 * a), prec, RND)
-        im = mpf_div(sq, from_int(2 * a), prec, RND)
-        return cls(ApComplex(re, im, prec))
+        root, f = _sqrt_nearest(*_div_nearest(-D, 1, prec), prec)
+        y, ey = _div_nearest(root, 2 * a, prec)
+        x, ex = _div_nearest(-b, 2 * a, prec) if b else (0, ey + f)
+        e = min(ex, ey + f)
+        return cls(ApComplex((x << (ex - e), y << (ey + f - e), e), prec))
 
     @property
     def prec(self) -> int:
@@ -116,10 +105,49 @@ class UpperHalfPoint:
         return self.value.to_complex()
 
 
-def to_apcomplex(x: tuple[int, int, int], prec: int) -> ApComplex:
-    """x as an ApComplex labelled with precision prec, exactly."""
-    re, im, e = x
-    return ApComplex(from_man_exp(MPZ(re), e), from_man_exp(MPZ(im), e), prec)
+def _to_float(m: int, e: int) -> float:
+    """m 2^e as a float: m cut toward zero to 53 bits, then ldexp, which
+    rounds a subnormal to nearest and gives a signed zero below it; +-inf
+    past the largest float."""
+    s = abs(m).bit_length() - 53
+    if s > 0:
+        m, e = (m >> s if m > 0 else -(-m >> s)), e + s
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _nearest(q: int, inexact: bool, e: int, W: int) -> tuple[int, int]:
+    """(m, f) with m 2^f = v 2^e rounded to nearest at W bits, ties to the
+    even mantissa, from q = floor(v) >= 0 and inexact = (v != q); q has at
+    least W + 2 bits unless v = q.  A tie needs v = q: it occurs only for an
+    exact input of W + 1 bits or more, such as |b| >= 2^W in
+    `UpperHalfPoint.from_form`."""
+    s = q.bit_length() - W
+    if s <= 0:
+        return q, e
+    half = 1 << (s - 1)
+    low, q = q & (2 * half - 1), q >> s
+    if low > half or (low == half and (inexact or q & 1)):
+        q += 1
+    return q, e + s
+
+
+def _div_nearest(n: int, d: int, W: int) -> tuple[int, int]:
+    """(m, f) with m 2^f = n / d (d > 0) rounded to nearest at W bits."""
+    s = max(W + 2 + d.bit_length() - abs(n).bit_length(), 0)
+    q, rest = divmod(abs(n) << s, d)
+    m, f = _nearest(q, rest != 0, -s, W)
+    return (-m if n < 0 else m), f
+
+
+def _sqrt_nearest(n: int, e: int, W: int) -> tuple[int, int]:
+    """(m, f) with m 2^f = sqrt(n 2^e) (n >= 0) rounded to nearest at W bits."""
+    s = max(2 * W + 4 - n.bit_length(), 0)
+    s += (e - s) & 1
+    q = math.isqrt(n << s)
+    return _nearest(q, q * q != n << s, (e - s) // 2, W)
 
 
 def lg(x: tuple[int, int, int]) -> float:

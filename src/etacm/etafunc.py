@@ -5,8 +5,8 @@ Strategy: every eta argument is the root of an integer quadratic form, and
 its Gauss-reduced form (`qforms._reduce`, exact) names the point of the
 classical fundamental domain (-1/2 <= Re < 1/2, |z| >= 1) where the sparse
 pentagonal-number series converges at a guaranteed >= 7.8 bits per exponent
-unit.  An mpf is a dyadic rational, so a public point x + iy with x = X/L
-and y = Y/L is exactly the root of the primitive part of
+unit.  A public point is an exact dyadic x + iy (`apcomplex`), and with
+x = X/L and y = Y/L it is the root of the primitive part of
 [L^2, -2XL, X^2 + Y^2].  The value at the original point is recovered
 through the eta transformation formula (unimodular matrix, Jacobi-symbol
 sign times a 24th root of unity times sqrt(cz+d)).  Everything else is an
@@ -18,10 +18,11 @@ of a reduced form [a, b, c], q^{1/24} = exp(pi*i*z/12) =
 exp(-t) (cos theta - i sin theta) with t = pi sqrt|D| / (24a) and
 theta = pi |b| / (24a) in [0, pi/24], which fixes the branch once and for
 all; q itself is its 24th power.  It is built in integer fixed point
-(`_q24`): t from mpmath's pi_fixed and one math.isqrt, split as
-n ln 2 + r, exp(r) and cos/sin(theta) from mpmath's fixed-point kernels
-(exp_basecase, cos_sin_basecase), and 2^n kept in the value's exponent, so
-that its relative precision holds at any Im.
+(`_q24`): t from floor(pi 2^Q) and one math.isqrt, split as n ln 2 + r,
+exp(r) and cos/sin(theta) from the module's own fixed-point kernels, each
+with its error derived in ulps (`_constant`, `_exp_fixed`,
+`_cos_sin_fixed`), and 2^n kept in the value's exponent, so that its
+relative precision holds at any Im.
 
 The values are fixed-point Gaussian-integer triples (`apcomplex`), each with
 an exponent of its own.  Inside the module a point is always the exact
@@ -35,7 +36,7 @@ only; a gate accepts it or not, and `apcomplex.double_until` is the only
 loop that raises the precision.  The public point functions (`eta`,
 `j_invariant`, `double_eta_quotient`, `w_pow_s`) name their point's form
 once (`_form_of`), run that loop up to their target (`_to_target`), and
-hand the value back as an `ApComplex` (`to_apcomplex`).
+hand the exact value back as an `ApComplex`.
 
 Every eta value at an arbitrary point comes from one batch call,
 `_eta_values`, which names each reduced point by its reduced form, sums one
@@ -68,9 +69,6 @@ import math
 from collections.abc import Callable
 from math import gcd
 
-from mpmath.libmp import ln2_fixed, pi_fixed, to_rational
-from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase
-
 from .apcomplex import (
     MAX_PRECISION,
     ROUND_ULPS,
@@ -85,7 +83,6 @@ from .apcomplex import (
     mul,
     power,
     sqrt,
-    to_apcomplex,
     trunc,
 )
 from .arith import check_distinct_odd_primes, jacobi
@@ -122,10 +119,9 @@ def eta_guard_bits(prec: int) -> int:
 def _form_of(z: UpperHalfPoint) -> Form:
     """The primitive form whose root is exactly z: x + iy with x = X/L and
     y = Y/L is the root of [L^2, -2XL, X^2 + Y^2]."""
-    (xn, xd), (yn, yd) = to_rational(z.value.re), to_rational(z.value.im)
-    d = math.lcm(xd, yd)
-    x, y = xn * (d // xd), yn * (d // yd)
-    return _primitive(d * d, -2 * x * d, x * x + y * y)
+    x, y, e = z.value.triple
+    x, y, L = (x << e, y << e, 1) if e >= 0 else (x, y, 1 << -e)
+    return _primitive(L * L, -2 * x * L, x * x + y * y)
 
 
 def eta_multiplier(m: Matrix) -> tuple[int, int, int, int]:
@@ -171,6 +167,216 @@ def _units(wp: int) -> list[Value]:
     return [(re, im, -(P + 2)) for re, im in units]
 
 
+# The fixed-point constants and kernels under `_q24`: an argument or result
+# x at Q bits stands for x 2^-Q, and an ulp is 2^-Q.
+
+# name -> (terms (k, m), hyperbolic): the constant is the sum of k acot(m),
+# or of k acoth(m) if hyperbolic
+_MACHIN = {
+    "pi": (((176, 57), (28, 239), (-48, 682), (96, 12943)), False),  # Stormer's formula
+    "ln2": (((18, 26), (-2, 4801), (8, 8749)), True),
+}
+# name -> (M, lo, hi) with lo <= c 2^M <= hi, at the highest M asked so far
+_CONSTANTS: dict[str, tuple[int, int, int]] = {}
+# cos/sin at Q bits up to _TABLE_MAX come from a table of cos and sin at the
+# points n 2^-8, n = 0, ..., 33, kept at _TABLE_BITS; above, and for exp
+# above _SPLIT_MAX, from `_even_series` at a halved argument
+_TABLE_MAX = 400
+_SPLIT_MAX = 600
+_TABLE_BITS = _TABLE_MAX + 32
+_COS_SIN_TABLE: dict[int, tuple[int, int]] = {}
+
+
+def _acot(m: int, P: int, hyperbolic: bool) -> tuple[int, int]:
+    """(v, K): v within 1.5K units 2^-P of acot(m) 2^P (acoth(m) 2^P if
+    hyperbolic) for an integer m >= 2, from K terms of
+    sum_k (+-1)^k / ((2k + 1) m^(2k+1)) (all + if hyperbolic).
+
+    a_0 = floor(2^P / m) and a_k = floor(a_(k-1) / m^2) are each below
+    2^P / m^(2k+1) by less than 1 + 1/4 + 1/16 + ... = 4/3, so each term
+    floor(a_k / (2k + 1)) is within 1 (k = 0) or 4/9 + 1 < 1.45 units.  The
+    last term has a_k = 0, so the terms left out sum to below 0.2 units.
+    """
+    a = (1 << P) // m
+    v, k, m2 = a, 1, m * m
+    while a:
+        a //= m2
+        t = a // (2 * k + 1)
+        v += -t if k & 1 and not hyperbolic else t
+        k += 1
+    return v, k
+
+
+def _constant(name: str, Q: int) -> int:
+    """floor(c 2^Q), exactly, for the constant c = pi or ln 2 named in
+    `_MACHIN`.
+
+    c 2^M lies in [lo, hi] (`_CONSTANTS`), so floor(c 2^Q) lies between
+    lo >> (M - Q) and hi >> (M - Q), and is read off when the two agree.
+    Otherwise (Q above M, or c 2^Q within (hi - lo) 2^(Q-M) of an integer)
+    the sum is redone at a higher M, within 2k K units for each term k of
+    K terms (`_acot`); c is irrational, so this ends.
+    """
+    M, lo, hi = _CONSTANTS.get(name, (0, 0, 0))
+    while True:
+        s = M - Q
+        if s >= 0 and (f := lo >> s) == hi >> s:
+            return f
+        M = max(M + M // 4, Q + Q // 4) + 64
+        terms, hyperbolic = _MACHIN[name]
+        v = err = 0
+        for k, m in terms:
+            x, n = _acot(m, M, hyperbolic)
+            v, err = v + k * x, err + 2 * abs(k) * n
+        lo, hi = v - err, v + err
+        _CONSTANTS[name] = M, lo, hi
+
+
+def _even_series(y: int, W: int, alternating: bool) -> int:
+    """cos(y 2^-W) 2^W if alternating, else cosh(y 2^-W) 2^W, for
+    0 <= y < 2^(W-2): within 2.1 (n + m) units 2^-W, and for cosh below it,
+    where n is the number of terms summed and m = max(2, bitlen(W) // 3).
+
+    Smith's concurrent series (Brent and Zimmermann, Modern Computer
+    Arithmetic, 2010, 4.4): the terms y^(2j) / (2j)! go to m sums by j mod
+    m, each term from the one before by a floor division by (2j - 1) 2j, and
+    by one multiplication by y^(2m) every m terms; the sums are then joined
+    by Horner's rule in y^2.  Every floor costs under a unit, and a term's
+    error shrinks at least 12-fold at its next division, so every term is
+    within 2 units (m <= 10), y^2 within 1 and y^(2m) within m; Horner adds
+    under 2.1 units per sum.  Every step of cosh rounds down.
+    """
+    m = max(2, W.bit_length() // 3)
+    one = 1 << W
+    y2 = y * y >> W
+    ym = y2
+    for _ in range(m - 1):
+        ym = ym * y2 >> W
+    sums = [0] * m
+    a, n = one, 0
+    while a:
+        for i in range(m):
+            if n:
+                a //= (2 * n - 1) * 2 * n
+            sums[i] += -a if alternating and n & 1 else a
+            n += 1
+        a = a * ym >> W
+    s = sums[-1]
+    for c in reversed(sums[:-1]):
+        s = c + (s * y2 >> W)
+    return s
+
+
+def _halving(x: int, Q: int) -> tuple[int, int]:
+    """(k, g) for an argument 0 < x < 2^Q of `_even_series`, with
+    z = Q - bitlen(x), so that x < 2^(Q-z): k = max(k0 - z, 0) halvings,
+    k0 = floor(sqrt Q) // 3, so that y = x 2^-(Q+k) < 2^-max(z, k0); and
+    g = 2k + z + 16 guard bits.
+
+    With W = Q + g, the series then sums n <= W / (2 max(z, k0)) + m + 1
+    terms, fewer than Q / (2 k0) + m + 4: under 560 for Q < 2^17, so that
+    its error E0 = 2.1 (n + m) < 2^11.
+    """
+    z = Q - x.bit_length()
+    k = max(math.isqrt(Q) // 3 - z, 0)
+    return k, 2 * k + z + 16
+
+
+def _exp_fixed(r: int, Q: int) -> int:
+    """exp(r 2^-Q) 2^Q for 0 <= r < ln 2 2^Q, within 2^7 ulps below.
+
+    Up to _SPLIT_MAX bits: the Taylor series at y = r 2^-(Q+k),
+    k = floor(sqrt Q), with W = Q + k bits, split into its even and odd
+    powers (s0 + y s1) to halve the multiplications, then squared k times.
+    Every step rounds down.  Each term is within 2 units 2^-W, and there are
+    at most sqrt Q / 2 + 2 of each parity, so s0 + y s1 is within
+    E = sqrt Q + 8 units relative; each squaring doubles a relative error and
+    adds a unit, so after k of them it is within (E + 1) 2^k units, that is
+    E + 1 ulps, and the result within 2 (E + 1) + 1 = 2 sqrt Q + 19 < 2^7.
+
+    Above: y = r 2^-(Q+k) and g guard bits by `_halving`, W = Q + g;
+    c = cosh y (`_even_series`) is within E0 < 2^11 units below, and
+    sinh y = sqrt(c^2 - 1) from one isqrt, within 2 cosh(y) E0 / sinh(y) + 1
+    <= 4.01 E0 2^(z+k) + 1 units below, since y >= 2^-(z+k+1).  Their sum
+    exp y is within 5 E0 2^(z+k) + 1 units relative, and after the k
+    squarings the result within 5 E0 2^(2k+z+1-g) + 1.01 < 1.4 ulps
+    (exp < 2).  r = 0 gives 2^Q exactly.
+    """
+    if Q > _SPLIT_MAX:
+        k, g = _halving(r, Q)
+        W = Q + g
+        c = _even_series(r << (g - k), W, False)
+        s = c + math.isqrt(c * c - (1 << 2 * W))
+    else:
+        k = g = math.isqrt(Q)
+        W = Q + k
+        x2 = a = r * r >> W
+        s0 = s1 = 1 << W
+        j = 2
+        while a:
+            a //= j
+            s0 += a
+            a //= j + 1
+            s1 += a
+            a = a * x2 >> W
+            j += 2
+        s = s0 + (s1 * r >> W)
+    for _ in range(k):
+        s = s * s >> W
+    return s >> g
+
+
+def _cos_sin_fixed(x: int, Q: int) -> tuple[int, int]:
+    """(cos, sin)(x 2^-Q) 2^Q for 0 <= x <= pi/24 2^Q, each within 2^7 ulps.
+
+    Up to _TABLE_MAX bits: x = t + d with t = floor(x 2^(8-Q)) 2^(Q-8);
+    cos and sin at t come from the table (`_COS_SIN_TABLE`, each entry from
+    this kernel at _TABLE_BITS, within 2 of its ulps, so within
+    1 + 2^-30 ulps once shifted down), and at d < 2^(Q-8) from their Taylor
+    series at Q bits.  Each floor costs under an ulp and a term's error
+    shrinks 2^9-fold at the next, so each term is within 2.01 ulps, and the
+    at most Q/16 + 2 terms of each series are within e = 0.126Q + 5.1 ulps
+    with the tail.  The angle-addition products, cut once, are then within
+    e (1 + sin(pi/24)) + 2.01 < Q/7 + 8 < 2^7 ulps.
+
+    Above: y = x 2^-(Q+k) and g guard bits by `_halving`, W = Q + g;
+    c = cos y (`_even_series`) is within E0 < 2^11 units, and each of the k
+    doublings c -> 2c^2 - 1 multiplies an error by at most 4.0001 and adds a
+    unit, so cos x is within 1.02 4^k E0 units, 1.02 E0 2^-(z+16) + 1 < 1.1
+    ulps (z >= 2 as x < 2^(Q-2.9)).  sin x = sqrt(1 - cos^2 x) from one
+    isqrt is within 2.001 e / sin x + 1 units for a cos within e units; with
+    sin x >= 0.997 x >= 0.997 2^-(z+1) that is 4.1 E0 2^-16 + 1.01 < 1.2
+    ulps.  x = 0 gives (2^Q, 0) exactly.
+    """
+    if Q > _TABLE_MAX:
+        if not x:
+            return 1 << Q, 0
+        k, g = _halving(x, Q)
+        W = Q + g
+        c = _even_series(x << (g - k), W, True)
+        one = 1 << W
+        for _ in range(k):
+            c = (c * c >> (W - 1)) - one
+        return c >> g, math.isqrt(abs((one << W) - c * c)) >> g
+    n = x >> (Q - 8)
+    hit = _COS_SIN_TABLE.get(n)
+    if hit is None:
+        hit = _COS_SIN_TABLE[n] = _cos_sin_fixed(n << (_TABLE_BITS - 8), _TABLE_BITS)
+    ct, st = hit[0] >> (_TABLE_BITS - Q), hit[1] >> (_TABLE_BITS - Q)
+    d = x - (n << (Q - 8))
+    cos, sin, j = 1 << Q, d, 2
+    a = -(d * d >> Q)
+    while a:
+        a //= j
+        cos += a
+        a = a * d >> Q
+        a //= j + 1
+        sin += a
+        a = -(a * d >> Q)
+        j += 2
+    return (cos * ct - sin * st) >> Q, (sin * ct + cos * st) >> Q
+
+
 def _q24(a: int, b: int, D: int, Q: int) -> Value:
     """q^(1/24) = exp(pi i tau / 12) at the root tau = (-b + sqrt(D)) / (2a)
     of a reduced form with 0 <= b <= a, in integer fixed point at Q bits:
@@ -178,30 +384,25 @@ def _q24(a: int, b: int, D: int, Q: int) -> Value:
 
     q^(1/24) = exp(-t) (cos theta - i sin theta), theta = pi b / (24a) in
     [0, pi/24].  In ulps 2^-Q:
-    - pi_fixed(Q) and s = isqrt(|D| 2^2Q) are each within an ulp below, so
-      their product is within (1/pi + 1/sqrt|D|) < 0.9 ulps relative
-      (|D| >= 3), and the floor division T = t 2^Q within 0.9t + 1 ulps.
-    - -T = n L + r with L = ln2_fixed(Q) (an ulp below ln 2) and
-      0 <= r < L: n L is within |n| <= t / ln 2 + 1 ulps of n ln 2, so
+    - floor(pi 2^Q) (`_constant`) and s = isqrt(|D| 2^2Q) are each within an
+      ulp below, so their product is within (1/pi + 1/sqrt|D|) < 0.9 ulps
+      relative (|D| >= 3), and the floor division T = t 2^Q within
+      0.9t + 1 ulps.
+    - -T = n L + r with L = floor(ln 2 2^Q) (`_constant`) and 0 <= r < L:
+      n L is within |n| <= t / ln 2 + 1 ulps of n ln 2, so
       exp(-t) = 2^n exp(r 2^-Q) within (2.35t + 2) ulps relative.
-    - exp_basecase(r, Q) >= 2^Q: up to EXP_COSH_CUTOFF, the Taylor series
-      at r 2^-k, k = floor(sqrt Q), with Q + k bits and under sqrt Q + 2
-      terms, each truncation an ulp, squared k times: within
-      2 sqrt Q + 8 < 2^8 ulps; above it, `exponential_series` works with
-      10 + 2k' extra bits for its k' squarings, within a few ulps.
-    - theta = floor(pi b / (24a)) is within 1.05 ulps, and
-      cos_sin_basecase(theta, Q) gives cos and sin within 2^8 ulps each: up
-      to COS_SIN_CACHE_PREC, a series of under Q/8 terms about a cached
-      cos/sin of theta's top 8 bits; above it, `exponential_series` again.
+    - `_exp_fixed`(r) >= 2^Q is within 2^7 ulps.
+    - theta = floor(pi b / (24a)) is within 1.05 ulps, and `_cos_sin_fixed`
+      gives cos and sin within 2^7 ulps each.
     - The two products, cut to Q bits by rounding down: sqrt(2) ulps.
-    That is 2.35t + 2 + 2^8 + 1.05 + 2^8 sqrt(2) + sqrt(2) < 2.4t + 2^10
+    That is 2.35t + 2 + 2^7 + 1.05 + 2^7 sqrt(2) + sqrt(2) < 2.4t + 2^10
     with the second-order terms.  The 2^n stays in the exponent, so the
     bound is relative at any Im.
     """
-    pi = pi_fixed(Q)
-    n, r = divmod(-(pi * math.isqrt(-D << 2 * Q) // (24 * a << Q)), ln2_fixed(Q))
-    e = exp_basecase(r, Q)
-    cos, sin = cos_sin_basecase(pi * b // (24 * a), Q)
+    pi = _constant("pi", Q)
+    n, r = divmod(-(pi * math.isqrt(-D << 2 * Q) // (24 * a << Q)), _constant("ln2", Q))
+    e = _exp_fixed(r, Q)
+    cos, sin = _cos_sin_fixed(pi * b // (24 * a), Q)
     return (e * cos) >> Q, -(e * sin) >> Q, n - Q
 
 
@@ -318,7 +519,7 @@ def _to_target(z: UpperHalfPoint, prec: int,
         value, err = evaluate(f, p)
         return value if err <= target else None
 
-    return to_apcomplex(double_until(prec, MAX_PRECISION, attempt, what), prec)
+    return ApComplex(double_until(prec, MAX_PRECISION, attempt, what), prec)
 
 
 def eta(z: UpperHalfPoint, prec: int) -> ApComplex:

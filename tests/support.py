@@ -61,10 +61,7 @@ def both_symbols_one(D: int, p1: int, p2: int) -> bool:
 
 def to_mpc(v) -> mpmath.mpc:
     """An ApComplex or a kernel triple (re, im, e), exactly."""
-    if isinstance(v, ApComplex):
-        with mpmath.workprec(max(v.re[3], v.im[3], 53)):
-            return mpmath.mpc(mpmath.mpf(v.re), mpmath.mpf(v.im))
-    re, im, e = v
+    re, im, e = v.triple if isinstance(v, ApComplex) else v
     with mpmath.workprec(max(abs(re).bit_length(), abs(im).bit_length(), 53)):
         return mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e)))
 
@@ -89,7 +86,7 @@ def from_mp(z, prec: int) -> ApComplex:
     """An mpmath number rounded to prec bits."""
     with mpmath.workprec(prec):
         z = mpmath.mpc(z)
-        return ApComplex(z.real._mpf_, z.imag._mpf_, prec)
+        return ApComplex(kernel_triple(z.real._mpf_, z.imag._mpf_), prec)
 
 
 def point(x, y, prec: int) -> UpperHalfPoint:
@@ -107,8 +104,11 @@ def moebius(m, z, prec: int) -> ApComplex:
 
 
 def mag(v: ApComplex) -> int:
-    """e with |v| <= 2^e, coarse: one more than the larger part's exp + bc."""
-    return max(x[2] + x[3] if x[1] else -(10**9) for x in (v.re, v.im)) + 1
+    """e with |v| <= 2^e, coarse: one more than the larger part's bit length
+    plus the exponent."""
+    re, im, e = v.triple
+    bits = max(abs(re).bit_length(), abs(im).bit_length())
+    return e + bits + 1 if bits else -(10**9) + 1
 
 
 def _fraction(x: tuple) -> Fraction:
@@ -121,7 +121,8 @@ def log2_dist(a, b) -> float:
     """log2 |a - b|, exactly, for ApComplex or mpmath values; -inf when equal."""
     def parts(v):
         if isinstance(v, ApComplex):
-            return _fraction(v.re), _fraction(v.im)
+            re, im, e = v.triple
+            return re * Fraction(2) ** e, im * Fraction(2) ** e
         if isinstance(v, int):
             return Fraction(v), Fraction(0)
         return _fraction(v.real._mpf_), _fraction(v.imag._mpf_)

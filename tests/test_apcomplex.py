@@ -1,8 +1,11 @@
 """The boundary types, and the fixed-point kernel: each rounding operation
 within its stated ulps of the exact result, the others exact."""
+import math
+import random
+
 import mpmath
 import pytest
-from mpmath.libmp import from_float, fzero
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sqrt, round_nearest, to_float
 
 from etacm.apcomplex import (
     ROUND_ULPS,
@@ -14,7 +17,6 @@ from etacm.apcomplex import (
     mul,
     power,
     sqrt,
-    to_apcomplex,
     trunc,
 )
 from etacm.errors import PreconditionError
@@ -45,9 +47,9 @@ def test_one_precision_floor():
 
 def test_upper_half_point_rejects_lower_plane():
     with pytest.raises(PreconditionError):
-        UpperHalfPoint(ApComplex(fzero, from_float(-1.0), 64))
+        UpperHalfPoint(ApComplex((0, -1, 0), 64))
     with pytest.raises(PreconditionError):
-        UpperHalfPoint(ApComplex(from_float(1.0), fzero, 64))
+        UpperHalfPoint(ApComplex((1, 0, 0), 64))
 
 
 def test_from_form_rejects_bad_forms():
@@ -63,6 +65,58 @@ def test_from_form_matches_quadratic_data():
     z = pt.to_complex()
     assert abs(z.real - (-2 / 6)) < 1e-30
     assert abs(z.imag - (56 ** 0.5 / 6)) < 1e-12
+
+
+def mpmath_from_form(a, b, D, prec):
+    """The basis quotient as mpmath rounds it to nearest: |D|, its square
+    root, and the two quotients by 2a, each at prec bits."""
+    root = mpf_sqrt(from_int(-D, prec, round_nearest), prec, round_nearest)
+    return (mpf_div(from_int(-b), from_int(2 * a), prec, round_nearest),
+            mpf_div(root, from_int(2 * a), prec, round_nearest))
+
+
+def test_from_form_rounds_as_mpmath_does():
+    # forms of every size, and |D| or b beyond prec bits, where the input is
+    # rounded too, or the quotient by 2a has exactly prec + 1 bits
+    rng = random.Random(20)
+    for _ in range(3000):
+        prec = rng.choice([64, 65, 100, 128, 333, 1000])
+        if rng.random() < 0.5:
+            a = rng.randint(1, 10 ** rng.randint(1, 30))
+            b = rng.randint(-(10 ** rng.randint(1, 30)), 10 ** rng.randint(1, 30))
+            D = -rng.randint(1, 10 ** rng.randint(1, 60))
+        else:
+            a = rng.randint(1, 2 ** rng.randint(1, 100))
+            b = rng.choice([-1, 1]) * (2 ** rng.randint(0, 200) + rng.choice([0, 1, 3]))
+            D = -(2 ** rng.randint(1, 300) + rng.choice([0, 1, 2, 6]))
+        z = UpperHalfPoint.from_form(a, b, D, prec)
+        re, im = mpmath_from_form(a, b, D, prec)
+        with mpmath.workprec(4096):
+            assert to_mpc(z.value) == mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im)), (a, b, D, prec)
+
+
+def test_to_complex_overflows_to_infinity():
+    assert ApComplex((3, -5, 2000), 64).to_complex() == complex(math.inf, -math.inf)
+    assert ApComplex((2**60, 0, 1000), 64).to_complex().real == math.inf
+
+
+def test_to_complex_underflows_to_signed_zero():
+    z = ApComplex((-5, 5, -2000), 64).to_complex()
+    assert z == 0
+    assert math.copysign(1.0, z.real) == -1.0 and math.copysign(1.0, z.imag) == 1.0
+
+
+def test_to_complex_matches_mpmath_on_wide_mantissas():
+    # mantissas cut toward zero to 53 bits, then rounded once more into the
+    # subnormal range, as mpmath's to_float(strict=False) does
+    rng = random.Random(21)
+    for _ in range(2000):
+        m = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(54, 400))
+        e = rng.randint(-1500, 1100) - abs(m).bit_length()
+        got = ApComplex((m, -m, e), 64).to_complex()
+        want = to_float(from_man_exp(m, e), strict=False)
+        assert got.real == want and math.copysign(1.0, got.real) == math.copysign(1.0, want)
+        assert got.imag == -want
 
 
 def test_sqrt_principal_branch():
@@ -160,5 +214,10 @@ def test_rounding_operations_within_their_ulps(x, y, W, n):
 @PROPERTY
 @given(values())
 def test_conversions_are_exact(x):
-    v = to_apcomplex(x, 64)
-    assert to_mpc(kernel_triple(v.re, v.im)) == to_mpc(x) == to_mpc(v)
+    v = ApComplex(x, 64)
+    re, im, e = x
+    assert v.triple == x and to_mpc(v) == to_mpc(x)
+    with mpmath.workprec(EXACT):
+        parts = mpmath.mpf((re, e))._mpf_, mpmath.mpf((im, e))._mpf_
+    assert to_mpc(kernel_triple(*parts)) == to_mpc(x)
+    assert v.to_complex() == complex(*(to_float(p, strict=False) for p in parts))

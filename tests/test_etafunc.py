@@ -32,7 +32,7 @@ ETA_AT_I = "0.768225422326056659002594179576180644517866914"
 
 def to_mp(v: ApComplex, dps: int = 50) -> mpmath.mpc:
     with mpmath.workdps(dps):
-        return mpmath.mpc(mpmath.mpf(v.re), mpmath.mpf(v.im))
+        return +to_mpc(v)
 
 
 def rand_sl2(rng: random.Random, length: int = 6, bound: int = 10**6):
@@ -249,9 +249,9 @@ SERIES_FORMS = [(1, 1, -3), (1, 0, -4), (1, 1, -81443)] + series_forms(29)
 class TestEtaSeries:
     """The pentagonal series at a reduced point against the q-product oracle
     at twice the precision, within its certified relative bound.  The
-    precisions straddle mpmath's kernel cutoffs: above COS_SIN_CACHE_PREC
-    (400) and EXP_COSH_CUTOFF (600) bits, the fixed-point cos/sin and exp
-    under q^(1/24) switch to `exponential_series`."""
+    precisions straddle the kernels' cut-offs: above _TABLE_MAX (400) and
+    _SPLIT_MAX (600) bits, the fixed-point cos/sin and exp under q^(1/24)
+    switch to `_even_series` at a halved argument."""
 
     @pytest.mark.parametrize("a, b, D", SERIES_FORMS)
     @pytest.mark.parametrize("wp", [64, 200, 401, 640, 1200])
@@ -425,7 +425,7 @@ class TestDoubleEtaQuotient:
         z = point(x, y, 64)
         target = mpmath.mpf(2) ** (eta_guard_bits(prec) - prec)
         with mpmath.workprec(2 * prec):
-            t = mpmath.mpc(mpmath.mpf(z.value.re), mpmath.mpf(z.value.im))
+            t = to_mpc(z.value)
             for f, p1, p2 in [(double_eta_quotient, 3, 13), (w_pow_s, 5, 7), (w_pow_s, 3, 5)]:
                 w = (mpmath.eta(t / p1) * mpmath.eta(t / p2)
                      / (mpmath.eta(t) * mpmath.eta(t / (p1 * p2))))
@@ -442,7 +442,7 @@ class TestDoubleEtaQuotient:
         z = point(0.25, y, 64)
         target = mpmath.mpf(2) ** (eta_guard_bits(prec) - prec)
         with mpmath.workprec(4 * prec):
-            t = mpmath.mpc(mpmath.mpf(z.value.re), mpmath.mpf(z.value.im))
+            t = to_mpc(z.value)
             w = (mpmath.eta(t / p1) * mpmath.eta(t / p2)
                  / (mpmath.eta(t) * mpmath.eta(t / (p1 * p2))))
             want = w ** s_exponent(p1, p2) if f is w_pow_s else w

@@ -34,7 +34,7 @@ from support import coefficients, hecke_roots, moebius, point, to_mpc
 
 def to_mp(v: ApComplex, dps: int = 60) -> mpmath.mpc:
     with mpmath.workdps(dps):
-        return mpmath.mpc(mpmath.mpf(v.re), mpmath.mpf(v.im))
+        return +to_mpc(v)
 
 
 def eval_phi(phi: ModularPolynomial, w, J):

@@ -15,9 +15,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mpmath.libmp import from_rational, fzero  # noqa: E402
+from mpmath.libmp import from_rational, fzero, round_nearest  # noqa: E402
 
-from etacm.apcomplex import RND, ApComplex, UpperHalfPoint  # noqa: E402
+from etacm.apcomplex import ApComplex, UpperHalfPoint  # noqa: E402
 from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
 from etacm import intpoly  # noqa: E402
 from etacm.etafunc import _form_of, hecke_split  # noqa: E402
@@ -142,8 +142,9 @@ class TestReducePoint:
     def test_matches_exact_reference(self, point):
         x, y = point
         prec = 128  # holds every drawn point exactly
-        z = UpperHalfPoint(ApComplex(from_rational(x.numerator, x.denominator, prec, RND),
-                                     from_rational(y.numerator, y.denominator, prec, RND), prec))
+        z = UpperHalfPoint(ApComplex(kernel_triple(
+            from_rational(x.numerator, x.denominator, prec, round_nearest),
+            from_rational(y.numerator, y.denominator, prec, round_nearest)), prec))
         A, B, C = _form_of(z)
         # z is exactly the root of its form: Re z = -B/2A, (Im z)^2 = |D|/4A^2
         assert (Fraction(-B, 2 * A), Fraction(4 * A * C - B * B, 4 * A * A)) == (x, y * y)
@@ -401,8 +402,9 @@ class TestLagrange:
         samples = []
         for x in nodes:
             y = sum(c * x**i for i, c in enumerate(coeffs))
-            v = ApComplex(from_rational(y.numerator, y.denominator, wp, RND), fzero, wp)
-            c, _, e = kernel_triple(v.re, v.im)
+            v = ApComplex(kernel_triple(
+                from_rational(y.numerator, y.denominator, wp, round_nearest), fzero), wp)
+            c, _, e = v.triple
             samples.append(RPoly.constant(c, e, mag(v) - wp + 1))
         xs = [(x.numerator * (8 // x.denominator), 0, -3) for x in nodes]
         (f,) = _lagrange(xs, -float(wp), samples, wp)

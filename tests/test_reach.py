@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import etacm
+from etacm import etafunc
 from etacm.cli import EXIT_OK, EXIT_PRECISION, EXIT_PRECONDITION, EXIT_USAGE, dispatch
 
 SRC = Path(etacm.__file__).resolve().parent
@@ -53,6 +54,8 @@ _BOUNDARY = ("a method of the point and value types that the acceptance suite pa
 _POINT_FUNCTIONS = ("runs only under the public point functions eta, j_invariant, "
                     "double_eta_quotient and w_pow_s")
 _TRACED = "perfbench/tracing.py wraps it and tests/test_trace_seams.py pins it"
+_FROM_FORM = ("rounds to nearest for UpperHalfPoint.from_form, whose points tools/same_outputs.py "
+              "and the suites evaluate at")
 _WN2 = "the W_N^2 predicate; ROADMAP item 4 decides it, tools/same_outputs.py records it"
 
 KEEP = {
@@ -62,8 +65,11 @@ KEEP = {
     "apcomplex.UpperHalfPoint.from_form": _BOUNDARY,
     "apcomplex.UpperHalfPoint.prec": _BOUNDARY,
     "apcomplex.UpperHalfPoint.to_complex": _BOUNDARY,
+    "apcomplex._to_float": "converts a part for ApComplex.to_complex, " + _BOUNDARY,
+    "apcomplex._nearest": _FROM_FORM,
+    "apcomplex._div_nearest": _FROM_FORM,
+    "apcomplex._sqrt_nearest": _FROM_FORM,
     "apcomplex.check_prec": _POINT_FUNCTIONS,
-    "apcomplex.to_apcomplex": _POINT_FUNCTIONS,
     "etafunc._form_of": _POINT_FUNCTIONS,
     "etafunc._to_target": _POINT_FUNCTIONS,
     "etafunc._to_target.attempt": _POINT_FUNCTIONS,
@@ -109,12 +115,16 @@ def defined_functions() -> dict[tuple[str, int], str]:
 
 def entered_by_the_cli() -> set[tuple[str, int]]:
     """(file, first line) of every function entered while ARGVS run, with
-    every etacm cache emptied first, so that a cached result hides no call."""
+    every etacm cache emptied first, so that a cached result hides no call:
+    the functools caches, and the kernels' memos of pi, ln 2 and the cos/sin
+    table, which other tests may have filled."""
     for name, module in list(sys.modules.items()):
         if name == "etacm" or name.startswith("etacm."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
+    etafunc._CONSTANTS.clear()
+    etafunc._COS_SIN_TABLE.clear()
     entered = set()
 
     def profile(frame, event, arg):

@@ -21,7 +21,7 @@ admissible B when the job lets `construct_cm_curve` choose), whether the
 computed Phi_{3,13} equals the embedded file, the public point functions
 `eta`, `j_invariant`, `double_eta_quotient` and `w_pow_s` at 128 bits at the
 roots of the worked example's N-system (D = -56, N = 39, B = 10), as exact
-(mantissa, exponent) pairs, and the stdout and exit code of
+(odd mantissa, exponent) pairs, and the stdout and exit code of
 `etacm reproduce-example` and of the worked `cm-curve` line.
 """
 
@@ -61,9 +61,22 @@ def _witness(solution) -> list[int] | None:
     return None if solution is None else list(astuple(solution))
 
 
+def _odd(man: int, exp: int) -> list[int]:
+    """man 2^exp as [odd signed mantissa, exponent], or [0, 0]."""
+    if not man:
+        return [0, 0]
+    zeros = (man & -man).bit_length() - 1
+    return [man >> zeros, exp + zeros]
+
+
 def _exact(z) -> list[list[int]]:
-    """The (signed mantissa, exponent) pairs of an ApComplex's two parts."""
-    return [[-man if sign else man, exp] for sign, man, exp, _ in (z.re, z.im)]
+    """The (odd signed mantissa, exponent) pairs of an ApComplex's two parts,
+    from either form of the type: a kernel triple (re, im, e), or a pair of
+    mpmath mpf tuples (sign, man, exp, bc), as older trees hold it."""
+    if hasattr(z, "triple"):
+        re, im, e = z.triple
+        return [_odd(re, e), _odd(im, e)]
+    return [_odd(-man if sign else man, exp) for sign, man, exp, _ in (z.re, z.im)]
 
 
 def _point_values() -> dict:
