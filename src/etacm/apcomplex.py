@@ -25,8 +25,8 @@ n r + 3 (n - 1) u when x is within a relative r.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import PreconditionError, PrecisionExhausted
 
@@ -57,13 +57,11 @@ def double_until(start: int, max_prec: int, attempt: Callable, what: str):
                              f"(start {start})")
 
 
-@dataclass(frozen=True, slots=True)
-class ApComplex:
+class ApComplex(namedtuple("_ApComplex", "triple prec")):
     """Immutable arbitrary-precision complex number with explicit precision:
     the kernel triple (re, im, e), (re + i im) 2^e exactly."""
 
-    triple: tuple[int, int, int]
-    prec: int
+    __slots__ = ()
 
     def to_complex(self) -> complex:
         re, im, e = self.triple
@@ -73,15 +71,15 @@ class ApComplex:
         return f"ApComplex({self.to_complex()}, prec={self.prec})"
 
 
-@dataclass(frozen=True, slots=True)
-class UpperHalfPoint:
+class UpperHalfPoint(namedtuple("_UpperHalfPoint", "value")):
     """A point of the upper half-plane (im > 0)."""
 
-    value: ApComplex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value.triple[1] <= 0:
+    def __new__(cls, value: ApComplex):
+        if value.triple[1] <= 0:
             raise PreconditionError("point not in the upper half-plane")
+        return super().__new__(cls, value)
 
     @classmethod
     def from_form(cls, a: int, b: int, D: int, prec: int) -> "UpperHalfPoint":

@@ -7,23 +7,19 @@ the involution fixes the class.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt
 
 from .qforms import _reduce, check_b
 
 
-@dataclass(frozen=True, slots=True)
-class Con1Solution:
-    u: int
-    v: int
+class Con1Solution(namedtuple("_Con1Solution", "u v")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Wn2Solution:
-    X: int
-    Y: int
+class Wn2Solution(namedtuple("_Wn2Solution", "X Y")):
+    __slots__ = ()
 
 
 def _solutions(D: int, n: int) -> Iterator[tuple[int, int]]:

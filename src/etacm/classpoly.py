@@ -37,7 +37,7 @@ bits, the pass's roots are the first attempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, jacobi
@@ -56,16 +56,12 @@ RESIDUAL_LIMIT = 1e-3
 TREE_BITS = 32  # extra bits of the product tree over the roots' precision
 
 
-@dataclass(frozen=True)
-class ClassPolynomial:
-    """Monic integer polynomial with coefficients stored lowest degree first."""
+class ClassPolynomial(namedtuple("_ClassPolynomial", "D p1 p2 s B coeffs")):
+    """Monic integer polynomial H_{B,N} of the `Discriminant` D at the level
+    (p1, p2), with the exponent s of w^s and the residue B mod 2N; coeffs is
+    a tuple of ints, lowest degree first."""
 
-    D: Discriminant
-    p1: int
-    p2: int
-    s: int
-    B: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -87,16 +83,18 @@ def _round_exp(norm: float, wp: float) -> float:
     return math.floor(norm) - wp if norm > -math.inf else -math.inf
 
 
-@dataclass(slots=True)
 class RPoly:
     """Real polynomial sum_k coeffs[k] 2^exp X^k, lowest degree first, with
     an L1-norm bound and a per-coefficient absolute-error bound, both as log2
     exponents."""
 
-    coeffs: list[int]
-    exp: int
-    err: float
-    norm: float
+    __slots__ = ("coeffs", "exp", "err", "norm")
+
+    def __init__(self, coeffs: list[int], exp: int, err: float, norm: float):
+        self.coeffs = coeffs
+        self.exp = exp
+        self.err = err
+        self.norm = norm
 
     @classmethod
     def constant(cls, c: int, exp: int, err: float) -> "RPoly":

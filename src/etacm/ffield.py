@@ -25,8 +25,7 @@ computed once per modulus, from there on.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .arith import check_odd_prime, is_prime_modulus
@@ -36,21 +35,21 @@ from .intpoly import trim
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True, slots=True)
-class FpElement:
-    value: int
-    modulus: int
+class FpElement(namedtuple("_FpElement", "value modulus")):
+    """value mod the prime modulus, reduced to 0 <= value < modulus."""
 
-    def __post_init__(self):
-        if not is_prime_modulus(self.modulus):
-            raise PreconditionError(f"modulus {self.modulus} is not prime")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int):
+        if not is_prime_modulus(modulus):
+            raise PreconditionError(f"modulus {modulus} is not prime")
+        return super().__new__(cls, value % modulus, modulus)
 
 
-@dataclass(frozen=True, slots=True)
-class FpPolynomial:
-    modulus: int
-    coeffs: tuple[int, ...]  # lowest degree first, no trailing zeros
+class FpPolynomial(namedtuple("_FpPolynomial", "modulus coeffs")):
+    """coeffs: a tuple, lowest degree first, no trailing zeros."""
+
+    __slots__ = ()
 
     @classmethod
     def make(cls, coeffs, modulus: int) -> "FpPolynomial":

@@ -35,7 +35,7 @@ reads it back through the same deserializer the CLI uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from importlib import resources
 
@@ -75,14 +75,11 @@ MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
 Plan = tuple[list[QuadraticForm], list[Form], list[Quotient], list[bool]]
 
 
-@dataclass(frozen=True)
-class ModularPolynomial:
-    p1: int
-    p2: int
-    s: int
-    degX: int
-    degJ: int
-    coeffs: tuple[tuple[int, ...], ...]  # coeffs[kX][kJ]
+class ModularPolynomial(namedtuple("_ModularPolynomial", "p1 p2 s degX degJ coeffs")):
+    """Phi_{p1,p2}(X, J) of degree degX in X and degJ in J, for w^s; coeffs
+    is a tuple of rows of ints, coeffs[kX][kJ]."""
+
+    __slots__ = ()
 
     def j_column(self, kJ: int) -> list[int]:
         """Coefficient polynomial of J^kJ, as an integer polynomial in X."""

@@ -19,7 +19,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import ceil, isqrt, log2
 
@@ -37,31 +37,29 @@ ORDER_CHECKS = 20
 FALSE_ACCEPT_BITS = 64
 
 
-@dataclass(frozen=True, slots=True)
-class TraceSolution:
-    q: int
-    t: int
-    v: int
+class TraceSolution(namedtuple("_TraceSolution", "q t v")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t % self.q == 0:
+    def __new__(cls, q: int, t: int, v: int):
+        if t % q == 0:
             raise PreconditionError("supersingular trace (t = 0 mod q)")
+        return super().__new__(cls, q, t, v)
 
 
-@dataclass(frozen=True, slots=True)
-class EllipticCurve:
-    q: int
-    a4: FpElement
-    a6: FpElement
+class EllipticCurve(namedtuple("_EllipticCurve", "q a4 a6")):
+    """y^2 = x^3 + a4 x + a6 over F_q, a4 and a6 `FpElement`s mod q."""
 
-    def __post_init__(self):
-        if self.q <= 3:
+    __slots__ = ()
+
+    def __new__(cls, q: int, a4: FpElement, a6: FpElement):
+        if q <= 3:
             raise PreconditionError("q > 3 required")
-        if self.a4.modulus != self.q or self.a6.modulus != self.q:
-            raise PreconditionError(f"coefficients must lie in F_{self.q}")
-        a, b = self.a4.value, self.a6.value
-        if (4 * a * a * a + 27 * b * b) % self.q == 0:
+        if a4.modulus != q or a6.modulus != q:
+            raise PreconditionError(f"coefficients must lie in F_{q}")
+        a, b = a4.value, a6.value
+        if (4 * a * a * a + 27 * b * b) % q == 0:
             raise PreconditionError("singular curve")
+        return super().__new__(cls, q, a4, a6)
 
     @classmethod
     def make(cls, q: int, a4: int, a6: int) -> "EllipticCurve":
@@ -73,14 +71,13 @@ class EllipticCurve:
             self.q, self.a4.value * c * c, self.a6.value * c * c * c)
 
 
-@dataclass(frozen=True, slots=True)
-class OrderCertificate:
-    curve: EllipticCurve
-    order: int
-    trace: int
-    checks: int  # random points drawn
-    ambiguous: bool = False
-    alt_order: int | None = None
+class OrderCertificate(namedtuple("_OrderCertificate",
+                                  "curve order trace checks ambiguous alt_order",
+                                  defaults=(False, None))):
+    """The order of curve and its trace, from `checks` random points; when
+    they could not decide, ambiguous is set and alt_order is the other order."""
+
+    __slots__ = ()
 
 
 def find_trace(D, q: int) -> TraceSolution | None:

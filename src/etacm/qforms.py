@@ -17,7 +17,6 @@ is computed from it and never factored.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -108,15 +107,15 @@ def class_number(D) -> int:
     return len(_reduced_forms(as_discriminant(D).D))
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class Discriminant(namedtuple("_Discriminant", "D")):
     """A negative discriminant D: construction checks D < 0 and D = 0, 1
     mod 4, and never factors |D|."""
 
-    D: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_discriminant(self.D)
+    def __new__(cls, D: int):
+        check_discriminant(D)
+        return super().__new__(cls, D)
 
 
 def as_discriminant(D) -> Discriminant:
@@ -152,15 +151,12 @@ def b_candidates(D, p1: int, p2: int) -> list[int]:
                    for s1 in (r1, -r1 % p1) for s2 in (r2, -r2 % p2)})
 
 
-@dataclass(frozen=True)
-class NSystem:
+class NSystem(namedtuple("_NSystem", "D N B forms")):
     """h(D) pairwise inequivalent forms with gcd(A_i, N) = 1, B_i = B mod 2N,
-    N | C_i; their basis quotients carry conjugate singular values of w^s."""
+    N | C_i; their basis quotients carry conjugate singular values of w^s.
+    D is a `Discriminant`, forms a tuple of `QuadraticForm`."""
 
-    D: Discriminant
-    N: int
-    B: int
-    forms: tuple[QuadraticForm, ...]
+    __slots__ = ()
 
 
 def _coprime_representation(f: Form, N: int) -> tuple[int, Matrix]:

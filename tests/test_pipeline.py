@@ -58,6 +58,9 @@ class TestFindTrace:
             find_trace(-56, 3592)
         with pytest.raises(PreconditionError):
             find_trace(-54, 3593)
+        for t in (0, -3593):  # supersingular, t = 0 mod q
+            with pytest.raises(PreconditionError):
+                TraceSolution(3593, t, 16)
 
     def test_invariant_4q(self):
         rng = random.Random(31)
@@ -146,6 +149,8 @@ class TestCurveFromJ:
                 EllipticCurve.make(q, 0, 1)
         with pytest.raises(PreconditionError):
             EllipticCurve(5, FpElement(1, 7), FpElement(1, 7))
+        with pytest.raises(PreconditionError):  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+            EllipticCurve.make(5, -3, 2)
         with pytest.raises(PreconditionError):
             curve_from_j(0, 0)
 

@@ -270,6 +270,8 @@ class TestDiscriminant:
             Discriminant(-6)
         with pytest.raises(InvalidDiscriminant):
             Discriminant(4)
+        with pytest.raises(InvalidDiscriminant):
+            Discriminant(-5)  # 3 mod 4
 
     @pytest.mark.parametrize("D", [0, 5, -6, -54])
     @pytest.mark.parametrize("entry", [

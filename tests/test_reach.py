@@ -61,7 +61,7 @@ _WN2 = "the W_N^2 predicate; ROADMAP item 4 decides it, tools/same_outputs.py re
 KEEP = {
     "apcomplex.ApComplex.to_complex": _BOUNDARY,
     "apcomplex.ApComplex.__repr__": _BOUNDARY,
-    "apcomplex.UpperHalfPoint.__post_init__": _BOUNDARY,
+    "apcomplex.UpperHalfPoint.__new__": _BOUNDARY,
     "apcomplex.UpperHalfPoint.from_form": _BOUNDARY,
     "apcomplex.UpperHalfPoint.prec": _BOUNDARY,
     "apcomplex.UpperHalfPoint.to_complex": _BOUNDARY,

@@ -32,7 +32,6 @@ import contextlib
 import io
 import json
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -58,7 +57,7 @@ def _cli(argv: list[str]) -> dict:
 
 
 def _witness(solution) -> list[int] | None:
-    return None if solution is None else list(astuple(solution))
+    return None if solution is None else list(solution)
 
 
 def _odd(man: int, exp: int) -> list[int]:
