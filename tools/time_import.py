@@ -19,7 +19,8 @@ import sys
 import time
 
 ROUNDS = 20
-CODES = {"import etacm": "import etacm", "+ load_embedded": "import etacm; etacm.load_embedded(3, 13)"}
+CODES = {"import etacm": "import etacm",
+         "+ load_embedded": "import etacm; etacm.load_embedded(3, 13)"}
 
 
 def run(code: str, src: str | None = None) -> tuple[float, str]:
