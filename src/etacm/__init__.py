@@ -5,12 +5,7 @@ CM algorithm skip point counting.
 """
 
 from .apcomplex import ApComplex, UpperHalfPoint
-from .atkin import (
-    Con1Solution,
-    Wn2Solution,
-    multiple_root_condition,
-    wn_squared_fixes_class,
-)
+from .atkin import Con1Solution, multiple_root_condition
 from .classpoly import (
     ClassPolynomial,
     check_integrality_conditions,

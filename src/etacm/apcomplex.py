@@ -75,6 +75,7 @@ class UpperHalfPoint(namedtuple("_UpperHalfPoint", "value")):
     """A point of the upper half-plane (im > 0)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: check via __new__
 
     def __new__(cls, value: ApComplex):
         if value.triple[1] <= 0:
@@ -104,14 +105,11 @@ class UpperHalfPoint(namedtuple("_UpperHalfPoint", "value")):
 
 
 def _to_float(m: int, e: int) -> float:
-    """m 2^e as a float: m cut toward zero to 53 bits, then ldexp, which
-    rounds a subnormal to nearest and gives a signed zero below it; +-inf
+    """m 2^e as the nearest float, ties to even, subnormals included (int /
+    int true division rounds once), a signed zero below them and +-inf
     past the largest float."""
-    s = abs(m).bit_length() - 53
-    if s > 0:
-        m, e = (m >> s if m > 0 else -(-m >> s)), e + s
     try:
-        return math.ldexp(m, e)
+        return float(m << e) if e >= 0 else m / (1 << -e)
     except OverflowError:
         return math.copysign(math.inf, m)
 

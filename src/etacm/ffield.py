@@ -39,6 +39,7 @@ class FpElement(namedtuple("_FpElement", "value modulus")):
     """value mod the prime modulus, reduced to 0 <= value < modulus."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: check via __new__
 
     def __new__(cls, value: int, modulus: int):
         if not is_prime_modulus(modulus):

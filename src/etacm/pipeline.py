@@ -39,6 +39,7 @@ FALSE_ACCEPT_BITS = 64
 
 class TraceSolution(namedtuple("_TraceSolution", "q t v")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: check via __new__
 
     def __new__(cls, q: int, t: int, v: int):
         if t % q == 0:
@@ -50,6 +51,7 @@ class EllipticCurve(namedtuple("_EllipticCurve", "q a4 a6")):
     """y^2 = x^3 + a4 x + a6 over F_q, a4 and a6 `FpElement`s mod q."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: check via __new__
 
     def __new__(cls, q: int, a4: FpElement, a6: FpElement):
         if q <= 3:

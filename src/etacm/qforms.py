@@ -33,6 +33,7 @@ class QuadraticForm(namedtuple("_Form", "a b c")):
     a tuple, equal to its plain triple (a, b, c)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: check via __new__
 
     def __new__(cls, a: int, b: int, c: int):
         if a <= 0:
@@ -112,6 +113,7 @@ class Discriminant(namedtuple("_Discriminant", "D")):
     mod 4, and never factors |D|."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # and _replace: check via __new__
 
     def __new__(cls, D: int):
         check_discriminant(D)

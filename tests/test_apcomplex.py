@@ -2,10 +2,12 @@
 within its stated ulps of the exact result, the others exact."""
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_sqrt, round_nearest, to_float
+from mpmath.libmp import from_int, mpf_div, mpf_sqrt, round_nearest
 
 from etacm.apcomplex import (
     ROUND_ULPS,
@@ -106,17 +108,30 @@ def test_to_complex_underflows_to_signed_zero():
     assert math.copysign(1.0, z.real) == -1.0 and math.copysign(1.0, z.imag) == 1.0
 
 
-def test_to_complex_matches_mpmath_on_wide_mantissas():
-    # mantissas cut toward zero to 53 bits, then rounded once more into the
-    # subnormal range, as mpmath's to_float(strict=False) does
+def nearest(got: float, x: Fraction) -> bool:
+    """No float is closer to x than got: neither neighbour of a finite got
+    is, and an infinite got has x's sign and |x| at or past the largest
+    float plus half its ulp, where rounding to even leaves the finite range."""
+    if math.isinf(got):
+        top = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+        return (got > 0) == (x > 0) and abs(x) >= top
+    d = abs(Fraction(got) - x)
+    return all(math.isinf(n) or abs(Fraction(n) - x) >= d
+               for n in (math.nextafter(got, -math.inf), math.nextafter(got, math.inf)))
+
+
+def test_to_complex_rounds_wide_mantissas_to_nearest():
+    # mantissas past 53 bits rounded once, also into the subnormal range and
+    # past the largest float; a zero keeps the sign of m
+    assert ApComplex((2**54 - 1, 0, -54), 64).to_complex() == 1.0
     rng = random.Random(21)
     for _ in range(2000):
         m = rng.choice([-1, 1]) * rng.getrandbits(rng.randint(54, 400))
         e = rng.randint(-1500, 1100) - abs(m).bit_length()
         got = ApComplex((m, -m, e), 64).to_complex()
-        want = to_float(from_man_exp(m, e), strict=False)
-        assert got.real == want and math.copysign(1.0, got.real) == math.copysign(1.0, want)
-        assert got.imag == -want
+        assert nearest(got.real, m * Fraction(2) ** e), (m, e)
+        assert math.copysign(1.0, got.real) == math.copysign(1.0, m)
+        assert got.imag == -got.real
 
 
 def test_sqrt_principal_branch():
@@ -220,4 +235,5 @@ def test_conversions_are_exact(x):
     with mpmath.workprec(EXACT):
         parts = mpmath.mpf((re, e))._mpf_, mpmath.mpf((im, e))._mpf_
     assert to_mpc(kernel_triple(*parts)) == to_mpc(x)
-    assert v.to_complex() == complex(*(to_float(p, strict=False) for p in parts))
+    z = v.to_complex()
+    assert nearest(z.real, re * Fraction(2) ** e) and nearest(z.imag, im * Fraction(2) ** e)

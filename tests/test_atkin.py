@@ -3,12 +3,8 @@ from collections import Counter
 
 import pytest
 
-from etacm.atkin import (
-    Con1Solution,
-    Wn2Solution,
-    multiple_root_condition,
-    wn_squared_fixes_class,
-)
+from etacm.arith import is_probable_prime
+from etacm.atkin import Con1Solution, multiple_root_condition
 from etacm.errors import ConditionsViolated, InvalidB, PreconditionError
 from etacm.ffield import FpPolynomial, has_multiple_root, roots_mod_l
 from etacm.classpoly import (
@@ -43,8 +39,6 @@ class TestMultipleRootCondition:
         # 10^2 + 56 = 0 mod -156, so only the sign of N is wrong
         with pytest.raises(PreconditionError):
             multiple_root_condition(-56, -39, 10)
-        with pytest.raises(PreconditionError):
-            wn_squared_fixes_class(-56, -39, 10)
 
     def test_witness_satisfies_equations_exactly(self):
         rng = random.Random(55)
@@ -74,51 +68,6 @@ class TestMultipleRootCondition:
             if D > -4 * N:
                 continue
             assert multiple_root_condition(D, N, B) is None, (D, N, B)
-
-
-class TestWnSquared:
-    def test_worked_example_case(self):
-        sol = wn_squared_fixes_class(-56, 39, 10)
-        assert sol == Wn2Solution(22, 10)
-        assert sol.X ** 2 - (-56) * sol.Y ** 2 == 4 * 39 ** 2
-        assert (sol.X - 10 * sol.Y) % 78 == 0
-        t = (sol.X - 10 * sol.Y) // 78
-        assert (t * t - 1) % sol.Y == 0
-
-    def test_consistency_with_wn_fixing(self):
-        # W_N ~ 1 forces W_N^2 ~ 1: report only, per the group-theory argument
-        inconsistent = 0
-        for (D, N, B) in [(-56, 39, 10), (-56, 39, 68), (-11, 15, 7), (-404, 39, 62)]:
-            try:
-                first = multiple_root_condition(D, N, B)
-            except InvalidB:
-                continue
-            if first is not None and wn_squared_fixes_class(D, N, B) is None:
-                inconsistent += 1
-        print(f"note: {inconsistent} instances where W_N fixes but W_N^2 witness missing")
-
-    def test_bound_forces_none(self):
-        # 4N^2 / |D| < 1 leaves no nonzero Y
-        D = 10 * 10 - 4 * 39 * 40  # -6140, below -4N^2 = -6084
-        assert wn_squared_fixes_class(D, 39, 10) is None
-
-    def test_witness_equations_random(self):
-        rng = random.Random(77)
-        found = 0
-        while found < 10:
-            N = rng.choice([15, 21, 35, 39])
-            B = rng.randrange(2 * N)
-            k = rng.randint(1, 4 * N)
-            D = B * B - 4 * N * k
-            if D >= 0:
-                continue
-            sol = wn_squared_fixes_class(D, N, B)
-            if sol is None:
-                continue
-            assert sol.Y != 0
-            assert sol.X ** 2 - D * sol.Y ** 2 == 4 * N * N
-            assert (sol.X - B * sol.Y) % (2 * N) == 0
-            found += 1
 
 
 class TestIsMultipleRootCase:
@@ -184,27 +133,56 @@ class TestIsMultipleRootCase:
                 assert len(flags) == 1, (D, p1, p2, b, ell, flags)
                 done += 1
 
+    def test_sufficient_at_j_degree_4(self, phi_pool):
+        # (5, 13) is the one pair of J-degree 4.  For every admissible
+        # -700 < D <= -3 and every B (326 cases), a prime q >= 2^59 that is a
+        # norm (t^2 - D v^2)/4 splits H completely; a J-slice with no multiple
+        # root mod q has none over Q.  Every case of the criterion has a
+        # multiple J-root at every root of H mod q, and three cases without
+        # it have one too, so the criterion is sufficient but not necessary
+        rng = random.Random(59)
+        phi = phi_pool(5, 13)
+        cases, con1, extra = 0, 0, set()
+        for D in range(-699, -2):
+            if D % 4 > 1 or not check_integrality_conditions(D, 5, 13):
+                continue
+            for b in b_candidates(D, 5, 13):
+                while True:
+                    v = rng.randrange(1, 2**20)
+                    t = 2 * rng.randrange(2**30, 2**31) + D * v % 2
+                    q = (t * t - D * v * v) // 4
+                    if is_probable_prime(q):
+                        break
+                H = compute_class_polynomial(D, 5, 13, b)
+                roots = roots_mod_l(FpPolynomial.make(H.coeffs, q))
+                assert sum(roots.values()) == H.degree, (D, b, q)
+                multiple = {has_multiple_root(evaluate_in_j_mod_l(phi, w, q)) for w in roots}
+                holds = multiple_root_condition(D, 65, b) is not None
+                if holds:
+                    assert multiple == {True}, (D, b, q)
+                elif True in multiple:
+                    extra.add((D, b))
+                cases += 1
+                con1 += holds
+        assert (cases, con1) == (326, 45)
+        assert extra == {(-195, 65), (-595, 35), (-595, 95)}
+
 
 class TestWitnessOrder:
     def test_first_admissible_solution_in_the_documented_order(self):
         # every admissible B for D = -3, -10, ... down to -(4N^2 + 200)
-        cases = con1 = wn2 = 0
+        cases = con1 = 0
         for N in (15, 21, 33, 35, 39, 51, 55, 65, 77, 91, 143):
             for D in range(-3, -(4 * N * N + 200) - 1, -7):
                 bs = [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
                 if not bs:
                     continue
                 disc = Discriminant(D)
-                sols, sols2 = norm_form_solutions(D, 4 * N), norm_form_solutions(D, 4 * N * N)
+                sols = norm_form_solutions(D, 4 * N)
                 for B in bs:
                     want = next((Con1Solution(u, v) for u, v in sols
                                  if (u - B * v) % (2 * N) == 0), None)
-                    want2 = next((Wn2Solution(x, y) for x, y in sols2
-                                  if y and (x - B * y) % (2 * N) == 0
-                                  and (((x - B * y) // (2 * N)) ** 2 - 1) % abs(y) == 0), None)
                     assert multiple_root_condition(disc, N, B) == want, (D, N, B)
-                    assert wn_squared_fixes_class(disc, N, B) == want2, (D, N, B)
                     cases += 1
                     con1 += want is not None
-                    wn2 += want2 is not None
-        assert (cases, con1, wn2) == (18692, 70, 731)
+        assert (cases, con1) == (18692, 70)

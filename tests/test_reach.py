@@ -56,7 +56,6 @@ _POINT_FUNCTIONS = ("runs only under the public point functions eta, j_invariant
 _TRACED = "perfbench/tracing.py wraps it and tests/test_trace_seams.py pins it"
 _FROM_FORM = ("rounds to nearest for UpperHalfPoint.from_form, whose points tools/same_outputs.py "
               "and the suites evaluate at")
-_WN2 = "the W_N^2 predicate; ROADMAP item 4 decides it, tools/same_outputs.py records it"
 
 KEEP = {
     "apcomplex.ApComplex.to_complex": _BOUNDARY,
@@ -84,8 +83,6 @@ KEEP = {
     "classpoly.involution_transform": _ACCEPTANCE,
     "ffield.has_multiple_root": _ACCEPTANCE,
     "qforms.class_number": _ACCEPTANCE,
-    "atkin.wn_squared_fixes_class": _WN2,
-    "atkin._solutions": _WN2,
     "cli.main": "the console entry point; it only calls dispatch",
 }
 

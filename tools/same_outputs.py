@@ -15,13 +15,12 @@ product over, as ordered triples, which H itself does not pin; a CM
 record also carries the certificate's trace, its ambiguity and the number
 of points it drew, which pins the random stream), the roots of H mod q of
 each `cm-shortcut` job with their multiplicities and in increasing order, the
-witnesses of `multiple_root_condition` and
-`wn_squared_fixes_class` for each (D, B) that a CM job runs at N = 39 (every
-admissible B when the job lets `construct_cm_curve` choose), whether the
-computed Phi_{3,13} equals the embedded file, the public point functions
-`eta`, `j_invariant`, `double_eta_quotient` and `w_pow_s` at 128 bits at the
-roots of the worked example's N-system (D = -56, N = 39, B = 10), as exact
-(odd mantissa, exponent) pairs, and the stdout and exit code of
+witness of `multiple_root_condition` for each (D, B) that a CM job runs at
+N = 39 (every admissible B when the job lets `construct_cm_curve` choose),
+whether the computed Phi_{3,13} equals the embedded file, the public point
+functions `eta`, `j_invariant`, `double_eta_quotient` and `w_pow_s` at 128
+bits at the roots of the worked example's N-system (D = -56, N = 39, B = 10),
+as exact (odd mantissa, exponent) pairs, and the stdout and exit code of
 `etacm reproduce-example` and of the worked `cm-curve` line.
 """
 
@@ -134,10 +133,9 @@ def main(argv=None) -> int:
                        "out": sorted(roots.items())})
         for job in shortcut_jobs + inputs.count_jobs(seed)[0]:
             for B in [job.B] if job.B is not None else etacm.b_candidates(job.D, p1, p2):
-                if once(("witnesses", job.D, B)):
-                    _emit({"job": "witnesses", "D": job.D, "B": B,
-                           "out": [_witness(etacm.multiple_root_condition(job.D, n, B)),
-                                   _witness(etacm.wn_squared_fixes_class(job.D, n, B))]})
+                if once(("witness", job.D, B)):
+                    _emit({"job": "witness", "D": job.D, "B": B,
+                           "out": _witness(etacm.multiple_root_condition(job.D, n, B))})
             if once(("cm", job.D, job.q, job.B)):
                 curve, cert, shortcut = etacm.construct_cm_curve(job.D, p1, p2, job.q, B=job.B)
                 _emit({"job": "cm", "D": job.D, "q": job.q, "B": job.B,
