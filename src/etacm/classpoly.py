@@ -28,10 +28,13 @@ is accepted only when both the rounding residual and the certified error are
 small (`round_certified`); otherwise the precision is doubled up to max_prec
 by apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly
 shares both, and `initial_precision`: the first attempt starts from the
-measured height of H, as a pass at MIN_PREC bits gives the roots' norms and
-error bounds, hence the precision at which the tree's bound falls below the
-rounding limit.  When that bound is already below the limit at MIN_PREC
-bits, the pass's roots are the first attempt.
+height of H, which a float model of the roots gives before any eta is
+evaluated (`etafunc.w_pow_s_model`: each root's log2 |w^s| from the leading
+q-terms, and the bound its evaluation at MIN_PREC bits would certify).  The
+tree's bound folded over those (`_tree_err`) sets the precision at which it
+falls below the rounding limit, or MIN_PREC when it is already below there.
+An H whose start passes max_prec is refused with no eta evaluated, and
+every attempt evaluates the roots once, from the start up.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import namedtuple
 from .apcomplex import MAX_PRECISION, MIN_PREC, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, crt_pair, jacobi
 from .errors import ConditionsViolated, PrecisionExhausted, ZeroConstantTerm
-from .etafunc import Value, hecke_plan, s_exponent, w_pow_s_at_hecke_points
+from .etafunc import Value, hecke_plan, s_exponent, w_pow_s_at_hecke_points, w_pow_s_model
 from .intpoly import mul as ipmul
 from .qforms import (
     Discriminant,
@@ -115,25 +118,21 @@ class RPoly:
         return RPoly(coeffs, exp, err, self.norm + other.norm)
 
 
-def _root_norm(r: Value) -> float:
-    """log2 of an upper bound on the L1 norm of X - r."""
-    return log2add(0.0, lg(r))
-
-
-def _leaf_bound(r: Value, err: float, pair: bool) -> tuple[float, float]:
-    """(norm, error) bounds of `_leaf`: those of the exact product
-    (X - r)(X - conj r) of two linear factors within 2^err, or those of
-    X - Re r."""
+def _leaf_bound(log2r: float, err: float, pair: bool) -> tuple[float, float]:
+    """(norm, error) bounds of `_leaf` for a root r within 2^err, given
+    log2r >= log2 |r| (log2 |Re r| for a root that is not paired): those of
+    the exact product (X - r)(X - conj r) of two linear factors, or those of
+    X - Re r, whose L1 norm is at most 1 + 2^log2r."""
+    n = log2add(0.0, log2r)
     if not pair:
-        return _root_norm((r[0], 0, r[2])), err
-    n = _root_norm(r)
+        return n, err
     return 2 * n, _mul_err(n, err, n, err, math.inf)
 
 
 def _leaf(r: Value, err: float, pair: bool) -> RPoly:
     """(X - r)(X - conj r) for a paired root r = (a + i b) 2^e, in closed form
     (a^2 + b^2) 2^(2e) - 2a 2^e X + X^2, and X - Re r for another."""
-    norm, err = _leaf_bound(r, err, pair)
+    norm, err = _leaf_bound(lg(r if pair else (r[0], 0, r[2])), err, pair)
     a, b, e = r
     if e > 0:
         a, b, e = a << e, b << e, 0
@@ -142,7 +141,7 @@ def _leaf(r: Value, err: float, pair: bool) -> RPoly:
     return RPoly([-a, 1 << -e], e, err, norm)
 
 
-def _fold(roots: list[tuple[Value, float]], paired: list[bool], leaf, mul, wp: int):
+def _fold(roots: list[tuple], paired: list[bool], leaf, mul, wp: int):
     """The leaves leaf(r, err, pair) of the tree, folded pairwise, level by
     level, with mul(f, g, wp)."""
     items = [leaf(r, err, pair) for (r, err), pair in zip(roots, paired)]
@@ -167,9 +166,11 @@ def product_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) 
     return _fold(roots, paired, _leaf, RPoly.mul, wp)
 
 
-def _tree_err(roots: list[tuple[Value, float]], paired: list[bool], wp: int) -> float:
-    """The error bound `product_tree` would certify, without expanding:
-    the same fold over (norm, error) pairs."""
+def _tree_err(roots: list[tuple[float, float]], paired: list[bool], wp: int) -> float:
+    """The error bound `product_tree` would certify for roots of these
+    (log2 |r|, log2 error) pairs, without expanding: the same fold over
+    (norm, error) pairs.  A root that is not paired stands for its real
+    part, so it gives log2 |Re r|."""
     def mul(f, g, w):
         return f[0] + g[0], _mul_err(*f, *g, w)
 
@@ -242,13 +243,14 @@ def _partners(system: NSystem) -> list[int]:
 
 
 def initial_precision(tree_err: float, h: int) -> int:
-    """Starting precision from the measured height of H.
+    """Starting precision from the height of H (or of Phi's samples).
 
-    tree_err is the bound the product tree would certify for the roots of
-    a pass at MIN_PREC bits (`_tree_err`).  Each extra bit of precision
-    lowers every term of that bound by one bit, so the start is where it
-    falls below RESIDUAL_LIMIT, plus two guard bits per tree level and
-    eight more.
+    tree_err is the bound the product tree would certify for roots
+    evaluated at MIN_PREC bits (`_tree_err`): for H, from the float model
+    of the roots' sizes and bounds (`etafunc.w_pow_s_model`), and for Phi,
+    from its first attempt.  Each extra bit of precision lowers every term
+    of that bound by one bit, so the start is where it falls below
+    RESIDUAL_LIMIT, plus two guard bits per tree level and eight more.
     """
     depth = (h - 1).bit_length()
     return MIN_PREC + math.ceil(tree_err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
@@ -274,18 +276,11 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     system = build_nsystem(disc, N, B % (2 * N))
     kept, paired = _one_per_pair(_partners(system))
     points, quotients = hecke_plan([system.forms[i] for i in kept], p1, p2)
-
-    def evaluate(prec: int) -> list[tuple[Value, float]]:
-        return w_pow_s_at_hecke_points(points, quotients, s, prec)
-
-    roots = evaluate(MIN_PREC)
-    err = _tree_err(roots, paired, MIN_PREC + TREE_BITS)
-    start = initial_precision(err, len(system.forms))
-    if err < math.log2(RESIDUAL_LIMIT):
-        # the height pass's roots are predicted to round: they are the first attempt
-        start = MIN_PREC
+    err = _tree_err(w_pow_s_model(points, quotients, s, MIN_PREC), paired, MIN_PREC + TREE_BITS)
+    start = (MIN_PREC if err < math.log2(RESIDUAL_LIMIT)
+             else initial_precision(err, len(system.forms)))
     ints = double_until(start, max_prec,
-                        lambda prec: _expand(roots if prec == MIN_PREC else evaluate(prec),
+                        lambda prec: _expand(w_pow_s_at_hecke_points(points, quotients, s, prec),
                                              paired, prec),
                         f"class polynomial for D = {disc.D}, B = {B}")
     if ints[-1] != 1:

@@ -61,6 +61,13 @@ is a 24th root of unity times a quotient of eta values at Hecke points
 four is a series with no transform.  The Hecke points of many values are
 listed once (`hecke_plan`, for H and Phi alike) and each is evaluated once
 per attempt (`w_pow_s_at_hecke_points`).
+
+Before the first attempt, `w_pow_s_model` gives the same quotients in plain
+floats: log2 |w^s| from the leading q-terms of each eta and the |cz + d| of
+its transformation, and the bound that `w_pow_s_at_hecke_points` would
+certify, from the same helpers for the series terms and for the transform,
+quotient and power ulps.  A class polynomial sets its starting precision
+from it (`classpoly.initial_precision`) without evaluating eta.
 """
 
 from __future__ import annotations
@@ -426,12 +433,11 @@ def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
       so it is within (4.05K + 0.01)u relative.
     - eta is the product, cut to wp bits: within (4.05K + 3.02)u.
     """
-    t = math.pi * math.sqrt(-D / (4 * a * a)) / 12
+    t, kmax, rel = _series_size(a, D, wp)
     w24 = _q24(a, b, D, wp + 22 + (int(t) + 1).bit_length())
     qr, qi, e = power(w24, 24, wp)
     e += wp  # the shift to the fixed point 2^-wp
     qr, qi = (qr << e, qi << e) if e >= 0 else (qr >> -e, qi >> -e)
-    kmax = _series_terms(wp, 24 * t / math.log(2.0))
     # products in the fixed point, each part rounded down: q^3, and
     # q^(3k+1), q^(g_k) and q^k from k = 1 on
     q2r, q2i = (qr * qr - qi * qi) >> wp, (2 * qr * qi) >> wp
@@ -448,12 +454,33 @@ def _eta_series(a: int, b: int, D: int, wp: int) -> tuple[Value, float]:
         ar, ai = (ar * sr - ai * si) >> wp, (ar * si + ai * sr) >> wp
         sr, si = (sr * q3r - si * q3i) >> wp, (sr * q3i + si * q3r) >> wp
         kr, ki = (kr * qr - ki * qi) >> wp, (kr * qi + ki * qr) >> wp
-    return trunc(mul(w24, (tr, ti, -wp)), wp), 4.05 * kmax + 3.1
+    return trunc(mul(w24, (tr, ti, -wp)), wp), rel
 
 
-def _abs_err(x: Value, rel: float, wp: int) -> float:
-    """log2 of the absolute error of x, from its relative error in units 2^-wp."""
-    return lg(x) + math.log2(rel) - wp
+def _series_size(a: int, D: int, wp: int) -> tuple[float, int, float]:
+    """For the root tau of a reduced form [a, *, *] of discriminant D:
+    t = -log |q^(1/24)| = pi Im(tau) / 12, the number K of pentagonal terms
+    `_eta_series` sums at wp bits (`_series_terms`), and its relative error
+    (4.05K + 3.1)u."""
+    t = math.pi * math.sqrt(-D / (4 * a * a)) / 12
+    kmax = _series_terms(wp, 24 * t / math.log(2.0))
+    return t, kmax, 4.05 * kmax + 3.1
+
+
+def _abs_err(log2x: float, rel: float, wp: int) -> float:
+    """log2 of the absolute error of a value of log2 modulus log2x, from its
+    relative error in units 2^-wp."""
+    return log2x + math.log2(rel) - wp
+
+
+def _transform_ulps(rel: float, m: Matrix) -> float:
+    """The relative error of `_eta_transform` in units 2^-wp, for a series
+    value within rel and the matrix m to the reduced point: nothing added
+    for the identity, the unit (0.1u) and one rounding for a translation,
+    and with them a square root and a division for any other m."""
+    if m == IDENTITY:
+        return rel
+    return rel + ROUND_ULPS + 0.1 if m[2] == 0 else rel + 2 * ROUND_ULPS + 0.2
 
 
 def _eta_transform(series: Value, rel: float, f: Form, m: Matrix, wp: int,
@@ -474,12 +501,13 @@ def _eta_transform(series: Value, rel: float, f: Form, m: Matrix, wp: int,
     c, d, sign, k = eta_multiplier(m)
     ur, ui, ue = units[k]
     num = mul(series, (sign * ur, -sign * ui, ue))
+    rel = _transform_ulps(rel, m)
     if c == 0:
-        return trunc(num, wp), rel + ROUND_ULPS + 0.1
+        return trunc(num, wp), rel
     (A, B, C), s = f, wp + 8
     w = (2 * A * (2 * A * d - c * B) << s,
          math.isqrt((4 * A * A * c * c * (4 * A * C - B * B)) << (2 * s)), -s)
-    return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel + 2 * ROUND_ULPS + 0.2
+    return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel
 
 
 def _eta_values(forms: list[Form], wp: int, units: list[Value]) -> list[tuple[Value, float]]:
@@ -528,7 +556,7 @@ def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     def evaluate(f: Form, p: int) -> tuple[Value, float]:
         wp = p + eta_guard_bits(p)
         [(value, rel)] = _eta_values([f], wp, _units(wp))
-        return value, _abs_err(value, rel, wp)
+        return value, _abs_err(lg(value), rel, wp)
 
     return _to_target(z, prec, evaluate, "eta")
 
@@ -576,7 +604,7 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     value = div(power(x16, 3, wp), x, wp)
     dj = (2 * lg(x16) + lg(add(add(x, x), (-16, 0, 0))) - lg(x) + 2.0 ** -29
           + math.log2(24 * rel + 23 * ROUND_ULPS) - wp)
-    return value, log2add(dj, _abs_err(value, 3 * ROUND_ULPS, wp)) + 1
+    return value, log2add(dj, _abs_err(lg(value), 3 * ROUND_ULPS, wp)) + 1
 
 
 def s_exponent(p1: int, p2: int) -> int:
@@ -604,10 +632,10 @@ def w_pow_s(z: UpperHalfPoint, p1: int, p2: int, prec: int) -> ApComplex:
 
 
 def _power_with_err(w: Value, rel: float, s: int, wp: int) -> tuple[Value, float]:
-    """(w^s, log2 absolute error bound) for w within a relative rel: by
-    `power`, within s rel + 3 (s - 1) u."""
+    """(w^s by `power`, log2 absolute error bound) for a w^s within a
+    relative rel in units 2^-wp (`_quotient_ulps`)."""
     value = power(w, s, wp)
-    return value, _abs_err(value, s * rel + (s - 1) * ROUND_ULPS, wp)
+    return value, _abs_err(lg(value), rel, wp)
 
 
 def w_pow_s_with_err(f: Form, p1: int, p2: int, prec: int) -> tuple[Value, float]:
@@ -710,15 +738,85 @@ def w_pow_s_at_hecke_points(points: list[Form],
     numerator, so w is within the sum of the four eta bounds, 0.1u and the
     division's rounding.
     """
-    wp = prec + eta_guard_bits(prec) + 16 + 4 * s
+    wp = _quotient_wp(prec, s)
     units = _units(wp)
     etas = _eta_values(points, wp, units)
     out = []
     for i1, i2, i0, iN, k, sign in quotients:
         (v1, r1), (v2, r2), (v0, r0), (vN, rN) = etas[i1], etas[i2], etas[i0], etas[iN]
-        num, rel = mul(v1, v2), r1 + r2 + r0 + rN + ROUND_ULPS
+        num = mul(v1, v2)
         if k or sign < 0:
             ur, ui, ue = units[k]
-            num, rel = mul(num, (sign * ur, sign * ui, ue)), rel + 0.1
+            num = mul(num, (sign * ur, sign * ui, ue))
+        rel = _quotient_ulps(r1, r2, r0, rN, k, sign, s)
         out.append(_power_with_err(div(num, mul(v0, vN), wp), rel, s, wp))
+    return out
+
+
+def _quotient_wp(prec: int, s: int) -> int:
+    """The working precision of `w_pow_s_at_hecke_points`: prec + guard
+    + 16 + 4s bits."""
+    return prec + eta_guard_bits(prec) + 16 + 4 * s
+
+
+def _quotient_ulps(r1: float, r2: float, r0: float, rN: float, k: int, sign: int,
+                   s: int) -> float:
+    """The relative error in units u of w^s, w = sign zeta_24^K eta_1 eta_2 /
+    (eta_0 eta_N), for eta values within r1, r2, r0 and rN u: w is within
+    their sum, the division's rounding, and the unit's 0.1u unless the unit
+    is 1, and w^s by `power` within s rel + 3 (s - 1) u."""
+    rel = r1 + r2 + r0 + rN + ROUND_ULPS
+    if k or sign < 0:
+        rel += 0.1
+    return s * rel + (s - 1) * ROUND_ULPS
+
+
+def w_pow_s_model(points: list[Form], quotients: list[Quotient],
+                  s: int, prec: int) -> list[tuple[float, float]]:
+    """(log2 |w^s|, log2 error bound) of each quotient, the bound being the
+    one `w_pow_s_at_hecke_points` certifies at prec, in floats and with no
+    eta value evaluated: the sizes of the roots, from which the precision of
+    a class polynomial is set in advance (Enge, Math. Comp. 78, 2009).
+
+    At the root of a reduced form [A, B, C] of discriminant D,
+        log |eta| = -t + log |1 - q - q^2 + q^5 + q^7 - ...|
+    with t = pi sqrt|D| / (24A) (`_series_size`), the sum taken in floats
+    through q^7: |q| < 0.0044 there, so the terms left out, from q^12 on,
+    are below 2^-93.  At the root z of a form [a, b, c] that reduces to
+    [A, B, C], the transformation formula subtracts (1/2) log |cz + d|, for
+    the bottom row (c, d) of the matrix m to the reduced point; the root of
+    a form [a, *, *] of discriminant D has Im = sqrt|D| / (2a), and
+    Im(m z) = Im(z) / |cz + d|^2, so |cz + d|^2 = A / a.
+
+    The relative errors come from the evaluating path's own helpers:
+    `_series_size` at the same wp (`_quotient_wp`), then `_transform_ulps`
+    and `_quotient_ulps`, made absolute by `_abs_err` at the modelled
+    log2 |w^s|.  Float rounding moves that by far less than a bit;
+    it only sets the start, and the evaluated values still pass the gate or
+    not.
+    """
+    wp = _quotient_wp(prec, s)
+    series: dict[Form, tuple[float, float]] = {}
+    etas = []
+    for f in points:
+        (A, B, C), (p, q, r, s1) = _reduce(f)
+        key = (A, abs(B), C)
+        hit = series.get(key)
+        if hit is None:
+            t, _, rel = _series_size(A, B * B - 4 * A * C, wp)
+            angle = math.pi * B / A
+            x = math.exp(-24 * t) * complex(math.cos(angle), math.sin(angle))
+            x2 = x * x
+            x5 = x2 * x2 * x
+            log_sum = math.log(abs(1 - x - x2 + x5 + x5 * x2))
+            hit = series[key] = ((log_sum - t) / math.log(2.0), rel)
+        log2_eta, rel = hit
+        if A != f[0]:
+            log2_eta -= math.log2(A / f[0]) / 4
+        etas.append((log2_eta, _transform_ulps(rel, (s1, -q, -r, p))))
+    out = []
+    for i1, i2, i0, iN, k, sign in quotients:
+        (l1, r1), (l2, r2), (l0, r0), (lN, rN) = etas[i1], etas[i2], etas[i0], etas[iN]
+        log2_w = s * (l1 + l2 - l0 - lN)
+        out.append((log2_w, _abs_err(log2_w, _quotient_ulps(r1, r2, r0, rN, k, sign, s), wp)))
     return out

@@ -134,8 +134,8 @@ class TestComputeClassPolynomial:
         assert max(abs(c) for c in want) > 2**100  # genuinely needed more bits
 
     def test_max_prec_bounds_the_first_attempt(self, monkeypatch):
-        # -9899's 64-bit pass does not predict a passing gate, so the
-        # measured start is the first attempt
+        # -9899's modelled roots do not predict a passing gate at 64 bits, so
+        # the start from their height is the first attempt
         import etacm.classpoly as cp
 
         calls = []
@@ -148,9 +148,9 @@ class TestComputeClassPolynomial:
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7), (-1511, 5, 7)])
     def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
-        # when the 64-bit pass already predicts a passing gate (D = -56 and
-        # -3996 measure a start below 64 bits, D = -1511 one of 65), its roots
-        # are expanded as the first attempt instead of being evaluated again
+        # when the modelled roots already predict a passing gate at 64 bits
+        # (D = -56 and -3996 have a start below 64 bits, D = -1511 one of 65),
+        # the first and only attempt evaluates the roots at 64 bits
         import etacm.classpoly as cp
 
         calls = []
@@ -166,9 +166,10 @@ class TestComputeClassPolynomial:
     @pytest.mark.parametrize("D, p1, p2, cap",
                              [(-56, 3, 13, 32), (-3996, 5, 7, 63), (-1511, 5, 7, 64)])
     def test_max_prec_below_64_or_the_start_raises(self, monkeypatch, D, p1, p2, cap):
-        # -3996 measures a start below 64 bits, so one bit under 64 already
-        # raises; -1511 measures a start of 65, but its 64-bit pass passes
-        # the gate, so a cap of 64 gives the uncapped H from that one pass
+        # -3996 has a start below 64 bits, so one bit under 64 already
+        # raises; -1511 has a start of 65, but its modelled roots predict a
+        # passing gate at 64 bits, so a cap of 64 gives the uncapped H from
+        # one evaluation at 64 bits
         import etacm.classpoly as cp
 
         b = b_candidates(D, p1, p2)[0]
@@ -309,7 +310,7 @@ class TestConjugatePairs:
 
     def test_one_evaluation_per_pair(self, monkeypatch):
         # H(-56, 3, 13, 10) has h = 4 and 2 real roots: each attempt evaluates
-        # w^s at (h + 2) / 2 = 3 forms, and its one attempt is the height pass.
+        # w^s at (h + 2) / 2 = 3 forms, and it takes one attempt, at 64 bits.
         # D = -9899 (h = 30, no real root) forced to start at 64 bits takes
         # more than one attempt, of 15 evaluations each.
         import etacm.classpoly as cp
@@ -444,6 +445,100 @@ class TestPrecisionPolicy:
         monkeypatch.setattr(module, "w_pow_s_at_hecke_points", inflated)
         assert run() == want
         assert precs[0] == MIN_PREC and (max(precs) > MIN_PREC) == later
+
+
+class TestRootModel:
+    """H's start comes from a float model of its roots (`etafunc.w_pow_s_model`),
+    with no eta evaluated before the first attempt."""
+
+    @staticmethod
+    def plan(D, p1, p2, B):
+        import etacm.classpoly as cp
+        from etacm.etafunc import hecke_plan
+
+        forms, paired = one_per_pair(cp.build_nsystem(D, p1 * p2, B))
+        return (*hecke_plan(forms, p1, p2), paired)
+
+    @staticmethod
+    def start(sizes, paired, h):
+        # the start that compute_class_polynomial derives from the (log2 |r|,
+        # error) pairs of the roots at 64 bits
+        import math
+
+        import etacm.classpoly as cp
+
+        err = cp._tree_err(sizes, paired, 64 + cp.TREE_BITS)
+        return 64 if err < math.log2(cp.RESIDUAL_LIMIT) else cp.initial_precision(err, h)
+
+    @staticmethod
+    def sizes(values, paired):
+        # (log2 |r|, error) of evaluated roots, log2 |Re r| for a real root
+        from etacm.apcomplex import lg
+
+        return [(lg(v if pair else (v[0], 0, v[2])), err)
+                for (v, err), pair in zip(values, paired)]
+
+    def test_agrees_with_the_evaluated_roots(self):
+        # per root, log2 |w^s| and the bound agree with lg and the certified
+        # error of the evaluated values within 2^-20 bits, at 64 bits and at
+        # 200, and the start equals the one from the 64-bit roots.  Roots are
+        # compared one by one: the folded bound may move by up to a bit, as
+        # `_round_exp` floors.
+        from etacm.apcomplex import lg
+        from etacm.etafunc import s_exponent, w_pow_s_at_hecke_points, w_pow_s_model
+
+        rng = random.Random(35)
+        cases = []
+        while len(cases) < 100:
+            D, (p1, p2) = rng.randrange(-6000, -2), PAIRS[rng.randrange(len(PAIRS))]
+            if D % 4 in (0, 1) and check_integrality_conditions(D, p1, p2):
+                cases.append((D, p1, p2, pick_b(rng, D, p1, p2)))
+        roots = starts_above_64 = 0
+        for D, p1, p2, B in cases:
+            points, quotients, paired = self.plan(D, p1, p2, B)
+            s = s_exponent(p1, p2)
+            for prec in (200, 64):
+                model = w_pow_s_model(points, quotients, s, prec)
+                values = w_pow_s_at_hecke_points(points, quotients, s, prec)
+                assert len(model) == len(values) == len(paired)
+                for (log2r, err), (v, want) in zip(model, values):
+                    assert abs(log2r - lg(v)) < 2.0 ** -20, (D, p1, p2, B, prec)
+                    assert abs(err - want) < 2.0 ** -20, (D, p1, p2, B, prec)
+                roots += len(model)
+            start = self.start(self.sizes(values, paired), paired, class_number(D))
+            assert self.start(model, paired, class_number(D)) == start, (D, p1, p2, B)
+            starts_above_64 += start > 64
+        assert (roots, starts_above_64) == (3192, 25)
+
+    def test_one_evaluation_at_a_start_above_64(self, monkeypatch):
+        # D = -9899, (3, 5), h = 30: the start is above 64 bits, and H takes
+        # one w^s evaluation, at that start and no lower
+        import etacm.classpoly as cp
+
+        B = b_candidates(-9899, 3, 5)[0]
+        forms, paired = one_per_pair(cp.build_nsystem(-9899, 15, B))
+        start = self.start(self.sizes(hecke_roots(forms, 3, 5, 64), paired), paired, 30)
+        calls = []
+        real = cp.w_pow_s_at_hecke_points
+        monkeypatch.setattr(cp, "w_pow_s_at_hecke_points",
+                            lambda *a: calls.append(a[3]) or real(*a))
+        compute_class_polynomial(-9899, 3, 5, B)
+        assert start > 64 and calls == [start]
+
+    def test_hopeless_h_is_refused_before_any_evaluation(self, monkeypatch):
+        # under a max_prec below its start, H raises at once, naming the
+        # start that the 64-bit roots give, with no evaluation or expansion
+        import etacm.classpoly as cp
+
+        B = b_candidates(-9899, 3, 5)[0]
+        forms, paired = one_per_pair(cp.build_nsystem(-9899, 15, B))
+        start = self.start(self.sizes(hecke_roots(forms, 3, 5, 64), paired), paired, 30)
+        calls = []
+        for name in ("w_pow_s_at_hecke_points", "_expand"):
+            monkeypatch.setattr(cp, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(PrecisionExhausted, match=rf"max_prec = 100 bits \(start {start}\)"):
+            compute_class_polynomial(-9899, 3, 5, B, max_prec=100)
+        assert start > 100 and calls == []
 
 
 class TestInvolutionTransform:

@@ -311,8 +311,9 @@ class TestUsageAndPlumbing:
         assert f"max_prec = {cap} " in err
 
     def test_precision_max_64_accepts_a_passing_64_bit_pass(self, capsys):
-        # H of D = -1511 measures a start of 65 bits, but its 64-bit height
-        # pass already rounds, so a cap of 64 prints the uncapped line
+        # H of D = -1511 has a start of 65 bits, but its modelled roots
+        # predict a passing gate at 64 bits, and the roots evaluated there
+        # round, so a cap of 64 prints the uncapped line
         argv = ["classpoly", "--disc", "-1511", "--p1", "5", "--p2", "7"]
         want = run_cli(argv, capsys)
         assert want[0] == EXIT_OK and want[1]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from mpmath.libmp import from_rational, fzero, round_nearest  # noqa: E402
 
-from etacm.apcomplex import ApComplex, UpperHalfPoint  # noqa: E402
+from etacm.apcomplex import ApComplex, UpperHalfPoint, lg  # noqa: E402
 from etacm.classpoly import RPoly, _tree_err, product_tree, round_certified  # noqa: E402
 from etacm import intpoly  # noqa: E402
 from etacm.etafunc import _form_of, hecke_split  # noqa: E402
@@ -286,7 +286,10 @@ def test_product_tree_within_its_bound(case):
     # Y - Re R_i
     roots, paired, wp = case
     f = product_tree(roots, paired, wp)
-    assert _tree_err(roots, paired, wp) == f.err  # what initial_precision relies on
+    # what initial_precision relies on: _tree_err folds log2 |r| (log2 |Re r|
+    # for a root that is not paired), as the float model gives it
+    sizes = [(lg(r if pair else (r[0], 0, r[2])), err) for (r, err), pair in zip(roots, paired)]
+    assert _tree_err(sizes, paired, wp) == f.err
     e0 = min(e for (_, _, e), _ in roots)
     exact = [1]
     for ((re, im, e), _), pair in zip(roots, paired):

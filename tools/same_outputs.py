@@ -11,7 +11,9 @@ PYTHONPATH; the job lists come from this tree's perfbench/inputs.py):
 Covered: the distinct `classpoly`, `modpoly`, `cm-shortcut` and `cm-count`
 jobs of the seed range (the same calls that perfbench/run.py times; a
 `classpoly` record also carries the forms of the N-system that H is the
-product over, as ordered triples, which H itself does not pin; a CM
+product over, as ordered triples, which H itself does not pin, and the
+precision of each of its attempts, every call of `classpoly._expand` in
+order, so that two trees also agree on the start and the doubling; a CM
 record also carries the certificate's trace, its ambiguity and the number
 of points it drew, which pins the random stream), the roots of H mod q of
 each `cm-shortcut` job with their multiplicities and in increasing order, the
@@ -38,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import inputs  # noqa: E402
 
 import etacm  # noqa: E402
+import etacm.classpoly  # noqa: E402
 from etacm.cli import dispatch  # noqa: E402
 
 WORKED_CM_CURVE = ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13",
@@ -53,6 +56,21 @@ def _cli(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch(argv)
     return {"exit": code, "stdout": out.getvalue()}
+
+
+def _class_polynomial(job) -> tuple:
+    """H of a `classpoly` job, and the precision of each of its attempts."""
+    real, precs = etacm.classpoly._expand, []
+
+    def recording(roots, paired, prec):
+        precs.append(prec)
+        return real(roots, paired, prec)
+
+    etacm.classpoly._expand = recording
+    try:
+        return etacm.compute_class_polynomial(job.D, job.p1, job.p2, job.B), precs
+    finally:
+        etacm.classpoly._expand = real
 
 
 def _witness(solution) -> list[int] | None:
@@ -110,11 +128,11 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         for job in inputs.classpoly_jobs(seed):
             if once(("classpoly", job.D, job.p1, job.p2, job.B)):
-                poly = etacm.compute_class_polynomial(job.D, job.p1, job.p2, job.B)
+                poly, attempts = _class_polynomial(job)
                 N = job.p1 * job.p2
                 system = etacm.build_nsystem(job.D, N, job.B % (2 * N))
                 _emit({"job": "classpoly", "D": job.D, "p1": job.p1, "p2": job.p2,
-                       "B": job.B, "out": list(poly.coeffs),
+                       "B": job.B, "out": list(poly.coeffs), "attempts": attempts,
                        "forms": [[f.a, f.b, f.c] for f in system.forms]})
         for pair in inputs.modpoly_jobs(seed):
             if once(("modpoly", pair)):
