@@ -45,9 +45,9 @@ def check_prec(prec: int) -> None:
 
 def double_until(start: int, max_prec: int, attempt: Callable, what: str):
     """The first result of attempt(prec) that is not None, for prec = start,
-    2 start, ... (start raised to MIN_PREC) while prec <= max_prec; a start
-    above max_prec raises before any attempt."""
-    start = prec = max(start, MIN_PREC)
+    2 start, ... while prec <= max_prec, from a start of at least MIN_PREC
+    (not raised here); a start above max_prec raises before any attempt."""
+    prec = start
     while prec <= max_prec:
         result = attempt(prec)
         if result is not None:

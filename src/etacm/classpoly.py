@@ -27,14 +27,14 @@ Phi's samples and its Lagrange basis (`modpoly`).  The rounding to integers
 is accepted only when both the rounding residual and the certified error are
 small (`round_certified`); otherwise the precision is doubled up to max_prec
 by apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly
-shares both, and `initial_precision`: the first attempt starts from the
-height of H, which a float model of the roots gives before any eta is
-evaluated (`etafunc.w_pow_s_model`: each root's log2 |w^s| from the leading
-q-terms, and the bound its evaluation at MIN_PREC bits would certify).  The
-tree's bound folded over those (`_tree_err`) sets the precision at which it
-falls below the rounding limit, or MIN_PREC when it is already below there.
-An H whose start passes max_prec is refused with no eta evaluated, and
-every attempt evaluates the roots once, from the start up.
+shares both, and the start (`initial_precision`): from the height, which a
+float model of the roots gives before any eta is evaluated
+(`etafunc.w_pow_s_model`: each root's log2 |w^s| from the leading q-terms,
+and the bound its evaluation at MIN_PREC bits would certify).  The tree's
+bound folded over those (`_tree_err`) sets the precision at which it falls
+below the rounding limit, or MIN_PREC when it is already below there.  An H
+whose start passes max_prec is refused with no eta evaluated, and every
+attempt evaluates the roots once, from the start up.
 """
 
 from __future__ import annotations
@@ -166,15 +166,16 @@ def product_tree(roots: list[tuple[Value, float]], paired: list[bool], wp: int) 
     return _fold(roots, paired, _leaf, RPoly.mul, wp)
 
 
-def _tree_err(roots: list[tuple[float, float]], paired: list[bool], wp: int) -> float:
-    """The error bound `product_tree` would certify for roots of these
-    (log2 |r|, log2 error) pairs, without expanding: the same fold over
-    (norm, error) pairs.  A root that is not paired stands for its real
+def _tree_err(roots: list[tuple[float, float]], paired: list[bool],
+              wp: int) -> tuple[float, float]:
+    """The (norm, error) bounds `product_tree` would certify for roots of
+    these (log2 |r|, log2 error) pairs, without expanding: the same fold
+    over (norm, error) pairs.  A root that is not paired stands for its real
     part, so it gives log2 |Re r|."""
     def mul(f, g, w):
         return f[0] + g[0], _mul_err(*f, *g, w)
 
-    return _fold(roots, paired, _leaf_bound, mul, wp)[1]
+    return _fold(roots, paired, _leaf_bound, mul, wp)
 
 
 def _one_per_pair(partner: list[int]) -> tuple[list[int], list[bool]]:
@@ -243,15 +244,16 @@ def _partners(system: NSystem) -> list[int]:
 
 
 def initial_precision(tree_err: float, h: int) -> int:
-    """Starting precision from the height of H (or of Phi's samples).
-
-    tree_err is the bound the product tree would certify for roots
-    evaluated at MIN_PREC bits (`_tree_err`): for H, from the float model
-    of the roots' sizes and bounds (`etafunc.w_pow_s_model`), and for Phi,
-    from its first attempt.  Each extra bit of precision lowers every term
-    of that bound by one bit, so the start is where it falls below
-    RESIDUAL_LIMIT, plus two guard bits per tree level and eight more.
+    """The first precision of H or Phi, of degree h (in X), from tree_err,
+    the bound of an evaluation at MIN_PREC bits that the float model of its
+    roots (`etafunc.w_pow_s_model`) predicts: by `_tree_err` for H, by
+    `modpoly._model_err` for Phi.  MIN_PREC if tree_err passes the gate;
+    otherwise, as each extra bit lowers every term of the bound by one bit,
+    where it falls below RESIDUAL_LIMIT, plus two guard bits per tree level
+    and eight more.
     """
+    if tree_err < math.log2(RESIDUAL_LIMIT):
+        return MIN_PREC
     depth = (h - 1).bit_length()
     return MIN_PREC + math.ceil(tree_err - math.log2(RESIDUAL_LIMIT)) + 2 * depth + 8
 
@@ -276,10 +278,8 @@ def compute_class_polynomial(D, p1: int, p2: int, B: int, *,
     system = build_nsystem(disc, N, B % (2 * N))
     kept, paired = _one_per_pair(_partners(system))
     points, quotients = hecke_plan([system.forms[i] for i in kept], p1, p2)
-    err = _tree_err(w_pow_s_model(points, quotients, s, MIN_PREC), paired, MIN_PREC + TREE_BITS)
-    start = (MIN_PREC if err < math.log2(RESIDUAL_LIMIT)
-             else initial_precision(err, len(system.forms)))
-    ints = double_until(start, max_prec,
+    err = _tree_err(w_pow_s_model(points, quotients, s, MIN_PREC), paired, MIN_PREC + TREE_BITS)[1]
+    ints = double_until(initial_precision(err, len(system.forms)), max_prec,
                         lambda prec: _expand(w_pow_s_at_hecke_points(points, quotients, s, prec),
                                              paired, prec),
                         f"class polynomial for D = {disc.D}, B = {B}")

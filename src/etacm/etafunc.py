@@ -39,13 +39,13 @@ once (`_form_of`), run that loop up to their target (`_to_target`), and
 hand the exact value back as an `ApComplex`.
 
 Every eta value at an arbitrary point comes from one batch call,
-`_eta_values`, which names each reduced point by its reduced form, sums one
-series per name ([a, -b, c], the mirror image, reuses the conjugate series
-of [a, b, c]), and recovers every other value through the transformation
-formula.  The 24th roots of unity are built from three integer square roots,
-floor(sqrt(n) 2^P) for n = 2, 3, 6, all 24 at once per evaluation
-(`_units`), with no cos/sin.  Which values share a series, and which units
-get built, is decided here alone: callers only ask for values.
+`_eta_values`, over points named once by their reduced forms (`_name`); it
+sums one series per name ([a, -b, c], the mirror image, reuses the conjugate
+series of [a, b, c]), and recovers every other value through the
+transformation formula.  The 24th roots of unity come from three integer
+square roots, floor(sqrt(n) 2^P) for n = 2, 3, 6, all 24 at once per
+evaluation (`_units`), with no cos/sin.  Which values share a series, and
+which units get built, is decided here alone: callers ask only for values.
 
 Every value of w, at an N-system form of a class polynomial, at a coset g
 of a modular-polynomial sample point z_m (the form f_m.g^-1, which reduces
@@ -66,8 +66,8 @@ Before the first attempt, `w_pow_s_model` gives the same quotients in plain
 floats: log2 |w^s| from the leading q-terms of each eta and the |cz + d| of
 its transformation, and the bound that `w_pow_s_at_hecke_points` would
 certify, from the same helpers for the series terms and for the transform,
-quotient and power ulps.  A class polynomial sets its starting precision
-from it (`classpoly.initial_precision`) without evaluating eta.
+quotient and power ulps.  H and Phi set their starting precision from it
+(`classpoly.initial_precision`) without evaluating eta.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ IDENTITY: Matrix = (1, 0, 0, 1)
 
 Value = tuple[int, int, int]  # (re, im, e): (re + i im) 2^e, see `apcomplex`
 Quotient = tuple[int, int, int, int, int, int]  # see `w_pow_s_at_hecke_points`
+Point = tuple[Form, Form, bool, Matrix]  # a form named by its series, see `_name`
 
 
 def _series_terms(wp: int, im_bits: float) -> int:
@@ -510,27 +511,30 @@ def _eta_transform(series: Value, rel: float, f: Form, m: Matrix, wp: int,
     return div(mul(num, (2 * A, 0, 0)), sqrt(w, wp), wp), rel
 
 
-def _eta_values(forms: list[Form], wp: int, units: list[Value]) -> list[tuple[Value, float]]:
-    """eta at the root of each primitive form, and its relative error in
-    units 2^-wp, with the 24th roots of unity `_units(wp)`.
+def _name(f: Form) -> Point:
+    """(f, [A, |B|, C], B < 0, M^-1) for a primitive form f whose reduced form
+    G = [A, B, C] = f.M (`qforms._reduce`) names its point, M^-1 taking the
+    root of f to that of G: [A, -B, C] takes the conjugate of the series of
+    [A, B, C], as its root is -conj(alpha_G) and eta(-conj z) = conj(eta(z))."""
+    (A, B, C), (p, q, r, s) = _reduce(f)
+    return f, (A, abs(B), C), B < 0, (s, -q, -r, p)
 
-    The reduced form G = [A, B, C] = F.M of a form F names its point: M^-1
-    takes the root of G to that of F.  One series is summed per name, and
-    [A, -B, C] shares it, since its root is -conj(alpha_G) and
-    eta(-conj z) = conj(eta(z)); every other value comes through the
+
+def _eta_values(points: list[Point], wp: int, units: list[Value]) -> list[tuple[Value, float]]:
+    """eta at the root of each named form (`_name`), and its relative error
+    in units 2^-wp, with the 24th roots of unity `_units(wp)`: one series is
+    summed per series form, and every other value comes through the
     transformation formula (`_eta_transform`).
     """
     series: dict[Form, tuple[Value, float]] = {}
     out = []
-    for f in forms:
-        (A, B, C), (p, q, r, s) = _reduce(f)
-        key = (A, abs(B), C)
+    for f, key, conj, m in points:
         hit = series.get(key)
         if hit is None:
-            hit = series[key] = _eta_series(A, abs(B), B * B - 4 * A * C, wp)
+            A, B, C = key
+            hit = series[key] = _eta_series(A, B, B * B - 4 * A * C, wp)
         (re, im, e), rel = hit
-        out.append(_eta_transform((re, -im if B < 0 else im, e), rel, f, (s, -q, -r, p), wp,
-                                  units))
+        out.append(_eta_transform((re, -im if conj else im, e), rel, f, m, wp, units))
     return out
 
 
@@ -555,7 +559,7 @@ def eta(z: UpperHalfPoint, prec: int) -> ApComplex:
     most MAX_PRECISION bits (`_to_target`)."""
     def evaluate(f: Form, p: int) -> tuple[Value, float]:
         wp = p + eta_guard_bits(p)
-        [(value, rel)] = _eta_values([f], wp, _units(wp))
+        [(value, rel)] = _eta_values([_name(f)], wp, _units(wp))
         return value, _abs_err(lg(value), rel, wp)
 
     return _to_target(z, prec, evaluate, "eta")
@@ -567,17 +571,16 @@ def j_invariant(z: UpperHalfPoint, prec: int) -> ApComplex:
     `_j_bits` more, so a point where prec + `_j_bits` passes MAX_PRECISION
     (Im above about 7200) is refused at once with PrecisionExhausted."""
     check_prec(prec)
-    need = prec + _j_bits(_form_of(z))
+    need = prec + _j_bits(_name(_form_of(z))[1])
     if need > MAX_PRECISION:
         raise PrecisionExhausted(f"J needs {need} bits, more than max_prec = {MAX_PRECISION}")
     return _to_target(z, prec, j_invariant_with_err, "J")
 
 
-def _j_bits(f: Form) -> int:
+def _j_bits(g: Form) -> int:
     """ceil(log2 e^(2 pi Im)) = ceil(2 pi Im / ln 2), the bits of |J| at the
-    reduced point of f, whose Im is sqrt|D| / (2A) for its reduced form
-    [A, B, C]."""
-    a, b, c = _reduce(f)[0]
+    root of the reduced form g = [A, B, C], whose Im is sqrt|D| / (2A)."""
+    a, b, c = g
     im = math.exp(math.log(4 * a * c - b * b) / 2 - math.log(2 * a))
     return math.ceil(2.0 * math.pi * im / math.log(2.0))
 
@@ -596,8 +599,9 @@ def j_invariant_with_err(f: Form, prec: int) -> tuple[Value, float]:
     the second-order terms.  |J| ~ e^{2 pi Im} at the reduced point, so it
     is evaluated once, at prec + guard + `_j_bits` + 32.
     """
-    wp = prec + eta_guard_bits(prec) + _j_bits(f) + 32
-    (v2, r2), (v1, r1) = _eta_values([hecke_point(f, (1, 0, 0, 2)), f], wp, _units(wp))
+    points = [_name(hecke_point(f, (1, 0, 0, 2))), _name(f)]
+    wp = prec + eta_guard_bits(prec) + _j_bits(points[1][1]) + 32
+    (v2, r2), (v1, r1) = _eta_values(points, wp, _units(wp))
     x = power(div(v2, v1, wp), 24, wp)
     rel = r2 + r1 + ROUND_ULPS
     x16 = add(x, (16, 0, 0))
@@ -700,11 +704,11 @@ def w_at_hecke_points(m: Matrix, p1: int, p2: int) -> tuple[tuple[Matrix, ...], 
     return tuple(us), k % 24, sign
 
 
-def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Form], list[Quotient]]:
-    """The forms of the Hecke points of the forms' roots, each listed once,
-    and for each form f the quotient (i1, i2, i0, iN, K, sign) of
-    `w_pow_s_at_hecke_points` with w(alpha_f) = sign zeta_24^K eta_i1 eta_i2 /
-    (eta_i0 eta_iN).
+def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Point], list[Quotient]]:
+    """The forms of the Hecke points of the forms' roots, each listed and
+    named (`_name`) once, and for each form f the quotient
+    (i1, i2, i0, iN, K, sign) of `w_pow_s_at_hecke_points` with
+    w(alpha_f) = sign zeta_24^K eta_i1 eta_i2 / (eta_i0 eta_iN).
 
     With (g, R) = `_reduce(f)`, alpha_f = R alpha_g, so w(alpha_f) comes from
     eta at the Hecke points U_d alpha_g (`w_at_hecke_points`), worked out once
@@ -722,10 +726,10 @@ def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Form], list[Qu
         us, k, sign = splits[m]
         quotients.append((*(index.setdefault(hecke_point(g, u), len(index)) for u in us),
                           k, sign))
-    return list(index), quotients
+    return [_name(p) for p in index], quotients
 
 
-def w_pow_s_at_hecke_points(points: list[Form],
+def w_pow_s_at_hecke_points(points: list[Point],
                             quotients: list[Quotient],
                             s: int, prec: int) -> list[tuple[Value, float]]:
     """(w^s, log2 absolute error bound) of each quotient
@@ -771,12 +775,12 @@ def _quotient_ulps(r1: float, r2: float, r0: float, rN: float, k: int, sign: int
     return s * rel + (s - 1) * ROUND_ULPS
 
 
-def w_pow_s_model(points: list[Form], quotients: list[Quotient],
+def w_pow_s_model(points: list[Point], quotients: list[Quotient],
                   s: int, prec: int) -> list[tuple[float, float]]:
     """(log2 |w^s|, log2 error bound) of each quotient, the bound being the
     one `w_pow_s_at_hecke_points` certifies at prec, in floats and with no
     eta value evaluated: the sizes of the roots, from which the precision of
-    a class polynomial is set in advance (Enge, Math. Comp. 78, 2009).
+    H or Phi is set in advance (Enge, Math. Comp. 78, 2009).
 
     At the root of a reduced form [A, B, C] of discriminant D,
         log |eta| = -t + log |1 - q - q^2 + q^5 + q^7 - ...|
@@ -798,11 +802,10 @@ def w_pow_s_model(points: list[Form], quotients: list[Quotient],
     wp = _quotient_wp(prec, s)
     series: dict[Form, tuple[float, float]] = {}
     etas = []
-    for f in points:
-        (A, B, C), (p, q, r, s1) = _reduce(f)
-        key = (A, abs(B), C)
+    for f, key, _, m in points:
         hit = series.get(key)
         if hit is None:
+            A, B, C = key
             t, _, rel = _series_size(A, B * B - 4 * A * C, wp)
             angle = math.pi * B / A
             x = math.exp(-24 * t) * complex(math.cos(angle), math.sin(angle))
@@ -811,9 +814,9 @@ def w_pow_s_model(points: list[Form], quotients: list[Quotient],
             log_sum = math.log(abs(1 - x - x2 + x5 + x5 * x2))
             hit = series[key] = ((log_sum - t) / math.log(2.0), rel)
         log2_eta, rel = hit
-        if A != f[0]:
-            log2_eta -= math.log2(A / f[0]) / 4
-        etas.append((log2_eta, _transform_ulps(rel, (s1, -q, -r, p))))
+        if key[0] != f[0]:
+            log2_eta -= math.log2(key[0] / f[0]) / 4
+        etas.append((log2_eta, _transform_ulps(rel, m)))
     out = []
     for i1, i2, i0, iN, k, sign in quotients:
         (l1, r1), (l2, r2), (l0, r0), (lN, rN) = etas[i1], etas[i2], etas[i0], etas[iN]

@@ -5,8 +5,9 @@ s(p1-1)(p2-1)/12 in J.  It is computed numerically: at each of degJ + 1
 sample points z_m the monic product over the psi(N) conjugates w^s(gamma z_m)
 is expanded, then every X-coefficient is interpolated in J on the Lagrange
 basis at the nodes J(z_m), with a certified bound, and accepted through H's
-gate (`classpoly.round_certified`).  A rejected first attempt at MIN_PREC
-bits gives the start of the doubling (`classpoly.initial_precision`).  The
+gate (`classpoly.round_certified`).  It starts as H does, from the bound
+that the float model of the conjugates predicts with the basis at MIN_PREC
+bits (`_model_err`, `classpoly.initial_precision`).  The
 samples lie on the imaginary axis above i, where J is real and strictly
 increasing, so the nodes are distinct and far apart.  Each sample point is
 the root of an integer form f_m: its node J(z_m) is evaluated at f_m itself
@@ -44,7 +45,9 @@ from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
 from .classpoly import (
     TREE_BITS,
     RPoly,
+    _mul_err,
     _one_per_pair,
+    _tree_err,
     initial_precision,
     product_tree,
     round_certified,
@@ -57,22 +60,24 @@ from .errors import (
     WrongDegree,
 )
 from .etafunc import (
+    Point,
     Quotient,
     Value,
     hecke_plan,
     j_invariant_with_err,
     s_exponent,
     w_pow_s_at_hecke_points,
+    w_pow_s_model,
 )
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Form, Matrix, QuadraticForm, _compose, _primitive, _xgcd
+from .qforms import Matrix, QuadraticForm, _compose, _primitive, _xgcd
 
 MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
 
 # sample forms, Hecke points, quotients, paired flags (`_conjugate_plan`)
-Plan = tuple[list[QuadraticForm], list[Form], list[Quotient], list[bool]]
+Plan = tuple[list[QuadraticForm], list[Point], list[Quotient], list[bool]]
 
 
 class ModularPolynomial(namedtuple("_ModularPolynomial", "p1 p2 s degX degJ coeffs")):
@@ -143,26 +148,26 @@ def _sample_form(m: int) -> QuadraticForm:
     return QuadraticForm(*_primitive(4900, 0, (77 + 10 * m) ** 2))
 
 
-def _lagrange(nodes: list[Value], node_err: float, samples: list[RPoly],
-              wp: int) -> list[RPoly]:
-    """For every k, the polynomial P_k of degree < len(nodes) through the
-    points (nodes[m], coefficient k of samples[m]), with a certified error
-    bound, for real nodes.
+def _basis(nodes: list[tuple[Value, float]], wp: int) -> list[RPoly]:
+    """The Lagrange basis N_m / d_m at the nodes x_m, with certified bounds,
+    for nodes given with their bounds (`etafunc.j_invariant_with_err`): each
+    is real and keeps the real part of its value, within 2^node_err, the
+    largest bound.
 
-    P_k = sum_m y_{m,k} N_m / d_m, with N_m(J) = prod_{j != m} (J - x_j) and
-    d_m = prod_{j != m} (x_m - x_j).  Nodes are within 2^node_err, y_{m,k}
-    within 2^samples[m].err.  N_m is a `product_tree` with node_err at the
-    leaves, d_m the same `RPoly.mul` fold over the exact differences
-    x_m - x_j, each within 2^(node_err + 1).  If |d - d'| <= e <= |d'|/2,
-    then |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2, plus the division's
-    rounding, 3 ulps of 1/d' at wp bits.  `RPoly.mul` bounds (1/d_m) N_m and
-    its product with y_{m,k}; the sum over m is exact.  Raises
+    N_m(J) = prod_{j != m} (J - x_j) and d_m = prod_{j != m} (x_m - x_j).
+    N_m is a `product_tree` with node_err at the leaves, d_m the same
+    `RPoly.mul` fold over the exact differences x_m - x_j, each within
+    2^(node_err + 1).  If |d - d'| <= e <= |d'|/2, then
+    |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2, plus the division's rounding,
+    3 ulps of 1/d' at wp bits.  `RPoly.mul` bounds (1/d_m) N_m.  Raises
     InterpolationSingular when two nodes are within 2^-(wp/2), or some d_m
     is not certified nonzero.
     """
+    node_err = max(err for _, err in nodes)
+    xs = [(re, 0, e) for (re, _, e), _ in nodes]
     basis = []
-    for m, x in enumerate(nodes):
-        others = nodes[:m] + nodes[m + 1:]
+    for m, x in enumerate(xs):
+        others = xs[:m] + xs[m + 1:]
         diffs = [add(x, (-a, 0, e)) for a, _, e in others]
         d = reduce(lambda f, g: f.mul(g, wp),
                    [RPoly.constant(c, e, node_err + 1) for c, _, e in diffs])
@@ -174,6 +179,14 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[RPoly],
         inv_err = log2add(d.err + 1 - 2 * low, lg((inv, 0, e)) + math.log2(ROUND_ULPS) - wp)
         numer = product_tree([(xj, node_err) for xj in others], [False] * len(others), wp)
         basis.append(RPoly.constant(inv, e, inv_err).mul(numer, wp))
+    return basis
+
+
+def _lagrange(basis: list[RPoly], samples: list[RPoly], wp: int) -> list[RPoly]:
+    """For every k, P_k = sum_m y_{m,k} N_m / d_m through the points
+    (x_m, coefficient y_{m,k} of samples[m]) on the basis at the x_m
+    (`_basis`), with a certified bound: `RPoly.mul` bounds each term, and the
+    sum over m is exact."""
     out = []
     for k in range(len(samples[0].coeffs)):
         terms = [RPoly.constant(y.coeffs[k], y.exp, y.err).mul(lm, wp)
@@ -183,6 +196,19 @@ def _lagrange(nodes: list[Value], node_err: float, samples: list[RPoly],
         out.append(RPoly(cs, exp, log2add(*(t.err for t in terms)),
                          log2add(*(t.norm for t in terms))))
     return out
+
+
+def _model_err(s: int, plan: Plan, basis: list[RPoly]) -> float:
+    """The largest bound that `_coefficients` would certify at MIN_PREC on
+    this basis, with no w^s evaluated: each sample's (norm, error) from
+    `_tree_err` over the float model of its conjugates (`w_pow_s_model`), the
+    norm bounding each coefficient y_{m,k}, folded as `_lagrange` folds them."""
+    wp = MIN_PREC + TREE_BITS
+    _, points, quotients, paired = plan
+    roots = w_pow_s_model(points, quotients, s, MIN_PREC)
+    n = len(paired)
+    samples = [_tree_err(roots[i:i + n], paired, wp) for i in range(0, len(roots), n)]
+    return log2add(*(_mul_err(*y, lm.norm, lm.err, wp) for y, lm in zip(samples, basis)))
 
 
 def _conjugate_plan(p1: int, p2: int, degj: int) -> Plan:
@@ -198,23 +224,20 @@ def _conjugate_plan(p1: int, p2: int, degj: int) -> Plan:
     return sample_forms, *hecke_plan(forms, p1, p2), paired
 
 
-def _coefficients(p1: int, p2: int, degj: int, plan: Plan, prec: int) -> list[RPoly]:
+def _coefficients(s: int, plan: Plan, basis: list[RPoly], prec: int) -> list[RPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
-    bound, from degJ + 1 sample points at precision prec.
+    bound, from degJ + 1 sample points at precision prec, on the Lagrange
+    basis at their nodes evaluated at prec (`_basis`).
 
     w^s is evaluated at one coset of each mirror pair of every sample point
     in one call (`_conjugate_plan`), and the other's value is its conjugate.
-    Each node J(z_m) is real, and keeps only the real part of its
-    approximation, within the same bound.
     """
     wp = prec + TREE_BITS
-    sample_forms, points, quotients, paired = plan
-    values = w_pow_s_at_hecke_points(points, quotients, s_exponent(p1, p2), prec)
-    nodes = [j_invariant_with_err(f, prec) for f in sample_forms]
+    _, points, quotients, paired = plan
+    values = w_pow_s_at_hecke_points(points, quotients, s, prec)
     n = len(paired)
-    samples = [product_tree(values[i:i + n], paired, wp) for i in range(0, len(values), n)]
-    return _lagrange([(re, 0, e) for (re, _, e), _ in nodes], max(err for _, err in nodes),
-                     samples, wp)
+    return _lagrange(basis, [product_tree(values[i:i + n], paired, wp)
+                             for i in range(0, len(values), n)], wp)
 
 
 def _rows(polys: list[RPoly]) -> list[list[int]] | None:
@@ -230,13 +253,16 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     if degj > MAX_DEGJ:
         raise PreconditionError(f"J-degree {degj} above {MAX_DEGJ}")
     plan = _conjugate_plan(p1, p2, degj)
-    first = _coefficients(p1, p2, degj, plan, MIN_PREC)
-    rows = _rows(first) if max_prec >= MIN_PREC else None
-    if rows is None:
-        rows = double_until(
-            initial_precision(max(f.err for f in first), degx), max_prec,
-            lambda prec: _rows(_coefficients(p1, p2, degj, plan, prec)),
-            f"Phi_{{{p1},{p2}}}")
+
+    def basis(prec: int) -> list[RPoly]:
+        return _basis([j_invariant_with_err(f, prec) for f in plan[0]], prec + TREE_BITS)
+
+    low = basis(MIN_PREC)  # the model's, and a first attempt's at MIN_PREC
+    rows = double_until(
+        initial_precision(_model_err(s, plan, low), degx), max_prec,
+        lambda prec: _rows(_coefficients(s, plan, low if prec == MIN_PREC else basis(prec),
+                                         prec)),
+        f"Phi_{{{p1},{p2}}}")
     return ModularPolynomial(p1, p2, s, degx, degj, tuple(tuple(r) for r in rows))
 
 

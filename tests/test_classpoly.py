@@ -417,6 +417,28 @@ class TestPrecisionPolicy:
         assert nodes == [64] * 3
         assert len(powers) == sum(n for _, n in values)
 
+    def test_points_reduced_once_per_polynomial(self, monkeypatch):
+        # D = -9899, (3, 5): each Hecke point is reduced once, by the plan
+        # (`etafunc.hecke_plan`), whose naming the model and every attempt
+        # read; H makes as many reductions with one attempt at its start as
+        # with two from a start forced to 64 bits
+        import etacm.classpoly as cp
+        import etacm.etafunc as ef
+
+        B = b_candidates(-9899, 3, 5)[0]
+        reduced, attempts = [], []
+        real_reduce, real_expand = ef._reduce, cp._expand
+        monkeypatch.setattr(ef, "_reduce", lambda f: reduced.append(f) or real_reduce(f))
+        monkeypatch.setattr(cp, "_expand", lambda *a: attempts.append(a[2]) or real_expand(*a))
+        want = compute_class_polynomial(-9899, 3, 5, B)
+        once = len(reduced)
+        assert len(attempts) == 1 and attempts[0] > 64
+        reduced.clear()
+        attempts.clear()
+        monkeypatch.setattr(cp, "initial_precision", lambda *a: 64)
+        assert compute_class_polynomial(-9899, 3, 5, B) == want
+        assert attempts == [64, 128] and len(reduced) == once
+
     @pytest.mark.parametrize("job, extra, later", [("H", 40, False), ("H", 100, True),
                                                    ("Phi", 40, False), ("Phi", 100, True)])
     def test_inflated_first_bounds_keep_the_result_exact(self, monkeypatch, job, extra, later):
@@ -467,7 +489,7 @@ class TestRootModel:
 
         import etacm.classpoly as cp
 
-        err = cp._tree_err(sizes, paired, 64 + cp.TREE_BITS)
+        _, err = cp._tree_err(sizes, paired, 64 + cp.TREE_BITS)
         return 64 if err < math.log2(cp.RESIDUAL_LIMIT) else cp.initial_precision(err, h)
 
     @staticmethod

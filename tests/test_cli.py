@@ -302,10 +302,11 @@ class TestUsageAndPlumbing:
         (32, ["modpoly", "--verify-embedded"]),
         (32, ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13", "--prime", "3593"]),
         (32, ["reproduce-example"]),
+        (100, ["modpoly", "--p1", "5", "--p2", "13"]),
     ])
     def test_precision_max_below_start_exits_3(self, capsys, cap, argv):
-        # the starts are 64 bits for H of D = -56 and 135 for Phi_{5,13}, whose
-        # 64-bit attempt is rejected
+        # the starts are 64 bits for H of D = -56 and 136 for Phi_{5,13},
+        # which makes no 64-bit attempt
         code, out, err = run_cli(["--precision-max", str(cap)] + argv, capsys)
         assert code == 3
         assert f"max_prec = {cap} " in err

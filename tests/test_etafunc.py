@@ -12,6 +12,7 @@ from etacm.etafunc import (
     _eta_series,
     _form_of,
     _eta_values,
+    _name,
     _q24,
     _units,
     double_eta_quotient,
@@ -489,7 +490,7 @@ class TestEtaTable:
 
         calls, real = [], ef._eta_series
         monkeypatch.setattr(ef, "_eta_series", lambda *a: calls.append(a) or real(*a))
-        return _eta_values(points, wp, _units(wp)), len(calls)
+        return _eta_values([_name(p) for p in points], wp, _units(wp)), len(calls)
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-1639, 5, 13), (-3996, 5, 7)])
     def test_forms_agree_with_direct_evaluation(self, monkeypatch, D, p1, p2):
@@ -532,8 +533,9 @@ class TestEtaTable:
         # every w_pow_s_at_hecke_points call builds the 24 units once, at its
         # own working precision, and every J once more: H with D = -9899
         # forced to start at 64 bits (the gate rejects that attempt, so there
-        # is another), and Phi_{3,5} (one w^s call for all its sample points,
-        # then J at each)
+        # is another), and Phi_{3,5} (J at each sample point for the basis
+        # that its start is modelled with, then one w^s call for all its
+        # sample points)
         import etacm.classpoly as cp
         import etacm.etafunc as ef
         import etacm.modpoly as mp
@@ -556,4 +558,4 @@ class TestEtaTable:
         wps.clear()
         mp.compute_modular_polynomial(3, 5)
         assert len(wps) == 1 and len(js) == 3
-        assert len(units) == len(wps) + len(js) and units[0] == wps[0]
+        assert len(units) == len(wps) + len(js) and units[len(js)] == wps[0]

@@ -247,51 +247,52 @@ class TestComputeModularPolynomial:
                                                (5, 7, None), (5, 13, 136)])
     def test_precision_attempts(self, monkeypatch, p1, p2, start):
         # the gate accepts the 64-bit attempt of the four small pairs; Phi_{5,13}
-        # needs exactly one more attempt, which starts no higher than it has
-        # been: the certified bounds are no looser
+        # makes one attempt, which starts no higher than it has been: the
+        # certified bounds are no looser
         import etacm.modpoly as mp
 
         calls = []
         real = mp._coefficients
-        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[4]) or real(*a))
+        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[-1]) or real(*a))
         compute_modular_polynomial(p1, p2)
         if start is None:
             assert calls == [64]
         else:
-            assert calls[0] == 64 and len(calls) == 2 and calls[1] <= start
+            assert len(calls) == 1 and 64 < calls[0] <= start
 
     def test_small_pair_and_recompute_stability(self, monkeypatch):
-        # a raised start (the 64-bit attempt rejected, the doubling started
-        # at 1200 bits) gives the same Phi
+        # a raised start (the start forced to 600 bits and that attempt
+        # rejected, so that the doubling goes on at 1200 bits) gives the same
+        # Phi
         import etacm.modpoly as mp
 
         a = compute_modular_polynomial(3, 5)
         calls = []
         real_coefficients, real_gate = mp._coefficients, mp.round_certified
         monkeypatch.setattr(mp, "_coefficients",
-                            lambda *a: calls.append(a[4]) or real_coefficients(*a))
+                            lambda *a: calls.append(a[-1]) or real_coefficients(*a))
         monkeypatch.setattr(mp, "round_certified",
                             lambda f: None if len(calls) == 1 else real_gate(f))
-        monkeypatch.setattr(mp, "initial_precision", lambda *a: 1200)
+        monkeypatch.setattr(mp, "initial_precision", lambda *a: 600)
         b = compute_modular_polynomial(3, 5)
-        assert calls == [64, 1200]
+        assert calls == [600, 1200]
         assert a == b
         assert a.degX == 24 and a.degJ == 2 and a.s == 3
         assert a.coeffs[24] == (1, 0, 0)
 
     def test_doubling_recovers_from_starved_start(self, monkeypatch, phi_pool):
-        # Phi_{5,13} needs more than 64 bits: with the start also starved to
-        # 64 bits, the gate rejects both 64-bit attempts and the doubling
-        # still converges to the same integers
+        # Phi_{5,13} needs more than 64 bits: with the start starved to 64
+        # bits, the gate rejects the 64-bit attempt and the doubling still
+        # converges to the same integers
         import etacm.modpoly as mp
 
         want = phi_pool(5, 13)
         calls = []
         real = mp._coefficients
-        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[4]) or real(*a))
+        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[-1]) or real(*a))
         monkeypatch.setattr(mp, "initial_precision", lambda *a: 64)
         assert compute_modular_polynomial(5, 13) == want
-        assert calls[:2] == [64, 64] and len(calls) > 2  # the gate rejected 64 bits
+        assert calls[0] == 64 and len(calls) > 1  # the gate rejected 64 bits
 
     def test_result_passes_the_gate(self, monkeypatch):
         # every row of the result is one that round_certified accepted, from
@@ -319,20 +320,21 @@ class TestComputeModularPolynomial:
 
     @pytest.mark.parametrize("p1,p2", [(3, 5), (3, 13)])
     def test_certified_bound_covers_the_actual_error(self, monkeypatch, phi_pool, p1, p2):
-        # at the 64-bit attempt and at a forced 160-bit one, each coefficient
-        # of each X-row lies within its row's certified bound of the exact Phi
+        # at a forced 64-bit attempt, rejected, and at the 128-bit one that
+        # the doubling takes next, each coefficient of each X-row lies within
+        # its row's certified bound of the exact Phi
         import etacm.modpoly as mp
 
         want = phi_pool(p1, p2)
         attempts = []
         real, real_gate = mp._coefficients, mp.round_certified
         monkeypatch.setattr(mp, "_coefficients",
-                            lambda *a: attempts.append((a[4], real(*a))) or attempts[-1][1])
+                            lambda *a: attempts.append((a[-1], real(*a))) or attempts[-1][1])
         monkeypatch.setattr(mp, "round_certified",
                             lambda f: None if len(attempts) == 1 else real_gate(f))
-        monkeypatch.setattr(mp, "initial_precision", lambda *a: 160)
+        monkeypatch.setattr(mp, "initial_precision", lambda *a: 64)
         exact = compute_modular_polynomial(p1, p2)
-        assert exact == want and [prec for prec, _ in attempts] == [64, 160]
+        assert exact == want and [prec for prec, _ in attempts] == [64, 128]
         for _, rows in attempts:
             for f, ints in zip(rows, exact.coeffs):
                 for c, n in zip(coefficients(f), ints):
@@ -343,37 +345,37 @@ class TestComputeModularPolynomial:
     @pytest.mark.parametrize("prec", [64, 149])
     def test_nodes_lie_within_their_certified_bounds(self, monkeypatch, prec):
         # each node J(z_m) of Phi_{5,13} lies within its own certified bound
-        # of 1728 kleinj(z_m) at prec + 300 bits, and the interpolation is
-        # handed the largest of those bounds
+        # of 1728 kleinj(z_m) at prec + 300 bits, and every leaf of the
+        # Lagrange basis' numerators carries the largest of those bounds
         import etacm.modpoly as mp
 
-        errs = []
+        nodes = []
         for m in range(5):
             f = mp._sample_form(m)
             value, err = j_invariant_with_err(f, prec)
             with mpmath.workprec(prec + 300):
                 z = mpmath.mpc(0, mpmath.sqrt(-f.discriminant)) / (2 * f.a)
                 assert abs(to_mpc(value) - 1728 * mpmath.kleinj(z)) <= mpmath.mpf(2) ** err
-            errs.append(err)
+            nodes.append((value, err))
         seen = []
-        real = mp._lagrange
-        monkeypatch.setattr(mp, "_lagrange",
-                            lambda nodes, err, *a: seen.append(err) or real(nodes, err, *a))
-        mp._coefficients(5, 13, 4, mp._conjugate_plan(5, 13, 4), prec)
-        assert seen == [max(errs)]
+        real = mp.product_tree
+        monkeypatch.setattr(mp, "product_tree",
+                            lambda roots, *a: seen.extend(e for _, e in roots) or real(roots, *a))
+        mp._basis(nodes, prec + mp.TREE_BITS)
+        assert len(seen) == 5 * 4 and set(seen) == {max(err for _, err in nodes)}
 
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
         # the accepted bound is the one the trees certify: inflating the leaf
         # bounds of the sample points (the trees with paired leaves), or else
-        # those of the Lagrange basis (the trees without), by 2^1000 must push
-        # Phi past max_prec
+        # those of the Lagrange basis (the trees without), by 2^2000, beyond
+        # what max_prec = 1024 bits can absorb, must push Phi past max_prec
         import etacm.modpoly as mp
 
         real_tree = mp.product_tree
         for samples in (True, False):
             def inflated(roots, paired, wp, samples=samples):
                 if any(paired) == samples:
-                    roots = [(r, e + 1000) for r, e in roots]
+                    roots = [(r, e + 2000) for r, e in roots]
                 return real_tree(roots, paired, wp)
 
             with monkeypatch.context() as patch:
@@ -465,7 +467,7 @@ class TestComputeModularPolynomial:
         monkeypatch.setattr(mp, "_coefficients", counting("attempt", mp._coefficients))
         compute_modular_polynomial(p1, p2)
         assert counts["split"] == splits == ((p1 + 1) * (p2 + 1) + 4) // 2
-        assert counts["batch"] == counts["attempt"] == (2 if (p1, p2) == (5, 13) else 1)
+        assert counts["batch"] == counts["attempt"] == 1
 
     def test_duplicate_samples_raise(self, monkeypatch):
         # coincident nodes cannot be interpolated
@@ -491,6 +493,47 @@ class TestComputeModularPolynomial:
             compute_modular_polynomial(2, 13)
         with pytest.raises(PreconditionError):
             compute_modular_polynomial(3, 11)  # degJ = 10
+
+
+class TestStartModel:
+    """Phi's start comes from a float model of its samples and the Lagrange
+    basis at 64 bits (`modpoly._model_err`), as H's comes from its roots,
+    with no w^s evaluated before the first attempt."""
+
+    @pytest.mark.parametrize("p1, p2, cap", [(3, 5, 4), (3, 7, 4), (3, 13, 4), (5, 7, 4),
+                                             (5, 13, 4), (3, 19, 12), (3, 17, 12),
+                                             (5, 11, 12), (3, 37, 12)])
+    def test_start_within_a_bit_of_the_evaluated_bound(self, monkeypatch, p1, p2, cap):
+        # the reference is the worst certified bound of one evaluation at 64
+        # bits, the start's former source.  The modelled start lies at most
+        # one bit above the start derived from it (the four small pairs: 64
+        # bits), and it is the one attempt that Phi makes; the J-degree cap is
+        # raised for the four pairs of J-degree 6 to 12
+        import etacm.modpoly as mp
+
+        monkeypatch.setattr(mp, "MAX_DEGJ", cap)
+        s, degx, degj = mp._degrees(p1, p2)
+        plan = mp._conjugate_plan(p1, p2, degj)
+        basis = mp._basis([j_invariant_with_err(f, 64) for f in plan[0]], 64 + mp.TREE_BITS)
+        worst = max(f.err for f in mp._coefficients(s, plan, basis, 64))
+        derived = mp.initial_precision(worst, degx)
+        calls = []
+        real = mp._coefficients
+        monkeypatch.setattr(mp, "_coefficients", lambda *a: calls.append(a[-1]) or real(*a))
+        compute_modular_polynomial(p1, p2)
+        assert len(calls) == 1 and derived <= calls[0] <= derived + 1, (derived, calls)
+        assert (derived == 64) == ((p1, p2) in [(3, 5), (3, 7), (3, 13), (5, 7)])
+
+    def test_hopeless_phi_is_refused_before_any_evaluation(self, monkeypatch):
+        # under a max_prec below its modelled start, Phi_{5,13} raises at
+        # once, naming that start, with no w^s evaluated
+        import etacm.modpoly as mp
+
+        calls = []
+        monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", lambda *a: calls.append(a))
+        with pytest.raises(PrecisionExhausted, match=r"max_prec = 100 bits \(start 136\)"):
+            compute_modular_polynomial(5, 13, max_prec=100)
+        assert calls == []
 
 
 class TestEvaluateInJ:

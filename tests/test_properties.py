@@ -30,7 +30,7 @@ from etacm.ffield import (  # noqa: E402
     _pow_mod,
     roots_mod_l,
 )
-from etacm.modpoly import ModularPolynomial, _lagrange, deserialize, serialize  # noqa: E402
+from etacm.modpoly import ModularPolynomial, _basis, _lagrange, deserialize, serialize  # noqa: E402
 from etacm.pipeline import (  # noqa: E402
     ORDER_CHECKS,
     EllipticCurve,
@@ -289,7 +289,7 @@ def test_product_tree_within_its_bound(case):
     # what initial_precision relies on: _tree_err folds log2 |r| (log2 |Re r|
     # for a root that is not paired), as the float model gives it
     sizes = [(lg(r if pair else (r[0], 0, r[2])), err) for (r, err), pair in zip(roots, paired)]
-    assert _tree_err(sizes, paired, wp) == f.err
+    assert _tree_err(sizes, paired, wp) == (f.norm, f.err)
     e0 = min(e for (_, _, e), _ in roots)
     exact = [1]
     for ((re, im, e), _), pair in zip(roots, paired):
@@ -410,7 +410,7 @@ class TestLagrange:
             c, _, e = v.triple
             samples.append(RPoly.constant(c, e, mag(v) - wp + 1))
         xs = [(x.numerator * (8 // x.denominator), 0, -3) for x in nodes]
-        (f,) = _lagrange(xs, -float(wp), samples, wp)
+        (f,) = _lagrange(_basis([(x, -float(wp)) for x in xs], wp), samples, wp)
         want = coeffs + [0] * (len(nodes) - len(coeffs))
         with mpmath.workprec(4 * wp):
             for c, n in zip(coefficients(f), want):

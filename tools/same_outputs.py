@@ -13,9 +13,11 @@ jobs of the seed range (the same calls that perfbench/run.py times; a
 `classpoly` record also carries the forms of the N-system that H is the
 product over, as ordered triples, which H itself does not pin, and the
 precision of each of its attempts, every call of `classpoly._expand` in
-order, so that two trees also agree on the start and the doubling; a CM
-record also carries the certificate's trace, its ambiguity and the number
-of points it drew, which pins the random stream), the roots of H mod q of
+order, so that two trees also agree on the start and the doubling; a
+`modpoly` record carries the precision of each of Phi's attempts in the same
+way, every call of `modpoly._coefficients`; a CM record also carries the
+certificate's trace, its ambiguity and the number of points it drew, which
+pins the random stream), the roots of H mod q of
 each `cm-shortcut` job with their multiplicities and in increasing order, the
 witness of `multiple_root_condition` for each (D, B) that a CM job runs at
 N = 39 (every admissible B when the job lets `construct_cm_curve` choose),
@@ -41,6 +43,7 @@ import inputs  # noqa: E402
 
 import etacm  # noqa: E402
 import etacm.classpoly  # noqa: E402
+import etacm.modpoly  # noqa: E402
 from etacm.cli import dispatch  # noqa: E402
 
 WORKED_CM_CURVE = ["cm-curve", "--disc", "-56", "--p1", "3", "--p2", "13",
@@ -71,6 +74,22 @@ def _class_polynomial(job) -> tuple:
         return etacm.compute_class_polynomial(job.D, job.p1, job.p2, job.B), precs
     finally:
         etacm.classpoly._expand = real
+
+
+def _modular_polynomial(pair) -> tuple:
+    """Phi of a `modpoly` job, and the precision of each of its attempts (the
+    last argument of `modpoly._coefficients`)."""
+    real, precs = etacm.modpoly._coefficients, []
+
+    def recording(*args):
+        precs.append(args[-1])
+        return real(*args)
+
+    etacm.modpoly._coefficients = recording
+    try:
+        return etacm.compute_modular_polynomial(*pair), precs
+    finally:
+        etacm.modpoly._coefficients = real
 
 
 def _witness(solution) -> list[int] | None:
@@ -136,9 +155,9 @@ def main(argv=None) -> int:
                        "forms": [[f.a, f.b, f.c] for f in system.forms]})
         for pair in inputs.modpoly_jobs(seed):
             if once(("modpoly", pair)):
-                phi = etacm.compute_modular_polynomial(*pair)
+                phi, attempts = _modular_polynomial(pair)
                 _emit({"job": "modpoly", "pair": list(pair),
-                       "out": [list(row) for row in phi.coeffs]})
+                       "out": [list(row) for row in phi.coeffs], "attempts": attempts})
                 if pair == (3, 13):
                     _emit({"job": "phi-3-13-equals-embedded",
                            "out": phi == etacm.load_embedded(3, 13)})
