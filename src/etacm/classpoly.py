@@ -23,7 +23,7 @@ H is expanded through a balanced tree (`product_tree`) of real polynomials
 (`RPoly`, one `intpoly.mul` per product) from the quadratics
 (X - r)(X - conj r), built in closed form, and the real linear factors, with
 one worst-case error bound carried per polynomial; the same tree expands
-Phi's samples and its Lagrange basis (`modpoly`).  The rounding to integers
+Phi's samples (`modpoly`).  The rounding to integers
 is accepted only when both the rounding residual and the certified error are
 small (`round_certified`); otherwise the precision is doubled up to max_prec
 by apcomplex's policy (`double_until`, MIN_PREC, MAX_PRECISION).  modpoly

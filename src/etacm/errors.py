@@ -52,9 +52,5 @@ class CoefficientParseFailure(EtaCMError, ValueError):
     pass
 
 
-class InterpolationSingular(EtaCMError):
-    pass
-
-
 class PrecisionExhausted(EtaCMError):
     """A certified error bound could not be met within the precision budget."""

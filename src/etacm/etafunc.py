@@ -712,8 +712,11 @@ def hecke_plan(forms: list[Form], p1: int, p2: int) -> tuple[list[Point], list[Q
 
     With (g, R) = `_reduce(f)`, alpha_f = R alpha_g, so w(alpha_f) comes from
     eta at the Hecke points U_d alpha_g (`w_at_hecke_points`), worked out once
-    per distinct R within the call: the cosets of a modular polynomial repeat
-    their R at every sample point.  U_1 is the identity and g is reduced, so
+    per distinct R within the call.  The form f_m.g^-1 of a coset g of a
+    modular polynomial at a sample z_m reduces with R = +-g, the same at
+    every sample that is not elliptic.  At the elliptic points i and rho it
+    may reduce with R = g S instead, for an S that fixes z_m; the value stays
+    right, as R z_m = g z_m.  U_1 is the identity and g is reduced, so
     eta_i0 is a series with no transform.
     """
     index: dict[Form, int] = {}

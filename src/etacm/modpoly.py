@@ -6,28 +6,26 @@ sample points z_m the monic product over the psi(N) conjugates w^s(gamma z_m)
 is expanded, then every X-coefficient is interpolated in J on the Lagrange
 basis at the nodes J(z_m), with a certified bound, and accepted through H's
 gate (`classpoly.round_certified`).  It starts as H does, from the bound
-that the float model of the conjugates predicts with the basis at MIN_PREC
-bits (`_model_err`, `classpoly.initial_precision`).  The
-samples lie on the imaginary axis above i, where J is real and strictly
-increasing, so the nodes are distinct and far apart.  Each sample point is
-the root of an integer form f_m: its node J(z_m) is evaluated at f_m itself
-(`etafunc.j_invariant_with_err`), with a certified bound of its own.  Its
-conjugate w^s(g z_m) is w^s at the root of the form f_m.g^-1, planned once
-per Phi as H's forms are (`etafunc.hecke_plan`; z_m is not an elliptic
-point, so that form reduces back to f_m with matrix +-g) and evaluated for
-all samples in one call per attempt (`etafunc.w_pow_s_at_hecke_points`).
-On the imaginary axis, mirror cosets share the value: the coset of top
-row (a, -b) has the conjugate of the value at (a, b)
-(`_mirror`).  So w^s is evaluated at one coset of each mirror pair,
-(psi(N) + 4)/2 values per sample point, each pair gives the real quadratic
-(X - r)(X - conj r), and Phi's samples are expanded by H's real tree
-(`classpoly.product_tree`) and interpolated on real nodes, all as H's real
-polynomials (`classpoly.RPoly`; Enge, Math. Comp. 78, 2009).
+that the float model of the conjugates predicts (`_model_err`,
+`classpoly.initial_precision`).  The samples are the roots of the 13 forms
+[1, b, c] of class number one (`SAMPLES`, by increasing Im), whose J is a
+known integer: the nodes are exact and distinct, and only 1/d_m of the
+basis is rounded (`_basis`).  The conjugate w^s(g z_m) is w^s at the root
+of the form f_m.g^-1, planned once per Phi as H's forms are
+(`etafunc.hecke_plan`) and evaluated for all samples in one call per
+attempt (`etafunc.w_pow_s_at_hecke_points`).  A sample has Re z_m = -b/2,
+so mirror cosets share the value: the coset of top row (a, ab - b') has
+the conjugate of the value at (a, b') (`_mirror`).  So w^s is evaluated at
+one coset of each mirror pair, (psi(N) + 4)/2 values per sample point, each
+pair gives the real quadratic (X - r)(X - conj r), and Phi's samples are
+expanded by H's real tree (`classpoly.product_tree`) and interpolated on
+real nodes, all as H's real polynomials (`classpoly.RPoly`; Enge,
+Math. Comp. 78, 2009).  13 nodes cap the J-degree at 12.
 
 The level is the ordered pair (p1, p2) as the caller gives it, and
 N = p1 p2 is never factored: `coset_representatives(p1, p2)` lists the
-cosets in the order that `_mirror(p1, p2)` indexes, so either order of the
-pair gives the same Phi.
+cosets in the order that `_mirror(p1, p2, b)` indexes, so either order of
+the pair gives the same Phi.
 
 The (3, 13) polynomial ships as a package data resource; `load_embedded`
 reads it back through the same deserializer the CLI uses.
@@ -40,7 +38,7 @@ from collections import namedtuple
 from functools import reduce
 from importlib import resources
 
-from .apcomplex import MAX_PRECISION, MIN_PREC, ROUND_ULPS, add, div, double_until, lg, log2add
+from .apcomplex import MAX_PRECISION, MIN_PREC, ROUND_ULPS, div, double_until, lg, log2add
 from .arith import check_distinct_odd_primes, check_odd_prime, crt_pair
 from .classpoly import (
     TREE_BITS,
@@ -52,19 +50,11 @@ from .classpoly import (
     product_tree,
     round_certified,
 )
-from .errors import (
-    CoefficientParseFailure,
-    InterpolationSingular,
-    MalformedHeader,
-    PreconditionError,
-    WrongDegree,
-)
+from .errors import CoefficientParseFailure, MalformedHeader, PreconditionError, WrongDegree
 from .etafunc import (
     Point,
     Quotient,
-    Value,
     hecke_plan,
-    j_invariant_with_err,
     s_exponent,
     w_pow_s_at_hecke_points,
     w_pow_s_model,
@@ -72,12 +62,21 @@ from .etafunc import (
 from .ffield import FpPolynomial
 from .intpoly import mul as ipmul
 from .intpoly import sub as ipsub
-from .qforms import Matrix, QuadraticForm, _compose, _primitive, _xgcd
+from .qforms import Matrix, _compose, _xgcd
 
 MAX_DEGJ = 4  # the largest J-degree of a Phi computed or read back
 
-# sample forms, Hecke points, quotients, paired flags (`_conjugate_plan`)
-Plan = tuple[list[QuadraticForm], list[Point], list[Quotient], list[bool]]
+# the forms [1, b, c] of class number one, D = -3, -4, -7, -8, -11, -12,
+# -16, -19, -27, -28, -43, -67, -163, by increasing Im of their root, each
+# with J at that root, an integer
+SAMPLES = (((1, 1, 1), 0), ((1, 0, 1), 1728), ((1, 1, 2), -3375), ((1, 0, 2), 8000),
+           ((1, 1, 3), -32768), ((1, 0, 3), 54000), ((1, 0, 4), 287496),
+           ((1, 1, 5), -884736), ((1, 1, 7), -12288000), ((1, 0, 7), 16581375),
+           ((1, 1, 11), -884736000), ((1, 1, 17), -147197952000),
+           ((1, 1, 41), -262537412640768000))
+
+# Hecke points, quotients, and whether each value is paired (`_conjugate_plan`)
+Plan = tuple[list[Point], list[Quotient], list[bool]]
 
 
 class ModularPolynomial(namedtuple("_ModularPolynomial", "p1 p2 s degX degJ coeffs")):
@@ -104,7 +103,7 @@ def _p1_line(p: int) -> list[tuple[int, int]]:
 def coset_representatives(p1: int, p2: int) -> list[Matrix]:
     """(p1 + 1)(p2 + 1) unimodular matrices, one per coset of Gamma^0(N),
     N = p1 p2, indexed by the top row in P^1(Z/p1) x P^1(Z/p2) in the order
-    of the pair as given: the order that `_mirror(p1, p2)` indexes."""
+    of the pair as given: the order that `_mirror(p1, p2, b)` indexes."""
     check_distinct_odd_primes(p1, p2)
     N = p1 * p2
     reps = []
@@ -125,60 +124,40 @@ def coset_representatives(p1: int, p2: int) -> list[Matrix]:
     return reps
 
 
-def _mirror(p1: int, p2: int) -> list[int]:
-    """The index of the mirror coset of each coset of `coset_representatives`:
-    top row (a, b) goes to (a, -b), that is t -> -t mod p and inf -> inf on
-    each factor of `_p1_line`.  An involution whose 4 fixed cosets are those
-    with t1, t2 in {0, inf}.
+def _mirror(p1: int, p2: int, b: int) -> list[int]:
+    """The index of the mirror coset of each coset of `coset_representatives`
+    at a sample [1, b, c]: top row (a, b') goes to (a, ab - b'), that is
+    t -> b - t mod p and inf -> inf on each factor of `_p1_line`.  An
+    involution whose 4 fixed cosets are those with t1, t2 in {b/2, inf}.
 
-    For z = iy, -conj(g z) = g' z with g' = (a, -b, -c, d), and w^s has real
-    q-coefficients, so w^s(g' z) = conj(w^s(g z)): the mirror coset's value
-    is the conjugate, and a fixed coset's value is real.
+    The sample's root z has Re z = -b/2, so -conj z = z + b, and
+    -conj(g z) = g' z with g' = (a, -b', -c, d) (1, b, 0, 1), of top row
+    (a, ab - b').  w^s has real q-coefficients, so w^s(g' z) = conj(w^s(g z)):
+    the mirror coset's value is the conjugate, and a fixed coset's value is
+    real.
     """
-    def neg(p: int) -> list[int]:
-        return [-t % p for t in range(p)] + [p]
+    def mirror(p: int) -> list[int]:
+        return [(b - t) % p for t in range(p)] + [p]
 
-    return [i1 * (p2 + 1) + i2 for i1 in neg(p1) for i2 in neg(p2)]
-
-
-def _sample_form(m: int) -> QuadraticForm:
-    """The form [4900, 0, n^2], n = 77 + 10m, whose root is
-    z_m = i (11/10 + m/7): J is real and strictly increasing on the
-    imaginary axis above i, so the sample J-values are distinct."""
-    return QuadraticForm(*_primitive(4900, 0, (77 + 10 * m) ** 2))
+    return [i1 * (p2 + 1) + i2 for i1 in mirror(p1) for i2 in mirror(p2)]
 
 
-def _basis(nodes: list[tuple[Value, float]], wp: int) -> list[RPoly]:
-    """The Lagrange basis N_m / d_m at the nodes x_m, with certified bounds,
-    for nodes given with their bounds (`etafunc.j_invariant_with_err`): each
-    is real and keeps the real part of its value, within 2^node_err, the
-    largest bound.
+def _basis(xs: list[int], wp: int) -> list[RPoly]:
+    """The Lagrange basis N_m / d_m at the distinct integer nodes x_m, with a
+    certified bound.
 
-    N_m(J) = prod_{j != m} (J - x_j) and d_m = prod_{j != m} (x_m - x_j).
-    N_m is a `product_tree` with node_err at the leaves, d_m the same
-    `RPoly.mul` fold over the exact differences x_m - x_j, each within
-    2^(node_err + 1).  If |d - d'| <= e <= |d'|/2, then
-    |1/d - 1/d'| = e/(|d| |d'|) <= 2e/|d'|^2, plus the division's rounding,
-    3 ulps of 1/d' at wp bits.  `RPoly.mul` bounds (1/d_m) N_m.  Raises
-    InterpolationSingular when two nodes are within 2^-(wp/2), or some d_m
-    is not certified nonzero.
+    N_m(J) = prod_{j != m} (J - x_j) and d_m = prod_{j != m} (x_m - x_j) are
+    exact; 1/d_m is rounded once, within 3 ulps at wp bits (`apcomplex.div`),
+    and `RPoly.mul` bounds (1/d_m) N_m.
     """
-    node_err = max(err for _, err in nodes)
-    xs = [(re, 0, e) for (re, _, e), _ in nodes]
     basis = []
     for m, x in enumerate(xs):
         others = xs[:m] + xs[m + 1:]
-        diffs = [add(x, (-a, 0, e)) for a, _, e in others]
-        d = reduce(lambda f, g: f.mul(g, wp),
-                   [RPoly.constant(c, e, node_err + 1) for c, _, e in diffs])
-        dm = (d.coeffs[0], 0, d.exp)
-        low = lg(dm) - 2.0 ** -29
-        if min(lg(c) for c in diffs) < -(wp // 2) or d.err > low - 1:
-            raise InterpolationSingular("sample J-values too close")
-        inv, _, e = div((1, 0, 0), dm, wp)
-        inv_err = log2add(d.err + 1 - 2 * low, lg((inv, 0, e)) + math.log2(ROUND_ULPS) - wp)
-        numer = product_tree([(xj, node_err) for xj in others], [False] * len(others), wp)
-        basis.append(RPoly.constant(inv, e, inv_err).mul(numer, wp))
+        numer = reduce(ipmul, ([-xj, 1] for xj in others), [1])
+        inv = div((1, 0, 0), (math.prod(x - xj for xj in others), 0, 0), wp)
+        exact = RPoly(numer, 0, -math.inf, lg((sum(map(abs, numer)), 0, 0)))
+        basis.append(RPoly.constant(inv[0], inv[2], lg(inv) + math.log2(ROUND_ULPS) - wp)
+                     .mul(exact, wp))
     return basis
 
 
@@ -204,39 +183,40 @@ def _model_err(s: int, plan: Plan, basis: list[RPoly]) -> float:
     `_tree_err` over the float model of its conjugates (`w_pow_s_model`), the
     norm bounding each coefficient y_{m,k}, folded as `_lagrange` folds them."""
     wp = MIN_PREC + TREE_BITS
-    _, points, quotients, paired = plan
+    points, quotients, paired = plan
     roots = w_pow_s_model(points, quotients, s, MIN_PREC)
-    n = len(paired)
-    samples = [_tree_err(roots[i:i + n], paired, wp) for i in range(0, len(roots), n)]
+    n = len(paired) // len(basis)
+    samples = [_tree_err(roots[i:i + n], paired[i:i + n], wp) for i in range(0, len(roots), n)]
     return log2add(*(_mul_err(*y, lm.norm, lm.err, wp) for y, lm in zip(samples, basis)))
 
 
 def _conjugate_plan(p1: int, p2: int, degj: int) -> Plan:
-    """The degJ + 1 sample forms f_m; the Hecke points and quotients
-    (`etafunc.hecke_plan`) of the forms f_m.g^-1, roots g z_m, sample by
-    sample, for one coset g of each mirror pair (`_mirror`); and whether
-    each coset is paired.  It serves every attempt of one Phi."""
-    sample_forms = [_sample_form(m) for m in range(degj + 1)]
+    """The Hecke points and quotients (`etafunc.hecke_plan`) of the forms
+    f_m.g^-1, roots g z_m, sample by sample, for one coset g of each mirror
+    pair at f_m = [1, b, c] (`_mirror`); and whether each value is paired.
+    It serves every attempt of one Phi."""
     cosets = coset_representatives(p1, p2)
-    kept, paired = _one_per_pair(_mirror(p1, p2))
-    forms = [_compose(f, (d, -b, -c, a)) for f in sample_forms
-             for a, b, c, d in (cosets[i] for i in kept)]
-    return sample_forms, *hecke_plan(forms, p1, p2), paired
+    forms, paired = [], []
+    for f, _ in SAMPLES[:degj + 1]:
+        kept, pairs = _one_per_pair(_mirror(p1, p2, f[1]))
+        forms += [_compose(f, (d, -b, -c, a)) for a, b, c, d in (cosets[i] for i in kept)]
+        paired += pairs
+    return *hecke_plan(forms, p1, p2), paired
 
 
 def _coefficients(s: int, plan: Plan, basis: list[RPoly], prec: int) -> list[RPoly]:
     """Every X-coefficient of Phi as a polynomial in J, with its certified
-    bound, from degJ + 1 sample points at precision prec, on the Lagrange
-    basis at their nodes evaluated at prec (`_basis`).
+    bound, from the samples of the plan at precision prec, on the Lagrange
+    basis at their nodes (`_basis`).
 
     w^s is evaluated at one coset of each mirror pair of every sample point
     in one call (`_conjugate_plan`), and the other's value is its conjugate.
     """
     wp = prec + TREE_BITS
-    _, points, quotients, paired = plan
+    points, quotients, paired = plan
     values = w_pow_s_at_hecke_points(points, quotients, s, prec)
-    n = len(paired)
-    return _lagrange(basis, [product_tree(values[i:i + n], paired, wp)
+    n = len(paired) // len(basis)
+    return _lagrange(basis, [product_tree(values[i:i + n], paired[i:i + n], wp)
                              for i in range(0, len(values), n)], wp)
 
 
@@ -253,15 +233,11 @@ def compute_modular_polynomial(p1: int, p2: int, *,
     if degj > MAX_DEGJ:
         raise PreconditionError(f"J-degree {degj} above {MAX_DEGJ}")
     plan = _conjugate_plan(p1, p2, degj)
-
-    def basis(prec: int) -> list[RPoly]:
-        return _basis([j_invariant_with_err(f, prec) for f in plan[0]], prec + TREE_BITS)
-
-    low = basis(MIN_PREC)  # the model's, and a first attempt's at MIN_PREC
+    nodes = [j for _, j in SAMPLES[:degj + 1]]
     rows = double_until(
-        initial_precision(_model_err(s, plan, low), degx), max_prec,
-        lambda prec: _rows(_coefficients(s, plan, low if prec == MIN_PREC else basis(prec),
-                                         prec)),
+        initial_precision(_model_err(s, plan, _basis(nodes, MIN_PREC + TREE_BITS)), degx),
+        max_prec,
+        lambda prec: _rows(_coefficients(s, plan, _basis(nodes, prec + TREE_BITS), prec)),
         f"Phi_{{{p1},{p2}}}")
     return ModularPolynomial(p1, p2, s, degx, degj, tuple(tuple(r) for r in rows))
 

@@ -147,10 +147,11 @@ class TestComputeClassPolynomial:
         assert calls == []  # refused before any evaluation at 512 bits
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7), (-1511, 5, 7)])
-    def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
-        # when the modelled roots already predict a passing gate at 64 bits
-        # (D = -56 and -3996 have a start below 64 bits, D = -1511 one of 65),
-        # the first and only attempt evaluates the roots at 64 bits
+    def test_modelled_start_at_64_bits_is_the_only_attempt(self, monkeypatch, D, p1, p2):
+        # when the modelled roots already predict a passing gate at 64 bits,
+        # `initial_precision` returns MIN_PREC itself, and the first and only
+        # attempt evaluates the roots at 64 bits; they give the H of an
+        # evaluation at 512 bits
         import etacm.classpoly as cp
 
         calls = []
@@ -166,10 +167,9 @@ class TestComputeClassPolynomial:
     @pytest.mark.parametrize("D, p1, p2, cap",
                              [(-56, 3, 13, 32), (-3996, 5, 7, 63), (-1511, 5, 7, 64)])
     def test_max_prec_below_64_or_the_start_raises(self, monkeypatch, D, p1, p2, cap):
-        # -3996 has a start below 64 bits, so one bit under 64 already
-        # raises; -1511 has a start of 65, but its modelled roots predict a
-        # passing gate at 64 bits, so a cap of 64 gives the uncapped H from
-        # one evaluation at 64 bits
+        # the modelled roots of all three predict a passing gate at 64 bits,
+        # so their start is MIN_PREC: one bit under 64 already raises, and a
+        # cap of 64 gives the uncapped H from one evaluation at 64 bits
         import etacm.classpoly as cp
 
         b = b_candidates(D, p1, p2)[0]
@@ -387,8 +387,8 @@ class TestPrecisionPolicy:
 
     def test_one_evaluation_per_value(self, monkeypatch):
         # an attempt evaluates each value once and raises it to s once: w^s
-        # at each kept form of H, w^s at each kept coset of each sample
-        # point of Phi, and J at each sample point
+        # at each kept form of H and at each kept coset of each sample point
+        # of Phi, whose J nodes are exact integers, evaluated nowhere
         import etacm.classpoly as cp
         import etacm.etafunc as ef
         import etacm.modpoly as mp
@@ -402,19 +402,19 @@ class TestPrecisionPolicy:
                 return out
             return wrapper
 
-        real_power, real_j = ef._power_with_err, mp.j_invariant_with_err
+        real_power, real_j = ef._power_with_err, ef.j_invariant_with_err
         monkeypatch.setattr(ef, "_power_with_err", lambda *a: powers.append(a) or real_power(*a))
         monkeypatch.setattr(cp, "w_pow_s_at_hecke_points", recording(cp.w_pow_s_at_hecke_points))
         monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", recording(mp.w_pow_s_at_hecke_points))
-        monkeypatch.setattr(mp, "j_invariant_with_err",
+        monkeypatch.setattr(ef, "j_invariant_with_err",
                             lambda *a: nodes.append(a[1]) or real_j(*a))
         assert compute_class_polynomial(-56, 3, 13, 10).descending() == [1, -2, -1, 2, -1]
         assert values == [(64, 3)]  # h = 4 with 2 real roots: 3 kept forms
         mp.compute_modular_polynomial(3, 5)
         # Phi_{3,5} takes one attempt: one call for its 3 sample points,
-        # (24 + 4) / 2 kept cosets each, and J at each sample point
+        # (24 + 4) / 2 kept cosets each, and no J
         assert values[1:] == [(64, 3 * 14)]
-        assert nodes == [64] * 3
+        assert nodes == []
         assert len(powers) == sum(n for _, n in values)
 
     def test_points_reduced_once_per_polynomial(self, monkeypatch):

@@ -305,7 +305,7 @@ class TestUsageAndPlumbing:
         (100, ["modpoly", "--p1", "5", "--p2", "13"]),
     ])
     def test_precision_max_below_start_exits_3(self, capsys, cap, argv):
-        # the starts are 64 bits for H of D = -56 and 136 for Phi_{5,13},
+        # the starts are 64 bits for H of D = -56 and 130 for Phi_{5,13},
         # which makes no 64-bit attempt
         code, out, err = run_cli(["--precision-max", str(cap)] + argv, capsys)
         assert code == 3

@@ -531,20 +531,19 @@ class TestEtaTable:
 
     def test_one_set_of_units_per_evaluation(self, monkeypatch):
         # every w_pow_s_at_hecke_points call builds the 24 units once, at its
-        # own working precision, and every J once more: H with D = -9899
-        # forced to start at 64 bits (the gate rejects that attempt, so there
-        # is another), and Phi_{3,5} (J at each sample point for the basis
-        # that its start is modelled with, then one w^s call for all its
-        # sample points)
+        # own working precision: H with D = -9899 forced to start at 64 bits
+        # (the gate rejects that attempt, so there is another), and Phi_{3,5}
+        # (one w^s call for all its sample points, and no J evaluated: its
+        # nodes are exact)
         import etacm.classpoly as cp
         import etacm.etafunc as ef
         import etacm.modpoly as mp
         from etacm.qforms import b_candidates
 
         units, wps, js = [], [], []
-        real_units, real_j = ef._units, mp.j_invariant_with_err
+        real_units, real_j = ef._units, ef.j_invariant_with_err
         monkeypatch.setattr(ef, "_units", lambda wp: units.append(wp) or real_units(wp))
-        monkeypatch.setattr(mp, "j_invariant_with_err", lambda *a: js.append(a) or real_j(*a))
+        monkeypatch.setattr(ef, "j_invariant_with_err", lambda *a: js.append(a) or real_j(*a))
         for module in (cp, mp):
             def recording(points, quotients, s, prec, real=module.w_pow_s_at_hecke_points):
                 wps.append(prec + eta_guard_bits(prec) + 16 + 4 * s)
@@ -557,5 +556,5 @@ class TestEtaTable:
         units.clear()
         wps.clear()
         mp.compute_modular_polynomial(3, 5)
-        assert len(wps) == 1 and len(js) == 3
-        assert len(units) == len(wps) + len(js) and units[len(js)] == wps[0]
+        assert len(wps) == 1 and js == []
+        assert units == wps

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -9,13 +10,12 @@ import pytest
 from etacm.apcomplex import ApComplex, UpperHalfPoint
 from etacm.errors import (
     CoefficientParseFailure,
-    InterpolationSingular,
     MalformedHeader,
     PrecisionExhausted,
     PreconditionError,
     WrongDegree,
 )
-from etacm.etafunc import j_invariant, j_invariant_with_err, w_pow_s
+from etacm.etafunc import j_invariant, w_pow_s
 from etacm.ffield import FpPolynomial
 from etacm.intpoly import divmod_monic
 from etacm.modpoly import (
@@ -66,14 +66,16 @@ PAIRS = [(3, 5), (3, 7), (3, 13), (5, 7), (5, 13)]
 SWAPPED = [(p2, p1) for p1, p2 in PAIRS]
 
 
-def mirror_by_top_rows(p1: int, p2: int) -> list[int]:
+def mirror_by_top_rows(p1: int, p2: int, b: int) -> list[int]:
     """For each coset of `coset_representatives(p1, p2)`, the index of the
-    one whose top row is (a, -b) in P^1(Z/N), found by search."""
+    one whose top row is (a, ab - b') in P^1(Z/N) for the top row (a, b'),
+    found by search."""
     n = p1 * p2
     reps = coset_representatives(p1, p2)
     out = []
-    for a, b, _, _ in reps:
-        hits = [j for j, (a2, b2, _, _) in enumerate(reps) if (a2 * b + a * b2) % n == 0]
+    for a, b1, _, _ in reps:
+        hits = [j for j, (a2, b2, _, _) in enumerate(reps)
+                if (a2 * (a * b - b1) - a * b2) % n == 0]
         assert len(hits) == 1
         out.append(hits[0])
     return out
@@ -98,52 +100,56 @@ class TestCosetRepresentatives:
                     # same coset of Gamma^0(N) iff a2*b1 = a1*b2 mod N
                     assert (a2 * b1 - a1 * b2) % n, (reps[i], reps[j])
 
-    @pytest.mark.parametrize("p1,p2", PAIRS)
+    @pytest.mark.parametrize("p1,p2", PAIRS + [(13, 5)])
     def test_mirror_cosets_have_conjugate_values(self, p1, p2):
         # the identity behind evaluating one coset per mirror pair, checked
-        # on every coset at 128 bits: at the sample z_0 = iy, the coset of top
-        # row (a, -b) holds the conjugate of the value at (a, b), and the 4
-        # cosets that are their own mirror hold real values
+        # on every coset of every sample [1, b, c] at 128 bits: at its root,
+        # Re z = -b/2, the coset of top row (a, ab - b') holds the conjugate of
+        # the value at (a, b'), and the 4 cosets that are their own mirror
+        # hold real values
         import etacm.modpoly as mp
         from etacm.qforms import _compose
 
-        mirror = mirror_by_top_rows(p1, p2)
-        assert all(mirror[j] == i for i, j in enumerate(mirror))
-        assert sum(i == j for i, j in enumerate(mirror)) == 4
-        f = mp._sample_form(0)
-        forms = [_compose(f, (d, -b, -c, a)) for a, b, c, d in coset_representatives(p1, p2)]
-        roots = [(to_mpc(r), err) for r, err in hecke_roots(forms, p1, p2, 128)]
-        with mpmath.workprec(512):
-            for (r, err), j in zip(roots, mirror):
-                rm, err_m = roots[j]
-                assert abs(r - mpmath.conj(rm)) <= mpmath.mpf(2) ** err + mpmath.mpf(2) ** err_m
-            for i in (i for i, j in enumerate(mirror) if i == j):
-                r, err = roots[i]
-                assert abs(r.imag) <= mpmath.mpf(2) ** err
+        for f, _ in mp.SAMPLES:
+            mirror = mirror_by_top_rows(p1, p2, f[1])
+            assert mp._mirror(p1, p2, f[1]) == mirror
+            assert all(mirror[j] == i for i, j in enumerate(mirror))
+            assert sum(i == j for i, j in enumerate(mirror)) == 4
+            forms = [_compose(f, (d, -b, -c, a)) for a, b, c, d in coset_representatives(p1, p2)]
+            roots = [(to_mpc(r), err) for r, err in hecke_roots(forms, p1, p2, 128)]
+            with mpmath.workprec(512):
+                for (r, err), j in zip(roots, mirror):
+                    rm, err_m = roots[j]
+                    assert (abs(r - mpmath.conj(rm))
+                            <= mpmath.mpf(2) ** err + mpmath.mpf(2) ** err_m)
+                for i in (i for i, j in enumerate(mirror) if i == j):
+                    r, err = roots[i]
+                    assert abs(r.imag) <= mpmath.mpf(2) ** err
 
     @pytest.mark.parametrize("p1,p2", [(3, 5), (5, 13), (13, 5)])
     def test_conjugates_lie_within_their_bounds(self, p1, p2):
-        # at the sample z_0 = 11i/10, w^s of one coset of each mirror pair,
-        # from the eta values at the Hecke points, lies within its certified
-        # bound of w^s(g z_0) from mpmath's eta at the four points g z_0 / d
-        # (`oracles.eta_at_quadratic_point`)
+        # at the samples z_0 = rho = (-1 + i sqrt 3)/2 and z_1 = i, w^s of one
+        # coset of each mirror pair, from the eta values at the Hecke points,
+        # lies within its certified bound of w^s(g z_m) from mpmath's eta at
+        # the four points g z_m / d (`oracles.eta_at_quadratic_point`)
         import etacm.modpoly as mp
         from etacm.classpoly import _one_per_pair
         from etacm.etafunc import s_exponent, w_pow_s_at_hecke_points
 
-        forms, points, quotients, _ = mp._conjugate_plan(p1, p2, 0)
-        y0 = Fraction(11, 10)
-        assert forms == [(100, 0, 121)]
+        points, quotients, _ = mp._conjugate_plan(p1, p2, 1)
         s = s_exponent(p1, p2)
         values = w_pow_s_at_hecke_points(points, quotients, s, 64)
-        kept = _one_per_pair(mp._mirror(p1, p2))[0]
         cosets = coset_representatives(p1, p2)
-        assert len(values) == len(kept) == ((p1 + 1) * (p2 + 1) + 4) // 2
-        for i, (value, err) in zip(kept, values):
+        samples = [(f, i) for f, _ in mp.SAMPLES[:2]
+                   for i in _one_per_pair(mp._mirror(p1, p2, f[1]))[0]]
+        assert [f for f, _ in mp.SAMPLES[:2]] == [(1, 1, 1), (1, 0, 1)]
+        assert len(values) == len(samples) == 2 * (((p1 + 1) * (p2 + 1) + 4) // 2)
+        for ((_, b0, c0), i), (value, err) in zip(samples, values):
+            x0, y02 = Fraction(-b0, 2), Fraction(4 * c0 - b0 * b0, 4)  # z_m = x0 + i sqrt(y02)
             a, b, c, d = cosets[i]
-            den = (c * y0) ** 2 + d * d
-            x, y = (b * d + a * c * y0 * y0) / den, y0 / den  # g z_0
-            e1, e2, e0, eN = (eta_at_quadratic_point(x / n, (y / n) ** 2, 400)
+            den = (c * x0 + d) ** 2 + c * c * y02
+            x, y2 = ((a * x0 + b) * (c * x0 + d) + a * c * y02) / den, y02 / den**2  # g z_m
+            e1, e2, e0, eN = (eta_at_quadratic_point(x / n, y2 / n**2, 400)
                               for n in (p1, p2, 1, p1 * p2))
             with mpmath.workprec(400):
                 want = (e1 * e2 / (e0 * eN)) ** s
@@ -342,44 +348,24 @@ class TestComputeModularPolynomial:
                         actual = abs(c - n)
                     assert actual == 0 or mpmath.log(actual, 2) <= f.err
 
-    @pytest.mark.parametrize("prec", [64, 149])
-    def test_nodes_lie_within_their_certified_bounds(self, monkeypatch, prec):
-        # each node J(z_m) of Phi_{5,13} lies within its own certified bound
-        # of 1728 kleinj(z_m) at prec + 300 bits, and every leaf of the
-        # Lagrange basis' numerators carries the largest of those bounds
-        import etacm.modpoly as mp
-
-        nodes = []
-        for m in range(5):
-            f = mp._sample_form(m)
-            value, err = j_invariant_with_err(f, prec)
-            with mpmath.workprec(prec + 300):
-                z = mpmath.mpc(0, mpmath.sqrt(-f.discriminant)) / (2 * f.a)
-                assert abs(to_mpc(value) - 1728 * mpmath.kleinj(z)) <= mpmath.mpf(2) ** err
-            nodes.append((value, err))
-        seen = []
-        real = mp.product_tree
-        monkeypatch.setattr(mp, "product_tree",
-                            lambda roots, *a: seen.extend(e for _, e in roots) or real(roots, *a))
-        mp._basis(nodes, prec + mp.TREE_BITS)
-        assert len(seen) == 5 * 4 and set(seen) == {max(err for _, err in nodes)}
-
     def test_inflated_leaf_bounds_exhaust_precision(self, monkeypatch):
-        # the accepted bound is the one the trees certify: inflating the leaf
-        # bounds of the sample points (the trees with paired leaves), or else
-        # those of the Lagrange basis (the trees without), by 2^2000, beyond
+        # the accepted bound is the one the trees and the basis certify:
+        # inflating the leaf bounds of the sample points' trees, or else the
+        # bound of each polynomial of the Lagrange basis, by 2^2000, beyond
         # what max_prec = 1024 bits can absorb, must push Phi past max_prec
         import etacm.modpoly as mp
 
-        real_tree = mp.product_tree
-        for samples in (True, False):
-            def inflated(roots, paired, wp, samples=samples):
-                if any(paired) == samples:
-                    roots = [(r, e + 2000) for r, e in roots]
-                return real_tree(roots, paired, wp)
+        real_tree, real_basis = mp.product_tree, mp._basis
 
+        def inflated_tree(roots, paired, wp):
+            return real_tree([(r, e + 2000) for r, e in roots], paired, wp)
+
+        def inflated_basis(xs, wp):
+            return [mp.RPoly(f.coeffs, f.exp, f.err + 2000, f.norm) for f in real_basis(xs, wp)]
+
+        for name, inflated in (("product_tree", inflated_tree), ("_basis", inflated_basis)):
             with monkeypatch.context() as patch:
-                patch.setattr(mp, "product_tree", inflated)
+                patch.setattr(mp, name, inflated)
                 with pytest.raises(PrecisionExhausted):
                     compute_modular_polynomial(3, 5, max_prec=1024)
 
@@ -390,7 +376,8 @@ class TestComputeModularPolynomial:
         import etacm.modpoly as mp
 
         for p1, p2 in PAIRS + SWAPPED:
-            assert mp._mirror(p1, p2) == mirror_by_top_rows(p1, p2)
+            for b in (0, 1):
+                assert mp._mirror(p1, p2, b) == mirror_by_top_rows(p1, p2, b)
         calls = []
         real = mp.w_pow_s_at_hecke_points
 
@@ -406,22 +393,23 @@ class TestComputeModularPolynomial:
     def test_sample_point_sums_one_series_per_class(self, monkeypatch):
         # the 4 psi(N) eta arguments g z / d at one sample point are eta
         # transforms of 1 + (p1 + 1) + (p2 + 1) + psi(N) = 75 Hecke points
-        # (alpha z + beta) / delta; the sample lies on the imaginary axis, so
-        # mirror-image classes [A, +-B, C] share one series, which leaves at
-        # most 42 series per point, and at most 42 transforms other than the
-        # identity.  Each sample's kept cosets, evaluated alone, give exactly
-        # its slice of the one batch that Phi_{3,13} evaluates per attempt
+        # (alpha z + beta) / delta; mirror-image classes [A, +-B, C] share one
+        # series, which leaves at most 42 series per point, and the points
+        # that are not their class's reduced form take one transform each:
+        # 12, 21 and 42 series and 41, 41 and 47 transforms at the roots of
+        # [1, 1, 1], [1, 0, 1] and [1, 1, 2].  Each sample's kept cosets,
+        # evaluated alone, give exactly its slice of the one batch that
+        # Phi_{3,13} evaluates per attempt
         import etacm.etafunc as ef
         import etacm.modpoly as mp
         from etacm.classpoly import _one_per_pair
         from etacm.qforms import _compose
 
-        forms, points, quotients, paired = mp._conjugate_plan(3, 13, 2)
+        points, quotients, paired = mp._conjugate_plan(3, 13, 2)
         batch = ef.w_pow_s_at_hecke_points(points, quotients, ef.s_exponent(3, 13), 64)
         cosets = coset_representatives(3, 13)
-        kept = [cosets[i] for i in _one_per_pair(mp._mirror(3, 13))[0]]
-        n = len(kept)
-        assert len(paired) == n == (56 + 4) // 2 and len(batch) == 3 * n
+        n = (56 + 4) // 2
+        assert len(paired) == len(batch) == 3 * n
 
         series, transforms, per_point = [0], [0], []
         real_series, real_transform = ef._eta_series, ef._eta_transform
@@ -436,20 +424,24 @@ class TestComputeModularPolynomial:
 
         monkeypatch.setattr(ef, "_eta_series", counting_series)
         monkeypatch.setattr(ef, "_eta_transform", transform)
-        for m, f in enumerate(forms):
+        for m, (f, _) in enumerate(mp.SAMPLES[:3]):
+            kept = [cosets[i] for i in _one_per_pair(mp._mirror(3, 13, f[1]))[0]]
+            assert len(kept) == n
             before = series[0], transforms[0]
             values = hecke_roots([_compose(f, (d, -b, -c, a)) for a, b, c, d in kept], 3, 13, 64)
             per_point.append((series[0] - before[0], transforms[0] - before[1]))
             assert values == batch[m * n:(m + 1) * n]
-        assert all(0 < k <= 42 and t <= 42 for k, t in per_point)
+        assert all(0 < k <= 42 for k, _ in per_point)
+        assert per_point == [(12, 41), (21, 41), (42, 47)]
 
-    @pytest.mark.parametrize("p1, p2, splits", [(3, 5, 14), (3, 7, 18), (3, 13, 30),
-                                                (5, 7, 26), (5, 13, 44)])
+    @pytest.mark.parametrize("p1, p2, splits", [(3, 5, 23), (3, 7, 32), (3, 13, 55),
+                                                (5, 7, 39), (5, 13, 65)])
     def test_one_split_per_coset_and_one_batch_per_attempt(self, monkeypatch, p1, p2, splits):
         # every sample point reduces each kept coset's form back to its sample
-        # form with the coset's own matrix, so each kept coset's Hecke split
-        # is worked out once per Phi (`etafunc.hecke_plan`), not once per
-        # sample; and each attempt evaluates all its conjugates in one call
+        # form with the coset's own matrix, up to sign and, at i and rho, a
+        # matrix that fixes the sample, so each such matrix's Hecke split is
+        # worked out once per Phi (`etafunc.hecke_plan`), not once per sample
+        # and coset; and each attempt evaluates all its conjugates in one call
         import etacm.etafunc as ef
         import etacm.modpoly as mp
 
@@ -466,25 +458,58 @@ class TestComputeModularPolynomial:
                             counting("batch", mp.w_pow_s_at_hecke_points))
         monkeypatch.setattr(mp, "_coefficients", counting("attempt", mp._coefficients))
         compute_modular_polynomial(p1, p2)
-        assert counts["split"] == splits == ((p1 + 1) * (p2 + 1) + 4) // 2
+        degj = mp._degrees(p1, p2)[2]
+        assert counts["split"] == splits < (degj + 1) * ((p1 + 1) * (p2 + 1) + 4) // 2
         assert counts["batch"] == counts["attempt"] == 1
 
-    def test_duplicate_samples_raise(self, monkeypatch):
-        # coincident nodes cannot be interpolated
+    def test_sample_table_against_independent_references(self):
+        # the nodes are the 13 forms [1, b, c] of class number one, reduced,
+        # the only discriminants -1000 < D < 0 of class number one, by
+        # increasing Im of the root sqrt|D| / 2, each with J at its root to
+        # 2^-100 of 1728 kleinj at 400 bits; they cover the J-degree cap
+        import etacm.modpoly as mp
+        from etacm.qforms import _reduce, class_number
+
+        forms = [f for f, _ in mp.SAMPLES]
+        assert all(_reduce(f)[0] == f and f[0] == 1 for f in forms)
+        discs = [b * b - 4 * a * c for a, b, c in forms]
+        assert discs == sorted(discs, reverse=True)
+        assert set(discs) == {D for D in range(-999, 0)
+                              if D % 4 in (0, 1) and class_number(D) == 1}
+        assert len(discs) == 13
+        with mpmath.workprec(400):
+            for (a, b, c), j in mp.SAMPLES:
+                z = mpmath.mpc(-b, mpmath.sqrt(4 * a * c - b * b)) / (2 * a)
+                assert abs(j - 1728 * mpmath.kleinj(z)) < mpmath.mpf(2) ** -100
+        assert mp.MAX_DEGJ + 1 <= len(mp.SAMPLES)
+
+    @pytest.mark.parametrize("count, wp", [(3, 96), (5, 162), (13, 96), (13, 600)])
+    def test_basis_bound_covers_any_rounding_of_the_inverses(self, monkeypatch, count, wp):
+        # `_basis` rounds each 1/d_m once, within 3 ulps (`apcomplex.div`),
+        # and its bound must hold for any such rounding: with every 1/d_m
+        # taken 1.9 ulps toward zero and then cut toward zero (under 2.9 ulps
+        # in all), each coefficient of each N_m / d_m at the first count
+        # sample nodes lies within its bound of the exact one
         import etacm.modpoly as mp
 
-        real_sample = mp._sample_form
-        monkeypatch.setattr(mp, "_sample_form", lambda m: real_sample(0))
-        with pytest.raises(InterpolationSingular):
-            compute_modular_polynomial(3, 5)
+        real = mp.div
 
-    def test_sample_j_values_real_and_increasing(self):
-        import etacm.modpoly as mp
+        def off(x, y, W):
+            _, _, e = real(x, y, W)
+            q = Fraction(1, y[0]) * (1 - Fraction(19, 10) / 2**W) / Fraction(2) ** e
+            return int(q), 0, e
 
-        js = [to_mpc(j_invariant_with_err(mp._sample_form(m), 256)[0]) for m in range(9)]
-        assert all(abs(j.imag) < mpmath.mpf(2) ** -150 for j in js)
-        assert 1728 < js[0].real
-        assert all(a.real < b.real for a, b in zip(js, js[1:]))
+        nodes = [j for _, j in mp.SAMPLES[:count]]
+        monkeypatch.setattr(mp, "div", off)
+        for m, f in enumerate(mp._basis(nodes, wp)):
+            others = nodes[:m] + nodes[m + 1:]
+            d = math.prod(nodes[m] - x for x in others)
+            exact = [1]
+            for x in others:  # times (J - x)
+                exact = [a - x * b for a, b in zip([0] + exact, exact + [0])]
+            assert len(f.coeffs) == len(exact)
+            for c, n in zip(f.coeffs, exact):
+                assert abs(c * Fraction(2) ** f.exp - Fraction(n, d)) <= Fraction(2.0 ** f.err)
 
     def test_rejects_unsupported(self):
         with pytest.raises(PreconditionError):
@@ -514,7 +539,7 @@ class TestStartModel:
         monkeypatch.setattr(mp, "MAX_DEGJ", cap)
         s, degx, degj = mp._degrees(p1, p2)
         plan = mp._conjugate_plan(p1, p2, degj)
-        basis = mp._basis([j_invariant_with_err(f, 64) for f in plan[0]], 64 + mp.TREE_BITS)
+        basis = mp._basis([j for _, j in mp.SAMPLES[:degj + 1]], 64 + mp.TREE_BITS)
         worst = max(f.err for f in mp._coefficients(s, plan, basis, 64))
         derived = mp.initial_precision(worst, degx)
         calls = []
@@ -531,7 +556,7 @@ class TestStartModel:
 
         calls = []
         monkeypatch.setattr(mp, "w_pow_s_at_hecke_points", lambda *a: calls.append(a))
-        with pytest.raises(PrecisionExhausted, match=r"max_prec = 100 bits \(start 136\)"):
+        with pytest.raises(PrecisionExhausted, match=r"max_prec = 100 bits \(start 130\)"):
             compute_modular_polynomial(5, 13, max_prec=100)
         assert calls == []
 

@@ -389,11 +389,11 @@ def test_hecke_split(case):
 
 @st.composite
 def interpolation_problems(draw):
-    """(distinct real nodes k/8, integer coefficients of degree < len(nodes))."""
+    """(distinct integer nodes, integer coefficients of degree < len(nodes))."""
     n = draw(st.integers(2, 5))
-    ks = draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n, unique=True))
+    nodes = draw(st.lists(st.integers(-2**20, 2**20), min_size=n, max_size=n, unique=True))
     coeffs = draw(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=n))
-    return [Fraction(k, 8) for k in ks], coeffs
+    return nodes, coeffs
 
 
 class TestLagrange:
@@ -405,12 +405,10 @@ class TestLagrange:
         samples = []
         for x in nodes:
             y = sum(c * x**i for i, c in enumerate(coeffs))
-            v = ApComplex(kernel_triple(
-                from_rational(y.numerator, y.denominator, wp, round_nearest), fzero), wp)
+            v = ApComplex(kernel_triple(from_rational(y, 1, wp, round_nearest), fzero), wp)
             c, _, e = v.triple
             samples.append(RPoly.constant(c, e, mag(v) - wp + 1))
-        xs = [(x.numerator * (8 // x.denominator), 0, -3) for x in nodes]
-        (f,) = _lagrange(_basis([(x, -float(wp)) for x in xs], wp), samples, wp)
+        (f,) = _lagrange(_basis(nodes, wp), samples, wp)
         want = coeffs + [0] * (len(nodes) - len(coeffs))
         with mpmath.workprec(4 * wp):
             for c, n in zip(coefficients(f), want):

@@ -69,7 +69,10 @@ KEEP = {
     "apcomplex._div_nearest": _FROM_FORM,
     "apcomplex._sqrt_nearest": _FROM_FORM,
     "apcomplex.check_prec": _POINT_FUNCTIONS,
+    "apcomplex.add": _POINT_FUNCTIONS,
     "etafunc._form_of": _POINT_FUNCTIONS,
+    "etafunc._j_bits": _POINT_FUNCTIONS,
+    "etafunc.j_invariant_with_err": _POINT_FUNCTIONS,
     "etafunc._to_target": _POINT_FUNCTIONS,
     "etafunc._to_target.attempt": _POINT_FUNCTIONS,
     "etafunc.eta": _ACCEPTANCE,
