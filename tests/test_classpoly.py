@@ -147,7 +147,7 @@ class TestComputeClassPolynomial:
         assert calls == []  # refused before any evaluation at 512 bits
 
     @pytest.mark.parametrize("D, p1, p2", [(-56, 3, 13), (-3996, 5, 7), (-1511, 5, 7)])
-    def test_modelled_start_at_64_bits_is_the_only_attempt(self, monkeypatch, D, p1, p2):
+    def test_height_pass_roots_are_reused(self, monkeypatch, D, p1, p2):
         # when the modelled roots already predict a passing gate at 64 bits,
         # `initial_precision` returns MIN_PREC itself, and the first and only
         # attempt evaluates the roots at 64 bits; they give the H of an
